@@ -88,7 +88,7 @@ def _service_queue_fn(n_queries: int):
         server = Peer(
             node_id=1,
             capacity_units=1.0,
-            network=network,
+            transport=network,
             rng=rng,
             config=PeerConfig(
                 service=ServiceConfig(
@@ -98,7 +98,7 @@ def _service_queue_fn(n_queries: int):
                 )
             ),
         )
-        client = Peer(node_id=0, capacity_units=1.0, network=network, rng=rng)
+        client = Peer(node_id=0, capacity_units=1.0, transport=network, rng=rng)
         server.join_cluster(0, known_members=[1])
         server.dcrt.set(0, 0)
         server.store_document(
@@ -317,7 +317,7 @@ def specs(size: float = 1.0) -> list[BenchSpec]:
         BenchSpec(
             name="network_send_deliver",
             kind="micro",
-            description="fault-free Network.send + deliver round trips",
+            description="fault-free Network.transmit + deliver round trips",
             unit=f"s / {n_messages} messages",
             fn=_network_fn(n_messages, n_nodes=64),
             post=_rate_post("messages_per_s"),

@@ -1,8 +1,10 @@
 """Deterministic chaos harness: scenario fuzzing, invariants, replay.
 
 One root seed drives everything: :func:`generate_schedule` expands it into
-a randomized fault schedule (churn, loss ramps, partitions, publishes,
-query bursts, forced rebalances), :func:`run_schedule` executes the
+a randomized fault schedule drawn from the :data:`ACTIONS` registry (churn,
+loss ramps, partitions, publishes, query bursts, forced rebalances, plus
+the action groups of whichever :data:`FEATURES` the
+:class:`ScenarioConfig` switches on), :func:`run_schedule` executes the
 schedule against a freshly built overlay while an
 :class:`InvariantChecker` — registered as a simulation quiescence hook —
 asserts system-wide safety properties after every drained step, and
@@ -18,14 +20,19 @@ from repro.chaos.harness import ChaosReport, run_schedule
 from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.replay import emit_pytest_case, replay, shrink
 from repro.chaos.scenario import (
+    ACTIONS,
+    FEATURES,
     Schedule,
     ScheduleEntry,
     ScenarioConfig,
     generate_schedule,
+    parse_features,
 )
 
 __all__ = [
+    "ACTIONS",
     "ChaosReport",
+    "FEATURES",
     "InvariantChecker",
     "Schedule",
     "ScheduleEntry",
@@ -33,6 +40,7 @@ __all__ = [
     "Violation",
     "emit_pytest_case",
     "generate_schedule",
+    "parse_features",
     "replay",
     "run_schedule",
     "shrink",

@@ -112,7 +112,8 @@ class ChaosRunner:
         plan = plan_replication(
             self.instance, assignment, n_reps=config.n_reps, hot_mass=0.35
         )
-        if config.overload:
+        features = config.features
+        if "overload" in features:
             # Overload worlds pair the per-peer service model with the
             # client-side protections the flash_crowd action stresses.
             reliability = ReliabilityConfig(
@@ -130,21 +131,6 @@ class ChaosRunner:
         else:
             reliability = ReliabilityConfig(enabled=config.reliability)
             service = ServiceConfig()
-        replication = (
-            ReplicationConfig(enabled=True)
-            if config.adaptive_replication
-            else ReplicationConfig()
-        )
-        content = (
-            ContentConfig(enabled=True, replication_floor=config.content_floor)
-            if config.content
-            else ContentConfig()
-        )
-        durability = (
-            DurabilityConfig(enabled=True)
-            if config.recovery
-            else DurabilityConfig()
-        )
         self.system = P2PSystem(
             self.instance,
             assignment,
@@ -153,10 +139,13 @@ class ChaosRunner:
                 seed=schedule.seed,
                 reliability=reliability,
                 service=service,
-                replication=replication,
-                content=content,
-                durability=durability,
-                cache_capacity=8 if config.adaptive_replication else 0,
+                replication=ReplicationConfig(enabled="adaptive" in features),
+                content=ContentConfig(
+                    enabled="content" in features,
+                    replication_floor=config.content_floor,
+                ),
+                durability=DurabilityConfig(enabled="recovery" in features),
+                cache_capacity=8 if "adaptive" in features else 0,
             ),
         )
         # Random loss needs a generator; give the network its own named
@@ -190,24 +179,24 @@ class ChaosRunner:
                 # Always return to quiescence between entries; a no-op
                 # when the action already drained the queue.
                 self.system.sim.run()
-                if self.config.adaptive_replication:
-                    # One control round per entry: the manager observes
-                    # whatever demand the entry generated, reacts, and
-                    # the resulting transfers land before the next entry
-                    # (and before the quiescence invariant pass).
+                # One control round per entry for whatever the world runs
+                # (the system, not the config, says what is on).
+                if self.system.replication_enabled:
+                    # The manager observes whatever demand the entry
+                    # generated, reacts, and the resulting transfers land
+                    # before the next entry's invariant pass.
                     self.system.run_replication_round()
-                if self.config.content:
-                    # One data-plane round per entry: a background fetch
-                    # keeps the multi-source scheduler (and its hash
-                    # verification against whatever the entry corrupted)
-                    # under constant exercise, then one healing scan
-                    # re-replicates chunks churn pushed below the floor.
+                if self.system.content_enabled:
+                    # A background fetch keeps the multi-source scheduler
+                    # (and its hash verification against whatever the
+                    # entry corrupted) under constant exercise, then one
+                    # healing scan re-replicates chunks churn pushed below
+                    # the floor.
                     self._content_round()
-                if self.config.recovery:
-                    # One reconciliation pass per entry: divergent
-                    # ownership beliefs (healed partitions, replayed
-                    # journals) are fenced back to a single owner before
-                    # the next entry's invariant pass.
+                if self.system.durability_enabled:
+                    # Divergent ownership beliefs (healed partitions,
+                    # replayed journals) are fenced back to a single
+                    # owner before the next entry's invariant pass.
                     self.system.run_reconciliation_round()
         finally:
             if self._unregister is not None:
@@ -381,7 +370,7 @@ class ChaosRunner:
         system.sim.run()
         return True
 
-    # -- scenario-engine actions (ScenarioConfig.scenario_actions) ------
+    # -- scenario group ---------------------------------------------------
     def _scenario_weights(self) -> tuple[list[int], np.ndarray]:
         """The (doc ids, draw probabilities) law the scenario bursts use."""
         if self._scenario_doc_weights is None:
@@ -488,12 +477,10 @@ class ChaosRunner:
         self.system.sim.run()
         return True
 
-    # -- content data-plane actions (ScenarioConfig.content) ------------
+    # -- content group ----------------------------------------------------
     def _content_round(self) -> None:
         """One background fetch plus one healing scan (content worlds)."""
         manager = self.system.content
-        if manager is None:
-            return
         rng = self.system.rngs.stream("content.fetch")
         alive = self._alive_ids()
         doc_ids = sorted(manager.manifests)
@@ -540,7 +527,7 @@ class ChaosRunner:
             self.checker.check_graceful_shutdown(node_id, docs_before)
         return ok
 
-    # -- durability actions (ScenarioConfig.recovery) --------------------
+    # -- recovery group ---------------------------------------------------
     def _do_power_loss(self, step: int, rank: int) -> bool:
         # A full amnesia crash/recover cycle: wipe the victim's volatile
         # memory (its disk — journal, partial chunks, corruption marks —
@@ -612,7 +599,7 @@ class ChaosRunner:
         return True
 
     def _do_converge(self, step: int) -> bool:
-        if self.config.recovery:
+        if self.system.durability_enabled:
             # Fence any ownership divergence first so the gossip settle
             # loop converges toward the reconciled owner, not away.
             self.system.run_reconciliation_round()
@@ -623,7 +610,7 @@ class ChaosRunner:
         self.report.settle_rounds += rounds
         if self.check_invariants:
             self.checker.check_convergence()
-        if self.config.content:
+        if self.system.content_enabled:
             # Heal until a scan starts no new fetch (the healer's per-round
             # budget can leave a backlog), then demand every surviving
             # document meet the availability floor.

@@ -1,11 +1,19 @@
 """Seeded scenario generation: one seed -> one fault schedule.
 
 A :class:`Schedule` is a flat sequence of :class:`ScheduleEntry` actions
-drawn from a weighted action set.  Entries carry *ranks* rather than
-concrete node ids ("crash the k-th live node", "publish from the k-th
-live node") so a schedule stays meaningful — and deterministic — when the
-shrinker drops earlier entries and the live-node population at each step
-changes.
+drawn from the :data:`ACTIONS` registry.  Entries carry *ranks* rather
+than concrete node ids ("crash the k-th live node", "publish from the
+k-th live node") so a schedule stays meaningful — and deterministic —
+when the shrinker drops earlier entries and the live-node population at
+each step changes.
+
+Every action belongs to one *group* and every group draws from its own
+named RNG stream: ``core`` from ``"chaos.schedule"``, each feature group
+from ``"chaos.schedule.<group>"``.  The core stream picks one action per
+step; each feature group that is on decides per step, from its own
+stream, whether to insert one of its actions after the core entry.  So
+the schedule for features A | B is the merge of the schedules for A and
+for B, and adding an action to one group never shifts another's draws.
 
 The generator appends a fixed cooldown tail (heal, zero loss, gossip,
 convergence check) so the convergence and fairness invariants are
@@ -15,107 +23,46 @@ that is still partitioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable
 
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "DEFAULT_ACTION_WEIGHTS",
-    "OVERLOAD_ACTION_WEIGHTS",
-    "SCENARIO_EXTRA_ACTIONS",
-    "SCENARIO_ACTION_WEIGHTS",
-    "CONTENT_EXTRA_ACTIONS",
-    "CONTENT_ACTION_WEIGHTS",
-    "RECOVERY_EXTRA_ACTIONS",
-    "RECOVERY_ACTION_WEIGHTS",
+    "ACTIONS",
+    "Action",
+    "FEATURES",
     "ScenarioConfig",
     "ScheduleEntry",
     "Schedule",
     "generate_schedule",
+    "parse_features",
 ]
 
-#: (action, weight) pairs the generator draws from.  Weights favour the
-#: traffic actions (queries, gossip) that *detect* divergence over the
-#: fault actions that *cause* it, so most schedules both break and probe.
-DEFAULT_ACTION_WEIGHTS: tuple[tuple[str, float], ...] = (
-    ("query_burst", 5.0),
-    ("gossip", 3.0),
-    ("publish", 2.0),
-    ("join", 2.0),
-    ("leave", 1.5),
-    ("crash", 1.5),
-    ("loss_ramp", 1.5),
-    ("force_move", 1.5),
-    ("partition", 1.0),
-    ("heal", 1.0),
-    ("adapt", 0.75),
-    ("ack_loss", 0.75),
-    ("retry_storm", 0.75),
+#: what a chaos world can switch on.  Every name but ``adaptive`` is also
+#: an action group of :data:`ACTIONS`; ``adaptive`` (requester-side caches
+#: plus the demand-adaptive replication manager) only changes the world.
+FEATURES: tuple[str, ...] = (
+    "overload",
+    "adaptive",
+    "scenario",
+    "content",
+    "recovery",
 )
 
-#: the default weights plus the overload-specific actions.  Kept separate
-#: (opt-in via ``ScenarioConfig(overload=True,
-#: action_weights=OVERLOAD_ACTION_WEIGHTS)``) because appending an action
-#: to the default tuple would change every existing schedule's RNG draws
-#: — and with them the recorded goldens and replayable reproducers.
-OVERLOAD_ACTION_WEIGHTS: tuple[tuple[str, float], ...] = (
-    DEFAULT_ACTION_WEIGHTS + (("flash_crowd", 2.0),)
-)
 
-#: the scenario-engine actions (PR 7): non-stationary workload bursts,
-#: skew flips, free-riding joiners, misbehaving peers, and correlated
-#: regional partitions.  A separate tuple for the same golden-preserving
-#: reason as ``OVERLOAD_ACTION_WEIGHTS`` — appending to the default
-#: weights would shift every existing schedule's RNG draws.
-SCENARIO_EXTRA_ACTIONS: tuple[tuple[str, float], ...] = (
-    ("diurnal_burst", 2.0),
-    ("skew_flip", 1.0),
-    ("free_rider_join", 1.0),
-    ("misbehave", 1.0),
-    ("regional_partition", 1.0),
-)
-
-#: the default weights plus the scenario-engine actions (opt-in via
-#: ``ScenarioConfig(scenario_actions=True,
-#: action_weights=SCENARIO_ACTION_WEIGHTS)``).
-SCENARIO_ACTION_WEIGHTS: tuple[tuple[str, float], ...] = (
-    DEFAULT_ACTION_WEIGHTS + SCENARIO_EXTRA_ACTIONS
-)
-
-#: the content-data-plane actions (PR 8): replica corruption and
-#: graceful shutdowns that must hand off sole-holder chunks before
-#: leaving.  A separate tuple for the same golden-preserving reason as
-#: the tuples above — appending to the default weights would shift
-#: every existing schedule's RNG draws.
-CONTENT_EXTRA_ACTIONS: tuple[tuple[str, float], ...] = (
-    ("corrupt_chunk", 1.5),
-    ("graceful_shutdown", 1.0),
-)
-
-#: the default weights plus the content actions (opt-in via
-#: ``ScenarioConfig(content=True,
-#: action_weights=CONTENT_ACTION_WEIGHTS)``).
-CONTENT_ACTION_WEIGHTS: tuple[tuple[str, float], ...] = (
-    DEFAULT_ACTION_WEIGHTS + CONTENT_EXTRA_ACTIONS
-)
-
-#: the durability actions (PR 10): amnesia crashes that wipe volatile
-#: memory but keep the disk, and split-brain partitions healed through
-#: the epoch-fenced reconciliation pass.  A separate tuple for the same
-#: golden-preserving reason as the tuples above — appending to the
-#: default weights would shift every existing schedule's RNG draws.
-RECOVERY_EXTRA_ACTIONS: tuple[tuple[str, float], ...] = (
-    ("power_loss", 1.5),
-    ("split_brain_heal", 1.0),
-)
-
-#: the content weights plus the recovery actions (opt-in via
-#: ``ScenarioConfig(content=True, recovery=True,
-#: action_weights=RECOVERY_ACTION_WEIGHTS)``) — recovery worlds run the
-#: content data plane too, so holdings re-verify against manifests.
-RECOVERY_ACTION_WEIGHTS: tuple[tuple[str, float], ...] = (
-    CONTENT_ACTION_WEIGHTS + RECOVERY_EXTRA_ACTIONS
-)
+def parse_features(names: str | Iterable[str]) -> frozenset[str]:
+    """Validate feature names (``"a,b"`` or an iterable) into a frozenset."""
+    if isinstance(names, str):
+        names = (name.strip() for name in names.split(","))
+    features = frozenset(name for name in names if name)
+    unknown = sorted(features - set(FEATURES))
+    if unknown:
+        raise ValueError(
+            f"unknown chaos feature(s): {', '.join(unknown)}; "
+            f"known: {', '.join(FEATURES)}"
+        )
+    return features
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,42 +93,44 @@ class ScenarioConfig:
     #: run the world with the ack/retry reliability layer enabled, so
     #: chaos exercises retransmission and duplicate-suppression paths.
     reliability: bool = True
-    #: build the world with the per-peer service model plus client-side
-    #: overload protections (retry budgets, circuit breakers, adaptive
-    #: timeouts) enabled.  Pair with ``OVERLOAD_ACTION_WEIGHTS`` so
-    #: ``flash_crowd`` entries appear in generated schedules.
-    overload: bool = False
+    #: which of :data:`FEATURES` are on (any iterable of names, or
+    #: ``"a,b"``).  This one set picks the world the harness builds, the
+    #: action groups the generator draws from and — through the built
+    #: system — the invariants the checker runs.  ``overload``: per-peer
+    #: service model plus client-side protections (retry budgets, circuit
+    #: breakers, adaptive timeouts).  ``adaptive``: caches plus the
+    #: replication manager, one control round per entry.  ``scenario``:
+    #: the scenario-engine stressors.  ``content``: chunked documents, one
+    #: fetch-and-heal round per entry.  ``recovery``: per-peer journals,
+    #: one reconciliation round per entry; implies ``content`` (recovered
+    #: holdings re-verify against manifests).
+    features: frozenset[str] = frozenset()
     #: queries per ``flash_crowd`` entry are drawn from [30, this].
     flash_crowd_max: int = 100
-    #: build the world with requester-side caches and the demand-adaptive
-    #: replication manager, and run a replication round after every
-    #: schedule entry.  Schedule *generation* ignores this flag, so the
-    #: same seed replays the same fault sequence with or without it.
-    adaptive_replication: bool = False
-    #: arm the scenario-engine action handlers (diurnal bursts, skew
-    #: flips, free-riding joiners, misbehaving peers, regional
-    #: partitions).  Pair with ``SCENARIO_ACTION_WEIGHTS`` so those
-    #: actions appear in generated schedules.
-    scenario_actions: bool = False
     #: queries per ``diurnal_burst`` entry before rate modulation.
     diurnal_burst_max: int = 30
-    #: build the world with the content data plane (chunked documents,
-    #: multi-source fetches, read-repair, anti-entropy healing) enabled,
-    #: run a fetch-and-heal round after every schedule entry, and arm
-    #: the ``corrupt_chunk`` / ``graceful_shutdown`` action handlers.
-    #: Pair with ``CONTENT_ACTION_WEIGHTS`` so those actions appear in
-    #: generated schedules.
-    content: bool = False
     #: healing floor for content worlds: anti-entropy re-replicates any
     #: document whose live holder count fell below this.
     content_floor: int = 2
-    #: build the world with per-peer durability journals (WAL +
-    #: snapshots), arm the ``power_loss`` / ``split_brain_heal`` action
-    #: handlers, and run the epoch-fenced reconciliation round after
-    #: every schedule entry.  Pair with ``RECOVERY_ACTION_WEIGHTS`` so
-    #: those actions appear in generated schedules.
-    recovery: bool = False
-    action_weights: tuple[tuple[str, float], ...] = DEFAULT_ACTION_WEIGHTS
+
+    def __post_init__(self) -> None:
+        features = parse_features(self.features)
+        if "recovery" in features:
+            features |= {"content"}
+        object.__setattr__(self, "features", features)
+
+    def __repr__(self) -> str:
+        # Non-default fields only, features sorted: emitted reproducers
+        # stay short and byte-stable across runs.
+        shown = {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if getattr(self, spec.name) != spec.default
+        }
+        if "features" in shown:
+            shown["features"] = sorted(shown["features"])
+        args = ", ".join(f"{name}={value!r}" for name, value in shown.items())
+        return f"ScenarioConfig({args})"
 
 
 @dataclass(frozen=True)
@@ -233,120 +182,168 @@ class Schedule:
         return "\n".join(lines)
 
 
-def _draw_params(action: str, rng, config: ScenarioConfig) -> dict:
-    """Concrete parameters for one action, drawn from ``rng``."""
-    if action == "query_burst":
-        return {
-            "n": int(rng.integers(5, config.query_burst_max + 1)),
-            "workload_seed": int(rng.integers(0, 2**31 - 1)),
-        }
-    if action == "gossip":
-        return {"rounds": int(rng.integers(1, 4))}
-    if action == "publish":
-        return {
-            "rank": int(rng.integers(0, 1_000_000)),
-            "category": int(rng.integers(0, config.n_categories)),
-            "n_docs": int(rng.integers(1, 4)),
-        }
-    if action == "join":
-        return {
-            "capacity": int(rng.integers(1, 6)),
-            "category": int(rng.integers(0, config.n_categories)),
-            "n_docs": int(rng.integers(0, 3)),
-        }
-    if action in ("leave", "crash"):
-        return {"rank": int(rng.integers(0, 1_000_000))}
-    if action == "loss_ramp":
-        return {
-            "target": round(float(rng.uniform(0.0, config.max_loss)), 3),
-            "steps": int(rng.integers(1, 5)),
-        }
-    if action == "force_move":
-        return {
-            "category": int(rng.integers(0, config.n_categories)),
-            "target_rank": int(rng.integers(0, 1_000_000)),
-        }
-    if action == "partition":
-        return {
-            "fraction": round(float(rng.uniform(0.2, 0.5)), 3),
-            "salt": int(rng.integers(0, 1_000_000)),
-        }
-    if action == "ack_loss":
-        # Drop only acks: every reliable message arrives, every receipt
-        # confirmation may not — the pure duplicate-delivery regime.
-        return {"probability": round(float(rng.uniform(0.1, 0.5)), 3)}
-    if action == "flash_crowd":
-        # A synchronized burst of document retrievals concentrated on one
-        # category — the hot-spot regime the admission policies exist for.
-        return {
-            "category": int(rng.integers(0, config.n_categories)),
-            "n": int(rng.integers(30, config.flash_crowd_max + 1)),
-            "workload_seed": int(rng.integers(0, 2**31 - 1)),
-        }
-    if action == "diurnal_burst":
-        # A query burst whose size is modulated by a diurnal factor
-        # ``1 + amplitude * sin(2π * phase)`` — the scenario engine's
-        # rate math driven from the schedule's own drawn phase point.
-        return {
-            "n": int(rng.integers(5, config.diurnal_burst_max + 1)),
-            "phase": round(float(rng.uniform(0.0, 1.0)), 3),
-            "amplitude": round(float(rng.uniform(0.0, 1.0)), 3),
-            "workload_seed": int(rng.integers(0, 2**31 - 1)),
-        }
-    if action == "skew_flip":
-        # Breaking news: reweight the harness's document-draw law so a
-        # small hot set suddenly carries ``mass`` of future bursts.
-        return {
-            "mass": round(float(rng.uniform(0.1, 0.5)), 3),
-            "n_hot": int(rng.integers(1, 9)),
-            "flip_seed": int(rng.integers(0, 2**31 - 1)),
-        }
-    if action == "free_rider_join":
-        # A node that joins with capacity but zero content.
-        return {"capacity": int(rng.integers(1, 6))}
-    if action == "misbehave":
-        # Arm one live peer as bogus-responder or stale-gossip replayer.
-        return {
-            "rank": int(rng.integers(0, 1_000_000)),
-            "mode": str(rng.choice(["bogus", "stale_gossip"])),
-        }
-    if action == "regional_partition":
-        # Correlated outage: one whole cluster drops off the network.
-        return {"region": int(rng.integers(0, config.n_clusters))}
-    if action == "corrupt_chunk":
-        # Flip the stored bytes of one chunk on one replica: the next
-        # fetch that hits it must detect the hash mismatch, fail over,
-        # and push the correct chunk back (read-repair).
-        return {
-            "rank": int(rng.integers(0, 1_000_000)),
-            "doc_rank": int(rng.integers(0, 1_000_000)),
-            "chunk_rank": int(rng.integers(0, 64)),
-        }
-    if action == "graceful_shutdown":
-        # Clean departure through the drain-and-handoff path: no
-        # sole-holder chunk may be lost, unlike a crash.
-        return {"rank": int(rng.integers(0, 1_000_000))}
-    if action == "power_loss":
-        # Amnesia crash: volatile memory wiped, disk (journal, partial
-        # chunks, corruption marks) kept — then recovery replays the
-        # snapshot+WAL and must converge within one healing round.
-        return {"rank": int(rng.integers(0, 1_000_000))}
-    if action == "split_brain_heal":
-        # Partition the network, let a stale owner try to reclaim a
-        # category on the minority side, then heal and reconcile: the
-        # higher-epoch owner must win (single-owner-per-epoch).
-        return {
-            "category": int(rng.integers(0, config.n_categories)),
-            "fraction": round(float(rng.uniform(0.2, 0.5)), 3),
-            "salt": int(rng.integers(0, 1_000_000)),
-        }
-    if action == "retry_storm":
-        # Drop reliable request kinds hard enough to force retransmission
-        # chains (and some give-ups) across many concurrent deliveries.
-        return {"probability": round(float(rng.uniform(0.2, 0.6)), 3)}
-    if action in ("heal", "adapt", "converge"):
-        return {}
-    raise ValueError(f"unknown chaos action {action!r}")
+@dataclass(frozen=True, slots=True)
+class Action:
+    """One registered chaos action: its group, draw weight, param draw."""
+
+    group: str
+    weight: float
+    draw: Callable[..., dict]
+
+
+#: ranks are reduced modulo the live population when an entry is applied.
+_RANKS = 1_000_000
+_SEEDS = 2**31 - 1
+
+
+def _int(rng, low: int, high: int) -> int:
+    return int(rng.integers(low, high))
+
+
+def _real(rng, low: float, high: float) -> float:
+    return round(float(rng.uniform(low, high)), 3)
+
+
+def _no_params(rng, config) -> dict:
+    return {}
+
+
+def _rank(rng, config) -> dict:
+    return {"rank": _int(rng, 0, _RANKS)}
+
+
+#: every action the harness can apply: ``name -> (group, weight, draw)``.
+#: Adding an action is one entry here plus one ``ChaosRunner._do_<name>``
+#: handler.  Within ``core`` the weights favour the traffic actions
+#: (queries, gossip) that *detect* divergence over the fault actions that
+#: *cause* it, so most schedules both break and probe; the core order,
+#: weights and draws are pinned by recorded goldens and reproducers.  A
+#: feature group of total weight ``w`` inserts one of its actions at a
+#: step with probability ``w / (w + core weight)``.
+ACTIONS: dict[str, Action] = {
+    "query_burst": Action("core", 5.0, lambda rng, c: {
+        "n": _int(rng, 5, c.query_burst_max + 1),
+        "workload_seed": _int(rng, 0, _SEEDS),
+    }),
+    "gossip": Action("core", 3.0, lambda rng, c: {"rounds": _int(rng, 1, 4)}),
+    "publish": Action("core", 2.0, lambda rng, c: {
+        "rank": _int(rng, 0, _RANKS),
+        "category": _int(rng, 0, c.n_categories),
+        "n_docs": _int(rng, 1, 4),
+    }),
+    "join": Action("core", 2.0, lambda rng, c: {
+        "capacity": _int(rng, 1, 6),
+        "category": _int(rng, 0, c.n_categories),
+        "n_docs": _int(rng, 0, 3),
+    }),
+    "leave": Action("core", 1.5, _rank),
+    "crash": Action("core", 1.5, _rank),
+    "loss_ramp": Action("core", 1.5, lambda rng, c: {
+        "target": _real(rng, 0.0, c.max_loss),
+        "steps": _int(rng, 1, 5),
+    }),
+    "force_move": Action("core", 1.5, lambda rng, c: {
+        "category": _int(rng, 0, c.n_categories),
+        "target_rank": _int(rng, 0, _RANKS),
+    }),
+    "partition": Action("core", 1.0, lambda rng, c: {
+        "fraction": _real(rng, 0.2, 0.5),
+        "salt": _int(rng, 0, _RANKS),
+    }),
+    "heal": Action("core", 1.0, _no_params),
+    "adapt": Action("core", 0.75, _no_params),
+    # Drop only acks: every reliable message arrives, every receipt
+    # confirmation may not — the pure duplicate-delivery regime.
+    "ack_loss": Action("core", 0.75, lambda rng, c: {
+        "probability": _real(rng, 0.1, 0.5),
+    }),
+    # Drop reliable request kinds hard enough to force retransmission
+    # chains (and some give-ups) across many concurrent deliveries.
+    "retry_storm": Action("core", 0.75, lambda rng, c: {
+        "probability": _real(rng, 0.2, 0.6),
+    }),
+    # Cooldown tail only: weight 0, never drawn.
+    "converge": Action("core", 0.0, _no_params),
+    # A synchronized burst of document retrievals concentrated on one
+    # category — the hot-spot regime the admission policies exist for.
+    "flash_crowd": Action("overload", 2.0, lambda rng, c: {
+        "category": _int(rng, 0, c.n_categories),
+        "n": _int(rng, 30, c.flash_crowd_max + 1),
+        "workload_seed": _int(rng, 0, _SEEDS),
+    }),
+    # A query burst whose size is modulated by a diurnal factor
+    # ``1 + amplitude * sin(2π * phase)`` — the scenario engine's rate
+    # math driven from the schedule's own drawn phase point.
+    "diurnal_burst": Action("scenario", 2.0, lambda rng, c: {
+        "n": _int(rng, 5, c.diurnal_burst_max + 1),
+        "phase": _real(rng, 0.0, 1.0),
+        "amplitude": _real(rng, 0.0, 1.0),
+        "workload_seed": _int(rng, 0, _SEEDS),
+    }),
+    # Breaking news: reweight the harness's document-draw law so a small
+    # hot set suddenly carries ``mass`` of future bursts.
+    "skew_flip": Action("scenario", 1.0, lambda rng, c: {
+        "mass": _real(rng, 0.1, 0.5),
+        "n_hot": _int(rng, 1, 9),
+        "flip_seed": _int(rng, 0, _SEEDS),
+    }),
+    # A node that joins with capacity but zero content.
+    "free_rider_join": Action("scenario", 1.0, lambda rng, c: {
+        "capacity": _int(rng, 1, 6),
+    }),
+    # Arm one live peer as bogus-responder or stale-gossip replayer.
+    "misbehave": Action("scenario", 1.0, lambda rng, c: {
+        "rank": _int(rng, 0, _RANKS),
+        "mode": str(rng.choice(["bogus", "stale_gossip"])),
+    }),
+    # Correlated outage: one whole cluster drops off the network.
+    "regional_partition": Action("scenario", 1.0, lambda rng, c: {
+        "region": _int(rng, 0, c.n_clusters),
+    }),
+    # Flip the stored bytes of one chunk on one replica: the next fetch
+    # that hits it must detect the hash mismatch, fail over, and push the
+    # correct chunk back (read-repair).
+    "corrupt_chunk": Action("content", 1.5, lambda rng, c: {
+        "rank": _int(rng, 0, _RANKS),
+        "doc_rank": _int(rng, 0, _RANKS),
+        "chunk_rank": _int(rng, 0, 64),
+    }),
+    # Clean departure through the drain-and-handoff path: no sole-holder
+    # chunk may be lost, unlike a crash.
+    "graceful_shutdown": Action("content", 1.0, _rank),
+    # Amnesia crash: volatile memory wiped, disk (journal, partial chunks,
+    # corruption marks) kept — then recovery replays the snapshot+WAL and
+    # must converge within one healing round.
+    "power_loss": Action("recovery", 1.5, _rank),
+    # Partition the network, let a stale owner try to reclaim a category
+    # on the minority side, then heal and reconcile: the higher-epoch
+    # owner must win (single-owner-per-epoch).
+    "split_brain_heal": Action("recovery", 1.0, lambda rng, c: {
+        "category": _int(rng, 0, c.n_categories),
+        "fraction": _real(rng, 0.2, 0.5),
+        "salt": _int(rng, 0, _RANKS),
+    }),
+}
+
+
+def _group_table(group: str) -> tuple[list[str], list[float], float]:
+    """The group's drawable actions, their probabilities, total weight."""
+    names = [
+        name
+        for name, action in ACTIONS.items()
+        if action.group == group and action.weight > 0
+    ]
+    total = sum(ACTIONS[name].weight for name in names)
+    return names, [ACTIONS[name].weight / total for name in names], total
+
+
+def _draw_entry(
+    step: int, names: list[str], probabilities: list[float], rng, config
+) -> ScheduleEntry:
+    action = names[int(rng.choice(len(names), p=probabilities))]
+    return ScheduleEntry(
+        step=step, action=action, params=ACTIONS[action].draw(rng, config)
+    )
 
 
 def generate_schedule(
@@ -354,28 +351,35 @@ def generate_schedule(
 ) -> Schedule:
     """Expand one seed into a complete fault schedule.
 
-    Deterministic: the schedule RNG is an independent named stream of the
-    seed's :class:`~repro.sim.rng.RngRegistry`, so the same ``(seed,
-    config)`` always yields the same schedule — and changing how the
-    *world* consumes randomness never perturbs the *schedule*.
+    Deterministic: each action group draws from its own named stream of
+    the seed's :class:`~repro.sim.rng.RngRegistry`, so the same ``(seed,
+    config)`` always yields the same schedule — and neither how the
+    *world* consumes randomness nor which other groups are on ever
+    perturbs a group's draws.  Inserted feature entries share the step
+    number of the core entry they follow.
     """
     config = config if config is not None else ScenarioConfig()
-    rng = RngRegistry(root_seed=seed).stream("chaos.schedule")
-    actions = [name for name, _weight in config.action_weights]
-    weights = [weight for _name, weight in config.action_weights]
-    total = sum(weights)
-    probabilities = [weight / total for weight in weights]
+    rngs = RngRegistry(root_seed=seed)
+    core_rng = rngs.stream("chaos.schedule")
+    core_names, core_probabilities, core_total = _group_table("core")
+    extras = []
+    for group in FEATURES:
+        names, probabilities, total = _group_table(group)
+        if group in config.features and names:  # "adaptive" has no actions
+            rng = rngs.stream(f"chaos.schedule.{group}")
+            rate = total / (total + core_total)
+            extras.append((rng, names, probabilities, rate))
 
     entries: list[ScheduleEntry] = []
     for step in range(config.n_steps):
-        action = actions[int(rng.choice(len(actions), p=probabilities))]
         entries.append(
-            ScheduleEntry(
-                step=step,
-                action=action,
-                params=_draw_params(action, rng, config),
-            )
+            _draw_entry(step, core_names, core_probabilities, core_rng, config)
         )
+        for rng, names, probabilities, rate in extras:
+            if rng.random() < rate:
+                entries.append(
+                    _draw_entry(step, names, probabilities, rng, config)
+                )
 
     # Cooldown tail: give every run a healed, loss-free window to settle
     # in, then demand convergence.  Without it, the convergence invariant

@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 
+from repro.chaos.scenario import FEATURES
 from repro.core.fairness import jain_fairness
 from repro.core.maxfair import Assignment
 from repro.core.popularity import CategoryStats
@@ -99,20 +100,14 @@ def add_shared_arguments(parser: argparse.ArgumentParser) -> None:
 def add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the fuzz-only flags.
 
-    The canonical seed-count flag is ``--fuzz-seeds`` (distinct from the
-    shared ``--seed``); ``--seeds`` is kept as a deprecated alias so
-    existing invocations (e.g. the CI nightly fuzz job) keep working.
+    The seed-count flag is ``--fuzz-seeds`` (distinct from the shared
+    ``--seed``, the first seed of the sweep).
     """
     parser.add_argument(
         "--fuzz-seeds",
-        "--seeds",
-        dest="fuzz_seeds",
         type=int,
         default=10,
-        help=(
-            "fuzz only: number of consecutive seeds to run (from --seed); "
-            "--seeds is a deprecated alias"
-        ),
+        help="fuzz only: number of consecutive seeds to run (from --seed)",
     )
     parser.add_argument(
         "--steps",
@@ -136,57 +131,14 @@ def add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--overload-actions",
-        action=argparse.BooleanOptionalAction,
-        default=False,
+        "--features",
+        metavar="A,B,...",
+        default="",
         help=(
-            "fuzz only: enable the per-peer service model plus overload "
-            "protections and add flash_crowd entries (and the overload "
-            "invariants) to generated schedules"
-        ),
-    )
-    parser.add_argument(
-        "--adaptive-replication",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "fuzz only: build worlds with requester-side caches and the "
-            "demand-adaptive replication manager, running one control "
-            "round after every schedule entry (and checking the "
-            "replication-bounds invariant)"
-        ),
-    )
-    parser.add_argument(
-        "--scenario-actions",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "fuzz only: add the scenario-engine actions (diurnal bursts, "
-            "skew flips, free-riding joiners, misbehaving peers, regional "
-            "partitions — and the response-integrity invariant) to "
-            "generated schedules"
-        ),
-    )
-    parser.add_argument(
-        "--content-actions",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "fuzz only: run worlds with the content data plane (chunked "
-            "multi-source fetches, read-repair, anti-entropy healing) and "
-            "add the corrupt_chunk/graceful_shutdown actions — and the "
-            "four content invariants — to generated schedules"
-        ),
-    )
-    parser.add_argument(
-        "--recovery-actions",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "fuzz only: journal every peer (durability on, implies "
-            "content actions) and add the power_loss/split_brain_heal "
-            "actions — and the three durability invariants — to "
-            "generated schedules"
+            "fuzz only: comma-separated world features, each switching on "
+            "its subsystem, its chaos actions and its invariants together: "
+            + ", ".join(FEATURES)
+            + " (recovery implies content)"
         ),
     )
 

@@ -11,8 +11,9 @@ as a ready-to-paste pytest case.
 Identical inputs produce identical schedules *and* identical invariant
 verdicts, so a failing seed printed by CI replays exactly on a laptop::
 
-    repro-experiments fuzz --seeds 25
-    repro-experiments fuzz --seeds 1 --seed 17 --steps 60
+    repro-experiments fuzz --fuzz-seeds 25
+    repro-experiments fuzz --fuzz-seeds 1 --seed 17 --steps 60
+    repro-experiments fuzz --features content,recovery
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ from repro.chaos import (
     run_schedule,
     shrink,
 )
-from repro.chaos.scenario import (
-    CONTENT_EXTRA_ACTIONS,
-    DEFAULT_ACTION_WEIGHTS,
-    OVERLOAD_ACTION_WEIGHTS,
-    RECOVERY_EXTRA_ACTIONS,
-    SCENARIO_EXTRA_ACTIONS,
-)
 from repro.experiments.registry import experiment_spec
 
 __all__ = ["FuzzResult", "run", "format_result"]
@@ -48,20 +42,8 @@ class FuzzResult:
     n_seeds: int
     n_steps: int
     check_invariants: bool
-    #: True when the sweep ran overload worlds with flash_crowd actions.
-    overload: bool = False
-    #: True when worlds ran caches + the demand-adaptive replica manager.
-    adaptive_replication: bool = False
-    #: True when schedules could include the scenario-engine actions
-    #: (diurnal bursts, skew flips, free riders, misbehaving peers,
-    #: regional partitions).
-    scenario_actions: bool = False
-    #: True when worlds ran the content data plane (chunked fetches,
-    #: read-repair, healing) with corrupt_chunk/graceful_shutdown actions.
-    content_actions: bool = False
-    #: True when worlds ran durable journals with power_loss and
-    #: split_brain_heal actions (plus the three recovery invariants).
-    recovery_actions: bool = False
+    #: the feature set every world and schedule of the sweep ran with.
+    features: frozenset[str] = frozenset()
     reports: list[ChaosReport] = field(default_factory=list)
     #: shrunk reproducer for the first failing seed (None when all pass).
     minimal_repro: str | None = None
@@ -91,49 +73,16 @@ def run(
     steps: int | None = None,
     check_invariants: bool = True,
     shrink_failing: bool = True,
-    overload: bool = False,
-    adaptive_replication: bool = False,
-    scenario_actions: bool = False,
-    content_actions: bool = False,
-    recovery_actions: bool = False,
+    features: frozenset[str] = frozenset(),
     scale: float | None = None,
 ) -> FuzzResult:
     """Fuzz ``seeds`` consecutive seeds starting at ``seed``.
 
-    With ``overload`` the worlds are built with the per-peer service model
-    and client-side overload protections enabled, and generated schedules
-    may include ``flash_crowd`` entries (plus the four overload
-    invariants); the default action mix is untouched so existing seeds
-    replay identically.
-
-    With ``adaptive_replication`` the worlds additionally run requester-
-    side caches and the demand-adaptive replication manager (one control
-    round after every schedule entry, plus the replication-bounds
-    invariant).  Schedule generation ignores the flag, so each seed
-    replays the same fault sequence either way.
-
-    With ``scenario_actions`` the scenario-engine actions (diurnal
-    bursts, skew flips, free-riding joiners, misbehaving peers, regional
-    partitions) join the action mix, and arming a misbehaving peer turns
-    on the ``response-integrity`` invariant.  Like the overload actions
-    these live in their own appended weights tuple, so default and
-    overload schedules replay unchanged.
-
-    With ``content_actions`` the worlds run the content data plane
-    (chunked documents, multi-source fetch with failover, read-repair,
-    anti-entropy healing), schedules may include ``corrupt_chunk`` and
-    ``graceful_shutdown`` entries, and the four content invariants are
-    checked.  Again a separate appended weights tuple, so every other
-    action mix replays unchanged.
-
-    With ``recovery_actions`` the worlds additionally run per-peer
-    durability journals (which implies the content data plane — a
-    recovered node's holdings are re-verified against manifests), the
-    schedules may include ``power_loss`` and ``split_brain_heal``
-    entries, and the three recovery invariants
-    (no-acknowledged-write-loss, single-owner-per-epoch,
-    recovery-convergence) are checked.  One more appended weights
-    tuple, so every other mix replays unchanged.
+    ``features`` (names from :data:`repro.chaos.FEATURES`) picks the world,
+    the action groups and the invariants together — see
+    :class:`~repro.chaos.ScenarioConfig`.  Each action group draws from
+    its own RNG stream, so a seed's default entries are the same under
+    every feature set.
 
     ``scale`` is accepted for CLI uniformity but ignored: the chaos world
     uses a fixed multi-cluster configuration — paper-scale knobs collapse
@@ -141,42 +90,14 @@ def run(
     and rebalance invariants vacuous.
     """
     del scale
-    kwargs: dict = {}
-    if steps is not None:
-        kwargs["n_steps"] = steps
-    if overload:
-        kwargs["overload"] = True
-        kwargs["action_weights"] = OVERLOAD_ACTION_WEIGHTS
-    if adaptive_replication:
-        kwargs["adaptive_replication"] = True
-    if scenario_actions:
-        kwargs["scenario_actions"] = True
-        kwargs["action_weights"] = (
-            kwargs.get("action_weights", DEFAULT_ACTION_WEIGHTS)
-            + SCENARIO_EXTRA_ACTIONS
-        )
-    if content_actions or recovery_actions:
-        kwargs["content"] = True
-        kwargs["action_weights"] = (
-            kwargs.get("action_weights", DEFAULT_ACTION_WEIGHTS)
-            + CONTENT_EXTRA_ACTIONS
-        )
-    if recovery_actions:
-        kwargs["recovery"] = True
-        kwargs["action_weights"] = (
-            kwargs["action_weights"] + RECOVERY_EXTRA_ACTIONS
-        )
-    config = ScenarioConfig(**kwargs)
+    kwargs = {} if steps is None else {"n_steps": steps}
+    config = ScenarioConfig(features=features, **kwargs)
     result = FuzzResult(
         base_seed=seed,
         n_seeds=seeds,
         n_steps=config.n_steps,
         check_invariants=check_invariants,
-        overload=overload,
-        adaptive_replication=adaptive_replication,
-        scenario_actions=scenario_actions,
-        content_actions=content_actions,
-        recovery_actions=recovery_actions,
+        features=config.features,
     )
     for fuzz_seed in range(seed, seed + seeds):
         schedule = generate_schedule(fuzz_seed, config)
@@ -199,11 +120,11 @@ def format_result(result: FuzzResult) -> str:
         f"{result.base_seed + result.n_seeds - 1}, "
         f"{result.n_steps} scheduled steps each, invariants "
         f"{'on' if result.check_invariants else 'off'}"
-        + (", overload actions on" if result.overload else "")
-        + (", adaptive replication on" if result.adaptive_replication else "")
-        + (", scenario actions on" if result.scenario_actions else "")
-        + (", content actions on" if result.content_actions else "")
-        + (", recovery actions on" if result.recovery_actions else "")
+        + (
+            f", features {','.join(sorted(result.features))}"
+            if result.features
+            else ""
+        )
     ]
     for report in result.reports:
         lines.append(f"  {report.summary()}")

@@ -100,7 +100,7 @@ def _build_world(seed: int, scale: float) -> ChaosRunner:
         n_nodes=48,
         n_categories=12,
         n_clusters=4,
-        content=True,
+        features={"content"},
         content_floor=REPLICATION_FLOOR,
     )
     return ChaosRunner(Schedule(seed=seed, entries=()), config)

@@ -99,9 +99,8 @@ def _build_world(seed: int, scale: float, persistence: bool) -> ChaosRunner:
         n_categories=12,
         n_clusters=4,
         n_reps=1,
-        content=True,
+        features={"recovery"} if persistence else {"content"},
         content_floor=REPLICATION_FLOOR,
-        recovery=persistence,
     )
     return ChaosRunner(Schedule(seed=seed, entries=()), config)
 

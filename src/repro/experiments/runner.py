@@ -19,9 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 
 from repro import obs
+from repro.chaos import parse_features
 from repro.experiments import REGISTRY
 from repro.experiments.common import (
     add_fuzz_arguments,
@@ -30,18 +30,6 @@ from repro.experiments.common import (
 )
 
 __all__ = ["main"]
-
-
-def _describe(module) -> str:
-    """Deprecated: use ``REGISTRY[id].description`` instead."""
-    warnings.warn(
-        "_describe(module) is deprecated; use "
-        "repro.experiments.REGISTRY[id].description",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    doc = (module.__doc__ or "").strip().splitlines()
-    return doc[0] if doc else ""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,14 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_shared_arguments(parser)
     add_fuzz_arguments(parser)
-    raw_argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(raw_argv)
-    if any(a == "--seeds" or a.startswith("--seeds=") for a in raw_argv):
-        warnings.warn(
-            "--seeds is deprecated; use --fuzz-seeds",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+    args = parser.parse_args(argv)
 
     if args.list or not args.experiments:
         print("available experiments:")
@@ -86,6 +67,12 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known ids: {', '.join(REGISTRY)}", file=sys.stderr)
+        return 2
+
+    try:
+        features = parse_features(args.features)
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
 
     # Fail before running anything: a typo'd output path should not cost
@@ -116,11 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             if exp_id == "FUZZ":
                 kwargs["seeds"] = args.fuzz_seeds
                 kwargs["check_invariants"] = args.check_invariants
-                kwargs["overload"] = args.overload_actions
-                kwargs["adaptive_replication"] = args.adaptive_replication
-                kwargs["scenario_actions"] = args.scenario_actions
-                kwargs["content_actions"] = args.content_actions
-                kwargs["recovery_actions"] = args.recovery_actions
+                kwargs["features"] = features
                 if args.steps is not None:
                     kwargs["steps"] = args.steps
             with obs.Timer(obs.histogram(f"experiment.{exp_id.lower()}_s")):

@@ -29,7 +29,6 @@ discrete-event simulator and over real sockets (:mod:`repro.live`).
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -241,10 +240,6 @@ class Peer:
     ----------
     node_id, capacity_units:
         Identity and processing capacity (Section 4.3.1 units).
-    network:
-        Legacy spelling of ``transport``: a simulated ``Network`` (or
-        any ``Transport``), coerced via ``as_transport``.  The peer
-        registers its handler on creation.
     rng:
         Protocol randomness (random target selection, gossip partners).
     hooks:
@@ -255,29 +250,24 @@ class Peer:
         Named stream for retry-backoff jitter; consulted only when a
         retransmission actually fires, so loss-free runs never touch it.
     transport:
-        The world this peer lives in (keyword-only; exclusive with
-        ``network``).  :class:`repro.transport.SimTransport` for the
-        simulator, :class:`repro.live.AsyncioTransport` for sockets.
+        The world this peer lives in (keyword-only, required):
+        :class:`repro.transport.SimTransport` — or a simulated
+        ``Network``, coerced via ``as_transport`` — for the simulator,
+        :class:`repro.live.AsyncioTransport` for sockets.  The peer
+        registers its handler on creation.
     """
 
     def __init__(
         self,
         node_id: int,
         capacity_units: float,
-        network=None,
         rng: np.random.Generator | None = None,
         hooks: PeerHooks | None = None,
         config: PeerConfig | None = None,
         jitter_rng: np.random.Generator | None = None,
         *,
-        transport: Transport | None = None,
+        transport: Transport,
     ) -> None:
-        if transport is None:
-            transport = network
-        elif network is not None:
-            raise TypeError("pass either network= or transport=, not both")
-        if transport is None:
-            raise TypeError("Peer requires a transport= (or legacy network=)")
         if rng is None:
             raise TypeError("Peer requires an rng")
         base = as_transport(transport)
@@ -422,22 +412,6 @@ class Peer:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @property
-    def network(self):
-        """Deprecated: the simulated network under the transport stack.
-
-        Kept for external callers that still poke the network directly;
-        raises ``AttributeError`` when the peer runs over a transport
-        with no simulated network underneath (the live stack).
-        """
-        warnings.warn(
-            "Peer.network is deprecated: use Peer.transport (the simulated "
-            "network, when present, is Peer.transport.network)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.transport.network
-
     def handle_message(self, message: Message) -> None:
         """Network entry point: ack/dedup reliable traffic, then dispatch."""
         self.detector.note_alive(message.src)
@@ -564,12 +538,14 @@ class Peer:
         self.hooks.on_document_stored(self, info.doc_id)
 
     def drop_document(self, doc_id: int) -> None:
-        if doc_id in self.docs:
+        held = self.docs.pop(doc_id, None) is not None
+        self.dt.remove(doc_id)
+        if held:
+            # Apply, then journal (as ``store_document`` does): a record
+            # that triggers compaction snapshots the state it describes.
             if self._journal is not None:
                 self._journal.record("drop", doc_id)
             self.hooks.on_document_dropped(self, doc_id)
-        self.docs.pop(doc_id, None)
-        self.dt.remove(doc_id)
 
     def stored_bytes(self) -> int:
         return sum(info.size_bytes for info in self.docs.values())

@@ -388,7 +388,7 @@ class P2PSystem:
             peer = Peer(
                 node_id=node_id,
                 capacity_units=node.capacity_units,
-                network=self.network,
+                transport=self.network,
                 rng=protocol_rng,
                 hooks=self.hooks,
                 config=peer_config,
@@ -1098,7 +1098,7 @@ class P2PSystem:
         peer = Peer(
             node_id=node_id,
             capacity_units=capacity_units,
-            network=self.network,
+            transport=self.network,
             rng=self.rngs.stream("protocol"),
             hooks=self.hooks,
             config=self._peer_config(),

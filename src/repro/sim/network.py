@@ -20,7 +20,6 @@ the paper's protocols must tolerate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -28,12 +27,6 @@ from repro import obs
 from repro.sim.engine import Simulator
 
 __all__ = ["Message", "Network", "NetworkStats"]
-
-#: one shim warning per process (PR 4 ``--seeds`` pattern): the first
-#: deprecated ``Network.send`` call warns, the rest stay silent so test
-#: suites and legacy hot loops are not drowned in repeats.
-_SEND_SHIM_WARNED = False
-
 
 @dataclass(frozen=True, slots=True)
 class Message:
@@ -44,7 +37,7 @@ class Message:
     string used for traffic breakdowns.
 
     ``msg_id`` is a network-assigned per-attempt id (unique per
-    :meth:`Network.send` call).  ``delivery_id`` / ``attempt`` carry
+    :meth:`Network.transmit` call).  ``delivery_id`` / ``attempt`` carry
     reliable-delivery metadata for senders using an ack/retry channel:
     ``delivery_id`` is stable across retransmissions of the same logical
     send (so receivers can suppress duplicates) while ``attempt`` counts
@@ -417,43 +410,6 @@ class Network:
 
         self.sim.schedule(self.latency_for(size_bytes), deliver)
         return message
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        kind: str,
-        payload: Any,
-        size_bytes: int = 256,
-        delivery_id: int = -1,
-        attempt: int = 0,
-    ) -> Message:
-        """Deprecated alias of :meth:`transmit` for direct callers.
-
-        Protocol code must route sends through a
-        :class:`repro.transport.Transport`; direct network sends bypass
-        the transport seam (and any reliability wrapper on it).  Warns
-        once per process, then delegates.
-        """
-        global _SEND_SHIM_WARNED
-        if not _SEND_SHIM_WARNED:
-            _SEND_SHIM_WARNED = True
-            warnings.warn(
-                "Network.send is deprecated: route protocol sends through "
-                "a repro.transport.Transport (or call Network.transmit for "
-                "harness-level injection)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.transmit(
-            src,
-            dst,
-            kind,
-            payload,
-            size_bytes=size_bytes,
-            delivery_id=delivery_id,
-            attempt=attempt,
-        )
 
     def _drop(self, message: Message, reason: str) -> None:
         self.stats.record_dropped(reason)

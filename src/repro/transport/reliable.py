@@ -114,7 +114,7 @@ class ReliableTransport(Transport):
     def network(self):
         """The simulated network under the stack, when there is one.
 
-        Exists so sim-world introspection (``peer.network``) can unwrap
+        Exists so sim-world introspection (``peer.transport.network``) can unwrap
         the reliability layer; raises ``AttributeError`` over transports
         with no network underneath (the live stack).
         """

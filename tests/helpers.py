@@ -79,7 +79,7 @@ class MicroOverlay:
         peer = Peer(
             node_id=node_id,
             capacity_units=capacity,
-            network=self.network,
+            transport=self.network,
             rng=self.rng,
             hooks=self.hooks,
             config=config or PeerConfig(),

@@ -59,22 +59,19 @@ class TestAdaptiveFuzz:
             seed=0,
             seeds=2,
             steps=8,
-            overload=True,
-            adaptive_replication=True,
+            features={"overload", "adaptive"},
             shrink_failing=False,
         )
         assert result.failing_seeds == []
-        assert result.adaptive_replication is True
-        text = fuzz.format_result(result)
-        assert "adaptive replication on" in text
+        assert "features adaptive,overload" in fuzz.format_result(result)
 
-    def test_flag_does_not_change_schedules(self):
-        """Schedule generation must ignore the world-side flag, so a seed
-        replays the same fault sequence with or without the manager."""
+    def test_feature_does_not_change_schedules(self):
+        """``adaptive`` has no action group, so a seed replays the same
+        fault sequence with or without the manager."""
         from repro.chaos import ScenarioConfig, generate_schedule
 
         base = ScenarioConfig(n_steps=12)
-        adaptive = ScenarioConfig(n_steps=12, adaptive_replication=True)
+        adaptive = ScenarioConfig(n_steps=12, features={"adaptive"})
         assert generate_schedule(5, base) == generate_schedule(5, adaptive)
 
     def test_cli_flag(self, capsys):
@@ -82,7 +79,7 @@ class TestAdaptiveFuzz:
 
         assert main([
             "fuzz", "--fuzz-seeds", "1", "--steps", "6",
-            "--overload-actions", "--adaptive-replication",
+            "--features", "overload,adaptive",
         ]) == 0
         out = capsys.readouterr().out
-        assert "adaptive replication on" in out
+        assert "features adaptive,overload" in out

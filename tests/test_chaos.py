@@ -263,6 +263,6 @@ class TestFuzzExperiment:
     def test_cli_entry(self, capsys):
         from repro.experiments.runner import main
 
-        assert main(["fuzz", "--seeds", "2", "--steps", "6"]) == 0
+        assert main(["fuzz", "--fuzz-seeds", "2", "--steps", "6"]) == 0
         out = capsys.readouterr().out
         assert "0/2 seeds failing" in out

@@ -38,11 +38,15 @@ from repro.durability import (
 )
 from repro.overlay.messages import ReassignNotice
 from repro.overlay.metadata import DCRTEntry
+from repro.overlay.peer import DocInfo
+from repro.overlay.system import P2PSystemConfig
+
+from tests.helpers import build_live_system
 
 
 def make_recovery_system(seed=11, **overrides):
     """The chaos harness's world with journals armed (durability on)."""
-    config = ScenarioConfig(content=True, recovery=True, **overrides)
+    config = ScenarioConfig(features={"recovery"}, **overrides)
     return ChaosRunner(Schedule(seed=seed, entries=()), config).system
 
 
@@ -209,8 +213,29 @@ class TestPowerLossRecovery:
         view = system.doc_holders_view()
         assert all(victim in view.get(doc_id, ()) for doc_id in held)
 
+    def test_acknowledged_drop_survives_its_own_compaction(self):
+        # snapshot_every=1: the drop record itself triggers compaction,
+        # which must snapshot the state *after* the drop — not resurrect
+        # the document and truncate the record that removed it.
+        durability = DurabilityConfig(enabled=True, snapshot_every=1)
+        _instance, system = build_live_system(
+            config=P2PSystemConfig(durability=durability)
+        )
+        peer = system.alive_peers()[0]
+        journal = system.journal(peer.node_id)
+        info = DocInfo(doc_id=10**9, categories=(0,), size_bytes=64)
+        peer.store_document(info)
+        peer.drop_document(info.doc_id)
+        system.power_loss(peer.node_id)
+        system.sim.run()
+        system.recover_node(peer.node_id)
+        assert info.doc_id not in peer.docs
+        assert encode_snapshot(
+            durable_state(peer, journal.flags)
+        ) == encode_snapshot(journal.load())
+
     def test_amnesia_without_journal_is_permanent(self):
-        config = ScenarioConfig(content=True)  # durability off: no journals
+        config = ScenarioConfig(features={"content"})  # durability off: no journals
         system = ChaosRunner(Schedule(seed=11, entries=()), config).system
         victim = self._victim(system)
         peer = system.peer(victim)
@@ -290,7 +315,7 @@ class TestEpochFencing:
         assert [category_id, 6] in state["epochs"]
 
     def test_legacy_unfenced_notices_still_merge(self):
-        config = ScenarioConfig(content=True)  # durability off
+        config = ScenarioConfig(features={"content"})  # durability off
         system = ChaosRunner(Schedule(seed=11, entries=()), config).system
         sender, receiver = self._two_peers(system)
         category_id = 0
@@ -326,7 +351,7 @@ class TestReconciliation:
         assert len(claims) == 1 and claims[0][2] == final
 
     def test_reconciliation_is_a_noop_when_durability_is_off(self):
-        config = ScenarioConfig(content=True)
+        config = ScenarioConfig(features={"content"})
         system = ChaosRunner(Schedule(seed=11, entries=()), config).system
         assert system.run_reconciliation_round() is None
 
@@ -338,7 +363,7 @@ class TestReconciliation:
 
 class TestDurabilityConfig:
     def test_defaults_keep_durability_off(self):
-        config = ScenarioConfig(content=True)
+        config = ScenarioConfig(features={"content"})
         system = ChaosRunner(Schedule(seed=11, entries=()), config).system
         assert not system.durability_enabled
         assert system.journal(system.alive_peers()[0].node_id) is None

@@ -326,63 +326,3 @@ class TestEdgeCases:
         network.set_kind_drop_probability("ack", 0.5)
         network.clear_kind_drop_probabilities()
         assert network._kind_drop == {}
-
-
-class TestDeprecatedShims:
-    """Both legacy entry points warn exactly once, then stay quiet."""
-
-    def test_network_send_warns_exactly_once_per_process(self):
-        import warnings
-
-        import repro.sim.network as network_module
-
-        saved = network_module._SEND_SHIM_WARNED
-        network_module._SEND_SHIM_WARNED = False
-        try:
-            sim, network = _make()
-            network.register(1, lambda msg: None)
-            with warnings.catch_warnings(record=True) as caught:
-                # Even with an "always" filter the module-level gate
-                # admits a single warning: repeated legacy sends in a
-                # hot loop must not drown the log.
-                warnings.simplefilter("always")
-                network.send(0, 1, "x", None)
-                network.send(0, 1, "x", None)
-                network.send(0, 1, "x", None)
-            sim.run()
-            shim_warnings = [
-                w
-                for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "Network.send is deprecated" in str(w.message)
-            ]
-            assert len(shim_warnings) == 1
-        finally:
-            network_module._SEND_SHIM_WARNED = saved
-
-    def test_peer_network_property_warns_exactly_once_per_site(self):
-        import warnings
-
-        from repro.overlay.peer import Peer
-        from repro.transport import as_transport
-
-        sim, network = _make()
-        peer = Peer(
-            0,
-            capacity_units=1.0,
-            rng=np.random.default_rng(0),
-            transport=as_transport(network),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            # The property warns per access; the standard "default"
-            # filter collapses repeats from the same call site to one.
-            warnings.simplefilter("default")
-            for _ in range(3):
-                assert peer.network is network
-        shim_warnings = [
-            w
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "Peer.network is deprecated" in str(w.message)
-        ]
-        assert len(shim_warnings) == 1

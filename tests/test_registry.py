@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, REGISTRY, ExperimentResult
 from repro.experiments.registry import build_registry, experiment_spec
-from repro.experiments.runner import _describe, main
+from repro.experiments.runner import main
 
 
 class TestRegistry:
@@ -75,17 +75,6 @@ class TestRegistry:
 
 
 class TestRunnerDispatch:
-    def test_describe_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="_describe"):
-            line = _describe(EXPERIMENTS["F2"])
-        assert line == REGISTRY["F2"].description
-
-    def test_seeds_alias_warns_and_works(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--fuzz-seeds"):
-            code = main(["FUZZ", "--seeds", "1", "--steps", "5"])
-        assert code == 0
-        assert "chaos fuzz" in capsys.readouterr().out
-
     def test_fuzz_seeds_canonical_flag(self, capsys):
         assert main(["FUZZ", "--fuzz-seeds", "1", "--steps", "5"]) == 0
         assert "seeds 7..7" in capsys.readouterr().out

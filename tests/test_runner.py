@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import FEATURES
 from repro.experiments.runner import main
 
 
@@ -21,6 +22,12 @@ class TestCLI:
         assert main(["ZZ"]) == 2
         err = capsys.readouterr().err
         assert "unknown experiment" in err
+
+    def test_unknown_feature_rejected(self, capsys):
+        assert main(["fuzz", "--features", "content,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert all(name in err for name in FEATURES)
 
     def test_runs_single_experiment(self, capsys):
         assert main(["F2", "--scale", "0.05"]) == 0
