@@ -69,7 +69,7 @@ def main() -> None:
         doc = instance.documents[doc_id]
         publisher = system.peer(owner_of[doc_id])
         if publisher is not None:
-            publisher.publish_document(DocInfo(doc_id, doc.categories, doc.size_bytes))
+            publisher.membership.publish_document(DocInfo(doc_id, doc.categories, doc.size_bytes))
     system.sim.run()
     print(f"  {len(crowd.new_doc_ids)} hot documents published")
 

@@ -284,7 +284,7 @@ class ChaosRunner:
             return False
         publisher = self.system.peer(alive[rank % len(alive)])
         for _ in range(n_docs):
-            publisher.publish_document(self._fresh_doc(category))
+            publisher.membership.publish_document(self._fresh_doc(category))
         self.system.sim.run()
         return True
 

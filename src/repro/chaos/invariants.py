@@ -332,7 +332,7 @@ class InvariantChecker:
         # watermarking it stays cheap and can only catch genuine rollbacks.
         for node_id in self.system.all_node_ids():
             peer = self.system._peers[node_id]
-            for category_id, entry in peer.dcrt_items():
+            for category_id, entry in peer.dcrt.items():
                 key = (node_id, category_id)
                 previous = self._peer_marks.get(key, 0)
                 if entry.move_counter < previous:
@@ -829,7 +829,7 @@ class InvariantChecker:
 # gossip reachability
 # ----------------------------------------------------------------------
 def _gossip_partners(peer) -> set[int]:
-    """The pool :meth:`Peer.gossip_once` draws partners from."""
+    """The pool :meth:`MembershipProtocol.gossip_once` draws partners from."""
     partners: set[int] = set()
     for neighbors in peer.cluster_neighbors.values():
         partners |= set(neighbors)

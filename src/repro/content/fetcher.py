@@ -39,7 +39,7 @@ from repro.content.chunks import (
     chunk_hash,
     corrupted_hash,
 )
-from repro.content.manifest import Manifest, manifest_from_update
+from repro.content.manifest import Manifest, build_manifest, manifest_from_update
 from repro.overlay import messages as m
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,6 +102,15 @@ class PeerContent:
         self.bytes_served = 0
         self.repairs_received = 0
 
+    def registrations(self) -> dict:
+        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+        return {
+            "chunk_request": (m.ChunkRequest, self.handle_chunk_request),
+            "chunk_data": (m.ChunkData, self.handle_chunk_data),
+            "chunk_repair": (m.ChunkRepair, self.handle_chunk_repair),
+            "manifest_update": (m.ManifestUpdate, self.handle_manifest_update),
+        }
+
     # ------------------------------------------------------------------
     # server side
     # ------------------------------------------------------------------
@@ -120,6 +129,12 @@ class PeerContent:
             return False
         self.corrupt.setdefault(doc_id, set()).add(index)
         return True
+
+    def handle_chunk_request(self, request: m.ChunkRequest, src: int) -> None:
+        # Chunk serving is member-side work like query serving: with the
+        # service model on it pays admission control and byte-proportional
+        # service time before :meth:`serve_chunk` runs.
+        self.peer.admit(request)
 
     def serve_chunk(self, request: m.ChunkRequest) -> None:
         """Answer one chunk request (runs at service completion when the
@@ -328,7 +343,7 @@ class PeerContent:
             return
         self._failover(fetch, fetch.chunks[index])
 
-    def handle_chunk_data(self, data: m.ChunkData) -> None:
+    def handle_chunk_data(self, data: m.ChunkData, src: int) -> None:
         entry = self._requests.pop(data.request_id, None)
         if entry is None:
             return  # late reply after deadline/busy already acted
@@ -391,7 +406,7 @@ class PeerContent:
             size=max(fetch.manifest.chunk_bytes(index), m.CONTROL_SIZE),
         )
 
-    def handle_chunk_repair(self, repair: m.ChunkRepair) -> None:
+    def handle_chunk_repair(self, repair: m.ChunkRepair, src: int) -> None:
         """A fetcher pushed a correct chunk over our stale/corrupt copy."""
         marks = self.corrupt.get(repair.doc_id)
         if marks is not None:
@@ -408,7 +423,7 @@ class PeerContent:
             if self.on_manifest is not None:
                 self.on_manifest(repair.doc_id, fresh)
 
-    def handle_manifest_update(self, update: m.ManifestUpdate) -> None:
+    def handle_manifest_update(self, update: m.ManifestUpdate, src: int) -> None:
         """Cache a manifest announced to us (graceful-shutdown handoff)."""
         cached = self.manifests.get(update.doc_id)
         if cached is None or update.version >= cached.version:
@@ -470,6 +485,23 @@ class PeerContent:
         self.manifests.clear()
         self._fetches.clear()
         self._requests.clear()
+
+    def attach_journal(self, record: Callable) -> None:
+        """Durability armed: journal every manifest the cache learns."""
+        self.on_manifest = lambda doc_id, manifest: record(
+            "manifest",
+            doc_id,
+            manifest.size_bytes,
+            manifest.chunk_size,
+            manifest.version,
+        )
+
+    def restore_durable_state(self, state: dict) -> None:
+        """Rebuild the manifest cache from a replayed snapshot+WAL state."""
+        for doc_id, size_bytes, chunk_size, version in state["manifests"]:
+            self.manifests[doc_id] = build_manifest(
+                doc_id, size_bytes, chunk_size, version=version
+            )
 
     def in_flight(self) -> int:
         return len(self._fetches)

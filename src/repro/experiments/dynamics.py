@@ -123,7 +123,7 @@ def run(
         doc = instance.documents[doc_id]
         publisher = system.peer(owner_of[doc_id])
         if publisher is not None:
-            publisher.publish_document(
+            publisher.membership.publish_document(
                 DocInfo(doc_id, doc.categories, doc.size_bytes)
             )
     system.sim.run()

@@ -35,7 +35,7 @@ from repro.content.chunks import ContentConfig
 from repro.content.manifest import Manifest, build_manifest
 from repro.durability import DurabilityConfig, FileStore, PeerJournal
 from repro.live.transport import AsyncioTransport
-from repro.overlay.messages import DocInfo
+from repro.overlay.messages import DocInfo, JoinReply
 from repro.overlay.peer import Peer, PeerConfig
 from repro.reliability.channel import ReliabilityConfig
 
@@ -115,23 +115,22 @@ def live_peer_config(world: LiveWorld) -> PeerConfig:
 class LiveClientPeer(Peer):
     """A bootstrap-only peer: consumes metadata, contributes nothing.
 
-    Overrides the join-reply step to *stop after merging* the seed's
-    DCRT/NRT snapshots — the base class would announce contributions or
-    dummy-publish, which would insert the client into server NRTs and
-    make it a routing target.  ``on_bootstrap`` fires once the merge
-    lands, so a supervisor can await readiness.
+    Replaces the ``join_reply`` registration to *stop after merging* the
+    seed's DCRT/NRT snapshots — the membership protocol would go on to
+    announce contributions or dummy-publish, which would insert the
+    client into server NRTs and make it a routing target.
+    ``on_bootstrap`` fires once the merge lands, so a supervisor can
+    await readiness.
     """
 
     def __init__(self, *args, on_bootstrap=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._on_bootstrap = on_bootstrap
         self.bootstrapped = False
+        self.register("join_reply", JoinReply, self._bootstrap_from, replace=True)
 
-    def _handle_join_reply(self, message) -> None:
-        reply = message.payload
-        self.dcrt.merge_snapshot(dict(reply.dcrt_snapshot))
-        for cluster_id, members in reply.nrt_snapshot:
-            self.nrt.add_many(cluster_id, members)
+    def _bootstrap_from(self, reply: JoinReply, src: int) -> None:
+        self.membership.merge_join_reply(reply)
         first = not self.bootstrapped
         self.bootstrapped = True
         if first and self._on_bootstrap is not None:

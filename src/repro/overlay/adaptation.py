@@ -222,12 +222,12 @@ class AdaptationCoordinator:
         system = self.system
         for _ in range(self.config.capability_gossip_rounds):
             for peer in system.alive_peers():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             system.sim.run()
         alive = {peer.node_id for peer in system.alive_peers()}
         leaders: dict[int, int] = {}
         for peer in system.alive_peers():
-            peer.elect_leaders(alive=alive)
+            peer.adaptation.elect_leaders(alive=alive)
         # A cluster's leader is what its members believe; with converged
         # gossip all members agree (the paper tolerates disagreement —
         # take any member's belief, preferring the claimed leader's own).
@@ -251,7 +251,7 @@ class AdaptationCoordinator:
             leader = system.peer(leader_id)
             if leader is None or cluster_id not in leader.memberships:
                 continue
-            leader.start_monitoring(cluster_id, round_id)
+            leader.adaptation.start_monitoring(cluster_id, round_id)
         system.sim.run()
 
     def record_monitoring(

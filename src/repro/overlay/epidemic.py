@@ -5,7 +5,7 @@ the cluster send to their neighboring nodes updates to their metadata
 information ... this epidemic-style protocol eventually guarantees that
 all nodes of the cluster become aware of all metadata information
 updates."  The peer-side exchange lives in
-:meth:`repro.overlay.peer.Peer.gossip_once`; this module provides the
+:meth:`repro.overlay.membership_protocol.MembershipProtocol.gossip_once`; this module provides the
 periodic driver and convergence measurement used by the dynamics
 experiments and tests.
 """
@@ -80,7 +80,7 @@ class GossipDriver:
     def _round(self) -> None:
         self.rounds_run += 1
         for peer in self.system.alive_peers():
-            peer.gossip_once()
+            peer.membership.gossip_once()
 
     def start(self) -> None:
         if self._cancel is not None:

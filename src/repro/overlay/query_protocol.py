@@ -1,0 +1,596 @@
+"""Query processing (Section 3.3), overload signals and the requester cache.
+
+The :class:`QueryProtocol` component of a :class:`~repro.overlay.peer.Peer`:
+
+* step 1 at the requester (``start_query``: DCRT -> cluster, NRT ->
+  random member; with reliability on, an end-to-end deadline fails the
+  query over to a different member);
+* step 2 at a target (loop-break on the query id, redirect queries for
+  moved categories per the lazy-rebalancing protocol, serve locally,
+  locate a replica holder through cluster metadata, or fan out over the
+  cluster graph);
+* the overload signals of the service model (``redirect`` /
+  ``reject_busy`` on the serving side, BUSY back-off at the requester);
+* the requester-side document cache filled from query responses.
+
+All of its state is volatile: a power loss rebuilds the component.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from repro import obs
+# Submodule import on purpose: ``repro.content`` re-exports from modules
+# that import this package, so going through its __init__ here would
+# close an import cycle.
+from repro.content.chunks import CHUNK_REQUEST_ID_BASE
+from repro.overlay import messages as m
+from repro.overlay.cache import DocumentCache
+from repro.overlay.messages import DocInfo
+from repro.overlay.metadata import DCRTEntry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.overlay.peer import Peer
+
+__all__ = ["QueryProtocol"]
+
+# Shared across all peers (process-wide totals); cached at import time so
+# the hot paths pay one attribute call, not a registry lookup.
+_TRACE = obs.TRACE
+_C_QUERIES_ISSUED = obs.counter("overlay.queries_issued")
+_C_QUERIES_SERVED = obs.counter("overlay.queries_served")
+_C_QUERIES_FORWARDED = obs.counter("overlay.queries_forwarded")
+_C_QUERIES_FAILED = obs.counter("overlay.queries_failed")
+_C_QUERY_FAILOVERS = obs.counter("reliability.query_failovers")
+#: total loop-detection entries across all peers (leak watchdog).
+_G_SEEN_QUERIES = obs.gauge("overlay.seen_query_entries")
+
+
+@dataclass(slots=True)
+class _QueryAttempt:
+    """Failover state of a query this peer originated (reliability on).
+
+    ``tried`` accumulates dispatch targets so each deadline expiry
+    retries against a *different* NRT member of the target cluster.
+    """
+
+    query_id: int
+    category_id: int
+    m_results: int
+    target_doc_id: int
+    tried: set[int] = field(default_factory=set)
+    attempts: int = 0
+    settled: bool = False
+
+
+class QueryProtocol:
+    """Queries, overload signals and the requester cache of one peer."""
+
+    def __init__(self, peer: "Peer") -> None:
+        self.peer = peer
+        self._reliability = peer.config.reliability
+        #: recently seen query ids (loop detection), LRU-bounded.
+        self._seen_queries: "OrderedDict[int, None]" = OrderedDict()
+        #: query id -> failover state for queries this peer originated.
+        self._attempts: dict[int, _QueryAttempt] = {}
+        #: requester-side cache of retrieved (servable) documents; see
+        #: PeerConfig.cache_capacity / cache_policy.
+        self.cache = DocumentCache(
+            peer.config.cache_capacity, peer.config.cache_policy
+        )
+
+    def registrations(self) -> dict:
+        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+        return {
+            "query": (m.QueryMessage, self.handle_query),
+            "query_response": (m.QueryResponse, self.handle_query_response),
+            "busy": (m.Busy, self.handle_busy),
+        }
+
+    def seen_query_count(self) -> int:
+        """Current size of the bounded loop-detection window."""
+        return len(self._seen_queries)
+
+    def in_flight(self) -> int:
+        """Queries this peer originated that still await an answer."""
+        return len(self._attempts)
+
+    # ------------------------------------------------------------------
+    # queries (Section 3.3)
+    # ------------------------------------------------------------------
+    def start_query(
+        self,
+        query_id: int,
+        category_id: int,
+        m_results: int,
+        target_doc_id: int = -1,
+    ) -> None:
+        """Step 1 of query processing, at the requesting node.
+
+        Maps the (pre-categorized) query to its cluster via the DCRT, picks
+        a random cluster node via the NRT, and dispatches.  Fails when no
+        member of the cluster is known — "if no live node exists, the query
+        will fail".  With ``target_doc_id`` set, the query asks for a
+        specific document (the retrieval case); otherwise it asks for up to
+        ``m_results`` documents of the category.
+        """
+        if m_results < 1:
+            raise ValueError(f"m_results must be >= 1, got {m_results}")
+        cluster_id = self.peer.dcrt.cluster_of(category_id)
+        _C_QUERIES_ISSUED.value += 1
+        if _TRACE.enabled:
+            _TRACE.emit(
+                "query_issue",
+                t=self.peer.transport.now,
+                node=self.peer.node_id,
+                query=query_id,
+                category=category_id,
+            )
+        if self._reliability.enabled:
+            state = _QueryAttempt(
+                query_id=query_id,
+                category_id=category_id,
+                m_results=m_results,
+                target_doc_id=target_doc_id,
+            )
+            self._attempts[query_id] = state
+            self._try_query(state)
+            return
+        target = self.peer.nrt.random_node(cluster_id, self.peer.rng)
+        if target is None:
+            self._fail_query(query_id, "no-known-member")
+            return
+        message = m.QueryMessage(
+            query_id=query_id,
+            requester_id=self.peer.node_id,
+            category_id=category_id,
+            remaining=m_results,
+            hops=1,
+            target_cluster=cluster_id,
+            target_doc_id=target_doc_id,
+        )
+        self.peer._send(target, "query", message)
+
+    def _fail_query(self, query_id: int, reason: str) -> None:
+        _C_QUERIES_FAILED.value += 1
+        if _TRACE.enabled:
+            _TRACE.emit(
+                "query_fail",
+                t=self.peer.transport.now,
+                node=self.peer.node_id,
+                query=query_id,
+                reason=reason,
+            )
+        self.peer.hooks.on_query_failed(self.peer, query_id, reason)
+
+    def _try_query(self, state: _QueryAttempt) -> None:
+        """One failover dispatch attempt, with an end-to-end deadline.
+
+        The target cluster is re-read from the DCRT each attempt (the
+        category may have moved between attempts).  Targets exclude both
+        already-tried nodes and the failure detector's suspects; if that
+        empties the candidate set, the exclusions are relaxed in order —
+        wrong suspicion must not fail a query a plain retry could save.
+        """
+        cluster_id = self.peer.dcrt.cluster_of(state.category_id)
+        suspects = self.peer.suspects()
+        avoid = state.tried | suspects if suspects else state.tried
+        target = self.peer.nrt.random_node(cluster_id, self.peer.rng, exclude=avoid)
+        if target is None and state.tried:
+            target = self.peer.nrt.random_node(cluster_id, self.peer.rng, exclude=suspects)
+        if target is None and suspects:
+            target = self.peer.nrt.random_node(cluster_id, self.peer.rng)
+        if target is None:
+            self._attempts.pop(state.query_id, None)
+            self._fail_query(state.query_id, "no-known-member")
+            return
+        state.tried.add(target)
+        state.attempts += 1
+        armed_attempts = state.attempts
+        self.peer._send(
+            target,
+            "query",
+            m.QueryMessage(
+                query_id=state.query_id,
+                requester_id=self.peer.node_id,
+                category_id=state.category_id,
+                remaining=state.m_results,
+                hops=1,
+                target_cluster=cluster_id,
+                target_doc_id=state.target_doc_id,
+            ),
+        )
+
+        def on_deadline() -> None:
+            current = self._attempts.get(state.query_id)
+            if current is not state or state.settled:
+                return  # answered, failed, or superseded
+            if state.attempts != armed_attempts:
+                return  # a BUSY-triggered failover already re-dispatched
+            if state.attempts >= self._reliability.query_attempts:
+                self._attempts.pop(state.query_id, None)
+                self._fail_query(state.query_id, "deadline-exhausted")
+                return
+            _C_QUERY_FAILOVERS.value += 1
+            if _TRACE.enabled:
+                _TRACE.emit(
+                    "query_failover",
+                    t=self.peer.transport.now,
+                    node=self.peer.node_id,
+                    query=state.query_id,
+                    attempt=state.attempts,
+                )
+            self._try_query(state)
+
+        self.peer.transport.schedule(self._reliability.query_deadline, on_deadline)
+
+    def handle_query(self, query: m.QueryMessage, src: int) -> None:
+        """Step 2, at a target node: serve, redirect, or forward."""
+        if query.query_id in self._seen_queries:
+            self._seen_queries.move_to_end(query.query_id)
+            return  # loop broken via idQ (Section 3.3, step 2b)
+        self._seen_queries[query.query_id] = None
+        _G_SEEN_QUERIES.value += 1
+        while len(self._seen_queries) > self.peer.config.seen_query_capacity:
+            self._seen_queries.popitem(last=False)
+            _G_SEEN_QUERIES.value -= 1
+
+        if self.peer.misbehavior is not None and self.peer.misbehavior.bogus_responses:
+            self._send_bogus_response(query)
+            return
+
+        entry = self.peer.dcrt.entry(query.category_id)
+        serving_cluster = entry.cluster_id
+        if serving_cluster not in self.peer.memberships:
+            # This node no longer serves the category (it moved, or the
+            # requester's NRT was stale): forward toward the cluster the
+            # local DCRT names (lazy-rebalancing step 3).  The requester's
+            # original believed cluster stays in the message so the serving
+            # node can piggyback the metadata correction (step 4).
+            target = self.peer.nrt.random_node(
+                serving_cluster, self.peer.rng, exclude=self.peer.suspects()
+            )
+            if target is not None:
+                _C_QUERIES_FORWARDED.value += 1
+                self.peer._send(
+                    target,
+                    "query",
+                    m.QueryMessage(
+                        query_id=query.query_id,
+                        requester_id=query.requester_id,
+                        category_id=query.category_id,
+                        remaining=query.remaining,
+                        hops=query.hops + 1,
+                        target_cluster=query.target_cluster,
+                        target_doc_id=query.target_doc_id,
+                    ),
+                )
+            return
+
+        # Member-side work (serving, replica lookups, graph fan-out)
+        # costs service time and intake-queue admission when the service
+        # model is on; the routing above stays instant — forwarding is
+        # cheap, serving is not.
+        self.peer.admit(query)
+
+    def process(self, query: m.QueryMessage) -> None:
+        """Member-side query work: serve, redirect over metadata, or fan out.
+
+        With the service model enabled this runs at service *completion*
+        (after queueing delay plus ``1/capacity_units`` service time);
+        otherwise it runs inline, exactly as it historically did.
+        """
+        if isinstance(query, m.ChunkRequest):
+            # Chunk serving admitted through the service queue completes
+            # here, after queueing delay and byte-proportional service.
+            self.peer.content_state.serve_chunk(query)
+            return
+
+        entry = self.peer.dcrt.entry(query.category_id)
+        park = self.peer.adaptation.park
+
+        if query.target_doc_id >= 0:
+            # Document retrieval: serve locally, wait for an in-flight
+            # transfer, or locate a replica holder via cluster metadata.
+            if self.peer.dt.has_document(query.target_doc_id):
+                self.serve_docs(query, (query.target_doc_id,), entry)
+            elif not park(query):
+                holders = [
+                    holder
+                    for holder in self.peer.hooks.lookup_holders(
+                        self.peer, entry.cluster_id, query.target_doc_id
+                    )
+                    if holder != self.peer.node_id
+                ]
+                forwarded = m.QueryMessage(
+                    query_id=query.query_id,
+                    requester_id=query.requester_id,
+                    category_id=query.category_id,
+                    remaining=query.remaining,
+                    hops=query.hops + 1,
+                    target_cluster=query.target_cluster,
+                    target_doc_id=query.target_doc_id,
+                )
+                if holders:
+                    choice = holders[int(self.peer.rng.integers(0, len(holders)))]
+                    self.peer.queries_routed += 1
+                    self.peer._send(choice, "query", forwarded)
+                else:
+                    # Super-peer mode: this node holds no cluster metadata;
+                    # route the query to the cluster's super peer, which
+                    # does (one extra hop — the hybrid trade-off).
+                    super_peer = self.peer.super_peers.get(entry.cluster_id)
+                    if super_peer is not None and super_peer != self.peer.node_id:
+                        self.peer.queries_routed += 1
+                        self.peer._send(super_peer, "query", forwarded)
+            return
+
+        matched = self.peer.dt.docs_in_category(query.category_id)
+        if not matched and park(query):
+            # Destination of an in-flight move without the content yet:
+            # pulled from the coupled source node, then answered (lazy
+            # step 4).
+            return
+
+        self.serve_and_forward(query, matched, entry)
+
+    def serve_docs(
+        self,
+        query: m.QueryMessage,
+        doc_ids: tuple[int, ...],
+        entry: DCRTEntry,
+    ) -> None:
+        """Answer the requester with ``doc_ids`` and account the load.
+
+        The response carries the documents themselves (sized as their
+        content), so the requester can cache them.
+        """
+        self.peer.requests_served += 1
+        self.peer.hit_counters[query.category_id] = (
+            self.peer.hit_counters.get(query.category_id, 0) + 1
+        )
+        if len(self.cache):
+            for doc_id in doc_ids:
+                if self.cache.owns(doc_id):
+                    self.cache.served_hits += 1
+        self.peer.hooks.on_request_served(self.peer)
+        _C_QUERIES_SERVED.value += 1
+        if _TRACE.enabled:
+            _TRACE.emit(
+                "query_serve",
+                t=self.peer.transport.now,
+                node=self.peer.node_id,
+                query=query.query_id,
+                hops=query.hops,
+                docs=len(doc_ids),
+            )
+        updates: tuple[tuple[int, DCRTEntry], ...] = ()
+        if query.target_cluster != entry.cluster_id:
+            # The requester routed on a stale mapping; piggyback the
+            # correction (lazy-rebalancing step 4).
+            updates = ((query.category_id, entry),)
+        infos = tuple(
+            self.peer.docs[doc_id] for doc_id in doc_ids if doc_id in self.peer.docs
+        )
+        payload_bytes = sum(info.size_bytes for info in infos)
+        self.peer._send(
+            query.requester_id,
+            "query_response",
+            m.QueryResponse(
+                query_id=query.query_id,
+                doc_ids=doc_ids,
+                responder_id=self.peer.node_id,
+                hops=query.hops,
+                dcrt_updates=updates,
+                doc_infos=infos,
+            ),
+            size=max(payload_bytes, m.CONTROL_SIZE),
+        )
+
+    def serve_and_forward(
+        self,
+        query: m.QueryMessage,
+        matched: list[int],
+        entry: DCRTEntry,
+    ) -> None:
+        served = tuple(matched[: query.remaining])
+        if served:
+            self.serve_docs(query, served, entry)
+        remaining = query.remaining - len(served)
+        if remaining > 0:
+            neighbors = self.peer.cluster_neighbors.get(entry.cluster_id, ())
+            if neighbors:
+                _C_QUERIES_FORWARDED.value += len(neighbors)
+            for neighbor in neighbors:
+                self.peer._send(
+                    neighbor,
+                    "query",
+                    m.QueryMessage(
+                        query_id=query.query_id,
+                        requester_id=query.requester_id,
+                        category_id=query.category_id,
+                        remaining=remaining,
+                        hops=query.hops + 1,
+                        target_cluster=query.target_cluster,
+                    ),
+                )
+
+    def _send_bogus_response(self, query: m.QueryMessage) -> None:
+        """Answer with fabricated content (armed ``bogus_responses`` mode).
+
+        The fabricated doc id is claimed in ``doc_ids`` but — unless
+        ``forge_infos`` hardens the lie — no matching ``DocInfo`` ships,
+        which is exactly the asymmetry the requester-side integrity
+        check rejects (an honest server serves from its own store, so
+        its metadata always covers every claimed doc).
+        """
+        mis = self.peer.misbehavior
+        fake_doc_id = mis.bogus_doc_base + query.query_id
+        infos: tuple[DocInfo, ...] = ()
+        if mis.forge_infos:
+            infos = (
+                DocInfo(
+                    doc_id=fake_doc_id,
+                    categories=(query.category_id,),
+                    size_bytes=m.CONTROL_SIZE,
+                ),
+            )
+        # Lazily registered: honest worlds never reach this path, so the
+        # counter stays out of their metric snapshots (and goldens).
+        obs.counter("overlay.bogus_responses_sent").inc()
+        self.peer._send(
+            query.requester_id,
+            "query_response",
+            m.QueryResponse(
+                query_id=query.query_id,
+                doc_ids=(fake_doc_id,),
+                responder_id=self.peer.node_id,
+                hops=query.hops,
+                doc_infos=infos,
+            ),
+        )
+
+    def handle_query_response(self, response: m.QueryResponse, src: int) -> None:
+        if len(response.doc_infos) != len(response.doc_ids):
+            # Integrity check: an honest server builds ``doc_infos`` from
+            # the documents it actually holds, so metadata always covers
+            # every claimed doc id.  A mismatch means fabricated content —
+            # reject *without settling*, so an armed failover deadline
+            # keeps retrying other members.  (Counter registered lazily:
+            # honest runs never take this branch, keeping goldens intact.)
+            obs.counter("overlay.bogus_responses_rejected").inc()
+            self.peer.hooks.on_bogus_response(self.peer, response)
+            return
+        state = self._attempts.pop(response.query_id, None)
+        if state is not None:
+            state.settled = True  # disarms any in-flight failover deadline
+        for category_id, entry in response.dcrt_updates:
+            self.peer.dcrt.merge(category_id, entry)
+        if self.peer.config.cache_capacity > 0:
+            for info in response.doc_infos:
+                self.cache_store(info)
+        self.peer.hooks.on_query_response(self.peer, response)
+
+    # ------------------------------------------------------------------
+    # overload signals (service model; see repro.overlay.service)
+    # ------------------------------------------------------------------
+    def redirect(self, query: m.QueryMessage) -> bool:
+        """Hand an overflow query to another holder or cluster member.
+
+        The load-based-redirection admission policy: prefer a replica
+        holder of the wanted document (cluster metadata), fall back to a
+        random fellow member (NRT).  Returns False when nobody else is
+        known — the caller sheds instead.
+        """
+        if isinstance(query, m.ChunkRequest):
+            # Chunk requests target one specific holder's bytes; there is
+            # no equivalent replica to redirect to from here (the fetcher
+            # owns source selection), so overflow falls through to a shed
+            # and the requester's BUSY handler fails over.
+            return False
+        entry = self.peer.dcrt.entry(query.category_id)
+        forwarded = m.QueryMessage(
+            query_id=query.query_id,
+            requester_id=query.requester_id,
+            category_id=query.category_id,
+            remaining=query.remaining,
+            hops=query.hops + 1,
+            target_cluster=query.target_cluster,
+            target_doc_id=query.target_doc_id,
+        )
+        if query.target_doc_id >= 0:
+            holders = [
+                holder
+                for holder in self.peer.hooks.lookup_holders(
+                    self.peer, entry.cluster_id, query.target_doc_id
+                )
+                if holder != self.peer.node_id
+            ]
+            if holders:
+                choice = holders[int(self.peer.rng.integers(0, len(holders)))]
+                self.peer.queries_routed += 1
+                self.peer._send(choice, "query", forwarded)
+                return True
+        target = self.peer.nrt.random_node(
+            entry.cluster_id, self.peer.rng, exclude=self.peer.suspects() | {self.peer.node_id}
+        )
+        if target is not None:
+            self.peer.queries_routed += 1
+            self.peer._send(target, "query", forwarded)
+            return True
+        return False
+
+    def reject_busy(self, query: m.QueryMessage) -> None:
+        """Shed a query: tell the requester to back off and go elsewhere."""
+        self.peer._send(
+            query.requester_id,
+            "busy",
+            m.Busy(
+                query_id=query.query_id,
+                responder_id=self.peer.node_id,
+                retry_after=self.peer.config.service.busy_retry_after,
+            ),
+        )
+
+    def handle_busy(self, busy: m.Busy, src: int) -> None:
+        """An overloaded member shed our query: back off, then fail over."""
+        if busy.query_id >= CHUNK_REQUEST_ID_BASE:
+            # A shed chunk request (ids live in their own namespace):
+            # the fetcher fails over to another source immediately.
+            content = self.peer.content_state
+            if content is not None:
+                content.handle_busy(busy)
+            return
+        state = self._attempts.get(busy.query_id)
+        if state is None:
+            # No failover state (reliability off): the shed is terminal.
+            if not self._reliability.enabled:
+                self._fail_query(busy.query_id, "overloaded")
+            return
+        if state.settled:
+            return  # another member already answered
+        if state.attempts >= self._reliability.query_attempts:
+            self._attempts.pop(state.query_id, None)
+            self._fail_query(state.query_id, "overloaded")
+            return
+        armed_attempts = state.attempts
+
+        def retry() -> None:
+            current = self._attempts.get(state.query_id)
+            if (
+                current is not state
+                or state.settled
+                or state.attempts != armed_attempts
+            ):
+                return  # answered, failed, or another busy/deadline acted
+            _C_QUERY_FAILOVERS.value += 1
+            if _TRACE.enabled:
+                _TRACE.emit(
+                    "query_busy_failover",
+                    t=self.peer.transport.now,
+                    node=self.peer.node_id,
+                    query=state.query_id,
+                    shed_by=busy.responder_id,
+                )
+            self._try_query(state)
+
+        self.peer.transport.schedule(max(busy.retry_after, 0.0), retry)
+
+    def cache_store(self, info: DocInfo) -> None:
+        """Keep a retrieved document as a servable cached replica.
+
+        Cached copies register in the cluster metadata like any stored
+        document, so they absorb future requests for hot content
+        (future-work item viii).  Only cache-owned entries are evicted —
+        contributions and placed replicas are never touched.
+        """
+        if self.cache.touch(info.doc_id):
+            return
+        if info.doc_id in self.peer.docs:
+            return  # already stored as contribution/replica
+        self.peer.store_document(info)
+        for evicted in self.cache.add(info.doc_id):
+            self.peer.drop_document(evicted)

@@ -39,7 +39,7 @@ documents are pulled from live source holders via the ordinary
 pays real transfer bytes and arriving copies register in the holder
 directory like any store.  A document the target holds only as an
 evictable *cached* copy is promoted in place instead
-(:meth:`~repro.overlay.peer.Peer.cache_promote`): the bytes are already
+(``peer.queries.cache.discard``): the bytes are already
 there, so the manager pins the copy out of the cache's eviction
 bookkeeping and takes ownership — shrink later drops it like any other
 managed replica.
@@ -291,7 +291,7 @@ class ReplicationManager:
 
         def shippable(doc_id: int) -> bool:
             return any(
-                doc_id not in peer.docs or peer.cache_owns(doc_id)
+                doc_id not in peer.docs or peer.queries.cache.owns(doc_id)
                 for peer in members
             )
 
@@ -322,7 +322,7 @@ class ReplicationManager:
             ):
                 continue
             if all(
-                doc_id in peer.docs and not peer.cache_owns(doc_id)
+                doc_id in peer.docs and not peer.queries.cache.owns(doc_id)
                 for doc_id in wanted
             ):
                 continue  # durably holds everything worth shipping
@@ -361,7 +361,7 @@ class ReplicationManager:
             pulled: set[int] = set()
             for doc_id in doc_ids:
                 if doc_id in target.docs:
-                    if target.cache_promote(doc_id):
+                    if target.queries.cache.discard(doc_id):
                         pulled.add(doc_id)
                     continue
                 sources = sorted(
@@ -375,7 +375,7 @@ class ReplicationManager:
             if not pulled:
                 continue
             for source_id, wanted in sorted(pulls.items()):
-                target.pull_documents(source_id, category_id, wanted)
+                target.adaptation.pull_documents(source_id, category_id, wanted)
             managed[node_id] = pulled
             placed.append(node_id)
             self._c_grown.inc()
@@ -405,6 +405,6 @@ class ReplicationManager:
             # A doc may since have been re-stored as a cached copy or by
             # another manager decision; only drop what is still present
             # and not separately cache-owned.
-            if doc_id in peer.docs and not peer.cache_owns(doc_id):
+            if doc_id in peer.docs and not peer.queries.cache.owns(doc_id):
                 peer.drop_document(doc_id)
         return (node_id,)

@@ -140,7 +140,7 @@ class ServiceQueue:
 
     def _admit_overflow(self, incoming: "m.QueryMessage") -> None:
         policy = self.config.policy
-        if policy == "redirect" and self.peer._redirect_query(incoming):
+        if policy == "redirect" and self.peer.queries.redirect(incoming):
             self.redirected += 1
             self._c_redirected.value += 1
             return
@@ -170,7 +170,7 @@ class ServiceQueue:
         self.shed += 1
         self._c_shed.value += 1
         self._c_busy.value += 1
-        self.peer._reject_busy(query)
+        self.peer.queries.reject_busy(query)
 
     # ------------------------------------------------------------------
     # the server
@@ -211,7 +211,7 @@ class ServiceQueue:
             return
         self._current = None
         self.processed += 1
-        self.peer._process_query(query)
+        self.peer.queries.process(query)
         if self._queue:
             self._g_depth.value -= 1
             self._begin(self._queue.popleft())

@@ -843,7 +843,7 @@ class P2PSystem:
         peer = self.peer(node_id)
         if peer is None:
             return
-        peer.start_leave()
+        peer.membership.start_leave()
         self._departed.add(node_id)
         self._cluster_members_cache = None
         for members in self._cluster_members.values():
@@ -891,7 +891,7 @@ class P2PSystem:
                     continue
                 info = peer.docs[doc_id]
                 category_id = info.categories[0] if info.categories else 0
-                target.pull_documents(node_id, category_id, [doc_id])
+                target.adaptation.pull_documents(node_id, category_id, [doc_id])
                 if self.content is not None:
                     manifest = self.content.manifest_for(doc_id)
                     if manifest is not None:
@@ -1017,7 +1017,7 @@ class P2PSystem:
                 self._verify_recovered_holdings(peer)
             # Without a journal the amnesia is permanent: the node comes
             # back empty-handed and must rely on rejoin and healing.
-        peer.announce_capabilities()
+        peer.adaptation.announce_capabilities()
         self.sim.run()
         return peer
 
@@ -1133,7 +1133,7 @@ class P2PSystem:
         """Run epidemic DCRT dissemination rounds across all live peers."""
         for _ in range(rounds):
             for peer in self.alive_peers():
-                peer.gossip_once()
+                peer.membership.gossip_once()
             self.sim.run()
 
     def run_failure_detector_rounds(self, rounds: int = 1) -> None:

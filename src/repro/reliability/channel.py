@@ -401,7 +401,13 @@ class ReliableChannel:
             self._attempt_timeout(armed_attempt, out.dst), on_timeout
         )
 
-    def handle_ack(self, ack: "m.Ack") -> None:
+    def registrations(self) -> dict:
+        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+        from repro.overlay.messages import Ack
+
+        return {"ack": (Ack, self.handle_ack)}
+
+    def handle_ack(self, ack: "m.Ack", src: int) -> None:
         """Settle the acked delivery (idempotent: late acks are no-ops)."""
         out = self._outstanding.pop(ack.delivery_id, None)
         if out is None:
@@ -418,7 +424,7 @@ class ReliableChannel:
                 self._rtt[out.dst] = estimator
             estimator.observe(self.transport.now - out.sent_at)
 
-    def cancel_all(self) -> None:
+    def clear_failure_state(self) -> None:
         """Drop every in-flight delivery (armed timers become no-ops).
 
         Used when the owning peer heals after a crash: deliveries armed
@@ -426,10 +432,10 @@ class ReliableChannel:
         """
         self._outstanding.clear()
 
-    def lose_memory(self) -> None:
+    def lose_power(self) -> None:
         """Power loss: volatile channel state is gone, sender and receiver.
 
-        Unlike :meth:`cancel_all` (crash with memory intact) this also
+        Unlike :meth:`clear_failure_state` (crash with memory intact) this also
         forgets the receiver dedup window — an amnesiac node genuinely
         cannot tell a retransmission from a first delivery, so the
         deployment's exactly-once accounting restarts alongside it.

@@ -94,10 +94,11 @@ class FailureDetector:
                 key for key in self._pending if key[0] != node_id
             }
 
-    def reset(self) -> None:
+    def clear_failure_state(self) -> None:
         """Forget all evidence: misses, pending probes, and suspects.
 
-        Called when the owning node heals after a crash.  While it was
+        Called when the owning node heals after a crash (and, as
+        :meth:`lose_power`, when it loses its memory).  While it was
         dark its already-armed probe and retry timers kept firing with no
         pongs or acks able to arrive, accusing peers that were fine all
         along; rejoining with that stale suspect set would blackhole the
@@ -108,6 +109,8 @@ class FailureDetector:
         if self.suspects:
             _C_CLEARED.value += len(self.suspects)
             self.suspects.clear()
+
+    lose_power = clear_failure_state
 
     # ------------------------------------------------------------------
     # active probing
@@ -136,6 +139,26 @@ class FailureDetector:
 
         self.transport.schedule(self.config.probe_timeout, on_timeout)
 
-    def handle_pong(self, pong: "m.Pong") -> None:
+    def registrations(self) -> dict:
+        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+        from repro.overlay.messages import Ping, Pong
+
+        return {
+            "ping": (Ping, self.handle_ping),
+            "pong": (Pong, self.handle_pong),
+        }
+
+    def handle_ping(self, ping: "m.Ping", src: int) -> None:
+        from repro.overlay.messages import Pong
+
+        self.transport.send(
+            self.node_id,
+            ping.prober_id,
+            "pong",
+            Pong(probe_id=ping.probe_id, responder_id=self.node_id),
+            size_bytes=_CONTROL_SIZE,
+        )
+
+    def handle_pong(self, pong: "m.Pong", src: int) -> None:
         self._pending.discard((pong.responder_id, pong.probe_id))
         self.note_alive(pong.responder_id)

@@ -139,7 +139,7 @@ class TestFailover:
         # Give a third peer a *cache-owned* copy, as if it had retrieved
         # the document earlier.
         cacher = pick_requester(system, doc_id)
-        cacher._cache_store(manager.doc_info(doc_id))
+        cacher.queries.cache_store(manager.doc_info(doc_id))
         system.sim.run()
         assert cacher.node_id in manager.live_holders(doc_id)
         system.crash_node(holders[1])  # sources are now survivor + cacher
@@ -151,7 +151,7 @@ class TestFailover:
             d for d in sorted(manager.manifests)
             if d != doc_id and d not in cacher.docs
         )
-        cacher._cache_store(manager.doc_info(other))
+        cacher.queries.cache_store(manager.doc_info(other))
         assert doc_id not in cacher.docs
         assert cacher.node_id not in manager.live_holders(doc_id)
         system.sim.run()

@@ -74,7 +74,7 @@ class TestFlapping:
         detector.note_missed(3)
         detector.note_missed(4)
         assert detector.suspects == {3, 4}
-        detector.reset()
+        detector.clear_failure_state()
         assert not detector.suspects
         assert c_cleared.value - cleared0 == 2
         # Miss streaks were also wiped: one new miss re-suspects (threshold

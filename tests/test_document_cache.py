@@ -155,16 +155,16 @@ class TestPeerCachePolicies:
             overlay.give_document(2, doc_id, [7])
         cacher = overlay.peers[1]
         _retrieve(overlay, 1, 1, 100)
-        assert cacher.cache_owns(100)
-        assert cacher.cache_promote(100) is True
-        assert not cacher.cache_owns(100)
+        assert cacher.queries.cache.owns(100)
+        assert cacher.queries.cache.discard(100) is True
+        assert not cacher.queries.cache.owns(100)
         assert cacher.dt.has_document(100)  # bytes stayed put
         # The pinned copy no longer occupies cache capacity: the next
         # fill needs no eviction and never touches doc 100.
         _retrieve(overlay, 1, 2, 101)
         assert cacher.dt.has_document(100)
         assert cacher.dt.has_document(101)
-        assert cacher.cache_promote(100) is False  # already pinned
+        assert cacher.queries.cache.discard(100) is False  # already pinned
 
     def test_eviction_deregisters_holder(self):
         overlay = _serving_overlay(capacity=1)

@@ -188,7 +188,7 @@ class TestPowerLossRecovery:
         peer = system.peer(victim)
         docs = dict(peer.docs)
         memberships = set(peer.memberships)
-        dcrt = dict(peer.dcrt_items())
+        dcrt = dict(peer.dcrt.items())
         system.power_loss(victim)
         assert peer.lost_memory
         assert not peer.docs and not peer.memberships
@@ -197,7 +197,7 @@ class TestPowerLossRecovery:
         assert not peer.lost_memory
         assert dict(peer.docs) == docs
         assert set(peer.memberships) == memberships
-        assert dict(peer.dcrt_items()) == dcrt
+        assert dict(peer.dcrt.items()) == dcrt
 
     def test_recovered_holdings_are_readvertised(self):
         system = make_recovery_system()

@@ -27,7 +27,7 @@ class TestLossyGossip:
         overlay.peers[0].dcrt.set(7, 5, move_counter=2)
         for _ in range(40):
             for peer in overlay.peers.values():
-                peer.gossip_once()
+                peer.membership.gossip_once()
             overlay.run()
         for node_id in range(8):
             assert overlay.peers[node_id].dcrt.cluster_of(7) == 5, node_id

@@ -170,7 +170,7 @@ class TestCrashDuringHandoff:
         doc_id, keeper = make_sole_holder(system)
         target = system._handoff_target(doc_id, keeper)
         assert target is not None
-        original = target.pull_documents
+        original = target.adaptation.pull_documents
 
         def crash_after_pull(src, category_id, doc_ids):
             original(src, category_id, doc_ids)
@@ -178,7 +178,7 @@ class TestCrashDuringHandoff:
             # transfer can never complete, so nothing has been placed.
             system.crash_node(keeper)
 
-        target.pull_documents = crash_after_pull
+        target.adaptation.pull_documents = crash_after_pull
         assert system.shutdown_node(keeper) is False
         system.sim.run()
         # The half-shipped manifest must not have registered the target

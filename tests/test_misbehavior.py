@@ -150,7 +150,7 @@ class TestStaleGossip:
         stale_id = sorted(p.node_id for p in system.alive_peers())[0]
         peer = system.peer(stale_id)
         system.set_misbehavior(stale_id, MisbehaviorConfig(stale_gossip=True))
-        frozen = peer._stale_gossip_digest
+        frozen = peer.membership._stale_gossip_digest
         assert frozen is not None
         assert frozen == tuple(peer.dcrt.snapshot().items())
 

@@ -28,7 +28,7 @@ class TestHitCountAggregation:
             edges=[(0, 1), (1, 2)],
             hits_per_node={0: {7: 5}, 1: {7: 3}, 2: {7: 2}},
         )
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         assert len(overlay.hooks.monitoring) == 1
         leader_id, cluster_id, round_id, counts, _w, subtree = (
@@ -46,7 +46,7 @@ class TestHitCountAggregation:
             edges=[(0, 1), (1, 2), (0, 2)],
             hits_per_node={0: {7: 5}, 1: {7: 3}, 2: {7: 2}},
         )
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         _, _, _, counts, _w, subtree = overlay.hooks.monitoring[0]
         assert counts == {7: 10}
@@ -58,7 +58,7 @@ class TestHitCountAggregation:
             hits_per_node={0: {7: 1, 8: 2}, 1: {7: 4, 8: 8}},
             category_map={7: 4, 8: 4},
         )
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         _, _, _, counts, _w, _ = overlay.hooks.monitoring[0]
         assert counts == {7: 5, 8: 10}
@@ -71,14 +71,14 @@ class TestHitCountAggregation:
             hits_per_node={0: {7: 1}, 1: {7: 2, 9: 50}},
             category_map={7: 4, 9: 0},
         )
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         _, _, _, counts, _w, _ = overlay.hooks.monitoring[0]
         assert counts == {7: 3}
 
     def test_singleton_cluster(self):
         overlay = _cluster_with_hits(edges=[], hits_per_node={0: {7: 5}})
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         _, _, _, counts, _w, subtree = overlay.hooks.monitoring[0]
         assert counts == {7: 5}
@@ -90,7 +90,7 @@ class TestHitCountAggregation:
         )
         overlay.give_document(0, 100, [7])
         overlay.give_document(0, 101, [7])
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         _, _, _, _counts, weights, _ = overlay.hooks.monitoring[0]
         # Node 0 holds 2 docs of category 7, all of its stored content ->
@@ -103,7 +103,7 @@ class TestHitCountAggregation:
             hits_per_node={0: {7: 5}, 1: {7: 3}, 2: {7: 2}},
         )
         overlay.network.crash(2)
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         # The run completes (timeout fires) with the live nodes' counts.
         assert len(overlay.hooks.monitoring) == 1
@@ -115,10 +115,10 @@ class TestHitCountAggregation:
         overlay = _cluster_with_hits(
             edges=[(0, 1)], hits_per_node={0: {7: 5}, 1: {7: 3}}
         )
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         overlay.peers[1].hit_counters[7] = 10
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=2)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=2)
         overlay.run()
         assert len(overlay.hooks.monitoring) == 2
         assert overlay.hooks.monitoring[0][3] == {7: 8}
@@ -128,4 +128,4 @@ class TestHitCountAggregation:
         overlay = MicroOverlay()
         peer = overlay.add_peer(0)
         with pytest.raises(ValueError):
-            peer.start_monitoring(cluster_id=9, round_id=1)
+            peer.adaptation.start_monitoring(cluster_id=9, round_id=1)

@@ -35,7 +35,7 @@ def _channel_pair(config: ReliabilityConfig, base_latency: float = 0.05):
     network.register(
         SENDER,
         lambda message: (
-            sender.handle_ack(message.payload) if message.kind == "ack" else None
+            sender.handle_ack(message.payload, message.src) if message.kind == "ack" else None
         ),
     )
     network.register(RECEIVER, receiver.observe)

@@ -28,8 +28,8 @@ class TestPartitionedMonitoring:
         overlay = _partitioned_cluster()
         # One "leader" per side starts monitoring; cross-partition requests
         # are lost and the timeout closes each side's tree.
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=1)
-        overlay.peers[5].start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
+        overlay.peers[5].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         results = {leader: counts for leader, _c, _r, counts, _w, _s
                    in overlay.hooks.monitoring}
@@ -41,7 +41,7 @@ class TestPartitionedMonitoring:
     def test_healed_partition_monitors_whole_cluster(self):
         overlay = _partitioned_cluster()
         overlay.network.heal_partitions()
-        overlay.peers[0].start_monitoring(cluster_id=4, round_id=2)
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=2)
         overlay.run()
         assert overlay.hooks.monitoring[-1][3] == {7: 210}
 
@@ -55,14 +55,14 @@ class TestPartitionedMonitoring:
         # While split, side B still believes the old mapping.
         for _ in range(3):
             for peer in overlay.peers.values():
-                peer.gossip_once()
+                peer.membership.gossip_once()
             overlay.run()
         assert overlay.peers[5].dcrt.cluster_of(7) == 4
         # Heal; epidemic exchange reconciles via the move counter.
         overlay.network.heal_partitions()
         for _ in range(8):
             for peer in overlay.peers.values():
-                peer.gossip_once()
+                peer.membership.gossip_once()
             overlay.run()
         for node_id in range(6):
             assert overlay.peers[node_id].dcrt.cluster_of(7) == 9, node_id
@@ -71,15 +71,15 @@ class TestPartitionedMonitoring:
         overlay = _partitioned_cluster()
         for _ in range(4):
             for peer in overlay.peers.values():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             overlay.run()
         # Capability knowledge bootstrapped at wire time covers everyone,
         # so restrict the election to what each side can actually reach.
         side_a, side_b = {0, 1, 2}, {3, 4, 5}
         for node_id in side_a:
-            overlay.peers[node_id].elect_leaders(alive=side_a)
+            overlay.peers[node_id].adaptation.elect_leaders(alive=side_a)
         for node_id in side_b:
-            overlay.peers[node_id].elect_leaders(alive=side_b)
+            overlay.peers[node_id].adaptation.elect_leaders(alive=side_b)
         # Two leaders exist simultaneously — the paper says "this poses no
         # problem"; each side picks its most capable reachable node.
         assert overlay.peers[0].believed_leader[4] == 2

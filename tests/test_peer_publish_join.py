@@ -16,7 +16,7 @@ class TestPublish:
         overlay.wire_cluster(3, [1], edges=[], category_map={7: 3})
         publisher.dcrt.set(7, 3)
         publisher.nrt.add(3, 1)
-        publisher.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
+        publisher.membership.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
         overlay.run()
         # The publisher stored the document and became a cluster member.
         assert publisher.dt.has_document(50)
@@ -31,10 +31,10 @@ class TestPublish:
         overlay.wire_cluster(3, [1], edges=[], category_map={7: 3})
         publisher.dcrt.set(7, 3)
         publisher.nrt.add(3, 1)
-        publisher.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
+        publisher.membership.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
         overlay.run()
         sent_before = overlay.network.stats.by_kind.get("publish_request", 0)
-        publisher.publish_document(DocInfo(doc_id=51, categories=(7,), size_bytes=10))
+        publisher.membership.publish_document(DocInfo(doc_id=51, categories=(7,), size_bytes=10))
         overlay.run()
         sent_after = overlay.network.stats.by_kind.get("publish_request", 0)
         # Step 2: the node already announced its contribution to category 7.
@@ -58,7 +58,7 @@ class TestPublish:
         publisher.dcrt.set(7, 3, move_counter=0)
         publisher.nrt.add(3, 1)
         publisher.nrt.add(4, 2)
-        publisher.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
+        publisher.membership.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
         overlay.run()
         assert publisher.dcrt.cluster_of(7) == 4
         assert 4 in publisher.memberships
@@ -67,7 +67,7 @@ class TestPublish:
     def test_publish_with_nobody_known_adopts_membership(self):
         overlay = MicroOverlay()
         publisher = overlay.add_peer(0)
-        publisher.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
+        publisher.membership.publish_document(DocInfo(doc_id=50, categories=(7,), size_bytes=10))
         overlay.run()
         # Unknown category defaults to cluster 0; with no known members the
         # publisher adopts the membership locally.
@@ -79,7 +79,7 @@ class TestPublish:
         member = overlay.add_peer(1)
         overlay.wire_cluster(0, [1], edges=[])
         rider.nrt.add(0, 1)
-        rider.dummy_publish()
+        rider.membership.dummy_publish()
         overlay.run()
         # Section 6.3: the free rider "will perform a dummy publish, so that
         # it will be added to a cluster and receive further updates".
@@ -121,7 +121,7 @@ class TestLeave:
         stayer = overlay.add_peer(1)
         overlay.wire_cluster(2, [0, 1], edges=[(0, 1)])
         overlay.give_document(0, 60, [7])
-        leaver.start_leave()
+        leaver.membership.start_leave()
         overlay.run()
         # The stayer removed the leaver from its NRT and neighbours.
         assert 0 not in stayer.nrt.nodes_in(2)
@@ -139,7 +139,7 @@ class TestLeave:
         stayer = overlay.add_peer(1, capacity=1.0)
         overlay.wire_cluster(2, [0, 1], edges=[(0, 1)])
         stayer.known_capabilities[2][0] = 9.0
-        leaver.start_leave()
+        leaver.membership.start_leave()
         overlay.run()
         assert 0 not in stayer.known_capabilities[2]
 
@@ -153,7 +153,7 @@ class TestCapabilityGossipAndElection:
         # Two gossip rounds: 0's info reaches 2 through 1.
         for _ in range(2):
             for peer in overlay.peers.values():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             overlay.run()
         assert overlay.peers[2].known_capabilities[2][0] == 1.0
 
@@ -164,10 +164,10 @@ class TestCapabilityGossipAndElection:
         overlay.wire_cluster(2, [0, 1, 2], edges=[(0, 1), (1, 2)])
         for _ in range(2):
             for peer in overlay.peers.values():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             overlay.run()
         for peer in overlay.peers.values():
-            peer.elect_leaders()
+            peer.adaptation.elect_leaders()
             assert peer.believed_leader[2] == 1
 
     def test_election_with_alive_filter(self):
@@ -177,8 +177,8 @@ class TestCapabilityGossipAndElection:
         overlay.wire_cluster(2, [0, 1], edges=[(0, 1)])
         for _ in range(2):
             for peer in overlay.peers.values():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             overlay.run()
         # Node 1 (the most powerful) died: 0 must elect someone alive.
-        overlay.peers[0].elect_leaders(alive={0})
+        overlay.peers[0].adaptation.elect_leaders(alive={0})
         assert overlay.peers[0].believed_leader[2] == 0

@@ -54,7 +54,7 @@ class _Endpoint:
     def handle(self, message) -> None:
         if message.kind == "ack":
             if not self.drop_acks:
-                self.channel.handle_ack(message.payload)
+                self.channel.handle_ack(message.payload, message.src)
             return
         if self.channel.observe(message):
             return
@@ -213,7 +213,7 @@ class TestPeerIntegration:
         overlay = _reliable_overlay()
         sends = _delta("reliability.sends")
         acked = _delta("reliability.acked")
-        overlay.peers[1].publish_document(
+        overlay.peers[1].membership.publish_document(
             DocInfo(doc_id=100, categories=(5,), size_bytes=1000)
         )
         overlay.run()
@@ -226,7 +226,7 @@ class TestPeerIntegration:
         overlay.network.set_kind_drop_probability("ack", 0.8)
         duplicates = _delta("reliability.duplicates_suppressed")
         for doc_id in range(200, 210):
-            overlay.peers[1].publish_document(
+            overlay.peers[1].membership.publish_document(
                 DocInfo(doc_id=doc_id, categories=(5,), size_bytes=1000)
             )
         overlay.run()
@@ -270,7 +270,7 @@ class TestPeerIntegration:
                 ),
             )
         overlay.run()
-        assert overlay.peers[1].seen_query_count() == 4
+        assert overlay.peers[1].queries.seen_query_count() == 4
 
 
 class TestQueryFailover:
@@ -285,7 +285,7 @@ class TestQueryFailover:
         answered = [r for _node, r in overlay.hooks.responses if r.query_id == 7]
         assert answered, overlay.hooks.failures
         assert not overlay.hooks.failures
-        assert not requester._query_attempts  # settled and cleaned up
+        assert not requester.queries.in_flight()  # settled and cleaned up
 
     def test_deadline_exhaustion_fails_the_query(self):
         overlay = _reliable_overlay()
@@ -299,7 +299,7 @@ class TestQueryFailover:
         overlay.run()
         assert (0, 8, "deadline-exhausted") in overlay.hooks.failures
         assert failovers() == FAST.query_attempts - 1
-        assert not requester._query_attempts
+        assert not requester.queries.in_flight()
 
     def test_no_known_member_fails_immediately(self):
         overlay = _reliable_overlay()
@@ -315,20 +315,20 @@ class TestSuspectAwareness:
         overlay = _reliable_overlay(rng=np.random.default_rng(0))
         for _ in range(2):
             for peer in overlay.peers.values():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             overlay.run()
         for peer in overlay.peers.values():
-            peer.elect_leaders()
+            peer.adaptation.elect_leaders()
         prober = overlay.peers[0]
         assert prober.believed_leader[4] == 2
         # Every probe to the leader is lost; each timeout is a miss.
         overlay.network.set_kind_drop_probability("leader_probe", 0.999)
         for round_id in (1, 2, 3):
-            prober.probe_leader(4, round_id=round_id)
+            prober.adaptation.probe_leader(4, round_id=round_id)
             overlay.run()
         assert prober.detector.is_suspect(2)
         # Re-election strikes the suspect: node 1 (next capacity) wins.
-        prober.elect_leaders()
+        prober.adaptation.elect_leaders()
         assert prober.believed_leader[4] == 1
 
     def test_election_ignores_suspicion_that_empties_the_pool(self):
@@ -336,13 +336,13 @@ class TestSuspectAwareness:
         prober = overlay.peers[0]
         for _ in range(2):
             for peer in overlay.peers.values():
-                peer.announce_capabilities()
+                peer.adaptation.announce_capabilities()
             overlay.run()
         for node_id in (0, 1, 2):
             prober.detector.note_missed(node_id)
             prober.detector.note_missed(node_id)
         assert prober.suspects() == {0, 1, 2}
-        prober.elect_leaders()
+        prober.adaptation.elect_leaders()
         # Everyone is suspect -> suspicion is ignored, not election-fatal.
         assert prober.believed_leader[4] == 2
 

@@ -137,7 +137,7 @@ class TestGrow:
             ):
                 continue
             durably_all = all(
-                doc_id in peer.docs and not peer.cache_owns(doc_id)
+                doc_id in peer.docs and not peer.queries.cache.owns(doc_id)
                 for doc_id in wanted
             )
             assert durably_all or peer.capacity_units <= chosen.capacity_units
@@ -166,8 +166,8 @@ class TestGrow:
             categories=(category_id,),
             size_bytes=1000,
         )
-        target._cache_store(info)
-        assert target.cache_owns(doc_id)
+        target.queries.cache_store(info)
+        assert target.queries.cache.owns(doc_id)
 
         _heat(system, category_id)
         report = system.run_replication_round()
@@ -175,7 +175,7 @@ class TestGrow:
         assert doc_id in manager.managed_view()[category_id][target_id]
         # Promoted, not re-transferred: the copy is pinned out of the
         # cache but still stored.
-        assert not target.cache_owns(doc_id)
+        assert not target.queries.cache.owns(doc_id)
         assert doc_id in target.docs
 
 

@@ -184,9 +184,9 @@ class TestServiceTimeTracksCapacity:
             1, capacity=2.0,
             config=PeerConfig(service=_service_config(base_service_time=0.4)),
         )
-        assert peer._service.service_time == pytest.approx(0.2)
+        assert peer.service.service_time == pytest.approx(0.2)
         peer.capacity_units = 4.0
-        assert peer._service.service_time == pytest.approx(0.1)
+        assert peer.service.service_time == pytest.approx(0.1)
 
     def test_capacity_change_mid_run_changes_service_rate(self):
         overlay = MicroOverlay(seed=0)

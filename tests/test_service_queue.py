@@ -54,12 +54,12 @@ class TestDefaults:
     def test_disabled_by_default(self):
         overlay = MicroOverlay()
         peer = overlay.add_peer(1)
-        assert peer._service is None
+        assert peer.service is None
         assert peer.service_snapshot() is None
 
     def test_disabled_peer_serves_instantly(self):
         overlay, server, client = _single_server_world(ServiceConfig())
-        assert server._service is None
+        assert server.service is None
         client.start_query(1, 0, 1, target_doc_id=7)
         overlay.run()
         (response_entry,) = overlay.hooks.responses
@@ -80,8 +80,8 @@ class TestDefaults:
         config = PeerConfig(service=_service_config(base_service_time=0.4))
         strong = overlay.add_peer(1, capacity=4.0, config=config)
         weak = overlay.add_peer(2, capacity=0.5, config=config)
-        assert strong._service.service_time == pytest.approx(0.1)
-        assert weak._service.service_time == pytest.approx(0.8)
+        assert strong.service.service_time == pytest.approx(0.1)
+        assert weak.service.service_time == pytest.approx(0.8)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
