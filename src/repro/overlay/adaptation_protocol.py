@@ -141,7 +141,9 @@ class AdaptationProtocol:
     # leader liveness probing (Section 6.1.1: "during the adaptation
     # stage, nodes probe their cluster leaders to assure they are alive")
     # ------------------------------------------------------------------
-    def probe_leader(self, cluster_id: int, round_id: int, timeout: float = 2.0) -> None:
+    def probe_leader(
+        self, cluster_id: int, round_id: int, timeout: float = 2.0
+    ) -> None:
         """Probe the believed leader; on timeout, fail over to the next
         most capable known node (excluding the dead one) — Section 6.1.1's
         "in the case of a leader failure, another node is selected"."""
@@ -201,33 +203,64 @@ class AdaptationProtocol:
             raise ValueError(
                 f"node {self.peer.node_id} is not a member of cluster {cluster_id}"
             )
+        self._open_round(
+            cluster_id,
+            round_id,
+            parent_id=self.peer.node_id,
+            leader_id=self.peer.node_id,
+            budget=self.peer.config.monitoring_timeout,
+        )
+
+    def _open_round(
+        self,
+        cluster_id: int,
+        round_id: int,
+        parent_id: int,
+        leader_id: int,
+        budget: float,
+    ) -> None:
+        """Join a monitoring round under ``parent_id`` and fan it out.
+
+        Neighbours other than the parent become children (suspects are
+        routed around instead of timed out); each level hands its
+        children 70 % of its own timeout budget, so children finalize
+        before their parents give up on them.
+        """
         round_key = (cluster_id, round_id)
         state = _MonitoringRound(
             round_id=round_id,
             cluster_id=cluster_id,
-            parent_id=self.peer.node_id,
+            parent_id=parent_id,
             pending_children=0,
             counts=dict(self._local_counts_for(cluster_id)),
             weights=dict(self._local_weights_for(cluster_id)),
         )
         self._monitoring[round_key] = state
-        budget = self.peer.config.monitoring_timeout
         request = m.HitCountRequest(
             round_id=round_id,
             cluster_id=cluster_id,
-            leader_id=self.peer.node_id,
+            leader_id=leader_id,
             timeout_budget=budget * 0.7,
         )
         suspects = self.peer.suspects()
         for neighbor in self.peer.cluster_neighbors.get(cluster_id, ()):
-            if neighbor in suspects:
-                continue  # routed around instead of timed out
+            if neighbor == parent_id or neighbor in suspects:
+                continue
             self.peer._send(neighbor, "hit_count_request", request)
             state.pending_children += 1
         if state.pending_children == 0:
             self._finish_monitoring(state)
-        else:
-            self._arm_monitoring_timeout(round_key, budget)
+            return
+
+        def timeout() -> None:
+            # Looked up, not captured: a round wiped by a power loss (or
+            # restarted under the same key) must not be finished from here.
+            state = self._monitoring.get(round_key)
+            if state is not None and not state.finished:
+                state.pending_children = 0
+                self._finish_monitoring(state)
+
+        self.peer.transport.schedule(max(budget, 0.1), timeout)
 
     def _local_counts_for(self, cluster_id: int) -> dict[int, int]:
         """This node's hit counters for the categories of ``cluster_id``."""
@@ -280,42 +313,13 @@ class AdaptationProtocol:
                 ),
             )
             return
-        state = _MonitoringRound(
-            round_id=request.round_id,
-            cluster_id=request.cluster_id,
+        self._open_round(
+            request.cluster_id,
+            request.round_id,
             parent_id=src,
-            pending_children=0,
-            counts=dict(self._local_counts_for(request.cluster_id)),
-            weights=dict(self._local_weights_for(request.cluster_id)),
-        )
-        self._monitoring[round_key] = state
-        forwarded = m.HitCountRequest(
-            round_id=request.round_id,
-            cluster_id=request.cluster_id,
             leader_id=request.leader_id,
-            timeout_budget=request.timeout_budget * 0.7,
+            budget=request.timeout_budget,
         )
-        suspects = self.peer.suspects()
-        for neighbor in self.peer.cluster_neighbors.get(request.cluster_id, ()):
-            if neighbor == src or neighbor in suspects:
-                continue
-            self.peer._send(neighbor, "hit_count_request", forwarded)
-            state.pending_children += 1
-        if state.pending_children == 0:
-            self._finish_monitoring(state)
-        else:
-            self._arm_monitoring_timeout(round_key, request.timeout_budget)
-
-    def _arm_monitoring_timeout(
-        self, round_key: tuple[int, int], budget: float
-    ) -> None:
-        def timeout() -> None:
-            state = self._monitoring.get(round_key)
-            if state is not None and not state.finished:
-                state.pending_children = 0
-                self._finish_monitoring(state)
-
-        self.peer.transport.schedule(max(budget, 0.1), timeout)
 
     def handle_hit_count_reply(self, reply: m.HitCountReply, src: int) -> None:
         round_key = (reply.cluster_id, reply.round_id)
@@ -399,8 +403,30 @@ class AdaptationProtocol:
                 # Schedule the group transfer for an opportune moment.
                 delay = float(self.peer.rng.random()) * self.peer.config.transfer_stagger
                 self.peer.transport.schedule(
-                    delay, lambda p=pending: self._request_transfer(p)
+                    delay, lambda p=pending: self._request_group(p)
                 )
+
+    def pull_documents(
+        self, source_id: int, category_id: int, doc_ids: Iterable[int]
+    ) -> None:
+        """Pull documents of a category from a holder.
+
+        No ``doc_ids`` asks for the group the source owes this node in a
+        category move; the demand-adaptive replication manager names the
+        documents it places.  Either way the source answers with
+        ``transfer_data`` sized as the documents' content, so a replica
+        pays real transfer bytes — and the arriving copies register in
+        the holder directory via ``store_document``.
+        """
+        self.peer._send(
+            source_id,
+            "transfer_request",
+            m.TransferRequest(
+                category_id=category_id,
+                requester_id=self.peer.node_id,
+                doc_ids=tuple(doc_ids),
+            ),
+        )
 
     def park(self, query: m.QueryMessage) -> bool:
         """Hold ``query`` until the in-flight transfer of its category lands.
@@ -414,45 +440,21 @@ class AdaptationProtocol:
         if pending is None:
             return False
         pending.waiting_queries.append(query)
-        self._request_transfer(
-            pending,
-            urgent=True,
-            doc_id=query.target_doc_id if query.target_doc_id >= 0 else None,
-        )
-        return True
-
-    def _request_transfer(
-        self,
-        pending: _PendingTransfer,
-        urgent: bool = False,
-        doc_id: int | None = None,
-    ) -> None:
-        """Pull the owed group (or one urgent document) from the source."""
-        if urgent and doc_id is not None:
+        if query.target_doc_id >= 0:
             # Pull-on-demand for a specific document can run even while the
             # bulk group transfer is pending or already requested.
-            self.peer._send(
-                pending.source_id,
-                "transfer_request",
-                m.TransferRequest(
-                    category_id=pending.category_id,
-                    requester_id=self.peer.node_id,
-                    doc_ids=(doc_id,),
-                ),
+            self.pull_documents(
+                pending.source_id, pending.category_id, (query.target_doc_id,)
             )
-            return
-        if pending.requested:
-            return
-        pending.requested = True
-        self.peer._send(
-            pending.source_id,
-            "transfer_request",
-            m.TransferRequest(
-                category_id=pending.category_id,
-                requester_id=self.peer.node_id,
-                doc_ids=(),
-            ),
-        )
+        else:
+            self._request_group(pending)
+        return True
+
+    def _request_group(self, pending: _PendingTransfer) -> None:
+        """Pull the owed document group from the paired source, once."""
+        if not pending.requested:
+            pending.requested = True
+            self.pull_documents(pending.source_id, pending.category_id, ())
 
     def _group_for_partner(self, category_id: int, partner_id: int) -> list[int]:
         """The slice of this node's category documents owed to ``partner_id``.
@@ -515,58 +517,5 @@ class AdaptationProtocol:
                 # normal path (and may still pull individual docs urgently).
                 self._pending_transfers.pop(data.category_id, None)
             for query in waiting:
-                if query.target_doc_id >= 0:
-                    if self.peer.dt.has_document(query.target_doc_id):
-                        self.peer.queries.serve_docs(query, (query.target_doc_id,), entry)
-                    else:
-                        # Not in this piece: locate a holder through the
-                        # cluster metadata instead of stalling forever.
-                        holders = [
-                            holder
-                            for holder in self.peer.hooks.lookup_holders(
-                                self.peer, entry.cluster_id, query.target_doc_id
-                            )
-                            if holder != self.peer.node_id
-                        ]
-                        if holders:
-                            choice = holders[
-                                int(self.peer.rng.integers(0, len(holders)))
-                            ]
-                            self.peer._send(choice, "query", query)
-                    continue
-                matched = self.peer.dt.docs_in_category(query.category_id)
-                self.peer.queries.serve_and_forward(query, matched, entry)
+                self.peer.queries.replay(query, entry)
         self.peer.hooks.on_transfer_complete(self.peer, data.category_id, data.doc_ids)
-
-    def pull_documents(
-        self, source_id: int, category_id: int, doc_ids: Iterable[int]
-    ) -> None:
-        """Pull specific documents from a holder (replica placement).
-
-        Used by the demand-adaptive replication manager: the source
-        answers with ``transfer_data`` sized as the documents' content, so
-        creating a replica pays real transfer bytes — and the arriving
-        copies register in the holder directory via ``store_document``.
-        """
-        self.peer._send(
-            source_id,
-            "transfer_request",
-            m.TransferRequest(
-                category_id=category_id,
-                requester_id=self.peer.node_id,
-                doc_ids=tuple(doc_ids),
-            ),
-        )
-
-    def transfer_backlog(self) -> dict[int, int]:
-        """Category -> number of queries parked on a pending transfer.
-
-        Non-empty entries at quiescence mean a transfer pull was lost and
-        the queries it was holding will never be answered — exactly the
-        kind of leak the chaos harness watches for.
-        """
-        return {
-            category_id: len(pending.waiting_queries)
-            for category_id, pending in sorted(self._pending_transfers.items())
-            if pending.waiting_queries
-        }

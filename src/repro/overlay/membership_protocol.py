@@ -94,7 +94,9 @@ class MembershipProtocol:
 
     def _announce_publish(self, doc_id: int, category_id: int) -> None:
         cluster_id = (
-            self.peer.dcrt.cluster_of(category_id) if category_id >= 0 else DCRT.DEFAULT_CLUSTER
+            self.peer.dcrt.cluster_of(category_id)
+            if category_id >= 0
+            else DCRT.DEFAULT_CLUSTER
         )
         known = self.peer.nrt.nodes_in(cluster_id)
         targets = [n for n in known if n != self.peer.node_id][: self.peer.config.publish_fanout]
@@ -123,7 +125,8 @@ class MembershipProtocol:
         )
         accepted = entry.cluster_id in self.peer.memberships
         updates: tuple[tuple[int, DCRTEntry], ...] = ()
-        if category_id >= 0 and entry.move_counter > request.believed_entry.move_counter:
+        believed = request.believed_entry
+        if category_id >= 0 and entry.move_counter > believed.move_counter:
             updates = ((category_id, entry),)
         members: tuple[int, ...] = ()
         if accepted:
@@ -169,7 +172,9 @@ class MembershipProtocol:
     # ------------------------------------------------------------------
     def start_join(self, bootstrap_id: int) -> None:
         """Contact an existing node and retrieve its metadata (step 2)."""
-        self.peer._send(bootstrap_id, "join_request", m.JoinRequest(joiner_id=self.peer.node_id))
+        self.peer._send(
+            bootstrap_id, "join_request", m.JoinRequest(joiner_id=self.peer.node_id)
+        )
 
     def handle_join_request(self, request: m.JoinRequest, src: int) -> None:
         nrt_snapshot = tuple(

@@ -83,6 +83,22 @@ class QueryMessage:
     #: hold the document locate a replica holder through cluster metadata.
     target_doc_id: int = -1
 
+    def forwarded(self, remaining: int | None = None) -> "QueryMessage":
+        """This query one overlay hop further on.
+
+        ``remaining`` replaces the result budget when the forwarding
+        node has already served part of it.
+        """
+        return QueryMessage(
+            self.query_id,
+            self.requester_id,
+            self.category_id,
+            self.remaining if remaining is None else remaining,
+            self.hops + 1,
+            self.target_cluster,
+            self.target_doc_id,
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class QueryResponse:

@@ -282,10 +282,23 @@ class Peer:
             from repro.content.fetcher import PeerContent
 
             self.content_state = PeerContent(self, self.config.content)
-        for component in (self.channel, self.detector, self.content_state):
-            if component is not None:
-                self._install(component)
-        self._build_protocols()
+        #: the protocol components; all of their state is volatile.
+        self.queries = QueryProtocol(self)
+        self.membership = MembershipProtocol(self)
+        self.adaptation = AdaptationProtocol(self)
+        self._protocols = (self.queries, self.membership, self.adaptation)
+        #: every live component, in lifecycle fan-out order.
+        self.components = tuple(
+            component
+            for component in (
+                self.detector, self.channel, self.service, self.content_state,
+                *self._protocols,
+            )
+            if component is not None
+        )
+        for registrations in self._each("registrations"):
+            for kind, entry in registrations().items():
+                self.register(kind, *entry)
         base.register(node_id, self.handle_message)
 
     def _reset_tables(self, on_dcrt_change=None) -> None:
@@ -321,14 +334,6 @@ class Peer:
         #: the exactly-once chaos invariant asserts every count is 1.
         self._applied_counts: "OrderedDict[tuple[int, int], int]" = OrderedDict()
 
-    def _build_protocols(self, replace: bool = False) -> None:
-        """(Re)create the all-volatile protocol components."""
-        self.queries = QueryProtocol(self)
-        self.membership = MembershipProtocol(self)
-        self.adaptation = AdaptationProtocol(self)
-        for component in (self.queries, self.membership, self.adaptation):
-            self._install(component, replace=replace)
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -345,32 +350,21 @@ class Peer:
             raise ValueError(f"peer {self.node_id}: kind {kind!r} already owned")
         self._handlers[kind] = (payload_class, handler)
 
-    def _install(self, component, replace: bool = False) -> None:
-        for kind, (payload_class, handler) in component.registrations().items():
-            self.register(kind, payload_class, handler, replace=replace)
-
     def registered_kinds(self) -> dict[str, type]:
         """``kind -> payload class`` of everything this peer handles."""
         return {kind: entry[0] for kind, entry in self._handlers.items()}
 
-    @property
-    def components(self) -> tuple:
-        """The live components, in lifecycle fan-out order."""
-        return tuple(
-            component
-            for component in (
-                self.detector, self.channel, self.service, self.content_state,
-                self.queries, self.membership, self.adaptation,
-            )
-            if component is not None
-        )
+    def _each(self, method: str) -> list:
+        """``method`` of every component that defines it, bound."""
+        return [
+            getattr(component, method)
+            for component in self.components
+            if hasattr(component, method)
+        ]
 
     def _fan_out(self, method: str, *args) -> None:
-        """Call ``method`` on every component that defines it."""
-        for component in self.components:
-            bound = getattr(component, method, None)
-            if bound is not None:
-                bound(*args)
+        for bound in self._each(method):
+            bound(*args)
 
     def handle_message(self, message: Message) -> None:
         """Network entry point: reject, ack/dedup reliable traffic, dispatch.
@@ -595,7 +589,10 @@ class Peer:
         finally:
             self.journal = journal
         self._reset_tables(on_dcrt_change=self.dcrt.on_change)
-        self._build_protocols(replace=True)
+        for component in self._protocols:
+            # Re-initialised in place, so timers armed before the outage
+            # and the dispatch table both see the blank component.
+            component.__init__(self)
         self._fan_out("lose_power")
         self.lost_memory = True
 

@@ -119,7 +119,6 @@ class QueryProtocol:
         """
         if m_results < 1:
             raise ValueError(f"m_results must be >= 1, got {m_results}")
-        cluster_id = self.peer.dcrt.cluster_of(category_id)
         _C_QUERIES_ISSUED.value += 1
         if _TRACE.enabled:
             _TRACE.emit(
@@ -129,30 +128,15 @@ class QueryProtocol:
                 query=query_id,
                 category=category_id,
             )
-        if self._reliability.enabled:
-            state = _QueryAttempt(
-                query_id=query_id,
-                category_id=category_id,
-                m_results=m_results,
-                target_doc_id=target_doc_id,
-            )
-            self._attempts[query_id] = state
-            self._try_query(state)
-            return
-        target = self.peer.nrt.random_node(cluster_id, self.peer.rng)
-        if target is None:
-            self._fail_query(query_id, "no-known-member")
-            return
-        message = m.QueryMessage(
+        state = _QueryAttempt(
             query_id=query_id,
-            requester_id=self.peer.node_id,
             category_id=category_id,
-            remaining=m_results,
-            hops=1,
-            target_cluster=cluster_id,
+            m_results=m_results,
             target_doc_id=target_doc_id,
         )
-        self.peer._send(target, "query", message)
+        if self._reliability.enabled:
+            self._attempts[query_id] = state
+        self._try_query(state)
 
     def _fail_query(self, query_id: int, reason: str) -> None:
         _C_QUERIES_FAILED.value += 1
@@ -167,22 +151,25 @@ class QueryProtocol:
         self.peer.hooks.on_query_failed(self.peer, query_id, reason)
 
     def _try_query(self, state: _QueryAttempt) -> None:
-        """One failover dispatch attempt, with an end-to-end deadline.
+        """One dispatch attempt; with reliability on, under a deadline.
 
         The target cluster is re-read from the DCRT each attempt (the
         category may have moved between attempts).  Targets exclude both
         already-tried nodes and the failure detector's suspects; if that
         empties the candidate set, the exclusions are relaxed in order —
         wrong suspicion must not fail a query a plain retry could save.
+        With reliability off there are no suspects, nothing was tried and
+        no deadline is armed: the one attempt is fire-and-forget.
         """
         cluster_id = self.peer.dcrt.cluster_of(state.category_id)
         suspects = self.peer.suspects()
         avoid = state.tried | suspects if suspects else state.tried
-        target = self.peer.nrt.random_node(cluster_id, self.peer.rng, exclude=avoid)
+        pick = self.peer.nrt.random_node
+        target = pick(cluster_id, self.peer.rng, exclude=avoid)
         if target is None and state.tried:
-            target = self.peer.nrt.random_node(cluster_id, self.peer.rng, exclude=suspects)
+            target = pick(cluster_id, self.peer.rng, exclude=suspects)
         if target is None and suspects:
-            target = self.peer.nrt.random_node(cluster_id, self.peer.rng)
+            target = pick(cluster_id, self.peer.rng)
         if target is None:
             self._attempts.pop(state.query_id, None)
             self._fail_query(state.query_id, "no-known-member")
@@ -203,6 +190,8 @@ class QueryProtocol:
                 target_doc_id=state.target_doc_id,
             ),
         )
+        if not self._reliability.enabled:
+            return
 
         def on_deadline() -> None:
             current = self._attempts.get(state.query_id)
@@ -255,19 +244,7 @@ class QueryProtocol:
             )
             if target is not None:
                 _C_QUERIES_FORWARDED.value += 1
-                self.peer._send(
-                    target,
-                    "query",
-                    m.QueryMessage(
-                        query_id=query.query_id,
-                        requester_id=query.requester_id,
-                        category_id=query.category_id,
-                        remaining=query.remaining,
-                        hops=query.hops + 1,
-                        target_cluster=query.target_cluster,
-                        target_doc_id=query.target_doc_id,
-                    ),
-                )
+                self.peer._send(target, "query", query.forwarded())
             return
 
         # Member-side work (serving, replica lookups, graph fan-out)
@@ -296,36 +273,17 @@ class QueryProtocol:
             # Document retrieval: serve locally, wait for an in-flight
             # transfer, or locate a replica holder via cluster metadata.
             if self.peer.dt.has_document(query.target_doc_id):
-                self.serve_docs(query, (query.target_doc_id,), entry)
-            elif not park(query):
-                holders = [
-                    holder
-                    for holder in self.peer.hooks.lookup_holders(
-                        self.peer, entry.cluster_id, query.target_doc_id
-                    )
-                    if holder != self.peer.node_id
-                ]
-                forwarded = m.QueryMessage(
-                    query_id=query.query_id,
-                    requester_id=query.requester_id,
-                    category_id=query.category_id,
-                    remaining=query.remaining,
-                    hops=query.hops + 1,
-                    target_cluster=query.target_cluster,
-                    target_doc_id=query.target_doc_id,
-                )
-                if holders:
-                    choice = holders[int(self.peer.rng.integers(0, len(holders)))]
+                self._serve_docs(query, (query.target_doc_id,), entry)
+            elif not park(query) and not self._forward_to_holder(
+                query, entry.cluster_id
+            ):
+                # Super-peer mode: this node holds no cluster metadata;
+                # route the query to the cluster's super peer, which
+                # does (one extra hop — the hybrid trade-off).
+                super_peer = self.peer.super_peers.get(entry.cluster_id)
+                if super_peer is not None and super_peer != self.peer.node_id:
                     self.peer.queries_routed += 1
-                    self.peer._send(choice, "query", forwarded)
-                else:
-                    # Super-peer mode: this node holds no cluster metadata;
-                    # route the query to the cluster's super peer, which
-                    # does (one extra hop — the hybrid trade-off).
-                    super_peer = self.peer.super_peers.get(entry.cluster_id)
-                    if super_peer is not None and super_peer != self.peer.node_id:
-                        self.peer.queries_routed += 1
-                        self.peer._send(super_peer, "query", forwarded)
+                    self.peer._send(super_peer, "query", query.forwarded())
             return
 
         matched = self.peer.dt.docs_in_category(query.category_id)
@@ -335,9 +293,47 @@ class QueryProtocol:
             # step 4).
             return
 
-        self.serve_and_forward(query, matched, entry)
+        self._serve_and_forward(query, matched, entry)
 
-    def serve_docs(
+    def replay(self, query: m.QueryMessage, entry: DCRTEntry) -> None:
+        """Answer a query that was parked on a transfer which has landed."""
+        if query.target_doc_id < 0:
+            matched = self.peer.dt.docs_in_category(query.category_id)
+            self._serve_and_forward(query, matched, entry)
+        elif self.peer.dt.has_document(query.target_doc_id):
+            self._serve_docs(query, (query.target_doc_id,), entry)
+        else:
+            # Not in this piece: locate a holder through the cluster
+            # metadata instead of stalling forever.
+            self._forward_to_holder(query, entry.cluster_id, relayed=True)
+
+    def _forward_to_holder(
+        self, query: m.QueryMessage, cluster_id: int, *, relayed: bool = False
+    ) -> bool:
+        """Hand a document query to a random other holder, if one is known.
+
+        Holders come from the cluster metadata (``lookup_holders``).
+        ``relayed`` is the post-transfer replay, which passes the parked
+        query on unchanged: no hop bump, not counted in
+        ``queries_routed`` (kept as it was; see the ROADMAP note).
+        """
+        holders = [
+            holder
+            for holder in self.peer.hooks.lookup_holders(
+                self.peer, cluster_id, query.target_doc_id
+            )
+            if holder != self.peer.node_id
+        ]
+        if not holders:
+            return False
+        choice = holders[int(self.peer.rng.integers(0, len(holders)))]
+        if not relayed:
+            self.peer.queries_routed += 1
+            query = query.forwarded()
+        self.peer._send(choice, "query", query)
+        return True
+
+    def _serve_docs(
         self,
         query: m.QueryMessage,
         doc_ids: tuple[int, ...],
@@ -390,7 +386,7 @@ class QueryProtocol:
             size=max(payload_bytes, m.CONTROL_SIZE),
         )
 
-    def serve_and_forward(
+    def _serve_and_forward(
         self,
         query: m.QueryMessage,
         matched: list[int],
@@ -398,25 +394,15 @@ class QueryProtocol:
     ) -> None:
         served = tuple(matched[: query.remaining])
         if served:
-            self.serve_docs(query, served, entry)
+            self._serve_docs(query, served, entry)
         remaining = query.remaining - len(served)
         if remaining > 0:
             neighbors = self.peer.cluster_neighbors.get(entry.cluster_id, ())
             if neighbors:
                 _C_QUERIES_FORWARDED.value += len(neighbors)
+            forwarded = query.forwarded(remaining)
             for neighbor in neighbors:
-                self.peer._send(
-                    neighbor,
-                    "query",
-                    m.QueryMessage(
-                        query_id=query.query_id,
-                        requester_id=query.requester_id,
-                        category_id=query.category_id,
-                        remaining=remaining,
-                        hops=query.hops + 1,
-                        target_cluster=query.target_cluster,
-                    ),
-                )
+                self.peer._send(neighbor, "query", forwarded)
 
     def _send_bogus_response(self, query: m.QueryMessage) -> None:
         """Answer with fabricated content (armed ``bogus_responses`` mode).
@@ -492,34 +478,18 @@ class QueryProtocol:
             # and the requester's BUSY handler fails over.
             return False
         entry = self.peer.dcrt.entry(query.category_id)
-        forwarded = m.QueryMessage(
-            query_id=query.query_id,
-            requester_id=query.requester_id,
-            category_id=query.category_id,
-            remaining=query.remaining,
-            hops=query.hops + 1,
-            target_cluster=query.target_cluster,
-            target_doc_id=query.target_doc_id,
-        )
-        if query.target_doc_id >= 0:
-            holders = [
-                holder
-                for holder in self.peer.hooks.lookup_holders(
-                    self.peer, entry.cluster_id, query.target_doc_id
-                )
-                if holder != self.peer.node_id
-            ]
-            if holders:
-                choice = holders[int(self.peer.rng.integers(0, len(holders)))]
-                self.peer.queries_routed += 1
-                self.peer._send(choice, "query", forwarded)
-                return True
+        if query.target_doc_id >= 0 and self._forward_to_holder(
+            query, entry.cluster_id
+        ):
+            return True
         target = self.peer.nrt.random_node(
-            entry.cluster_id, self.peer.rng, exclude=self.peer.suspects() | {self.peer.node_id}
+            entry.cluster_id,
+            self.peer.rng,
+            exclude=self.peer.suspects() | {self.peer.node_id},
         )
         if target is not None:
             self.peer.queries_routed += 1
-            self.peer._send(target, "query", forwarded)
+            self.peer._send(target, "query", query.forwarded())
             return True
         return False
 
