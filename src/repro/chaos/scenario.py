@@ -65,6 +65,16 @@ def parse_features(names: str | Iterable[str]) -> frozenset[str]:
     return features
 
 
+#: upper bound for a loss ramp's target drop probability.
+MAX_LOSS = 0.25
+#: gossip rounds in the cooldown tail before the convergence check.
+COOLDOWN_GOSSIP_ROUNDS = 4
+#: queries per ``flash_crowd`` entry are drawn from [30, this].
+FLASH_CROWD_MAX = 100
+#: queries per ``diurnal_burst`` entry (from 5) before rate modulation.
+DIURNAL_BURST_MAX = 30
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """World size and fuzzing knobs for one chaos run.
@@ -82,14 +92,10 @@ class ScenarioConfig:
     n_reps: int = 2
     doc_size_bytes: int = 262_144
     n_steps: int = 40
-    #: upper bound for a loss ramp's target drop probability.
-    max_loss: float = 0.25
     #: queries per ``query_burst`` entry are drawn from [5, this].
     query_burst_max: int = 25
     #: never leave/crash below this many live nodes.
     min_alive: int = 20
-    #: gossip rounds in the cooldown tail before the convergence check.
-    cooldown_gossip_rounds: int = 4
     #: run the world with the ack/retry reliability layer enabled, so
     #: chaos exercises retransmission and duplicate-suppression paths.
     reliability: bool = True
@@ -105,10 +111,6 @@ class ScenarioConfig:
     #: one reconciliation round per entry; implies ``content`` (recovered
     #: holdings re-verify against manifests).
     features: frozenset[str] = frozenset()
-    #: queries per ``flash_crowd`` entry are drawn from [30, this].
-    flash_crowd_max: int = 100
-    #: queries per ``diurnal_burst`` entry before rate modulation.
-    diurnal_burst_max: int = 30
     #: healing floor for content worlds: anti-entropy re-replicates any
     #: document whose live holder count fell below this.
     content_floor: int = 2
@@ -239,7 +241,7 @@ ACTIONS: dict[str, Action] = {
     "leave": Action("core", 1.5, _rank),
     "crash": Action("core", 1.5, _rank),
     "loss_ramp": Action("core", 1.5, lambda rng, c: {
-        "target": _real(rng, 0.0, c.max_loss),
+        "target": _real(rng, 0.0, MAX_LOSS),
         "steps": _int(rng, 1, 5),
     }),
     "force_move": Action("core", 1.5, lambda rng, c: {
@@ -268,14 +270,14 @@ ACTIONS: dict[str, Action] = {
     # category — the hot-spot regime the admission policies exist for.
     "flash_crowd": Action("overload", 2.0, lambda rng, c: {
         "category": _int(rng, 0, c.n_categories),
-        "n": _int(rng, 30, c.flash_crowd_max + 1),
+        "n": _int(rng, 30, FLASH_CROWD_MAX + 1),
         "workload_seed": _int(rng, 0, _SEEDS),
     }),
     # A query burst whose size is modulated by a diurnal factor
     # ``1 + amplitude * sin(2π * phase)`` — the scenario engine's rate
     # math driven from the schedule's own drawn phase point.
     "diurnal_burst": Action("scenario", 2.0, lambda rng, c: {
-        "n": _int(rng, 5, c.diurnal_burst_max + 1),
+        "n": _int(rng, 5, DIURNAL_BURST_MAX + 1),
         "phase": _real(rng, 0.0, 1.0),
         "amplitude": _real(rng, 0.0, 1.0),
         "workload_seed": _int(rng, 0, _SEEDS),
@@ -395,7 +397,7 @@ def generate_schedule(
         ScheduleEntry(
             step=step + 2,
             action="gossip",
-            params={"rounds": config.cooldown_gossip_rounds},
+            params={"rounds": COOLDOWN_GOSSIP_ROUNDS},
         )
     )
     entries.append(ScheduleEntry(step=step + 3, action="converge", params={}))

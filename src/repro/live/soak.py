@@ -45,6 +45,11 @@ __all__ = ["SoakConfig", "run_soak", "run_soak_sync"]
 
 #: fetch ids issued by the soak client (disjoint from query ids).
 _FETCH_ID_BASE = 1_000_000
+#: wall-clock seconds the supervisor waits for one query, one fetch, and
+#: a server's READY line.
+_QUERY_TIMEOUT = 6.0
+_FETCH_TIMEOUT = 12.0
+_READY_TIMEOUT = 20.0
 
 
 @dataclass(slots=True)
@@ -68,9 +73,6 @@ class SoakConfig:
     state_dir: str | None = None
     seed: int = 1
     world: LiveWorld = field(default_factory=LiveWorld)
-    query_timeout: float = 6.0
-    fetch_timeout: float = 12.0
-    ready_timeout: float = 20.0
     heartbeat_interval: float = 0.5
 
     def __post_init__(self) -> None:
@@ -138,14 +140,14 @@ class _ServerProc:
         #: documents the node replayed from its state dir (READY line).
         self.recovered = 0
 
-    async def start(self, ready_timeout: float) -> None:
+    async def start(self) -> None:
         self.proc = await asyncio.create_subprocess_exec(
             *self.cmd,
             stdout=asyncio.subprocess.PIPE,
             stderr=None,  # inherit: child tracebacks land in our stderr
             env=self.env,
         )
-        await asyncio.wait_for(self._await_ready(), ready_timeout)
+        await asyncio.wait_for(self._await_ready(), _READY_TIMEOUT)
         # Keep the pipe drained so the child can never block on stdout.
         self._drain = asyncio.create_task(self._drain_stdout())
 
@@ -274,7 +276,7 @@ async def run_soak(config: SoakConfig) -> dict:
 
     try:
         for server in servers.values():
-            await server.start(config.ready_timeout)
+            await server.start()
         metrics.emit({"event": "servers_up", "t": t(), "n": len(servers)})
 
         await transport.start(*routes[client_id])
@@ -334,7 +336,7 @@ async def run_soak(config: SoakConfig) -> dict:
                 on_done=on_done,
             )
             try:
-                ok = await asyncio.wait_for(future, config.fetch_timeout)
+                ok = await asyncio.wait_for(future, _FETCH_TIMEOUT)
             except asyncio.TimeoutError:
                 ok = False
             if ok:
@@ -349,7 +351,7 @@ async def run_soak(config: SoakConfig) -> dict:
             replacement = _ServerProc(
                 victim, _node_cmd(victim, routes_spec, config), env
             )
-            await replacement.start(config.ready_timeout)
+            await replacement.start()
             servers[victim] = replacement
             metrics.emit({
                 "event": "restart",
@@ -379,7 +381,7 @@ async def run_soak(config: SoakConfig) -> dict:
                 query_id, query_id % world.n_categories, 1
             )
             try:
-                ok, reason = await asyncio.wait_for(future, config.query_timeout)
+                ok, reason = await asyncio.wait_for(future, _QUERY_TIMEOUT)
             except asyncio.TimeoutError:
                 hooks.futures.pop(query_id, None)
                 ok, reason = False, "timeout"
@@ -418,7 +420,7 @@ async def run_soak(config: SoakConfig) -> dict:
                 on_done=on_done,
             )
             try:
-                ok, reason = await asyncio.wait_for(future, config.fetch_timeout)
+                ok, reason = await asyncio.wait_for(future, _FETCH_TIMEOUT)
             except asyncio.TimeoutError:
                 ok, reason = False, "timeout"
             if ok:

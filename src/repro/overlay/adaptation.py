@@ -153,6 +153,10 @@ def broadcast_notice(
     )
 
 
+#: capability-announce floods before Phase 0 applies the election rule.
+_CAPABILITY_GOSSIP_ROUNDS = 3
+
+
 @dataclass(frozen=True, slots=True)
 class AdaptationConfig:
     """Thresholds and knobs of the adaptation mechanism.
@@ -165,7 +169,6 @@ class AdaptationConfig:
     low_threshold: float = 0.83
     high_threshold: float = 0.92
     max_moves: int = 50
-    capability_gossip_rounds: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low_threshold <= self.high_threshold <= 1.0:
@@ -220,7 +223,7 @@ class AdaptationCoordinator:
     def elect_leaders(self) -> dict[int, int]:
         """Phase 0: capability gossip, then the election rule per cluster."""
         system = self.system
-        for _ in range(self.config.capability_gossip_rounds):
+        for _ in range(_CAPABILITY_GOSSIP_ROUNDS):
             for peer in system.alive_peers():
                 peer.adaptation.announce_capabilities()
             system.sim.run()

@@ -30,6 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["AdaptationProtocol"]
 
+#: simulated-time budget for a monitoring subtree before giving up on
+#: missing children.
+_MONITORING_TIMEOUT = 5.0
+#: upper bound on the stagger applied to scheduled group transfers
+#: ("the first opportune time", Section 6.1.2 step 2).
+_TRANSFER_STAGGER = 2.0
+
 
 @dataclass(slots=True)
 class _MonitoringRound:
@@ -208,7 +215,7 @@ class AdaptationProtocol:
             round_id,
             parent_id=self.peer.node_id,
             leader_id=self.peer.node_id,
-            budget=self.peer.config.monitoring_timeout,
+            budget=_MONITORING_TIMEOUT,
         )
 
     def _open_round(
@@ -401,7 +408,7 @@ class AdaptationProtocol:
                 )
                 self._pending_transfers[notice.category_id] = pending
                 # Schedule the group transfer for an opportune moment.
-                delay = float(self.peer.rng.random()) * self.peer.config.transfer_stagger
+                delay = float(self.peer.rng.random()) * _TRANSFER_STAGGER
                 self.peer.transport.schedule(
                     delay, lambda p=pending: self._request_group(p)
                 )

@@ -28,6 +28,10 @@ __all__ = ["MembershipProtocol"]
 
 _TRACE = obs.TRACE
 _C_GOSSIP_SENT = obs.counter("overlay.gossip_messages")
+#: number of known cluster members a publish announcement reaches.
+_PUBLISH_FANOUT = 8
+#: retries when a publish reply redirects to a moved category's cluster.
+_MAX_PUBLISH_RETRIES = 8
 
 
 class MembershipProtocol:
@@ -99,7 +103,7 @@ class MembershipProtocol:
             else DCRT.DEFAULT_CLUSTER
         )
         known = self.peer.nrt.nodes_in(cluster_id)
-        targets = [n for n in known if n != self.peer.node_id][: self.peer.config.publish_fanout]
+        targets = [n for n in known if n != self.peer.node_id][:_PUBLISH_FANOUT]
         if not targets:
             # Nobody known in the target cluster: adopt membership locally;
             # gossip will spread our presence.
@@ -163,7 +167,7 @@ class MembershipProtocol:
             # (Section 6.2 step 5's "repeat until the correct cluster").
             key = (reply.category_id, self.peer.dcrt.cluster_of(reply.category_id))
             retries = self._publish_retries.get(key, 0)
-            if retries < self.peer.config.max_publish_retries:
+            if retries < _MAX_PUBLISH_RETRIES:
                 self._publish_retries[key] = retries + 1
                 self._announce_publish(doc_id=-1, category_id=reply.category_id)
 

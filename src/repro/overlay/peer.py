@@ -59,6 +59,8 @@ from repro.transport import ReliableTransport, Transport, as_transport
 __all__ = ["DocInfo", "MisbehaviorConfig", "PeerConfig", "PeerHooks", "Peer"]
 
 _NO_SUSPECTS: frozenset[int] = frozenset()
+#: heartbeat targets probed per failure-detector round.
+_PROBE_FANOUT = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,16 +68,6 @@ class PeerConfig:
     """Tunables for peer behaviour."""
 
     nrt_capacity: int = 128
-    #: number of known cluster members a publish announcement reaches.
-    publish_fanout: int = 8
-    #: retries when a publish reply redirects to a moved category's cluster.
-    max_publish_retries: int = 8
-    #: simulated-time budget for a monitoring subtree before giving up on
-    #: missing children.
-    monitoring_timeout: float = 5.0
-    #: upper bound on the stagger applied to scheduled group transfers
-    #: ("the first opportune time", Section 6.1.2 step 2).
-    transfer_stagger: float = 2.0
     #: requester-side query cache (future-work item viii): number of
     #: retrieved documents kept as servable replicas, policy-evicted.
     #: 0 disables caching.
@@ -121,8 +113,6 @@ class MisbehaviorConfig:
     bogus_responses: bool = False
     forge_infos: bool = False
     stale_gossip: bool = False
-    #: fabricated doc ids start here, far above any real document.
-    bogus_doc_base: int = 10_000_000
 
 
 class PeerHooks:
@@ -444,7 +434,7 @@ class Peer:
         if not partners:
             return
         pool = sorted(partners)
-        fanout = min(self._reliability.probe_fanout, len(pool))
+        fanout = min(_PROBE_FANOUT, len(pool))
         for index in self.rng.permutation(len(pool))[:fanout]:
             self.detector.probe(pool[int(index)])
 

@@ -47,6 +47,9 @@ _C_QUERIES_FAILED = obs.counter("overlay.queries_failed")
 _C_QUERY_FAILOVERS = obs.counter("reliability.query_failovers")
 #: total loop-detection entries across all peers (leak watchdog).
 _G_SEEN_QUERIES = obs.gauge("overlay.seen_query_entries")
+#: fabricated doc ids (armed ``bogus_responses``) start here, far above
+#: any real document.
+_BOGUS_DOC_BASE = 10_000_000
 
 
 @dataclass(slots=True)
@@ -414,7 +417,7 @@ class QueryProtocol:
         its metadata always covers every claimed doc).
         """
         mis = self.peer.misbehavior
-        fake_doc_id = mis.bogus_doc_base + query.query_id
+        fake_doc_id = _BOGUS_DOC_BASE + query.query_id
         infos: tuple[DocInfo, ...] = ()
         if mis.forge_infos:
             infos = (

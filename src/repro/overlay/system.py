@@ -19,7 +19,7 @@ examples use.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,9 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["P2PSystemConfig", "P2PSystem"]
 
+#: neighbours per node in each cluster's connected random graph.
+_CLUSTER_GRAPH_DEGREE = 4
+
 
 @dataclass(frozen=True, slots=True)
 class P2PSystemConfig:
@@ -68,7 +71,6 @@ class P2PSystemConfig:
 
     base_latency: float = 0.05
     bandwidth: float | None = 10_000_000.0
-    cluster_graph_degree: int = 4
     nrt_capacity: int = 512
     #: how many random members of each *foreign* cluster a node knows.
     remote_nrt_sample: int = 4
@@ -98,7 +100,6 @@ class P2PSystemConfig:
     #: fencing, reconciliation); off by default — no journals exist, no
     #: record is ever appended, and runs stay byte-identical.
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
-    peer: PeerConfig = field(default_factory=PeerConfig)
 
     def __post_init__(self) -> None:
         if self.metadata_mode not in ("replicated", "super_peer"):
@@ -348,8 +349,7 @@ class P2PSystem:
 
     def _peer_config(self) -> PeerConfig:
         """Peer tunables with the system-level knobs applied."""
-        return replace(
-            self.config.peer,
+        return PeerConfig(
             nrt_capacity=self.config.nrt_capacity,
             cache_capacity=self.config.cache_capacity,
             cache_policy=self.config.cache_policy,
@@ -469,7 +469,7 @@ class P2PSystem:
                 cluster_id,
                 sorted(members),
                 topology_rng,
-                degree=self.config.cluster_graph_degree,
+                degree=_CLUSTER_GRAPH_DEGREE,
             )
             self._graphs[cluster_id] = graph
             for node_id in members:
@@ -725,7 +725,7 @@ class P2PSystem:
         else:
             existing = sorted(graph.members)
             rng = self.rngs.stream("topology")
-            attach_count = min(self.config.cluster_graph_degree, len(existing))
+            attach_count = min(_CLUSTER_GRAPH_DEGREE, len(existing))
             attach = [
                 existing[int(i)]
                 for i in rng.choice(len(existing), size=attach_count, replace=False)

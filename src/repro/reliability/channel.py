@@ -85,8 +85,6 @@ class ReliabilityConfig:
     probe_timeout: float = 1.0
     #: consecutive misses before a node becomes a suspect.
     suspicion_threshold: int = 2
-    #: heartbeat targets probed per detector round.
-    probe_fanout: int = 3
 
     # --- client-side overload protection (all off by default) ---
     #: per-destination retry token bucket: every fresh send deposits this

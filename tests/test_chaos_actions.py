@@ -24,6 +24,7 @@ from repro.chaos import (
 )
 from repro.chaos.harness import ChaosReport, ChaosRunner
 from repro.chaos.invariants import CONTENT_INVARIANTS, OVERLOAD_INVARIANTS
+from repro.chaos.scenario import FLASH_CROWD_MAX
 from repro.experiments import fuzz
 
 #: the feature groups that own actions (``adaptive`` only changes the world).
@@ -109,7 +110,7 @@ class TestGroup:
             assert eval(repr(entry), {"ScheduleEntry": ScheduleEntry}) == entry
             if entry.action == "flash_crowd":
                 assert 0 <= entry.params["category"] < config.n_categories
-                assert 30 <= entry.params["n"] <= config.flash_crowd_max
+                assert 30 <= entry.params["n"] <= FLASH_CROWD_MAX
 
     def test_schedules_run_clean_and_replay_identically(self, group):
         config = _config(group, n_steps=20)
