@@ -276,13 +276,13 @@ class Peer:
         self.queries = QueryProtocol(self)
         self.membership = MembershipProtocol(self)
         self.adaptation = AdaptationProtocol(self)
-        self._protocols = (self.queries, self.membership, self.adaptation)
+        self.protocols = (self.queries, self.membership, self.adaptation)
         #: every live component, in lifecycle fan-out order.
         self.components = tuple(
             component
             for component in (
                 self.detector, self.channel, self.service, self.content_state,
-                *self._protocols,
+                *self.protocols,
             )
             if component is not None
         )
@@ -579,7 +579,7 @@ class Peer:
         finally:
             self.journal = journal
         self._reset_tables(on_dcrt_change=self.dcrt.on_change)
-        for component in self._protocols:
+        for component in self.protocols:
             # Re-initialised in place, so timers armed before the outage
             # and the dispatch table both see the blank component.
             component.__init__(self)

@@ -256,6 +256,59 @@ class TestPowerLossRecovery:
         assert (1234, 0) in peer.content_state.corrupt
         assert 1 in peer.content_state.partial[1234]
 
+    def test_power_loss_leaves_protocol_components_as_freshly_built(self):
+        from repro.overlay import messages as m
+        from repro.overlay.peer import MisbehaviorConfig, PeerConfig
+        from repro.reliability import ReliabilityConfig
+        from tests.helpers import MicroOverlay
+
+        config = PeerConfig(
+            cache_capacity=2, reliability=ReliabilityConfig(enabled=True)
+        )
+
+        def state(component):
+            """``vars`` with the back-reference dropped, caches opened up."""
+            return {
+                name: {slot: getattr(value, slot) for slot in value.__slots__}
+                if hasattr(value, "__slots__")
+                else value
+                for name, value in vars(component).items()
+                if name != "peer"
+            }
+
+        overlay = MicroOverlay()
+        for node_id in (0, 1, 2):
+            overlay.add_peer(node_id, config=config)
+        overlay.wire_cluster(4, [0, 1, 2], [(0, 1), (1, 2)], category_map={7: 4})
+        overlay.give_document(1, 100, [7])
+        peer = overlay.peers[0]
+        # Dirty every protocol component: failover and loop-detection
+        # state, a cached copy, a frozen gossip digest, a monitoring
+        # round, a leader probe, and an owed transfer with a parked query.
+        peer.start_query(1, 7, 1, target_doc_id=100)
+        peer.queries.cache_store(DocInfo(200, (7,), 10))
+        peer.membership._publish_retries[(7, 4)] = 1
+        peer.arm_misbehavior(MisbehaviorConfig(stale_gossip=True))
+        peer.adaptation.start_monitoring(4, round_id=1)
+        peer.believed_leader[4] = 2
+        peer.adaptation.probe_leader(4, round_id=1)
+        peer.adaptation.handle_reassign_notice(
+            m.ReassignNotice(
+                category_id=8, source_cluster=0, target_cluster=4,
+                move_counter=1, transfer_pairs=((1, 0), (0, 2)),
+                source_docs=((0, (100,)),),
+            ),
+            src=1,
+        )
+        peer.queries.handle_query(m.QueryMessage(9, 2, 8, 1), src=2)
+        dirty = [state(component) for component in peer.protocols]
+        peer.handle_crash()
+        peer.lose_power()
+        fresh = MicroOverlay().add_peer(0, config=config)
+        wiped = [state(component) for component in peer.protocols]
+        assert wiped == [state(component) for component in fresh.protocols]
+        assert all(before != after for before, after in zip(dirty, wiped))
+
 
 class TestEpochFencing:
     def _two_peers(self, system):

@@ -198,3 +198,85 @@ class TestMovedCategoryRedirect:
         )
         assert peer.dcrt.cluster_of(7) == 2
         assert peer.dcrt.entry(7).move_counter == 5
+
+
+class TestDispatchTable:
+    def _kinds_sent(self):
+        """Every message kind some sender in ``src/repro`` names."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        kinds = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("_send", "send", "transmit")
+                ):
+                    kinds.update(
+                        arg.value
+                        for arg in node.args[:4]
+                        if isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str)
+                    )
+        return kinds
+
+    def test_registered_kinds_are_exactly_the_kinds_sent(self):
+        from repro.content.chunks import ContentConfig
+        from repro.overlay import messages as m
+        from repro.overlay.peer import PeerConfig
+        from repro.overlay.service import ServiceConfig
+        from repro.reliability import ReliabilityConfig
+
+        overlay = MicroOverlay()
+        full = overlay.add_peer(0, config=PeerConfig(
+            reliability=ReliabilityConfig(enabled=True),
+            service=ServiceConfig(enabled=True),
+            content=ContentConfig(enabled=True),
+        ))
+        table = full.registered_kinds()
+        assert set(table) == self._kinds_sent()
+        assert set(table.values()) <= set(m.WIRE_TYPES.values())
+        # Exactly one owner per kind: the components' registrations
+        # partition the table, and a second claim is refused.
+        owned = [
+            kind
+            for component in full.components
+            if hasattr(component, "registrations")
+            for kind in component.registrations()
+        ]
+        assert sorted(owned) == sorted(table)
+        with pytest.raises(ValueError):
+            full.register("query", m.QueryMessage, lambda payload, src: None)
+        # A subsystem that is off is absent from the table.
+        bare = overlay.add_peer(1).registered_kinds()
+        assert set(table) - set(bare) == set(full.content_state.registrations())
+
+    def test_frame_with_unknown_kind_or_wrong_payload_is_rejected_first(self):
+        from repro import obs
+        from repro.overlay import messages as m
+        from repro.sim.network import Message
+
+        overlay = MicroOverlay()
+        peer = overlay.add_peer(0)
+        replies = []
+        overlay.network.register(9, replies.append)
+        for _ in range(peer.config.reliability.suspicion_threshold):
+            peer.detector.note_missed(9)
+        rejected = obs.counter("overlay.rejected_messages")
+        before = rejected.value
+        ping = m.Ping(probe_id=1, prober_id=9)
+        for kind in ("query", "no_such_kind"):
+            peer.handle_message(
+                Message(src=9, dst=0, kind=kind, payload=ping, delivery_id=5)
+            )
+        overlay.run()
+        assert rejected.value - before == 2
+        assert replies == []  # no ack, no pong
+        assert 9 in peer.detector.suspects  # no liveness evidence
+        assert peer.reliable_application_counts() == {}
+        genuine = Message(src=9, dst=0, kind="ping", payload=ping, delivery_id=5)
+        assert not peer.channel.observe(genuine)  # id 5 never entered dedup
