@@ -7,14 +7,19 @@ Implements Section 3 (architecture and query processing) and Section 6
   Document Table (DT), the Document Category Routing Table (DCRT), and the
   Node Routing Table (NRT);
 * :mod:`repro.overlay.messages` — protocol message types;
-* :mod:`repro.overlay.peer` — per-node protocol behaviour, including the
-  two-step query processing of Section 3.3 and hit-counter bookkeeping;
+* :mod:`repro.overlay.peer` — the per-node core: tables, transport,
+  storage, lifecycle, and the one ``kind -> (payload class, handler)``
+  dispatch table its protocol components register into;
+* :mod:`repro.overlay.query_protocol` — the two-step query processing of
+  Section 3.3, overload signals and the requester cache;
 * :mod:`repro.overlay.cluster` — cluster graphs, spanning-tree
   construction, and leader election (Section 6.1.1);
-* :mod:`repro.overlay.publish` / :mod:`repro.overlay.join` — the publish
-  and join/leave protocols (Sections 6.2, 6.3);
+* :mod:`repro.overlay.membership_protocol` — the publish and join/leave
+  protocols (Sections 6.2, 6.3) and DCRT gossip, node side;
+* :mod:`repro.overlay.adaptation_protocol` — election, monitoring and
+  reassign/transfer (Section 6.1), node side;
 * :mod:`repro.overlay.adaptation` — the four-phase adaptation mechanism
-  (Section 6.1.2);
+  (Section 6.1.2), deployment side;
 * :mod:`repro.overlay.rebalance` — the lazy rebalancing protocol with
   ``move_counter`` conflict resolution;
 * :mod:`repro.overlay.epidemic` — anti-entropy dissemination of metadata

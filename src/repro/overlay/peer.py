@@ -447,7 +447,7 @@ class Peer:
         self.dt.add(info.doc_id, info.categories)
         # Write-ahead: the store is journaled before any hook can
         # acknowledge it to the rest of the deployment.
-        self._record("store", info.doc_id, info.size_bytes, list(info.categories))
+        self._record("store", info.doc_id, info.size_bytes, info.categories)
         self.hooks.on_document_stored(self, info.doc_id)
 
     def drop_document(self, doc_id: int) -> None:
