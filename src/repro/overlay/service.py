@@ -243,14 +243,6 @@ class ServiceQueue:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        return len(self._queue)
-
-    @property
-    def in_service(self) -> bool:
-        return self._in_service
-
     def snapshot(self) -> dict:
         """Read-only accounting view for tests and invariant checks."""
         return {
