@@ -179,25 +179,16 @@ class ChaosRunner:
                 # Always return to quiescence between entries; a no-op
                 # when the action already drained the queue.
                 self.system.sim.run()
-                # One control round per entry for whatever the world runs
-                # (the system, not the config, says what is on).
-                if self.system.replication_enabled:
-                    # The manager observes whatever demand the entry
-                    # generated, reacts, and the resulting transfers land
-                    # before the next entry's invariant pass.
-                    self.system.run_replication_round()
-                if self.system.content_enabled:
-                    # A background fetch keeps the multi-source scheduler
-                    # (and its hash verification against whatever the
-                    # entry corrupted) under constant exercise, then one
-                    # healing scan re-replicates chunks churn pushed below
-                    # the floor.
-                    self._content_round()
-                if self.system.durability_enabled:
-                    # Divergent ownership beliefs (healed partitions,
-                    # replayed journals) are fenced back to a single
-                    # owner before the next entry's invariant pass.
-                    self.system.run_reconciliation_round()
+                # One control round per entry for whatever the world runs:
+                # a background fetch keeps the multi-source scheduler (and
+                # its hash verification against whatever the entry
+                # corrupted) under constant exercise, then every registered
+                # subsystem reacts — ownership is fenced, placement follows
+                # the demand the entry generated, healing re-replicates
+                # what churn pushed below the floor — and the resulting
+                # transfers land before the next entry's invariant pass.
+                self._background_fetch()
+                self.system.run_control_round()
         finally:
             if self._unregister is not None:
                 self._unregister()
@@ -275,7 +266,7 @@ class ChaosRunner:
         return True
 
     def _do_gossip(self, step: int, rounds: int) -> bool:
-        self.system.run_gossip_rounds(rounds)
+        self.system.run_round("gossip", rounds)
         return True
 
     def _do_publish(self, step: int, rank: int, category: int, n_docs: int) -> bool:
@@ -478,9 +469,11 @@ class ChaosRunner:
         return True
 
     # -- content group ----------------------------------------------------
-    def _content_round(self) -> None:
-        """One background fetch plus one healing scan (content worlds)."""
+    def _background_fetch(self) -> None:
+        """One fetch by a random live peer (content worlds only)."""
         manager = self.system.content
+        if manager is None:
+            return
         rng = self.system.rngs.stream("content.fetch")
         alive = self._alive_ids()
         doc_ids = sorted(manager.manifests)
@@ -489,7 +482,6 @@ class ChaosRunner:
             doc_id = doc_ids[int(rng.integers(0, len(doc_ids)))]
             manager.fetch(requester, doc_id)
             self.system.sim.run()
-        self.system.run_healing_round()
 
     def _do_corrupt_chunk(
         self, step: int, rank: int, doc_rank: int, chunk_rank: int
@@ -531,8 +523,9 @@ class ChaosRunner:
     def _do_power_loss(self, step: int, rank: int) -> bool:
         # A full amnesia crash/recover cycle: wipe the victim's volatile
         # memory (its disk — journal, partial chunks, corruption marks —
-        # survives), replay the journal on recovery, reconcile ownership,
-        # give healing one round, then demand full recovery.
+        # survives), replay the journal on recovery, give the control
+        # plane one round (reconcile ownership, then heal), then demand
+        # full recovery.
         alive = self._alive_ids()
         if len(alive) <= self.config.min_alive:
             return False
@@ -541,8 +534,7 @@ class ChaosRunner:
         system.power_loss(node_id)
         system.sim.run()
         system.recover_node(node_id)
-        system.run_reconciliation_round()
-        system.run_healing_round()
+        system.run_control_round()
         if self.check_invariants:
             self.checker.check_recovery(node_id)
         return True
@@ -583,9 +575,9 @@ class ChaosRunner:
         # lost for good under a standing retry_storm/loss_ramp drop, so
         # drive rounds until one finds nothing divergent (each round
         # re-detects the stragglers and re-sends under a fresh epoch).
-        system.run_gossip_rounds(1)
+        system.run_round("gossip")
         for _ in range(8):
-            outcome = system.run_reconciliation_round()
+            outcome = system.run_round("reconciliation")
             if not outcome or not outcome["divergent"]:
                 break
         if self.check_invariants:
@@ -599,27 +591,25 @@ class ChaosRunner:
         return True
 
     def _do_converge(self, step: int) -> bool:
-        if self.system.durability_enabled:
-            # Fence any ownership divergence first so the gossip settle
-            # loop converges toward the reconciled owner, not away.
-            self.system.run_reconciliation_round()
+        # Fence any ownership divergence first so the gossip settle
+        # loop converges toward the reconciled owner, not away.
+        self.system.run_round("reconciliation")
         rounds = 0
         while rounds < MAX_SETTLE_ROUNDS and not self.checker.probe_convergence():
-            self.system.run_gossip_rounds(1)
+            self.system.run_round("gossip")
             rounds += 1
         self.report.settle_rounds += rounds
         if self.check_invariants:
             self.checker.check_convergence()
-        if self.system.content_enabled:
-            # Heal until a scan starts no new fetch (the healer's per-round
-            # budget can leave a backlog), then demand every surviving
-            # document meet the availability floor.
-            for _ in range(MAX_SETTLE_ROUNDS):
-                report = self.system.run_healing_round()
-                if report is None or not report["fetches"]:
-                    break
-            if self.check_invariants:
-                self.checker.check_chunk_availability()
+        # Heal until a scan starts no new fetch (the healer's per-round
+        # budget can leave a backlog), then demand every surviving
+        # document meet the availability floor.
+        for _ in range(MAX_SETTLE_ROUNDS):
+            report = self.system.run_round("healing")
+            if not report or not report["fetches"]:
+                break
+        if self.check_invariants and self.system.content is not None:
+            self.checker.check_chunk_availability()
         return True
 
 

@@ -60,7 +60,7 @@ it dies, so a crash path that leaves a completion armed or queued
 queries stranded shows up as a drain (or conservation) violation.
 
 When the demand-adaptive replication loop runs
-(:attr:`P2PSystem.replication_enabled`), one more check joins:
+(``P2PSystem.replication`` is built), one more check joins:
 
 ``replication-bounds``
     The manager's per-category managed replica set stays within
@@ -74,7 +74,7 @@ When misbehaving peers have been armed
     responder actually stored at some point — fabricated content must be
     rejected at the requester or it is a violation.
 
-When the content data plane runs (:attr:`P2PSystem.content_enabled`),
+When the content data plane runs (``P2PSystem.content`` is built),
 two structural checks join the quiescence set and two event-driven ones
 are invoked by the harness:
 
@@ -93,7 +93,7 @@ are invoked by the harness:
     A graceful shutdown leaves every document the leaver held with at
     least one other live holder (event-driven, checked per shutdown).
 
-When durable crash recovery runs (:attr:`P2PSystem.durability_enabled`),
+When durable crash recovery runs (``P2PSystem.recovery`` is built),
 two structural checks join the quiescence set and one event-driven
 family is invoked by the harness:
 
@@ -283,7 +283,7 @@ class InvariantChecker:
             self._run("retry-budget-no-overdraft", self._check_retry_budgets)
         # Replication bounds are likewise gated: default worlds construct
         # no manager, so their check counts (and goldens) are unchanged.
-        if self.system.replication_enabled:
+        if self.system.replication is not None:
             self._run("replication-bounds", self._check_replication_bounds)
         # Response integrity is gated on the misbehavior audit being
         # armed: honest worlds run no extra checks, keeping goldens.
@@ -291,12 +291,12 @@ class InvariantChecker:
             self._run("response-integrity", self._check_response_integrity)
         # Content checks are gated the same way: chunk-free worlds run
         # no extra checks, keeping their goldens byte-identical.
-        if self.system.content_enabled:
+        if self.system.content is not None:
             self._run("manifest-consistency", self._check_manifests)
             self._run("fetch-integrity", self._check_fetch_integrity)
         # Durability checks are gated on the journals existing at all:
         # persistence-free worlds run no extra checks, keeping goldens.
-        if self.system.durability_enabled:
+        if self.system.recovery is not None:
             self._run(
                 "no-acknowledged-write-loss", self._check_acknowledged_writes
             )
@@ -331,7 +331,7 @@ class InvariantChecker:
         # Every peer ever created — a departed peer's DCRT is frozen, so
         # watermarking it stays cheap and can only catch genuine rollbacks.
         for node_id in self.system.all_node_ids():
-            peer = self.system._peers[node_id]
+            peer = self.system.peers[node_id]
             for category_id, entry in peer.dcrt.items():
                 key = (node_id, category_id)
                 previous = self._peer_marks.get(key, 0)
@@ -347,11 +347,11 @@ class InvariantChecker:
         held: set[int] = set()
         for docs in self.system.stored_docs_by_node().values():
             held |= docs
-        if self.system.durability_enabled:
+        if self.system.recovery is not None:
             # A powered-off node's journal is its surviving disk: a doc
             # that exists only there has not vanished — recovery will
             # restore it — so the WAL counts toward conservation.
-            for docs in self.system.durable_docs_by_node().values():
+            for docs in self.system.recovery.durable_docs_by_node().values():
                 held |= docs
         missing = self._expected_docs - held
         if missing:
@@ -421,7 +421,7 @@ class InvariantChecker:
         # lifecycle (a completion firing on a dead node, queued queries
         # leaking forever).
         for node_id in self.system.all_node_ids():
-            snapshot = self.system._peers[node_id].service_snapshot()
+            snapshot = self.system.peers[node_id].service_snapshot()
             if snapshot is not None:
                 yield node_id, snapshot
 
@@ -567,7 +567,7 @@ class InvariantChecker:
         alive with its memory intact must still hold every document its
         own WAL says it does.  (A powered-off or amnesiac peer is exempt
         until :meth:`P2PSystem.recover_node` replays its journal.)"""
-        durable = self.system.durable_docs_by_node()
+        durable = self.system.recovery.durable_docs_by_node()
         for peer in self.system.alive_peers():
             if peer.lost_memory:
                 continue
@@ -593,7 +593,7 @@ class InvariantChecker:
         sent, so a belief without a claim is a fabricated epoch), and no
         belief may exceed the ledger's high-water mark for its category.
         """
-        claims = self.system.epoch_claims()
+        claims = self.system.recovery.epoch_claims()
         for category_id, epoch, cluster_id in claims[self._epoch_cursor :]:
             key = (category_id, epoch)
             previous = self._epoch_claim_marks.get(key)
@@ -680,7 +680,7 @@ class InvariantChecker:
         holder directory re-advertises each of them."""
 
         def check():
-            peer = self.system._peers.get(node_id)
+            peer = self.system.peers.get(node_id)
             if peer is None:
                 return
             if not self.system.network.is_alive(node_id):
@@ -691,7 +691,7 @@ class InvariantChecker:
                     f"node {node_id} still reports lost memory after "
                     f"recovery"
                 )
-            durable = self.system.durable_docs_by_node().get(
+            durable = self.system.recovery.durable_docs_by_node().get(
                 node_id, frozenset()
             )
             missing = durable - set(peer.docs)

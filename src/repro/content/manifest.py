@@ -134,11 +134,16 @@ class ContentManager:
     """Deployment-wide manifest registry, fetch ledger, and healer.
 
     Holder ground truth is the deployment's existing replica index
-    (``P2PSystem._doc_holders``, maintained by the store/drop hooks);
-    the manager adds the chunk-level view on top: manifests, partial
-    holders (peers mid-fetch that can already serve some chunks), and
-    the append-only fetch ledger the integrity invariant audits.
+    (the world ledger's holder directory, maintained by the store/drop
+    hooks); the manager adds the chunk-level view on top: manifests,
+    partial holders (peers mid-fetch that can already serve some
+    chunks), and the append-only fetch ledger the integrity invariant
+    audits.  As a ``P2PSystem`` subsystem it listens to
+    ``document_stored``, ``document_handoff`` and ``peer_recovered`` and
+    runs the ``healing`` control round.
     """
+
+    round_name = "healing"
 
     def __init__(self, system: "P2PSystem", config: ContentConfig) -> None:
         self.system = system
@@ -181,8 +186,8 @@ class ContentManager:
         """The current manifest of ``doc_id``, or None if unknown."""
         return self.manifests.get(doc_id)
 
-    def note_stored(self, peer: "Peer", doc_id: int) -> None:
-        """Hook relay: a peer stored ``doc_id`` (publish, transfer, fetch).
+    def document_stored(self, peer: "Peer", doc_id: int) -> None:
+        """A peer stored ``doc_id`` (publish, transfer, fetch).
 
         First sight of a chaos-published document registers its manifest;
         a node holding the full document no longer counts as partial.
@@ -230,12 +235,7 @@ class ContentManager:
     # ------------------------------------------------------------------
     def live_holders(self, doc_id: int) -> list[int]:
         """Sorted live nodes holding the *full* document."""
-        network = self.system.network
-        return sorted(
-            node_id
-            for node_id in self.system._doc_holders.get(doc_id, ())
-            if network.is_alive(node_id)
-        )
+        return self.system.ledger.live_holders(doc_id)
 
     def chunk_sources(self, doc_id: int) -> dict[int, tuple[int, ...]]:
         """Per-chunk live sources: full holders plus partial holders."""
@@ -266,6 +266,68 @@ class ContentManager:
             held.pop(node_id, None)
             if not held:
                 self.partials.pop(doc_id, None)
+
+    # ------------------------------------------------------------------
+    # lifecycle events and the control round
+    # ------------------------------------------------------------------
+    def document_handoff(self, peer: "Peer", target_id: int, doc_id: int) -> None:
+        """A gracefully leaving ``peer`` hands ``doc_id`` to ``target_id``:
+        ship the manifest alongside the document transfer."""
+        manifest = self.manifests.get(doc_id)
+        if manifest is not None:
+            peer._send(
+                target_id,
+                "manifest_update",
+                manifest_to_update(manifest, holders=self.live_holders(doc_id)),
+            )
+
+    def peer_recovered(self, peer: "Peer") -> list[int]:
+        """Audit a recovered peer's holdings before they are trusted.
+
+        Two failure modes hide in a replayed disk: the cached manifest
+        may be stale (the document's version was bumped while the node
+        was dark — sync it from the registry, i.e. replay the missed
+        bump), and chunks may be corrupt.  A corrupt document with other
+        live holders is *dropped* — its intact chunks become verified
+        partial state — so the healer re-fetches it instead of the peer
+        silently re-advertising bad bytes; a corrupt *sole* copy is kept
+        (corrupt beats destroyed).  Returns the dropped doc ids.
+        """
+        content = peer.content_state
+        dropped: list[int] = []
+        for doc_id in sorted(peer.docs):
+            registry = self.manifests.get(doc_id)
+            if registry is not None:
+                cached = content.manifests.get(doc_id)
+                if cached is None or registry.version > cached.version:
+                    content.manifests[doc_id] = registry
+                    if content.on_manifest is not None:
+                        content.on_manifest(doc_id, registry)
+            bad = content.corrupt.get(doc_id)
+            if not bad:
+                continue
+            others = [
+                holder
+                for holder in self.live_holders(doc_id)
+                if holder != peer.node_id
+            ]
+            if not others:
+                continue  # sole copy: corrupt beats destroyed
+            manifest = content.manifests.get(doc_id, registry)
+            if manifest is not None:
+                intact = set(range(manifest.n_chunks)) - set(bad)
+                if intact:
+                    content.partial.setdefault(doc_id, set()).update(intact)
+                    for index in sorted(intact):
+                        self.note_partial(peer.node_id, doc_id, index)
+            content.corrupt.pop(doc_id, None)
+            peer.drop_document(doc_id)
+            dropped.append(doc_id)
+        return dropped
+
+    def run_round(self) -> dict:
+        """One anti-entropy healing scan (the ``healing`` control round)."""
+        return self.healer.run_round()
 
     # ------------------------------------------------------------------
     # fetches

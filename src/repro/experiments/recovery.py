@@ -146,8 +146,7 @@ def measure(
         system.power_loss(victim)
         system.sim.run()
         system.recover_node(victim)
-        system.run_reconciliation_round()
-        system.run_healing_round()
+        system.run_control_round()
         system.sim.run()
         recover_times.append(system.sim.now - started)
         alive = sorted(peer.node_id for peer in system.alive_peers())

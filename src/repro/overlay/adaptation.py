@@ -106,8 +106,8 @@ def plan_category_move(
     # With durability armed every move claims a fresh ownership epoch, so
     # replayed or partition-stale notices are fenced out at the peers.
     epoch = (
-        system.next_ownership_epoch(category_id)
-        if system.durability_enabled
+        system.recovery.next_ownership_epoch(category_id)
+        if system.recovery is not None
         else 0
     )
     return m.ReassignNotice(

@@ -1,0 +1,244 @@
+"""What a world's peers report, kept in one place.
+
+:class:`WorldLedger` is the :class:`~repro.overlay.peer.PeerHooks`
+implementation every peer of a :class:`~repro.overlay.system.P2PSystem`
+is built with.  It owns the books the callbacks write: per-query outcome
+records, the cluster metadata of Section 3.1 (document -> holder nodes),
+the served-load snapshot, and the response-integrity audit.  Membership
+reports are passed on to the world's
+:class:`~repro.overlay.topology.ClusterTopology`.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from repro import obs
+from repro.metrics.response import QueryOutcome
+from repro.overlay import messages as m
+from repro.overlay.peer import Peer, PeerHooks
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model.workload import Query
+    from repro.overlay.adaptation import AdaptationCoordinator
+    from repro.overlay.topology import ClusterTopology
+    from repro.sim.engine import Simulator
+    from repro.sim.network import Network
+
+__all__ = ["WorldLedger"]
+
+
+@dataclass(slots=True)
+class _QueryRecord:
+    outcome_args: dict
+    responders: set[int] = field(default_factory=set)
+
+
+class WorldLedger(PeerHooks):
+    """Routes peer callbacks into the world's bookkeeping."""
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        network: "Network",
+        topology: "ClusterTopology",
+        peers: Mapping[int, Peer],
+        super_peer_mode: bool,
+    ) -> None:
+        self._sim = sim
+        self._network = network
+        self._topology = topology
+        self._peers = peers
+        self._super_peer_mode = super_peer_mode
+        self._queries: dict[int, _QueryRecord] = {}
+        #: queries need globally unique ids across workloads — peers keep
+        #: the ids they have seen for loop detection (the paper's idQ is a
+        #: unique pseudorandom number), so reusing one silences the query.
+        self._next_query_id = 0
+        #: in-sim first-response latencies, stamped with simulation time.
+        self._h_latency = obs.sim_histogram(
+            "overlay.first_response_latency", clock=lambda: sim.now
+        )
+        #: cluster metadata (Section 3.1): doc id -> holder node ids.
+        self._doc_holders: dict[int, set[int]] = {}
+        #: every (node, doc) pair ever stored — the integrity audit's truth.
+        self._ever_stored: set[tuple[int, int]] = set()
+        #: memoized snapshots for the dict-rebuilding views experiments
+        #: poll every round; ``None`` = dirty, rebuilt on next access.
+        self._doc_holders_view: dict[int, set[int]] | None = None
+        self._node_loads: dict[int, int] | None = None
+        #: ``document_stored`` listeners of the world's subsystems.
+        self.stored_listeners: tuple = ()
+        #: the adaptation round in progress, if any (monitoring reports).
+        self.coordinator: "AdaptationCoordinator | None" = None
+        #: response-integrity audit, armed by ``P2PSystem.set_misbehavior``
+        #: so honest worlds pay nothing and run no extra invariant checks.
+        self.integrity_audit = False
+        self.integrity_violations: list[str] = []
+        self.bogus_rejections: list[tuple[int, int]] = []
+
+    # ------------------------------------------------------------------
+    # query records
+    # ------------------------------------------------------------------
+    def begin_workload(self) -> None:
+        self._queries.clear()
+
+    def open_query(self, query: "Query", issued_at: float) -> int:
+        """Start the record of one issued query; returns its global id."""
+        global_id = self._next_query_id
+        self._next_query_id += 1
+        self._queries[global_id] = _QueryRecord(
+            outcome_args={
+                "query_id": query.query_id,
+                "issued_at": issued_at,
+                "first_response_at": None,
+                "first_response_hops": None,
+                "results": 0,
+                "wanted": query.m,
+                "failed": False,
+            }
+        )
+        return global_id
+
+    def outcomes(self) -> list[QueryOutcome]:
+        return [
+            QueryOutcome(**record.outcome_args)
+            for record in self._queries.values()
+        ]
+
+    def on_query_response(self, peer: Peer, response: m.QueryResponse) -> None:
+        if self.integrity_audit:
+            # An accepted response may only claim documents its responder
+            # has actually stored at some point.
+            for doc_id in response.doc_ids:
+                if (response.responder_id, doc_id) not in self._ever_stored:
+                    self.integrity_violations.append(
+                        f"node {response.responder_id} answered query "
+                        f"{response.query_id} claiming doc {doc_id} it "
+                        f"never stored"
+                    )
+        record = self._queries.get(response.query_id)
+        if record is None:
+            return
+        args = record.outcome_args
+        if args["first_response_at"] is None:
+            now = self._sim.now
+            args["first_response_at"] = now
+            args["first_response_hops"] = response.hops
+            self._h_latency.observe(now - args["issued_at"])
+            if obs.TRACE.enabled:
+                obs.TRACE.emit(
+                    "query_resolve",
+                    t=now,
+                    query=response.query_id,
+                    hops=response.hops,
+                    results=len(response.doc_ids),
+                )
+        record.responders.add(response.responder_id)
+        args["results"] += len(response.doc_ids)
+        # A response settles the query even if a failover deadline already
+        # declared it failed — a late answer is still an answer.
+        args["failed"] = False
+
+    def on_bogus_response(self, peer: Peer, response: m.QueryResponse) -> None:
+        self.bogus_rejections.append((response.responder_id, response.query_id))
+
+    def on_query_failed(self, peer: Peer, query_id: int, reason: str) -> None:
+        record = self._queries.get(query_id)
+        if record is None:
+            return
+        if record.outcome_args["first_response_at"] is not None:
+            # Failover raced a response that already arrived; not a failure.
+            return
+        record.outcome_args["failed"] = True
+
+    # ------------------------------------------------------------------
+    # holder directory
+    # ------------------------------------------------------------------
+    def on_document_stored(self, peer: Peer, doc_id: int) -> None:
+        self._doc_holders.setdefault(doc_id, set()).add(peer.node_id)
+        self._ever_stored.add((peer.node_id, doc_id))
+        self._doc_holders_view = None
+        for listener in self.stored_listeners:
+            listener(peer, doc_id)
+
+    def on_document_dropped(self, peer: Peer, doc_id: int) -> None:
+        holders = self._doc_holders.get(doc_id)
+        if holders is not None:
+            holders.discard(peer.node_id)
+            self._doc_holders_view = None
+
+    def live_holders(self, doc_id: int) -> list[int]:
+        """Sorted live nodes holding the full document."""
+        is_alive = self._network.is_alive
+        return sorted(
+            node_id
+            for node_id in self._doc_holders.get(doc_id, ())
+            if is_alive(node_id)
+        )
+
+    def lookup_holders(
+        self, peer: Peer, cluster_id: int, doc_id: int
+    ) -> tuple[int, ...]:
+        """The cluster-metadata lookup (Section 3.1): live holders of a doc.
+
+        In super-peer mode only each cluster's designated super peer holds
+        the metadata; everyone else gets nothing and must route through it.
+        """
+        if self._super_peer_mode:
+            if self._topology.super_peers.get(cluster_id) != peer.node_id:
+                return ()
+        return tuple(self.live_holders(doc_id))
+
+    def doc_holders_view(self) -> dict[int, set[int]]:
+        """Snapshot of the cluster metadata: document id -> holder node ids.
+
+        Cached and invalidated whenever a peer stores or drops a document;
+        treat the returned dict and sets as read-only.
+        """
+        if self._doc_holders_view is None:
+            self._doc_holders_view = {
+                doc_id: set(holders)
+                for doc_id, holders in sorted(self._doc_holders.items())
+                if holders
+            }
+        return self._doc_holders_view
+
+    # ------------------------------------------------------------------
+    # served load
+    # ------------------------------------------------------------------
+    def on_request_served(self, peer: Peer) -> None:
+        self._node_loads = None
+
+    def forget_loads(self) -> None:
+        """A peer was added, or served counters were reset or replayed."""
+        self._node_loads = None
+
+    def node_loads(self) -> dict[int, int]:
+        """Requests served per peer, cached until any peer serves again."""
+        if self._node_loads is None:
+            self._node_loads = {
+                node_id: peer.requests_served
+                for node_id, peer in sorted(self._peers.items())
+            }
+        return self._node_loads
+
+    # ------------------------------------------------------------------
+    # membership and monitoring reports
+    # ------------------------------------------------------------------
+    def on_cluster_joined(self, peer: Peer, cluster_id: int) -> None:
+        self._topology.admit(peer, cluster_id)
+
+    def on_leave_notice(self, peer: Peer, notice: m.LeaveNotice) -> None:
+        self._topology.note_departure(notice)
+
+    def on_monitoring_complete(
+        self, peer: Peer, cluster_id: int, round_id: int,
+        counts: dict[int, int], weights: dict[int, float], subtree_size: int,
+    ) -> None:
+        if self.coordinator is not None:
+            self.coordinator.record_monitoring(
+                cluster_id, counts, weights, subtree_size
+            )

@@ -124,6 +124,8 @@ class ReplicationManager:
     standing periodic event would break the run-to-quiescence contract.
     """
 
+    round_name = "replication"
+
     def __init__(self, system: "P2PSystem", config: ReplicationConfig) -> None:
         self.system = system
         self.config = config
@@ -390,7 +392,7 @@ class ReplicationManager:
         # Retire lowest capacity first (the reverse of placement order);
         # dead nodes are forgotten without drops (their disk is dark).
         def retire_key(node_id: int) -> tuple:
-            peer = system._peers[node_id]
+            peer = system.peers[node_id]
             return (peer.capacity_units, -node_id)
 
         node_id = min(sorted(managed), key=retire_key)
@@ -400,7 +402,7 @@ class ReplicationManager:
         self._c_shrunk.inc()
         if not system.network.is_alive(node_id):
             return (node_id,)
-        peer = system._peers[node_id]
+        peer = system.peers[node_id]
         for doc_id in sorted(doc_ids):
             # A doc may since have been re-stored as a cached copy or by
             # another manager decision; only drop what is still present

@@ -160,10 +160,12 @@ class TestWorlds:
             return ChaosRunner(generate_schedule(0, config), config).system
 
         plain, full = system(), system(*FEATURES)
-        assert not (plain.overload_enabled or plain.replication_enabled)
-        assert not (plain.content_enabled or plain.durability_enabled)
-        assert full.overload_enabled and full.replication_enabled
-        assert full.content_enabled and full.durability_enabled
+        assert not plain.overload_enabled and plain.subsystems == []
+        assert sorted(plain.rounds) == ["detector", "gossip"]
+        assert full.overload_enabled
+        assert None not in full.subsystems
+        assert full.subsystems == [full.recovery, full.replication, full.content]
+        assert list(full.rounds)[2:] == ["reconciliation", "replication", "healing"]
         assert full.config.reliability.overload_protected
 
     def test_flash_crowd_action_issues_and_accounts_queries(self):

@@ -400,7 +400,7 @@ class TestReconciliation:
         for peer in system.alive_peers():
             assert peer.dcrt.entry(category_id).cluster_id == final
         # The fenced claim landed in the epoch ledger exactly once.
-        claims = [c for c in system.epoch_claims() if c[0] == category_id]
+        claims = [c for c in system.recovery.epoch_claims() if c[0] == category_id]
         assert len(claims) == 1 and claims[0][2] == final
 
     def test_reconciliation_is_a_noop_when_durability_is_off(self):
@@ -418,7 +418,7 @@ class TestDurabilityConfig:
     def test_defaults_keep_durability_off(self):
         config = ScenarioConfig(features={"content"})
         system = ChaosRunner(Schedule(seed=11, entries=()), config).system
-        assert not system.durability_enabled
+        assert system.recovery is None
         assert system.journal(system.alive_peers()[0].node_id) is None
 
     def test_validation(self):

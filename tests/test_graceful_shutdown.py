@@ -161,7 +161,7 @@ class TestCrashDuringHandoff:
         assert system.shutdown_node(keeper) is False
         # The crash path owns the node: its disk keeps the document and
         # a recovery brings the copy (and its advertisement) back.
-        assert doc_id in system._peers[keeper].docs
+        assert doc_id in system.peers[keeper].docs
         system.recover_node(keeper)
         assert keeper in system.content.live_holders(doc_id)
 
@@ -186,4 +186,4 @@ class TestCrashDuringHandoff:
         assert doc_id not in target.docs
         assert target.node_id not in system.content.live_holders(doc_id)
         # And the crashed disk still has the last copy for recovery.
-        assert doc_id in system._peers[keeper].docs
+        assert doc_id in system.peers[keeper].docs

@@ -71,7 +71,7 @@ def _heat(system, category_id, hits=10_000):
         for node_id in sorted(holders_view.get(doc_id, ()))
         if system.network.is_alive(node_id)
     )
-    peer = system._peers[holder_id]
+    peer = system.peers[holder_id]
     peer.hit_counters[category_id] = (
         peer.hit_counters.get(category_id, 0) + hits
     )
@@ -89,7 +89,7 @@ class TestConfig:
     def test_disabled_by_default(self):
         _instance, system = build_live_system(scale=0.02, seed=31)
         assert system.replication is None
-        assert system.replication_enabled is False
+        assert "replication" not in system.rounds
         assert system.run_replication_round() is None
 
 
@@ -115,7 +115,7 @@ class TestGrow:
         # registered in the holder directory.
         holders_view = system.doc_holders_view()
         for node_id in grown_nodes:
-            peer = system._peers[node_id]
+            peer = system.peers[node_id]
             for doc_id in manager.managed_view()[category_id][node_id]:
                 assert doc_id in peer.docs
                 assert node_id in holders_view[doc_id]
@@ -130,7 +130,7 @@ class TestGrow:
         report = system.run_replication_round()
         assert report.grown[category_id] == (expected,)
         cluster_id = int(system.assignment.category_to_cluster[category_id])
-        chosen = system._peers[expected]
+        chosen = system.peers[expected]
         for peer in system.peers_in_cluster(cluster_id):
             if peer.node_id == expected or peer.node_id in report.grown.get(
                 category_id, ()
@@ -157,7 +157,7 @@ class TestGrow:
         category_id = min(manager._category_docs)
         wanted = manager._hot_docs(category_id)
         target_id = manager._placement_candidates(category_id, wanted)[0]
-        target = system._peers[target_id]
+        target = system.peers[target_id]
         # Seed the target's cache with the first hot doc via the real
         # retrieval-fill path.
         doc_id = next(d for d in wanted if d not in target.docs)
@@ -218,7 +218,7 @@ class TestHysteresis:
         _heat(system, category_id)
         report = system.run_replication_round()
         (node_id,) = report.grown[category_id]
-        peer = system._peers[node_id]
+        peer = system.peers[node_id]
         managed_docs = set(manager.managed_view()[category_id][node_id])
         contributions = set(peer.docs) - managed_docs
 
@@ -236,14 +236,14 @@ class TestHysteresis:
         _heat(system, category_id)
         report = system.run_replication_round()
         (node_id,) = report.grown[category_id]
-        docs_before = set(system._peers[node_id].docs)
+        docs_before = set(system.peers[node_id].docs)
         system.crash_node(node_id)
 
         while manager.replica_count(category_id):
             system.run_replication_round()
         # The corpse's disk is dark but untouched — doc conservation
         # still counts its copies.
-        assert set(system._peers[node_id].docs) == docs_before
+        assert set(system.peers[node_id].docs) == docs_before
 
 
 class TestInvariant:

@@ -140,7 +140,7 @@ class TestInvariantCoverageOfCrashedPeers:
             for peer in system.alive_peers()
             if peer.node_id != victim_id
         )
-        category_id = system._peers[victim_id].dt.categories_of(doc_id)[0]
+        category_id = system.peers[victim_id].dt.categories_of(doc_id)[0]
         for offset, query_id in enumerate(range(4)):
             system.sim.schedule(
                 offset * 1e-3,

@@ -39,7 +39,7 @@ class TestSuperPeerMode:
             instance, assignment, plan=plan,
             config=P2PSystemConfig(metadata_mode="super_peer"),
         )
-        for cluster_id, super_peer in system._super_peers.items():
+        for cluster_id, super_peer in system.topology.super_peers.items():
             members = system.peers_in_cluster(cluster_id)
             top = max(peer.capacity_units for peer in members)
             assert system.peer(super_peer).capacity_units == top
@@ -57,7 +57,7 @@ class TestSuperPeerMode:
 
     def test_routing_load_concentrates_on_super_peers(self, world):
         system, _ = _run(world, "super_peer")
-        super_peers = set(system._super_peers.values())
+        super_peers = set(system.topology.super_peers.values())
         routed_by_super = sum(
             peer.queries_routed
             for peer in system.alive_peers()
