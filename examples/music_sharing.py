@@ -80,7 +80,10 @@ def main() -> None:
         for node_id, load in system.node_loads().items()
         if node_id in contributors
     }
-    card = load_report(loads, system.node_capacities(), system.node_cluster_map())
+    memberships = {
+        node_id: set(peer.memberships) for node_id, peer in system.peers.items()
+    }
+    card = load_report(loads, system.node_capacities(), memberships)
     print("\nLoad distribution over contributing peers:")
     print(format_kv(card.rows()))
 

@@ -38,7 +38,7 @@ drained*, no matter what faults the scenario injected:
     improving moves).
 
 When the world runs with the per-peer service model enabled
-(:attr:`P2PSystem.overload_enabled`), four more structural checks join
+(``config.service.enabled``), four more structural checks join
 the quiescence set:
 
 ``service-queue-bound``
@@ -67,7 +67,7 @@ When the demand-adaptive replication loop runs
     ``max_replicas`` and only ever names real nodes.
 
 When misbehaving peers have been armed
-(:attr:`P2PSystem.misbehavior_armed`), one more check joins:
+(``P2PSystem.ledger.integrity_audit``), one more check joins:
 
 ``response-integrity``
     Every response a requester *accepted* only claims documents its
@@ -276,7 +276,7 @@ class InvariantChecker:
         self._run("exactly-once-effects", self._check_exactly_once)
         # Overload invariants are gated so default worlds (service model
         # off) keep their exact check counts — and their metric goldens.
-        if self.system.overload_enabled:
+        if self.system.config.service.enabled:
             self._run("service-queue-bound", self._check_service_queue_bound)
             self._run("overload-conservation", self._check_overload_conservation)
             self._run("overload-drain", self._check_overload_drain)
@@ -287,7 +287,7 @@ class InvariantChecker:
             self._run("replication-bounds", self._check_replication_bounds)
         # Response integrity is gated on the misbehavior audit being
         # armed: honest worlds run no extra checks, keeping goldens.
-        if self.system.misbehavior_armed:
+        if self.system.ledger.integrity_audit:
             self._run("response-integrity", self._check_response_integrity)
         # Content checks are gated the same way: chunk-free worlds run
         # no extra checks, keeping their goldens byte-identical.
@@ -330,8 +330,7 @@ class InvariantChecker:
                 self._assignment_marks[category_id] = counter
         # Every peer ever created — a departed peer's DCRT is frozen, so
         # watermarking it stays cheap and can only catch genuine rollbacks.
-        for node_id in self.system.all_node_ids():
-            peer = self.system.peers[node_id]
+        for node_id, peer in sorted(self.system.peers.items()):
             for category_id, entry in peer.dcrt.items():
                 key = (node_id, category_id)
                 previous = self._peer_marks.get(key, 0)
@@ -420,8 +419,8 @@ class InvariantChecker:
         # exactly what catches a crash path that skips the service-queue
         # lifecycle (a completion firing on a dead node, queued queries
         # leaking forever).
-        for node_id in self.system.all_node_ids():
-            snapshot = self.system.peers[node_id].service_snapshot()
+        for node_id, peer in sorted(self.system.peers.items()):
+            snapshot = peer.service_snapshot()
             if snapshot is not None:
                 yield node_id, snapshot
 
@@ -495,7 +494,7 @@ class InvariantChecker:
         The audit list is cumulative, so report only the tail beyond the
         last quiescent step's cursor.
         """
-        failures = self.system.integrity_failures()
+        failures = self.system.ledger.integrity_violations
         new = failures[self._integrity_cursor :]
         self._integrity_cursor = len(failures)
         yield from new
@@ -658,15 +657,9 @@ class InvariantChecker:
         every document it held has at least one other live holder."""
 
         def check():
-            network = self.system.network
-            holders_view = self.system.doc_holders_view()
+            live_holders = self.system.ledger.live_holders
             for doc_id in doc_ids:
-                survivors = [
-                    node_id
-                    for node_id in holders_view.get(doc_id, ())
-                    if node_id != leaver_id and network.is_alive(node_id)
-                ]
-                if not survivors:
+                if not set(live_holders(doc_id)) - {leaver_id}:
                     yield (
                         f"graceful shutdown of node {leaver_id} lost the "
                         f"last live copy of doc {doc_id}"

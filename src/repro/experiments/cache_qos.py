@@ -36,7 +36,7 @@ from repro import obs
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
-from repro.experiments.registry import experiment_spec
+from repro.experiments.registry import experiment_spec, require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
@@ -376,6 +376,20 @@ def format_result(result: CacheQosResult) -> str:
         f"{adaptive.replicas_final} (after cooldown)"
     )
     return "\n".join(lines)
+
+
+def smoke() -> None:
+    """CI gate: adaptive beats static, hysteresis closes."""
+    result = run()
+    print(format_result(result))
+    static, adaptive = result.static, result.adaptive
+    require(adaptive.goodput >= static.goodput, "adaptive goodput regressed")
+    require(adaptive.p99_latency <= static.p99_latency, "adaptive p99 regressed")
+    require(adaptive.replicas_peak > 0, "manager never grew under the crowd")
+    require(
+        adaptive.replicas_final == adaptive.replicas_baseline == 0,
+        "replica set did not return to baseline after the crowd",
+    )
 
 
 EXPERIMENT = experiment_spec(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.chaos.scenario import ScenarioConfig
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import Schedule
-from repro.experiments.registry import experiment_spec
+from repro.experiments.registry import experiment_spec, require
 from repro.metrics.report import format_table
 
 __all__ = ["HealRow", "HealResult", "measure", "run", "format_result"]
@@ -258,6 +258,17 @@ def format_result(result: HealResult) -> str:
             f"{result.fetches_per_wave} fetches per wave)"
         ),
     )
+
+
+def smoke() -> None:
+    """CI gate: healing-on holds the floor where healing-off drops."""
+    result = run(scale=0.5)
+    print(format_result(result))
+    high = max(row.churn_rate for row in result.rows)
+    off, on = result.row(high, False), result.row(high, True)
+    require(on.success_rate >= 0.99, f"healing-on success {on.success_rate}")
+    require(off.success_rate < 0.90, f"healing-off success {off.success_rate}")
+    require(on.heal_fetches > 0, "healer never fetched")
 
 
 EXPERIMENT = experiment_spec(

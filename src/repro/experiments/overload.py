@@ -34,7 +34,7 @@ from repro import obs
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
-from repro.experiments.registry import experiment_spec
+from repro.experiments.registry import experiment_spec, require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
@@ -319,6 +319,14 @@ def format_result(result: OverloadResult) -> str:
             f"{max(row.load for row in result.rows):.1f}x saturation"
         )
     return "\n".join(lines)
+
+
+def smoke() -> None:
+    """CI gate: shedding on, nonzero goodput."""
+    result = run(loads=(1.0, 2.0), window=2.0)
+    print(format_result(result))
+    require(any(row.protected for row in result.rows), "no protected rows measured")
+    require(result.peak_goodput(True) > 0, "protected goodput is zero")
 
 
 EXPERIMENT = experiment_spec(

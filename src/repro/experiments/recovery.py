@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import ScenarioConfig, Schedule
-from repro.experiments.registry import experiment_spec
+from repro.experiments.registry import experiment_spec, require
 from repro.metrics.report import format_table
 from repro.overlay.metadata import DCRTEntry
 
@@ -267,6 +267,18 @@ def format_result(result: RecoveryResult) -> str:
             f"{result.n_cycles} amnesia crash/restart cycles"
         ),
     )
+
+
+def smoke() -> None:
+    """CI gate: persistence-on recovers what persistence-off loses."""
+    result = run(scale=0.5)
+    print(format_result(result))
+    off, on = result.row(False), result.row(True)
+    require(on.query_success >= 0.99, f"persistence-on success {on.query_success}")
+    require(on.docs_lost == 0, f"persistence-on lost {on.docs_lost} docs")
+    require(off.docs_lost == off.sole_docs, "persistence-off kept a sole doc")
+    require(on.divergent_after == 0, "reconciliation left dissenters")
+    require(off.divergent_after > 0, "off-arm divergence healed without epochs")
 
 
 EXPERIMENT = experiment_spec(

@@ -29,7 +29,17 @@ __all__ = [
     "ExperimentSpec",
     "experiment_spec",
     "build_registry",
+    "require",
 ]
+
+
+def require(condition: bool, message: object) -> None:
+    """One gate of an experiment's ``smoke()`` run (the CI entry point).
+
+    Raises instead of asserting, so ``python -O`` cannot skip a gate.
+    """
+    if not condition:
+        raise AssertionError(message)
 
 
 def _first_line(text: str | None) -> str:

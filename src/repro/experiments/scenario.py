@@ -33,7 +33,7 @@ from repro.core.fairness import jain_fairness
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
-from repro.experiments.registry import experiment_spec
+from repro.experiments.registry import experiment_spec, require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
@@ -238,6 +238,16 @@ def format_result(result: ScenarioResult) -> str:
     ]
     lines.extend(f"  {detail}" for detail in result.violation_details)
     return "\n".join(lines)
+
+
+def smoke() -> None:
+    """CI gate: 4 specs, invariants clean."""
+    result = run(seed=7)
+    print(format_result(result))
+    require(result.n_specs == 4, "matrix did not run all four specs")
+    require(result.violations == 0, result.violation_details)
+    require(all(n > 0 for n in result.n_queries), "a phase issued no queries")
+    require(all(g > 0 for g in result.goodput), "a phase served nothing")
 
 
 EXPERIMENT = experiment_spec(

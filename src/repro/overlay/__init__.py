@@ -32,7 +32,11 @@ Implements Section 3 (architecture and query processing) and Section 6
   replication control loop (grow fast on pressure, shrink slowly on
   idle, QoS-aware placement);
 * :mod:`repro.overlay.system` — :class:`~repro.overlay.system.P2PSystem`,
-  the façade that wires a built system instance into a live simulation.
+  the world core that wires a built system instance into a live
+  simulation; its books live in :mod:`repro.overlay.ledger` (what peers
+  report) and :mod:`repro.overlay.topology` (cluster membership and
+  graphs), graceful shutdown in :mod:`repro.overlay.handoff`, and the
+  durability subsystem in :mod:`repro.overlay.recovery`.
 """
 
 from repro.overlay.cache import DocumentCache

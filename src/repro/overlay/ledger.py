@@ -1,18 +1,12 @@
-"""What a world's peers report, kept in one place.
-
-:class:`WorldLedger` is the :class:`~repro.overlay.peer.PeerHooks`
-implementation every peer of a :class:`~repro.overlay.system.P2PSystem`
-is built with.  It owns the books the callbacks write: per-query outcome
-records, the cluster metadata of Section 3.1 (document -> holder nodes),
-the served-load snapshot, and the response-integrity audit.  Membership
-reports are passed on to the world's
-:class:`~repro.overlay.topology.ClusterTopology`.
+"""What a world's peers report: the :class:`~repro.overlay.peer.PeerHooks`
+every peer of a :class:`~repro.overlay.system.P2PSystem` is built with,
+and the books its callbacks write — per-query outcomes, the Section 3.1
+cluster metadata (document -> holders), served loads, the integrity audit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -30,12 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["WorldLedger"]
 
 
-@dataclass(slots=True)
-class _QueryRecord:
-    outcome_args: dict
-    responders: set[int] = field(default_factory=set)
-
-
 class WorldLedger(PeerHooks):
     """Routes peer callbacks into the world's bookkeeping."""
 
@@ -45,14 +33,13 @@ class WorldLedger(PeerHooks):
         network: "Network",
         topology: "ClusterTopology",
         peers: Mapping[int, Peer],
-        super_peer_mode: bool,
     ) -> None:
         self._sim = sim
         self._network = network
         self._topology = topology
         self._peers = peers
-        self._super_peer_mode = super_peer_mode
-        self._queries: dict[int, _QueryRecord] = {}
+        #: global query id -> ``QueryOutcome`` keyword arguments so far.
+        self._queries: dict[int, dict] = {}
         #: queries need globally unique ids across workloads — peers keep
         #: the ids they have seen for loop detection (the paper's idQ is a
         #: unique pseudorandom number), so reusing one silences the query.
@@ -76,7 +63,9 @@ class WorldLedger(PeerHooks):
         #: response-integrity audit, armed by ``P2PSystem.set_misbehavior``
         #: so honest worlds pay nothing and run no extra invariant checks.
         self.integrity_audit = False
+        #: accepted responses that claimed never-stored documents.
         self.integrity_violations: list[str] = []
+        #: (responder_id, query_id) pairs requester-side checks rejected.
         self.bogus_rejections: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
@@ -89,24 +78,19 @@ class WorldLedger(PeerHooks):
         """Start the record of one issued query; returns its global id."""
         global_id = self._next_query_id
         self._next_query_id += 1
-        self._queries[global_id] = _QueryRecord(
-            outcome_args={
-                "query_id": query.query_id,
-                "issued_at": issued_at,
-                "first_response_at": None,
-                "first_response_hops": None,
-                "results": 0,
-                "wanted": query.m,
-                "failed": False,
-            }
-        )
+        self._queries[global_id] = {
+            "query_id": query.query_id,
+            "issued_at": issued_at,
+            "first_response_at": None,
+            "first_response_hops": None,
+            "results": 0,
+            "wanted": query.m,
+            "failed": False,
+        }
         return global_id
 
     def outcomes(self) -> list[QueryOutcome]:
-        return [
-            QueryOutcome(**record.outcome_args)
-            for record in self._queries.values()
-        ]
+        return [QueryOutcome(**args) for args in self._queries.values()]
 
     def on_query_response(self, peer: Peer, response: m.QueryResponse) -> None:
         if self.integrity_audit:
@@ -119,10 +103,9 @@ class WorldLedger(PeerHooks):
                         f"{response.query_id} claiming doc {doc_id} it "
                         f"never stored"
                     )
-        record = self._queries.get(response.query_id)
-        if record is None:
+        args = self._queries.get(response.query_id)
+        if args is None:
             return
-        args = record.outcome_args
         if args["first_response_at"] is None:
             now = self._sim.now
             args["first_response_at"] = now
@@ -136,7 +119,6 @@ class WorldLedger(PeerHooks):
                     hops=response.hops,
                     results=len(response.doc_ids),
                 )
-        record.responders.add(response.responder_id)
         args["results"] += len(response.doc_ids)
         # A response settles the query even if a failover deadline already
         # declared it failed — a late answer is still an answer.
@@ -146,13 +128,10 @@ class WorldLedger(PeerHooks):
         self.bogus_rejections.append((response.responder_id, response.query_id))
 
     def on_query_failed(self, peer: Peer, query_id: int, reason: str) -> None:
-        record = self._queries.get(query_id)
-        if record is None:
-            return
-        if record.outcome_args["first_response_at"] is not None:
-            # Failover raced a response that already arrived; not a failure.
-            return
-        record.outcome_args["failed"] = True
+        args = self._queries.get(query_id)
+        # A failover that raced an already-arrived response is no failure.
+        if args is not None and args["first_response_at"] is None:
+            args["failed"] = True
 
     # ------------------------------------------------------------------
     # holder directory
@@ -187,9 +166,9 @@ class WorldLedger(PeerHooks):
         In super-peer mode only each cluster's designated super peer holds
         the metadata; everyone else gets nothing and must route through it.
         """
-        if self._super_peer_mode:
-            if self._topology.super_peers.get(cluster_id) != peer.node_id:
-                return ()
+        super_peers = self._topology.super_peers  # empty in replicated mode
+        if super_peers and super_peers.get(cluster_id) != peer.node_id:
+            return ()
         return tuple(self.live_holders(doc_id))
 
     def doc_holders_view(self) -> dict[int, set[int]]:

@@ -1,11 +1,8 @@
-"""Durable crash recovery, deployment side.
-
-:class:`RecoveryCoordinator` is the subsystem a
-:class:`~repro.overlay.system.P2PSystem` registers when
-``DurabilityConfig.enabled``: it hands every peer its journal, keeps the
-ownership-epoch ledger, replays a journal into a peer that lost its
-memory, and runs the ``reconciliation`` control round.  A world without
-durability builds none — no journal exists and no record is appended.
+"""Durable crash recovery, deployment side: the subsystem a
+:class:`~repro.overlay.system.P2PSystem` builds when durability is on.
+It hands every peer its journal, keeps the ownership-epoch ledger,
+replays a journal into a peer that lost its memory, and runs the
+``reconciliation`` control round.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ class RecoveryCoordinator:
         self._epoch_claims: list[tuple[int, int, int]] = []
         # Built after bootstrap, so the baseline snapshots cover the
         # placed documents and the full DCRT.
-        for node_id in sorted(system.peers):
-            self.peer_created(system.peers[node_id])
+        for _node_id, peer in sorted(system.peers.items()):
+            self.peer_created(peer)
 
     # ------------------------------------------------------------------
     # journals
@@ -57,9 +54,6 @@ class RecoveryCoordinator:
             self._journals[peer.node_id] = journal
         journal.flags["free_rider"] = self.system.is_free_rider(peer.node_id)
         peer.attach_journal(journal)
-
-    def journal(self, node_id: int) -> PeerJournal | None:
-        return self._journals.get(node_id)
 
     def durable_docs_by_node(self) -> dict[int, set[int]]:
         """Doc ids each node's journal acknowledges as held.

@@ -346,7 +346,6 @@ class ReplicationManager:
         doc_ids = self._hot_docs(category_id)
         if not doc_ids:
             return ()
-        holders_view = system.doc_holders_view()
         placed = []
         for node_id in self._placement_candidates(category_id, doc_ids):
             if len(placed) >= min(self.config.grow_step, room):
@@ -366,11 +365,11 @@ class ReplicationManager:
                     if target.queries.cache.discard(doc_id):
                         pulled.add(doc_id)
                     continue
-                sources = sorted(
+                sources = [
                     holder
-                    for holder in holders_view.get(doc_id, ())
-                    if holder != node_id and system.network.is_alive(holder)
-                )
+                    for holder in system.ledger.live_holders(doc_id)
+                    if holder != node_id
+                ]
                 if sources:
                     pulls.setdefault(sources[0], []).append(doc_id)
                     pulled.add(doc_id)

@@ -4,19 +4,12 @@
 plus a category assignment (MaxFair output or a baseline) into a running
 discrete-event simulation.  It is the *world core*: one
 :class:`~repro.overlay.peer.Peer` per node bootstrapped with the Figure 1
-metadata, document placement from a
-:class:`~repro.core.replication.ReplicationPlan` (or bare contributions),
-query workload execution with per-query outcomes, and the lifecycle verbs
-(join, leave, shutdown, crash, power loss, recover).  Its books live in
-two collaborators it always builds — the
-:class:`~repro.overlay.ledger.WorldLedger` (what peers report) and the
-:class:`~repro.overlay.topology.ClusterTopology` (who is linked to whom).
-
-Optional features are *subsystems*: objects that exist only when their
-config enables them, listed in ``system.subsystems``.  The core reaches
-them only by fanning out lifecycle events (``peer_created``,
-``peer_recovered``, ``document_stored``, ``document_handoff``) and
-through ``system.rounds``; see ``docs/architecture.md`` for the table.
+metadata, document placement from a replication plan (or bare
+contributions), query workloads with per-query outcomes, and the
+lifecycle verbs (join, leave, shutdown, crash, power loss, recover).
+Optional features are *subsystems* that exist only when their config
+enables them; the core reaches them only through ``emit`` and ``rounds``
+(``docs/architecture.md`` §4.7 has the table).
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from repro.overlay.adaptation import (
     AdaptationCoordinator,
     AdaptationOutcome,
 )
+from repro.overlay.handoff import graceful_shutdown
 from repro.overlay.ledger import WorldLedger
 from repro.overlay.peer import DocInfo, MisbehaviorConfig, Peer, PeerConfig
 from repro.overlay.recovery import RecoveryCoordinator
@@ -45,10 +39,7 @@ from repro.overlay.topology import ClusterTopology
 from repro.content.chunks import ContentConfig
 from repro.content.manifest import ContentManager
 from repro.durability import DurabilityConfig, PeerJournal
-from repro.overlay.replication_manager import (
-    ReplicationConfig,
-    ReplicationManager,
-)
+from repro.overlay.replication_manager import ReplicationConfig, ReplicationManager
 from repro.overlay.service import ServiceConfig
 from repro.reliability import ReliabilityConfig
 from repro.sim.engine import Simulator
@@ -56,6 +47,10 @@ from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 
 __all__ = ["P2PSystemConfig", "P2PSystem"]
+
+#: lifecycle events the core fans out to the subsystems that define a
+#: method of that name (``document_stored`` through the ledger's store hook).
+EVENTS = ("peer_created", "peer_recovered", "document_stored", "document_handoff")
 
 @dataclass(frozen=True, slots=True)
 class P2PSystemConfig:
@@ -144,13 +139,7 @@ class P2PSystem:
         self.topology = ClusterTopology(
             self.peers, assignment.n_clusters, self.rngs.stream("topology")
         )
-        self.ledger = WorldLedger(
-            self.sim,
-            self.network,
-            self.topology,
-            self.peers,
-            super_peer_mode=self.config.metadata_mode == "super_peer",
-        )
+        self.ledger = WorldLedger(self.sim, self.network, self.topology, self.peers)
         self._departed: set[int] = set()
         #: nodes that consume without contributing (``Node.is_free_rider``
         #: at build time, plus empty-handed joiners); excluded from
@@ -160,7 +149,6 @@ class P2PSystem:
             for node_id, node in instance.nodes.items()
             if node.is_free_rider
         }
-        self._misbehaving: set[int] = set()
         #: peer tunables with the system-level knobs applied.
         self._peer_config = PeerConfig(
             nrt_capacity=self.config.nrt_capacity,
@@ -188,17 +176,19 @@ class P2PSystem:
             ContentManager, self.config.content
         )
         #: round name -> one iteration of that loop (without the drain).
-        self.rounds = {
-            "gossip": self._gossip_once,
-            "detector": self._heartbeat_once,
-        }
+        self.rounds = {"gossip": self._gossip_once, "detector": self._heartbeat_once}
         self.rounds.update((s.round_name, s.run_round) for s in self.subsystems)
         # Listeners are bound once, here, so a world without the feature
         # pays an empty loop on the store and lifecycle paths.
-        self._on_peer_created = self._listeners("peer_created")
-        self._on_peer_recovered = self._listeners("peer_recovered")
-        self._on_document_handoff = self._listeners("document_handoff")
-        self.ledger.stored_listeners = self._listeners("document_stored")
+        self._listeners = {
+            event: tuple(
+                getattr(subsystem, event)
+                for subsystem in self.subsystems
+                if hasattr(subsystem, event)
+            )
+            for event in EVENTS
+        }
+        self.ledger.stored_listeners = self._listeners["document_stored"]
 
     # ------------------------------------------------------------------
     # construction
@@ -211,13 +201,10 @@ class P2PSystem:
         self.subsystems.append(subsystem)
         return subsystem
 
-    def _listeners(self, event: str) -> tuple:
-        """``event`` of every subsystem that defines it, bound, in order."""
-        return tuple(
-            getattr(subsystem, event)
-            for subsystem in self.subsystems
-            if hasattr(subsystem, event)
-        )
+    def emit(self, event: str, *args) -> None:
+        """Fan a lifecycle event out to the subsystems that define it."""
+        for listener in self._listeners[event]:
+            listener(*args)
 
     @property
     def n_categories(self) -> int:
@@ -302,22 +289,13 @@ class P2PSystem:
         ]
 
     def node_loads(self) -> dict[int, int]:
-        """Requests served per peer — the paper's load measure.
-
-        The snapshot is cached and invalidated whenever any peer serves a
-        request (or counters reset); treat the returned dict as read-only.
-        """
+        """Requests served per peer — the paper's load measure (a cached
+        snapshot; treat the returned dict as read-only)."""
         return self.ledger.node_loads()
 
     def node_capacities(self) -> dict[int, float]:
         return {
             node_id: peer.capacity_units
-            for node_id, peer in sorted(self._peers.items())
-        }
-
-    def node_cluster_map(self) -> dict[int, set[int]]:
-        return {
-            node_id: set(peer.memberships)
             for node_id, peer in sorted(self._peers.items())
         }
 
@@ -331,11 +309,6 @@ class P2PSystem:
     def departed_node_ids(self) -> list[int]:
         """Sorted ids of peers that left or crashed out of the system."""
         return sorted(self._departed)
-
-    @property
-    def overload_enabled(self) -> bool:
-        """True when peers run the service model (overload invariants apply)."""
-        return self.config.service.enabled
 
     def journal(self, node_id: int) -> PeerJournal | None:
         """The node's durability journal (None when durability is off)."""
@@ -384,32 +357,16 @@ class P2PSystem:
     def set_misbehavior(self, node_id: int, config: MisbehaviorConfig) -> None:
         """Arm ``node_id`` with ``config`` (a :class:`MisbehaviorConfig`).
 
-        Arming any peer also arms the response-integrity audit so the
-        ``response-integrity`` invariant starts checking accepted
-        responses against the storage ledger.
+        Arming any peer also arms the ledger's response-integrity audit
+        (``ledger.integrity_audit``), so the ``response-integrity``
+        invariant starts checking accepted responses against the storage
+        ledger; failures accumulate in ``ledger.integrity_violations``.
         """
         peer = self._peers.get(node_id)
         if peer is None:
             raise ValueError(f"unknown node id {node_id}")
         peer.arm_misbehavior(config)
-        self._misbehaving.add(node_id)
         self.ledger.integrity_audit = True
-
-    @property
-    def misbehavior_armed(self) -> bool:
-        """True once the response-integrity audit is switched on."""
-        return self.ledger.integrity_audit
-
-    def misbehaving_node_ids(self) -> list[int]:
-        return sorted(self._misbehaving)
-
-    def integrity_failures(self) -> list[str]:
-        """Accepted responses that claimed never-stored documents (cumulative)."""
-        return list(self.ledger.integrity_violations)
-
-    def bogus_rejections(self) -> list[tuple[int, int]]:
-        """(responder_id, query_id) pairs rejected by requester-side checks."""
-        return list(self.ledger.bogus_rejections)
 
     def apply_reassignment(
         self, category_id: int, target_cluster: int, epoch: int = 0
@@ -480,7 +437,6 @@ class P2PSystem:
             self.sim.run()
         return self.ledger.outcomes()
 
-
     # ------------------------------------------------------------------
     # dynamics
     # ------------------------------------------------------------------
@@ -495,90 +451,10 @@ class P2PSystem:
         self.sim.run()
 
     def shutdown_node(self, node_id: int, handoff_rounds: int = 3) -> bool:
-        """Gracefully shut a node down: drain, hand off, then leave.
-
-        Distinct from :meth:`crash_node` (no goodbye) and from
-        :meth:`leave_node` (goodbye, but any sole-holder content departs
-        with the leaver): a graceful shutdown first lets in-flight work
-        drain, then hands off every document whose *only* live copy sits
-        on the leaver — the receiving node pulls the document group over
-        the transfer protocol, and with the content data plane enabled
-        the leaver also ships the document's manifest.  Hand-off is
-        retried up to ``handoff_rounds`` times (messages may be lost);
-        if some sole-holder document still cannot be placed — the
-        cluster is partitioned away, or nobody else is alive — the
-        shutdown is *aborted* and the node stays up, because leaving
-        would destroy the last copy.  Returns whether the node left.
-        """
-        peer = self.peer(node_id)
-        if peer is None or not self.network.is_alive(node_id):
-            return False
-        # Drain: let in-flight queries, transfers, and the node's own
-        # service queue finish before deciding what must move.
-        self.sim.run()
-        for _ in range(max(1, handoff_rounds)):
-            if not self.is_live(node_id):
-                # Crash-during-handoff: the leaver died mid-drain.  Abort
-                # — the crash path owns the node now, and a graceful
-                # leave here would count partially shipped manifests as
-                # placed copies and destroy last copies whose transfers
-                # never completed.
-                return False
-            orphans = self._sole_holder_docs(node_id)
-            if not orphans:
-                break
-            for doc_id in orphans:
-                target = self._handoff_target(doc_id, node_id)
-                if target is None:
-                    continue
-                info = peer.docs[doc_id]
-                category_id = info.categories[0] if info.categories else 0
-                target.adaptation.pull_documents(node_id, category_id, [doc_id])
-                for listener in self._on_document_handoff:
-                    listener(peer, target.node_id, doc_id)
-            self.sim.run()
-        if not self.is_live(node_id):
-            return False  # crashed while the final drain ran
-        if self._sole_holder_docs(node_id):
-            return False  # last copies could not be placed; stay up
-        self.leave_node(node_id)
-        return True
-
-    def _sole_holder_docs(self, node_id: int) -> list[int]:
-        """Documents whose only live holder is ``node_id``."""
-        return [
-            doc_id
-            for doc_id in sorted(self._peers[node_id].docs)
-            if not set(self.ledger.live_holders(doc_id)) - {node_id}
-        ]
-
-    def _handoff_target(self, doc_id: int, leaver_id: int) -> Peer | None:
-        """Deterministic destination for a sole-holder document.
-
-        Prefer live members of the document's home cluster, highest
-        capacity first (node id as the tie break); fall back to any live
-        peer when the cluster has nobody else.
-        """
-        info = self._peers[leaver_id].docs.get(doc_id)
-        candidates: list[Peer] = []
-        if info is not None and info.categories:
-            cluster_id = int(
-                self.assignment.category_to_cluster[info.categories[0]]
-            )
-            candidates = [
-                peer
-                for peer in self.peers_in_cluster(cluster_id)
-                if peer.node_id != leaver_id
-            ]
-        if not candidates:
-            candidates = [
-                peer
-                for peer in self.alive_peers()
-                if peer.node_id != leaver_id
-            ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: (-p.capacity_units, p.node_id))
+        """Gracefully shut a node down: drain, hand off sole-held
+        documents, then leave (see :func:`~repro.overlay.handoff.
+        graceful_shutdown`).  Returns whether the node left."""
+        return graceful_shutdown(self, node_id, handoff_rounds)
 
     def crash_node(self, node_id: int) -> None:
         """Fail a node without any goodbye (tests the timeout paths)."""
@@ -633,12 +509,10 @@ class P2PSystem:
         peer.clear_failure_state()
         if peer.lost_memory:
             # Durability replays the journal and re-learns topology, then
-            # content re-verifies the holdings before they are
-            # re-advertised.  With no journal the amnesia is permanent:
-            # the node is back empty-handed and relies on rejoin and
-            # healing.
-            for listener in self._on_peer_recovered:
-                listener(peer)
+            # content re-verifies the holdings before re-advertising them.
+            # With no journal the amnesia is permanent: the node is back
+            # empty-handed and relies on rejoin and healing.
+            self.emit("peer_recovered", peer)
             peer.lost_memory = False
         peer.adaptation.announce_capabilities()
         self.sim.run()
@@ -667,8 +541,7 @@ class P2PSystem:
             peer.store_document(info)
         # After the initial stores, so a journal's baseline snapshot
         # covers what the joiner brought.
-        for listener in self._on_peer_created:
-            listener(peer)
+        self.emit("peer_created", peer)
         if bootstrap_id is None:
             alive = [p.node_id for p in self.alive_peers() if p.node_id != node_id]
             if not alive:
@@ -693,13 +566,10 @@ class P2PSystem:
     def run_round(self, name: str, rounds: int = 1):
         """Run ``rounds`` iterations of the loop ``name``, draining each.
 
-        Every loop is round-driven rather than self-scheduling (a
-        standing periodic event would keep the queue alive forever and
-        break every run-to-quiescence caller), so drivers interleave
-        rounds with workload windows.  A loop this world does not run —
-        its feature is off, so ``rounds`` has no entry — is a no-op.
-        Returns the last iteration's report (None for gossip, detector
-        and absent loops).
+        Loops are round-driven, never self-scheduling: a standing
+        periodic event would break every run-to-quiescence caller.  A
+        loop this world does not run (``rounds`` has no entry) is a
+        no-op.  Returns the last iteration's report, if any.
         """
         step = self.rounds.get(name)
         report = None
@@ -710,13 +580,10 @@ class P2PSystem:
         return report
 
     def run_control_round(self) -> dict:
-        """One round of every registered subsystem, in list order.
-
-        Ownership first (``reconciliation`` fences divergent beliefs),
-        then placement (``replication`` reacts to demand), then repair
-        (``healing`` restores the replica floor against the settled
-        owners and placements).  Returns ``round name -> report``.
-        """
+        """One round of every registered subsystem, in list order:
+        ownership (``reconciliation``), then placement (``replication``),
+        then repair (``healing``, against the settled owners and
+        placements).  Returns ``round name -> report``."""
         return {
             subsystem.round_name: self.run_round(subsystem.round_name)
             for subsystem in self.subsystems

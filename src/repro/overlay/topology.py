@@ -1,11 +1,7 @@
-"""Cluster membership, intra-cluster graphs and super peers of one world.
-
-:class:`ClusterTopology` is the deployment-side record of Section 3.1's
-clusters: who is a member of which cluster, how the members of a cluster
-are linked (the graph the adaptation spanning trees are built over), and
-— in super-peer mode — which member keeps the cluster metadata.
-:class:`~repro.overlay.system.P2PSystem` owns one and routes the
-membership hooks and lifecycle verbs into it.
+"""The deployment-side record of Section 3.1's clusters: who is a member
+of which cluster, how a cluster's members are linked (the graph the
+adaptation spanning trees are built over), and — in super-peer mode —
+which member keeps the cluster metadata.
 """
 
 from __future__ import annotations

@@ -160,9 +160,9 @@ class TestWorlds:
             return ChaosRunner(generate_schedule(0, config), config).system
 
         plain, full = system(), system(*FEATURES)
-        assert not plain.overload_enabled and plain.subsystems == []
+        assert plain.subsystems == []
         assert sorted(plain.rounds) == ["detector", "gossip"]
-        assert full.overload_enabled
+        assert full.config.service.enabled
         assert None not in full.subsystems
         assert full.subsystems == [full.recovery, full.replication, full.content]
         assert list(full.rounds)[2:] == ["reconciliation", "replication", "healing"]

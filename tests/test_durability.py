@@ -22,6 +22,7 @@ import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import ScenarioConfig, Schedule
 from repro.durability import (
@@ -242,8 +243,48 @@ class TestPowerLossRecovery:
         assert peer.docs
         system.power_loss(victim)
         system.sim.run()
+        others = system.stored_docs_by_node()
         system.recover_node(victim)
         assert not peer.docs  # nothing to replay: the node rejoins empty
+        # The content subsystem's recovery audit saw an empty-handed peer:
+        # nothing was dropped anywhere.
+        assert system.stored_docs_by_node() == others
+        assert system.content.peer_recovered(peer) == []
+
+    def test_control_round_is_reconcile_then_heal(self):
+        # One control round in a content + durability world is exactly the
+        # hand sequence it replaced: same durable bytes, same holder
+        # directory, same counters.
+        def after(drive):
+            obs.reset()
+            system = make_recovery_system()
+            victim = self._victim(system)
+            system.power_loss(victim)
+            system.sim.run()
+            system.recover_node(victim)
+            drive(system)
+            durable = {
+                node_id: encode_snapshot(
+                    durable_state(peer, system.journal(node_id).flags)
+                )
+                for node_id, peer in system.peers.items()
+            }
+            counters = {
+                record["name"]: record["value"]
+                for record in obs.REGISTRY.snapshot()
+                if record["type"] == "counter"
+            }
+            return durable, system.doc_holders_view(), counters
+
+        def by_hand(system):
+            system.run_reconciliation_round()
+            system.run_healing_round()
+
+        def control_round(system):
+            report = system.run_control_round()
+            assert list(report) == ["reconciliation", "healing"]
+
+        assert after(control_round) == after(by_hand)
 
     def test_power_loss_keeps_partial_and_corrupt_chunks(self):
         system = make_recovery_system()

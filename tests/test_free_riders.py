@@ -84,8 +84,12 @@ class TestSystemTracking:
             categories=(0,),
             size_bytes=65_536,
         )
+        capacity = system.contributing_capacity()
         system.join_node(node_id, 2.0, doc_infos=[doc])
         assert not system.is_free_rider(node_id)
+        # Regression: a joiner is not in ``instance.nodes``; its capacity
+        # comes from the peer (this raised KeyError).
+        assert system.contributing_capacity() == pytest.approx(capacity + 2.0)
 
     def test_contributing_capacity_excludes_free_riders(self):
         instance, assignment, free = build_free_rider_world()

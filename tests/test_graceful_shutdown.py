@@ -5,6 +5,7 @@ the leaver from its neighbours' failure-detector suspect maps, while a
 crash (no goodbye) leaves the suspicion evidence in place.
 """
 
+from repro.overlay.handoff import handoff_target, sole_holder_docs
 from tests.helpers import build_live_system
 from tests.test_content_fetch import (
     doc_with_holders,
@@ -54,7 +55,7 @@ class TestShutdownHandoff:
         # handoff traffic is needed and the node just leaves.
         manager = system.content
         for peer in system.alive_peers():
-            if peer.docs and not system._sole_holder_docs(peer.node_id):
+            if peer.docs and not sole_holder_docs(system, peer.node_id):
                 node_id = peer.node_id
                 break
         else:
@@ -168,7 +169,7 @@ class TestCrashDuringHandoff:
     def test_crash_mid_handoff_does_not_count_partial_transfers(self):
         system = make_content_system()
         doc_id, keeper = make_sole_holder(system)
-        target = system._handoff_target(doc_id, keeper)
+        target = handoff_target(system, doc_id, keeper)
         assert target is not None
         original = target.adaptation.pull_documents
 

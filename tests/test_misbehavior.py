@@ -39,12 +39,12 @@ class TestBogusResponses:
         system.set_misbehavior(bogus_id, MisbehaviorConfig(bogus_responses=True))
         workload = make_query_workload(instance, 120, seed=3)
         system.run_workload(workload)
-        rejections = system.bogus_rejections()
+        rejections = system.ledger.bogus_rejections
         assert rejections, "no query ever reached the bogus responder"
         assert all(responder == bogus_id for responder, _ in rejections)
         # Every rejection was silent at the requester: no fabricated
         # document id ever entered an accepted outcome.
-        assert not system.integrity_failures()
+        assert not system.ledger.integrity_violations
 
     def test_rejected_queries_fail_over_to_honest_holders(self):
         instance, system = build()
@@ -89,7 +89,7 @@ class TestBogusResponses:
             system.run_workload(workload)
         finally:
             unregister()
-        assert system.integrity_failures()
+        assert system.ledger.integrity_violations
         assert "response-integrity" in checker.violated_invariants
 
     def test_integrity_violations_not_rereported_each_step(self):
@@ -111,8 +111,7 @@ class TestBogusResponses:
 class TestHonestWorlds:
     def test_audit_not_armed_by_default(self):
         _, system = build()
-        assert not system.misbehavior_armed
-        assert system.misbehaving_node_ids() == []
+        assert not system.ledger.integrity_audit
 
     def test_unknown_node_rejected(self):
         _, system = build()

@@ -59,6 +59,18 @@ class TestBootstrap:
                 }
                 assert neighbors <= members
 
+    def test_default_world_has_no_subsystems(self, system):
+        # Optional features are absent, not disabled: nothing registered,
+        # only the two always-on loops, and a control round does nothing.
+        assert system.subsystems == []
+        assert (system.recovery, system.replication, system.content) == (None,) * 3
+        assert sorted(system.rounds) == ["detector", "gossip"]
+        processed = system.sim.events_processed
+        assert system.run_control_round() == {}
+        assert system.run_round("healing") is None
+        assert system.sim.events_processed == processed
+        assert system.sim.pending() == 0
+
     def test_incomplete_assignment_rejected(self, world):
         instance, assignment, _ = world
         from repro.core.maxfair import Assignment
