@@ -11,7 +11,7 @@ baseline, and goodput no worse than static.
 from repro.experiments import cache_qos
 
 #: shortened phases shared by the smoke tests (the full-length defaults
-#: run in CI's dedicated cache-qos job).
+#: run in CI's ``experiment-smoke`` job via ``cache_qos.smoke()``).
 SHORT = dict(
     crowd_chunks=2, chunk_window=1.5, warmup_window=2.0, cooldown_rounds=8
 )
