@@ -1,13 +1,12 @@
 """Top-level facade: one import for the common workflows.
 
 The library's layers (:mod:`repro.model`, :mod:`repro.core`,
-:mod:`repro.overlay`, :mod:`repro.experiments`, :mod:`repro.bench`) stay
-importable directly, but most callers want one of three things:
+:mod:`repro.overlay`, :mod:`repro.experiments`) stay importable
+directly, but most callers want one of two things:
 
 * a live, balanced overlay — :func:`build_system`;
 * a paper experiment by id — :func:`run_experiment` /
-  :func:`list_experiments`;
-* the benchmark suites — :func:`run_benchmarks`.
+  :func:`list_experiments`.
 
 ::
 
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.cli import collect_specs
-from repro.bench.core import BenchResult, BenchSpec, run_specs
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import ReplicationPlan, plan_replication
@@ -51,10 +48,6 @@ __all__ = [
     "list_experiments",
     "ExperimentResult",
     "ExperimentSpec",
-    # benchmarks
-    "run_benchmarks",
-    "BenchResult",
-    "BenchSpec",
 ]
 
 
@@ -137,21 +130,3 @@ def format_experiment(result: ExperimentResult) -> str:
 def list_experiments() -> dict[str, str]:
     """Experiment id -> one-line description, in registry order."""
     return {name: spec.description for name, spec in REGISTRY.items()}
-
-
-def run_benchmarks(
-    names: list[str] | None = None,
-    *,
-    suite: str = "all",
-    size: float = 1.0,
-    repeats: int | None = None,
-    warmup: int | None = None,
-) -> list[BenchResult]:
-    """Run benchmark suites (see :mod:`repro.bench`) and return results.
-
-    ``names`` restricts to specific benchmarks within the ``suite``
-    (``"micro"``, ``"macro"``, or ``"all"``); ``size`` scales the micro
-    suite's work; ``repeats``/``warmup`` override per-spec counts.
-    """
-    specs = collect_specs(suite, size=size, names=names)
-    return run_specs(specs, repeats=repeats, warmup=warmup)

@@ -241,11 +241,6 @@ class InvariantChecker:
         """Register a chaos-created document for conservation tracking."""
         self._expected_docs.add(doc_id)
 
-    def note_destroyed(self, doc_ids) -> None:
-        """Forget documents the scenario legitimately destroyed (unused by
-        the current action set, but the hook shrinkers need exists)."""
-        self._expected_docs -= set(doc_ids)
-
     @property
     def violated_invariants(self) -> set[str]:
         return {violation.invariant for violation in self.violations}

@@ -40,10 +40,6 @@ class RefineResult:
     moves_applied: int
     swaps_applied: int
 
-    @property
-    def improvement(self) -> float:
-        return self.final_fairness - self.initial_fairness
-
 
 class _State:
     """Cluster load/capacity sums with O(1) move and swap evaluation."""

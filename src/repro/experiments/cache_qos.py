@@ -299,8 +299,8 @@ def run(
     ``scale`` is accepted for CLI uniformity but ignored: the experiment
     uses the fixed multi-cluster OVERLOAD world so saturation is well
     defined and the redirect policy has replica holders to offer.  The
-    phase-length knobs exist for the bench and test suites, which run a
-    shortened crowd; the defaults are the reported experiment.
+    phase-length knobs exist for the test suite, which runs a shortened
+    crowd; the defaults are the reported experiment.
     """
     del scale
     phase_kwargs = dict(

@@ -31,6 +31,7 @@ from repro.transport import Transport
 from repro.transport.wire import (
     WireDecodeError,
     WireFrame,
+    available_codecs,
     decode_frame,
     encode_frame,
 )
@@ -82,6 +83,11 @@ class AsyncioTransport(Transport):
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError(
                 f"loss_probability must be in [0, 1), got {loss_probability}"
+            )
+        if codec not in available_codecs():
+            raise ValueError(
+                f"codec {codec!r} is not usable in this process; "
+                f"available: {', '.join(available_codecs())}"
             )
         self.codec = codec
         self.loss_probability = loss_probability

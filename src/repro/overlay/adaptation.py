@@ -196,14 +196,6 @@ class AdaptationOutcome:
     def bytes_used(self) -> int:
         return self.bytes_after - self.bytes_before
 
-    @property
-    def planned_fairness(self) -> float | None:
-        """Fairness the reassigner projected after its moves (None when
-        the round did not rebalance)."""
-        if self.reassign_result is None:
-            return None
-        return self.reassign_result.final_fairness
-
 
 class AdaptationCoordinator:
     """Runs adaptation rounds against a live :class:`P2PSystem`."""

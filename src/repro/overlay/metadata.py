@@ -141,12 +141,6 @@ class DCRT:
         """
         return sorted(self._entries.items())
 
-    def max_move_counter(self) -> int:
-        """The highest move counter in the table (0 when empty)."""
-        if not self._entries:
-            return 0
-        return max(entry.move_counter for entry in self._entries.values())
-
     def __len__(self) -> int:
         return len(self._entries)
 

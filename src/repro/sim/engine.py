@@ -93,11 +93,6 @@ class Simulator:
         """An owned event was cancelled; keep :meth:`pending` exact."""
         self._live -= 1
 
-    @property
-    def is_quiescent(self) -> bool:
-        """True when no live event is pending (nothing in flight)."""
-        return self._live == 0
-
     def on_quiescence(self, hook: Callable[[], None]) -> Callable[[], None]:
         """Register ``hook`` to fire whenever :meth:`run` reaches quiescence.
 
@@ -184,7 +179,8 @@ class Simulator:
         ----------
         until:
             Stop once the next event would fire after this time (the clock
-            is advanced to ``until``).
+            is advanced to ``until``).  A time before ``now`` raises
+            :class:`SimulationError`: the clock never runs backwards.
         max_events:
             Safety valve against runaway protocols; raises
             :class:`SimulationError` when exceeded.  The budget is checked
@@ -194,6 +190,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}, current time is {self._now}"
+            )
         self._running = True
         trace_log = obs.TRACE
         heappop = heapq.heappop

@@ -194,10 +194,6 @@ class Network:
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._handlers and node_id not in self._crashed
 
-    def registered_nodes(self) -> list[int]:
-        """Sorted ids of all nodes with a handler (alive or crashed)."""
-        return sorted(self._handlers)
-
     def crashed_nodes(self) -> list[int]:
         """Sorted ids of nodes currently marked crashed."""
         return sorted(self._crashed)
@@ -218,17 +214,6 @@ class Network:
 
     def _same_partition(self, a: int, b: int) -> bool:
         return self._partition.get(a, 0) == self._partition.get(b, 0)
-
-    def partition_labels(self) -> dict[int, int]:
-        """A copy of the node -> partition-label map (empty when healed)."""
-        return dict(self._partition)
-
-    def is_partitioned(self) -> bool:
-        """True when registered nodes span more than one partition label."""
-        if not self._partition:
-            return False
-        labels = {self._partition.get(node_id, 0) for node_id in self._handlers}
-        return len(labels) > 1
 
     # ------------------------------------------------------------------
     # scheduled fault controls (chaos harness)

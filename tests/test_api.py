@@ -1,8 +1,13 @@
 """Tests for the repro.api facade."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import api
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestBuildSystem:
@@ -70,14 +75,24 @@ class TestExperiments:
         assert all(description for description in listing.values())
 
 
-class TestBenchmarks:
-    def test_run_benchmarks_subset(self):
-        results = api.run_benchmarks(
-            ["zipf_sampling"], suite="micro", size=0.02, repeats=2, warmup=0
-        )
-        assert [r.name for r in results] == ["zipf_sampling"]
-        assert results[0].repeats == 2
-
+class TestFacade:
     def test_curated_all_resolves(self):
         for name in api.__all__:
             assert getattr(api, name) is not None
+
+    def test_docs_table_lists_exactly_all(self):
+        """The facade table in docs/api.md names ``__all__``, no more, no less:
+        one leading identifier per row, every back-ticked name on the
+        ``re-exports`` row."""
+        text = (REPO / "docs" / "api.md").read_text()
+        section = text.split("## `repro.api`", 1)[1].split("\n## ", 1)[0]
+        listed: list[str] = []
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if not line.startswith("|") or cells[0] in ("name", "---"):
+                continue
+            if cells[0] == "re-exports":
+                listed += re.findall(r"`(\w+)`", cells[1])
+            else:
+                listed.append(re.match(r"`(\w+)", cells[0]).group(1))
+        assert sorted(listed) == sorted(api.__all__)

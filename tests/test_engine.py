@@ -92,6 +92,17 @@ class TestRunBounds:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
+    def test_until_in_the_past_is_rejected_and_clock_holds(self):
+        sim = Simulator()
+        log = []
+        sim.run(until=10.0)
+        sim.schedule(5.0, lambda: log.append(sim.now))
+        with pytest.raises(SimulationError, match="cannot run until 3.0"):
+            sim.run(until=3.0)
+        assert sim.now == 10.0
+        sim.run()
+        assert log == [15.0]
+
     def test_max_events_guard(self):
         sim = Simulator()
 

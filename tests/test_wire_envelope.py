@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from repro.live.__main__ import build_parser
+from repro.live.transport import AsyncioTransport
 from repro.overlay import messages as m
 from repro.overlay.metadata import DCRTEntry
 from repro.transport.wire import (
@@ -146,6 +148,21 @@ def test_msgpack_gated_when_absent():
         pytest.skip("msgpack installed in this environment")
     with pytest.raises(WireError, match="msgpack is not installed"):
         encode_frame(WireFrame(kind="x", src=0, dst=1), codec="msgpack")
+
+
+def test_transport_and_cli_reject_unusable_codec(capsys):
+    """A codec this process cannot speak fails at construction and at
+    argument parsing (exit 2) -- before a socket is bound, not on the
+    first send or the first inbound datagram."""
+    commands = (["node", "--node-id", "0", "--routes", "0:7000"], ["soak"])
+    for codec in sorted({"bson", "msgpack"} - set(available_codecs())):
+        with pytest.raises(ValueError, match="not usable in this process"):
+            AsyncioTransport(codec=codec)
+        for argv in commands:
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([*argv, "--codec", codec])
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 def test_json_always_available():
