@@ -1,4 +1,4 @@
-"""Pure P2P vs hybrid: routing indices and super peers, side by side.
+"""Pure P2P vs hybrid: replicated metadata and super peers, side by side.
 
 Section 3 of the paper leaves the "pure vs hybrid P2P" debate open and
 sketches both readings of its architecture:
@@ -7,14 +7,10 @@ sketches both readings of its architecture:
   document lookups through them (one extra hop, concentrated directory
   load);
 * **replicated metadata** — every node can locate holders (the default in
-  this library);
-* **pure P2P with routing indices** — no holder metadata at all: each
-  node keeps, per neighbour, how many documents of each category are
-  reachable through it (Crespo & Garcia-Molina's compound routing
-  indices) and queries follow the best-goodness neighbour.
+  this library).
 
-This example runs the same content through all three and compares hop
-counts and (for the metadata modes) the directory-load concentration.
+This example runs the same content through both and compares hop counts
+and the directory-load concentration.
 
 Run:  python examples/pure_p2p_search.py
 """
@@ -22,11 +18,8 @@ Run:  python examples/pure_p2p_search.py
 import numpy as np
 
 from repro import api
-from repro.core.popularity import cluster_members
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.overlay.cluster import build_cluster_graph
-from repro.overlay.routing_indices import RoutingIndexOverlay
 
 
 def main() -> None:
@@ -38,7 +31,6 @@ def main() -> None:
     workload = api.make_query_workload(instance, 3000, seed=62)
     rows = []
 
-    # --- metadata modes over the live overlay -------------------------
     for mode in ("replicated", "super_peer"):
         system = api.P2PSystem(
             instance,
@@ -61,45 +53,6 @@ def main() -> None:
                 f"{top_router_share:.2%}",
             )
         )
-
-    # --- pure P2P: routing indices inside one cluster ------------------
-    members = cluster_members(instance, assignment.category_to_cluster)
-    cluster_id = int(np.argmax([len(m) for m in members]))
-    member_list = sorted(members[cluster_id])
-    rng = np.random.default_rng(63)
-    graph = build_cluster_graph(cluster_id, member_list, rng, degree=4)
-    overlay = RoutingIndexOverlay(
-        {n: set(graph.neighbors(n)) for n in graph.members}
-    )
-    for node_id in member_list:
-        counts: dict[int, int] = {}
-        for doc_id in plan.node_docs.get(node_id, ()):
-            for category in instance.documents[doc_id].categories:
-                counts[category] = counts.get(category, 0) + 1
-        overlay.set_local_documents(node_id, counts)
-    iterations = overlay.build_indices()
-
-    categories_here = assignment.categories_in(cluster_id)
-    hops, successes, trials = [], 0, 0
-    for query in workload.queries[:600]:
-        category = query.category_ids[0]
-        if category not in categories_here:
-            continue
-        start = member_list[int(rng.integers(0, len(member_list)))]
-        result = overlay.search(start, category, max_hops=len(member_list))
-        trials += 1
-        if result.found:
-            successes += 1
-            hops.append(result.hops)
-    rows.append(
-        (
-            f"routing indices (cluster {cluster_id}, {iterations} CRI rounds)",
-            f"{successes / max(1, trials):.3f}",
-            f"{np.mean(hops):.2f}" if hops else "-",
-            max(hops) if hops else "-",
-            "n/a",
-        )
-    )
 
     print(
         format_table(

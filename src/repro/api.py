@@ -17,20 +17,18 @@ directly, but most callers want one of two things:
         api.make_query_workload(system.instance, 1000, seed=13)
     )
     result = api.run_experiment("F2", scale=0.05)
-    print(api.format_experiment(result))
+    print(api.format_experiment("F2", result))
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import ReplicationPlan, plan_replication
-from repro.experiments import REGISTRY, ExperimentResult, ExperimentSpec
+from repro.core.replication import build_world
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import describe
 from repro.model.system import SystemConfig, SystemInstance
-from repro.model.system import build_system as build_instance
-from repro.model.workload import make_query_workload, zipf_category_scenario
+from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
 __all__ = [
@@ -46,34 +44,7 @@ __all__ = [
     "run_experiment",
     "format_experiment",
     "list_experiments",
-    "ExperimentResult",
-    "ExperimentSpec",
 ]
-
-
-def build_world(
-    config: SystemConfig | None = None,
-    *,
-    scale: float = 0.02,
-    seed: int = 7,
-    n_reps: int = 2,
-    hot_mass: float = 0.35,
-) -> tuple[SystemInstance, Any, ReplicationPlan]:
-    """``(instance, assignment, plan)`` — the balanced-world pipeline.
-
-    Builds the instance (from an explicit :class:`SystemConfig`, or the
-    paper's Zipf scenario at ``scale``/``seed`` when ``config`` is None),
-    balances categories over clusters with MaxFair, and plans replication
-    per Section 4.3.3.
-    """
-    if config is not None:
-        instance = build_instance(config)
-    else:
-        instance = zipf_category_scenario(scale=scale, seed=seed)
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=n_reps, hot_mass=hot_mass)
-    return instance, assignment, plan
 
 
 def build_system(
@@ -108,25 +79,30 @@ def build_system(
     )
 
 
-def run_experiment(name: str, **params: Any) -> ExperimentResult:
-    """Run a registered experiment by id (``"F2"``, ``"fuzz"``, ...).
-
-    ``params`` must match the experiment's ``params_cls`` fields; unknown
-    names raise :class:`TypeError`, unknown ids :class:`ValueError`.
-    """
-    spec = REGISTRY.get(name.upper())
-    if spec is None:
+def _experiment(name: str):
+    module = EXPERIMENTS.get(name.upper())
+    if module is None:
         raise ValueError(
-            f"unknown experiment {name!r}; known ids: {', '.join(REGISTRY)}"
+            f"unknown experiment {name!r}; known ids: {', '.join(EXPERIMENTS)}"
         )
-    return spec.call(**params)
+    return module
 
 
-def format_experiment(result: ExperimentResult) -> str:
-    """Render an :class:`ExperimentResult` the way the CLI would."""
-    return REGISTRY[result.name].format_result(result)
+def run_experiment(name: str, **params: Any) -> Any:
+    """Run an experiment by id (``"F2"``, ``"fuzz"``, ...).
+
+    Returns the module's own result dataclass.  ``params`` are the named
+    parameters of its ``run``; an unknown name raises :class:`TypeError`,
+    an unknown id :class:`ValueError`.
+    """
+    return _experiment(name).run(**params)
+
+
+def format_experiment(name: str, result: Any) -> str:
+    """Render a :func:`run_experiment` result the way the CLI would."""
+    return _experiment(name).format_result(result)
 
 
 def list_experiments() -> dict[str, str]:
     """Experiment id -> one-line description, in registry order."""
-    return {name: spec.description for name, spec in REGISTRY.items()}
+    return {name: describe(module) for name, module in EXPERIMENTS.items()}

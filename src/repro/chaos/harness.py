@@ -23,11 +23,9 @@ from repro import obs
 from repro.chaos.invariants import InvariantChecker, Violation
 from repro.chaos.scenario import Schedule, ScenarioConfig
 from repro.content import ContentConfig
-from repro.core.maxfair import maxfair
+from repro.core.replication import build_world
 from repro.durability import DurabilityConfig
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
-from repro.model.system import SystemConfig, build_system
+from repro.model.system import SystemConfig
 from repro.model.workload import Query, QueryWorkload, make_query_workload
 from repro.overlay.adaptation import broadcast_notice, plan_category_move
 from repro.overlay.metadata import DCRTEntry
@@ -97,7 +95,7 @@ class ChaosRunner:
         self.check_invariants = check_invariants
         config = self.config
 
-        self.instance = build_system(
+        self.instance, assignment, plan = build_world(
             SystemConfig(
                 n_docs=config.n_docs,
                 n_nodes=config.n_nodes,
@@ -105,12 +103,8 @@ class ChaosRunner:
                 n_clusters=config.n_clusters,
                 doc_size_bytes=config.doc_size_bytes,
                 seed=schedule.seed,
-            )
-        )
-        stats = build_category_stats(self.instance)
-        assignment = maxfair(self.instance, stats=stats)
-        plan = plan_replication(
-            self.instance, assignment, n_reps=config.n_reps, hot_mass=0.35
+            ),
+            n_reps=config.n_reps,
         )
         features = config.features
         if "overload" in features:

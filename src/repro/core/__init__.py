@@ -11,7 +11,8 @@ This subpackage holds the paper's algorithmic heart:
 * :mod:`repro.core.maxfair` — the greedy MaxFair assignment algorithm;
 * :mod:`repro.core.reassign` — the MaxFair_Reassign rebalancing algorithm;
 * :mod:`repro.core.replication` — the Section 4.3.3 replica-placement
-  policy for intra-cluster load balancing;
+  policy for intra-cluster load balancing, and :func:`build_world`, the
+  instance -> stats -> MaxFair -> plan pipeline every world is built by;
 * :mod:`repro.core.partition` — the formal ICLB decision problem, an
   exhaustive solver for small instances, and the PARTITION reduction used
   in the NP-completeness proof sketch;
@@ -33,13 +34,14 @@ from repro.core.popularity import (
     normalized_cluster_popularities,
 )
 from repro.core.reassign import ReassignResult, maxfair_reassign
-from repro.core.replication import ReplicationPlan, plan_replication
+from repro.core.replication import ReplicationPlan, build_world, plan_replication
 
 __all__ = [
     "Assignment",
     "ClusterModel",
     "ReassignResult",
     "ReplicationPlan",
+    "build_world",
     "coefficient_of_variation",
     "gini",
     "jain_fairness",

@@ -26,12 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.fairness import jain_fairness
-from repro.core.maxfair import Assignment
-from repro.core.popularity import cluster_members
-from repro.model.system import SystemInstance
+from repro.core.maxfair import Assignment, maxfair
+from repro.core.popularity import build_category_stats, cluster_members
+from repro.model.system import SystemConfig, SystemInstance, build_system
+from repro.model.workload import zipf_category_scenario
 from repro.model.zipf import top_mass_count
 
-__all__ = ["ReplicationPlan", "plan_replication", "category_storage_requirement"]
+__all__ = [
+    "ReplicationPlan",
+    "plan_replication",
+    "category_storage_requirement",
+    "build_world",
+]
 
 
 def category_storage_requirement(
@@ -310,3 +316,43 @@ def plan_replication(
                     policy=policy,
                 )
     return plan
+
+
+def build_world(
+    source: SystemConfig | SystemInstance | None = None,
+    *,
+    scale: float = 0.02,
+    seed: int = 7,
+    n_reps: int = 2,
+    hot_mass: float = 0.35,
+    exclude_free_riders: bool = False,
+) -> tuple[SystemInstance, Assignment, ReplicationPlan]:
+    """``(instance, assignment, plan)`` — the balanced-world pipeline.
+
+    The one place the instance -> category statistics -> MaxFair ->
+    replication-plan sequence is written: every experiment arm, the chaos
+    harness and :func:`repro.api.build_system` build their worlds here, so
+    two arms of a comparison differ only in what their caller changes.
+
+    ``source`` is a :class:`SystemConfig` to build from, an already built
+    (and possibly altered, e.g. free riders designated)
+    :class:`SystemInstance`, or None for the paper's Zipf scenario at
+    ``scale``/``seed``.  ``n_reps``, ``hot_mass`` and
+    ``exclude_free_riders`` go to :func:`plan_replication` unchanged.
+    """
+    if source is None:
+        instance = zipf_category_scenario(scale=scale, seed=seed)
+    elif isinstance(source, SystemConfig):
+        instance = build_system(source)
+    else:
+        instance = source
+    stats = build_category_stats(instance)
+    assignment = maxfair(instance, stats=stats)
+    plan = plan_replication(
+        instance,
+        assignment,
+        n_reps=n_reps,
+        hot_mass=hot_mass,
+        exclude_free_riders=exclude_free_riders,
+    )
+    return instance, assignment, plan

@@ -24,7 +24,10 @@
 | RECOVERY | crash/restart durability, persistence on/off (no fig.) | ``recovery`` |
 
 The X rows implement the paper's explicit future-work items ("fw").
-Each module exposes ``run(...) -> <Result>`` and ``format_result(result)``.
+An experiment is a plain module: ``run(**named parameters, all with
+defaults) -> its own result dataclass``, ``format_result(result) -> str``,
+an optional ``smoke()`` (the CI gate: runs, prints, raises on a failed
+check), and a docstring whose first line is its one-line description.
 The CLI front door is :mod:`repro.experiments.runner` (installed as
 ``repro-experiments``); the benchmarks in ``benchmarks/`` call the same
 ``run`` functions.
@@ -53,13 +56,8 @@ from repro.experiments import (  # noqa: F401  (re-exported for discovery)
     storage,
 )
 
-from repro.experiments.registry import (  # noqa: F401  (re-exported)
-    ExperimentResult,
-    ExperimentSpec,
-    build_registry,
-)
-
-#: experiment id -> module, used by the CLI and by tests.
+#: experiment id -> module: the one registry.  The CLI, the :mod:`repro.api`
+#: facade and the tests all dispatch through it.
 EXPERIMENTS = {
     "F2": figure2,
     "F3": figure3,
@@ -83,14 +81,4 @@ EXPERIMENTS = {
     "RECOVERY": recovery,
 }
 
-#: experiment id -> :class:`ExperimentSpec`; the CLI and the
-#: :mod:`repro.api` facade dispatch through this, not through modules.
-REGISTRY = build_registry(EXPERIMENTS)
-
-__all__ = [
-    "EXPERIMENTS",
-    "REGISTRY",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "build_registry",
-]
+__all__ = ["EXPERIMENTS"]

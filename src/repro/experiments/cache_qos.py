@@ -33,13 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
-from repro.experiments.registry import experiment_spec, require
+from repro.core.replication import build_world
+from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.model.system import SystemConfig, build_system
+from repro.model.system import SystemConfig
 from repro.model.workload import Query, QueryWorkload, make_query_workload
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
@@ -133,10 +131,7 @@ class CacheQosResult:
 
 
 def _build_world(seed: int, adaptive: bool):
-    instance = build_system(SystemConfig(seed=seed, **_WORLD))
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
+    instance, assignment, plan = build_world(SystemConfig(seed=seed, **_WORLD))
     reliability = ReliabilityConfig(
         enabled=True,
         retry_budget_ratio=0.5,
@@ -286,7 +281,6 @@ def _measure_arm(
 
 
 def run(
-    scale: float | None = None,
     seed: int = 7,
     slo: float = DEFAULT_SLO,
     crowd_chunks: int = CROWD_CHUNKS,
@@ -296,13 +290,12 @@ def run(
 ) -> CacheQosResult:
     """Run both arms over identical worlds and crowd traffic.
 
-    ``scale`` is accepted for CLI uniformity but ignored: the experiment
-    uses the fixed multi-cluster OVERLOAD world so saturation is well
-    defined and the redirect policy has replica holders to offer.  The
-    phase-length knobs exist for the test suite, which runs a shortened
-    crowd; the defaults are the reported experiment.
+    There is no ``scale``: the experiment uses the fixed multi-cluster
+    OVERLOAD world so saturation is well defined and the redirect policy
+    has replica holders to offer.  The phase-length knobs exist for the
+    test suite, which runs a shortened crowd; the defaults are the
+    reported experiment.
     """
-    del scale
     phase_kwargs = dict(
         crowd_chunks=crowd_chunks,
         chunk_window=chunk_window,
@@ -390,11 +383,3 @@ def smoke() -> None:
         adaptive.replicas_final == adaptive.replicas_baseline == 0,
         "replica set did not return to baseline after the crowd",
     )
-
-
-EXPERIMENT = experiment_spec(
-    name="CACHE-QOS",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -22,14 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fairness import jain_fairness
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
+from repro.core.replication import build_world
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_table
-from repro.model.workload import make_query_workload, zipf_category_scenario
+from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem, P2PSystemConfig
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["CacheRow", "CachingResult", "run", "format_result"]
 
@@ -60,11 +57,8 @@ def run(
     """Sweep the cache capacity under a fixed Zipf workload."""
     if scale is None:
         scale = des_scale()
-    instance = zipf_category_scenario(scale=scale, seed=seed)
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
     # No hot-mass replication: caching is the only hot-content spreader.
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.0)
+    instance, assignment, plan = build_world(scale=scale, seed=seed, hot_mass=0.0)
     workload = make_query_workload(instance, n_queries, seed=seed + 1)
 
     rows = []
@@ -118,10 +112,3 @@ def format_result(result: CachingResult) -> str:
             f"scale = {result.scale}"
         ),
     )
-
-EXPERIMENT = experiment_spec(
-    name="X2",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -26,13 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.maxfair import achieved_fairness, maxfair
-from repro.core.popularity import build_category_stats, cluster_members
-from repro.core.replication import plan_replication
+from repro.core.maxfair import achieved_fairness
+from repro.core.popularity import cluster_members
+from repro.core.replication import build_world
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_table
-from repro.model.system import SystemConfig, build_system
-from repro.experiments.registry import experiment_spec
+from repro.model.system import SystemConfig
 
 __all__ = ["ConfigRow", "ClusterConfigResult", "run", "format_result"]
 
@@ -72,10 +71,8 @@ def run(
     for paper_count in cluster_counts:
         n_clusters = max(2, round(paper_count * scale))
         config = replace(base, n_clusters=n_clusters)
-        instance = build_system(config)
-        stats = build_category_stats(instance)
-        assignment = maxfair(instance, stats=stats)
-        fairness = achieved_fairness(instance, assignment, stats=stats)
+        instance, assignment, plan = build_world(config)
+        fairness = achieved_fairness(instance, assignment)
 
         members = cluster_members(instance, assignment.category_to_cluster)
         sizes = np.array([len(m) for m in members if m], dtype=float)
@@ -86,7 +83,6 @@ def run(
         category_bytes = docs_per_category * config.doc_size_bytes * 2
         mean_transfer = category_bytes / max(1.0, sizes.mean())
 
-        plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
         node_storage = np.array(list(plan.node_bytes.values()), dtype=float)
 
         rows.append(
@@ -134,10 +130,3 @@ def format_result(result: ClusterConfigResult) -> str:
             f"(future-work item ii), scale = {result.scale}"
         ),
     )
-
-EXPERIMENT = experiment_spec(
-    name="X1",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

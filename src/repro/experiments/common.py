@@ -21,6 +21,8 @@ from repro.core.maxfair import Assignment
 from repro.core.popularity import CategoryStats
 
 __all__ = [
+    "require",
+    "describe",
     "default_scale",
     "des_scale",
     "add_shared_arguments",
@@ -34,6 +36,20 @@ __all__ = [
 _ALGO_SCALE = 0.25
 #: default scale for the discrete-event experiments (E1-E3).
 _DES_SCALE = 0.05
+
+
+def require(condition: bool, message: object) -> None:
+    """One gate of an experiment's ``smoke()`` run (the CI entry point).
+
+    Raises instead of asserting, so ``python -O`` cannot skip a gate.
+    """
+    if not condition:
+        raise AssertionError(message)
+
+
+def describe(module) -> str:
+    """An experiment's one-line description: its docstring's first line."""
+    return module.__doc__.strip().splitlines()[0].strip()
 
 
 def default_scale() -> float:
@@ -97,21 +113,31 @@ def add_shared_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the fuzz-only flags.
 
     The seed-count flag is ``--fuzz-seeds`` (distinct from the shared
-    ``--seed``, the first seed of the sweep).
+    ``--seed``, the first seed of the sweep).  A sweep of no seeds or no
+    steps would print ``0/0 seeds failing`` and turn a CI gate green
+    without running anything, so both counts are rejected below 1 (exit 2,
+    the message names the flag).
     """
     parser.add_argument(
         "--fuzz-seeds",
-        type=int,
+        type=_positive_int,
         default=10,
         help="fuzz only: number of consecutive seeds to run (from --seed)",
     )
     parser.add_argument(
         "--steps",
-        type=int,
+        type=_positive_int,
         default=None,
         help="fuzz only: scheduled fault-injection steps per seed",
     )

@@ -23,17 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fairness import jain_fairness
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
+from repro.core.replication import build_world
 from repro.experiments.common import des_scale
 from repro.baselines import ChordNetwork, GnutellaNetwork, HybridIndexNetwork
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.model.workload import make_query_workload, zipf_category_scenario
+from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem
 from repro.sim.rng import RngRegistry
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["SystemRow", "ComparisonResult", "run", "format_result"]
 
@@ -97,16 +94,13 @@ def run(
     if scale is None:
         scale = des_scale()
     rngs = RngRegistry(root_seed=seed)
-    instance = zipf_category_scenario(scale=scale, seed=seed)
+    instance, assignment, plan = build_world(scale=scale, seed=seed)
     workload = make_query_workload(instance, n_queries, seed=seed + 1)
     doc_stream = [q.target_doc_id for q in workload]
     contributors = set(instance.node_categories)
     rows = []
 
     # --- the paper's clustered architecture --------------------------
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
     system = P2PSystem(instance, assignment, plan=plan)
     outcomes = system.run_workload(workload)
     response = summarize_responses(outcomes)
@@ -287,10 +281,3 @@ def format_result(result: ComparisonResult) -> str:
             )
         )
     return "\n\n".join(parts)
-
-EXPERIMENT = experiment_spec(
-    name="E1",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

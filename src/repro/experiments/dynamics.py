@@ -25,18 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
+from repro.core.replication import build_world
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.model.workload import add_hot_documents, make_query_workload, zipf_category_scenario
+from repro.model.workload import add_hot_documents, make_query_workload
 from repro.overlay.adaptation import AdaptationConfig
 from repro.overlay.epidemic import dcrt_convergence
 from repro.overlay.peer import DocInfo
 from repro.overlay.system import P2PSystem
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["DynamicsRound", "DynamicsResult", "run", "format_result"]
 
@@ -78,10 +75,7 @@ def run(
     """Run the full dynamics scenario; returns the per-round trace."""
     if scale is None:
         scale = des_scale()
-    instance = zipf_category_scenario(scale=scale, seed=seed)
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
+    instance, assignment, plan = build_world(scale=scale, seed=seed)
     system = P2PSystem(instance, assignment, plan=plan)
     config = AdaptationConfig(
         low_threshold=low_threshold, high_threshold=high_threshold
@@ -186,10 +180,3 @@ def format_result(result: DynamicsResult) -> str:
             f"agreement {result.final_dcrt_agreement:.3f}), scale = {result.scale}"
         ),
     )
-
-EXPERIMENT = experiment_spec(
-    name="E3",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

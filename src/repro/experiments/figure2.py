@@ -20,7 +20,6 @@ from repro.core.popularity import build_category_stats, normalized_cluster_popul
 from repro.experiments.common import default_scale
 from repro.metrics.report import format_series
 from repro.model.workload import zipf_category_scenario
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["Figure2Result", "run", "format_result"]
 
@@ -65,10 +64,3 @@ def format_result(result: Figure2Result) -> str:
         f"(paper: {result.paper_fairness:.6f}), scale = {result.scale}"
     )
     return format_series("cluster id", "normalized popularity", points, title=header)
-
-EXPERIMENT = experiment_spec(
-    name="F2",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -30,7 +30,6 @@ from repro.experiments.common import (
 )
 from repro.metrics.report import format_table
 from repro.model.workload import add_hot_documents, zipf_category_scenario
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["Figure4Point", "Figure4Result", "run", "format_result"]
 
@@ -122,10 +121,3 @@ def format_result(result: Figure4Result) -> str:
     return format_table(
         ["theta", "initial fairness", "final fairness"], rows, title=header
     )
-
-EXPERIMENT = experiment_spec(
-    name="F4",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -21,7 +21,6 @@ from repro.core.reassign import maxfair_reassign_from_stats
 from repro.experiments.common import default_scale
 from repro.metrics.report import format_table
 from repro.model.workload import add_hot_documents, zipf_category_scenario
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["Figure5Run", "Figure5Result", "run", "format_result"]
 
@@ -136,10 +135,3 @@ def format_result(result: Figure5Result) -> str:
         f"scale = {result.scale}"
     )
     return format_table(headers, rows, title=header)
-
-EXPERIMENT = experiment_spec(
-    name="F5",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -29,7 +29,6 @@ from repro.chaos import (
     run_schedule,
     shrink,
 )
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["FuzzResult", "run", "format_result"]
 
@@ -74,7 +73,6 @@ def run(
     check_invariants: bool = True,
     shrink_failing: bool = True,
     features: frozenset[str] = frozenset(),
-    scale: float | None = None,
 ) -> FuzzResult:
     """Fuzz ``seeds`` consecutive seeds starting at ``seed``.
 
@@ -84,12 +82,18 @@ def run(
     its own RNG stream, so a seed's default entries are the same under
     every feature set.
 
-    ``scale`` is accepted for CLI uniformity but ignored: the chaos world
-    uses a fixed multi-cluster configuration — paper-scale knobs collapse
-    to one cluster at fuzz-friendly sizes, which would make the ownership
-    and rebalance invariants vacuous.
+    There is no ``scale``: the chaos world uses a fixed multi-cluster
+    configuration — paper-scale knobs collapse to one cluster at
+    fuzz-friendly sizes, which would make the ownership and rebalance
+    invariants vacuous.
+
+    A sweep that runs nothing must not read as a clean one, so
+    ``seeds < 1`` or ``steps < 1`` raises :class:`ValueError`.
     """
-    del scale
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     kwargs = {} if steps is None else {"n_steps": steps}
     config = ScenarioConfig(features=features, **kwargs)
     result = FuzzResult(
@@ -147,10 +151,3 @@ def format_result(result: FuzzResult) -> str:
         lines.append("")
         lines.append(result.minimal_repro)
     return "\n".join(lines)
-
-EXPERIMENT = experiment_spec(
-    name="FUZZ",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

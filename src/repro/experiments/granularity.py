@@ -30,7 +30,6 @@ from repro.core.reassign import maxfair_reassign_from_stats
 from repro.experiments.common import default_scale
 from repro.metrics.report import format_table
 from repro.model.workload import add_hot_documents, zipf_category_scenario
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["GranularityRow", "GranularityResult", "run", "format_result"]
 
@@ -187,10 +186,3 @@ def format_result(result: GranularityResult) -> str:
             f"scale = {result.scale}"
         ),
     )
-
-EXPERIMENT = experiment_spec(
-    name="X3",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.chaos.scenario import ScenarioConfig
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import Schedule
-from repro.experiments.registry import experiment_spec, require
+from repro.experiments.common import require
 from repro.metrics.report import format_table
 
 __all__ = ["HealRow", "HealResult", "measure", "run", "format_result"]
@@ -269,11 +269,3 @@ def smoke() -> None:
     require(on.success_rate >= 0.99, f"healing-on success {on.success_rate}")
     require(off.success_rate < 0.90, f"healing-off success {off.success_rate}")
     require(on.heal_fetches > 0, "healer never fetched")
-
-
-EXPERIMENT = experiment_spec(
-    name="HEAL",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

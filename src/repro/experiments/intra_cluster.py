@@ -23,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fairness import jain_fairness
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats, cluster_members
-from repro.core.replication import plan_replication
+from repro.core.popularity import cluster_members
+from repro.core.replication import build_world, plan_replication
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_table
-from repro.model.workload import make_query_workload, zipf_category_scenario
+from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["IntraClusterRow", "IntraClusterResult", "run", "format_result"]
 
@@ -73,10 +71,9 @@ def run(
         scale = des_scale()
     rows = []
     for hot_mass in hot_masses:
-        instance = zipf_category_scenario(scale=scale, seed=seed)
-        stats = build_category_stats(instance)
-        assignment = maxfair(instance, stats=stats)
-        plan = plan_replication(instance, assignment, n_reps=2, hot_mass=hot_mass)
+        instance, assignment, plan = build_world(
+            scale=scale, seed=seed, hot_mass=hot_mass
+        )
 
         # Expected: average per-cluster fairness of placement-implied load.
         expected = np.mean(
@@ -117,9 +114,7 @@ def run(
     # Future-work item (vii): compare the paper's policy with
     # space-efficient alternatives under (about) the same replica budget.
     policy_rows = []
-    policy_instance = zipf_category_scenario(scale=scale, seed=seed)
-    policy_stats = build_category_stats(policy_instance)
-    policy_assignment = maxfair(policy_instance, stats=policy_stats)
+    policy_instance, policy_assignment, _ = build_world(scale=scale, seed=seed)
     for policy in ("hot_mass", "uniform", "sqrt", "proportional"):
         plan = plan_replication(
             policy_instance, policy_assignment, n_reps=2, policy=policy
@@ -179,10 +174,3 @@ def format_result(result: IntraClusterResult) -> str:
             )
         )
     return "\n\n".join(parts)
-
-EXPERIMENT = experiment_spec(
-    name="E2",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

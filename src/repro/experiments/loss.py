@@ -20,16 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
+from repro.core.replication import build_world
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.model.workload import make_query_workload, zipf_category_scenario
+from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["LossRow", "LossResult", "measure", "run", "format_result"]
 
@@ -83,11 +80,8 @@ def measure(
     Builds a fresh world each call so the two arms of a sweep point are
     identical except for the reliability switch.
     """
-    instance = zipf_category_scenario(scale=scale, seed=seed)
+    instance, assignment, plan = build_world(scale=scale, seed=seed)
     workload = make_query_workload(instance, n_queries, seed=seed + 1)
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
     system = P2PSystem(
         instance,
         assignment,
@@ -177,10 +171,3 @@ def format_result(result: LossResult) -> str:
             f"(scale={result.scale}, {result.n_queries} queries per cell)"
         ),
     )
-
-EXPERIMENT = experiment_spec(
-    name="LOSS",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

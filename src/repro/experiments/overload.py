@@ -31,10 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
-from repro.experiments.registry import experiment_spec, require
+from repro.core.replication import build_world
+from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
@@ -142,11 +140,10 @@ class OverloadResult:
 
 
 def _build_world(seed: int, protected: bool):
-    instance = build_system(SystemConfig(seed=seed, **_WORLD))
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
     # Replicate aggressively: the redirect policy needs alternate holders.
-    plan = plan_replication(instance, assignment, n_reps=3, hot_mass=0.5)
+    instance, assignment, plan = build_world(
+        SystemConfig(seed=seed, **_WORLD), n_reps=3, hot_mass=0.5
+    )
     if protected:
         reliability = ReliabilityConfig(
             enabled=True,
@@ -238,7 +235,6 @@ def measure(
 
 
 def run(
-    scale: float | None = None,
     seed: int = 7,
     loads: tuple[float, ...] = LOAD_SETTINGS,
     window: float = DEFAULT_WINDOW,
@@ -246,11 +242,10 @@ def run(
 ) -> OverloadResult:
     """Sweep offered load x {unprotected, protected}.
 
-    ``scale`` is accepted for CLI uniformity but ignored: the sweep uses
-    a fixed multi-cluster world so saturation is well-defined and the
-    redirect policy always has replica holders to offer.
+    There is no ``scale``: the sweep uses a fixed multi-cluster world so
+    saturation is well-defined and the redirect policy always has replica
+    holders to offer.
     """
-    del scale
     instance = build_system(SystemConfig(seed=seed, **_WORLD))
     capacity = sum(node.capacity_units for node in instance.nodes.values())
     rows = []
@@ -327,11 +322,3 @@ def smoke() -> None:
     print(format_result(result))
     require(any(row.protected for row in result.rows), "no protected rows measured")
     require(result.peak_goodput(True) > 0, "protected goodput is zero")
-
-
-EXPERIMENT = experiment_spec(
-    name="OVERLOAD",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -19,15 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
+from repro.core.replication import build_world
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_kv
-from repro.model.workload import make_query_workload, zipf_category_scenario
+from repro.model.workload import make_query_workload
 from repro.overlay.rebalance import rebalance_cost
 from repro.overlay.system import P2PSystem
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["RebalanceCostResult", "run", "format_result"]
 
@@ -66,10 +63,7 @@ def run(scale: float | None = None, seed: int = 7) -> RebalanceCostResult:
     )
 
     # --- simulated execution ----------------------------------------
-    instance = zipf_category_scenario(scale=scale, seed=seed)
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
+    instance, assignment, plan = build_world(scale=scale, seed=seed)
     system = P2PSystem(instance, assignment, plan=plan)
 
     # Drive a little traffic so hit counters are populated, then force a
@@ -120,10 +114,3 @@ def format_result(result: RebalanceCostResult) -> str:
         ("simulated engaged fraction", f"{result.sim_engaged_fraction:.3%}"),
     ]
     return format_kv(rows, title="T3 — Section 6.1.3 rebalancing-cost example")
-
-EXPERIMENT = experiment_spec(
-    name="T3",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

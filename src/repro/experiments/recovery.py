@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import ScenarioConfig, Schedule
-from repro.experiments.registry import experiment_spec, require
+from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.overlay.metadata import DCRTEntry
 
@@ -279,11 +279,3 @@ def smoke() -> None:
     require(off.docs_lost == off.sole_docs, "persistence-off kept a sole doc")
     require(on.divergent_after == 0, "reconciliation left dissenters")
     require(off.divergent_after > 0, "off-arm divergence healed without epochs")
-
-
-EXPERIMENT = experiment_spec(
-    name="RECOVERY",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -9,23 +9,25 @@ Installed as ``repro-experiments``; also runnable as
     repro-experiments fuzz --fuzz-seeds 25 --check-invariants
     REPRO_SCALE=1.0 repro-experiments F2     # full paper scale
 
-Dispatch goes through the :data:`repro.experiments.REGISTRY` of
-:class:`~repro.experiments.registry.ExperimentSpec` objects; the shared
-flags are defined once in :mod:`repro.experiments.common`.
+Dispatch goes through :data:`repro.experiments.EXPERIMENTS` (id ->
+module) and each module's ``run`` signature; the shared flags are defined
+once in :mod:`repro.experiments.common`.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 
 from repro import obs
 from repro.chaos import parse_features
-from repro.experiments import REGISTRY
+from repro.experiments import EXPERIMENTS
 from repro.experiments.common import (
     add_fuzz_arguments,
     add_shared_arguments,
+    describe,
     precheck_output_path,
 )
 
@@ -54,19 +56,28 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list or not args.experiments:
         print("available experiments:")
-        for exp_id, spec in REGISTRY.items():
-            print(f"  {exp_id:4s} {spec.description}")
+        for exp_id, module in EXPERIMENTS.items():
+            print(f"  {exp_id:4s} {describe(module)}")
         return 0
 
     wanted = (
-        list(REGISTRY)
+        list(EXPERIMENTS)
         if [e.lower() for e in args.experiments] == ["all"]
         else [e.upper() for e in args.experiments]
     )
-    unknown = [e for e in wanted if e not in REGISTRY]
+    unknown = [e for e in wanted if e not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known ids: {', '.join(REGISTRY)}", file=sys.stderr)
+        print(f"known ids: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+
+    # A fuzz gate whose features were silently dropped would pass vacuously.
+    if args.features and "FUZZ" not in wanted:
+        print(
+            "--features applies to fuzz only, and fuzz is not among the "
+            f"requested experiments ({', '.join(wanted)})",
+            file=sys.stderr,
+        )
         return 2
 
     try:
@@ -93,12 +104,13 @@ def main(argv: list[str] | None = None) -> int:
     fuzz_failed = False
     try:
         for exp_id in wanted:
-            spec = REGISTRY[exp_id]
+            module = EXPERIMENTS[exp_id]
+            accepted = inspect.signature(module.run).parameters
             started = time.perf_counter()
             kwargs = {}
-            if args.scale is not None and spec.accepts("scale"):
+            if args.scale is not None and "scale" in accepted:
                 kwargs["scale"] = args.scale
-            if spec.accepts("seed"):
+            if "seed" in accepted:
                 kwargs["seed"] = args.seed
             if exp_id == "FUZZ":
                 kwargs["seeds"] = args.fuzz_seeds
@@ -107,16 +119,16 @@ def main(argv: list[str] | None = None) -> int:
                 if args.steps is not None:
                     kwargs["steps"] = args.steps
             with obs.Timer(obs.histogram(f"experiment.{exp_id.lower()}_s")):
-                result = spec.call(**kwargs)
+                result = module.run(**kwargs)
             elapsed = time.perf_counter() - started
-            print(spec.format_result(result))
+            print(module.format_result(result))
             print(f"[{exp_id} completed in {elapsed:.1f}s]")
             print()
-            if exp_id == "FUZZ" and result.raw.failing_seeds:
+            if exp_id == "FUZZ" and result.failing_seeds:
                 fuzz_failed = True
-                if args.repro_out is not None and result.raw.minimal_repro:
+                if args.repro_out is not None and result.minimal_repro:
                     with open(args.repro_out, "w", encoding="utf-8") as handle:
-                        handle.write(result.raw.minimal_repro)
+                        handle.write(result.minimal_repro)
                     print(f"[fuzz reproducer -> {args.repro_out}]")
         if args.metrics_out is not None:
             lines = obs.dump_jsonl(

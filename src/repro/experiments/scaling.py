@@ -27,7 +27,6 @@ from repro.core.popularity import build_category_stats
 from repro.experiments.common import default_scale
 from repro.metrics.report import format_table
 from repro.model.system import SystemConfig, build_system
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["ScalingCell", "ScalingResult", "run", "format_result"]
 
@@ -154,10 +153,3 @@ def format_result(result: ScalingResult) -> str:
         ),
     ]
     return "\n\n".join(parts)
-
-EXPERIMENT = experiment_spec(
-    name="T1",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 
 from repro.chaos.invariants import InvariantChecker
 from repro.core.fairness import jain_fairness
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import plan_replication
-from repro.experiments.registry import experiment_spec, require
+from repro.core.replication import build_world
+from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
@@ -108,16 +106,13 @@ def _apply_control(system, spec, control) -> None:
 
 def run(
     seed: int = 7,
-    scale: float | None = None,
     check_invariants: bool = True,
 ) -> ScenarioResult:
     """Run the standard 4-spec matrix; see the module docstring.
 
-    ``scale`` is accepted for CLI uniformity but ignored: the scenario
-    world uses a fixed multi-cluster configuration so ownership and
-    integrity invariants stay meaningful.
+    There is no ``scale``: the scenario world uses a fixed multi-cluster
+    configuration so ownership and integrity invariants stay meaningful.
     """
-    del scale
     matrix = standard_matrix(seed=seed)
     result = ScenarioResult(
         seed=seed, n_specs=len(matrix), n_phases=_N_PHASES, violations=0
@@ -128,14 +123,8 @@ def run(
             designate_free_riders(
                 instance, spec.free_riders.fraction, spec.seed
             )
-        stats = build_category_stats(instance)
-        assignment = maxfair(instance, stats=stats)
-        plan = plan_replication(
-            instance,
-            assignment,
-            n_reps=2,
-            hot_mass=0.35,
-            exclude_free_riders=spec.free_riders is not None,
+        _, assignment, plan = build_world(
+            instance, exclude_free_riders=spec.free_riders is not None
         )
         system = P2PSystem(
             instance,
@@ -248,11 +237,3 @@ def smoke() -> None:
     require(result.violations == 0, result.violation_details)
     require(all(n > 0 for n in result.n_queries), "a phase issued no queries")
     require(all(g > 0 for g in result.goodput), "a phase served nothing")
-
-
-EXPERIMENT = experiment_spec(
-    name="SCENARIO",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

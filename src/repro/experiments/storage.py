@@ -22,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.maxfair import maxfair
-from repro.core.popularity import build_category_stats
-from repro.core.replication import category_storage_requirement, plan_replication
+from repro.core.replication import build_world, category_storage_requirement
 from repro.experiments.common import des_scale
 from repro.metrics.report import format_kv
-from repro.model.workload import zipf_category_scenario
 from repro.model.zipf import expected_top_mass, top_mass_count, zipf_pmf
-from repro.experiments.registry import experiment_spec
 
 __all__ = ["StorageResult", "run", "format_result"]
 
@@ -72,10 +68,7 @@ def run(scale: float | None = None, seed: int = 7) -> StorageResult:
     per_node_total = per_node_per_category * categories_per_cluster  # ~2 GB
 
     # --- simulated placement at reduced scale -----------------------
-    instance = zipf_category_scenario(scale=scale, seed=seed)
-    stats = build_category_stats(instance)
-    assignment = maxfair(instance, stats=stats)
-    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
+    _, _, plan = build_world(scale=scale, seed=seed)
     node_bytes = np.array(list(plan.node_bytes.values()), dtype=np.float64)
     # Jain fairness of stored bytes across nodes that store anything.
     fairness = float(
@@ -112,10 +105,3 @@ def format_result(result: StorageResult) -> str:
         ("simulated storage fairness", f"{result.sim_storage_fairness:.4f}"),
     ]
     return format_kv(rows, title="T2 — Section 4.3.3 storage example")
-
-EXPERIMENT = experiment_spec(
-    name="T2",
-    description=__doc__,
-    run=run,
-    format_result=format_result,
-)

@@ -23,7 +23,6 @@ import sys
 
 from repro.live.node import LiveWorld, parse_routes, run_node
 from repro.live.soak import SoakConfig, run_soak_sync
-from repro.transport.wire import available_codecs
 
 
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated id:port or id:host:port for every node",
     )
     node.add_argument("--loss", type=float, default=0.0)
-    node.add_argument("--codec", default="json", choices=available_codecs())
     node.add_argument("--seed", type=int, default=0)
     node.add_argument("--heartbeat", type=float, default=0.5)
     node.add_argument(
@@ -75,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--queries", type=int, default=500)
     soak.add_argument("--fetches", type=int, default=20)
     soak.add_argument("--loss", type=float, default=0.0)
-    soak.add_argument("--codec", default="json", choices=available_codecs())
     soak.add_argument("--min-success", type=float, default=0.99)
     soak.add_argument("--metrics", default=None, help="JSONL event file")
     soak.add_argument(
@@ -108,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
                 parse_routes(args.routes),
                 _world_from(args),
                 loss=args.loss,
-                codec=args.codec,
                 heartbeat_interval=args.heartbeat,
                 seed=args.seed,
                 state_dir=args.state_dir,
@@ -122,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
             n_queries=args.queries,
             n_fetches=args.fetches,
             loss=args.loss,
-            codec=args.codec,
             kill_restart=not args.no_kill,
             min_success=args.min_success,
             metrics_path=args.metrics,

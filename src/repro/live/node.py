@@ -218,7 +218,6 @@ async def run_node(
     world: LiveWorld,
     *,
     loss: float = 0.0,
-    codec: str = "json",
     heartbeat_interval: float = 0.5,
     seed: int = 0,
     state_dir: str | None = None,
@@ -242,7 +241,7 @@ async def run_node(
         )
     host, port = routes[node_id]
     transport = AsyncioTransport(
-        codec=codec, loss_probability=loss, loss_seed=seed * 31 + node_id
+        loss_probability=loss, loss_seed=seed * 31 + node_id
     )
     await transport.start(host, port)
     transport.set_routes(routes)

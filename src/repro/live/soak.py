@@ -61,7 +61,6 @@ class SoakConfig:
     n_queries: int = 500
     n_fetches: int = 20
     loss: float = 0.0
-    codec: str = "json"
     kill_restart: bool = True
     min_success: float = 0.99
     metrics_path: str | None = None
@@ -209,7 +208,6 @@ def _node_cmd(
         "--doc-bytes", str(world.doc_size_bytes),
         "--chunk-bytes", str(world.chunk_size),
         "--loss", str(config.loss),
-        "--codec", config.codec,
         "--seed", str(config.seed),
         "--heartbeat", str(config.heartbeat_interval),
     ] + (
@@ -259,7 +257,6 @@ async def run_soak(config: SoakConfig) -> dict:
         for node_id in server_ids
     }
     transport = AsyncioTransport(
-        codec=config.codec,
         loss_probability=config.loss,
         loss_seed=config.seed * 31 + client_id,
     )
@@ -494,7 +491,6 @@ async def run_soak(config: SoakConfig) -> dict:
         "restart_recovered_docs": chaos_state["restart_recovered"],
         "restart_probe_ok": chaos_state["restart_served"],
         "loss": config.loss,
-        "codec": config.codec,
         "n_peers": config.n_peers,
         "client_decode_errors": transport.decode_errors,
         "client_messages_sent": transport.stats.messages_sent,

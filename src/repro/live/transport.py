@@ -31,7 +31,6 @@ from repro.transport import Transport
 from repro.transport.wire import (
     WireDecodeError,
     WireFrame,
-    available_codecs,
     decode_frame,
     encode_frame,
 )
@@ -60,10 +59,6 @@ class AsyncioTransport(Transport):
 
     Parameters
     ----------
-    codec:
-        Wire body encoding (``"json"`` always; ``"msgpack"`` when the
-        module is installed — see :func:`repro.transport.wire.
-        available_codecs`).
     loss_probability:
         Probability an *encoded* outbound frame is dropped before it
         reaches the socket (or the local fast path) — deterministic
@@ -76,7 +71,6 @@ class AsyncioTransport(Transport):
     def __init__(
         self,
         *,
-        codec: str = "json",
         loss_probability: float = 0.0,
         loss_seed: int = 0,
     ) -> None:
@@ -84,12 +78,6 @@ class AsyncioTransport(Transport):
             raise ValueError(
                 f"loss_probability must be in [0, 1), got {loss_probability}"
             )
-        if codec not in available_codecs():
-            raise ValueError(
-                f"codec {codec!r} is not usable in this process; "
-                f"available: {', '.join(available_codecs())}"
-            )
-        self.codec = codec
         self.loss_probability = loss_probability
         self._loss_rng = random.Random(loss_seed)
         #: node id -> (host, port) of every known remote endpoint.
@@ -196,8 +184,7 @@ class AsyncioTransport(Transport):
                 size_bytes=size_bytes,
                 delivery_id=delivery_id,
                 attempt=attempt,
-            ),
-            self.codec,
+            )
         )
         if (
             self.loss_probability > 0.0
@@ -210,7 +197,7 @@ class AsyncioTransport(Transport):
             # the full codec round trip so delivery is byte-equivalent
             # to the socket path.
             try:
-                frame = decode_frame(data, self.codec)
+                frame = decode_frame(data)
             except WireDecodeError as exc:  # pragma: no cover - encode bug
                 self.decode_errors += 1
                 self.stats.record_dropped("decode-error")
@@ -237,7 +224,7 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, addr) -> None:
         try:
-            frame = decode_frame(data, self.codec)
+            frame = decode_frame(data)
         except WireDecodeError as exc:
             self.decode_errors += 1
             self.stats.record_dropped("decode-error")

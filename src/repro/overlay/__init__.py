@@ -24,8 +24,6 @@ Implements Section 3 (architecture and query processing) and Section 6
   ``move_counter`` conflict resolution;
 * :mod:`repro.overlay.epidemic` — anti-entropy dissemination of metadata
   updates;
-* :mod:`repro.overlay.routing_indices` — the pure-P2P routing-indices
-  alternative to cluster metadata (after Crespo & Garcia-Molina);
 * :mod:`repro.overlay.cache` — the requester-side document cache
   (LRU/LFU) that registers cached copies as servable holders;
 * :mod:`repro.overlay.replication_manager` — the demand-adaptive

@@ -21,7 +21,6 @@ __all__ = [
     "DocInfo",
     "QueryMessage",
     "QueryResponse",
-    "QueryMiss",
     "Busy",
     "PublishRequest",
     "PublishReply",
@@ -117,15 +116,6 @@ class QueryResponse:
     dcrt_updates: tuple[tuple[int, DCRTEntry], ...] = ()
     #: metadata of the served documents (for requester-side caching).
     doc_infos: tuple[DocInfo, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class QueryMiss:
-    """Signals that a branch of the query exhausted without new results."""
-
-    query_id: int
-    responder_id: int
-    hops: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,7 +54,6 @@ _WIRE_EXPORTS = frozenset(
         "decode_envelope",
         "encode_frame",
         "decode_frame",
-        "available_codecs",
     }
 )
 

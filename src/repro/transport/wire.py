@@ -4,8 +4,7 @@ A frame on the wire is::
 
     4-byte big-endian body length | body
 
-where the body is a codec-encoded (JSON by default, msgpack when
-available and requested) *envelope*::
+where the body is a JSON-encoded *envelope*::
 
     {"schema": "repro.wire/v1", "kind": ..., "src": ..., "dst": ...,
      "size": ..., "delivery_id": ..., "attempt": ..., "payload": ...}
@@ -14,12 +13,9 @@ available and requested) *envelope*::
 record (``{"type": ClassName, "fields": {...}}``), so every protocol
 dataclass that travels through the simulator travels unchanged over
 UDP.  Decoding **fails fast**: an unknown schema tag, a truncated
-header, a length mismatch, codec garbage, or an unregistered payload
-type all raise :class:`WireDecodeError` before any protocol code runs.
-
-msgpack is optional — the container may not ship it — so it is gated:
-requesting ``codec="msgpack"`` without the module raises a clear
-:class:`WireError` instead of an import-time crash.
+header, a length mismatch, a body that is not JSON, or an unregistered
+payload type all raise :class:`WireDecodeError` before any protocol code
+runs.
 """
 
 from __future__ import annotations
@@ -30,11 +26,6 @@ from typing import Any
 
 from repro.overlay.messages import from_wire, to_wire
 
-try:  # optional accelerator; absent in the default container
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - environment-dependent
-    msgpack = None
-
 __all__ = [
     "WIRE_SCHEMA",
     "WireError",
@@ -44,7 +35,6 @@ __all__ = [
     "decode_envelope",
     "encode_frame",
     "decode_frame",
-    "available_codecs",
 ]
 
 WIRE_SCHEMA = "repro.wire/v1"
@@ -66,7 +56,7 @@ class WireDecodeError(WireError):
 
 @dataclass(frozen=True, slots=True)
 class WireFrame:
-    """The transport-level fields of one message, codec-independent."""
+    """The transport-level fields of one message."""
 
     kind: str
     src: int
@@ -75,45 +65,6 @@ class WireFrame:
     size_bytes: int = 256
     delivery_id: int = -1
     attempt: int = 0
-
-
-def available_codecs() -> tuple[str, ...]:
-    """Codecs usable in this process (json always; msgpack if present)."""
-    return ("json", "msgpack") if msgpack is not None else ("json",)
-
-
-def _dumps(envelope: dict, codec: str) -> bytes:
-    if codec == "json":
-        return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    if codec == "msgpack":
-        if msgpack is None:
-            raise WireError(
-                "codec 'msgpack' requested but msgpack is not installed; "
-                "use codec='json'"
-            )
-        return msgpack.packb(envelope, use_bin_type=True)
-    raise WireError(f"unknown wire codec {codec!r}")
-
-
-def _loads(body: bytes, codec: str) -> Any:
-    if codec == "json":
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireDecodeError(f"frame body is not valid JSON: {exc}") from exc
-    if codec == "msgpack":
-        if msgpack is None:
-            raise WireError(
-                "codec 'msgpack' requested but msgpack is not installed; "
-                "use codec='json'"
-            )
-        try:
-            return msgpack.unpackb(body, raw=False)
-        except Exception as exc:  # msgpack raises a family of errors
-            raise WireDecodeError(
-                f"frame body is not valid msgpack: {exc}"
-            ) from exc
-    raise WireError(f"unknown wire codec {codec!r}")
 
 
 def encode_envelope(frame: WireFrame) -> dict:
@@ -179,9 +130,11 @@ def decode_envelope(envelope: Any) -> WireFrame:
     )
 
 
-def encode_frame(frame: WireFrame, codec: str = "json") -> bytes:
+def encode_frame(frame: WireFrame) -> bytes:
     """Encode ``frame`` into one length-prefixed wire frame."""
-    body = _dumps(encode_envelope(frame), codec)
+    body = json.dumps(encode_envelope(frame), separators=(",", ":")).encode(
+        "utf-8"
+    )
     if len(body) > MAX_BODY_BYTES:
         raise WireError(
             f"frame body of {len(body)} bytes exceeds cap {MAX_BODY_BYTES}"
@@ -189,7 +142,7 @@ def encode_frame(frame: WireFrame, codec: str = "json") -> bytes:
     return len(body).to_bytes(HEADER_BYTES, "big") + body
 
 
-def decode_frame(data: bytes, codec: str = "json") -> WireFrame:
+def decode_frame(data: bytes) -> WireFrame:
     """Decode one complete wire frame (as carried by a UDP datagram).
 
     The datagram must contain exactly one frame: a short header, a body
@@ -211,4 +164,8 @@ def decode_frame(data: bytes, codec: str = "json") -> WireFrame:
             f"frame length mismatch: header declares {declared} bytes, "
             f"datagram carries {len(body)}"
         )
-    return decode_envelope(_loads(bytes(body), codec))
+    try:
+        envelope = json.loads(bytes(body).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WireDecodeError(f"frame body is not valid JSON: {exc}") from exc
+    return decode_envelope(envelope)

@@ -125,8 +125,9 @@ class MicroOverlay:
 # Most overlay integration tests want the same thing: a scaled Zipf
 # scenario, a MaxFair assignment, a replication plan, and optionally a
 # live P2PSystem on top.  These builders delegate to the repro.api
-# facade (the single source of that pipeline) and keep the historical
-# tuple-returning signatures the test modules use.
+# facade (whose ``build_world`` is ``repro.core.build_world``, the single
+# source of that pipeline) and keep the tuple-returning signatures and
+# the seed-31 default the test modules use.
 
 from repro import api  # noqa: E402
 
@@ -135,17 +136,10 @@ def build_world(
     scale: float = 0.02,
     seed: int = 31,
     *,
-    with_stats: bool = False,
     n_reps: int = 2,
     hot_mass: float = 0.35,
 ):
-    """``(instance, assignment, plan)`` for a scaled Zipf scenario.
-
-    ``with_stats`` is kept for callers that pinned the historical
-    explicit-statistics spelling; both spellings produce the same
-    assignment, and the facade always routes through explicit stats.
-    """
-    del with_stats
+    """``(instance, assignment, plan)`` for a scaled Zipf scenario."""
     return api.build_world(scale=scale, seed=seed, n_reps=n_reps, hot_mass=hot_mass)
 
 
@@ -154,13 +148,11 @@ def build_live_system(
     seed: int = 31,
     *,
     config=None,
-    with_stats: bool = False,
     with_plan: bool = True,
     n_reps: int = 2,
     hot_mass: float = 0.35,
 ):
     """``(instance, system)``: a booted :class:`P2PSystem` on a fresh world."""
-    del with_stats
     system = api.build_system(
         scale=scale,
         seed=seed,

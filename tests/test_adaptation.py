@@ -11,7 +11,7 @@ from tests.helpers import build_live_system
 
 @pytest.fixture(scope="module")
 def live_system():
-    return build_live_system(scale=0.02, seed=5, with_stats=True)
+    return build_live_system(scale=0.02, seed=5)
 
 
 class TestAdaptationConfig:
@@ -68,7 +68,7 @@ class TestAdaptationRound:
 class TestFlashCrowdRecovery:
     def test_full_loop(self):
         """Flash crowd -> detection -> rebalance -> stable."""
-        instance, system = build_live_system(scale=0.02, seed=9, with_stats=True)
+        instance, system = build_live_system(scale=0.02, seed=9)
 
         perturbation = add_hot_documents(
             instance, mass_fraction=0.45, seed=3, category_subset_fraction=0.1
@@ -107,7 +107,7 @@ class TestFlashCrowdRecovery:
 
     def test_moves_update_authoritative_assignment(self):
         instance, system = build_live_system(
-            scale=0.02, seed=9, with_stats=True, with_plan=False
+            scale=0.02, seed=9, with_plan=False
         )
         before = system.assignment.category_to_cluster.copy()
 

@@ -5,6 +5,10 @@ the paper reports actually hold on the reproduced system, and (c) that
 ``format_result`` renders without error (what the benchmarks print).
 """
 
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import EXPERIMENTS
@@ -36,6 +40,36 @@ class TestRegistry:
         for module in EXPERIMENTS.values():
             assert callable(module.run)
             assert callable(module.format_result)
+
+    @pytest.mark.parametrize("exp_id", EXPERIMENTS)
+    def test_module_contract(self, exp_id):
+        """The whole experiment contract: ``run(**named, all defaulted)``,
+        ``format_result``, a one-line description, and no wrapper object."""
+        module = EXPERIMENTS[exp_id]
+        for param in inspect.signature(module.run).parameters.values():
+            # Named only (the CLI introspects ``scale``/``seed``) and
+            # defaulted (so ``run()`` is the reported experiment).
+            assert param.kind in (
+                param.POSITIONAL_OR_KEYWORD,
+                param.KEYWORD_ONLY,
+            ), param.name
+            assert param.default is not param.empty, param.name
+        assert callable(module.format_result)
+        assert module.__doc__.strip().splitlines()[0].strip()
+        assert not hasattr(module, "EXPERIMENT")
+
+    def test_ci_smoke_matrix_is_every_module_with_a_smoke_gate(self):
+        """An experiment that grows a ``smoke()`` gate cannot be left out
+        of the ``experiment-smoke`` matrix in ci.yml (or linger in it)."""
+        ci = Path(__file__).resolve().parent.parent / ".github/workflows/ci.yml"
+        job = ci.read_text().split("  experiment-smoke:", 1)[1]
+        matrix = re.search(r"experiment: \[([^\]]*)\]", job).group(1)
+        gated = {
+            module.__name__.rsplit(".", 1)[1]
+            for module in EXPERIMENTS.values()
+            if hasattr(module, "smoke")
+        }
+        assert {name.strip() for name in matrix.split(",")} == gated
 
 
 class TestFigure2:

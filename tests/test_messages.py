@@ -11,7 +11,6 @@ from repro.overlay.metadata import DCRTEntry
 ALL_MESSAGE_TYPES = [
     m.QueryMessage,
     m.QueryResponse,
-    m.QueryMiss,
     m.PublishRequest,
     m.PublishReply,
     m.JoinRequest,

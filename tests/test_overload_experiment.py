@@ -13,8 +13,7 @@ from repro.experiments import EXPERIMENTS, overload
 
 class TestStructure:
     def test_registered(self):
-        assert "OVERLOAD" in EXPERIMENTS
-        assert EXPERIMENTS["OVERLOAD"].EXPERIMENT.name == "OVERLOAD"
+        assert EXPERIMENTS["OVERLOAD"] is overload
 
     def test_small_run_shape(self):
         result = overload.run(loads=(1.0, 2.0), window=1.5, seed=11)

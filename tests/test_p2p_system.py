@@ -13,7 +13,7 @@ from tests.helpers import build_world
 
 @pytest.fixture(scope="module")
 def world():
-    return build_world(scale=0.02, seed=31, with_stats=True)
+    return build_world(scale=0.02, seed=31)
 
 
 @pytest.fixture()

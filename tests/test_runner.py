@@ -1,8 +1,9 @@
-"""Tests for the repro-experiments CLI."""
+"""Tests for the repro-experiments CLI and its dispatch through EXPERIMENTS."""
 
 import pytest
 
 from repro.chaos import FEATURES
+from repro.experiments import fuzz
 from repro.experiments.runner import main
 
 
@@ -104,3 +105,60 @@ class TestCLI:
         second = run_once(tmp_path / "b.jsonl")
         assert first == second
         assert b'"type": "histogram"' not in first  # wall-clock excluded
+
+
+class TestRunnerDispatch:
+    def test_fuzz_seeds_canonical_flag(self, capsys):
+        assert main(["FUZZ", "--fuzz-seeds", "1", "--steps", "5"]) == 0
+        assert "seeds 7..7" in capsys.readouterr().out
+
+    def test_repro_out_precheck_names_flag(self, capsys, tmp_path):
+        code = main(["T3", "--repro-out", str(tmp_path / "no" / "x.py")])
+        assert code == 2
+        assert "--repro-out" in capsys.readouterr().err
+
+    def test_metrics_out_precheck_names_flag(self, capsys, tmp_path):
+        code = main(["T3", "--metrics-out", str(tmp_path / "no" / "x.jsonl")])
+        assert code == 2
+        assert "--metrics-out" in capsys.readouterr().err
+
+    def test_precheck_leaves_no_empty_file(self, capsys, tmp_path):
+        """--repro-out writes nothing on success — not even an empty
+        file from the writability precheck."""
+        out = tmp_path / "repro.py"
+        assert main(["T3", "--repro-out", str(out)]) == 0
+        capsys.readouterr()
+        assert not out.exists()
+
+
+class TestVacuousFuzzGate:
+    """A fuzz invocation that would run nothing (or drop its features)
+    must exit 2 naming the flag, never print ``0/0 seeds failing``."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fuzz", "--fuzz-seeds", "0"], "--fuzz-seeds"),
+            (["fuzz", "--fuzz-seeds", "-3"], "--fuzz-seeds"),
+            (["fuzz", "--steps", "-4"], "--steps"),
+        ],
+    )
+    def test_empty_sweep_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "seeds failing" not in captured.out
+
+    def test_features_without_fuzz_rejected(self, capsys):
+        assert main(["F2", "--scale", "0.05", "--features", "content"]) == 2
+        captured = capsys.readouterr()
+        assert "--features" in captured.err
+        assert "Figure 2" not in captured.out  # before any work
+
+    def test_run_rejects_empty_sweep(self):
+        with pytest.raises(ValueError, match="seeds must be >= 1"):
+            fuzz.run(seeds=0)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            fuzz.run(seeds=1, steps=0)

@@ -11,8 +11,6 @@ import random
 
 import pytest
 
-from repro.live.__main__ import build_parser
-from repro.live.transport import AsyncioTransport
 from repro.overlay import messages as m
 from repro.overlay.metadata import DCRTEntry
 from repro.transport.wire import (
@@ -20,9 +18,7 @@ from repro.transport.wire import (
     MAX_BODY_BYTES,
     WIRE_SCHEMA,
     WireDecodeError,
-    WireError,
     WireFrame,
-    available_codecs,
     decode_envelope,
     decode_frame,
     encode_envelope,
@@ -133,40 +129,6 @@ def test_corrupt_body_rejected():
     data = len(body).to_bytes(HEADER_BYTES, "big") + body
     with pytest.raises(WireDecodeError, match="not valid JSON"):
         decode_frame(data)
-
-
-def test_unknown_codec_rejected():
-    frame = WireFrame(kind="x", src=0, dst=1)
-    with pytest.raises(WireError, match="unknown wire codec"):
-        encode_frame(frame, codec="bson")
-    with pytest.raises(WireError, match="unknown wire codec"):
-        decode_frame(encode_frame(frame), codec="bson")
-
-
-def test_msgpack_gated_when_absent():
-    if "msgpack" in available_codecs():
-        pytest.skip("msgpack installed in this environment")
-    with pytest.raises(WireError, match="msgpack is not installed"):
-        encode_frame(WireFrame(kind="x", src=0, dst=1), codec="msgpack")
-
-
-def test_transport_and_cli_reject_unusable_codec(capsys):
-    """A codec this process cannot speak fails at construction and at
-    argument parsing (exit 2) -- before a socket is bound, not on the
-    first send or the first inbound datagram."""
-    commands = (["node", "--node-id", "0", "--routes", "0:7000"], ["soak"])
-    for codec in sorted({"bson", "msgpack"} - set(available_codecs())):
-        with pytest.raises(ValueError, match="not usable in this process"):
-            AsyncioTransport(codec=codec)
-        for argv in commands:
-            with pytest.raises(SystemExit) as exit_info:
-                build_parser().parse_args([*argv, "--codec", codec])
-            assert exit_info.value.code == 2
-            assert "invalid choice" in capsys.readouterr().err
-
-
-def test_json_always_available():
-    assert "json" in available_codecs()
 
 
 def test_schema_tag_on_the_wire():
