@@ -30,14 +30,19 @@ __all__ = [
 ]
 
 
+# One encoder each, built once: ``json.dumps`` with non-default separators
+# constructs a new ``JSONEncoder`` on every call.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SNAPSHOT_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def _frame(body: bytes) -> bytes:
     return f"{zlib.crc32(body):08x} ".encode("ascii") + body + b"\n"
 
 
 def encode_record(record) -> bytes:
     """One WAL record -> one checksummed, newline-terminated frame."""
-    body = json.dumps(list(record), separators=(",", ":")).encode("utf-8")
-    return _frame(body)
+    return _frame(_RECORD_ENCODER.encode(list(record)).encode("utf-8"))
 
 
 def decode_frame(line: bytes):
@@ -84,10 +89,7 @@ def replay_wal(data: bytes) -> list[tuple]:
 
 def encode_snapshot(state: dict) -> bytes:
     """Canonical (sorted-keys) checksummed encoding of one state dict."""
-    body = json.dumps(state, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    )
-    return _frame(body)
+    return _frame(_SNAPSHOT_ENCODER.encode(state).encode("utf-8"))
 
 
 def decode_snapshot(data: bytes) -> dict | None:

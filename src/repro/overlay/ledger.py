@@ -6,7 +6,7 @@ cluster metadata (document -> holders), served loads, the integrity audit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -22,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import Network
 
 __all__ = ["WorldLedger"]
+
+_NO_HOLDERS: frozenset[int] = frozenset()
 
 
 class WorldLedger(PeerHooks):
@@ -148,6 +150,16 @@ class WorldLedger(PeerHooks):
         if holders is not None:
             holders.discard(peer.node_id)
             self._doc_holders_view = None
+
+    def holders(self, doc_id: int) -> Set[int]:
+        """Nodes recorded as holding ``doc_id``, crashed ones included.
+
+        The ledger's own set, not a copy: read-only for callers, and only
+        valid until the next store or drop.  Control rounds that scan every
+        document read this instead of :meth:`doc_holders_view`, whose sorted
+        full copy every cache fill invalidates.
+        """
+        return self._doc_holders.get(doc_id, _NO_HOLDERS)
 
     def live_holders(self, doc_id: int) -> list[int]:
         """Sorted live nodes holding the full document."""

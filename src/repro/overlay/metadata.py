@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 
 __all__ = ["DocumentTable", "DCRT", "DCRTEntry", "NRT"]
 
@@ -94,7 +95,8 @@ class DCRT:
         return entry.cluster_id if entry is not None else self.DEFAULT_CLUSTER
 
     def entry(self, category_id: int) -> DCRTEntry:
-        return self._entries.get(category_id, DCRTEntry(self.DEFAULT_CLUSTER, 0))
+        entry = self._entries.get(category_id)
+        return entry if entry is not None else DCRTEntry(self.DEFAULT_CLUSTER, 0)
 
     def merge(self, category_id: int, entry: DCRTEntry) -> bool:
         """Apply an update, keeping the entry with the higher move counter.
@@ -205,9 +207,11 @@ class NRT:
             node_ids = [node_id for node_id in members if node_id not in exclude]
             if not node_ids:
                 return None
+            choice = node_ids[int(rng.integers(0, len(node_ids)))]
         else:
-            node_ids = list(members)
-        choice = node_ids[int(rng.integers(0, len(node_ids)))]
+            # Walk to the drawn position instead of copying the table.
+            index = int(rng.integers(0, len(members)))
+            choice = next(islice(members, index, None))
         members.move_to_end(choice)
         return choice
 

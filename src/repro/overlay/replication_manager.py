@@ -52,6 +52,7 @@ deterministic snapshots of non-adaptive runs stay byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -218,15 +219,14 @@ class ReplicationManager:
                 hits_delta
                 + self.config.shed_weight * shed_mix.get(category_id, 0.0)
             )
-        holders_view = system.doc_holders_view()
+        # Union first, then one liveness test per distinct node: a
+        # category's documents share most of their holders.
+        holders = system.ledger.holders
+        is_alive = system.network.is_alive
         live_holders: dict[int, int] = {}
         for category_id, doc_ids in self._category_docs.items():
-            nodes: set[int] = set()
-            for doc_id in doc_ids:
-                for node_id in holders_view.get(doc_id, ()):
-                    if system.network.is_alive(node_id):
-                        nodes.add(node_id)
-            live_holders[category_id] = len(nodes)
+            nodes = set().union(*map(holders, doc_ids))
+            live_holders[category_id] = sum(map(is_alive, nodes))
         return demand, live_holders
 
     # ------------------------------------------------------------------
@@ -287,7 +287,7 @@ class ReplicationManager:
         Ties break on doc id for determinism.
         """
         system = self.system
-        holders_view = system.doc_holders_view()
+        holders = system.ledger.holders
         cluster_id = int(system.assignment.category_to_cluster[category_id])
         members = system.peers_in_cluster(cluster_id)
 
@@ -298,13 +298,11 @@ class ReplicationManager:
             )
 
         doc_ids = self._category_docs.get(category_id, ())
-        ranked = sorted(
-            doc_ids,
-            key=lambda d: (-len(holders_view.get(d, ())), d),
+        ranked = sorted(doc_ids, key=lambda d: (-len(holders(d)), d))
+        # Lazy: stop at the first ``docs_per_replica`` shippable documents.
+        return list(
+            islice(filter(shippable, ranked), self.config.docs_per_replica)
         )
-        return [d for d in ranked if shippable(d)][
-            : self.config.docs_per_replica
-        ]
 
     def _placement_candidates(self, category_id: int, doc_ids):
         """Cluster members able to host new copies, best placed first."""

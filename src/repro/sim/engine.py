@@ -1,8 +1,10 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal but complete DES core: events are (time, sequence, callback)
-triples kept in a binary heap.  The sequence number makes simultaneous
-events fire in scheduling order, so runs are bit-for-bit reproducible.
+A minimal but complete DES core: the binary heap holds
+``(time, seq, event)`` tuples, so ordering is decided by C tuple comparison
+and never reaches the third element (``seq`` is unique).  The sequence
+number makes simultaneous events fire in scheduling order, so runs are
+bit-for-bit reproducible.
 
 The engine is deliberately synchronous and callback-based — protocol
 handlers schedule follow-up events rather than blocking — which keeps the
@@ -13,7 +15,6 @@ enough for tens of thousands of simulated nodes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable
 
@@ -26,24 +27,45 @@ class SimulationError(RuntimeError):
     """Raised on scheduling misuse (negative delays, running twice, ...)."""
 
 
-@dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback.
+    """Handle to a scheduled callback.
 
-    Ordered by ``(time, seq)``; ``seq`` is a monotone counter so that
-    same-time events run in the order they were scheduled.
+    The engine orders its heap by ``(time, seq)`` itself; an ``Event`` has
+    no ordering of its own (comparing two raises ``TypeError``) and serves
+    only to be cancelled and to tell hooks what fired.  ``seq`` is a
+    monotone counter so that same-time events run in the order they were
+    scheduled.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: the owning simulator, so cancellation keeps its live-event count
-    #: exact; ``None`` for events constructed outside a simulator.
-    owner: "Simulator | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "seq", "callback", "cancelled", "owner")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], None],
+        owner: "Simulator | None" = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+        #: the owning simulator, so cancellation keeps its live-event count
+        #: exact; ``None`` for events constructed outside a simulator.
+        self.owner = owner
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, seq={self.seq!r}, "
+            f"callback={self.callback!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
+        """Mark the event so the engine skips it when popped.
+
+        Deletion is lazy: the heap entry stays until it reaches the top,
+        where it is dropped without advancing the clock.
+        """
         if self.cancelled:
             return
         self.cancelled = True
@@ -65,7 +87,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -117,11 +139,11 @@ class Simulator:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(
-            time=self._now + delay, seq=self._seq, callback=callback, owner=self
-        )
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        seq = self._seq
+        event = Event(time, seq, callback, self)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -201,8 +223,8 @@ class Simulator:
         try:
             processed_this_run = 0
             while queue:
-                event = queue[0]
-                if until is not None and event.time > until:
+                time, seq, event = queue[0]
+                if until is not None and time > until:
                     self._now = until
                     return
                 if event.cancelled:
@@ -215,9 +237,9 @@ class Simulator:
                 heappop(queue)
                 self._live -= 1
                 event.owner = None  # cancel() after dispatch must not count
-                self._now = event.time
+                self._now = time
                 if trace_log.enabled:
-                    trace_log.emit("event_dispatch", t=event.time, seq=event.seq)
+                    trace_log.emit("event_dispatch", t=time, seq=seq)
                 # self.event_hook is re-read per event: a callback may
                 # install or remove the hook mid-run.
                 event_hook = self.event_hook
@@ -247,7 +269,7 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop all pending events (used between experiment phases)."""
-        for event in self._queue:
+        for _, _, event in self._queue:
             event.owner = None  # a later cancel() must not double-count
         self._queue.clear()
         self._live = 0

@@ -45,6 +45,10 @@ HEADER_BYTES = 4
 #: not convince a reader to wait for gigabytes.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+# Built once: ``json.dumps`` with non-default separators constructs a new
+# ``JSONEncoder`` per frame.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class WireError(Exception):
     """Base class for wire-codec failures (encode side included)."""
@@ -132,9 +136,7 @@ def decode_envelope(envelope: Any) -> WireFrame:
 
 def encode_frame(frame: WireFrame) -> bytes:
     """Encode ``frame`` into one length-prefixed wire frame."""
-    body = json.dumps(encode_envelope(frame), separators=(",", ":")).encode(
-        "utf-8"
-    )
+    body = _ENCODER.encode(encode_envelope(frame)).encode("utf-8")
     if len(body) > MAX_BODY_BYTES:
         raise WireError(
             f"frame body of {len(body)} bytes exceeds cap {MAX_BODY_BYTES}"

@@ -65,6 +65,34 @@ class TestWalCodec:
         data = b"".join(encode_record(r) for r in records)
         assert replay_wal(data) == records
 
+    def test_record_and_snapshot_bytes_are_golden(self):
+        # One record of every name and one snapshot, byte for byte as they
+        # were written before the codec began reusing module-level
+        # encoders: a WAL on disk must replay under either version.
+        golden = {
+            ("store", 7, 262144, (1, 2)):
+                b'ed94e70e ["store",7,262144,[1,2]]\n',
+            ("drop", 8): b'1876c46c ["drop",8]\n',
+            ("dcrt", 3, 1, 5): b'2c815941 ["dcrt",3,1,5]\n',
+            ("epoch", 3, 2): b'c22628b1 ["epoch",3,2]\n',
+            ("join", 4): b'aec9aea2 ["join",4]\n',
+            ("manifest", 7, 262144, 65536, 1):
+                b'88d59b62 ["manifest",7,262144,65536,1]\n',
+            ("flags", 2.5, True): b'd771ef97 ["flags",2.5,true]\n',
+        }
+        for record, expected in golden.items():
+            assert encode_record(record) == expected
+        state = materialize(None, list(golden))
+        # Keys are written sorted whatever order the dict was built in.
+        shuffled = dict(reversed(list(state.items())))
+        for spelling in (state, shuffled):
+            assert encode_snapshot(spelling) == (
+                b'c528f086 {"dcrt":[[3,1,5]],"docs":[[7,262144,[1,2]]],'
+                b'"epochs":[[3,2]],'
+                b'"flags":{"capacity":2.5,"free_rider":true},'
+                b'"manifests":[[7,262144,65536,1]],"memberships":[4]}\n'
+            )
+
     def test_torn_tail_replays_longest_valid_prefix(self):
         store = MemoryStore()
         for record in (("store", 1, 10, []), ("store", 2, 10, []), ("drop", 1)):

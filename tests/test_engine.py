@@ -1,8 +1,11 @@
 """Tests for repro.sim.engine — the discrete-event core."""
 
-import pytest
+import heapq
 
-from repro.sim.engine import SimulationError, Simulator
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -287,3 +290,131 @@ class TestPeriodic:
         sim.schedule(2.5, cancel)
         sim.run()
         assert ticks == [1.0, 2.0]
+
+
+class TestEventHandle:
+    def test_events_are_not_orderable(self):
+        # The heap holds (time, seq, event) tuples and seq is unique, so no
+        # comparison ever reaches the handle.  A bare Event pushed into the
+        # heap must fail on its first comparison, not quietly bring a
+        # Python-level ``__lt__`` back into the event loop.
+        early = Event(1.0, 0, lambda: None)
+        late = Event(2.0, 1, lambda: None)
+        with pytest.raises(TypeError):
+            early < late
+        heap = [early]
+        with pytest.raises(TypeError):
+            heapq.heappush(heap, late)
+
+
+class _ReferenceQueue:
+    """What the engine must do, written without a heap or lazy deletion:
+    live events in a dict, the next one found by ``min`` over (time, seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.live = {}  # seq -> time
+        self.processed = 0
+
+    def schedule(self, delay):
+        self.live[self.seq] = self.now + delay
+        self.seq += 1
+
+    def cancel(self, seq):
+        self.live.pop(seq, None)  # fired, cleared or cancelled: a no-op
+
+    def run(self, until, max_events, dispatch):
+        """Returns False where the engine raises: event budget exhausted."""
+        fired = 0
+        while self.live:
+            seq = min(self.live, key=lambda s: (self.live[s], s))
+            time = self.live[seq]
+            if until is not None and time > until:
+                break
+            if max_events is not None and fired >= max_events:
+                return False
+            del self.live[seq]
+            self.now = time
+            dispatch(seq)
+            self.processed += 1
+            fired += 1
+        if until is not None and until > self.now:
+            self.now = until
+        return True
+
+
+# Dyadic values: sums and differences are exact, and ties are common.
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
+_steps = st.one_of(
+    # A scheduled event may, when it fires, schedule a follow-up after the
+    # given delay and cancel the handle at the given index.
+    st.tuples(st.just("schedule"), _delays, st.none() | _delays,
+              st.none() | st.integers(0, 40)),
+    st.tuples(st.just("schedule_at"), _delays),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("run"), st.none() | _delays,
+              st.none() | st.integers(0, 4)),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestAgainstReferenceModel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_steps, max_size=40))
+    def test_random_sequences_match_reference(self, steps):
+        sim, model = Simulator(), _ReferenceQueue()
+        handles = []  # the engine's Event for each seq
+        plans = {}  # seq -> (follow-up delay, index of a handle to cancel)
+        fired, expected = [], []
+
+        def on_fire(seq, now, log, schedule, cancel, scheduled):
+            log.append((seq, now))
+            follow_up, victim = plans.get(seq, (None, None))
+            if follow_up is not None:
+                schedule(follow_up)
+            if victim is not None:
+                cancel(victim % scheduled())
+
+        def sim_schedule(delay, absolute=False):
+            seq = len(handles)
+            handles.append(
+                sim.schedule_at(sim.now + delay, lambda: sim_fire(seq))
+                if absolute else sim.schedule(delay, lambda: sim_fire(seq))
+            )
+
+        def sim_fire(seq):
+            on_fire(seq, sim.now, fired, sim_schedule,
+                    lambda index: handles[index].cancel(),
+                    lambda: len(handles))
+
+        def model_fire(seq):
+            on_fire(seq, model.now, expected, model.schedule, model.cancel,
+                    lambda: model.seq)
+
+        for step in steps:
+            kind = step[0]
+            if kind in ("schedule", "schedule_at"):
+                if kind == "schedule":
+                    plans[model.seq] = step[2:]
+                sim_schedule(step[1], absolute=kind == "schedule_at")
+                model.schedule(step[1])
+            elif kind == "cancel" and handles:
+                handles[step[1] % len(handles)].cancel()
+                model.cancel(step[1] % model.seq)
+            elif kind == "clear":
+                sim.clear()
+                model.live.clear()
+            elif kind == "run":
+                until = None if step[1] is None else model.now + step[1]
+                within_budget = model.run(until, step[2], model_fire)
+                if within_budget:
+                    sim.run(until=until, max_events=step[2])
+                else:
+                    with pytest.raises(SimulationError, match="event budget"):
+                        sim.run(until=until, max_events=step[2])
+            assert fired == expected
+            assert sim.now == model.now
+            assert sim.events_processed == model.processed
+            assert sim.pending() == len(model.live)
+            assert sim._seq == model.seq

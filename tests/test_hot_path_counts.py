@@ -1,0 +1,88 @@
+"""Call-count guards on the simulated query path.
+
+Exact and seed-determined — no wall clock.  Each guard pins a cost the
+stack benchmark measured and a later change could quietly bring back: the
+control round rescanning the world once per (document, holder) pair, the
+routing-table lookup allocating a row it throws away.
+"""
+
+import pytest
+
+from repro.content.chunks import ContentConfig
+from repro.durability import DurabilityConfig
+from repro.model.workload import make_query_workload
+from repro.overlay import metadata
+from repro.overlay.metadata import DCRTEntry
+from repro.overlay.replication_manager import ReplicationConfig
+from repro.overlay.service import ServiceConfig
+from repro.overlay.system import P2PSystemConfig
+from repro.reliability import ReliabilityConfig
+
+from tests.helpers import build_live_system
+
+
+@pytest.fixture(scope="module")
+def full_stack_world():
+    """Every optional layer on, after 200 queries (cache fills included)."""
+    config = P2PSystemConfig(
+        seed=31,
+        cache_capacity=8,
+        reliability=ReliabilityConfig(enabled=True),
+        service=ServiceConfig(enabled=True, queue_capacity=32, policy="redirect"),
+        replication=ReplicationConfig(enabled=True),
+        content=ContentConfig(enabled=True),
+        durability=DurabilityConfig(enabled=True),
+    )
+    instance, system = build_live_system(config=config)
+    outcomes = system.run_workload(make_query_workload(instance, 200, seed=31))
+    assert len(outcomes) == 200
+    return system
+
+
+def test_read_signals_tests_liveness_once_per_distinct_holder(
+    full_stack_world, monkeypatch
+):
+    system = full_stack_world
+    manager = system.replication
+    holders_view = system.doc_holders_view()
+    holder_sets = {
+        category_id: [holders_view.get(doc_id, set()) for doc_id in doc_ids]
+        for category_id, doc_ids in manager._category_docs.items()
+    }
+    distinct = sum(len(set().union(*sets)) for sets in holder_sets.values())
+    pairs = sum(len(s) for sets in holder_sets.values() for s in sets)
+
+    is_alive = system.network.is_alive
+    calls = []
+
+    def counting(node_id):
+        calls.append(node_id)
+        return is_alive(node_id)
+
+    monkeypatch.setattr(system.network, "is_alive", counting)
+    manager._read_signals()
+    monkeypatch.undo()
+
+    # One per distinct holder of each category, plus ``alive_peers()``'s
+    # one per peer; the pair scan made ``pairs`` of them.
+    assert len(calls) <= distinct + len(system.peers) < pairs
+
+
+def test_dcrt_entry_allocates_nothing_for_a_known_category(
+    full_stack_world, monkeypatch
+):
+    system = full_stack_world
+    peer = system.alive_peers()[0]
+    allocated = []
+
+    def counting(*args):
+        allocated.append(args)
+        return DCRTEntry(*args)
+
+    monkeypatch.setattr(metadata, "DCRTEntry", counting)
+    for category_id in range(system.n_categories):
+        assert peer.dcrt.entry(category_id) is peer.dcrt.entry(category_id)
+    assert allocated == []
+    # The default row for an unknown category is still built on demand.
+    assert peer.dcrt.entry(system.n_categories + 1) == DCRTEntry(0, 0)
+    assert len(allocated) == 1

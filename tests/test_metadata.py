@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.overlay.metadata import DCRT, DCRTEntry, NRT, DocumentTable
 
@@ -170,3 +171,57 @@ class TestNRT:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             NRT(max_nodes_per_cluster=0)
+
+
+def _random_node_by_list_copy(nrt, cluster_id, rng, exclude=()):
+    """``NRT.random_node`` as it was: copy the members into a list, index it.
+
+    The reference the position walk in ``random_node`` is checked against.
+    """
+    members = nrt._clusters.get(cluster_id)
+    if not members:
+        return None
+    if exclude:
+        node_ids = [node_id for node_id in members if node_id not in exclude]
+        if not node_ids:
+            return None
+    else:
+        node_ids = list(members)
+    choice = node_ids[int(rng.integers(0, len(node_ids)))]
+    members.move_to_end(choice)
+    return choice
+
+
+_nrt_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 11)),
+        st.tuples(st.just("remove"), st.integers(0, 11)),
+        st.tuples(st.just("pick"), st.frozensets(st.integers(0, 11), max_size=12)),
+    ),
+    max_size=60,
+)
+
+
+class TestRandomNodeAgainstListCopy:
+    @settings(max_examples=200, deadline=None)
+    @given(_nrt_steps, st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_same_node_same_lru_order_same_generator_state(
+        self, steps, seed, capacity
+    ):
+        nrt, reference = NRT(capacity), NRT(capacity)
+        rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+        for kind, argument in steps:
+            if kind == "pick":
+                # An empty frozenset is the plain call without ``exclude``.
+                assert nrt.random_node(1, rng, argument) == (
+                    _random_node_by_list_copy(
+                        reference, 1, reference_rng, argument
+                    )
+                )
+            else:
+                for table in (nrt, reference):
+                    getattr(table, kind)(1, argument)
+            assert nrt.nodes_in(1) == reference.nodes_in(1)
+            assert (
+                rng.bit_generator.state == reference_rng.bit_generator.state
+            )

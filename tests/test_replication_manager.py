@@ -16,7 +16,10 @@ from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
 from repro.model.system import SystemConfig, build_system
 from repro.overlay.peer import DocInfo
-from repro.overlay.replication_manager import ReplicationConfig
+from repro.overlay.replication_manager import (
+    ReplicationConfig,
+    ReplicationManager,
+)
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
 from tests.helpers import build_live_system
@@ -267,3 +270,108 @@ class TestInvariant:
         manager._managed[category_id] = {1: {0}, 2: {0}}  # defect injection
         checker.check_structural()
         assert "replication-bounds" in checker.violated_invariants
+
+
+class _PairScanManager(ReplicationManager):
+    """The two lookups as they were before the set-union scan: one liveness
+    test per (document, holder) pair, every document of the category tested
+    for shippability and the list sliced afterwards, both over the sorted
+    full copy ``doc_holders_view()`` returns.  The reference the manager's
+    own ``_read_signals`` and ``_hot_docs`` are checked against."""
+
+    def _read_signals(self):
+        demand, _ = super()._read_signals()  # the demand half is unchanged
+        system = self.system
+        holders_view = system.doc_holders_view()
+        live_holders = {}
+        for category_id, doc_ids in self._category_docs.items():
+            nodes = set()
+            for doc_id in doc_ids:
+                for node_id in holders_view.get(doc_id, ()):
+                    if system.network.is_alive(node_id):
+                        nodes.add(node_id)
+            live_holders[category_id] = len(nodes)
+        return demand, live_holders
+
+    def _hot_docs(self, category_id):
+        system = self.system
+        holders_view = system.doc_holders_view()
+        cluster_id = int(system.assignment.category_to_cluster[category_id])
+        members = system.peers_in_cluster(cluster_id)
+        ranked = sorted(
+            self._category_docs.get(category_id, ()),
+            key=lambda d: (-len(holders_view.get(d, ())), d),
+        )
+        return [
+            d for d in ranked
+            if any(
+                d not in peer.docs or peer.queries.cache.owns(d)
+                for peer in members
+            )
+        ][: self.config.docs_per_replica]
+
+
+class TestAgainstPairScan:
+    """The manager against the brute-force reference, on twin worlds."""
+
+    @staticmethod
+    def _disturbed_world(reference: bool):
+        """A crashed holder, a departed holder, cache-owned copies and a
+        document nobody holds any more."""
+        system = _adaptive_system(seed=11, shrink_after=1)
+        if reference:
+            system.replication.__class__ = _PairScanManager
+        manager = system.replication
+        hot, other = sorted(manager._category_docs)[:2]
+        holders = sorted(
+            {n for d in manager._category_docs[hot]
+             for n in system.doc_holders_view().get(d, ())}
+        )
+        system.crash_node(holders[0])
+        system.leave_node(holders[1])
+        orphan = manager._category_docs[other][0]
+        for node_id in sorted(system.doc_holders_view()[orphan]):
+            system.peers[node_id].drop_document(orphan)
+        assert orphan not in system.doc_holders_view()
+        # Cache-owned copies that decide shippability: a document every
+        # live cluster member stores, some of them only in their cache.
+        cluster_id = int(system.assignment.category_to_cluster[hot])
+        members = system.peers_in_cluster(cluster_id)
+        lacking = {
+            doc_id: [peer for peer in members if doc_id not in peer.docs]
+            for doc_id in manager._category_docs[hot]
+        }
+        cached = min(
+            (d for d in lacking if lacking[d]), key=lambda d: len(lacking[d])
+        )
+        for peer in lacking[cached]:
+            peer.queries.cache_store(DocInfo(
+                doc_id=cached, categories=(hot,), size_bytes=1000
+            ))
+        assert all(cached in peer.docs for peer in members)
+        assert any(peer.queries.cache.owns(cached) for peer in members)
+        return system, (hot, other)
+
+    def test_signals_hot_docs_and_five_rounds_identical(self):
+        system, heated = self._disturbed_world(reference=False)
+        twin, _ = self._disturbed_world(reference=True)
+        manager, reference = system.replication, twin.replication
+        assert type(manager) is ReplicationManager
+        assert manager._read_signals() == reference._read_signals()
+        reports = []
+        for round_id in range(5):
+            if round_id < len(heated):
+                for world in (system, twin):
+                    _heat(world, heated[round_id])
+            for category_id in manager._category_docs:
+                assert manager._hot_docs(category_id) == (
+                    reference._hot_docs(category_id)
+                )
+            report = system.run_replication_round()
+            assert report == twin.run_replication_round()
+            reports.append(report)
+        # Not vacuous: the five rounds both grew and shrank.
+        assert any(report.grown for report in reports)
+        assert any(report.shrunk for report in reports)
+        assert manager.managed_view() == reference.managed_view()
+        assert system.doc_holders_view() == twin.doc_holders_view()

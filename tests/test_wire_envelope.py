@@ -131,6 +131,40 @@ def test_corrupt_body_rejected():
         decode_frame(data)
 
 
+#: ``kind`` -> the exact frame bytes, recorded before ``encode_frame``
+#: began reusing one module-level ``JSONEncoder``: peers running either
+#: version must keep decoding each other.
+GOLDEN_FRAMES = {
+    "query": (
+        PAYLOADS[1],
+        b'\x00\x00\x00\xf9{"schema":"repro.wire/v1","kind":"query","src":1,'
+        b'"dst":2,"size":512,"delivery_id":7,"attempt":2,"payload":{"type":'
+        b'"QueryMessage","fields":{"query_id":7,"requester_id":1,'
+        b'"category_id":3,"remaining":2,"hops":0,"target_cluster":-1,'
+        b'"target_doc_id":-1}}}',
+    ),
+    "query_response": (
+        PAYLOADS[2],
+        b'\x00\x00\x010{"schema":"repro.wire/v1","kind":"query_response",'
+        b'"src":1,"dst":2,"size":512,"delivery_id":7,"attempt":2,"payload":'
+        b'{"type":"QueryResponse","fields":{"query_id":7,"doc_ids":[4,9],'
+        b'"responder_id":2,"hops":3,"dcrt_updates":[[3,{"$":"DCRTEntry",'
+        b'"v":[1,5]}]],"doc_infos":[{"$":"DocInfo","v":[4,[3,5],1024]}]}}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", GOLDEN_FRAMES)
+def test_frame_bytes_are_golden(kind):
+    payload, expected = GOLDEN_FRAMES[kind]
+    frame = WireFrame(
+        kind=kind, src=1, dst=2, payload=payload, size_bytes=512,
+        delivery_id=7, attempt=2,
+    )
+    assert encode_frame(frame) == expected
+    assert decode_frame(expected) == frame
+
+
 def test_schema_tag_on_the_wire():
     data = encode_frame(WireFrame(kind="x", src=0, dst=1))
     envelope = json.loads(data[HEADER_BYTES:])
