@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.fairness import jain_fairness
 from repro.core.maxfair import Assignment, maxfair
 from repro.core.popularity import build_category_stats, cluster_members
+from repro.model.documents import Document
 from repro.model.system import SystemConfig, SystemInstance, build_system
 from repro.model.workload import zipf_category_scenario
 from repro.model.zipf import top_mass_count
@@ -52,6 +54,15 @@ def category_storage_requirement(
 @dataclass(slots=True)
 class ReplicationPlan:
     """Where every replica goes, plus per-node accounting.
+
+    Iteration order is part of the contract: ``P2PSystem._bootstrap``
+    stores documents by walking ``node_docs`` and each set in it, so the
+    order fixes every ``peer.docs`` and, through it, each later seeded
+    pick.  :func:`plan_replication` therefore adds nodes to the dicts and
+    document ids to the sets in one defined sequence — cluster by cluster,
+    category by category, base replicas in popularity order, then the hot
+    documents in popularity order at each member — and a faster way of
+    computing the plan must reproduce that sequence, not just the mappings.
 
     Attributes
     ----------
@@ -137,13 +148,14 @@ def _replica_counts(
     All policies spend (about) the same budget of ``n_reps * n_docs``
     replicas; they differ in how the budget follows popularity:
 
-    * ``uniform`` — every document gets ``n_reps`` (the paper's base);
+    * ``hot_mass``, ``uniform`` — every document gets ``n_reps`` (the
+      paper's base; ``hot_mass`` adds its hot copies on top);
     * ``sqrt`` — counts proportional to sqrt(popularity) (the classic
       square-root replication of Cohen & Shapiro for random search);
     * ``proportional`` — counts proportional to popularity.
     """
     n_docs = len(popularity)
-    if policy == "uniform":
+    if policy in ("hot_mass", "uniform"):
         counts = np.full(n_docs, n_reps)
     else:
         weight = np.sqrt(popularity) if policy == "sqrt" else popularity.copy()
@@ -160,14 +172,18 @@ def _replica_counts(
 def _place_category(
     instance: SystemInstance,
     plan: ReplicationPlan,
-    cluster_id: int,
+    in_cluster: dict[int, float],
     doc_ids: list[int],
     members: list[int],
     n_reps: int,
     hot_mass: float,
-    policy: str = "hot_mass",
+    policy: str,
 ) -> None:
     """Place one category's replicas over ``members``.
+
+    ``in_cluster`` is the serving cluster's column of
+    ``plan.node_cluster_popularity`` — node id -> stored popularity of that
+    cluster's content — which the caller files under the cluster's id.
 
     Base replicas go to the nodes currently holding the least of *this
     cluster's* popularity via a heap (a node serving several clusters must
@@ -176,71 +192,93 @@ def _place_category(
     ``hot_mass`` policy, hot documents then get one copy on every member;
     the alternative policies vary the per-document replica count instead.
     """
+    documents, nodes = instance.documents, instance.nodes
+    node_docs = plan.node_docs
+    node_popularity = plan.node_popularity
+    node_bytes = plan.node_bytes
     docs = sorted(
-        (instance.documents[d] for d in doc_ids),
-        key=lambda doc: -doc.popularity,
+        [documents[doc_id] for doc_id in doc_ids],
+        key=attrgetter("popularity"),
+        reverse=True,
     )
     popularity = np.array([doc.popularity for doc in docs])
-    if policy == "hot_mass":
-        n_hot = top_mass_count(popularity, hot_mass) if hot_mass > 0 else 0
-        replica_counts = np.full(len(docs), n_reps)
-    else:
-        n_hot = 0
-        replica_counts = _replica_counts(policy, popularity, n_reps, len(members))
-    hot = {doc.doc_id for doc in docs[:n_hot]}
+    n_hot = (
+        top_mass_count(popularity, hot_mass)
+        if policy == "hot_mass" and hot_mass > 0
+        else 0
+    )
+    replica_counts = _replica_counts(
+        policy, popularity, n_reps, len(members)
+    ).tolist()
 
-    def cluster_pop(node_id: int) -> float:
-        return plan.node_cluster_popularity.get((node_id, cluster_id), 0.0)
-
-    def has_room(node_id: int, size_bytes: int) -> bool:
-        budget = instance.nodes[node_id].storage_bytes
-        if budget is None:
+    def store(node_id: int, doc: Document) -> bool:
+        docs_here = node_docs.get(node_id)
+        if docs_here is None:
+            docs_here = node_docs[node_id] = set()
+        elif doc.doc_id in docs_here:
             return True
-        return plan.node_bytes.get(node_id, 0) + size_bytes <= budget
-
-    # (stored in-cluster popularity, tiebreak, node_id) heap over members.
-    heap = [(cluster_pop(node_id), node_id, node_id) for node_id in members]
-    heapq.heapify(heap)
-
-    def store(node_id: int, doc) -> bool:
-        docs_here = plan.node_docs.setdefault(node_id, set())
-        if doc.doc_id in docs_here:
-            return True
-        if not has_room(node_id, doc.size_bytes):
+        used = node_bytes.get(node_id, 0) + doc.size_bytes
+        budget = nodes[node_id].storage_bytes
+        if budget is not None and used > budget:
             return False
         docs_here.add(doc.doc_id)
-        plan.node_popularity[node_id] = (
-            plan.node_popularity.get(node_id, 0.0) + doc.popularity
-        )
-        plan.node_bytes[node_id] = (
-            plan.node_bytes.get(node_id, 0) + doc.size_bytes
-        )
-        key = (node_id, cluster_id)
-        plan.node_cluster_popularity[key] = (
-            plan.node_cluster_popularity.get(key, 0.0) + doc.popularity
-        )
+        node_bytes[node_id] = used
+        node_popularity[node_id] = node_popularity.get(node_id, 0.0) + doc.popularity
+        in_cluster[node_id] = in_cluster.get(node_id, 0.0) + doc.popularity
         return True
 
-    for position, doc in enumerate(docs):
-        if doc.doc_id in hot:
-            continue  # handled below on every member
-        replicas = min(int(replica_counts[position]), len(members))
+    # (stored in-cluster popularity, node id) heap over members.
+    heap = [(in_cluster.get(node_id, 0.0), node_id) for node_id in members]
+    heapq.heapify(heap)
+    for doc, replicas in zip(docs[n_hot:], replica_counts[n_hot:]):
         taken = []
         placed = 0
-        # Pop at most len(members) candidates looking for room; full nodes
-        # go back on the heap but do not receive the replica.
-        for _ in range(len(members)):
-            if placed >= replicas:
-                break
-            pop, _tie, node_id = heapq.heappop(heap)
+        # Pop candidates, each member at most once, looking for room; full
+        # nodes go back on the heap but do not receive the replica.
+        while placed < replicas and heap:
+            node_id = heapq.heappop(heap)[1]
             if store(node_id, doc):
                 placed += 1
             taken.append(node_id)
         for node_id in taken:
-            heapq.heappush(heap, (cluster_pop(node_id), node_id, node_id))
+            heapq.heappush(heap, (in_cluster.get(node_id, 0.0), node_id))
 
-    for doc in docs[:n_hot]:
-        plan.hot_doc_ids.add(doc.doc_id)
+    if not n_hot:
+        return
+    hot_docs = docs[:n_hot]
+    # Lists in popularity order: ``set.update`` adds in the order it is given.
+    hot_ids = [doc.doc_id for doc in hot_docs]
+    hot_bytes = sum([doc.size_bytes for doc in hot_docs])
+    plan.hot_doc_ids.update(hot_ids)
+    held = [node_docs.setdefault(node_id, set()) for node_id in members]
+    for node_id, docs_here in zip(members, held):
+        budget = nodes[node_id].storage_bytes
+        if not docs_here.isdisjoint(hot_ids) or (
+            budget is not None and node_bytes.get(node_id, 0) + hot_bytes > budget
+        ):
+            break
+    else:
+        # Every member takes the whole hot set (the usual case: it holds
+        # none of it and has the room), so the copies are placed in bulk.
+        # One vector add per document, in popularity order, gives each
+        # member the float additions the copy-by-copy loop below would.
+        sums = np.array(
+            [
+                [node_popularity.get(node_id, 0.0) for node_id in members],
+                [in_cluster.get(node_id, 0.0) for node_id in members],
+            ]
+        )
+        for doc in hot_docs:
+            sums += doc.popularity
+        node_popularity.update(zip(members, sums[0].tolist()))
+        in_cluster.update(zip(members, sums[1].tolist()))
+        for node_id, docs_here in zip(members, held):
+            docs_here.update(hot_ids)
+            node_bytes[node_id] = node_bytes.get(node_id, 0) + hot_bytes
+        return
+    # Some member holds a hot document already (placed under another of its
+    # categories) or runs out of budget part-way: copy by copy.
+    for doc in hot_docs:
         for node_id in members:
             store(node_id, doc)
 
@@ -302,19 +340,23 @@ def plan_replication(
             ]
         if not cluster_nodes:
             continue
+        in_cluster: dict[int, float] = {}
         for category_id in assignment.categories_in(cluster_id):
             doc_ids = instance.categories[category_id].doc_ids
             if doc_ids:
                 _place_category(
                     instance,
                     plan,
-                    cluster_id,
+                    in_cluster,
                     doc_ids,
                     cluster_nodes,
                     n_reps,
                     hot_mass,
-                    policy=policy,
+                    policy,
                 )
+        plan.node_cluster_popularity.update(
+            {(node_id, cluster_id): stored for node_id, stored in in_cluster.items()}
+        )
     return plan
 
 

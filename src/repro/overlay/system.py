@@ -210,12 +210,6 @@ class P2PSystem:
     def n_categories(self) -> int:
         return len(self.instance.categories)
 
-    def _doc_info(self, doc_id: int) -> DocInfo:
-        doc = self.instance.documents[doc_id]
-        return DocInfo(
-            doc_id=doc.doc_id, categories=doc.categories, size_bytes=doc.size_bytes
-        )
-
     def _new_peer(self, node_id: int, capacity_units: float) -> Peer:
         peer = Peer(
             node_id=node_id,
@@ -236,18 +230,23 @@ class P2PSystem:
             self._new_peer(node_id, node.capacity_units)
 
         # Document placement: replication plan, else bare contributions.
+        # Every holder of a document shares its one (frozen) DocInfo.
+        infos = {
+            doc_id: DocInfo(doc.doc_id, doc.categories, doc.size_bytes)
+            for doc_id, doc in instance.documents.items()
+        }
         if self.plan is not None:
             for node_id, doc_ids in self.plan.node_docs.items():
                 peer = self._peers.get(node_id)
                 if peer is None:
                     continue
                 for doc_id in doc_ids:
-                    peer.store_document(self._doc_info(doc_id))
+                    peer.store_document(infos[doc_id])
         for node_id, node in instance.nodes.items():
             peer = self._peers[node_id]
             for doc_id in node.contributed_doc_ids:
                 if doc_id not in peer.docs:
-                    peer.store_document(self._doc_info(doc_id))
+                    peer.store_document(infos[doc_id])
 
         # Metadata bootstrap: full DCRT everywhere, then cluster
         # membership, NRTs and the intra-cluster graphs.

@@ -1,14 +1,18 @@
-"""Call-count guards on the simulated query path.
+"""Call-count guards on the simulated query path and the world build.
 
 Exact and seed-determined — no wall clock.  Each guard pins a cost the
 stack benchmark measured and a later change could quietly bring back: the
 control round rescanning the world once per (document, holder) pair, the
-routing-table lookup allocating a row it throws away.
+routing-table lookup allocating a row it throws away, the replica plan
+paying a Python call per copy it places.
 """
+
+import sys
 
 import pytest
 
 from repro.content.chunks import ContentConfig
+from repro.core.replication import build_world, plan_replication
 from repro.durability import DurabilityConfig
 from repro.model.workload import make_query_workload
 from repro.overlay import metadata
@@ -86,3 +90,24 @@ def test_dcrt_entry_allocates_nothing_for_a_known_category(
     # The default row for an unknown category is still built on demand.
     assert peer.dcrt.entry(system.n_categories + 1) == DCRTEntry(0, 0)
     assert len(allocated) == 1
+
+
+def test_plan_replication_makes_fewer_calls_than_it_places_copies():
+    instance, assignment, _ = build_world(scale=0.02, seed=7)
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"  # Python functions only; C calls are "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        plan = plan_replication(instance, assignment)
+    finally:
+        sys.setprofile(previous)
+    placed = sum(len(docs) for docs in plan.node_docs.values())
+    # 55,613 copies, nine in ten of them hot documents going to every member
+    # of their cluster; placed one ``store()`` at a time the plan made
+    # 130,979 calls.
+    assert calls < placed
