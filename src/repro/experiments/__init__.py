@@ -22,6 +22,7 @@
 | SCENARIO | declarative workload-scenario matrix (no fig.) | ``scenario`` |
 | HEAL | fetch success vs churn, healing on/off (no fig.) | ``heal``    |
 | RECOVERY | crash/restart durability, persistence on/off (no fig.) | ``recovery`` |
+| WORLD | world-build calls, seconds and bytes by scale (no fig.) | ``world_size`` |
 
 The X rows implement the paper's explicit future-work items ("fw").
 An experiment is a plain module: ``run(**named parameters, all with
@@ -54,6 +55,7 @@ from repro.experiments import (  # noqa: F401  (re-exported for discovery)
     scaling,
     scenario,
     storage,
+    world_size,
 )
 
 #: experiment id -> module: the one registry.  The CLI, the :mod:`repro.api`
@@ -79,6 +81,7 @@ EXPERIMENTS = {
     "SCENARIO": scenario,
     "HEAL": heal,
     "RECOVERY": recovery,
+    "WORLD": world_size,
 }
 
 __all__ = ["EXPERIMENTS"]

@@ -109,8 +109,9 @@ class AdaptationProtocol:
     def announce_capabilities(self) -> None:
         """Tell cluster neighbours everything known about member capacities."""
         for cluster_id in self.peer.memberships:
-            capabilities = self.peer.known_capabilities.setdefault(cluster_id, {})
-            capabilities[self.peer.node_id] = self.peer.capacity_units
+            capabilities = self.peer.learn_capabilities(
+                cluster_id, ((self.peer.node_id, self.peer.capacity_units),)
+            )
             payload = m.CapabilityAnnounce(
                 cluster_id=cluster_id,
                 capabilities=tuple(sorted(capabilities.items())),
@@ -119,9 +120,7 @@ class AdaptationProtocol:
                 self.peer._send(neighbor, "capability", payload)
 
     def handle_capability(self, announce: m.CapabilityAnnounce, src: int) -> None:
-        known = self.peer.known_capabilities.setdefault(announce.cluster_id, {})
-        for node_id, capacity in announce.capabilities:
-            known[node_id] = capacity
+        self.peer.learn_capabilities(announce.cluster_id, announce.capabilities)
 
     def elect_leaders(self, alive: set[int] | None = None) -> None:
         """Apply the election rule to each cluster's known capabilities.

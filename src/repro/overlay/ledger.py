@@ -6,7 +6,7 @@ cluster metadata (document -> holders), served loads, the integrity audit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Iterable, Mapping, Set
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -52,8 +52,9 @@ class WorldLedger(PeerHooks):
         )
         #: cluster metadata (Section 3.1): doc id -> holder node ids.
         self._doc_holders: dict[int, set[int]] = {}
-        #: every (node, doc) pair ever stored — the integrity audit's truth.
-        self._ever_stored: set[tuple[int, int]] = set()
+        #: every (node, doc) pair dropped after being stored; with the
+        #: current holders, the integrity audit's "ever stored" truth.
+        self._ever_dropped: set[tuple[int, int]] = set()
         #: memoized snapshots for the dict-rebuilding views experiments
         #: poll every round; ``None`` = dirty, rebuilt on next access.
         self._doc_holders_view: dict[int, set[int]] | None = None
@@ -99,7 +100,7 @@ class WorldLedger(PeerHooks):
             # An accepted response may only claim documents its responder
             # has actually stored at some point.
             for doc_id in response.doc_ids:
-                if (response.responder_id, doc_id) not in self._ever_stored:
+                if not self.ever_stored(response.responder_id, doc_id):
                     self.integrity_violations.append(
                         f"node {response.responder_id} answered query "
                         f"{response.query_id} claiming doc {doc_id} it "
@@ -140,16 +141,37 @@ class WorldLedger(PeerHooks):
     # ------------------------------------------------------------------
     def on_document_stored(self, peer: Peer, doc_id: int) -> None:
         self._doc_holders.setdefault(doc_id, set()).add(peer.node_id)
-        self._ever_stored.add((peer.node_id, doc_id))
         self._doc_holders_view = None
         for listener in self.stored_listeners:
             listener(peer, doc_id)
 
+    def record_placement(self, node_id: int, doc_ids: Iterable[int]) -> None:
+        """:meth:`on_document_stored` for every document one peer was handed
+        at world bootstrap, before any subsystem listens."""
+        if self.stored_listeners:
+            raise RuntimeError("bulk placement would bypass the store listeners")
+        doc_holders = self._doc_holders
+        for doc_id in doc_ids:
+            holders = doc_holders.get(doc_id)
+            if holders is None:
+                doc_holders[doc_id] = {node_id}
+            else:
+                holders.add(node_id)
+        self._doc_holders_view = None
+
     def on_document_dropped(self, peer: Peer, doc_id: int) -> None:
         holders = self._doc_holders.get(doc_id)
-        if holders is not None:
+        if holders is not None and peer.node_id in holders:
             holders.discard(peer.node_id)
+            self._ever_dropped.add((peer.node_id, doc_id))
             self._doc_holders_view = None
+
+    def ever_stored(self, node_id: int, doc_id: int) -> bool:
+        """Whether ``node_id`` has held ``doc_id`` at any point."""
+        return (
+            node_id in self._doc_holders.get(doc_id, _NO_HOLDERS)
+            or (node_id, doc_id) in self._ever_dropped
+        )
 
     def holders(self, doc_id: int) -> Set[int]:
         """Nodes recorded as holding ``doc_id``, crashed ones included.

@@ -225,8 +225,9 @@ class MembershipProtocol:
         self.peer.nrt.remove_node(notice.leaver_id)
         for neighbors in self.peer.cluster_neighbors.values():
             neighbors.discard(notice.leaver_id)
-        for capabilities in self.peer.known_capabilities.values():
-            capabilities.pop(notice.leaver_id, None)
+        for cluster_id, capabilities in self.peer.known_capabilities.items():
+            if notice.leaver_id in capabilities:
+                del self.peer.own_capabilities(cluster_id)[notice.leaver_id]
         # A clean departure is not a failure: drop any heartbeat
         # suspicion evidence about the leaver so it does not linger in
         # the suspect map (the crash/leave asymmetry — recover_node

@@ -35,6 +35,13 @@ class DocumentTable:
             raise ValueError("a document must have at least one category")
         self._entries[doc_id] = tuple(categories)
 
+    def add_many(self, doc_ids, categories) -> None:
+        """:meth:`add` for parallel sequences, all or nothing."""
+        rows = list(map(tuple, categories))
+        if not all(rows):
+            raise ValueError("a document must have at least one category")
+        self._entries.update(zip(doc_ids, rows))
+
     def remove(self, doc_id: int) -> None:
         self._entries.pop(doc_id, None)
 
@@ -119,6 +126,14 @@ class DCRT:
         if self.on_change is not None:
             self.on_change(category_id, entry)
 
+    def set_many(self, entries: dict[int, DCRTEntry]) -> None:
+        """Unconditionally install ``entries``, shared rather than copied
+        (a :class:`DCRTEntry` is frozen): the whole world's bootstrap."""
+        self._entries.update(entries)
+        if self.on_change is not None:
+            for category_id, entry in entries.items():
+                self.on_change(category_id, entry)
+
     def snapshot(self) -> dict[int, DCRTEntry]:
         """A copy of all entries — what nodes exchange during gossip."""
         return dict(self._entries)
@@ -173,8 +188,30 @@ class NRT:
                 members.popitem(last=False)
 
     def add_many(self, cluster_id: int, node_ids) -> None:
-        for node_id in node_ids:
-            self.add(cluster_id, node_id)
+        """:meth:`add` every id in order, trimming once at the end.
+
+        An LRU's final state is "order by last touch, keep the last
+        ``max_nodes_per_cluster``", so the batch may defer the eviction —
+        and an empty table filled from distinct ids is those ids in order.
+        """
+        node_ids = list(node_ids)
+        if not node_ids:
+            return
+        members = self._clusters.get(cluster_id)
+        if not members:
+            members = self._clusters[cluster_id] = OrderedDict.fromkeys(node_ids)
+            if len(members) != len(node_ids):
+                # Repeats: ``fromkeys`` orders by first touch, an LRU by last.
+                for node_id in node_ids:
+                    members.move_to_end(node_id)
+        else:
+            for node_id in node_ids:
+                if node_id in members:
+                    members.move_to_end(node_id)
+                else:
+                    members[node_id] = None
+        while len(members) > self.max_nodes_per_cluster:
+            members.popitem(last=False)
 
     def remove(self, cluster_id: int, node_id: int) -> None:
         members = self._clusters.get(cluster_id)

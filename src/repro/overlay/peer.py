@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -309,8 +309,9 @@ class Peer:
         #: doc queries this node *routed* (metadata lookups / redirects)
         #: without serving content — the super peer's directory workload.
         self.queries_routed = 0
-        #: capability knowledge per cluster (Section 6.1.1 gossip).
-        self.known_capabilities: dict[int, dict[int, float]] = {}
+        #: capability knowledge per cluster (Section 6.1.1 gossip); a table
+        #: is read-only until :meth:`own_capabilities` makes it this peer's.
+        self.known_capabilities: dict[int, Mapping[int, float]] = {}
         self.believed_leader: dict[int, int] = {}
         #: cluster id -> super-peer node holding the cluster metadata, when
         #: the deployment runs in super-peer mode (Section 3's hybrid
@@ -463,14 +464,40 @@ class Peer:
         """Become a member of ``cluster_id`` and learn some fellows."""
         newly = cluster_id not in self.memberships
         self.memberships.add(cluster_id)
-        self.nrt.add(cluster_id, self.node_id)
-        self.nrt.add_many(cluster_id, known_members)
+        # One batch, touching this node first unless ``known_members``
+        # places it (a full table of fellows evicts an unplaced self).
+        known = list(known_members)
+        if self.node_id not in known:
+            known.insert(0, self.node_id)
+        self.nrt.add_many(cluster_id, known)
         self.cluster_neighbors.setdefault(cluster_id, set())
-        capabilities = self.known_capabilities.setdefault(cluster_id, {})
-        capabilities[self.node_id] = self.capacity_units
+        self.learn_capabilities(cluster_id, ((self.node_id, self.capacity_units),))
         if newly:
             self._record("join", cluster_id)
             self.hooks.on_cluster_joined(self, cluster_id)
+
+    def own_capabilities(self, cluster_id: int) -> dict[int, float]:
+        """This peer's private, writable capability table for ``cluster_id``.
+
+        World bootstrap hands every member of a cluster one read-only view
+        of the same table; whoever is about to change an entry calls this,
+        and the first such call copies the view.
+        """
+        known = self.known_capabilities.get(cluster_id)
+        if type(known) is not dict:
+            known = self.known_capabilities[cluster_id] = dict(known or ())
+        return known
+
+    def learn_capabilities(
+        self, cluster_id: int, capabilities: Iterable[tuple[int, float]]
+    ) -> Mapping[int, float]:
+        """Record ``(node id, capacity)`` pairs; returns the cluster's table."""
+        known = self.known_capabilities.setdefault(cluster_id, {})
+        for node_id, capacity in capabilities:
+            if known.get(node_id) != capacity:
+                known = self.own_capabilities(cluster_id)
+                known[node_id] = capacity
+        return known
 
     def set_cluster_neighbors(self, cluster_id: int, neighbors: Iterable[int]) -> None:
         self.cluster_neighbors[cluster_id] = set(neighbors) - {self.node_id}

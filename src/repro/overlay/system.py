@@ -30,6 +30,7 @@ from repro.overlay.adaptation import (
 )
 from repro.overlay.handoff import graceful_shutdown
 from repro.overlay.ledger import WorldLedger
+from repro.overlay.metadata import DCRTEntry
 from repro.overlay.peer import DocInfo, MisbehaviorConfig, Peer, PeerConfig
 from repro.overlay.recovery import RecoveryCoordinator
 from repro.overlay.topology import ClusterTopology
@@ -230,33 +231,45 @@ class P2PSystem:
             self._new_peer(node_id, node.capacity_units)
 
         # Document placement: replication plan, else bare contributions.
-        # Every holder of a document shares its one (frozen) DocInfo.
+        # Every holder of a document shares its one (frozen) DocInfo, and
+        # a peer takes its whole set in one step: ``store_document`` minus
+        # the journal record and the store listeners, which do not exist
+        # until the subsystems are built after this.
         infos = {
             doc_id: DocInfo(doc.doc_id, doc.categories, doc.size_bytes)
             for doc_id, doc in instance.documents.items()
         }
+        categories = {doc_id: info.categories for doc_id, info in infos.items()}
+
+        def place(peer: Peer, doc_ids) -> None:
+            if peer.journal is not None:
+                raise RuntimeError("bulk placement would bypass the journal")
+            peer.docs.update(zip(doc_ids, map(infos.__getitem__, doc_ids)))
+            peer.dt.add_many(doc_ids, map(categories.__getitem__, doc_ids))
+            self.ledger.record_placement(peer.node_id, doc_ids)
+
         if self.plan is not None:
             for node_id, doc_ids in self.plan.node_docs.items():
                 peer = self._peers.get(node_id)
-                if peer is None:
-                    continue
-                for doc_id in doc_ids:
-                    peer.store_document(infos[doc_id])
+                if peer is not None:
+                    place(peer, doc_ids)
         for node_id, node in instance.nodes.items():
             peer = self._peers[node_id]
-            for doc_id in node.contributed_doc_ids:
-                if doc_id not in peer.docs:
-                    peer.store_document(infos[doc_id])
+            held = peer.docs
+            place(peer, [d for d in node.contributed_doc_ids if d not in held])
 
-        # Metadata bootstrap: full DCRT everywhere, then cluster
-        # membership, NRTs and the intra-cluster graphs.
+        # Metadata bootstrap: full DCRT everywhere (one frozen row per
+        # category, shared), then cluster membership, NRTs and the
+        # intra-cluster graphs.
+        dcrt = {
+            category_id: DCRTEntry(
+                int(assignment.category_to_cluster[category_id]),
+                int(assignment.move_counters[category_id]),
+            )
+            for category_id in range(self.n_categories)
+        }
         for peer in self._peers.values():
-            for category_id in range(self.n_categories):
-                peer.dcrt.set(
-                    category_id,
-                    int(assignment.category_to_cluster[category_id]),
-                    int(assignment.move_counters[category_id]),
-                )
+            peer.dcrt.set_many(dcrt)
         self.topology.bootstrap(instance, assignment, self.config)
 
     # ------------------------------------------------------------------

@@ -7,6 +7,7 @@ which member keeps the cluster metadata.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -67,20 +68,25 @@ class ClusterTopology:
         all_nodes = sorted(peers)
         for cluster_id, members in self.members.items():
             member_list = sorted(members)
-            members_array = np.array(member_list, dtype=np.int64)
+            # An object array hands back the ids themselves, so every table
+            # of the cluster shares one ``int`` per member.
+            members_array = np.array(member_list, dtype=object)
+            # The capability table is advertised state, equal at every
+            # member: one copy behind a read-only view, private only once
+            # a member learns something else (``Peer.own_capabilities``).
+            capabilities = MappingProxyType(
+                {member: instance.nodes[member].capacity_units for member in member_list}
+            )
+            keep = min(len(member_list), config.nrt_capacity)
             for node_id in member_list:
                 peer = peers[node_id]
+                peer.known_capabilities[cluster_id] = capabilities
                 # Each member knows a *different* random subset (up to the
                 # NRT capacity) — handing everyone the same ordered list
                 # would make the LRU evict the same members at every node
                 # and starve them of traffic.
-                keep = min(len(member_list), config.nrt_capacity)
-                known = members_array[rng.permutation(len(members_array))[:keep]]
+                known = members_array[rng.permutation(len(member_list))[:keep]]
                 peer.join_cluster(cluster_id, known_members=known.tolist())
-                for member in member_list:
-                    peer.known_capabilities[cluster_id][member] = (
-                        instance.nodes[member].capacity_units
-                    )
             # Foreign-cluster samples for everyone else.
             if member_list:
                 sample_size = min(config.remote_nrt_sample, len(member_list))
@@ -91,7 +97,7 @@ class ClusterTopology:
                         len(member_list), size=sample_size, replace=False
                     )
                     peers[node_id].nrt.add_many(
-                        cluster_id, (member_list[int(i)] for i in picks)
+                        cluster_id, members_array[picks].tolist()
                     )
 
         for cluster_id, members in self.members.items():

@@ -33,7 +33,7 @@ class TestRegistry:
         assert set(EXPERIMENTS) == {
             "F2", "F3", "F4", "F5", "T1", "T2", "T3", "E1", "E2", "E3",
             "X1", "X2", "X3", "FUZZ", "LOSS", "OVERLOAD", "CACHE-QOS",
-            "SCENARIO", "HEAL", "RECOVERY",
+            "SCENARIO", "HEAL", "RECOVERY", "WORLD",
         }
 
     def test_every_module_has_run_and_format(self):

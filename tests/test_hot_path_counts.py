@@ -4,10 +4,13 @@ Exact and seed-determined — no wall clock.  Each guard pins a cost the
 stack benchmark measured and a later change could quietly bring back: the
 control round rescanning the world once per (document, holder) pair, the
 routing-table lookup allocating a row it throws away, the replica plan
-paying a Python call per copy it places.
+paying a Python call per copy it places, the world bootstrap paying one
+per NRT entry, capability entry and copy.
 """
 
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,7 +22,7 @@ from repro.overlay import metadata
 from repro.overlay.metadata import DCRTEntry
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
-from repro.overlay.system import P2PSystemConfig
+from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
 
 from tests.helpers import build_live_system
@@ -92,8 +95,13 @@ def test_dcrt_entry_allocates_nothing_for_a_known_category(
     assert len(allocated) == 1
 
 
-def test_plan_replication_makes_fewer_calls_than_it_places_copies():
-    instance, assignment, _ = build_world(scale=0.02, seed=7)
+@pytest.fixture(scope="module")
+def paper_world():
+    return build_world(scale=0.02, seed=7)
+
+
+def _python_calls(build):
+    """``(build(), Python-level calls made inside it)``."""
     calls = 0
 
     def count_calls(frame, event, arg):
@@ -103,11 +111,54 @@ def test_plan_replication_makes_fewer_calls_than_it_places_copies():
     previous = sys.getprofile()
     sys.setprofile(count_calls)
     try:
-        plan = plan_replication(instance, assignment)
+        return build(), calls
     finally:
         sys.setprofile(previous)
+
+
+def test_plan_replication_makes_fewer_calls_than_it_places_copies(paper_world):
+    instance, assignment, _ = paper_world
+    plan, calls = _python_calls(lambda: plan_replication(instance, assignment))
     placed = sum(len(docs) for docs in plan.node_docs.values())
     # 55,613 copies, nine in ten of them hot documents going to every member
     # of their cluster; placed one ``store()`` at a time the plan made
     # 130,979 calls.
     assert calls < placed
+
+
+def test_world_bootstrap_makes_fewer_calls_than_it_places_copies(paper_world):
+    system, calls = _python_calls(lambda: P2PSystem(*paper_world))
+    copies = sum(len(peer.docs) for peer in system.peers.values())
+    # 59,458 copies and 242,621 NRT entries on 400 peers: 36,954 calls, most
+    # of them building the peers.  A call per NRT entry, per capability
+    # entry and per copy made 523,170.
+    assert calls < copies
+
+
+def test_world_bootstrap_memory_and_shared_capability_tables(paper_world):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = P2PSystem(*paper_world)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 35.9 MB on CPython 3.11, two thirds of it the NRT ``OrderedDict``s;
+    # the ceiling is 20 % above.  Per-member capability tables, a fresh
+    # ``int`` per NRT entry and a second (node, doc) set made it 54.4 MB.
+    assert allocated < 43_100_000
+
+    def table_bytes(tables):
+        return sum(sys.getsizeof(dict(table)) for table in tables)
+
+    held = {
+        id(table): table
+        for peer in system.peers.values()
+        for table in peer.known_capabilities.values()
+    }
+    one_per_cluster = [
+        dict.fromkeys(members, 1.0)
+        for members in system.topology.members.values()
+        if members
+    ]
+    assert table_bytes(held.values()) <= 2 * table_bytes(one_per_cluster)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.overlay.metadata import DCRT, DCRTEntry, NRT, DocumentTable
+from repro.overlay.peer import PeerConfig
+
+from tests.helpers import MicroOverlay
 
 
 class TestDocumentTable:
@@ -225,3 +228,69 @@ class TestRandomNodeAgainstListCopy:
             assert (
                 rng.bit_generator.state == reference_rng.bit_generator.state
             )
+
+
+def _add_one_at_a_time(nrt, cluster_id, node_ids):
+    """``NRT.add_many`` as it was: one ``add``, one trim, per id.
+
+    The reference the deferred trim and the ``fromkeys`` fill are checked
+    against.
+    """
+    for node_id in node_ids:
+        nrt.add(cluster_id, node_id)
+
+
+def _state(nrt):
+    return [(cluster_id, nrt.nodes_in(cluster_id)) for cluster_id in nrt._clusters]
+
+
+_ids = st.integers(0, 9)
+
+
+class TestAddManyAgainstOneAtATime:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_ids, max_size=8),                   # already in the table
+        st.lists(st.lists(_ids, max_size=12), min_size=1, max_size=3),
+        # The capacity: 1, 2, or the first batch's length -1 / +0 / +1.
+        st.sampled_from(((1, 0), (2, 0), (-1, 1), (0, 1), (1, 1))),
+        st.booleans(),
+    )
+    def test_same_ordered_tables(self, prefill, batches, capacity, lazily):
+        offset, per_id = capacity
+        capacity = max(1, offset + per_id * len(batches[0]))
+        nrt, reference = NRT(capacity), NRT(capacity)
+        for table in (nrt, reference):
+            _add_one_at_a_time(table, 1, prefill)
+        for batch in batches:
+            nrt.add_many(1, iter(batch) if lazily else batch)
+            _add_one_at_a_time(reference, 1, batch)
+            assert _state(nrt) == _state(reference)
+
+    def test_an_empty_batch_creates_no_table(self):
+        nrt = NRT()
+        nrt.add_many(4, [])
+        assert nrt.clusters() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_ids, min_size=1, max_size=8, unique=True),
+        st.booleans(),
+        st.lists(_ids, max_size=4),
+    )
+    def test_join_cluster_is_add_self_then_each_known(
+        self, known, self_in_known, prefill
+    ):
+        # A full table of fellows: where an undrawn self is evicted from
+        # its own table, and a drawn one keeps its drawn place.
+        node_id = known[0] if self_in_known else 10
+        config = PeerConfig(nrt_capacity=len(known))
+        peer = MicroOverlay().add_peer(node_id, config=config)
+        reference = NRT(len(known))
+        for table in (peer.nrt, reference):
+            _add_one_at_a_time(table, 2, prefill)
+        peer.join_cluster(2, known_members=known)
+        reference.add(2, node_id)
+        _add_one_at_a_time(reference, 2, known)
+        assert _state(peer.nrt) == _state(reference)
+        assert (node_id in peer.nrt.nodes_in(2)) == self_in_known

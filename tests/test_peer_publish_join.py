@@ -1,11 +1,14 @@
 """Tests for the publish (Section 6.2) and join/leave (6.3) protocols."""
 
+from types import MappingProxyType
+
 import pytest
 
+from repro.overlay import messages as m
 from repro.overlay.metadata import DCRT
 from repro.overlay.peer import DocInfo
 
-from tests.helpers import MicroOverlay
+from tests.helpers import MicroOverlay, build_live_system
 
 
 class TestPublish:
@@ -182,3 +185,92 @@ class TestCapabilityGossipAndElection:
         # Node 1 (the most powerful) died: 0 must elect someone alive.
         overlay.peers[0].adaptation.elect_leaders(alive={0})
         assert overlay.peers[0].believed_leader[2] == 0
+
+
+@pytest.fixture
+def booted():
+    """A bootstrapped world and its largest cluster: ``(system, cluster id,
+    member A, member B, the table all members share)``."""
+    _, system = build_live_system(scale=0.01, seed=31)
+    cluster_id, members = max(
+        system.topology.members.items(), key=lambda item: len(item[1])
+    )
+    a, b = (system.peers[node_id] for node_id in sorted(members)[:2])
+    shared = a.known_capabilities[cluster_id]
+    assert shared is b.known_capabilities[cluster_id]
+    return system, cluster_id, a, b, shared
+
+
+class TestCapabilityCopyOnWrite:
+    """Bootstrap gives a cluster's members one read-only capability table;
+    a peer's view turns private on the first write that changes it."""
+
+    def test_a_bootstrapped_table_rejects_item_assignment(self, booted):
+        _, _, a, _, shared = booted
+        assert type(shared) is MappingProxyType
+        with pytest.raises(TypeError):
+            shared[a.node_id] = 99.0
+
+    def test_an_announce_of_known_values_materialises_nothing(self, booted):
+        system, cluster_id, a, b, shared = booted
+        a.adaptation.announce_capabilities()
+        system.sim.run()
+        for node_id in system.topology.members[cluster_id]:
+            table = system.peers[node_id].known_capabilities[cluster_id]
+            assert table is shared
+
+    @pytest.mark.parametrize("write", ["capability", "leave_notice", "join"])
+    def test_a_write_at_one_peer_is_invisible_at_another(self, booted, write):
+        system, cluster_id, a, b, shared = booted
+        before = dict(shared)
+        if write == "capability":
+            announce = m.CapabilityAnnounce(cluster_id, ((b.node_id, 99.0), (-5, 1.0)))
+            a.adaptation.handle_capability(announce, b.node_id)
+            assert a.known_capabilities[cluster_id][b.node_id] == 99.0
+            assert a.known_capabilities[cluster_id][-5] == 1.0
+        elif write == "leave_notice":
+            a.membership.handle_leave_notice(
+                m.LeaveNotice(b.node_id, cluster_id, ()), b.node_id
+            )
+            assert b.node_id not in a.known_capabilities[cluster_id]
+        else:
+            a.capacity_units += 1.0
+            a.join_cluster(cluster_id)
+            assert a.known_capabilities[cluster_id][a.node_id] == a.capacity_units
+        assert type(a.known_capabilities[cluster_id]) is dict
+        assert b.known_capabilities[cluster_id] is shared
+        assert dict(shared) == before
+
+    def test_power_loss_and_rewire_leave_the_shared_table_intact(self, booted):
+        system, cluster_id, a, b, shared = booted
+        before = dict(shared)
+        a.lose_power()
+        assert a.known_capabilities == {}
+        a.memberships.add(cluster_id)  # what the journal replay restores
+        system.topology.rewire(a)
+        assert a.known_capabilities[cluster_id] == {a.node_id: a.capacity_units}
+        assert b.known_capabilities[cluster_id] is shared
+        assert dict(shared) == before
+
+
+def test_integrity_audit_reads_ever_stored_from_holders_and_drops():
+    _, system = build_live_system(scale=0.01, seed=31)
+    ledger = system.ledger
+    ledger.integrity_audit = True
+    peer = next(peer for peer in system.peers.values() if peer.docs)
+    held, dropped = list(peer.docs)[:2]
+    peer.drop_document(dropped)
+    never = next(d for d in system.instance.documents if d not in peer.docs and d != dropped)
+    assert not ledger.ever_stored(peer.node_id, never)
+
+    def respond(doc_id):
+        ledger.on_query_response(
+            peer, m.QueryResponse(10**9, (doc_id,), peer.node_id, hops=1)
+        )
+
+    respond(held)
+    respond(dropped)  # stored at bootstrap, dropped since: still honest
+    assert ledger.integrity_violations == []
+    respond(never)
+    assert len(ledger.integrity_violations) == 1
+    assert f"claiming doc {never}" in ledger.integrity_violations[0]
