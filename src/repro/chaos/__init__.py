@@ -7,7 +7,8 @@ the action groups of whichever :data:`FEATURES` the
 :class:`ScenarioConfig` switches on), :func:`run_schedule` executes the
 schedule against a freshly built overlay while an
 :class:`InvariantChecker` — registered as a simulation quiescence hook —
-asserts system-wide safety properties after every drained step, and
+asserts the :data:`INVARIANTS` registry's system-wide safety properties
+after every drained step, and
 :func:`shrink` reduces a failing schedule to a minimal reproducer that
 :func:`emit_pytest_case` turns into a ready-to-paste regression test.
 
@@ -17,7 +18,7 @@ makes recorded failures replayable.
 """
 
 from repro.chaos.harness import ChaosReport, run_schedule
-from repro.chaos.invariants import InvariantChecker, Violation
+from repro.chaos.invariants import INVARIANTS, InvariantChecker, Violation
 from repro.chaos.replay import emit_pytest_case, replay, shrink
 from repro.chaos.scenario import (
     ACTIONS,
@@ -33,6 +34,7 @@ __all__ = [
     "ACTIONS",
     "ChaosReport",
     "FEATURES",
+    "INVARIANTS",
     "InvariantChecker",
     "Schedule",
     "ScheduleEntry",

@@ -206,6 +206,18 @@ class ChaosRunner:
         self.checker.note_published(doc_id)
         return info
 
+    def _check(self, name: str, *args, **kwargs) -> None:
+        """An event-driven invariant's trigger fired."""
+        if self.check_invariants:
+            self.checker.check(name, *args, **kwargs)
+
+    def _workload(self, workload: QueryWorkload, **kwargs) -> bool:
+        """Run a query workload to quiescence: the ``workload`` event."""
+        outcomes = self.system.run_workload(workload, **kwargs)
+        self.report.outcomes_total += len(outcomes)
+        self._check("query-termination", outcomes)
+        return True
+
     def _apply(self, entry) -> bool:
         handler = getattr(self, f"_do_{entry.action}", None)
         if handler is None:
@@ -214,11 +226,7 @@ class ChaosRunner:
 
     def _do_query_burst(self, step: int, n: int, workload_seed: int) -> bool:
         workload = make_query_workload(self.instance, n, seed=workload_seed)
-        outcomes = self.system.run_workload(workload)
-        self.report.outcomes_total += len(outcomes)
-        if self.check_invariants:
-            self.checker.check_outcomes(outcomes)
-        return True
+        return self._workload(workload)
 
     def _do_flash_crowd(
         self, step: int, category: int, n: int, workload_seed: int
@@ -249,15 +257,11 @@ class ChaosRunner:
             )
             for index in range(n)
         ]
-        outcomes = self.system.run_workload(
+        return self._workload(
             QueryWorkload(queries=queries),
             query_interval=0.001,
             doc_targeted=bool(doc_ids),
         )
-        self.report.outcomes_total += len(outcomes)
-        if self.check_invariants:
-            self.checker.check_outcomes(outcomes)
-        return True
 
     def _do_gossip(self, step: int, rounds: int) -> bool:
         self.system.run_round("gossip", rounds)
@@ -401,11 +405,7 @@ class ChaosRunner:
                     m=1,
                 )
             )
-        outcomes = self.system.run_workload(QueryWorkload(queries=queries))
-        self.report.outcomes_total += len(outcomes)
-        if self.check_invariants:
-            self.checker.check_outcomes(outcomes)
-        return True
+        return self._workload(QueryWorkload(queries=queries))
 
     def _do_skew_flip(
         self, step: int, mass: float, n_hot: int, flip_seed: int
@@ -509,8 +509,8 @@ class ChaosRunner:
         peer = self.system.peer(node_id)
         docs_before = sorted(peer.docs) if peer is not None else []
         ok = self.system.shutdown_node(node_id)
-        if ok and self.check_invariants:
-            self.checker.check_graceful_shutdown(node_id, docs_before)
+        if ok:
+            self._check("no-sole-holder-loss", node_id, docs_before)
         return ok
 
     # -- recovery group ---------------------------------------------------
@@ -529,8 +529,7 @@ class ChaosRunner:
         system.sim.run()
         system.recover_node(node_id)
         system.run_control_round()
-        if self.check_invariants:
-            self.checker.check_recovery(node_id)
+        self._check("recovery-convergence", node_id=node_id)
         return True
 
     def _do_split_brain_heal(
@@ -574,14 +573,12 @@ class ChaosRunner:
             outcome = system.run_round("reconciliation")
             if not outcome or not outcome["divergent"]:
                 break
-        if self.check_invariants:
-            self.checker.check_reconciliation(category_id)
+        self._check("recovery-convergence", category_id=category_id)
         return True
 
     def _do_adapt(self, step: int) -> bool:
         outcome = self.system.run_adaptation(round_id=step)
-        if self.check_invariants:
-            self.checker.check_adaptation(outcome)
+        self._check("fairness-bound", outcome)
         return True
 
     def _do_converge(self, step: int) -> bool:
@@ -593,8 +590,7 @@ class ChaosRunner:
             self.system.run_round("gossip")
             rounds += 1
         self.report.settle_rounds += rounds
-        if self.check_invariants:
-            self.checker.check_convergence()
+        self._check("gossip-convergence")
         # Heal until a scan starts no new fetch (the healer's per-round
         # budget can leave a backlog), then demand every surviving
         # document meet the availability floor.
@@ -602,8 +598,8 @@ class ChaosRunner:
             report = self.system.run_round("healing")
             if not report or not report["fetches"]:
                 break
-        if self.check_invariants and self.system.content is not None:
-            self.checker.check_chunk_availability()
+        if self.system.content is not None:
+            self._check("chunk-availability")
         return True
 
 

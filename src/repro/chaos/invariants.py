@@ -1,187 +1,69 @@
-"""System-wide safety invariants, checked after every quiescent step.
+"""System-wide safety invariants: one registry, checked by one checker.
 
-The :class:`InvariantChecker` reads a live
-:class:`~repro.overlay.system.P2PSystem` through its introspection views
-and asserts properties that must hold *whenever the event queue is
-drained*, no matter what faults the scenario injected:
+:data:`INVARIANTS` names every property the chaos harness asserts.  An
+entry is made by decorating its check — a generator method of
+:class:`InvariantChecker` yielding one detail string per breach — with
+:func:`invariant`: the check's docstring is the statement, ``group`` is
+``core`` or the subsystem whose presence switches it on (:data:`GROUPS`),
+and ``when`` is ``quiescence`` (run by
+:meth:`InvariantChecker.check_structural`, the simulator's quiescence
+hook) or the harness event — ``workload`` or the chaos action(s) — after
+which :meth:`InvariantChecker.check` is called with the invariant's name.
+Registration order is check order.  The registered invariants:
 
-``unique-ownership``
-    The authoritative assignment maps every category to exactly one
-    existing cluster.
-``move-counter-monotonic``
-    No peer's DCRT entry for a category ever goes backwards in move
-    counter (watermarked per ``(node, category)``), and neither does the
-    authoritative assignment's counter.
-``doc-conservation``
-    Every document ever placed or published still physically exists on
-    some peer object (crashed nodes keep their disk); rebalancing must
-    never destroy content.
-``holder-consistency``
-    The cluster metadata's holder directory and the peers' actual stores
-    agree in both directions.
-``membership-consistency``
-    Live peers' cluster memberships and the system's authoritative
-    membership sets agree.
-``exactly-once-effects``
-    No reliable delivery was ever applied more than once by its
-    receiver: retried publishes and transfers must not double-count
-    documents or bytes (the dedup window suppresses retransmissions).
-``query-termination``
-    Every issued query ends answered, unanswered, or failed — outcome
-    states are mutually exclusive and every outcome is classifiable.
-``gossip-convergence``
-    After a heal-and-settle window, all live peers that can reach each
-    other through gossip partners agree on every DCRT entry.
-``fairness-bound``
-    Observed Jain fairness lies in ``(0, 1]`` and the reassigner's
-    fairness trace is monotone non-decreasing (MaxFair only accepts
-    improving moves).
-
-When the world runs with the per-peer service model enabled
-(``config.service.enabled``), four more structural checks join
-the quiescence set:
-
-``service-queue-bound``
-    No service queue ever held more queries than its configured
-    capacity — admission control cannot be bypassed.
-``overload-conservation``
-    Per queue, ``offered == processed + shed + redirected + queued +
-    in_service``: every admitted query is accounted for exactly once.
-``overload-drain``
-    At quiescence no query is still queued or in service; the service
-    model never wedges the run-to-quiescence contract.
-``retry-budget-no-overdraft``
-    No reliable channel's per-destination retry budget ever goes
-    negative — retries cannot outrun the token bucket.
-
-The overload queue checks cover *every* peer object, crashed ones
-included: a node must shed its admitted service-queue work at the moment
-it dies, so a crash path that leaves a completion armed or queued
-queries stranded shows up as a drain (or conservation) violation.
-
-When the demand-adaptive replication loop runs
-(``P2PSystem.replication`` is built), one more check joins:
-
-``replication-bounds``
-    The manager's per-category managed replica set stays within
-    ``max_replicas`` and only ever names real nodes.
-
-When misbehaving peers have been armed
-(``P2PSystem.ledger.integrity_audit``), one more check joins:
-
-``response-integrity``
-    Every response a requester *accepted* only claims documents its
-    responder actually stored at some point — fabricated content must be
-    rejected at the requester or it is a violation.
-
-When the content data plane runs (``P2PSystem.content`` is built),
-two structural checks join the quiescence set and two event-driven ones
-are invoked by the harness:
-
-``manifest-consistency``
-    Every registered manifest's chunk hashes match the content-derived
-    hashes for its document, the hash count matches the chunk count its
-    size implies, and its version never goes backwards (structural).
-``fetch-integrity``
-    Every fetch the ledger marks completed verified all of its chunks,
-    and the hashes it verified are exactly the manifest's (structural).
-``chunk-availability``
-    After healing runs dry at the cooldown's convergence point, every
-    document that still has at least one live holder has at least
-    ``min(replication_floor, live peers)`` of them (event-driven).
-``no-sole-holder-loss``
-    A graceful shutdown leaves every document the leaver held with at
-    least one other live holder (event-driven, checked per shutdown).
-
-When durable crash recovery runs (``P2PSystem.recovery`` is built),
-two structural checks join the quiescence set and one event-driven
-family is invoked by the harness:
-
-``no-acknowledged-write-loss``
-    Every document whose store was acknowledged into a peer's journal is
-    still held by that peer whenever the peer is alive with its memory
-    intact — a WAL record is a promise the volatile state must honor
-    (structural).  Conservation also widens: a powered-off node's
-    journal counts as "the document still exists", because its disk
-    survives the amnesia.
-``single-owner-per-epoch``
-    The epoch-claims ledger never assigns the same ``(category, epoch)``
-    to two different clusters, and no two live peers believe the same
-    nonzero epoch names different owners (structural).
-``recovery-convergence``
-    After a recovery (or reconciliation) round completes, the recovered
-    node holds and re-advertises every durable document, and all live
-    peers agree with the authoritative assignment on the reconciled
-    category (event-driven, checked per power-loss / heal).
-
-Structural checks run from the simulator's quiescence hook; the last
-three of the base set are event-driven, invoked by the harness when a
-workload, convergence window, or adaptation round completes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.system import P2PSystem
 
-__all__ = [
-    "Violation",
-    "InvariantChecker",
-    "STRUCTURAL_INVARIANTS",
-    "OVERLOAD_INVARIANTS",
-    "REPLICATION_INVARIANTS",
-    "INTEGRITY_INVARIANTS",
-    "CONTENT_INVARIANTS",
-    "RECOVERY_INVARIANTS",
-]
-
-#: invariants evaluated at every quiescent step (vs. event-driven ones).
-STRUCTURAL_INVARIANTS = (
-    "unique-ownership",
-    "move-counter-monotonic",
-    "doc-conservation",
-    "holder-consistency",
-    "membership-consistency",
-    "exactly-once-effects",
-)
-
-#: extra structural invariants checked when the service model is enabled.
-OVERLOAD_INVARIANTS = (
-    "service-queue-bound",
-    "overload-conservation",
-    "overload-drain",
-    "retry-budget-no-overdraft",
-)
-
-#: extra structural invariants checked when adaptive replication runs.
-REPLICATION_INVARIANTS = ("replication-bounds",)
-
-#: extra structural invariant checked once misbehavior is armed.
-INTEGRITY_INVARIANTS = ("response-integrity",)
-
-#: invariants checked when the content data plane is enabled (the first
-#: two structural, the last two event-driven).
-CONTENT_INVARIANTS = (
-    "manifest-consistency",
-    "fetch-integrity",
-    "chunk-availability",
-    "no-sole-holder-loss",
-)
-
-#: invariants checked when durable crash recovery is enabled (the first
-#: two structural, the last event-driven).
-RECOVERY_INVARIANTS = (
-    "no-acknowledged-write-loss",
-    "single-owner-per-epoch",
-    "recovery-convergence",
-)
+__all__ = ["GROUPS", "INVARIANTS", "Invariant", "InvariantChecker", "Violation"]
 
 _EPS = 1e-9
+
+#: group -> "is it on for this built system?".  The checker asks the
+#: system what it built rather than re-reading config, and asks at every
+#: pass (the integrity audit is armed mid-run), so default worlds run no
+#: extra checks and keep their exact check counts — and metric goldens.
+GROUPS = {
+    "core": lambda system: True,
+    "overload": lambda system: system.config.service.enabled,
+    "replication": lambda system: system.replication is not None,
+    "integrity": lambda system: system.ledger.integrity_audit,
+    "content": lambda system: system.content is not None,
+    "recovery": lambda system: system.recovery is not None,
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Invariant:
+    """One registered invariant: where it applies, when, what, how."""
+
+    group: str
+    when: str
+    statement: str
+    check: Callable[..., Iterator[str]]
+
+
+#: every invariant, ``name -> Invariant``, in check order.
+INVARIANTS: dict[str, Invariant] = {}
+
+
+def invariant(name: str, group: str = "core", when: str = "quiescence"):
+    """Register the decorated check; its docstring is the statement."""
+
+    def register(check):
+        statement = " ".join(check.__doc__.split())
+        INVARIANTS[name] = Invariant(group, when, statement, check)
+        return check
+
+    return register
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,7 +117,7 @@ class InvariantChecker:
         self._epoch_claim_marks: dict[tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
-    # bookkeeping
+    # bookkeeping and entry points
     # ------------------------------------------------------------------
     def note_published(self, doc_id: int) -> None:
         """Register a chaos-created document for conservation tracking."""
@@ -245,59 +127,49 @@ class InvariantChecker:
     def violated_invariants(self) -> set[str]:
         return {violation.invariant for violation in self.violations}
 
-    def _record(self, invariant: str, detail: str) -> None:
-        self.violations.append(
-            Violation(invariant=invariant, step=self.step, detail=detail)
-        )
-        self._c_violations.inc()
-        obs.counter(f"chaos.violations.{invariant}").inc()
+    def check(self, name: str, *args, **kwargs) -> None:
+        """Run one registered invariant now; record what it yields.
 
-    def _run(self, invariant: str, check) -> None:
+        The harness calls this when an event-driven invariant's trigger
+        fires, with whatever the check needs (the workload's outcomes,
+        the node that recovered, ...).
+        """
         self._c_checks.inc()
-        with obs.Timer(obs.histogram(f"chaos.invariant.{invariant}_s")):
-            for detail in check():
-                self._record(invariant, detail)
+        with obs.Timer(obs.histogram(f"chaos.invariant.{name}_s")):
+            for detail in INVARIANTS[name].check(self, *args, **kwargs):
+                self.violations.append(
+                    Violation(invariant=name, step=self.step, detail=detail)
+                )
+                self._c_violations.inc()
+                obs.counter(f"chaos.violations.{name}").inc()
 
-    # ------------------------------------------------------------------
-    # structural checks (quiescence hook)
-    # ------------------------------------------------------------------
     def check_structural(self) -> None:
-        """All always-true properties; called at every quiescent step."""
-        self._run("unique-ownership", self._check_unique_ownership)
-        self._run("move-counter-monotonic", self._check_move_counters)
-        self._run("doc-conservation", self._check_conservation)
-        self._run("holder-consistency", self._check_holders)
-        self._run("membership-consistency", self._check_membership)
-        self._run("exactly-once-effects", self._check_exactly_once)
-        # Overload invariants are gated so default worlds (service model
-        # off) keep their exact check counts — and their metric goldens.
-        if self.system.config.service.enabled:
-            self._run("service-queue-bound", self._check_service_queue_bound)
-            self._run("overload-conservation", self._check_overload_conservation)
-            self._run("overload-drain", self._check_overload_drain)
-            self._run("retry-budget-no-overdraft", self._check_retry_budgets)
-        # Replication bounds are likewise gated: default worlds construct
-        # no manager, so their check counts (and goldens) are unchanged.
-        if self.system.replication is not None:
-            self._run("replication-bounds", self._check_replication_bounds)
-        # Response integrity is gated on the misbehavior audit being
-        # armed: honest worlds run no extra checks, keeping goldens.
-        if self.system.ledger.integrity_audit:
-            self._run("response-integrity", self._check_response_integrity)
-        # Content checks are gated the same way: chunk-free worlds run
-        # no extra checks, keeping their goldens byte-identical.
-        if self.system.content is not None:
-            self._run("manifest-consistency", self._check_manifests)
-            self._run("fetch-integrity", self._check_fetch_integrity)
-        # Durability checks are gated on the journals existing at all:
-        # persistence-free worlds run no extra checks, keeping goldens.
-        if self.system.recovery is not None:
-            self._run(
-                "no-acknowledged-write-loss", self._check_acknowledged_writes
-            )
-            self._run("single-owner-per-epoch", self._check_epoch_ownership)
+        """Every ``quiescence`` invariant whose group is on for this
+        system; the simulator's quiescence hook."""
+        system = self.system
+        for name, entry in INVARIANTS.items():
+            if entry.when == "quiescence" and GROUPS[entry.group](system):
+                self.check(name)
 
+    def check_convergence(self) -> bool:
+        """Run ``gossip-convergence``, recording any disagreement; True
+        when every component agrees."""
+        before = len(self.violations)
+        self.check("gossip-convergence")
+        return len(self.violations) == before
+
+    def probe_convergence(self) -> bool:
+        """Like :meth:`check_convergence` but never records violations
+        (the settle loop's "are more gossip rounds worth running?")."""
+        return next(self._check_convergence(), None) is None
+
+    # ------------------------------------------------------------------
+    # core
+    # ------------------------------------------------------------------
+    @invariant("unique-ownership")
     def _check_unique_ownership(self):
+        """The authoritative assignment maps every category to exactly
+        one existing cluster."""
         assignment = self.system.assignment
         if not assignment.is_complete():
             yield "assignment has unassigned categories"
@@ -311,7 +183,10 @@ class InvariantChecker:
                     f"cluster {cluster_id}"
                 )
 
+    @invariant("move-counter-monotonic")
     def _check_move_counters(self):
+        """No peer's DCRT entry for a category, and no authoritative
+        assignment entry, ever goes backwards in move counter."""
         assignment = self.system.assignment
         for category_id in range(assignment.n_categories):
             counter = int(assignment.move_counters[category_id])
@@ -337,7 +212,11 @@ class InvariantChecker:
                 else:
                     self._peer_marks[key] = entry.move_counter
 
+    @invariant("doc-conservation")
     def _check_conservation(self):
+        """Every document ever placed or published still exists on some
+        peer object or surviving journal; rebalancing never destroys
+        content."""
         held: set[int] = set()
         for docs in self.system.stored_docs_by_node().values():
             held |= docs
@@ -355,7 +234,10 @@ class InvariantChecker:
                 f"(sample: {sample})"
             )
 
+    @invariant("holder-consistency")
     def _check_holders(self):
+        """The holder directory and the peers' actual stores agree in
+        both directions."""
         stored = self.system.stored_docs_by_node()
         holders_view = self.system.doc_holders_view()
         for doc_id, holders in holders_view.items():
@@ -373,7 +255,10 @@ class InvariantChecker:
                         f"directory does not know"
                     )
 
+    @invariant("membership-consistency")
     def _check_membership(self):
+        """Live peers' cluster memberships and the system's authoritative
+        membership sets agree."""
         members_view = self.system.cluster_members_view()
         departed = set(self.system.departed_node_ids())
         for cluster_id, members in members_view.items():
@@ -393,7 +278,10 @@ class InvariantChecker:
                         f"{cluster_id} but the system does not list it"
                     )
 
+    @invariant("exactly-once-effects")
     def _check_exactly_once(self):
+        """No receiver ever applied the same reliable delivery twice,
+        however many times it was retransmitted."""
         # Each peer counts handler applications per (src, delivery_id);
         # a count above one means a retransmission slipped past the
         # dedup window and re-ran its protocol handler.
@@ -407,6 +295,73 @@ class InvariantChecker:
                         f"{delivery_id} from node {src} {count} times"
                     )
 
+    @invariant("query-termination", when="workload")
+    def _check_outcomes(self, outcomes):
+        """Every issued query ends in exactly one of answered, unanswered
+        or failed, with no event left queued."""
+        if self.system.sim.pending() > 0:
+            yield (
+                f"{self.system.sim.pending()} events still queued when "
+                f"outcomes were finalized"
+            )
+        for outcome in outcomes:
+            states = [
+                outcome.failed,
+                outcome.results > 0,
+                (not outcome.failed) and outcome.results == 0,
+            ]
+            if sum(states) != 1:
+                yield (
+                    f"query {outcome.query_id} is in {sum(states)} "
+                    f"terminal states (failed={outcome.failed}, "
+                    f"results={outcome.results})"
+                )
+            if outcome.failed and outcome.first_response_at is not None:
+                yield (
+                    f"query {outcome.query_id} both failed and received "
+                    f"a response"
+                )
+
+    @invariant("gossip-convergence", when="converge")
+    def _check_convergence(self):
+        """After the heal-and-settle window, live peers that can reach
+        each other through gossip partners agree on every DCRT entry."""
+        alive = {peer.node_id: peer for peer in self.system.alive_peers()}
+        for component in _gossip_components(alive):
+            yield from _component_disagreements(
+                component, alive, self.system.n_categories
+            )
+
+    @invariant("fairness-bound", when="adapt")
+    def _check_adaptation(self, outcome):
+        """An adaptation round's observed Jain fairness lies in [0, 1] and
+        its reassignment trace never decreases (MaxFair only accepts
+        improving moves)."""
+        fairness = outcome.observed_fairness
+        if not 0.0 <= fairness <= 1.0 + _EPS:
+            yield f"observed fairness {fairness} outside [0, 1]"
+        result = outcome.reassign_result
+        if result is None:
+            return
+        trace = result.fairness_trace
+        for value in trace:
+            if not 0.0 <= value <= 1.0 + _EPS:
+                yield f"fairness trace value {value} outside [0, 1]"
+        for earlier, later in zip(trace, trace[1:]):
+            if later < earlier - _EPS:
+                yield (
+                    f"fairness trace decreased: {earlier} -> {later} "
+                    f"(MaxFair only accepts improving moves)"
+                )
+        if result.final_fairness < result.initial_fairness - _EPS:
+            yield (
+                f"rebalancing lowered planned fairness "
+                f"{result.initial_fairness} -> {result.final_fairness}"
+            )
+
+    # ------------------------------------------------------------------
+    # overload (the per-peer service model is on)
+    # ------------------------------------------------------------------
     def _service_snapshots(self):
         # Every peer object ever created, including crashed ones: a dead
         # node must have shed its admitted work at the moment of the
@@ -419,7 +374,10 @@ class InvariantChecker:
             if snapshot is not None:
                 yield node_id, snapshot
 
+    @invariant("service-queue-bound", "overload")
     def _check_service_queue_bound(self):
+        """No service queue ever held more queries than its configured
+        capacity: admission control cannot be bypassed."""
         for node_id, snap in self._service_snapshots():
             capacity = snap["capacity"]
             if capacity > 0 and snap["max_depth"] > capacity:
@@ -428,7 +386,10 @@ class InvariantChecker:
                     f"{snap['max_depth']} with capacity {capacity}"
                 )
 
+    @invariant("overload-conservation", "overload")
     def _check_overload_conservation(self):
+        """Per queue, offered == processed + shed + redirected + queued +
+        in_service: every admitted query is accounted for exactly once."""
         for node_id, snap in self._service_snapshots():
             accounted = (
                 snap["processed"]
@@ -446,7 +407,10 @@ class InvariantChecker:
                     f"in_service {snap['in_service']})"
                 )
 
+    @invariant("overload-drain", "overload")
     def _check_overload_drain(self):
+        """At quiescence no query is still queued or in service, on live
+        and crashed peers alike."""
         for node_id, snap in self._service_snapshots():
             if snap["depth"] or snap["in_service"]:
                 yield (
@@ -454,9 +418,26 @@ class InvariantChecker:
                     f"in_service={snap['in_service']} at quiescence"
                 )
 
+    @invariant("retry-budget-no-overdraft", "overload")
+    def _check_retry_budgets(self):
+        """No reliable channel's per-destination retry budget ever goes
+        negative: retries cannot outrun the token bucket."""
+        for peer in self.system.alive_peers():
+            minimum = peer.channel.min_budget_tokens()
+            if minimum is not None and minimum < -_EPS:
+                yield (
+                    f"node {peer.node_id} overdrew a retry budget to "
+                    f"{minimum} tokens"
+                )
+
+    # ------------------------------------------------------------------
+    # replication (the demand-adaptive manager is built), integrity (a
+    # misbehaving peer has been armed)
+    # ------------------------------------------------------------------
+    @invariant("replication-bounds", "replication")
     def _check_replication_bounds(self):
-        """Replica-set bounds: the manager never exceeds its ceiling and
-        never tracks replicas on nodes that do not exist."""
+        """The manager's per-category managed replica set stays within
+        ``max_replicas`` and only ever names real nodes."""
         manager = self.system.replication
         max_replicas = manager.config.max_replicas
         known = set(self.system.all_node_ids())
@@ -473,30 +454,24 @@ class InvariantChecker:
                         f"on unknown node {node_id}"
                     )
 
-    def _check_retry_budgets(self):
-        for peer in self.system.alive_peers():
-            minimum = peer.channel.min_budget_tokens()
-            if minimum is not None and minimum < -_EPS:
-                yield (
-                    f"node {peer.node_id} overdrew a retry budget to "
-                    f"{minimum} tokens"
-                )
-
+    @invariant("response-integrity", "integrity")
     def _check_response_integrity(self):
-        """Accepted responses must only claim documents their responder
-        actually stored — anything the system's audit flagged is a breach.
-
-        The audit list is cumulative, so report only the tail beyond the
-        last quiescent step's cursor.
-        """
+        """Every response a requester accepted only claims documents its
+        responder actually stored at some point."""
+        # The audit list is cumulative: report only the tail beyond the
+        # last quiescent step's cursor.
         failures = self.system.ledger.integrity_violations
         new = failures[self._integrity_cursor :]
         self._integrity_cursor = len(failures)
         yield from new
 
+    # ------------------------------------------------------------------
+    # content (the chunk data plane is built)
+    # ------------------------------------------------------------------
+    @invariant("manifest-consistency", "content")
     def _check_manifests(self):
-        """Every manifest's hashes are content-derived and its version
-        only ever advances."""
+        """Every manifest's chunk hashes are content-derived, their count
+        matches its size, and its version never goes backwards."""
         from repro.content import chunk_hash, n_chunks
 
         manager = self.system.content
@@ -523,15 +498,16 @@ class InvariantChecker:
             else:
                 self._manifest_marks[doc_id] = manifest.version
 
+    @invariant("fetch-integrity", "content")
     def _check_fetch_integrity(self):
-        """Every settled completed fetch verified exactly the manifest's
-        hashes (the ledger is append-only; audit only the new tail)."""
+        """Every fetch the ledger marks completed verified all of its
+        chunks against exactly the manifest's hashes."""
         manager = self.system.content
         records = manager.records
         cursor = self._fetch_cursor
-        # Advance the cursor over the settled prefix only: in-flight
-        # records at the boundary get re-audited next pass instead of
-        # being skipped forever.
+        # The ledger is append-only; advance the cursor over the settled
+        # prefix only, so in-flight records at the boundary get re-audited
+        # next pass instead of being skipped forever.
         while cursor < len(records) and records[cursor].settled:
             cursor += 1
         for record in records[self._fetch_cursor : cursor]:
@@ -556,11 +532,45 @@ class InvariantChecker:
                 )
         self._fetch_cursor = cursor
 
+    @invariant("chunk-availability", "content", when="converge")
+    def _check_chunk_availability(self):
+        """After healing runs dry, every document with a live holder has
+        at least ``min(replication_floor, live peers)`` of them."""
+        manager = self.system.content
+        floor = min(
+            manager.config.replication_floor, len(self.system.alive_peers())
+        )
+        for doc_id in sorted(manager.manifests):
+            holders = manager.live_holders(doc_id)
+            if not holders:
+                continue  # unrepairable: no live copy to heal from
+            if len(holders) < floor:
+                yield (
+                    f"doc {doc_id} has {len(holders)} live holders "
+                    f"after healing ran dry (floor {floor})"
+                )
+
+    @invariant("no-sole-holder-loss", "content", when="graceful_shutdown")
+    def _check_graceful_shutdown(self, leaver_id: int, doc_ids):
+        """A graceful shutdown leaves every document the leaver held with
+        at least one other live holder."""
+        live_holders = self.system.ledger.live_holders
+        for doc_id in doc_ids:
+            if not set(live_holders(doc_id)) - {leaver_id}:
+                yield (
+                    f"graceful shutdown of node {leaver_id} lost the "
+                    f"last live copy of doc {doc_id}"
+                )
+
+    # ------------------------------------------------------------------
+    # recovery (per-peer journals are attached)
+    # ------------------------------------------------------------------
+    @invariant("no-acknowledged-write-loss", "recovery")
     def _check_acknowledged_writes(self):
-        """A journaled store is an acknowledged write: any peer that is
-        alive with its memory intact must still hold every document its
-        own WAL says it does.  (A powered-off or amnesiac peer is exempt
-        until :meth:`P2PSystem.recover_node` replays its journal.)"""
+        """A peer that is alive with its memory intact still holds every
+        document whose store was acknowledged into its journal."""
+        # A powered-off or amnesiac peer is exempt until
+        # P2PSystem.recover_node replays its journal.
         durable = self.system.recovery.durable_docs_by_node()
         for peer in self.system.alive_peers():
             if peer.lost_memory:
@@ -574,19 +584,15 @@ class InvariantChecker:
                     f"(sample: {sample})"
                 )
 
+    @invariant("single-owner-per-epoch", "recovery")
     def _check_epoch_ownership(self):
-        """Single owner per epoch, two ways.
-
-        Ledger: the append-only epoch-claims ledger never assigns the
-        same ``(category, epoch)`` to two different clusters — the marks
-        persist across steps so a conflicting re-claim is caught even
-        when the claims land in different quiescent windows.
-
-        Peers: every nonzero epoch a live peer believes must exist in
-        the ledger (claims are recorded *before* the fenced notice is
-        sent, so a belief without a claim is a fabricated epoch), and no
-        belief may exceed the ledger's high-water mark for its category.
-        """
+        """The epoch ledger never assigns one (category, epoch) to two
+        clusters, and every nonzero epoch a live peer believes was claimed
+        there and is not above its high-water mark."""
+        # Ledger: the marks persist across steps so a conflicting re-claim
+        # is caught even when the claims land in different quiescent
+        # windows.  Peers: claims are recorded *before* the fenced notice
+        # is sent, so a belief without a claim is a fabricated epoch.
         claims = self.system.recovery.epoch_claims()
         for category_id, epoch, cluster_id in claims[self._epoch_cursor :]:
             key = (category_id, epoch)
@@ -619,97 +625,16 @@ class InvariantChecker:
                         f"high-water mark {highest.get(category_id, 0)}"
                     )
 
-    # ------------------------------------------------------------------
-    # event-driven checks
-    # ------------------------------------------------------------------
-    def check_chunk_availability(self) -> None:
-        """Availability floor: after healing has run dry, every document
-        that still exists on some live node has at least
-        ``min(replication_floor, live peers)`` live holders."""
-
-        def check():
-            manager = self.system.content
-            if manager is None:
-                return
-            floor = min(
-                manager.config.replication_floor,
-                len(self.system.alive_peers()),
-            )
-            for doc_id in sorted(manager.manifests):
-                holders = manager.live_holders(doc_id)
-                if not holders:
-                    continue  # unrepairable: no live copy to heal from
-                if len(holders) < floor:
-                    yield (
-                        f"doc {doc_id} has {len(holders)} live holders "
-                        f"after healing ran dry (floor {floor})"
-                    )
-
-        self._run("chunk-availability", check)
-
-    def check_graceful_shutdown(self, leaver_id: int, doc_ids) -> None:
-        """No sole-holder loss: after ``leaver_id`` shut down cleanly,
-        every document it held has at least one other live holder."""
-
-        def check():
-            live_holders = self.system.ledger.live_holders
-            for doc_id in doc_ids:
-                if not set(live_holders(doc_id)) - {leaver_id}:
-                    yield (
-                        f"graceful shutdown of node {leaver_id} lost the "
-                        f"last live copy of doc {doc_id}"
-                    )
-
-        self._run("no-sole-holder-loss", check)
-
-    def check_recovery(self, node_id: int) -> None:
-        """Recovery convergence: after ``node_id`` recovered from a power
-        loss, it holds every document its journal acknowledged and the
-        holder directory re-advertises each of them."""
-
-        def check():
-            peer = self.system.peers.get(node_id)
-            if peer is None:
-                return
-            if not self.system.network.is_alive(node_id):
-                yield f"node {node_id} is not alive after recovery"
-                return
-            if peer.lost_memory:
-                yield (
-                    f"node {node_id} still reports lost memory after "
-                    f"recovery"
-                )
-            durable = self.system.recovery.durable_docs_by_node().get(
-                node_id, frozenset()
-            )
-            missing = durable - set(peer.docs)
-            if missing:
-                yield (
-                    f"recovered node {node_id} is missing "
-                    f"{len(missing)} durable documents "
-                    f"(sample: {sorted(missing)[:10]})"
-                )
-            holders_view = self.system.doc_holders_view()
-            unadvertised = {
-                doc_id
-                for doc_id in durable - missing
-                if node_id not in holders_view.get(doc_id, ())
-            }
-            if unadvertised:
-                yield (
-                    f"recovered node {node_id} holds but does not "
-                    f"re-advertise {len(unadvertised)} documents "
-                    f"(sample: {sorted(unadvertised)[:10]})"
-                )
-
-        self._run("recovery-convergence", check)
-
-    def check_reconciliation(self, category_id: int) -> None:
-        """Recovery convergence: after a partition heal's reconciliation
-        round, every live peer's DCRT agrees with the authoritative
-        assignment on the reconciled category."""
-
-        def check():
+    @invariant(
+        "recovery-convergence", "recovery", when="power_loss/split_brain_heal"
+    )
+    def _check_recovery(self, node_id=None, category_id=None):
+        """After a power-loss recovery the node holds and re-advertises
+        every durable document; after a reconciliation every live peer
+        agrees with the assignment on the reconciled category."""
+        if node_id is not None:
+            yield from self._recovered_node_failures(node_id)
+        if category_id is not None:
             assignment = self.system.assignment
             target = int(assignment.category_to_cluster[category_id])
             for peer in self.system.alive_peers():
@@ -721,96 +646,43 @@ class InvariantChecker:
                         f"{entry.cluster_id} (authoritative: {target})"
                     )
 
-        self._run("recovery-convergence", check)
+    def _recovered_node_failures(self, node_id: int):
+        peer = self.system.peers.get(node_id)
+        if peer is None:
+            return
+        if not self.system.network.is_alive(node_id):
+            yield f"node {node_id} is not alive after recovery"
+            return
+        if peer.lost_memory:
+            yield f"node {node_id} still reports lost memory after recovery"
+        durable = self.system.recovery.durable_docs_by_node().get(
+            node_id, frozenset()
+        )
+        missing = durable - set(peer.docs)
+        if missing:
+            yield (
+                f"recovered node {node_id} is missing "
+                f"{len(missing)} durable documents "
+                f"(sample: {sorted(missing)[:10]})"
+            )
+        holders_view = self.system.doc_holders_view()
+        unadvertised = {
+            doc_id
+            for doc_id in durable - missing
+            if node_id not in holders_view.get(doc_id, ())
+        }
+        if unadvertised:
+            yield (
+                f"recovered node {node_id} holds but does not "
+                f"re-advertise {len(unadvertised)} documents "
+                f"(sample: {sorted(unadvertised)[:10]})"
+            )
 
-    def check_outcomes(self, outcomes) -> None:
-        """Query termination: every issued query has exactly one fate."""
 
-        def check():
-            if self.system.sim.pending() > 0:
-                yield (
-                    f"{self.system.sim.pending()} events still queued when "
-                    f"outcomes were finalized"
-                )
-            for outcome in outcomes:
-                states = [
-                    outcome.failed,
-                    outcome.results > 0,
-                    (not outcome.failed) and outcome.results == 0,
-                ]
-                if sum(states) != 1:
-                    yield (
-                        f"query {outcome.query_id} is in {sum(states)} "
-                        f"terminal states (failed={outcome.failed}, "
-                        f"results={outcome.results})"
-                    )
-                if outcome.failed and outcome.first_response_at is not None:
-                    yield (
-                        f"query {outcome.query_id} both failed and received "
-                        f"a response"
-                    )
-
-        self._run("query-termination", check)
-
-    def check_convergence(self) -> bool:
-        """Gossip convergence: DCRT agreement per reachable component.
-
-        Returns True when every component agrees (used by the harness to
-        decide whether more settle rounds are worth running); records a
-        violation only when the harness has given up.
-        """
-        return not self._convergence_failures(record=True)
-
-    def probe_convergence(self) -> bool:
-        """Like :meth:`check_convergence` but never records violations."""
-        return not self._convergence_failures(record=False)
-
-    def _convergence_failures(self, record: bool) -> list[str]:
-        failures: list[str] = []
-
-        def check():
-            alive = {peer.node_id: peer for peer in self.system.alive_peers()}
-            for component in _gossip_components(alive):
-                disagreements = _component_disagreements(
-                    component, alive, self.system.n_categories
-                )
-                failures.extend(disagreements)
-                yield from disagreements
-
-        if record:
-            self._run("gossip-convergence", check)
-        else:
-            for _ in check():
-                pass
-        return failures
-
-    def check_adaptation(self, outcome) -> None:
-        """Fairness bounds on one adaptation round's outcome."""
-
-        def check():
-            fairness = outcome.observed_fairness
-            if not 0.0 <= fairness <= 1.0 + _EPS:
-                yield f"observed fairness {fairness} outside [0, 1]"
-            result = outcome.reassign_result
-            if result is None:
-                return
-            trace = result.fairness_trace
-            for value in trace:
-                if not 0.0 <= value <= 1.0 + _EPS:
-                    yield f"fairness trace value {value} outside [0, 1]"
-            for earlier, later in zip(trace, trace[1:]):
-                if later < earlier - _EPS:
-                    yield (
-                        f"fairness trace decreased: {earlier} -> {later} "
-                        f"(MaxFair only accepts improving moves)"
-                    )
-            if result.final_fairness < result.initial_fairness - _EPS:
-                yield (
-                    f"rebalancing lowered planned fairness "
-                    f"{result.initial_fairness} -> {result.final_fairness}"
-                )
-
-        self._run("fairness-bound", check)
+__doc__ += "\n".join(
+    f"``{name}`` [{entry.group}, {entry.when}]: {entry.statement}"
+    for name, entry in INVARIANTS.items()
+)
 
 
 # ----------------------------------------------------------------------

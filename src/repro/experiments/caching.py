@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.fairness import jain_fairness
 from repro.core.replication import build_world
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_table
 from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem, P2PSystemConfig
@@ -49,14 +49,12 @@ class CachingResult:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = DES_SCALE,
     seed: int = 7,
     n_queries: int = 6000,
     capacities: tuple[int, ...] = CACHE_CAPACITIES,
 ) -> CachingResult:
     """Sweep the cache capacity under a fixed Zipf workload."""
-    if scale is None:
-        scale = des_scale()
     # No hot-mass replication: caching is the only hot-content spreader.
     instance, assignment, plan = build_world(scale=scale, seed=seed, hot_mass=0.0)
     workload = make_query_workload(instance, n_queries, seed=seed + 1)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.maxfair import achieved_fairness
 from repro.core.popularity import cluster_members
 from repro.core.replication import build_world
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_table
 from repro.model.system import SystemConfig
 
@@ -59,13 +59,11 @@ class ClusterConfigResult:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = DES_SCALE,
     seed: int = 7,
     cluster_counts: tuple[int, ...] = CLUSTER_COUNTS,
 ) -> ClusterConfigResult:
     """Sweep the cluster count; measure the configuration trade-offs."""
-    if scale is None:
-        scale = des_scale()
     base = SystemConfig(seed=seed).scaled(scale)
     rows = []
     for paper_count in cluster_counts:

@@ -2,15 +2,15 @@
 
 The paper-scale configuration (|D| = 200k, |N| = 20k, |S| = 500,
 |C| = 100) is feasible for the algorithmic experiments; the discrete-event
-experiments run at a reduced, shape-preserving scale.  The environment
-variable ``REPRO_SCALE`` overrides the default scale everywhere (useful
-to keep benchmark wall-time short, or to run the full paper scale:
-``REPRO_SCALE=1.0``).
+experiments run at a reduced, shape-preserving scale.  :data:`ALGO_SCALE`
+and :data:`DES_SCALE` are the ``run(scale=...)`` defaults; the CLI's
+``--scale`` (``1.0`` = full paper scale) is the one override.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 
 import numpy as np
@@ -23,8 +23,8 @@ from repro.core.popularity import CategoryStats
 __all__ = [
     "require",
     "describe",
-    "default_scale",
-    "des_scale",
+    "ALGO_SCALE",
+    "DES_SCALE",
     "add_shared_arguments",
     "add_fuzz_arguments",
     "precheck_output_path",
@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 #: default scale for the pure-algorithm experiments (F2-F5, T1).
-_ALGO_SCALE = 0.25
+ALGO_SCALE = 0.25
 #: default scale for the discrete-event experiments (E1-E3).
-_DES_SCALE = 0.05
+DES_SCALE = 0.05
 
 
 def require(condition: bool, message: object) -> None:
@@ -52,22 +52,13 @@ def describe(module) -> str:
     return module.__doc__.strip().splitlines()[0].strip()
 
 
-def default_scale() -> float:
-    """Scale factor for algorithmic experiments (env ``REPRO_SCALE``)."""
-    return float(os.environ.get("REPRO_SCALE", _ALGO_SCALE))
-
-
-def des_scale() -> float:
-    """Scale factor for discrete-event experiments.
-
-    ``REPRO_SCALE`` also applies here, capped at 0.1 so a full-scale
-    request does not produce a multi-hour simulation by accident; use
-    ``REPRO_DES_SCALE`` to lift the cap explicitly.
-    """
-    explicit = os.environ.get("REPRO_DES_SCALE")
-    if explicit is not None:
-        return float(explicit)
-    return min(0.1, float(os.environ.get("REPRO_SCALE", _DES_SCALE)))
+def _positive_scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}"
+        )
+    return value
 
 
 def add_shared_arguments(parser: argparse.ArgumentParser) -> None:
@@ -79,7 +70,7 @@ def add_shared_arguments(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_scale,
         default=None,
         help="override the system scale factor (1.0 = full paper scale)",
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.fairness import jain_fairness
 from repro.core.replication import build_world
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.baselines import ChordNetwork, GnutellaNetwork, HybridIndexNetwork
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
@@ -88,11 +88,9 @@ def _load_summary(loads: dict[int, int]) -> tuple[float, float]:
 
 
 def run(
-    scale: float | None = None, seed: int = 7, n_queries: int = 5000
+    scale: float = DES_SCALE, seed: int = 7, n_queries: int = 5000
 ) -> ComparisonResult:
     """Run the four systems on one instance and one query stream."""
-    if scale is None:
-        scale = des_scale()
     rngs = RngRegistry(root_seed=seed)
     instance, assignment, plan = build_world(scale=scale, seed=seed)
     workload = make_query_workload(instance, n_queries, seed=seed + 1)

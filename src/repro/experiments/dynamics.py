@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.replication import build_world
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.workload import add_hot_documents, make_query_workload
@@ -63,7 +63,7 @@ class DynamicsResult:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = DES_SCALE,
     seed: int = 5,
     queries_per_round: int = 4000,
     n_rounds_after_crowd: int = 3,
@@ -73,8 +73,6 @@ def run(
     churn_joins: int = 5,
 ) -> DynamicsResult:
     """Run the full dynamics scenario; returns the per-round trace."""
-    if scale is None:
-        scale = des_scale()
     instance, assignment, plan = build_world(scale=scale, seed=seed)
     system = P2PSystem(instance, assignment, plan=plan)
     config = AdaptationConfig(

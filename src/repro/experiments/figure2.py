@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.fairness import jain_fairness
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats, normalized_cluster_popularities
-from repro.experiments.common import default_scale
+from repro.experiments.common import ALGO_SCALE
 from repro.metrics.report import format_series
 from repro.model.workload import zipf_category_scenario
 
@@ -36,10 +36,8 @@ class Figure2Result:
     paper_fairness: float = PAPER_FAIRNESS
 
 
-def run(scale: float | None = None, seed: int = 7) -> Figure2Result:
+def run(scale: float = ALGO_SCALE, seed: int = 7) -> Figure2Result:
     """Build the scenario, run MaxFair, and measure cluster popularities."""
-    if scale is None:
-        scale = default_scale()
     instance = zipf_category_scenario(scale=scale, seed=seed)
     stats = build_category_stats(instance)
     assignment = maxfair(instance, stats=stats)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.experiments.common import (
-    default_scale,
+    ALGO_SCALE,
     fairness_of_assignment,
     frozen_capacity_fairness,
 )
@@ -57,7 +57,7 @@ class Figure4Result:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = ALGO_SCALE,
     seed: int = 7,
     thetas: tuple[float, ...] = THETAS,
     doc_fraction: float = 0.05,
@@ -71,8 +71,6 @@ def run(
     plots a single curve; averaging removes one-draw noise at reduced
     scale).
     """
-    if scale is None:
-        scale = default_scale()
     points = []
     for theta in thetas:
         instance = zipf_category_scenario(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.reassign import maxfair_reassign_from_stats
-from repro.experiments.common import default_scale
+from repro.experiments.common import ALGO_SCALE
 from repro.metrics.report import format_table
 from repro.model.workload import add_hot_documents, zipf_category_scenario
 
@@ -57,7 +57,7 @@ class Figure5Result:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = ALGO_SCALE,
     seeds: tuple[int, ...] = (3, 11, 23, 37, 51),
     mass_fraction: float = 0.30,
     category_subset_fraction: float | None = None,
@@ -76,8 +76,6 @@ def run(
     40% of the categories starts runs near 0.87 and MaxFair_Reassign
     recovers in the paper's 7-8 moves.
     """
-    if scale is None:
-        scale = default_scale()
     if category_subset_fraction is None:
         category_subset_fraction = min(1.0, max(0.10, 0.4 * scale))
     runs = []

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.maxfair import Assignment, maxfair
 from repro.core.popularity import CategoryStats, build_category_stats
 from repro.core.reassign import maxfair_reassign_from_stats
-from repro.experiments.common import default_scale
+from repro.experiments.common import ALGO_SCALE
 from repro.metrics.report import format_table
 from repro.model.workload import add_hot_documents, zipf_category_scenario
 
@@ -87,7 +87,7 @@ def _document_stats(instance, category_stats: CategoryStats):
 
 
 def run(
-    scale: float | None = None,
+    scale: float = ALGO_SCALE,
     seed: int = 7,
     mass_fraction: float = 0.30,
     category_subset_fraction: float = 0.10,
@@ -95,8 +95,6 @@ def run(
     n_reps: int = 2,
 ) -> GranularityResult:
     """Perturb once, rebalance at both granularities, compare costs."""
-    if scale is None:
-        scale = default_scale()
     instance = zipf_category_scenario(
         scale=scale, seed=seed, doc_theta=0.8, category_theta=0.8
     )

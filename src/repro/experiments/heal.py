@@ -195,12 +195,11 @@ def measure(
 
 
 def run(
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int = 7,
     churns: tuple[float, ...] = CHURN_SETTINGS,
 ) -> HealResult:
     """Sweep churn rate x {healing off, healing on}."""
-    scale = 1.0 if scale is None else scale
     fetches_per_wave = max(10, int(40 * scale))
     rows = []
     for churn_rate in churns:

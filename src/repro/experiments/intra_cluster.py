@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.fairness import jain_fairness
 from repro.core.popularity import cluster_members
 from repro.core.replication import build_world, plan_replication
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_table
 from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem
@@ -61,14 +61,12 @@ class IntraClusterResult:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = DES_SCALE,
     seed: int = 7,
     n_queries: int = 6000,
     hot_masses: tuple[float, ...] = HOT_MASS_SETTINGS,
 ) -> IntraClusterResult:
     """Sweep the hot-mass knob; measure expected and observed fairness."""
-    if scale is None:
-        scale = des_scale()
     rows = []
     for hot_mass in hot_masses:
         instance, assignment, plan = build_world(

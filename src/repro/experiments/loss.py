@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.replication import build_world
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.workload import make_query_workload
@@ -117,14 +117,12 @@ def measure(
 
 
 def run(
-    scale: float | None = None,
+    scale: float = DES_SCALE,
     seed: int = 7,
     n_queries: int = 2000,
     drops: tuple[float, ...] = DROP_SETTINGS,
 ) -> LossResult:
     """Sweep drop probability x {unreliable, reliable}."""
-    if scale is None:
-        scale = des_scale()
     rows = []
     for drop_probability in drops:
         for reliable in (False, True):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.replication import build_world
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_kv
 from repro.model.workload import make_query_workload
 from repro.overlay.rebalance import rebalance_cost
@@ -48,10 +48,8 @@ class RebalanceCostResult:
     sim_engaged_fraction: float
 
 
-def run(scale: float | None = None, seed: int = 7) -> RebalanceCostResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> RebalanceCostResult:
     """Closed-form paper numbers plus a simulated forced reassignment."""
-    if scale is None:
-        scale = des_scale()
 
     model = rebalance_cost(
         n_categories=10,

@@ -223,12 +223,11 @@ def _divergence_phase(system) -> tuple[int, int]:
 
 
 def run(
-    scale: float | None = None,
+    scale: float = 1.0,
     seed: int = 7,
     n_cycles: int = N_CYCLES,
 ) -> RecoveryResult:
     """Measure {persistence off, persistence on} under identical faults."""
-    scale = 1.0 if scale is None else scale
     rows = [
         measure(persistence, seed=seed, n_cycles=n_cycles, scale=scale)
         for persistence in (False, True)

@@ -7,7 +7,7 @@ Installed as ``repro-experiments``; also runnable as
     repro-experiments F2 F5
     repro-experiments all
     repro-experiments fuzz --fuzz-seeds 25 --check-invariants
-    REPRO_SCALE=1.0 repro-experiments F2     # full paper scale
+    repro-experiments F2 --scale 1.0         # full paper scale
 
 Dispatch goes through :data:`repro.experiments.EXPERIMENTS` (id ->
 module) and each module's ``run`` signature; the shared flags are defined

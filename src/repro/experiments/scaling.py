@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from repro.core.baselines import assign_with_strategy
 from repro.core.maxfair import achieved_fairness, maxfair
 from repro.core.popularity import build_category_stats
-from repro.experiments.common import default_scale
+from repro.experiments.common import ALGO_SCALE
 from repro.metrics.report import format_table
 from repro.model.system import SystemConfig, build_system
 
@@ -59,10 +59,8 @@ def _base_config(scale: float, seed: int) -> SystemConfig:
     return SystemConfig(seed=seed).scaled(scale)
 
 
-def run(scale: float | None = None, seed: int = 7) -> ScalingResult:
+def run(scale: float = ALGO_SCALE, seed: int = 7) -> ScalingResult:
     """Sweep the grid and run the ablations."""
-    if scale is None:
-        scale = default_scale()
     base = _base_config(scale, seed)
 
     grid = []

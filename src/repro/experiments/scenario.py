@@ -172,7 +172,7 @@ def run(
                     at_times=phase_times,
                 )
                 if check_invariants:
-                    checker.check_outcomes(outcomes)
+                    checker.check("query-termination", outcomes)
                 response = summarize_responses(outcomes)
                 served_now = {
                     peer.node_id: peer.requests_served for peer in contributors

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.replication import build_world, category_storage_requirement
-from repro.experiments.common import des_scale
+from repro.experiments.common import DES_SCALE
 from repro.metrics.report import format_kv
 from repro.model.zipf import expected_top_mass, top_mass_count, zipf_pmf
 
@@ -50,10 +50,8 @@ class StorageResult:
     sim_storage_fairness: float
 
 
-def run(scale: float | None = None, seed: int = 7) -> StorageResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> StorageResult:
     """Reproduce the closed-form example and validate with real placement."""
-    if scale is None:
-        scale = des_scale()
 
     # --- closed form, exactly the paper's numbers -------------------
     n_docs, n_reps, doc_size = 1_000, 5, 4 * MB

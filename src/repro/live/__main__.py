@@ -42,6 +42,13 @@ def _world_from(args: argparse.Namespace) -> LiveWorld:
     )
 
 
+def _routes(spec: str) -> dict[int, tuple[str, int]]:
+    try:
+        return parse_routes(spec)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.live",
@@ -53,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--node-id", type=int, required=True)
     node.add_argument(
         "--routes",
+        type=_routes,
         required=True,
         help="comma-separated id:port or id:host:port for every node",
     )
@@ -102,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         asyncio.run(
             run_node(
                 args.node_id,
-                parse_routes(args.routes),
+                args.routes,
                 _world_from(args),
                 loss=args.loss,
                 heartbeat_interval=args.heartbeat,

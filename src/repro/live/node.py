@@ -138,7 +138,12 @@ class LiveClientPeer(Peer):
 
 
 def parse_routes(spec: str) -> dict[int, tuple[str, int]]:
-    """Parse ``"0:7000,1:7001"`` (or ``"0:host:7000"``) into a route map."""
+    """Parse ``"0:7000,1:7001"`` (or ``"0:host:7000"``) into a route map.
+
+    A supervisor typo must not bind the wrong port or shadow a node, so a
+    repeated or negative node id, a port outside 0-65535 and a non-integer
+    field all raise ``ValueError`` naming the offending part.
+    """
     routes: dict[int, tuple[str, int]] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -151,7 +156,19 @@ def parse_routes(spec: str) -> dict[int, tuple[str, int]]:
             node_id, host, port = pieces
         else:
             raise ValueError(f"bad route {part!r} (want id:port or id:host:port)")
-        routes[int(node_id)] = (host, int(port))
+        try:
+            node_id, port = int(node_id), int(port)
+        except ValueError:
+            raise ValueError(
+                f"bad route {part!r} (id and port must be integers)"
+            ) from None
+        if node_id < 0:
+            raise ValueError(f"bad route {part!r} (negative node id)")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"bad route {part!r} (port outside 0-65535)")
+        if node_id in routes:
+            raise ValueError(f"bad route {part!r} (node {node_id} routed twice)")
+        routes[node_id] = (host, port)
     return routes
 
 

@@ -24,8 +24,8 @@ Implements Section 3 (architecture and query processing) and Section 6
   ``move_counter`` conflict resolution;
 * :mod:`repro.overlay.epidemic` — anti-entropy dissemination of metadata
   updates;
-* :mod:`repro.overlay.cache` — the requester-side document cache
-  (LRU/LFU) that registers cached copies as servable holders;
+* :mod:`repro.overlay.cache` — the requester-side LRU document cache
+  that registers cached copies as servable holders;
 * :mod:`repro.overlay.replication_manager` — the demand-adaptive
   replication control loop (grow fast on pressure, shrink slowly on
   idle, QoS-aware placement);

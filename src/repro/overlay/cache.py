@@ -1,19 +1,13 @@
-"""Requester-side document cache: replacement policy and accounting.
+"""Requester-side document cache: LRU replacement and accounting.
 
 The X2 experiment showed that a peer keeping the documents it retrieves
 (and registering as a holder for them) spreads hot-content load across
-requesters.  This module promotes that cache from an inline ``OrderedDict``
-in :class:`~repro.overlay.peer.Peer` to a first-class policy object:
+requesters.  The cache evicts the least recently *stored or
+re-retrieved* document: serving a cached copy to another peer does
+**not** refresh recency (only the owner re-retrieving it does), so
+existing experiment goldens replay exactly.
 
-* **lru** — evict the least recently *stored or re-retrieved* document.
-  This is byte-identical to the historical inline implementation: serving
-  a cached copy to another peer does **not** refresh recency (only the
-  owner re-retrieving it does), so existing experiment goldens replay
-  exactly.
-* **lfu** — evict the least frequently retrieved document, ties broken by
-  insertion order (oldest first).
-
-The cache holds only bookkeeping — doc ids and use counts.  Storage
+The cache holds only bookkeeping — doc ids in recency order.  Storage
 itself stays with the peer: fills go through ``Peer.store_document`` (so
 the holder directory registers the cached copy) and evictions through
 ``Peer.drop_document`` (so it deregisters), keeping the cluster metadata
@@ -30,34 +24,25 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["CACHE_POLICIES", "DocumentCache"]
-
-#: replacement policies :class:`DocumentCache` implements.
-CACHE_POLICIES = ("lru", "lfu")
+__all__ = ["DocumentCache"]
 
 
 class DocumentCache:
-    """Bounded set of cache-owned document ids under a replacement policy.
+    """Bounded LRU set of cache-owned document ids.
 
     Tracks only *cache-owned* entries — contributions and placed replicas
     never enter and are therefore never evicted.  ``capacity == 0``
     disables the cache (nothing is ever admitted by the peer).
     """
 
-    __slots__ = ("capacity", "policy", "_entries", "fills", "evictions",
-                 "served_hits")
+    __slots__ = ("capacity", "_entries", "fills", "evictions", "served_hits")
 
-    def __init__(self, capacity: int, policy: str = "lru") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"policy must be one of {CACHE_POLICIES}, got {policy!r}"
-            )
         self.capacity = capacity
-        self.policy = policy
-        #: doc_id -> retrieval count, in insertion/recency order.
-        self._entries: "OrderedDict[int, int]" = OrderedDict()
+        #: cache-owned doc ids in recency order (oldest first).
+        self._entries: "OrderedDict[int, None]" = OrderedDict()
         #: documents admitted into the cache.
         self.fills = 0
         #: documents evicted to make room.
@@ -68,9 +53,6 @@ class DocumentCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._entries
 
     def owns(self, doc_id: int) -> bool:
         """True when ``doc_id`` is a cache-owned (evictable) entry."""
@@ -83,15 +65,12 @@ class DocumentCache:
     def touch(self, doc_id: int) -> bool:
         """Record a re-retrieval of an already-cached document.
 
-        Refreshes recency (lru) or bumps the use count (lfu).  Returns
-        False when the document is not cache-owned, leaving state alone.
+        Refreshes recency.  Returns False when the document is not
+        cache-owned, leaving state alone.
         """
-        count = self._entries.get(doc_id)
-        if count is None:
+        if doc_id not in self._entries:
             return False
-        self._entries[doc_id] = count + 1
-        if self.policy == "lru":
-            self._entries.move_to_end(doc_id)
+        self._entries.move_to_end(doc_id)
         return True
 
     def add(self, doc_id: int) -> tuple[int, ...]:
@@ -101,33 +80,27 @@ class DocumentCache:
         returned id *after* — mirroring the historical inline order so
         holder-directory registration stays identical.
         """
-        self._entries[doc_id] = 1
+        self._entries[doc_id] = None
         self.fills += 1
         evicted: list[int] = []
         while len(self._entries) > self.capacity:
-            victim = self._victim()
-            del self._entries[victim]
+            victim, _ = self._entries.popitem(last=False)
             self.evictions += 1
             evicted.append(victim)
         return tuple(evicted)
 
     def discard(self, doc_id: int) -> bool:
         """Forget an entry without counting an eviction (external drop)."""
-        return self._entries.pop(doc_id, None) is not None
-
-    def _victim(self) -> int:
-        if self.policy == "lru":
-            # Oldest insertion/recency — the historical popitem(last=False).
-            return next(iter(self._entries))
-        # lfu: least retrievals; min() keeps the first (oldest) on ties.
-        return min(self._entries, key=self._entries.__getitem__)
+        if doc_id not in self._entries:
+            return False
+        del self._entries[doc_id]
+        return True
 
     def stats(self) -> dict:
         """Read-only accounting snapshot (see ``Peer.cache_stats``)."""
         return {
             "size": len(self._entries),
             "capacity": self.capacity,
-            "policy": self.policy,
             "fills": self.fills,
             "evictions": self.evictions,
             "served_hits": self.served_hits,

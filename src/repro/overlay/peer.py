@@ -69,11 +69,9 @@ class PeerConfig:
 
     nrt_capacity: int = 128
     #: requester-side query cache (future-work item viii): number of
-    #: retrieved documents kept as servable replicas, policy-evicted.
+    #: retrieved documents kept as servable replicas, LRU-evicted.
     #: 0 disables caching.
     cache_capacity: int = 0
-    #: cache replacement policy; see :data:`repro.overlay.cache.CACHE_POLICIES`.
-    cache_policy: str = "lru"
     #: most-recent query ids remembered for loop detection; bounds what
     #: used to be unbounded growth over long runs.
     seen_query_capacity: int = 4096

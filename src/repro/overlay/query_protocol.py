@@ -80,10 +80,8 @@ class QueryProtocol:
         #: query id -> failover state for queries this peer originated.
         self._attempts: dict[int, _QueryAttempt] = {}
         #: requester-side cache of retrieved (servable) documents; see
-        #: PeerConfig.cache_capacity / cache_policy.
-        self.cache = DocumentCache(
-            peer.config.cache_capacity, peer.config.cache_policy
-        )
+        #: PeerConfig.cache_capacity.
+        self.cache = DocumentCache(peer.config.cache_capacity)
 
     def registrations(self) -> dict:
         """The kinds this component owns: ``kind -> (payload class, handler)``."""

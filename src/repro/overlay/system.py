@@ -64,8 +64,6 @@ class P2PSystemConfig:
     remote_nrt_sample: int = 4
     #: requester-side query cache size in documents (0 = off).
     cache_capacity: int = 0
-    #: cache replacement policy ("lru" or "lfu").
-    cache_policy: str = "lru"
     #: where the Section 3.1 cluster metadata lives: ``replicated`` = every
     #: node can locate holders (the pure-P2P reading); ``super_peer`` =
     #: only each cluster's most capable node can, and other members route
@@ -154,7 +152,6 @@ class P2PSystem:
         self._peer_config = PeerConfig(
             nrt_capacity=self.config.nrt_capacity,
             cache_capacity=self.config.cache_capacity,
-            cache_policy=self.config.cache_policy,
             reliability=self.config.reliability,
             service=self.config.service,
             content=self.config.content,

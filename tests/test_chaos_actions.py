@@ -1,20 +1,25 @@
-"""The chaos action registry: groups, per-group RNG streams, composition.
+"""The chaos registries: actions (groups, per-group RNG streams,
+composition) and invariants (groups, triggers, check order).
 
 One registry (``repro.chaos.ACTIONS``) names every action, its group and
 its parameter draw.  ``core`` keeps the ``"chaos.schedule"`` stream, so
 default schedules (and the goldens and reproducers recorded from them)
 never move; each feature group draws from ``"chaos.schedule.<group>"``,
-so switching a group on only *inserts* entries.
+so switching a group on only *inserts* entries.  The other
+(``repro.chaos.INVARIANTS``) names every invariant, the group whose
+presence switches it on and the event that triggers it.
 """
 
 import hashlib
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
     ACTIONS,
     FEATURES,
+    INVARIANTS,
     ScenarioConfig,
     Schedule,
     ScheduleEntry,
@@ -23,7 +28,7 @@ from repro.chaos import (
     run_schedule,
 )
 from repro.chaos.harness import ChaosReport, ChaosRunner
-from repro.chaos.invariants import CONTENT_INVARIANTS, OVERLOAD_INVARIANTS
+from repro.chaos.invariants import GROUPS as INVARIANT_GROUPS
 from repro.chaos.scenario import FLASH_CROWD_MAX
 from repro.experiments import fuzz
 
@@ -47,6 +52,42 @@ DEFAULT_DIGESTS = (
 
 _SMALL_WORLD = dict(
     n_docs=150, n_nodes=24, n_categories=8, n_clusters=3, min_alive=10
+)
+
+
+#: the 22 invariants in the order the pre-registry module documented them;
+#: the ``quiescence`` ones among them are its ``check_structural`` chain,
+#: top to bottom, which check counts and metric goldens depend on.
+PRE_REGISTRY_ORDER = (
+    "unique-ownership",
+    "move-counter-monotonic",
+    "doc-conservation",
+    "holder-consistency",
+    "membership-consistency",
+    "exactly-once-effects",
+    "query-termination",
+    "gossip-convergence",
+    "fairness-bound",
+    "service-queue-bound",
+    "overload-conservation",
+    "overload-drain",
+    "retry-budget-no-overdraft",
+    "replication-bounds",
+    "response-integrity",
+    "manifest-consistency",
+    "fetch-integrity",
+    "chunk-availability",
+    "no-sole-holder-loss",
+    "no-acknowledged-write-loss",
+    "single-owner-per-epoch",
+    "recovery-convergence",
+)
+
+#: the action that arms the integrity audit, then every action that fires
+#: an event-driven invariant; ``converge`` last, as in every cooldown.
+_TRIGGERS = (
+    "misbehave", "query_burst", "adapt", "graceful_shutdown", "power_loss",
+    "split_brain_heal", "converge",
 )
 
 
@@ -86,6 +127,21 @@ class TestRegistry:
         assert generate_schedule(5, _config()) == generate_schedule(
             5, _config("adaptive")
         )
+
+
+class TestInvariantRegistry:
+    def test_registration_order_is_the_pre_registry_check_order(self):
+        assert tuple(INVARIANTS) == PRE_REGISTRY_ORDER
+
+    @pytest.mark.parametrize("name", INVARIANTS)
+    def test_entry_is_complete(self, name):
+        entry = INVARIANTS[name]
+        assert entry.statement and "\n" not in entry.statement
+        assert entry.group in INVARIANT_GROUPS
+        # quiescence, a finished workload, or the chaos action(s) after
+        # which the harness calls ``checker.check(name, ...)``.
+        events = set(entry.when.split("/"))
+        assert events <= {"quiescence", "workload"} | set(ACTIONS)
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -183,19 +239,50 @@ class TestWorlds:
         )
         assert served > 0
 
-    def test_invariant_sets_exported(self):
-        assert set(OVERLOAD_INVARIANTS) == {
-            "service-queue-bound",
-            "overload-conservation",
-            "overload-drain",
-            "retry-budget-no-overdraft",
-        }
-        assert CONTENT_INVARIANTS == (
-            "manifest-consistency",
-            "fetch-integrity",
-            "chunk-availability",
-            "no-sole-holder-loss",
+    @pytest.mark.parametrize(
+        "features, groups",
+        [
+            pytest.param((), (), id="none"),
+            pytest.param(("overload",), ("overload",), id="overload"),
+            pytest.param(("adaptive",), ("replication",), id="adaptive"),
+            pytest.param(("scenario",), ("integrity",), id="scenario"),
+            pytest.param(("content",), ("content",), id="content"),
+            pytest.param(("recovery",), ("content", "recovery"), id="recovery"),
+            pytest.param(FEATURES, tuple(INVARIANT_GROUPS), id="all"),
+        ],
+    )
+    def test_world_runs_exactly_its_groups_invariants(self, features, groups):
+        """Every trigger fires once; what ran is ``core`` plus the groups
+        the features built — each such entry, and nothing else."""
+        config = _config(*features, **_SMALL_WORLD)
+        on = {"core", *groups}
+        wanted = {name for name, e in INVARIANTS.items() if e.group in on}
+        events = {"misbehave"} if "integrity" in on else set()
+        for name in wanted:
+            events.update(INVARIANTS[name].when.split("/"))
+        events.add("query_burst")  # the "workload" event
+        rng = np.random.default_rng(0)
+        schedule = Schedule(
+            seed=3,
+            entries=tuple(
+                ScheduleEntry(step, action, ACTIONS[action].draw(rng, config))
+                for step, action in enumerate(
+                    action for action in _TRIGGERS if action in events
+                )
+            ),
         )
+        runner = ChaosRunner(schedule, config)
+        ran = []
+        check = runner.checker.check
+        runner.checker.check = lambda name, *args, **kwargs: (
+            ran.append(name), check(name, *args, **kwargs)
+        )
+        assert runner.run().entries_applied == len(schedule)
+        assert set(ran) == wanted
+        # ... and the quiescence ones ran in registry order, every pass.
+        structural = [n for n in ran if INVARIANTS[n].when == "quiescence"]
+        per_pass = [n for n in PRE_REGISTRY_ORDER if n in set(structural)]
+        assert structural[-len(per_pass):] == per_pass
 
 
 class TestEmittedReproducer:

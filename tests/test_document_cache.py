@@ -1,8 +1,8 @@
 """Unit tests for the first-class requester-side cache.
 
-:mod:`repro.overlay.cache` owns replacement-policy bookkeeping only;
-these tests pin the policy semantics (lru byte-compatible with the
-historical inline OrderedDict, lfu by retrieval count), the accounting
+:mod:`repro.overlay.cache` owns replacement bookkeeping only; these
+tests pin its LRU semantics (byte-compatible with the historical inline
+OrderedDict), the accounting
 counters behind ``Peer.cache_stats``, the promote path the replication
 manager uses to pin hot cached copies, and the holder-directory
 consistency of evictions — including an eviction that races a query
@@ -11,7 +11,7 @@ already in flight toward the evicting node.
 
 import pytest
 
-from repro.overlay.cache import CACHE_POLICIES, DocumentCache
+from repro.overlay.cache import DocumentCache
 from repro.overlay.peer import DocInfo, PeerConfig
 
 from tests.helpers import MicroOverlay
@@ -21,19 +21,16 @@ class TestDocumentCacheUnit:
     def test_validation(self):
         with pytest.raises(ValueError):
             DocumentCache(-1)
-        with pytest.raises(ValueError):
-            DocumentCache(4, policy="mru")
-        assert set(CACHE_POLICIES) == {"lru", "lfu"}
 
     def test_lru_evicts_least_recently_stored(self):
-        cache = DocumentCache(2, policy="lru")
+        cache = DocumentCache(2)
         assert cache.add(10) == ()
         assert cache.add(11) == ()
         assert cache.add(12) == (10,)  # oldest out
         assert cache.doc_ids() == [11, 12]
 
     def test_lru_touch_refreshes_recency(self):
-        cache = DocumentCache(2, policy="lru")
+        cache = DocumentCache(2)
         cache.add(10)
         cache.add(11)
         assert cache.touch(10) is True  # 10 becomes most recent
@@ -44,23 +41,6 @@ class TestDocumentCacheUnit:
         assert cache.touch(99) is False
         assert len(cache) == 0
 
-    def test_lfu_evicts_least_frequently_retrieved(self):
-        cache = DocumentCache(2, policy="lfu")
-        cache.add(10)
-        cache.add(11)
-        cache.touch(11)  # counts: 10 -> 1, 11 -> 2
-        assert cache.add(12) == (10,)
-        # 11 (count 2) survives; the fresh 12 (count 1) is now the
-        # least-used and oldest on ties.
-        assert cache.add(13) == (12,)
-        assert 11 in cache
-
-    def test_lfu_ties_break_oldest_first(self):
-        cache = DocumentCache(2, policy="lfu")
-        cache.add(10)
-        cache.add(11)  # both count 1
-        assert cache.add(12) == (10,)
-
     def test_discard_does_not_count_as_eviction(self):
         cache = DocumentCache(4)
         cache.add(10)
@@ -70,7 +50,7 @@ class TestDocumentCacheUnit:
         assert cache.stats()["size"] == 0
 
     def test_stats_accounting(self):
-        cache = DocumentCache(1, policy="lru")
+        cache = DocumentCache(1)
         cache.add(10)
         cache.add(11)  # evicts 10
         cache.touch(11)
@@ -78,17 +58,16 @@ class TestDocumentCacheUnit:
         assert stats == {
             "size": 1,
             "capacity": 1,
-            "policy": "lru",
             "fills": 2,
             "evictions": 1,
             "served_hits": 0,
         }
 
 
-def _serving_overlay(capacity=2, policy="lru"):
+def _serving_overlay(capacity=2):
     """Client 0, caching relay 1, origin holder 2 — one cluster."""
     overlay = MicroOverlay(seed=0)
-    config = PeerConfig(cache_capacity=capacity, cache_policy=policy)
+    config = PeerConfig(cache_capacity=capacity)
     for node_id in (0, 1, 2):
         overlay.add_peer(node_id, config=config)
     overlay.wire_cluster(0, [0, 1, 2], edges=[(0, 1), (1, 2)],
@@ -112,24 +91,16 @@ def _retrieve(overlay, node_id, query_id, doc_id):
 
 
 class TestPeerCachePolicies:
-    def test_peer_config_validates_policy(self):
-        with pytest.raises(ValueError):
-            MicroOverlay().add_peer(
-                0, config=PeerConfig(cache_capacity=2, cache_policy="fifo")
-            )
+    def test_there_is_no_policy_option(self):
+        """One policy: the knob is gone at every level, not ignored."""
+        from repro.overlay.system import P2PSystemConfig
 
-    def test_lfu_policy_wires_through_peer(self):
-        overlay = _serving_overlay(capacity=2, policy="lfu")
-        for doc_id in (100, 101, 102):
-            overlay.give_document(2, doc_id, [7])
-        cacher = overlay.peers[1]
-        _retrieve(overlay, 1, 1, 100)
-        _retrieve(overlay, 1, 2, 100)  # 100 now count 2
-        _retrieve(overlay, 1, 3, 101)
-        _retrieve(overlay, 1, 4, 102)  # evicts 101 (lfu), not 100 (lru would)
-        assert cacher.dt.has_document(100)
-        assert not cacher.dt.has_document(101)
-        assert cacher.dt.has_document(102)
+        for config in (PeerConfig, P2PSystemConfig):
+            with pytest.raises(TypeError):
+                config(cache_capacity=2, cache_policy="lfu")
+        with pytest.raises(TypeError):
+            DocumentCache(2, policy="lfu")
+        assert "policy" not in DocumentCache(2).stats()
 
     def test_cache_stats_public_view(self):
         overlay = _serving_overlay(capacity=2)

@@ -2,7 +2,7 @@
 
 These pin (a) that every experiment runs end to end, (b) that the shapes
 the paper reports actually hold on the reproduced system, and (c) that
-``format_result`` renders without error (what the benchmarks print).
+``format_result`` renders without error (what the CLI prints).
 """
 
 import inspect
@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.fairness import FAIRNESS_METRICS
+from repro.core.maxfair import achieved_fairness, maxfair
+from repro.core.popularity import build_category_stats
 from repro.experiments import EXPERIMENTS
 from repro.experiments import (
     comparison,
@@ -24,6 +27,8 @@ from repro.experiments import (
     scaling,
     storage,
 )
+
+from repro.model.workload import zipf_category_scenario
 
 SCALE = 0.05  # tiny but structurally complete
 
@@ -107,7 +112,10 @@ class TestFigure5:
         for run_ in result.runs:
             trace = run_.fairness_trace
             assert all(b > a for a, b in zip(trace, trace[1:]))
+            assert trace[-1] >= figure5.UPPER_THRESHOLD
         assert result.all_converged
+        # Single-digit reassignments in the paper (7-8); allow a few more.
+        assert result.max_moves_needed <= 12
         figure5.format_result(result)
 
 
@@ -124,7 +132,32 @@ class TestScaling:
         assert strategies["maxfair"] >= max(single_pass.values()) - 1e-9
         # Local-search refinement never loses to the plain greedy.
         assert strategies["maxfair+refine"] >= strategies["maxfair"] - 1e-9
+        # Fairness improves as categories grow for a fixed cluster count.
+        by_clusters: dict[int, list[tuple[int, float]]] = {}
+        for cell in result.grid:
+            by_clusters.setdefault(cell.n_clusters, []).append(
+                (cell.n_categories, cell.fairness)
+            )
+        for cells in by_clusters.values():
+            cells.sort()
+            assert cells[-1][1] >= cells[0][1] - 1e-6
         scaling.format_result(result)
+
+    def test_objective_ablation(self):
+        """Future-work item (v): any fairness metric plugged into MaxFair
+        still balances well, and the paper's Jain objective is at or
+        near the top."""
+        instance = zipf_category_scenario(scale=SCALE, seed=7)
+        stats = build_category_stats(instance)
+        scores = {
+            metric: achieved_fairness(
+                instance, maxfair(instance, stats=stats, metric=metric),
+                stats=stats,
+            )
+            for metric in sorted(FAIRNESS_METRICS)
+        }
+        assert all(score > 0.85 for score in scores.values())
+        assert scores["jain"] >= max(scores.values()) - 0.02
 
 
 class TestStorage:
@@ -137,6 +170,7 @@ class TestStorage:
         assert result.hot_docs_count < 100
         assert result.top10_mass_theta08 > 0.35
         assert result.sim_storage_fairness > 0.5
+        assert result.sim_max_node_bytes < 5 * result.sim_mean_node_bytes
         storage.format_result(result)
 
 
@@ -148,9 +182,11 @@ class TestRebalanceCost:
         assert result.bytes_per_transfer == pytest.approx(16 * mb)
         assert result.engaged_pairs == 5000
         assert result.engaged_fraction == pytest.approx(0.025)
-        # The simulated run moved something and the transfers were small.
+        # The simulated run broke the move into many small transfers
+        # rather than one bulk copy.
         if result.sim_transfer_messages:
-            assert result.sim_mean_transfer_bytes < result.bytes_per_category
+            assert result.sim_transfer_messages > 10
+            assert result.sim_mean_transfer_bytes < result.bytes_per_category / 10
         rebalance_cost.format_result(result)
 
 
@@ -163,6 +199,7 @@ class TestComparison:
         central = result.row("central index")
         # Bounded, small hop counts for the clustered architecture.
         assert clustered.mean_hops <= 3.0
+        assert clustered.max_hops <= 5
         assert clustered.mean_hops < chord.mean_hops
         assert clustered.mean_hops < gnutella.mean_hops
         # Better load fairness than hash placement or flooding.
@@ -170,7 +207,15 @@ class TestComparison:
         assert clustered.load_fairness > gnutella.load_fairness
         # The central index's hottest node absorbs ~half of everything.
         assert central.hottest_share > 0.4
-        assert clustered.hottest_share < central.hottest_share
+        assert central.hottest_share > 10 * clustered.hottest_share
+        # E1a: flooding reliably finds single-copy content but at hundreds
+        # of messages per query; k random walkers bound the message cost
+        # and pay in success rate (the [7] trade-off).
+        flood = result.search_row("flood")
+        walk = result.search_row("random_walk")
+        assert flood.success_rate > walk.success_rate
+        assert walk.mean_messages < flood.mean_messages
+        assert flood.mean_messages > 100
         comparison.format_result(result)
 
 
@@ -198,6 +243,13 @@ class TestDynamics:
         labels = [r.label for r in result.rounds]
         assert labels[0] == "baseline"
         assert labels[-1] == "post-churn"
+        # The baseline period needs no rebalancing, and the system ends
+        # at least as fair as the first post-crowd period.
+        assert not result.rounds[0].rebalanced
+        assert (
+            result.rounds[-1].observed_fairness
+            >= result.rounds[1].observed_fairness - 0.05
+        )
         # Query success stays high throughout churn and rebalancing.
         assert all(r.query_success_rate > 0.9 for r in result.rounds)
         # Metadata eventually agrees with the authoritative assignment.

@@ -25,6 +25,7 @@ class TestClusterConfig:
             assert later.fairness <= earlier.fairness + 1e-6
         # Every configuration still balances well.
         assert all(row.fairness > 0.9 for row in distinct)
+        assert distinct[-1].max_cluster_size <= distinct[0].max_cluster_size
         cluster_config.format_result(result)
 
 

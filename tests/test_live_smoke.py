@@ -9,6 +9,7 @@ lenient on rate thresholds that need statistics to be meaningful.
 """
 
 import json
+import re
 
 import pytest
 
@@ -22,6 +23,28 @@ def test_parse_routes_round_trip():
     assert parse_routes("0:7000") == {0: ("127.0.0.1", 7000)}
     with pytest.raises(ValueError, match="bad route"):
         parse_routes("0:1:2:3")
+
+
+@pytest.mark.parametrize(
+    "spec, names",
+    [
+        ("0:7000,0:7001", "'0:7001'.*routed twice"),
+        ("0:7000,1:99999", "'1:99999'.*port outside"),
+        ("-1:7000", "'-1:7000'.*negative node id"),
+        ("0:7000,x:7001", "'x:7001'.*integers"),
+    ],
+)
+def test_parse_routes_rejects_a_broken_route_map(spec, names, capsys):
+    """A supervisor typo must not shadow a node or bind the wrong port:
+    the error names the offending part, and the CLI exits 2 with it."""
+    from repro.live.__main__ import main
+
+    with pytest.raises(ValueError, match=names):
+        parse_routes(spec)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["node", "--node-id", "0", f"--routes={spec}"])
+    assert exit_info.value.code == 2
+    assert re.search(f"--routes: bad route {names}", capsys.readouterr().err)
 
 
 def test_soak_config_validation():

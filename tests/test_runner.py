@@ -130,6 +130,17 @@ class TestRunnerDispatch:
         capsys.readouterr()
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_unusable_scale_rejected_before_any_work(self, capsys, scale):
+        """``--scale`` is the one way to set the scale, so it validates:
+        no traceback out of ``SystemConfig.scaled``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["F2", "--scale", scale])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--scale" in captured.err
+        assert "Figure 2" not in captured.out
+
 
 class TestVacuousFuzzGate:
     """A fuzz invocation that would run nothing (or drop its features)
