@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "jain_fairness",
+    "JainState",
     "majorizes",
     "gini",
     "lorenz_curve",
@@ -60,6 +61,73 @@ def jain_fairness(x: Sequence[float]) -> float:
     arr = arr / arr.max()
     total = arr.sum()
     return float(total * total / (len(arr) * np.dot(arr, arr)))
+
+
+class JainState:
+    """The Jain index of ``load / capacity`` per cluster, kept incrementally.
+
+    Holds per-cluster load and capacity plus the running sum and
+    sum-of-squares of the normalized vector ``values = load / capacity``
+    (0 where the capacity is 0), so evaluating or applying a change costs
+    O(clusters touched) instead of O(clusters).  A change is a
+    ``(cluster, d_load, d_capacity)`` triple; MaxFair places with one,
+    MaxFair_Reassign moves and the refinement swaps with two.
+    """
+
+    def __init__(self, n_clusters: int) -> None:
+        self.n = n_clusters
+        self.load = np.zeros(n_clusters)
+        self.capacity = np.zeros(n_clusters)
+        self.values = np.zeros(n_clusters)
+        self.sum1 = 0.0
+        self.sum2 = 0.0
+
+    @classmethod
+    def of_assignment(cls, stats, assignment, weights: np.ndarray) -> "JainState":
+        """The state of ``assignment`` under ``stats.popularity`` and
+        per-category ``weights``; unassigned categories (-1) count nowhere."""
+        state = cls(assignment.n_clusters)
+        load, capacity = state.load, state.capacity
+        for category_id, cluster in enumerate(assignment.category_to_cluster):
+            if cluster >= 0:
+                load[cluster] += stats.popularity[category_id]
+                capacity[cluster] += weights[category_id]
+        np.divide(load, capacity, out=state.values, where=capacity > 0)
+        state.sum1 = float(state.values.sum())
+        state.sum2 = float(np.dot(state.values, state.values))
+        return state
+
+    def fairness(self) -> float:
+        if self.sum2 <= 0.0:
+            return 1.0
+        return self.sum1 * self.sum1 / (self.n * self.sum2)
+
+    def fairness_if(self, *changes: tuple[int, float, float]) -> float:
+        """The index after ``changes``, without applying them."""
+        sum1, sum2 = self.sum1, self.sum2
+        for cluster, d_load, d_capacity in changes:
+            old = self.values[cluster]
+            capacity = self.capacity[cluster] + d_capacity
+            new = (self.load[cluster] + d_load) / capacity if capacity > 0 else 0.0
+            sum1 += new - old
+            sum2 += new * new - old * old
+        if sum2 <= 0.0:
+            return 1.0
+        return sum1 * sum1 / (self.n * sum2)
+
+    def apply(self, *changes: tuple[int, float, float]) -> None:
+        """Apply ``changes``; load and capacity clamp at 0 (the residue of
+        float cancellation when a cluster's last category leaves)."""
+        for cluster, d_load, d_capacity in changes:
+            old = self.values[cluster]
+            load = self.load[cluster] = max(0.0, self.load[cluster] + d_load)
+            capacity = self.capacity[cluster] = max(
+                0.0, self.capacity[cluster] + d_capacity
+            )
+            new = load / capacity if capacity > 0 else 0.0
+            self.values[cluster] = new
+            self.sum1 += new - old
+            self.sum2 += new * new - old * old
 
 
 def majorizes(x: Sequence[float], y: Sequence[float]) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fairness import fairness_metric, jain_fairness
+from repro.core.fairness import JainState, fairness_metric, jain_fairness
 from repro.core.popularity import (
     CategoryStats,
     ClusterModel,
@@ -107,50 +107,6 @@ def category_order(
     raise ValueError(f"unknown order {order!r}; choose from {ORDERS}")
 
 
-class _IncrementalJain:
-    """O(1)-per-candidate evaluation of the Jain index under one placement.
-
-    Tracks per-cluster load ``L`` and capacity ``W`` plus the running sum
-    and sum-of-squares of the normalized vector ``v = L / W`` (0 where
-    ``W`` is 0).
-    """
-
-    def __init__(self, n_clusters: int) -> None:
-        self.load = np.zeros(n_clusters)
-        self.capacity = np.zeros(n_clusters)
-        self.values = np.zeros(n_clusters)
-        self.n = n_clusters
-        self.sum1 = 0.0
-        self.sum2 = 0.0
-
-    def _value(self, load: float, capacity: float) -> float:
-        return load / capacity if capacity > 0 else 0.0
-
-    def fairness_if(self, cluster: int, pop: float, weight: float) -> float:
-        """Jain index of the vector after placing (pop, weight) in ``cluster``."""
-        old = self.values[cluster]
-        new = self._value(self.load[cluster] + pop, self.capacity[cluster] + weight)
-        sum1 = self.sum1 - old + new
-        sum2 = self.sum2 - old * old + new * new
-        if sum2 <= 0.0:
-            return 1.0
-        return sum1 * sum1 / (self.n * sum2)
-
-    def commit(self, cluster: int, pop: float, weight: float) -> None:
-        old = self.values[cluster]
-        self.load[cluster] += pop
-        self.capacity[cluster] += weight
-        new = self._value(self.load[cluster], self.capacity[cluster])
-        self.values[cluster] = new
-        self.sum1 += new - old
-        self.sum2 += new * new - old * old
-
-    def fairness(self) -> float:
-        if self.sum2 <= 0.0:
-            return 1.0
-        return self.sum1 * self.sum1 / (self.n * self.sum2)
-
-
 def maxfair_from_stats(
     stats: CategoryStats,
     n_clusters: int,
@@ -174,7 +130,7 @@ def maxfair_from_stats(
 
     consider = category_order(popularity, order, seed=seed)
     if metric == "jain":
-        state = _IncrementalJain(n_clusters)
+        state = JainState(n_clusters)
         for category_id in consider:
             category_id = int(category_id)
             pop, weight = float(popularity[category_id]), float(weights[category_id])
@@ -182,11 +138,11 @@ def maxfair_from_stats(
                 assignment.category_to_cluster[category_id] = 0
                 continue
             gains = [
-                state.fairness_if(cluster, pop, weight)
+                state.fairness_if((cluster, pop, weight))
                 for cluster in range(n_clusters)
             ]
             best = int(np.argmax(gains))
-            state.commit(best, pop, weight)
+            state.apply((best, pop, weight))
             assignment.category_to_cluster[category_id] = best
         return assignment
 

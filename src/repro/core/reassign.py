@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.fairness import JainState
 from repro.core.maxfair import Assignment
 from repro.core.popularity import CategoryStats, ClusterModel, build_category_stats
 from repro.model.system import SystemInstance
@@ -68,73 +69,6 @@ class ReassignResult:
         return self.fairness_trace[-1]
 
 
-class _ClusterState:
-    """Cluster load/capacity vectors with O(1) move evaluation."""
-
-    def __init__(
-        self, stats: CategoryStats, assignment: Assignment, weights: np.ndarray
-    ) -> None:
-        n = assignment.n_clusters
-        self.load = np.zeros(n)
-        self.capacity = np.zeros(n)
-        for category_id, cluster in enumerate(assignment.category_to_cluster):
-            if cluster >= 0:
-                self.load[cluster] += stats.popularity[category_id]
-                self.capacity[cluster] += weights[category_id]
-        self.values = np.divide(
-            self.load,
-            self.capacity,
-            out=np.zeros(n),
-            where=self.capacity > 0,
-        )
-        self.n = n
-        self.sum1 = float(self.values.sum())
-        self.sum2 = float(np.dot(self.values, self.values))
-
-    def fairness(self) -> float:
-        if self.sum2 <= 0.0:
-            return 1.0
-        return self.sum1 * self.sum1 / (self.n * self.sum2)
-
-    @staticmethod
-    def _value(load: float, capacity: float) -> float:
-        return load / capacity if capacity > 0 else 0.0
-
-    def fairness_if_moved(
-        self, pop: float, weight: float, source: int, target: int
-    ) -> float:
-        """Jain index after moving (pop, weight) from ``source`` to ``target``."""
-        old_s, old_t = self.values[source], self.values[target]
-        new_s = self._value(self.load[source] - pop, self.capacity[source] - weight)
-        new_t = self._value(self.load[target] + pop, self.capacity[target] + weight)
-        sum1 = self.sum1 - old_s - old_t + new_s + new_t
-        sum2 = (
-            self.sum2
-            - old_s * old_s
-            - old_t * old_t
-            + new_s * new_s
-            + new_t * new_t
-        )
-        if sum2 <= 0.0:
-            return 1.0
-        return sum1 * sum1 / (self.n * sum2)
-
-    def apply_move(self, pop: float, weight: float, source: int, target: int) -> None:
-        for cluster, sign in ((source, -1.0), (target, +1.0)):
-            old = self.values[cluster]
-            self.load[cluster] += sign * pop
-            self.capacity[cluster] += sign * weight
-            # Clamp tiny negative residue from float cancellation.
-            if self.load[cluster] < 0:
-                self.load[cluster] = 0.0
-            if self.capacity[cluster] < 0:
-                self.capacity[cluster] = 0.0
-            new = self._value(self.load[cluster], self.capacity[cluster])
-            self.values[cluster] = new
-            self.sum1 += new - old
-            self.sum2 += new * new - old * old
-
-
 def maxfair_reassign_from_stats(
     stats: CategoryStats,
     assignment: Assignment,
@@ -159,7 +93,7 @@ def maxfair_reassign_from_stats(
 
     result_assignment = assignment.copy()
     weights = stats.weights_for(model)
-    state = _ClusterState(stats, result_assignment, weights)
+    state = JainState.of_assignment(stats, result_assignment, weights)
     trace = [state.fairness()]
     moves: list[Move] = []
 
@@ -180,7 +114,9 @@ def maxfair_reassign_from_stats(
                 for target in range(result_assignment.n_clusters):
                     if target == source:
                         continue
-                    gain = state.fairness_if_moved(pop, weight, source, target)
+                    gain = state.fairness_if(
+                        (source, -pop, -weight), (target, pop, weight)
+                    )
                     if best is None or gain > best[0]:
                         best = (gain, category_id, target)
             if best is not None and best[0] > state.fairness() + 1e-12:
@@ -189,12 +125,9 @@ def maxfair_reassign_from_stats(
         if chosen is None:
             break  # no improving move exists anywhere; greedy is done
         _gain, category_id, source, target = chosen
-        state.apply_move(
-            float(stats.popularity[category_id]),
-            float(weights[category_id]),
-            source,
-            target,
-        )
+        pop = float(stats.popularity[category_id])
+        weight = float(weights[category_id])
+        state.apply((source, -pop, -weight), (target, pop, weight))
         result_assignment.move(category_id, target)
         moves.append(
             Move(

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.fairness import JainState
 from repro.core.maxfair import Assignment
 from repro.core.popularity import CategoryStats, ClusterModel
 
@@ -39,94 +38,6 @@ class RefineResult:
     final_fairness: float
     moves_applied: int
     swaps_applied: int
-
-
-class _State:
-    """Cluster load/capacity sums with O(1) move and swap evaluation."""
-
-    def __init__(
-        self,
-        stats: CategoryStats,
-        assignment: Assignment,
-        weights: np.ndarray,
-    ) -> None:
-        n = assignment.n_clusters
-        self.load = np.zeros(n)
-        self.capacity = np.zeros(n)
-        for category_id, cluster in enumerate(assignment.category_to_cluster):
-            if cluster >= 0:
-                self.load[cluster] += stats.popularity[category_id]
-                self.capacity[cluster] += weights[category_id]
-        self.values = np.divide(
-            self.load, self.capacity, out=np.zeros(n), where=self.capacity > 0
-        )
-        self.n = n
-        self.sum1 = float(self.values.sum())
-        self.sum2 = float(np.dot(self.values, self.values))
-
-    def fairness(self) -> float:
-        if self.sum2 <= 0.0:
-            return 1.0
-        return self.sum1 * self.sum1 / (self.n * self.sum2)
-
-    @staticmethod
-    def _value(load: float, capacity: float) -> float:
-        return load / capacity if capacity > 0 else 0.0
-
-    def _fairness_with(self, replacements: dict[int, tuple[float, float]]) -> float:
-        """Fairness if clusters in ``replacements`` got (load, capacity)."""
-        sum1, sum2 = self.sum1, self.sum2
-        for cluster, (load, capacity) in replacements.items():
-            old = self.values[cluster]
-            new = self._value(load, capacity)
-            sum1 += new - old
-            sum2 += new * new - old * old
-        if sum2 <= 0.0:
-            return 1.0
-        return sum1 * sum1 / (self.n * sum2)
-
-    def fairness_if_moved(
-        self, pop: float, weight: float, source: int, target: int
-    ) -> float:
-        return self._fairness_with(
-            {
-                source: (self.load[source] - pop, self.capacity[source] - weight),
-                target: (self.load[target] + pop, self.capacity[target] + weight),
-            }
-        )
-
-    def fairness_if_swapped(
-        self,
-        pop_a: float,
-        weight_a: float,
-        cluster_a: int,
-        pop_b: float,
-        weight_b: float,
-        cluster_b: int,
-    ) -> float:
-        return self._fairness_with(
-            {
-                cluster_a: (
-                    self.load[cluster_a] - pop_a + pop_b,
-                    self.capacity[cluster_a] - weight_a + weight_b,
-                ),
-                cluster_b: (
-                    self.load[cluster_b] - pop_b + pop_a,
-                    self.capacity[cluster_b] - weight_b + weight_a,
-                ),
-            }
-        )
-
-    def apply(self, deltas: dict[int, tuple[float, float]]) -> None:
-        """Apply (load delta, capacity delta) per cluster."""
-        for cluster, (d_load, d_capacity) in deltas.items():
-            old = self.values[cluster]
-            self.load[cluster] = max(0.0, self.load[cluster] + d_load)
-            self.capacity[cluster] = max(0.0, self.capacity[cluster] + d_capacity)
-            new = self._value(self.load[cluster], self.capacity[cluster])
-            self.values[cluster] = new
-            self.sum1 += new - old
-            self.sum2 += new * new - old * old
 
 
 def refine_assignment(
@@ -150,7 +61,7 @@ def refine_assignment(
 
     refined = assignment.copy()
     weights = stats.weights_for(model)
-    state = _State(stats, refined, weights)
+    state = JainState.of_assignment(stats, refined, weights)
     initial = state.fairness()
     moves_applied = 0
     swaps_applied = 0
@@ -175,7 +86,8 @@ def refine_assignment(
                 if target == source:
                     continue
                 gain = (
-                    state.fairness_if_moved(pop, weight, source, target) - current
+                    state.fairness_if((source, -pop, -weight), (target, pop, weight))
+                    - current
                 )
                 if gain > best_gain:
                     best_gain = gain
@@ -191,14 +103,12 @@ def refine_assignment(
                     cluster_b = int(refined.category_to_cluster[cat_b])
                     if cluster_a == cluster_b:
                         continue
+                    d_pop = float(stats.popularity[cat_b]) - pop_a
+                    d_weight = float(weights[cat_b]) - weight_a
                     gain = (
-                        state.fairness_if_swapped(
-                            pop_a,
-                            weight_a,
-                            cluster_a,
-                            float(stats.popularity[cat_b]),
-                            float(weights[cat_b]),
-                            cluster_b,
+                        state.fairness_if(
+                            (cluster_a, d_pop, d_weight),
+                            (cluster_b, -d_pop, -d_weight),
                         )
                         - current
                     )
@@ -213,20 +123,17 @@ def refine_assignment(
             _, category_id, source, target = best_action
             pop = float(stats.popularity[category_id])
             weight = float(weights[category_id])
-            state.apply({source: (-pop, -weight), target: (pop, weight)})
+            state.apply((source, -pop, -weight), (target, pop, weight))
             refined.move(category_id, target)
             moves_applied += 1
         else:
             _, cat_a, cat_b = best_action
             cluster_a = int(refined.category_to_cluster[cat_a])
             cluster_b = int(refined.category_to_cluster[cat_b])
-            pop_a, weight_a = float(stats.popularity[cat_a]), float(weights[cat_a])
-            pop_b, weight_b = float(stats.popularity[cat_b]), float(weights[cat_b])
+            d_pop = float(stats.popularity[cat_b]) - float(stats.popularity[cat_a])
+            d_weight = float(weights[cat_b]) - float(weights[cat_a])
             state.apply(
-                {
-                    cluster_a: (pop_b - pop_a, weight_b - weight_a),
-                    cluster_b: (pop_a - pop_b, weight_a - weight_b),
-                }
+                (cluster_a, d_pop, d_weight), (cluster_b, -d_pop, -d_weight)
             )
             refined.move(cat_a, cluster_b)
             refined.move(cat_b, cluster_a)

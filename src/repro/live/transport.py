@@ -4,8 +4,8 @@ One :class:`AsyncioTransport` is one process's endpoint: it binds a UDP
 socket, carries every outbound message through the versioned wire codec
 (:mod:`repro.transport.wire`), and dispatches inbound datagrams to the
 handlers registered locally.  The same :class:`repro.overlay.peer.Peer`
-that runs over :class:`repro.transport.sim.SimTransport` runs over this
-class unchanged — ``now`` is the event loop's clock, ``schedule`` is
+that runs over the simulated :class:`repro.sim.network.Network` runs over
+this class unchanged — ``now`` is the event loop's clock, ``schedule`` is
 ``loop.call_later``, and sends are fire-and-forget datagrams.
 
 Fault injection lives at the codec layer on purpose: a "lost" message
@@ -26,14 +26,9 @@ import logging
 import random
 from typing import Any, Callable
 
-from repro.sim.network import Message, NetworkStats
-from repro.transport import Transport
-from repro.transport.wire import (
-    WireDecodeError,
-    WireFrame,
-    decode_frame,
-    encode_frame,
-)
+from repro.sim.network import NetworkStats
+from repro.transport import Message, Transport
+from repro.transport.wire import WireDecodeError, decode_frame, encode_frame
 
 __all__ = ["AsyncioTransport"]
 
@@ -93,7 +88,6 @@ class AsyncioTransport(Transport):
         self._endpoint: asyncio.DatagramTransport | None = None
         #: (host, port) actually bound, available after :meth:`start`.
         self.local_address: tuple[str, int] | None = None
-        self._msg_ids = iter(range(1, 1 << 62))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -163,29 +157,9 @@ class AsyncioTransport(Transport):
         attempt: int = 0,
     ) -> Message | None:
         loop = self._require_started()
-        message = Message(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=loop.time(),
-            msg_id=next(self._msg_ids),
-            delivery_id=delivery_id,
-            attempt=attempt,
-        )
+        message = Message(src, dst, kind, payload, size_bytes, delivery_id, attempt)
         self.stats.record_sent(message)
-        data = encode_frame(
-            WireFrame(
-                kind=kind,
-                src=src,
-                dst=dst,
-                payload=payload,
-                size_bytes=size_bytes,
-                delivery_id=delivery_id,
-                attempt=attempt,
-            )
-        )
+        data = encode_frame(message)
         if (
             self.loss_probability > 0.0
             and self._loss_rng.random() < self.loss_probability
@@ -197,13 +171,13 @@ class AsyncioTransport(Transport):
             # the full codec round trip so delivery is byte-equivalent
             # to the socket path.
             try:
-                frame = decode_frame(data)
+                received = decode_frame(data)
             except WireDecodeError as exc:  # pragma: no cover - encode bug
                 self.decode_errors += 1
                 self.stats.record_dropped("decode-error")
                 log.error("local frame failed to decode: %s", exc)
                 return None
-            loop.call_soon(self._deliver, frame)
+            loop.call_soon(self._deliver, received)
             return message
         addr = self.routes.get(dst)
         if addr is None:
@@ -224,34 +198,22 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, addr) -> None:
         try:
-            frame = decode_frame(data)
+            message = decode_frame(data)
         except WireDecodeError as exc:
             self.decode_errors += 1
             self.stats.record_dropped("decode-error")
             log.warning("dropping datagram from %s: %s", addr, exc)
             return
-        if frame.dst not in self._handlers:
+        if message.dst not in self._handlers:
             self.stats.record_dropped("dst-dead")
             return
-        self._deliver(frame)
+        self._deliver(message)
 
-    def _deliver(self, frame: WireFrame) -> None:
-        handler = self._handlers.get(frame.dst)
+    def _deliver(self, message: Message) -> None:
+        handler = self._handlers.get(message.dst)
         if handler is None:
             self.stats.record_dropped("dst-dead")
             return
-        loop = self._loop
-        message = Message(
-            src=frame.src,
-            dst=frame.dst,
-            kind=frame.kind,
-            payload=frame.payload,
-            size_bytes=frame.size_bytes,
-            sent_at=loop.time() if loop is not None else 0.0,
-            msg_id=next(self._msg_ids),
-            delivery_id=frame.delivery_id,
-            attempt=frame.attempt,
-        )
         self.stats.messages_delivered += 1
         try:
             handler(message)
@@ -261,7 +223,7 @@ class AsyncioTransport(Transport):
             self.handler_errors += 1
             log.exception(
                 "handler for node %d raised on %r from %d",
-                frame.dst,
-                frame.kind,
-                frame.src,
+                message.dst,
+                message.kind,
+                message.src,
             )

@@ -6,19 +6,18 @@ information ... this epidemic-style protocol eventually guarantees that
 all nodes of the cluster become aware of all metadata information
 updates."  The peer-side exchange lives in
 :meth:`repro.overlay.membership_protocol.MembershipProtocol.gossip_once`; this module provides the
-periodic driver and convergence measurement used by the dynamics
-experiments and tests.
+convergence measurement used by the dynamics experiments and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.system import P2PSystem
 
-__all__ = ["GossipDriver", "dcrt_convergence", "run_gossip_until_converged"]
+__all__ = ["dcrt_convergence", "run_gossip_until_converged"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,41 +55,6 @@ def dcrt_convergence(system: "P2PSystem") -> ConvergenceReport:
         agreement=matches / (len(peers) * n_categories),
         fully_converged=fully,
     )
-
-
-class GossipDriver:
-    """Schedules periodic gossip rounds on a live system.
-
-    Example::
-
-        driver = GossipDriver(system, interval=5.0)
-        driver.start()
-        ...
-        driver.stop()
-    """
-
-    def __init__(self, system: "P2PSystem", interval: float = 5.0) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.system = system
-        self.interval = interval
-        self._cancel: Callable[[], None] | None = None
-        self.rounds_run = 0
-
-    def _round(self) -> None:
-        self.rounds_run += 1
-        for peer in self.system.alive_peers():
-            peer.membership.gossip_once()
-
-    def start(self) -> None:
-        if self._cancel is not None:
-            raise RuntimeError("gossip driver already started")
-        self._cancel = self.system.sim.schedule_periodic(self.interval, self._round)
-
-    def stop(self) -> None:
-        if self._cancel is not None:
-            self._cancel()
-            self._cancel = None
 
 
 def run_gossip_until_converged(

@@ -54,7 +54,7 @@ from repro.overlay.service import ServiceConfig, ServiceQueue
 from repro.reliability.channel import ReliabilityConfig, ReliableChannel
 from repro.reliability.detector import FailureDetector
 from repro.sim.network import Message
-from repro.transport import ReliableTransport, Transport, as_transport
+from repro.transport import ReliableTransport, Transport
 
 __all__ = ["DocInfo", "MisbehaviorConfig", "PeerConfig", "PeerHooks", "Peer"]
 
@@ -188,9 +188,8 @@ class Peer:
         Named stream for retry-backoff jitter; consulted only when a
         retransmission actually fires, so loss-free runs never touch it.
     transport:
-        The world this peer lives in (keyword-only, required):
-        :class:`repro.transport.SimTransport` — or a simulated
-        ``Network``, coerced via ``as_transport`` — for the simulator,
+        The world this peer lives in (keyword-only, required): a
+        simulated :class:`repro.sim.network.Network` or a
         :class:`repro.live.AsyncioTransport` for sockets.  The peer
         registers its handler on creation.
     """
@@ -208,12 +207,11 @@ class Peer:
     ) -> None:
         if rng is None:
             raise TypeError("Peer requires an rng")
-        base = as_transport(transport)
         self.node_id = node_id
         self.capacity_units = capacity_units
         #: the world seam every send, timer, and clock read goes through;
         #: rebound below to the reliability wrapper when acks are on.
-        self.transport: Transport = base
+        self.transport: Transport = transport
         self.rng = rng
         self.hooks = hooks if hooks is not None else PeerHooks()
         self.config = config if config is not None else PeerConfig()
@@ -241,18 +239,18 @@ class Peer:
         self._reliability = self.config.reliability
         self.channel = ReliableChannel(
             node_id,
-            base,
+            transport,
             self._reliability,
             jitter_rng=jitter_rng,
             # A delivery that exhausted its attempts is evidence of death.
             on_give_up=lambda dst, kind: self.detector.note_missed(dst),
         )
-        self.detector = FailureDetector(node_id, base, self._reliability)
+        self.detector = FailureDetector(node_id, transport, self._reliability)
         if self._reliability.enabled:
             # Reliability composes as a transport wrapper: kinds wanting
             # ack/retry route through the channel, the rest pass straight
             # to the base transport — one send path either way.
-            self.transport = ReliableTransport(base, self.channel)
+            self.transport = ReliableTransport(transport, self.channel)
         #: bounded service queue in front of member-side work; None keeps
         #: the historical instant-serve behaviour (and registers none of
         #: the overload metrics).
@@ -287,7 +285,7 @@ class Peer:
         for registrations in self._each("registrations"):
             for kind, entry in registrations().items():
                 self.register(kind, *entry)
-        base.register(node_id, self.handle_message)
+        transport.register(node_id, self.handle_message)
 
     def _reset_tables(self, on_dcrt_change=None) -> None:
         """(Re)create the core's volatile tables.

@@ -399,7 +399,6 @@ class P2PSystem:
         self,
         workload: QueryWorkload,
         query_interval: float = 0.01,
-        settle: bool = True,
         doc_targeted: bool = True,
         at_times: Sequence[float] | None = None,
     ) -> list[QueryOutcome]:
@@ -407,12 +406,11 @@ class P2PSystem:
 
         Queries are spaced ``query_interval`` apart — or issued at the
         explicit per-query offsets ``at_times`` (relative to now; one per
-        query, as produced by the scenario engine's event streams).  With
-        ``settle`` the simulation runs to quiescence afterwards so all
-        in-flight responses land before outcomes are finalized.
-        ``doc_targeted`` requests the workload's specific documents (the
-        retrieval case, default); disable it for category-level
-        "any m results" queries.
+        query, as produced by the scenario engine's event streams).  The
+        simulation then runs to quiescence, so all in-flight responses
+        land before outcomes are finalized.  ``doc_targeted`` requests
+        the workload's specific documents (the retrieval case, default);
+        disable it for category-level "any m results" queries.
         """
         queries = list(workload)
         if at_times is not None and len(at_times) != len(queries):
@@ -442,8 +440,6 @@ class P2PSystem:
                 ),
             )
         self.sim.run()
-        if settle:
-            self.sim.run()
         return self.ledger.outcomes()
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.sim.network import Message
 # RELIABLE_KINDS moved to the transport layer (which kinds want acks is
 # a wire property, not a channel implementation detail); re-exported
 # here for the many existing importers.
-from repro.transport import Transport, as_transport
+from repro.transport import Transport
 from repro.transport.reliable import RELIABLE_KINDS  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -257,9 +257,7 @@ class ReliableChannel:
         on_give_up: Callable[[int, str], None] | None = None,
     ) -> None:
         self.node_id = node_id
-        # Accepts a bare simulated Network too (legacy callers, tests);
-        # the coercion wraps it in the shared per-network SimTransport.
-        self.transport = as_transport(transport)
+        self.transport = transport
         self.config = config
         self.jitter_rng = jitter_rng
         self.on_give_up = on_give_up

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.reliability.channel import _CONTROL_SIZE, ReliabilityConfig
-from repro.transport import Transport, as_transport
+from repro.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay import messages as m
@@ -46,8 +46,7 @@ class FailureDetector:
         self, node_id: int, transport: Transport, config: ReliabilityConfig
     ) -> None:
         self.node_id = node_id
-        # Accepts a bare simulated Network too (legacy callers, tests).
-        self.transport = as_transport(transport)
+        self.transport = transport
         self.config = config
         #: consecutive misses per target.
         self._misses: dict[int, int] = {}

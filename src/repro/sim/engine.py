@@ -155,43 +155,6 @@ class Simulator:
             )
         return self.schedule(time - self._now, callback)
 
-    def schedule_periodic(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        start_delay: float | None = None,
-    ) -> Callable[[], None]:
-        """Fire ``callback`` every ``interval`` units until cancelled.
-
-        Returns a zero-argument cancel function.  Models the paper's
-        periodic behaviours (leader elections "every day", epidemic
-        metadata exchange rounds).
-        """
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
-        stopped = False
-        current: Event | None = None
-
-        def fire() -> None:
-            nonlocal current
-            if stopped:
-                return
-            callback()
-            if not stopped:
-                current = self.schedule(interval, fire)
-
-        current = self.schedule(
-            interval if start_delay is None else start_delay, fire
-        )
-
-        def cancel() -> None:
-            nonlocal stopped
-            stopped = True
-            if current is not None:
-                current.cancel()
-
-        return cancel
-
     def run(
         self, until: float | None = None, max_events: int | None = None
     ) -> None:

@@ -25,39 +25,9 @@ from typing import Any, Callable
 
 from repro import obs
 from repro.sim.engine import Simulator
+from repro.transport.base import Message, Transport
 
 __all__ = ["Message", "Network", "NetworkStats"]
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A message in flight.
-
-    ``payload`` is an arbitrary protocol object (the overlay uses the
-    dataclasses in :mod:`repro.overlay.messages`); ``kind`` is a short
-    string used for traffic breakdowns.
-
-    ``msg_id`` is a network-assigned per-attempt id (unique per
-    :meth:`Network.transmit` call).  ``delivery_id`` / ``attempt`` carry
-    reliable-delivery metadata for senders using an ack/retry channel:
-    ``delivery_id`` is stable across retransmissions of the same logical
-    send (so receivers can suppress duplicates) while ``attempt`` counts
-    retransmissions.  Fire-and-forget sends leave ``delivery_id`` at -1.
-    """
-
-    src: int
-    dst: int
-    kind: str
-    payload: Any
-    size_bytes: int = 256
-    sent_at: float = 0.0
-    msg_id: int = 0
-    delivery_id: int = -1
-    attempt: int = 0
-
-    @property
-    def reliable(self) -> bool:
-        """True when the sender expects an acknowledgement."""
-        return self.delivery_id >= 0
 
 
 @dataclass(slots=True)
@@ -96,8 +66,9 @@ class NetworkStats:
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
 
-class Network:
-    """A simulated network connecting protocol handlers.
+class Network(Transport):
+    """A simulated network connecting protocol handlers: the
+    :class:`~repro.transport.Transport` of the simulated world.
 
     Parameters
     ----------
@@ -134,6 +105,10 @@ class Network:
         if drop_probability > 0.0 and rng is None:
             raise ValueError("drop_probability > 0 requires an rng")
         self.sim = sim
+        # Hot-path rebinds: instance attributes shadow the Transport
+        # methods, so ``transport.send(...)`` is one bound-method call.
+        self.send = self.transmit
+        self.schedule = sim.schedule
         self.base_latency = base_latency
         self.bandwidth = bandwidth
         self.drop_probability = drop_probability
@@ -146,7 +121,6 @@ class Network:
         self._trace = obs.TRACE
         self._handlers: dict[int, Callable[[Message], None]] = {}
         self._crashed: set[int] = set()
-        self._next_msg_id = 0
         #: message kind -> drop-probability override (chaos `ack-loss`
         #: style targeted faults).  Absent kinds use ``drop_probability``.
         self._kind_drop: dict[str, float] = {}
@@ -157,6 +131,10 @@ class Network:
         #: the whole crash/partition/loss check chain on the hot path.
         self._fault_free = True
         self._refresh_fault_state()
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
 
     def _refresh_fault_state(self) -> None:
         """Recompute the zero-fault flag after any fault-control change."""
@@ -325,22 +303,10 @@ class Network:
         reliability layer an ack/retry channel on top, tagging retries
         with a stable ``delivery_id`` — see :mod:`repro.reliability`).
 
-        Protocol code should not call this directly: peers go through a
-        :class:`repro.transport.Transport` (whose sim adapter binds this
-        method), keeping the protocols world-agnostic.
+        Protocol code calls this as ``transport.send`` (bound in
+        ``__init__``), keeping the protocols world-agnostic.
         """
-        self._next_msg_id += 1
-        message = Message(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.sim.now,
-            msg_id=self._next_msg_id,
-            delivery_id=delivery_id,
-            attempt=attempt,
-        )
+        message = Message(src, dst, kind, payload, size_bytes, delivery_id, attempt)
         self.stats.record_sent(message)
         self._c_sent.value += 1
         self._c_bytes.value += size_bytes
@@ -408,19 +374,3 @@ class Network:
                 msg=message.kind,
                 reason=reason,
             )
-
-    def broadcast(
-        self,
-        src: int,
-        dsts,
-        kind: str,
-        payload: Any,
-        size_bytes: int = 256,
-    ) -> int:
-        """Send the same payload to many destinations; returns the count."""
-        count = 0
-        for dst in dsts:
-            if dst != src:
-                self.transmit(src, dst, kind, payload, size_bytes=size_bytes)
-                count += 1
-        return count

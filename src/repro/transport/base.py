@@ -1,16 +1,17 @@
-"""The :class:`Transport` interface and the ``as_transport`` coercion.
+"""The :class:`Transport` interface and the :class:`Message` envelope.
 
 A transport owns everything a protocol endpoint needs from the outside
 world: datagram-style sends, delivery-callback registration, a time
 source, one-shot timer scheduling, and a liveness oracle.  Protocol
 code holding a ``Transport`` runs unchanged over the discrete-event
-simulator (:class:`repro.transport.sim.SimTransport`) and over real
-sockets (:class:`repro.live.AsyncioTransport`).
+simulator (:class:`repro.sim.network.Network`) and over real sockets
+(:class:`repro.live.AsyncioTransport`); both hand handlers the same
+:class:`Message`.
 
 Design constraints:
 
-* **No ABCMeta.**  Adapters rebind hot methods as instance attributes
-  (``self.send = network.transmit``) so the simulated hot path pays no
+* **No ABCMeta.**  Transports rebind hot methods as instance attributes
+  (``self.send = self.transmit``) so the simulated hot path pays no
   extra frames; abstract-method machinery would fight that.
 * **``schedule`` returns a cancellable.**  Anything with a ``cancel()``
   method — the simulator's ``Event`` or asyncio's ``TimerHandle``.
@@ -21,9 +22,35 @@ Design constraints:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["Transport", "as_transport"]
+__all__ = ["Message", "Transport"]
+
+
+@dataclass(frozen=True, slots=True)
+class Message:
+    """The one envelope: what a transport carries and a handler receives.
+
+    ``payload`` is an arbitrary protocol object (the overlay uses the
+    dataclasses in :mod:`repro.overlay.messages`); ``kind`` is a short
+    string used for dispatch and traffic breakdowns.
+
+    ``delivery_id`` / ``attempt`` carry reliable-delivery metadata for
+    senders using an ack/retry channel: ``delivery_id`` is stable across
+    retransmissions of the same logical send (so receivers can suppress
+    duplicates) while ``attempt`` counts retransmissions.
+    Fire-and-forget sends leave ``delivery_id`` at -1; a sender expects an
+    acknowledgement exactly when ``delivery_id >= 0``.
+    """
+
+    src: int
+    dst: int
+    kind: str
+    payload: Any = None
+    size_bytes: int = 256
+    delivery_id: int = -1
+    attempt: int = 0
 
 
 class Transport:
@@ -38,7 +65,7 @@ class Transport:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def register(self, node_id: int, handler: Callable[[Any], None]) -> None:
+    def register(self, node_id: int, handler: Callable[[Message], None]) -> None:
         """Attach a node's delivery handler; inbound messages for
         ``node_id`` invoke ``handler(message)``."""
         raise NotImplementedError
@@ -68,17 +95,6 @@ class Transport:
         (or None for transports that do not materialize one)."""
         raise NotImplementedError
 
-    def broadcast(
-        self, src: int, dsts, kind: str, payload: Any, size_bytes: int = 256
-    ) -> int:
-        """Send the same payload to many destinations; returns the count."""
-        count = 0
-        for dst in dsts:
-            if dst != src:
-                self.send(src, dst, kind, payload, size_bytes=size_bytes)
-                count += 1
-        return count
-
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
@@ -91,29 +107,3 @@ class Transport:
         """Run ``callback`` after ``delay``; returns an object with a
         ``cancel()`` method."""
         raise NotImplementedError
-
-
-def as_transport(obj) -> Transport:
-    """Coerce a ``Transport`` or a simulated ``Network`` to a ``Transport``.
-
-    Legacy constructors (``Peer(..., network=net)``, direct
-    ``ReliableChannel(node_id, net, ...)`` construction in tests) pass a
-    bare :class:`repro.sim.network.Network`; each network gets exactly
-    one cached :class:`~repro.transport.sim.SimTransport` so every peer
-    of a simulation shares the same adapter instance.
-    """
-    if isinstance(obj, Transport):
-        return obj
-    # Imported here: sim.py subclasses Transport from this module.
-    from repro.sim.network import Network
-    from repro.transport.sim import SimTransport
-
-    if isinstance(obj, Network):
-        adapter = getattr(obj, "_sim_transport", None)
-        if adapter is None:
-            adapter = SimTransport(obj)
-            obj._sim_transport = adapter
-        return adapter
-    raise TypeError(
-        f"expected a Transport or Network, got {type(obj).__name__}"
-    )

@@ -48,7 +48,7 @@ RELIABLE_KINDS = frozenset(
 
 
 class ReliableTransport(Transport):
-    """Wrap ``inner`` so ``reliable_kinds`` get ack/retry delivery.
+    """Wrap ``inner`` so :data:`RELIABLE_KINDS` get ack/retry delivery.
 
     Only :meth:`send` changes; membership, time, and scheduling all
     delegate to the inner transport (rebound as instance attributes, so
@@ -57,15 +57,9 @@ class ReliableTransport(Transport):
     must not re-enter this wrapper.
     """
 
-    def __init__(
-        self,
-        inner: Transport,
-        channel: "ReliableChannel",
-        reliable_kinds: frozenset[str] = RELIABLE_KINDS,
-    ) -> None:
+    def __init__(self, inner: Transport, channel: "ReliableChannel") -> None:
         self.inner = inner
         self.channel = channel
-        self.reliable_kinds = frozenset(reliable_kinds)
         self._inner_send = inner.send
         self._channel_send = channel.send
         self.register = inner.register
@@ -83,7 +77,7 @@ class ReliableTransport(Transport):
         delivery_id: int = -1,
         attempt: int = 0,
     ):
-        if kind in self.reliable_kinds:
+        if kind in RELIABLE_KINDS:
             self._channel_send(dst, kind, payload, size_bytes=size_bytes)
             return None
         return self._inner_send(
@@ -96,29 +90,9 @@ class ReliableTransport(Transport):
             attempt=attempt,
         )
 
-    def broadcast(
-        self, src: int, dsts, kind: str, payload: Any, size_bytes: int = 256
-    ) -> int:
-        count = 0
-        for dst in dsts:
-            if dst != src:
-                self.send(src, dst, kind, payload, size_bytes=size_bytes)
-                count += 1
-        return count
-
     @property
     def now(self) -> float:
         return self.inner.now
-
-    @property
-    def network(self):
-        """The simulated network under the stack, when there is one.
-
-        Exists so sim-world introspection (``peer.transport.network``) can unwrap
-        the reliability layer; raises ``AttributeError`` over transports
-        with no network underneath (the live stack).
-        """
-        return self.inner.network
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReliableTransport({self.inner!r})"

@@ -13,24 +13,23 @@ where the body is a JSON-encoded *envelope*::
 record (``{"type": ClassName, "fields": {...}}``), so every protocol
 dataclass that travels through the simulator travels unchanged over
 UDP.  Decoding **fails fast**: an unknown schema tag, a truncated
-header, a length mismatch, a body that is not JSON, or an unregistered
-payload type all raise :class:`WireDecodeError` before any protocol code
-runs.
+header, a length mismatch, a body that is not JSON, an envelope field
+that is not an in-range integer, or an unregistered payload type all
+raise :class:`WireDecodeError` before any protocol code runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 from repro.overlay.messages import from_wire, to_wire
+from repro.transport.base import Message
 
 __all__ = [
     "WIRE_SCHEMA",
     "WireError",
     "WireDecodeError",
-    "WireFrame",
     "encode_envelope",
     "decode_envelope",
     "encode_frame",
@@ -58,35 +57,22 @@ class WireDecodeError(WireError):
     """A frame failed to decode: wrong schema, truncated, or corrupt."""
 
 
-@dataclass(frozen=True, slots=True)
-class WireFrame:
-    """The transport-level fields of one message."""
-
-    kind: str
-    src: int
-    dst: int
-    payload: Any = None
-    size_bytes: int = 256
-    delivery_id: int = -1
-    attempt: int = 0
-
-
-def encode_envelope(frame: WireFrame) -> dict:
-    """Build the schema-tagged envelope dict for ``frame``."""
+def encode_envelope(message: Message) -> dict:
+    """Build the schema-tagged envelope dict for ``message``."""
     return {
         "schema": WIRE_SCHEMA,
-        "kind": frame.kind,
-        "src": frame.src,
-        "dst": frame.dst,
-        "size": frame.size_bytes,
-        "delivery_id": frame.delivery_id,
-        "attempt": frame.attempt,
-        "payload": None if frame.payload is None else to_wire(frame.payload),
+        "kind": message.kind,
+        "src": message.src,
+        "dst": message.dst,
+        "size": message.size_bytes,
+        "delivery_id": message.delivery_id,
+        "attempt": message.attempt,
+        "payload": None if message.payload is None else to_wire(message.payload),
     }
 
 
-def decode_envelope(envelope: Any) -> WireFrame:
-    """Validate an envelope and rebuild its :class:`WireFrame`.
+def decode_envelope(envelope: Any) -> Message:
+    """Validate an envelope and rebuild its :class:`Message`.
 
     Fast-fail contract: the schema tag is checked *first*, so readers
     reject frames from a future ``repro.wire/v2`` (or arbitrary noise
@@ -103,12 +89,32 @@ def decode_envelope(envelope: Any) -> WireFrame:
         )
     try:
         kind = envelope["kind"]
-        src = int(envelope["src"])
-        dst = int(envelope["dst"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireDecodeError(f"envelope missing/invalid field: {exc}") from exc
+        src = envelope["src"]
+        dst = envelope["dst"]
+    except KeyError as exc:
+        raise WireDecodeError(f"envelope missing field: {exc}") from exc
     if not isinstance(kind, str):
         raise WireDecodeError(f"kind must be a string, got {kind!r}")
+    size_bytes = envelope.get("size", 256)
+    delivery_id = envelope.get("delivery_id", -1)
+    attempt = envelope.get("attempt", 0)
+    # ``type(...) is int``, not ``isinstance``: JSON ``true`` is a bool,
+    # and a bool delivery id would earn an ack and a dedup-window entry.
+    if not (
+        type(src) is int
+        and type(dst) is int
+        and type(size_bytes) is int
+        and size_bytes >= 0
+        and type(delivery_id) is int
+        and delivery_id >= -1
+        and type(attempt) is int
+        and attempt >= 0
+    ):
+        raise WireDecodeError(
+            "envelope needs integer src, dst, size >= 0, delivery_id >= -1 "
+            f"and attempt >= 0, got {src!r}, {dst!r}, {size_bytes!r}, "
+            f"{delivery_id!r}, {attempt!r}"
+        )
     raw_payload = envelope.get("payload")
     if raw_payload is None:
         payload = None
@@ -117,26 +123,12 @@ def decode_envelope(envelope: Any) -> WireFrame:
             payload = from_wire(raw_payload)
         except (TypeError, KeyError, ValueError) as exc:
             raise WireDecodeError(f"payload failed to decode: {exc}") from exc
-    try:
-        size_bytes = int(envelope.get("size", 256))
-        delivery_id = int(envelope.get("delivery_id", -1))
-        attempt = int(envelope.get("attempt", 0))
-    except (TypeError, ValueError) as exc:
-        raise WireDecodeError(f"envelope metadata invalid: {exc}") from exc
-    return WireFrame(
-        kind=kind,
-        src=src,
-        dst=dst,
-        payload=payload,
-        size_bytes=size_bytes,
-        delivery_id=delivery_id,
-        attempt=attempt,
-    )
+    return Message(src, dst, kind, payload, size_bytes, delivery_id, attempt)
 
 
-def encode_frame(frame: WireFrame) -> bytes:
-    """Encode ``frame`` into one length-prefixed wire frame."""
-    body = _ENCODER.encode(encode_envelope(frame)).encode("utf-8")
+def encode_frame(message: Message) -> bytes:
+    """Encode ``message`` into one length-prefixed wire frame."""
+    body = _ENCODER.encode(encode_envelope(message)).encode("utf-8")
     if len(body) > MAX_BODY_BYTES:
         raise WireError(
             f"frame body of {len(body)} bytes exceeds cap {MAX_BODY_BYTES}"
@@ -144,7 +136,7 @@ def encode_frame(frame: WireFrame) -> bytes:
     return len(body).to_bytes(HEADER_BYTES, "big") + body
 
 
-def decode_frame(data: bytes) -> WireFrame:
+def decode_frame(data: bytes) -> Message:
     """Decode one complete wire frame (as carried by a UDP datagram).
 
     The datagram must contain exactly one frame: a short header, a body

@@ -258,40 +258,6 @@ class TestInstrumentation:
         log.clear()
 
 
-class TestPeriodic:
-    def test_fires_until_cancelled(self):
-        sim = Simulator()
-        ticks = []
-        cancel = sim.schedule_periodic(1.0, lambda: ticks.append(sim.now))
-        sim.run(until=3.5)
-        cancel()
-        sim.run()
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_start_delay(self):
-        sim = Simulator()
-        ticks = []
-        cancel = sim.schedule_periodic(
-            2.0, lambda: ticks.append(sim.now), start_delay=0.5
-        )
-        sim.run(until=5.0)
-        cancel()
-        assert ticks == [0.5, 2.5, 4.5]
-
-    def test_rejects_nonpositive_interval(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_periodic(0.0, lambda: None)
-
-    def test_cancel_mid_flight(self):
-        sim = Simulator()
-        ticks = []
-        cancel = sim.schedule_periodic(1.0, lambda: ticks.append(sim.now))
-        sim.schedule(2.5, cancel)
-        sim.run()
-        assert ticks == [1.0, 2.0]
-
-
 class TestEventHandle:
     def test_events_are_not_orderable(self):
         # The heap holds (time, seq, event) tuples and seq is unique, so no

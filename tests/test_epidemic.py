@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.overlay.epidemic import (
-    GossipDriver,
-    dcrt_convergence,
-    run_gossip_until_converged,
-)
+from repro.overlay.epidemic import dcrt_convergence, run_gossip_until_converged
 
 from tests.helpers import build_live_system
 
@@ -66,22 +62,3 @@ class TestGossipSpreadsUpdates:
         for peer in system.alive_peers():
             assert peer.dcrt.cluster_of(category_id) == current
 
-
-class TestGossipDriver:
-    def test_periodic_rounds_run(self, gossip_system):
-        driver = GossipDriver(gossip_system, interval=1.0)
-        driver.start()
-        gossip_system.sim.run(until=5.5)
-        driver.stop()
-        assert driver.rounds_run == 5
-
-    def test_double_start_rejected(self, gossip_system):
-        driver = GossipDriver(gossip_system, interval=1.0)
-        driver.start()
-        with pytest.raises(RuntimeError):
-            driver.start()
-        driver.stop()
-
-    def test_rejects_bad_interval(self, gossip_system):
-        with pytest.raises(ValueError):
-            GossipDriver(gossip_system, interval=0)

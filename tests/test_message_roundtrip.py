@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.overlay import messages as m
 from repro.overlay.metadata import DCRTEntry
+from repro.transport import Message, decode_frame, encode_frame
 
 WIRE_CLASSES = sorted(m.WIRE_TYPES.values(), key=lambda cls: cls.__name__)
 
@@ -100,6 +101,8 @@ def test_wire_roundtrip_boundary_payloads(cls):
             raise NotImplementedError(annotation)
     payload = cls(**boundary)
     assert m.from_wire(json.loads(json.dumps(m.to_wire(payload)))) == payload
+    message = Message(1, 2, "test", payload)
+    assert decode_frame(encode_frame(message)) == message
 
 
 def test_unregistered_payload_rejected():

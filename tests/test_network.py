@@ -41,16 +41,6 @@ class TestDelivery:
         assert network.stats.messages_dropped == 1
         assert network.stats.messages_delivered == 0
 
-    def test_broadcast_counts(self):
-        sim, network = _make()
-        received = []
-        for node in (1, 2, 3):
-            network.register(node, lambda msg: received.append(msg.dst))
-        count = network.broadcast(1, [1, 2, 3], "hi", None)
-        sim.run()
-        assert count == 2  # not sent to self
-        assert sorted(received) == [2, 3]
-
     def test_delivery_order_is_fifo_per_latency(self):
         sim, network = _make(base_latency=0.1, bandwidth=None)
         received = []

@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fairness import gini, jain_fairness, lorenz_curve, majorizes
+from repro.core.fairness import (
+    JainState,
+    gini,
+    jain_fairness,
+    lorenz_curve,
+    majorizes,
+)
 from repro.core.maxfair import Assignment, maxfair_from_stats
 from repro.core.popularity import CategoryStats
 from repro.core.reassign import maxfair_reassign_from_stats
@@ -71,6 +77,49 @@ class TestFairnessProperties:
     @given(positive_allocations)
     def test_self_majorization_reflexive(self, x):
         assert majorizes(x, x)
+
+    # Loads and capacities stay within [0.5, 2.5]: running sums lose
+    # digits to cancellation once the values span many orders of
+    # magnitude, which is not what this test is about.
+    @given(
+        st.lists(
+            st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)),
+            min_size=2,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, 5), st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)
+            ),
+            max_size=10,
+        ),
+        st.none() | st.integers(0, 5),
+    )
+    def test_running_jain_state_matches_from_scratch(self, initial, changes, emptied):
+        n = len(initial)
+        state = JainState(n)
+        state.apply(*((c, load, cap) for c, (load, cap) in enumerate(initial)))
+        for cluster, d_load, d_capacity in changes:
+            change = (cluster % n, d_load, d_capacity)
+            predicted = state.fairness_if(change)
+            state.apply(change)
+            assert abs(state.fairness() - predicted) <= 1e-12
+        if emptied is not None:
+            # Take a hair more than is there: the clamp zeroes the cluster.
+            c = emptied % n
+            state.apply(
+                (
+                    c,
+                    -np.nextafter(state.load[c], np.inf),
+                    -np.nextafter(state.capacity[c], np.inf),
+                )
+            )
+            assert state.load[c] == 0.0 and state.capacity[c] == 0.0
+        values = np.divide(
+            state.load, state.capacity, out=np.zeros(n), where=state.capacity > 0
+        )
+        assert np.array_equal(values, state.values)
+        assert abs(state.fairness() - jain_fairness(values)) <= 1e-12
 
 
 class TestZipfProperties:

@@ -1,7 +1,7 @@
 """The versioned wire envelope: round-trip fidelity and fast-fail decode.
 
 The decode contract under test: any byte string either decodes to a
-valid :class:`WireFrame` or raises :class:`WireDecodeError` — never an
+valid :class:`Message` or raises :class:`WireDecodeError` — never an
 ``IndexError``, ``KeyError``, or other incidental exception — and an
 unsupported schema tag is rejected before any other field is examined.
 """
@@ -13,12 +13,12 @@ import pytest
 
 from repro.overlay import messages as m
 from repro.overlay.metadata import DCRTEntry
+from repro.transport import Message
 from repro.transport.wire import (
     HEADER_BYTES,
     MAX_BODY_BYTES,
     WIRE_SCHEMA,
     WireDecodeError,
-    WireFrame,
     decode_envelope,
     decode_frame,
     encode_envelope,
@@ -56,29 +56,20 @@ PAYLOADS = [
 
 @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
 def test_frame_round_trip(payload):
-    frame = WireFrame(
-        kind="test",
-        src=1,
-        dst=2,
-        payload=payload,
-        size_bytes=512,
-        delivery_id=7,
-        attempt=2,
-    )
-    decoded = decode_frame(encode_frame(frame))
-    assert decoded == frame  # tuples and nested types restored exactly
+    message = Message(1, 2, "test", payload, 512, delivery_id=7, attempt=2)
+    decoded = decode_frame(encode_frame(message))
+    assert decoded == message  # tuples and nested types restored exactly
 
 
 def test_round_trip_defaults():
-    frame = WireFrame(kind="ping", src=0, dst=1)
-    decoded = decode_frame(encode_frame(frame))
+    decoded = decode_frame(encode_frame(Message(0, 1, "ping")))
     assert decoded.size_bytes == 256
     assert decoded.delivery_id == -1
     assert decoded.attempt == 0
 
 
 def test_unknown_schema_fails_fast():
-    envelope = encode_envelope(WireFrame(kind="x", src=0, dst=1))
+    envelope = encode_envelope(Message(0, 1, "x"))
     envelope["schema"] = "repro.wire/v2"
     # Fast-fail contract: the schema is checked before anything else, so
     # even an otherwise-broken envelope reports the schema mismatch.
@@ -99,9 +90,30 @@ def test_non_mapping_envelope_rejected():
 
 
 def test_unregistered_payload_type_rejected():
-    envelope = encode_envelope(WireFrame(kind="x", src=0, dst=1))
+    envelope = encode_envelope(Message(0, 1, "x"))
     envelope["payload"] = {"type": "NoSuchMessage", "fields": {}}
     with pytest.raises(WireDecodeError, match="payload failed to decode"):
+        decode_envelope(envelope)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("src", 3.9),
+        ("dst", "1"),
+        ("size", -5),
+        ("delivery_id", True),
+        ("delivery_id", -2),
+        ("attempt", -2),
+    ],
+)
+def test_envelope_field_of_wrong_type_or_range_rejected(field, value):
+    # Each of these used to be coerced by ``int()`` (``true`` to a
+    # delivery id of 1, which then earned an ack and a dedup entry).
+    envelope = encode_envelope(Message(0, 1, "x", None, 256, 7, 2))
+    assert decode_envelope(dict(envelope)) == Message(0, 1, "x", None, 256, 7, 2)
+    envelope[field] = value
+    with pytest.raises(WireDecodeError, match="integer"):
         decode_envelope(envelope)
 
 
@@ -111,7 +123,7 @@ def test_truncated_header_rejected():
 
 
 def test_length_mismatch_rejected():
-    data = encode_frame(WireFrame(kind="x", src=0, dst=1))
+    data = encode_frame(Message(0, 1, "x"))
     with pytest.raises(WireDecodeError, match="length mismatch"):
         decode_frame(data[:-1])
     with pytest.raises(WireDecodeError, match="length mismatch"):
@@ -157,38 +169,33 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("kind", GOLDEN_FRAMES)
 def test_frame_bytes_are_golden(kind):
     payload, expected = GOLDEN_FRAMES[kind]
-    frame = WireFrame(
-        kind=kind, src=1, dst=2, payload=payload, size_bytes=512,
-        delivery_id=7, attempt=2,
-    )
-    assert encode_frame(frame) == expected
-    assert decode_frame(expected) == frame
+    message = Message(1, 2, kind, payload, 512, delivery_id=7, attempt=2)
+    assert encode_frame(message) == expected
+    assert decode_frame(expected) == message
 
 
 def test_schema_tag_on_the_wire():
-    data = encode_frame(WireFrame(kind="x", src=0, dst=1))
+    data = encode_frame(Message(0, 1, "x"))
     envelope = json.loads(data[HEADER_BYTES:])
     assert envelope["schema"] == WIRE_SCHEMA
 
 
 def _assert_decode_is_total(data: bytes) -> None:
-    """Decode must return a frame or raise WireDecodeError — nothing else."""
+    """Decode must return a Message or raise WireDecodeError — nothing else."""
     try:
-        frame = decode_frame(data)
+        message = decode_frame(data)
     except WireDecodeError:
         return
-    assert isinstance(frame, WireFrame)
+    assert isinstance(message, Message)
 
 
 def test_fuzz_truncations():
     data = encode_frame(
-        WireFrame(
-            kind="query",
-            src=3,
-            dst=4,
-            payload=m.QueryMessage(
-                query_id=1, requester_id=3, category_id=0, remaining=1
-            ),
+        Message(
+            3,
+            4,
+            "query",
+            m.QueryMessage(query_id=1, requester_id=3, category_id=0, remaining=1),
         )
     )
     for cut in range(len(data)):
@@ -197,14 +204,7 @@ def test_fuzz_truncations():
 
 def test_fuzz_corruptions():
     rng = random.Random(0xC0DEC)
-    base = encode_frame(
-        WireFrame(
-            kind="query_response",
-            src=1,
-            dst=2,
-            payload=PAYLOADS[2],
-        )
-    )
+    base = encode_frame(Message(1, 2, "query_response", PAYLOADS[2]))
     for _ in range(400):
         data = bytearray(base)
         for _ in range(rng.randint(1, 6)):
