@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Callable
 
+from repro import obs
 from repro.content.chunks import (
     CHUNK_REQUEST_ID_BASE,
     ContentConfig,
@@ -229,37 +230,46 @@ class PeerContent:
         if fetch.remaining == 0:
             self._complete(fetch)
             return
-        for position, i in enumerate(self._rarest_first(fetch)):
+        # One lookup for the whole first wave: the requests below are only
+        # scheduled, so nothing is delivered, stored or dropped between them.
+        sources = sources_fn()
+        for position, i in enumerate(self._rarest_first(fetch, sources)):
             chunk = chunks[i]
             if chunk.done:
                 continue
-            source = self._pick_source(fetch, chunk, stagger=position)
+            source = self._pick_source(fetch, chunk, sources, stagger=position)
             if source is None:
                 self._fail(fetch, "no-live-source")
                 return
             self._request_chunk(fetch, chunk, source)
 
-    def _rarest_first(self, fetch: _Fetch) -> list[int]:
+    def _rarest_first(
+        self, fetch: _Fetch, sources: dict[int, tuple[int, ...]]
+    ) -> list[int]:
         """Chunk indexes ordered by (live source count, index)."""
-        sources = fetch.sources_fn()
         return sorted(
             fetch.chunks,
             key=lambda i: (len(sources.get(i, ())), i),
         )
 
     def _pick_source(
-        self, fetch: _Fetch, chunk: _ChunkState, stagger: int = 0
+        self,
+        fetch: _Fetch,
+        chunk: _ChunkState,
+        sources: dict[int, tuple[int, ...]],
+        stagger: int = 0,
     ) -> int | None:
         """Deterministically choose the next source for one chunk.
 
-        Candidates are the chunk's current live sources minus this peer,
+        Candidates are the chunk's live sources in ``sources`` (a
+        ``sources_fn()`` result) minus this peer,
         already-tried sources, and failure-detector suspects; like query
         failover, exclusions relax in that order rather than failing a
         fetch a plain retry could save.  ``stagger`` spreads the initial
         wave round-robin across sources so one holder does not absorb
         every first request.
         """
-        sources = fetch.sources_fn().get(chunk.index, ())
+        sources = sources.get(chunk.index, ())
         suspects = self.peer.suspects()
         mine = self.peer.node_id
         candidates = [
@@ -326,7 +336,7 @@ class PeerContent:
         if chunk.attempts >= self.config.max_chunk_attempts:
             self._fail(fetch, "attempts-exhausted")
             return
-        source = self._pick_source(fetch, chunk)
+        source = self._pick_source(fetch, chunk, fetch.sources_fn())
         if source is None:
             self._fail(fetch, "no-live-source")
             return
@@ -375,12 +385,13 @@ class PeerContent:
         self.partial.setdefault(doc_id, set()).add(index)
         if fetch.index is not None:
             fetch.index.note_partial(self.peer.node_id, doc_id, index)
-        for target, repair_index in sorted(fetch.pending_repairs):
-            if repair_index == index:
-                self._push_repair(fetch, target, index, expected)
-        fetch.pending_repairs = {
-            pair for pair in fetch.pending_repairs if pair[1] != index
-        }
+        if fetch.pending_repairs:
+            for target, repair_index in sorted(fetch.pending_repairs):
+                if repair_index == index:
+                    self._push_repair(fetch, target, index, expected)
+            fetch.pending_repairs = {
+                pair for pair in fetch.pending_repairs if pair[1] != index
+            }
         if fetch.remaining == 0:
             self._complete(fetch)
 
@@ -416,18 +427,27 @@ class PeerContent:
         self.repairs_received += 1
         cached = self.manifests.get(repair.doc_id)
         if cached is not None and repair.version > cached.version:
-            from dataclasses import replace
-
-            fresh = replace(cached, version=repair.version)
+            fresh = cached.with_version(repair.version)
             self.manifests[repair.doc_id] = fresh
             if self.on_manifest is not None:
                 self.on_manifest(repair.doc_id, fresh)
 
     def handle_manifest_update(self, update: m.ManifestUpdate, src: int) -> None:
-        """Cache a manifest announced to us (graceful-shutdown handoff)."""
-        cached = self.manifests.get(update.doc_id)
-        if cached is None or update.version >= cached.version:
+        """Cache a manifest announced to us (graceful-shutdown handoff).
+
+        The update arrives from outside the program: one whose hash count
+        disagrees with its size is dropped and counted before it can
+        replace a cached manifest or reach the journal.
+        """
+        try:
             fresh = manifest_from_update(update)
+        except ValueError:
+            # Lazily registered, as in ``Peer.handle_message``: honest
+            # worlds never reach this, so their snapshots gain no line.
+            obs.counter("overlay.rejected_messages").inc()
+            return
+        cached = self.manifests.get(update.doc_id)
+        if cached is None or fresh.version >= cached.version:
             self.manifests[update.doc_id] = fresh
             if self.on_manifest is not None:
                 self.on_manifest(update.doc_id, fresh)
@@ -435,9 +455,9 @@ class PeerContent:
     def _complete(self, fetch: _Fetch) -> None:
         doc_id = fetch.info.doc_id
         self._fetches.pop(fetch.fetch_id, None)
+        expected = fetch.manifest.chunk_hashes
         hashes = tuple(
-            fetch.received.get(i, fetch.manifest.chunk_hashes[i])
-            for i in range(fetch.manifest.n_chunks)
+            fetch.received.get(i, expected[i]) for i in range(len(expected))
         )
         if doc_id not in self.peer.docs:
             self.peer.store_document(fetch.info)

@@ -39,22 +39,26 @@ class ContentHealer:
         unrepairable (no live holder at all — nothing to copy from).
         """
         manager = self.manager
-        system = manager.system
+        holders = manager.system.ledger.holders
+        alive_among = manager.system.network.alive_among
         floor = manager.config.replication_floor
         budget = manager.config.heal_fetch_limit
         scanned = below_floor = started = unrepairable = 0
         for doc_id in sorted(manager.manifests):
             scanned += 1
-            holders = manager.live_holders(doc_id)
-            if not holders:
+            # A full scan at two set operations a document; no second
+            # "at-risk" book to keep in step with stores, drops, crashes
+            # and recoveries.
+            live = len(alive_among(holders(doc_id)))
+            if not live:
                 unrepairable += 1
                 continue
-            if len(holders) >= floor:
+            if live >= floor:
                 continue
             below_floor += 1
             if budget <= 0:
                 continue
-            for target in self._targets(doc_id, holders):
+            for target in self._targets(doc_id, floor - live):
                 if budget <= 0:
                     break
                 if manager.fetch(target, doc_id, purpose="heal") is not None:
@@ -68,12 +72,11 @@ class ContentHealer:
             "unrepairable": unrepairable,
         }
 
-    def _targets(self, doc_id: int, holders: list[int]) -> list[int]:
-        """Deterministic re-replication destinations for one document."""
+    def _targets(self, doc_id: int, need: int) -> list[int]:
+        """Deterministic re-replication destinations for the ``need``
+        copies one document is short of the floor."""
         manager = self.manager
         system = manager.system
-        floor = manager.config.replication_floor
-        need = floor - len(holders)
         info = manager.doc_info(doc_id)
         candidates: list = []
         if info is not None and info.categories:

@@ -16,7 +16,7 @@ no metrics, and draws no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
@@ -44,22 +44,94 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
 class Manifest:
-    """Immutable snapshot of a document's chunk metadata."""
+    """Immutable snapshot of a document's chunk metadata.
 
-    doc_id: int
-    size_bytes: int
-    chunk_size: int
-    version: int
-    chunk_hashes: tuple[int, ...]
+    The hashes are content-derived, so a manifest built from a document's
+    identity alone (``chunk_hashes`` left out) derives them the first time
+    they are read and keeps them; one given hashes — decoded from the wire
+    — carries exactly those, and their count must be the one its size
+    implies.  Equality and hashing cover all five values either way.
+    """
+
+    __slots__ = ("doc_id", "size_bytes", "chunk_size", "version", "_hashes")
+
+    def __init__(
+        self,
+        doc_id: int,
+        size_bytes: int,
+        chunk_size: int,
+        version: int,
+        chunk_hashes: tuple[int, ...] | None = None,
+    ) -> None:
+        if chunk_hashes is not None:
+            chunk_hashes = tuple(chunk_hashes)
+            if chunk_size <= 0:
+                raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
+            expected = n_chunks(size_bytes, chunk_size)
+            if len(chunk_hashes) != expected:
+                raise ValueError(
+                    f"doc {doc_id} manifest lists {len(chunk_hashes)} "
+                    f"chunk hashes but its size implies {expected}"
+                )
+        put = object.__setattr__
+        put(self, "doc_id", doc_id)
+        put(self, "size_bytes", size_bytes)
+        put(self, "chunk_size", chunk_size)
+        put(self, "version", version)
+        put(self, "_hashes", chunk_hashes)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def chunk_hashes(self) -> tuple[int, ...]:
+        hashes = self._hashes
+        if hashes is None:
+            doc_id = self.doc_id
+            hashes = tuple(chunk_hash(doc_id, i) for i in range(self.n_chunks))
+            object.__setattr__(self, "_hashes", hashes)
+        return hashes
 
     @property
     def n_chunks(self) -> int:
-        return len(self.chunk_hashes)
+        return n_chunks(self.size_bytes, self.chunk_size)
 
     def chunk_bytes(self, index: int) -> int:
         return chunk_bytes(self.size_bytes, index, self.chunk_size)
+
+    def with_version(self, version: int) -> "Manifest":
+        """This manifest at ``version``; hashes already derived go along,
+        hashes not yet read stay unread."""
+        return Manifest(
+            self.doc_id, self.size_bytes, self.chunk_size, version, self._hashes
+        )
+
+    def _identity(self) -> tuple[int, int, int, int]:
+        return (self.doc_id, self.size_bytes, self.chunk_size, self.version)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Manifest:
+            return NotImplemented
+        # Two manifests of one identity still waiting to derive would
+        # derive the same, so ``None is None`` settles it unread.
+        return self._identity() == other._identity() and (
+            self._hashes is other._hashes
+            or self.chunk_hashes == other.chunk_hashes
+        )
+
+    def __hash__(self) -> int:
+        return hash((*self._identity(), self.chunk_hashes))
+
+    def __repr__(self) -> str:
+        hashes = "" if self._hashes is None else f", chunk_hashes={self._hashes}"
+        return (
+            f"Manifest(doc_id={self.doc_id}, size_bytes={self.size_bytes}, "
+            f"chunk_size={self.chunk_size}, version={self.version}{hashes})"
+        )
 
 
 def build_manifest(
@@ -68,15 +140,9 @@ def build_manifest(
     chunk_size: int,
     version: int = 0,
 ) -> Manifest:
-    """Derive the manifest of a document from its identity and size."""
-    total = n_chunks(size_bytes, chunk_size)
-    return Manifest(
-        doc_id=doc_id,
-        size_bytes=size_bytes,
-        chunk_size=chunk_size,
-        version=version,
-        chunk_hashes=tuple(chunk_hash(doc_id, i) for i in range(total)),
-    )
+    """The manifest of a document, from its identity and size alone: the
+    chunk hashes are derived when first read."""
+    return Manifest(doc_id, size_bytes, chunk_size, version)
 
 
 def manifest_to_update(manifest: Manifest, holders=()) -> "m.ManifestUpdate":
@@ -94,13 +160,14 @@ def manifest_to_update(manifest: Manifest, holders=()) -> "m.ManifestUpdate":
 
 
 def manifest_from_update(update: "m.ManifestUpdate") -> Manifest:
-    """Decode a :class:`~repro.overlay.messages.ManifestUpdate`."""
+    """Decode a :class:`~repro.overlay.messages.ManifestUpdate`; raises
+    ``ValueError`` when its hash count disagrees with its size."""
     return Manifest(
         doc_id=update.doc_id,
         size_bytes=update.size_bytes,
         chunk_size=update.chunk_size,
         version=update.version,
-        chunk_hashes=tuple(update.chunk_hashes),
+        chunk_hashes=update.chunk_hashes,
     )
 
 
@@ -225,7 +292,7 @@ class ContentManager:
         manifest = self.manifests.get(doc_id)
         if manifest is None:
             return 0
-        manifest = replace(manifest, version=manifest.version + 1)
+        manifest = manifest.with_version(manifest.version + 1)
         self.manifests[doc_id] = manifest
         self._c_repairs.inc()
         return manifest.version
@@ -238,22 +305,26 @@ class ContentManager:
         return self.system.ledger.live_holders(doc_id)
 
     def chunk_sources(self, doc_id: int) -> dict[int, tuple[int, ...]]:
-        """Per-chunk live sources: full holders plus partial holders."""
+        """Per-chunk live sources: full holders plus partial holders.
+
+        Chunks no live partial holder has share one tuple.
+        """
         manifest = self.manifests.get(doc_id)
         if manifest is None:
             return {}
-        full = self.live_holders(doc_id)
-        sources = {index: list(full) for index in range(manifest.n_chunks)}
-        network = self.system.network
-        for node_id, held in self.partials.get(doc_id, {}).items():
-            if node_id in full or not network.is_alive(node_id):
-                continue
-            for index in held:
-                if index in sources:
-                    sources[index].append(node_id)
-        return {
-            index: tuple(sorted(nodes)) for index, nodes in sources.items()
-        }
+        full = tuple(self.live_holders(doc_id))
+        sources = dict.fromkeys(range(manifest.n_chunks), full)
+        partials = self.partials.get(doc_id)
+        if partials:
+            extra: dict[int, list[int]] = {}
+            alive = self.system.network.alive_among(partials.keys())
+            for node_id in alive - set(full):
+                for index in partials[node_id]:
+                    if index in sources:
+                        extra.setdefault(index, []).append(node_id)
+            for index, nodes in extra.items():
+                sources[index] = tuple(sorted((*full, *nodes)))
+        return sources
 
     def note_partial(self, node_id: int, doc_id: int, index: int) -> None:
         self.partials.setdefault(doc_id, {}).setdefault(node_id, set()).add(

@@ -17,8 +17,10 @@ optional layer off) in a *fresh interpreter* and reports
 
 Seconds are the least repeatable column (on a multi-GB heap they follow
 collector passes and page faults more than the code), so the gates are on
-calls and bytes: fewer calls than copies placed, and bytes that grow no
-faster than ``copies + NRT entries``.
+calls and bytes: fewer calls than copies placed, bytes that grow no
+faster than ``copies + NRT entries``, and — the one optional layer whose
+build grows with the world — a content data plane that adds a few calls
+per document and peer (:func:`content_calls`), not one per chunk.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ import tracemalloc
 from dataclasses import dataclass
 from itertools import chain
 
+from repro.content.chunks import ContentConfig
 from repro.core.replication import build_world
 from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
-__all__ = ["SITES", "WorldRow", "WorldResult", "measure", "run", "format_result"]
+__all__ = [
+    "SITES", "WorldRow", "WorldResult", "content_calls", "measure",
+    "python_calls", "run", "format_result",
+]
 
 #: the structures whose size follows the world's, in report order.
 SITES = (
@@ -120,6 +126,22 @@ def _site_bytes(system: P2PSystem) -> dict[str, int]:
     }
 
 
+def python_calls(build):
+    """``(build(), Python-level calls made inside it)``."""
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"  # Python functions only; C calls are "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count_calls)
+    try:
+        return build(), calls
+    finally:
+        sys.setprofile(previous)
+
+
 def measure(scale: float, seed: int = 7) -> WorldRow:
     """Build the world twice in *this* process: once untraced (seconds,
     RSS), once under ``tracemalloc`` and ``sys.setprofile`` (bytes, calls).
@@ -137,19 +159,10 @@ def measure(scale: float, seed: int = 7) -> WorldRow:
     del system
     gc.collect()
 
-    calls = 0
-
-    def count_calls(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    previous = sys.getprofile()
     tracemalloc.start()
-    sys.setprofile(count_calls)
     try:
-        system = P2PSystem(*world, config=config)
+        system, calls = python_calls(lambda: P2PSystem(*world, config=config))
     finally:
-        sys.setprofile(previous)
         traced_bytes, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
@@ -215,8 +228,23 @@ def format_result(result: WorldResult) -> str:
     )
 
 
+def content_calls(scale: float = 0.03, seed: int = 7) -> tuple[int, int]:
+    """``(calls, documents + peers)``: the Python-level calls switching the
+    content data plane on adds to one world's build, and the size they are
+    held against — a manifest per document and a chunk endpoint per peer,
+    no hash before a fetch reads it."""
+    world = build_world(scale=scale, seed=seed)
+    on = P2PSystemConfig(seed=seed, content=ContentConfig(enabled=True))
+    _, without = python_calls(
+        lambda: P2PSystem(*world, config=P2PSystemConfig(seed=seed))
+    )
+    system, with_content = python_calls(lambda: P2PSystem(*world, config=on))
+    return with_content - without, len(system.content.manifests) + len(system.peers)
+
+
 def smoke() -> None:
-    """CI gate: calls stay below copies, bytes grow no faster than the world."""
+    """CI gate: calls stay below copies, bytes grow no faster than the world,
+    and a content-on build adds a few calls per document and peer."""
     result = run(scales=(0.01, 0.03))
     print(format_result(result))
     for row in result.rows:
@@ -229,3 +257,6 @@ def smoke() -> None:
         large <= 1.15 * small,
         f"bytes per (copy + NRT entry) {small:.0f} -> {large:.0f}: superlinear",
     )
+    added, size = content_calls()
+    print(f"content on at scale 0.03 adds {added} calls ({size} documents + peers)")
+    require(added < 5 * size, f"content on adds {added} calls for {size}")

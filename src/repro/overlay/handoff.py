@@ -65,10 +65,12 @@ def graceful_shutdown(
 
 def sole_holder_docs(system: "P2PSystem", node_id: int) -> list[int]:
     """Documents whose only live holder is ``node_id``."""
+    alive_among, holders = system.network.alive_among, system.ledger.holders
+    alone = {node_id}
     return [
         doc_id
         for doc_id in sorted(system.peers[node_id].docs)
-        if not set(system.ledger.live_holders(doc_id)) - {node_id}
+        if alive_among(holders(doc_id)) <= alone
     ]
 
 

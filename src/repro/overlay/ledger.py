@@ -185,11 +185,8 @@ class WorldLedger(PeerHooks):
 
     def live_holders(self, doc_id: int) -> list[int]:
         """Sorted live nodes holding the full document."""
-        is_alive = self._network.is_alive
         return sorted(
-            node_id
-            for node_id in self._doc_holders.get(doc_id, ())
-            if is_alive(node_id)
+            self._network.alive_among(self._doc_holders.get(doc_id, _NO_HOLDERS))
         )
 
     def lookup_holders(

@@ -20,6 +20,7 @@ the paper's protocols must tolerate.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -171,6 +172,19 @@ class Network(Transport):
 
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._handlers and node_id not in self._crashed
+
+    def alive_among(self, node_ids: Set[int]) -> Set[int]:
+        """The members of ``node_ids`` that :meth:`is_alive`.
+
+        Two set operations whatever the size of ``node_ids``, and when
+        all of them are alive the answer is ``node_ids`` itself, not a
+        copy: read-only for the caller.
+        """
+        handlers = self._handlers.keys()
+        crashed = self._crashed
+        if crashed.isdisjoint(node_ids) and handlers >= node_ids:
+            return node_ids
+        return (handlers & node_ids) - crashed
 
     def crashed_nodes(self) -> list[int]:
         """Sorted ids of nodes currently marked crashed."""

@@ -162,6 +162,70 @@ class TestFailover:
         assert requester.node_id in manager.live_holders(doc_id)
 
 
+class TestSourceLookups:
+    """One ``chunk_sources`` lookup for the first wave, one per failover."""
+
+    @staticmethod
+    def _counted(manager, monkeypatch):
+        lookups = []
+        chunk_sources = manager.chunk_sources
+
+        def counting(doc_id):
+            lookups.append(doc_id)
+            return chunk_sources(doc_id)
+
+        monkeypatch.setattr(manager, "chunk_sources", counting)
+        return lookups
+
+    def test_first_wave_looks_sources_up_once(self, monkeypatch):
+        system = make_content_system()
+        manager = system.content
+        doc_id, _ = doc_with_holders(system)
+        requester = pick_requester(system, doc_id)
+        lookups = self._counted(manager, monkeypatch)
+        fetch_id = manager.fetch(requester.node_id, doc_id)
+        assert manager.record_for(fetch_id).n_chunks == 4
+        assert lookups == [doc_id]
+        system.sim.run()
+        record = manager.record_for(fetch_id)
+        assert record.verified and record.failovers == 0
+        assert lookups == [doc_id]
+
+    def test_each_failover_looks_sources_up_once_more(self, monkeypatch):
+        system = make_content_system()
+        manager = system.content
+        doc_id, holders = doc_with_holders(system, min_holders=2)
+        requester = pick_requester(system, doc_id)
+        lookups = self._counted(manager, monkeypatch)
+        fetch_id = manager.fetch(requester.node_id, doc_id)
+        system.crash_node(holders[0])  # its chunk requests are in flight
+        system.sim.run()
+        record = manager.record_for(fetch_id)
+        assert record.verified and record.failovers >= 1
+        assert lookups == [doc_id] * (1 + record.failovers)
+
+    def test_chunks_without_a_partial_holder_share_one_tuple(self):
+        system = make_content_system()
+        manager = system.content
+        doc_id, holders = doc_with_holders(system, min_holders=2)
+        sources = manager.chunk_sources(doc_id)
+        assert list(sources) == [0, 1, 2, 3]
+        assert all(nodes is sources[0] for nodes in sources.values())
+        assert sources[0] == tuple(holders)
+        # A live partial holder joins the chunks it has, sorted; a crashed
+        # one and one that is a full holder already join none.
+        partial, crashed = [
+            p.node_id for p in system.alive_peers() if p.node_id not in holders
+        ][:2]
+        manager.note_partial(partial, doc_id, 2)
+        manager.note_partial(crashed, doc_id, 1)
+        manager.note_partial(holders[0], doc_id, 3)
+        system.crash_node(crashed)
+        sources = manager.chunk_sources(doc_id)
+        assert sources[2] == tuple(sorted((*holders, partial)))
+        assert sources[0] == sources[1] == sources[3] == tuple(holders)
+
+
 class TestReadRepair:
     def test_corrupt_replica_is_detected_and_repaired(self):
         system = make_content_system()

@@ -98,6 +98,105 @@ class TestHealingRound:
         assert snapshots[0] == snapshots[1]
 
 
+def reference_round(manager):
+    """The healing scan as it was before holders were counted by set
+    algebra: sort every document's live holders, node by node."""
+    network, ledger = manager.system.network, manager.system.ledger
+    floor = manager.config.replication_floor
+    budget = manager.config.heal_fetch_limit
+    scanned = below_floor = started = unrepairable = 0
+    for doc_id in sorted(manager.manifests):
+        scanned += 1
+        holders = sorted(
+            node_id
+            for node_id in ledger.holders(doc_id)
+            if network.is_alive(node_id)
+        )
+        if not holders:
+            unrepairable += 1
+            continue
+        if len(holders) >= floor:
+            continue
+        below_floor += 1
+        if budget <= 0:
+            continue
+        for target in manager.healer._targets(doc_id, floor - len(holders)):
+            if budget <= 0:
+                break
+            if manager.fetch(target, doc_id, purpose="heal") is not None:
+                started += 1
+                budget -= 1
+    return {
+        "scanned": scanned,
+        "below_floor": below_floor,
+        "fetches": started,
+        "unrepairable": unrepairable,
+    }
+
+
+class TestHealingScan:
+    @staticmethod
+    def _count_live_holders(system, monkeypatch):
+        calls = []
+        live_holders = system.ledger.live_holders
+
+        def counting(doc_id):
+            calls.append(doc_id)
+            return live_holders(doc_id)
+
+        monkeypatch.setattr(system.ledger, "live_holders", counting)
+        return calls
+
+    def test_world_at_the_floor_sorts_no_holder_list(self, monkeypatch):
+        system = make_content_system(replication_floor=2)
+        calls = self._count_live_holders(system, monkeypatch)
+        report = system.run_healing_round()
+        assert report == {
+            "scanned": len(system.content.manifests),
+            "below_floor": 0,
+            "fetches": 0,
+            "unrepairable": 0,
+        }
+        assert calls == []
+
+    @staticmethod
+    def _damaged_world():
+        """Crashed holders, departed holders and a document nobody live
+        holds; the heal budget below what the damage asks for."""
+        system = make_content_system(
+            seed=13, replication_floor=3, heal_fetch_limit=6
+        )
+        manager = system.content
+        doc_id, holders = doc_with_holders(system)
+        for holder in holders:
+            system.crash_node(holder)
+        survivors = [p.node_id for p in system.alive_peers()]
+        system.leave_node(survivors[0])
+        system.crash_node(survivors[1])
+        assert manager.live_holders(doc_id) == []
+        return system
+
+    def test_report_and_fetches_match_the_reference_scan(self):
+        system, twin = self._damaged_world(), self._damaged_world()
+        report = system.content.run_round()
+        assert report == reference_round(twin.content)
+        assert report["unrepairable"] >= 1
+        assert report["below_floor"] > report["fetches"] == 6
+        left = set(system.departed_node_ids()) - set(system.network.crashed_nodes())
+        assert left and any(
+            system.ledger.holders(doc_id) & left
+            for doc_id in system.content.manifests
+        )
+
+        def started(world):
+            return [
+                (r.doc_id, r.requester_id, r.purpose)
+                for r in world.content.fetch_ledger()
+            ]
+
+        assert started(system) == started(twin)
+
+
 class TestHealExperiment:
     def test_registry_and_formatting(self):
         from repro.experiments import EXPERIMENTS, heal

@@ -5,7 +5,8 @@ stack benchmark measured and a later change could quietly bring back: the
 control round rescanning the world once per (document, holder) pair, the
 routing-table lookup allocating a row it throws away, the replica plan
 paying a Python call per copy it places, the world bootstrap paying one
-per NRT entry, capability entry and copy.
+per NRT entry, capability entry and copy, the content data plane hashing
+every chunk of every document before any fetch reads one.
 """
 
 import gc
@@ -14,9 +15,11 @@ import tracemalloc
 
 import pytest
 
-from repro.content.chunks import ContentConfig
+from repro.content import fetcher, manifest
+from repro.content.chunks import ContentConfig, chunk_hash
 from repro.core.replication import build_world, plan_replication
 from repro.durability import DurabilityConfig
+from repro.experiments.world_size import python_calls
 from repro.model.workload import make_query_workload
 from repro.overlay import metadata
 from repro.overlay.metadata import DCRTEntry
@@ -26,6 +29,11 @@ from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
 
 from tests.helpers import build_live_system
+from tests.test_content_fetch import (
+    doc_with_holders,
+    make_content_system,
+    pick_requester,
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,25 +108,9 @@ def paper_world():
     return build_world(scale=0.02, seed=7)
 
 
-def _python_calls(build):
-    """``(build(), Python-level calls made inside it)``."""
-    calls = 0
-
-    def count_calls(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"  # Python functions only; C calls are "c_call"
-
-    previous = sys.getprofile()
-    sys.setprofile(count_calls)
-    try:
-        return build(), calls
-    finally:
-        sys.setprofile(previous)
-
-
 def test_plan_replication_makes_fewer_calls_than_it_places_copies(paper_world):
     instance, assignment, _ = paper_world
-    plan, calls = _python_calls(lambda: plan_replication(instance, assignment))
+    plan, calls = python_calls(lambda: plan_replication(instance, assignment))
     placed = sum(len(docs) for docs in plan.node_docs.values())
     # 55,613 copies, nine in ten of them hot documents going to every member
     # of their cluster; placed one ``store()`` at a time the plan made
@@ -127,7 +119,7 @@ def test_plan_replication_makes_fewer_calls_than_it_places_copies(paper_world):
 
 
 def test_world_bootstrap_makes_fewer_calls_than_it_places_copies(paper_world):
-    system, calls = _python_calls(lambda: P2PSystem(*paper_world))
+    system, calls = python_calls(lambda: P2PSystem(*paper_world))
     copies = sum(len(peer.docs) for peer in system.peers.values())
     # 59,458 copies and 242,621 NRT entries on 400 peers: 36,954 calls, most
     # of them building the peers.  A call per NRT entry, per capability
@@ -162,3 +154,35 @@ def test_world_bootstrap_memory_and_shared_capability_tables(paper_world):
         if members
     ]
     assert table_bytes(held.values()) <= 2 * table_bytes(one_per_cluster)
+
+
+def test_content_on_build_hashes_no_chunk_and_a_fetch_only_its_own(
+    paper_world, monkeypatch
+):
+    hashed = {manifest: [], fetcher: []}
+    for module, calls in hashed.items():
+        monkeypatch.setattr(
+            module,
+            "chunk_hash",
+            lambda doc_id, index, calls=calls: (
+                calls.append((doc_id, index)) or chunk_hash(doc_id, index)
+            ),
+        )
+    config = P2PSystemConfig(seed=7, content=ContentConfig(enabled=True))
+    world = P2PSystem(*paper_world, config=config)
+    # 4,000 manifests, 64 chunks each at the benchmark's document size:
+    # hashed at registration, the build made 256,000 of these calls.
+    assert len(world.content.manifests) == 4000
+    assert hashed == {manifest: [], fetcher: []}
+
+    system = make_content_system()
+    doc_id, _ = doc_with_holders(system)
+    requester = pick_requester(system, doc_id)
+    fetch_id = system.content.fetch(requester.node_id, doc_id)
+    system.sim.run()
+    assert system.content.record_for(fetch_id).verified
+    chunks = [(doc_id, index) for index in range(4)]
+    # The manifest derives its four hashes once; each holder hashes the
+    # chunk it serves.
+    assert hashed[manifest] == chunks
+    assert sorted(hashed[fetcher]) == chunks

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -316,3 +317,35 @@ class TestEdgeCases:
         network.set_kind_drop_probability("ack", 0.5)
         network.clear_kind_drop_probabilities()
         assert network._kind_drop == {}
+
+
+class TestAliveAmong:
+    """``alive_among`` is ``is_alive`` over a set, by set algebra."""
+
+    ids = st.sets(st.integers(0, 15))
+
+    @given(handlers=ids, crashed=ids, holders=ids)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_node_by_node_filter(self, handlers, crashed, holders):
+        _, network = _make()
+        for node_id in handlers:
+            network.register(node_id, lambda msg: None)
+        for node_id in crashed:  # ids never registered among them
+            network.crash(node_id)
+        expected = {n for n in holders if network.is_alive(n)}
+        for asked in (holders, frozenset(holders), dict.fromkeys(holders).keys()):
+            answer = network.alive_among(asked)
+            assert answer == expected
+            if expected == holders:
+                assert answer is asked  # all alive: the set itself, no copy
+
+    def test_departed_and_recovered_nodes(self):
+        _, network = _make()
+        for node_id in (1, 2, 3):
+            network.register(node_id, lambda msg: None)
+        network.crash(2)
+        network.unregister(3)
+        assert network.alive_among({1, 2, 3, 4}) == {1}
+        network.recover(2)
+        assert network.alive_among({1, 2}) == {1, 2}
+        assert network.alive_among(frozenset()) == set()
