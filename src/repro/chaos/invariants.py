@@ -630,8 +630,9 @@ class InvariantChecker:
     )
     def _check_recovery(self, node_id=None, category_id=None):
         """After a power-loss recovery the node holds and re-advertises
-        every durable document; after a reconciliation every live peer
-        agrees with the assignment on the reconciled category."""
+        every durable document and its NRT names a member of every
+        non-empty cluster; after a reconciliation every live peer agrees
+        with the assignment on the reconciled category."""
         if node_id is not None:
             yield from self._recovered_node_failures(node_id)
         if category_id is not None:
@@ -677,6 +678,14 @@ class InvariantChecker:
                 f"re-advertise {len(unadvertised)} documents "
                 f"(sample: {sorted(unadvertised)[:10]})"
             )
+        # A journal replays memberships, not routes: without a redraw the
+        # node could not reach a cluster it is not a member of.
+        for cluster_id, members in self.system.cluster_members_view().items():
+            if members and members.isdisjoint(peer.nrt.nodes_in(cluster_id)):
+                yield (
+                    f"recovered node {node_id} knows no member of "
+                    f"cluster {cluster_id}"
+                )
 
 
 __doc__ += "\n".join(

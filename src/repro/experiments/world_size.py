@@ -18,9 +18,10 @@ optional layer off) in a *fresh interpreter* and reports
 Seconds are the least repeatable column (on a multi-GB heap they follow
 collector passes and page faults more than the code), so the gates are on
 calls and bytes: fewer calls than copies placed, bytes that grow no
-faster than ``copies + NRT entries``, and — the one optional layer whose
-build grows with the world — a content data plane that adds a few calls
-per document and peer (:func:`content_calls`), not one per chunk.
+faster than ``copies + NRT entries``, NRT tables of about a pointer per
+entry (a recency-ordered list, not a dict), and — the one optional layer
+whose build grows with the world — a content data plane that adds a few
+calls per document and peer (:func:`content_calls`), not one per chunk.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ __all__ = [
     "SITES", "WorldRow", "WorldResult", "content_calls", "measure",
     "python_calls", "run", "format_result",
 ]
+
+#: ceiling on NRT-table bytes per NRT entry: a list holds a pointer (8 B)
+#: per entry, where an ``OrderedDict`` held 85-91 B.
+NRT_BYTES_PER_ENTRY = 16
 
 #: the structures whose size follows the world's, in report order.
 SITES = (
@@ -244,11 +249,18 @@ def content_calls(scale: float = 0.03, seed: int = 7) -> tuple[int, int]:
 
 def smoke() -> None:
     """CI gate: calls stay below copies, bytes grow no faster than the world,
-    and a content-on build adds a few calls per document and peer."""
+    NRT tables stay near a pointer per entry, and a content-on build adds a
+    few calls per document and peer."""
     result = run(scales=(0.01, 0.03))
     print(format_result(result))
     for row in result.rows:
         require(row.calls < row.copies, f"scale {row.scale}: {row.calls} calls")
+        per_entry = dict(row.site_bytes)["nrt_tables"] / row.nrt_entries
+        print(f"scale {row.scale}: {per_entry:.1f} NRT-table bytes per NRT entry")
+        require(
+            per_entry <= NRT_BYTES_PER_ENTRY,
+            f"scale {row.scale}: {per_entry:.1f} NRT-table bytes per entry",
+        )
     small, large = (row.bytes_per_entry for row in result.rows)
     # One-sided: a larger world amortises the per-peer constants and holds
     # relatively more (cheaper) NRT entries, so the figure falls with scale;

@@ -17,9 +17,7 @@ Every node keeps three tables:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
 
 __all__ = ["DocumentTable", "DCRT", "DCRTEntry", "NRT"]
 
@@ -165,8 +163,9 @@ class DCRT:
 class NRT:
     """Node Routing Table: cluster id -> known member nodes, LRU-capped.
 
-    ``max_nodes_per_cluster`` bounds memory; touching an entry (adding it
-    again, or selecting it for routing) refreshes its recency.
+    A cluster's known members are one list, least recently touched first;
+    ``max_nodes_per_cluster`` bounds it, and touching an entry (adding it
+    again, or selecting it for routing) moves it to the end.
     """
 
     def __init__(self, max_nodes_per_cluster: int = 64) -> None:
@@ -175,53 +174,51 @@ class NRT:
                 f"max_nodes_per_cluster must be >= 1, got {max_nodes_per_cluster}"
             )
         self.max_nodes_per_cluster = max_nodes_per_cluster
-        self._clusters: dict[int, OrderedDict[int, None]] = {}
+        self._clusters: dict[int, list[int]] = {}
 
     def add(self, cluster_id: int, node_id: int) -> None:
         """Record that ``node_id`` belongs to ``cluster_id`` (refreshes LRU)."""
-        members = self._clusters.setdefault(cluster_id, OrderedDict())
+        members = self._clusters.setdefault(cluster_id, [])
         if node_id in members:
-            members.move_to_end(node_id)
-        else:
-            members[node_id] = None
-            while len(members) > self.max_nodes_per_cluster:
-                members.popitem(last=False)
+            members.remove(node_id)
+        members.append(node_id)
+        if len(members) > self.max_nodes_per_cluster:
+            del members[0]
 
     def add_many(self, cluster_id: int, node_ids) -> None:
         """:meth:`add` every id in order, trimming once at the end.
 
         An LRU's final state is "order by last touch, keep the last
-        ``max_nodes_per_cluster``", so the batch may defer the eviction —
-        and an empty table filled from distinct ids is those ids in order.
+        ``max_nodes_per_cluster``": the batch in order (a repeated id at
+        its last place) behind whatever of the table it did not touch —
+        and a batch that fills the table on its own is the whole table.
         """
-        node_ids = list(node_ids)
-        if not node_ids:
+        batch = list(node_ids)
+        if not batch:
             return
+        touched = set(batch)
+        if len(touched) != len(batch):
+            batch = list(dict.fromkeys(reversed(batch)))
+            batch.reverse()
+        room = self.max_nodes_per_cluster - len(batch)
         members = self._clusters.get(cluster_id)
-        if not members:
-            members = self._clusters[cluster_id] = OrderedDict.fromkeys(node_ids)
-            if len(members) != len(node_ids):
-                # Repeats: ``fromkeys`` orders by first touch, an LRU by last.
-                for node_id in node_ids:
-                    members.move_to_end(node_id)
-        else:
-            for node_id in node_ids:
-                if node_id in members:
-                    members.move_to_end(node_id)
-                else:
-                    members[node_id] = None
-        while len(members) > self.max_nodes_per_cluster:
-            members.popitem(last=False)
+        if room < 0:
+            del batch[:-room]
+        elif room and members:
+            kept = [node_id for node_id in members if node_id not in touched]
+            batch[:0] = kept[-room:]
+        self._clusters[cluster_id] = batch
 
     def remove(self, cluster_id: int, node_id: int) -> None:
         members = self._clusters.get(cluster_id)
-        if members is not None:
-            members.pop(node_id, None)
+        if members is not None and node_id in members:
+            members.remove(node_id)
 
     def remove_node(self, node_id: int) -> None:
         """Remove a node from every cluster (on a leave notice)."""
         for members in self._clusters.values():
-            members.pop(node_id, None)
+            if node_id in members:
+                members.remove(node_id)
 
     def nodes_in(self, cluster_id: int) -> list[int]:
         members = self._clusters.get(cluster_id)
@@ -245,11 +242,10 @@ class NRT:
             if not node_ids:
                 return None
             choice = node_ids[int(rng.integers(0, len(node_ids)))]
+            members.remove(choice)
         else:
-            # Walk to the drawn position instead of copying the table.
-            index = int(rng.integers(0, len(members)))
-            choice = next(islice(members, index, None))
-        members.move_to_end(choice)
+            choice = members.pop(int(rng.integers(0, len(members))))
+        members.append(choice)
         return choice
 
     def clusters(self) -> list[int]:

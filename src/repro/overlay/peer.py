@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -456,16 +456,17 @@ class Peer:
             self._record("drop", doc_id)
             self.hooks.on_document_dropped(self, doc_id)
 
-    def join_cluster(self, cluster_id: int, known_members: Iterable[int] = ()) -> None:
+    def join_cluster(
+        self, cluster_id: int, known_members: Collection[int] = ()
+    ) -> None:
         """Become a member of ``cluster_id`` and learn some fellows."""
         newly = cluster_id not in self.memberships
         self.memberships.add(cluster_id)
-        # One batch, touching this node first unless ``known_members``
-        # places it (a full table of fellows evicts an unplaced self).
-        known = list(known_members)
-        if self.node_id not in known:
-            known.insert(0, self.node_id)
-        self.nrt.add_many(cluster_id, known)
+        # This node is touched first unless ``known_members`` places it (a
+        # full table of fellows evicts an unplaced self), then one batch.
+        if self.node_id not in known_members:
+            self.nrt.add(cluster_id, self.node_id)
+        self.nrt.add_many(cluster_id, known_members)
         self.cluster_neighbors.setdefault(cluster_id, set())
         self.learn_capabilities(cluster_id, ((self.node_id, self.capacity_units),))
         if newly:

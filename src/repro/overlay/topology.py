@@ -46,6 +46,8 @@ class ClusterTopology:
         #: cluster id -> designated super peer (super-peer mode only).
         self.super_peers: dict[int, int] = {}
         self._members_view: dict[int, set[int]] | None = None
+        #: what :meth:`bootstrap` drew NRTs by; :meth:`rewire` redraws by it.
+        self._config: "P2PSystemConfig | None" = None
 
     def bootstrap(
         self,
@@ -60,6 +62,7 @@ class ClusterTopology:
         own clusters and sampled for foreign ones.
         """
         peers, rng = self._peers, self._rng
+        self._config = config
         for node_id, cats in instance.node_categories.items():
             for category_id in cats:
                 cluster_id = int(assignment.category_to_cluster[category_id])
@@ -188,15 +191,29 @@ class ClusterTopology:
     def rewire(self, peer: "Peer") -> None:
         """Re-learn topology for a peer whose memory was just replayed.
 
-        The cluster graphs never dropped the node (a crash keeps
-        membership), so its neighbour links are all still there — only
-        the peer's own copy of them was wiped.
+        Its NRT is redrawn from the topology stream the way
+        :meth:`bootstrap` drew it: a random subset (up to the NRT capacity)
+        of every own cluster, a ``remote_nrt_sample`` of every other
+        non-empty one.  The cluster graphs never dropped the node (a crash
+        keeps membership), so its neighbour links are all still there —
+        only the peer's own copy of them was wiped.
         """
-        for cluster_id in sorted(peer.memberships):
-            members = self.members.get(cluster_id, ())
-            peer.join_cluster(cluster_id, known_members=sorted(members))
-            graph = self.graphs.get(cluster_id)
-            if graph is not None and peer.node_id in graph.members:
-                peer.set_cluster_neighbors(
-                    cluster_id, graph.neighbors(peer.node_id)
+        config, rng = self._config, self._rng
+        for cluster_id in sorted(self.members.keys() | peer.memberships):
+            members_array = np.array(
+                sorted(self.members.get(cluster_id, ())), dtype=object
+            )
+            size = len(members_array)
+            if cluster_id in peer.memberships:
+                known = members_array[rng.permutation(size)[: config.nrt_capacity]]
+                peer.join_cluster(cluster_id, known_members=known.tolist())
+                graph = self.graphs.get(cluster_id)
+                if graph is not None and peer.node_id in graph.members:
+                    peer.set_cluster_neighbors(
+                        cluster_id, graph.neighbors(peer.node_id)
+                    )
+            elif size:
+                picks = rng.choice(
+                    size, size=min(config.remote_nrt_sample, size), replace=False
                 )
+                peer.nrt.add_many(cluster_id, members_array[picks].tolist())

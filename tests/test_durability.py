@@ -25,6 +25,7 @@ import pytest
 from repro import obs
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import ScenarioConfig, Schedule
+from repro.core.replication import build_world
 from repro.durability import (
     DurabilityConfig,
     FileStore,
@@ -37,10 +38,12 @@ from repro.durability import (
     materialize,
     replay_wal,
 )
+from repro.model.workload import QueryWorkload, make_query_workload
 from repro.overlay.messages import ReassignNotice
 from repro.overlay.metadata import DCRTEntry
 from repro.overlay.peer import DocInfo
-from repro.overlay.system import P2PSystemConfig
+from repro.overlay.system import P2PSystem, P2PSystemConfig
+from repro.reliability import ReliabilityConfig
 
 from tests.helpers import build_live_system
 
@@ -313,6 +316,45 @@ class TestPowerLossRecovery:
             assert list(report) == ["reconciliation", "healing"]
 
         assert after(control_round) == after(by_hand)
+
+    def test_recovery_redraws_the_routes_bootstrap_drew(self):
+        # Node 13 is a member of cluster 0 only, one of its 531 members
+        # against an NRT capacity of 512, and knows 4 of each other cluster.
+        instance, assignment, plan = build_world(scale=0.03, seed=7)
+        config = P2PSystemConfig(
+            seed=7,
+            durability=DurabilityConfig(enabled=True),
+            reliability=ReliabilityConfig(enabled=True),
+        )
+        workload = QueryWorkload(
+            [q for q in make_query_workload(instance, 3000, seed=3)
+             if q.requester_id == 13]
+        )
+
+        def recovered(crash):
+            system = P2PSystem(instance, assignment, plan, config=config)
+            peer = system.peers[13]
+            if crash:
+                system.power_loss(13)
+                system.sim.run()
+                system.recover_node(13)
+            return system, peer, {c: peer.nrt.nodes_in(c) for c in peer.nrt.clusters()}
+
+        system, peer, tables = recovered(crash=True)
+        _, _, booted = recovered(crash=False)
+        members = sorted(system.topology.members[0])
+        assert peer.memberships == {0} and len(members) == 531
+        shape = {cluster_id: len(table) for cluster_id, table in tables.items()}
+        assert shape == {cluster_id: len(table) for cluster_id, table in booted.items()}
+        assert shape == {0: 512, 1: 4, 2: 4}
+        # A fresh draw, not the sorted top slice every recovered member
+        # would share.
+        assert tables[0] != members[-512:]
+        for cluster_id, table in tables.items():
+            assert set(table) <= system.topology.members[cluster_id]
+        outcomes = system.run_workload(workload)
+        assert len(outcomes) == 8
+        assert all(outcome.succeeded for outcome in outcomes)
 
     def test_power_loss_keeps_partial_and_corrupt_chunks(self):
         system = make_recovery_system()

@@ -135,10 +135,11 @@ def test_world_bootstrap_memory_and_shared_capability_tables(paper_world):
         allocated, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 35.9 MB on CPython 3.11, two thirds of it the NRT ``OrderedDict``s;
-    # the ceiling is 20 % above.  Per-member capability tables, a fresh
-    # ``int`` per NRT entry and a second (node, doc) set made it 54.4 MB.
-    assert allocated < 43_100_000
+    # 15.7 MB on CPython 3.11; the ceiling is 20 % above.  NRT tables as
+    # ``OrderedDict``s (85-91 B an entry, not a list's 8) made it 35.9 MB;
+    # per-member capability tables, a fresh ``int`` per NRT entry and a
+    # second (node, doc) set on top of that, 54.4 MB.
+    assert allocated < 18_800_000
 
     def table_bytes(tables):
         return sum(sys.getsizeof(dict(table)) for table in tables)

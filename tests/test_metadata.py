@@ -1,5 +1,8 @@
 """Tests for repro.overlay.metadata — the Figure 1 data structures."""
 
+from collections import OrderedDict
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,58 +179,139 @@ class TestNRT:
             NRT(max_nodes_per_cluster=0)
 
 
-def _random_node_by_list_copy(nrt, cluster_id, rng, exclude=()):
-    """``NRT.random_node`` as it was: copy the members into a list, index it.
+class OrderedDictNRT:
+    """The NRT as it was: one ``OrderedDict[int, None]`` per cluster.
 
-    The reference the position walk in ``random_node`` is checked against.
+    Kept verbatim as the oracle the list-backed :class:`NRT` must equal in
+    contents, order and RNG draws.
     """
-    members = nrt._clusters.get(cluster_id)
-    if not members:
-        return None
-    if exclude:
-        node_ids = [node_id for node_id in members if node_id not in exclude]
+
+    def __init__(self, max_nodes_per_cluster: int = 64) -> None:
+        if max_nodes_per_cluster < 1:
+            raise ValueError(
+                f"max_nodes_per_cluster must be >= 1, got {max_nodes_per_cluster}"
+            )
+        self.max_nodes_per_cluster = max_nodes_per_cluster
+        self._clusters: dict[int, OrderedDict[int, None]] = {}
+
+    def add(self, cluster_id: int, node_id: int) -> None:
+        """Record that ``node_id`` belongs to ``cluster_id`` (refreshes LRU)."""
+        members = self._clusters.setdefault(cluster_id, OrderedDict())
+        if node_id in members:
+            members.move_to_end(node_id)
+        else:
+            members[node_id] = None
+            while len(members) > self.max_nodes_per_cluster:
+                members.popitem(last=False)
+
+    def add_many(self, cluster_id: int, node_ids) -> None:
+        """:meth:`add` every id in order, trimming once at the end.
+
+        An LRU's final state is "order by last touch, keep the last
+        ``max_nodes_per_cluster``", so the batch may defer the eviction —
+        and an empty table filled from distinct ids is those ids in order.
+        """
+        node_ids = list(node_ids)
         if not node_ids:
+            return
+        members = self._clusters.get(cluster_id)
+        if not members:
+            members = self._clusters[cluster_id] = OrderedDict.fromkeys(node_ids)
+            if len(members) != len(node_ids):
+                # Repeats: ``fromkeys`` orders by first touch, an LRU by last.
+                for node_id in node_ids:
+                    members.move_to_end(node_id)
+        else:
+            for node_id in node_ids:
+                if node_id in members:
+                    members.move_to_end(node_id)
+                else:
+                    members[node_id] = None
+        while len(members) > self.max_nodes_per_cluster:
+            members.popitem(last=False)
+
+    def remove(self, cluster_id: int, node_id: int) -> None:
+        members = self._clusters.get(cluster_id)
+        if members is not None:
+            members.pop(node_id, None)
+
+    def remove_node(self, node_id: int) -> None:
+        """Remove a node from every cluster (on a leave notice)."""
+        for members in self._clusters.values():
+            members.pop(node_id, None)
+
+    def nodes_in(self, cluster_id: int) -> list[int]:
+        members = self._clusters.get(cluster_id)
+        return list(members) if members is not None else []
+
+    def random_node(self, cluster_id: int, rng, exclude=()) -> int | None:
+        """Pick a uniformly random known member of ``cluster_id``.
+
+        Random selection is the paper's intra-cluster dispatch rule: it
+        "can ensure that cluster nodes get an equal share of the workload
+        targeting their cluster" (Section 3.3).  ``exclude`` removes
+        candidates (already-tried failover targets, suspected-dead nodes)
+        before the draw; with nothing to exclude the rng consumption is
+        identical to the plain call.
+        """
+        members = self._clusters.get(cluster_id)
+        if not members:
             return None
-    else:
-        node_ids = list(members)
-    choice = node_ids[int(rng.integers(0, len(node_ids)))]
-    members.move_to_end(choice)
-    return choice
+        if exclude:
+            node_ids = [node_id for node_id in members if node_id not in exclude]
+            if not node_ids:
+                return None
+            choice = node_ids[int(rng.integers(0, len(node_ids)))]
+        else:
+            # Walk to the drawn position instead of copying the table.
+            index = int(rng.integers(0, len(members)))
+            choice = next(islice(members, index, None))
+        members.move_to_end(choice)
+        return choice
+
+    def clusters(self) -> list[int]:
+        return sorted(self._clusters)
+
+    def __contains__(self, cluster_id: int) -> bool:
+        return bool(self._clusters.get(cluster_id))
 
 
+_node = st.integers(0, 11)
+_cluster = st.integers(0, 2)
 _nrt_steps = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), st.integers(0, 11)),
-        st.tuples(st.just("remove"), st.integers(0, 11)),
-        st.tuples(st.just("pick"), st.frozensets(st.integers(0, 11), max_size=12)),
+        st.tuples(st.just("add"), _cluster, _node),
+        st.tuples(st.just("add_many"), _cluster, st.lists(_node, max_size=12)),
+        st.tuples(st.just("remove"), _cluster, _node),
+        st.tuples(st.just("remove_node"), _node),
+        # An empty frozenset is the plain call without ``exclude``.
+        st.tuples(
+            st.just("random_node"), _cluster, st.frozensets(_node, max_size=12)
+        ),
     ),
     max_size=60,
 )
 
 
-class TestRandomNodeAgainstListCopy:
-    @settings(max_examples=200, deadline=None)
+class TestNRTAgainstOrderedDictOracle:
+    @settings(max_examples=300, deadline=None)
     @given(_nrt_steps, st.integers(0, 2**32 - 1), st.integers(1, 8))
-    def test_same_node_same_lru_order_same_generator_state(
-        self, steps, seed, capacity
-    ):
-        nrt, reference = NRT(capacity), NRT(capacity)
-        rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
-        for kind, argument in steps:
-            if kind == "pick":
-                # An empty frozenset is the plain call without ``exclude``.
-                assert nrt.random_node(1, rng, argument) == (
-                    _random_node_by_list_copy(
-                        reference, 1, reference_rng, argument
-                    )
+    def test_same_tables_picks_and_generator_state(self, steps, seed, capacity):
+        nrt, oracle = NRT(capacity), OrderedDictNRT(capacity)
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        for kind, *args in steps:
+            if kind == "random_node":
+                assert nrt.random_node(args[0], rng, args[1]) == (
+                    oracle.random_node(args[0], oracle_rng, args[1])
                 )
             else:
-                for table in (nrt, reference):
-                    getattr(table, kind)(1, argument)
-            assert nrt.nodes_in(1) == reference.nodes_in(1)
-            assert (
-                rng.bit_generator.state == reference_rng.bit_generator.state
-            )
+                getattr(nrt, kind)(*args)
+                getattr(oracle, kind)(*args)
+            assert nrt.clusters() == oracle.clusters()
+            for cluster_id in range(3):
+                assert nrt.nodes_in(cluster_id) == oracle.nodes_in(cluster_id)
+                assert (cluster_id in nrt) == (cluster_id in oracle)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def _add_one_at_a_time(nrt, cluster_id, node_ids):
