@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro import obs
+from repro.overlay.replication_manager import MAX_REPLICAS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.system import P2PSystem
@@ -437,15 +438,14 @@ class InvariantChecker:
     @invariant("replication-bounds", "replication")
     def _check_replication_bounds(self):
         """The manager's per-category managed replica set stays within
-        ``max_replicas`` and only ever names real nodes."""
-        manager = self.system.replication
-        max_replicas = manager.config.max_replicas
+        ``MAX_REPLICAS`` and only ever names real nodes."""
         known = set(self.system.all_node_ids())
-        for category_id, nodes in sorted(manager.managed_view().items()):
-            if len(nodes) > max_replicas:
+        managed = self.system.replication.managed_view()
+        for category_id, nodes in sorted(managed.items()):
+            if len(nodes) > MAX_REPLICAS:
                 yield (
                     f"category {category_id} has {len(nodes)} managed "
-                    f"replicas, exceeding max_replicas {max_replicas}"
+                    f"replicas, exceeding max_replicas {MAX_REPLICAS}"
                 )
             for node_id in sorted(nodes):
                 if node_id not in known:

@@ -63,9 +63,6 @@ class ContentConfig:
     #: attempts per chunk (initial request + failovers) before the whole
     #: fetch is abandoned.
     max_chunk_attempts: int = 4
-    #: cap on re-replication fetches one healing round may start, so a
-    #: single round stays bounded after mass churn.
-    heal_fetch_limit: int = 16
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
@@ -81,10 +78,6 @@ class ContentConfig:
         if self.max_chunk_attempts < 1:
             raise ValueError(
                 f"max_chunk_attempts must be >= 1, got {self.max_chunk_attempts}"
-            )
-        if self.heal_fetch_limit < 1:
-            raise ValueError(
-                f"heal_fetch_limit must be >= 1, got {self.heal_fetch_limit}"
             )
 
 

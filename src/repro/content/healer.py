@@ -3,7 +3,8 @@
 One healing round scans every registered manifest, finds documents
 whose live full-holder count fell below ``ContentConfig.
 replication_floor`` (churn, crashes), and starts verified multi-source
-fetches at deterministic targets to bring the count back up.  Targets
+fetches at deterministic targets to bring the count back up, at most
+:data:`HEAL_FETCH_LIMIT` a round.  Targets
 prefer live members of the document's home cluster (highest capacity
 first, node id as the tie break), falling back to any live peer when
 the cluster itself was hollowed out.
@@ -22,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.content.manifest import ContentManager
 
 __all__ = ["ContentHealer"]
+
+#: cap on re-replication fetches one healing round may start, so a single
+#: round stays bounded after mass churn.
+HEAL_FETCH_LIMIT = 16
 
 
 class ContentHealer:
@@ -42,7 +47,7 @@ class ContentHealer:
         holders = manager.system.ledger.holders
         alive_among = manager.system.network.alive_among
         floor = manager.config.replication_floor
-        budget = manager.config.heal_fetch_limit
+        budget = HEAL_FETCH_LIMIT
         scanned = below_floor = started = unrepairable = 0
         for doc_id in sorted(manager.manifests):
             scanned += 1

@@ -77,11 +77,12 @@ WARMUP_LOAD = 0.4
 WARMUP_WINDOW = 5.0
 
 #: quiet control rounds after the crowd (enough for the slow shrink to
-#: retire every crowd-era replica: shrink_after + max_replicas).
+#: retire every crowd-era replica: at least ``SHRINK_AFTER`` +
+#: ``MAX_REPLICAS`` of :mod:`repro.overlay.replication_manager`).
 COOLDOWN_ROUNDS = 12
 
-#: documents the crowd hammers (aligned with docs_per_replica so grown
-#: replicas hold exactly the hot set).
+#: documents the crowd hammers (aligned with the manager's
+#: ``DOCS_PER_REPLICA`` so grown replicas hold exactly the hot set).
 HOT_DOCS = 4
 
 #: requester-side cache capacity of the adaptive arm, documents.

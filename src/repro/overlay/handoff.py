@@ -11,10 +11,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["graceful_shutdown", "handoff_target", "sole_holder_docs"]
 
+#: hand-off attempts before a shutdown with unplaced last copies aborts.
+HANDOFF_ROUNDS = 3
 
-def graceful_shutdown(
-    system: "P2PSystem", node_id: int, handoff_rounds: int = 3
-) -> bool:
+
+def graceful_shutdown(system: "P2PSystem", node_id: int) -> bool:
     """Gracefully shut a node down: drain, hand off, then leave.
 
     Distinct from ``crash_node`` (no goodbye) and from ``leave_node``
@@ -24,7 +25,7 @@ def graceful_shutdown(
     receiving node pulls the document group over the transfer protocol,
     and the ``document_handoff`` event lets the content data plane ship
     the document's manifest alongside.  Hand-off is retried up to
-    ``handoff_rounds`` times (messages may be lost); if some sole-holder
+    :data:`HANDOFF_ROUNDS` times (messages may be lost); if some sole-holder
     document still cannot be placed — the cluster is partitioned away,
     or nobody else is alive — the shutdown is *aborted* and the node
     stays up, because leaving would destroy the last copy.  Returns
@@ -36,7 +37,7 @@ def graceful_shutdown(
     # Drain: let in-flight queries, transfers, and the node's own service
     # queue finish before deciding what must move.
     system.sim.run()
-    for _ in range(max(1, handoff_rounds)):
+    for _ in range(HANDOFF_ROUNDS):
         if not system.is_live(node_id):
             # Crash-during-handoff: the leaver died mid-drain.  Abort —
             # the crash path owns the node now, and a graceful leave here

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.overlay.metadata import DCRTEntry
 
@@ -443,10 +444,25 @@ class ChunkRepair:
 # recorded fault schedule, an eventual real transport) needs a lossless
 # JSON-safe encoding.  ``to_wire`` / ``from_wire`` round-trip every payload
 # type above exactly: tuples come back as tuples, nested ``DCRTEntry`` /
-# ``DocInfo`` values come back as their own types.
+# ``DocInfo`` values come back as their own types.  Decoding checks each
+# top-level field against its annotation, so a hostile frame cannot hand
+# a handler a string where it counts hops.
 
 #: payload type name -> class, for decoding.
 WIRE_TYPES: dict[str, type] = {}
+#: payload type name -> field name -> test the decoded value must pass.
+_FIELD_CHECKS: dict[str, dict[str, Callable[[object], bool]]] = {}
+
+#: annotation (its outer type) -> test; a ``tuple[...]`` only has to be a
+#: tuple, and ``type(v) is int`` refuses bools, as the envelope check does.
+_TYPE_CHECKS: dict[str, Callable[[object], bool]] = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) is float or type(v) is int,
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "tuple": lambda v: type(v) is tuple,
+    "DCRTEntry": lambda v: isinstance(v, DCRTEntry),
+}
 
 
 def _register_wire_types() -> None:
@@ -454,6 +470,10 @@ def _register_wire_types() -> None:
         obj = globals().get(name)
         if isinstance(obj, type) and dataclasses.is_dataclass(obj):
             WIRE_TYPES[obj.__name__] = obj
+            _FIELD_CHECKS[obj.__name__] = {
+                field.name: _TYPE_CHECKS[field.type.partition("[")[0]]
+                for field in dataclasses.fields(obj)
+            }
 
 
 def _encode(value):
@@ -507,11 +527,24 @@ def to_wire(payload) -> dict:
 
 
 def from_wire(record: dict):
-    """Decode a :func:`to_wire` record back into its payload object."""
+    """Decode a :func:`to_wire` record back into its payload object.
+
+    Raises ``TypeError`` for an unknown type, or for a field whose value
+    does not match its annotation.
+    """
     cls = WIRE_TYPES.get(record["type"])
     if cls is None:
         raise TypeError(f"unknown wire type {record['type']!r}")
+    checks = _FIELD_CHECKS[cls.__name__]
     kwargs = {name: _decode(value) for name, value in record["fields"].items()}
+    for name, value in kwargs.items():
+        check = checks.get(name)
+        if check is not None and not check(value):
+            annotation = cls.__dataclass_fields__[name].type
+            raise TypeError(
+                f"{cls.__name__}.{name} must be {annotation}, "
+                f"got {type(value).__name__}"
+            )
     return cls(**kwargs)
 
 

@@ -51,7 +51,7 @@ from repro.overlay.messages import DocInfo
 from repro.overlay.metadata import DCRT, NRT, DocumentTable
 from repro.overlay.query_protocol import QueryProtocol
 from repro.overlay.service import ServiceConfig, ServiceQueue
-from repro.reliability.channel import ReliabilityConfig, ReliableChannel
+from repro.reliability.channel import DEDUP_CAPACITY, ReliabilityConfig, ReliableChannel
 from repro.reliability.detector import FailureDetector
 from repro.sim.network import Message
 from repro.transport import ReliableTransport, Transport
@@ -61,20 +61,18 @@ __all__ = ["DocInfo", "MisbehaviorConfig", "PeerConfig", "PeerHooks", "Peer"]
 _NO_SUSPECTS: frozenset[int] = frozenset()
 #: heartbeat targets probed per failure-detector round.
 _PROBE_FANOUT = 3
+#: NRT entries kept per cluster (Section 6.2's LRU bound), in every world.
+NRT_CAPACITY = 512
 
 
 @dataclass(frozen=True, slots=True)
 class PeerConfig:
     """Tunables for peer behaviour."""
 
-    nrt_capacity: int = 128
     #: requester-side query cache (future-work item viii): number of
     #: retrieved documents kept as servable replicas, LRU-evicted.
     #: 0 disables caching.
     cache_capacity: int = 0
-    #: most-recent query ids remembered for loop detection; bounds what
-    #: used to be unbounded growth over long runs.
-    seen_query_capacity: int = 4096
     #: ack/retry channel, query failover, and failure-detector knobs
     #: (off by default — protocols stay fire-and-forget).
     reliability: ReliabilityConfig = ReliabilityConfig()
@@ -294,7 +292,7 @@ class Peer:
         here can not be forgotten by the wipe.
         """
         self.dcrt = DCRT(on_change=on_dcrt_change)
-        self.nrt = NRT(max_nodes_per_cluster=self.config.nrt_capacity)
+        self.nrt = NRT(max_nodes_per_cluster=NRT_CAPACITY)
         #: clusters this node is a member of.
         self.memberships: set[int] = set()
         #: cluster id -> neighbour node ids in the cluster graph.
@@ -376,7 +374,7 @@ class Peer:
             previous = self._applied_counts.get(key)
             self._applied_counts[key] = 1 if previous is None else previous + 1
             if previous is None:
-                while len(self._applied_counts) > self._reliability.dedup_capacity:
+                while len(self._applied_counts) > DEDUP_CAPACITY:
                     self._applied_counts.popitem(last=False)
         entry[1](payload, message.src)
 

@@ -31,6 +31,7 @@ from repro.overlay import messages as m
 from repro.overlay.cache import DocumentCache
 from repro.overlay.messages import DocInfo
 from repro.overlay.metadata import DCRTEntry
+from repro.overlay.service import BUSY_RETRY_AFTER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.peer import Peer
@@ -47,6 +48,8 @@ _C_QUERIES_FAILED = obs.counter("overlay.queries_failed")
 _C_QUERY_FAILOVERS = obs.counter("reliability.query_failovers")
 #: total loop-detection entries across all peers (leak watchdog).
 _G_SEEN_QUERIES = obs.gauge("overlay.seen_query_entries")
+#: most-recent query ids each peer remembers for loop detection.
+SEEN_QUERY_CAPACITY = 4096
 #: fabricated doc ids (armed ``bogus_responses``) start here, far above
 #: any real document.
 _BOGUS_DOC_BASE = 10_000_000
@@ -224,7 +227,7 @@ class QueryProtocol:
             return  # loop broken via idQ (Section 3.3, step 2b)
         self._seen_queries[query.query_id] = None
         _G_SEEN_QUERIES.value += 1
-        while len(self._seen_queries) > self.peer.config.seen_query_capacity:
+        while len(self._seen_queries) > SEEN_QUERY_CAPACITY:
             self._seen_queries.popitem(last=False)
             _G_SEEN_QUERIES.value -= 1
 
@@ -502,7 +505,7 @@ class QueryProtocol:
             m.Busy(
                 query_id=query.query_id,
                 responder_id=self.peer.node_id,
-                retry_after=self.peer.config.service.busy_retry_after,
+                retry_after=BUSY_RETRY_AFTER,
             ),
         )
 

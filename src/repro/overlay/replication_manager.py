@@ -21,18 +21,20 @@ the previous round:
 
 Pressure is demand per live replica::
 
-    pressure = (hits + shed_weight * shed) / max(1, live_holders)
+    pressure = (hits + SHED_WEIGHT * shed) / max(1, live_holders)
 
-**Hysteresis.**  Grow fast, shrink slowly: one round above
-``grow_threshold`` (``grow_after``) adds ``grow_step`` replicas;
-only ``shrink_after`` consecutive rounds below ``shrink_threshold``
+**Hysteresis.**  Grow fast, shrink slowly: every round above
+``grow_threshold`` adds :data:`GROW_STEP` replicas (up to
+:data:`MAX_REPLICAS` managed ones per category); only
+:data:`SHRINK_AFTER` consecutive rounds below ``shrink_threshold``
 start removal, and then managed replicas are retired one per round —
 so a transient lull never tears down capacity a flash crowd still needs,
 and replica counts return to baseline once the crowd passes.
 
-**Placement.**  New replicas go to live members of the category's
-cluster that do not already *durably* hold the shipped documents,
-preferring high ``capacity_units`` first and short service queues second
+**Placement.**  New replicas carry the category's :data:`DOCS_PER_REPLICA`
+hottest documents and go to live members of its cluster that do not
+already *durably* hold them, preferring high ``capacity_units`` first
+and short service queues second
 (QoS-aware placement: fast nodes that are not already busy).  Missing
 documents are pulled from live source holders via the ordinary
 ``transfer_request`` / ``transfer_data`` exchange, so replica creation
@@ -62,6 +64,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReplicationConfig", "ReplicationManager", "RoundReport"]
 
+#: consecutive cold rounds before the first shrink (shrink slowly).
+SHRINK_AFTER = 3
+#: replicas added per hot round (grow fast).
+GROW_STEP = 2
+#: ceiling on *managed* replicas per category.
+MAX_REPLICAS = 8
+#: hottest documents of the category shipped to each new replica.
+DOCS_PER_REPLICA = 4
+#: weight of one shed query relative to one served hit in pressure.
+SHED_WEIGHT = 4.0
+
 
 @dataclass(frozen=True, slots=True)
 class ReplicationConfig:
@@ -74,21 +87,6 @@ class ReplicationConfig:
     grow_threshold: float = 8.0
     #: per-replica demand below which a category counts as cold.
     shrink_threshold: float = 1.0
-    #: consecutive hot rounds before growing (1 = grow fast).
-    grow_after: int = 1
-    #: consecutive cold rounds before the first shrink (shrink slowly).
-    shrink_after: int = 3
-    #: replicas added per grow decision.
-    grow_step: int = 2
-    #: ceiling on *managed* replicas per category.
-    max_replicas: int = 8
-    #: hottest documents of the category shipped to each new replica.
-    docs_per_replica: int = 4
-    #: weight of one shed query relative to one served hit in pressure.
-    shed_weight: float = 4.0
-    #: never place managed replicas on the system's designated free
-    #: riders (off by default — see :func:`repro.core.replication.plan_replication`).
-    exclude_free_riders: bool = False
 
     def __post_init__(self) -> None:
         if self.grow_threshold <= self.shrink_threshold:
@@ -96,12 +94,6 @@ class ReplicationConfig:
                 f"grow_threshold ({self.grow_threshold}) must exceed "
                 f"shrink_threshold ({self.shrink_threshold})"
             )
-        for name in ("grow_after", "shrink_after", "grow_step",
-                     "max_replicas", "docs_per_replica"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.shed_weight < 0:
-            raise ValueError(f"shed_weight must be >= 0, got {self.shed_weight}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,8 +125,7 @@ class ReplicationManager:
         self.rounds_run = 0
         #: category -> node -> doc ids this manager placed there.
         self._managed: dict[int, dict[int, set[int]]] = {}
-        #: hysteresis state per category.
-        self._hot_rounds: dict[int, int] = {}
+        #: consecutive cold rounds per category (the shrink hysteresis).
         self._cold_rounds: dict[int, int] = {}
         #: previous cumulative totals, for per-round deltas.
         self._last_hits: dict[int, int] = {}
@@ -217,7 +208,7 @@ class ReplicationManager:
             )
             demand[category_id] = (
                 hits_delta
-                + self.config.shed_weight * shed_mix.get(category_id, 0.0)
+                + SHED_WEIGHT * shed_mix.get(category_id, 0.0)
             )
         # Union first, then one liveness test per distinct node: a
         # category's documents share most of their holders.
@@ -249,28 +240,21 @@ class ReplicationManager:
                 1, live_holders.get(category_id, 0)
             )
             report.pressure[category_id] = pressure
-            if pressure >= self.config.grow_threshold:
-                self._hot_rounds[category_id] = (
-                    self._hot_rounds.get(category_id, 0) + 1
-                )
-                self._cold_rounds[category_id] = 0
-                if self._hot_rounds[category_id] >= self.config.grow_after:
-                    grown = self._grow(category_id)
-                    if grown:
-                        report.grown[category_id] = grown
-            elif pressure <= self.config.shrink_threshold:
-                self._cold_rounds[category_id] = (
+            if pressure <= self.config.shrink_threshold:
+                cold = self._cold_rounds[category_id] = (
                     self._cold_rounds.get(category_id, 0) + 1
                 )
-                self._hot_rounds[category_id] = 0
-                if self._cold_rounds[category_id] >= self.config.shrink_after:
+                if cold >= SHRINK_AFTER:
                     shrunk = self._shrink(category_id)
                     if shrunk:
                         report.shrunk[category_id] = shrunk
-            else:
-                # Hysteresis band: neither streak advances.
-                self._hot_rounds[category_id] = 0
-                self._cold_rounds[category_id] = 0
+                continue
+            # Hot or in the hysteresis band: the cold streak ends.
+            self._cold_rounds[category_id] = 0
+            if pressure >= self.config.grow_threshold:
+                grown = self._grow(category_id)
+                if grown:
+                    report.grown[category_id] = grown
         self._g_managed.set(self.total_managed())
         return report
 
@@ -299,10 +283,8 @@ class ReplicationManager:
 
         doc_ids = self._category_docs.get(category_id, ())
         ranked = sorted(doc_ids, key=lambda d: (-len(holders(d)), d))
-        # Lazy: stop at the first ``docs_per_replica`` shippable documents.
-        return list(
-            islice(filter(shippable, ranked), self.config.docs_per_replica)
-        )
+        # Lazy: stop at the first ``DOCS_PER_REPLICA`` shippable documents.
+        return list(islice(filter(shippable, ranked), DOCS_PER_REPLICA))
 
     def _placement_candidates(self, category_id: int, doc_ids):
         """Cluster members able to host new copies, best placed first."""
@@ -315,11 +297,6 @@ class ReplicationManager:
         candidates = []
         for peer in system.peers_in_cluster(cluster_id):
             if peer.node_id in managed:
-                continue
-            if (
-                self.config.exclude_free_riders
-                and system.is_free_rider(peer.node_id)
-            ):
                 continue
             if all(
                 doc_id in peer.docs and not peer.queries.cache.owns(doc_id)
@@ -335,10 +312,10 @@ class ReplicationManager:
         return [node_id for _, _, node_id in candidates]
 
     def _grow(self, category_id: int) -> tuple[int, ...]:
-        """Place up to ``grow_step`` new managed replicas for a category."""
+        """Place up to ``GROW_STEP`` new managed replicas for a category."""
         system = self.system
         managed = self._managed.setdefault(category_id, {})
-        room = self.config.max_replicas - len(managed)
+        room = MAX_REPLICAS - len(managed)
         if room <= 0:
             return ()
         doc_ids = self._hot_docs(category_id)
@@ -346,7 +323,7 @@ class ReplicationManager:
             return ()
         placed = []
         for node_id in self._placement_candidates(category_id, doc_ids):
-            if len(placed) >= min(self.config.grow_step, room):
+            if len(placed) >= min(GROW_STEP, room):
                 break
             target = system.peer(node_id)
             if target is None:

@@ -10,16 +10,13 @@ query, with a bounded FIFO intake queue in front of the server.
 When the queue is full an admission policy decides what to do with the
 overflow:
 
-* ``drop-tail`` — shed the incoming query with a ``BUSY`` signal; the
-  requester backs off and fails over to another cluster member.
-* ``shed-popular`` — compare the incoming query's category popularity
-  (local hit counters) against the hottest queued query and shed the
-  more popular of the two.  Hot content is exactly what top-m
-  replication copies to other nodes, so its requesters have somewhere
-  else to go; cold content may have a single holder.
+* ``drop-tail`` — shed the incoming query with a ``BUSY`` signal
+  carrying :data:`BUSY_RETRY_AFTER`; the requester backs off and fails
+  over to another cluster member.
 * ``redirect`` — hand the overflow query directly to another replica
   holder (via the cluster metadata) or cluster member (via the NRT),
-  the load-based redirection of Roussopoulos & Baker.
+  the load-based redirection of Roussopoulos & Baker; shed as
+  ``drop-tail`` when no other target is known.
 
 Everything is off by default (``ServiceConfig(enabled=False)``): peers
 serve instantly with unbounded intake, exactly as before, and none of
@@ -42,7 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ADMISSION_POLICIES", "ServiceConfig", "ServiceQueue"]
 
 #: Admission policies a full intake queue can apply to overflow.
-ADMISSION_POLICIES = ("drop-tail", "shed-popular", "redirect")
+ADMISSION_POLICIES = ("drop-tail", "redirect")
+#: back-off hint (simulated seconds) carried in the BUSY signal sent for
+#: a shed query.
+BUSY_RETRY_AFTER = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +62,6 @@ class ServiceConfig:
     queue_capacity: int = 16
     #: what to do with overflow when the queue is full.
     policy: str = "drop-tail"
-    #: back-off hint carried in the BUSY signal sent for shed queries.
-    busy_retry_after: float = 0.5
 
     def __post_init__(self) -> None:
         if self.base_service_time <= 0:
@@ -77,10 +75,6 @@ class ServiceConfig:
         if self.policy not in ADMISSION_POLICIES:
             raise ValueError(
                 f"policy must be one of {ADMISSION_POLICIES}, got {self.policy!r}"
-            )
-        if self.busy_retry_after < 0:
-            raise ValueError(
-                f"busy_retry_after must be >= 0, got {self.busy_retry_after}"
             )
 
 
@@ -139,32 +133,11 @@ class ServiceQueue:
             self.max_depth = len(self._queue)
 
     def _admit_overflow(self, incoming: "m.QueryMessage") -> None:
-        policy = self.config.policy
-        if policy == "redirect" and self.peer.queries.redirect(incoming):
+        if self.config.policy == "redirect" and self.peer.queries.redirect(incoming):
             self.redirected += 1
             self._c_redirected.value += 1
             return
-        victim = incoming
-        if policy == "shed-popular":
-            queued = self._hottest_queued()
-            if queued is not None and self._popularity(
-                queued
-            ) > self._popularity(incoming):
-                # The queued query is for hotter content (replicated
-                # elsewhere by top-m): shed it, keep the cold incoming.
-                self._queue.remove(queued)
-                self._g_depth.value -= 1
-                self._enqueue(incoming)
-                victim = queued
-        self._shed(victim)
-
-    def _popularity(self, query: "m.QueryMessage") -> int:
-        return self.peer.hit_counters.get(query.category_id, 0)
-
-    def _hottest_queued(self) -> "m.QueryMessage | None":
-        if not self._queue:
-            return None
-        return max(self._queue, key=self._popularity)
+        self._shed(incoming)
 
     def _shed(self, query: "m.QueryMessage") -> None:
         self.shed += 1

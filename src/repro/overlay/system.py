@@ -53,13 +53,15 @@ __all__ = ["P2PSystemConfig", "P2PSystem"]
 #: method of that name (``document_stored`` through the ledger's store hook).
 EVENTS = ("peer_created", "peer_recovered", "document_stored", "document_handoff")
 
+#: every world's one-way message latency (simulated seconds) and link
+#: bandwidth (bytes per simulated second).
+BASE_LATENCY = 0.05
+BANDWIDTH = 10_000_000.0
+
 @dataclass(frozen=True, slots=True)
 class P2PSystemConfig:
     """Deployment-level tunables."""
 
-    base_latency: float = 0.05
-    bandwidth: float | None = 10_000_000.0
-    nrt_capacity: int = 512
     #: how many random members of each *foreign* cluster a node knows.
     remote_nrt_sample: int = 4
     #: requester-side query cache size in documents (0 = off).
@@ -129,8 +131,8 @@ class P2PSystem:
         self.sim = Simulator()
         self.network = Network(
             self.sim,
-            base_latency=self.config.base_latency,
-            bandwidth=self.config.bandwidth,
+            base_latency=BASE_LATENCY,
+            bandwidth=BANDWIDTH,
         )
         self._peers: dict[int, Peer] = {}
         #: every peer ever created (departed ones included), read-only.
@@ -150,7 +152,6 @@ class P2PSystem:
         }
         #: peer tunables with the system-level knobs applied.
         self._peer_config = PeerConfig(
-            nrt_capacity=self.config.nrt_capacity,
             cache_capacity=self.config.cache_capacity,
             reliability=self.config.reliability,
             service=self.config.service,
@@ -455,11 +456,11 @@ class P2PSystem:
         self.topology.remove(node_id)
         self.sim.run()
 
-    def shutdown_node(self, node_id: int, handoff_rounds: int = 3) -> bool:
+    def shutdown_node(self, node_id: int) -> bool:
         """Gracefully shut a node down: drain, hand off sole-held
         documents, then leave (see :func:`~repro.overlay.handoff.
         graceful_shutdown`).  Returns whether the node left."""
-        return graceful_shutdown(self, node_id, handoff_rounds)
+        return graceful_shutdown(self, node_id)
 
     def crash_node(self, node_id: int) -> None:
         """Fail a node without any goodbye (tests the timeout paths)."""

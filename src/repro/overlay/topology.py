@@ -80,7 +80,6 @@ class ClusterTopology:
             capabilities = MappingProxyType(
                 {member: instance.nodes[member].capacity_units for member in member_list}
             )
-            keep = min(len(member_list), config.nrt_capacity)
             for node_id in member_list:
                 peer = peers[node_id]
                 peer.known_capabilities[cluster_id] = capabilities
@@ -88,7 +87,8 @@ class ClusterTopology:
                 # NRT capacity) — handing everyone the same ordered list
                 # would make the LRU evict the same members at every node
                 # and starve them of traffic.
-                known = members_array[rng.permutation(len(member_list))[:keep]]
+                order = rng.permutation(len(member_list))
+                known = members_array[order[: peer.nrt.max_nodes_per_cluster]]
                 peer.join_cluster(cluster_id, known_members=known.tolist())
             # Foreign-cluster samples for everyone else.
             if member_list:
@@ -205,7 +205,8 @@ class ClusterTopology:
             )
             size = len(members_array)
             if cluster_id in peer.memberships:
-                known = members_array[rng.permutation(size)[: config.nrt_capacity]]
+                order = rng.permutation(size)
+                known = members_array[order[: peer.nrt.max_nodes_per_cluster]]
                 peer.join_cluster(cluster_id, known_members=known.tolist())
                 graph = self.graphs.get(cluster_id)
                 if graph is not None and peer.node_id in graph.members:

@@ -42,6 +42,22 @@ __all__ = ["RELIABLE_KINDS", "ReliabilityConfig", "ReliableChannel"]
 #: its own — overlay.peer imports us, so a top-level import would cycle).
 _CONTROL_SIZE = 256
 
+#: per-retry timeout multiplier (capped exponential backoff).
+BACKOFF_FACTOR = 2.0
+#: retry timeouts are stretched by up to this fraction, drawn from the
+#: seeded jitter stream — only when a retry actually fires.
+JITTER_FRACTION = 0.25
+#: receiver-side duplicate-suppression window, per peer.
+DEDUP_CAPACITY = 4096
+#: retry token-bucket cap (and starting balance): the burst of retries a
+#: quiet destination may absorb before ``retry_budget_ratio`` governs.
+RETRY_BUDGET_CAP = 8.0
+#: simulated seconds an open circuit waits before letting one half-open
+#: trial delivery through; its fate closes or re-opens the circuit.
+BREAKER_RESET_TIMEOUT = 10.0
+#: lower clamp on the adaptive ack-timeout base.
+MIN_ACK_TIMEOUT = 0.1
+
 # Process-wide counters, cached at import time like the peer's.
 _C_SENDS = obs.counter("reliability.sends")
 _C_RETRIES = obs.counter("reliability.retries")
@@ -61,17 +77,10 @@ class ReliabilityConfig:
     # --- ack/retry channel ---
     #: simulated seconds to wait for an ack before retransmitting.
     ack_timeout: float = 1.0
-    #: per-retry timeout multiplier (capped exponential backoff).
-    backoff_factor: float = 2.0
     #: upper bound on any single attempt's timeout.
     max_backoff: float = 8.0
     #: total transmission attempts (first send + retries) before giving up.
     max_attempts: int = 4
-    #: retry timeouts are stretched by up to this fraction, drawn from the
-    #: seeded jitter stream — only when a retry actually fires.
-    jitter_fraction: float = 0.25
-    #: receiver-side duplicate-suppression window, per peer.
-    dedup_capacity: int = 4096
 
     # --- query failover ---
     #: end-to-end deadline armed by ``start_query``; on expiry the query
@@ -93,23 +102,15 @@ class ReliabilityConfig:
     #: denied a retry token is dead-lettered instead of retransmitted.
     #: 0 disables the budget.
     retry_budget_ratio: float = 0.0
-    #: token-bucket cap (and starting balance): the burst of retries a
-    #: quiet destination may absorb before the ratio governs.
-    retry_budget_cap: float = 8.0
     #: consecutive delivery give-ups to one destination before its
     #: circuit opens (new sends dead-lettered immediately, no network
     #: traffic).  0 disables the breaker.
     breaker_threshold: int = 0
-    #: simulated seconds an open circuit waits before letting one
-    #: half-open trial delivery through; its fate closes or re-opens.
-    breaker_reset_timeout: float = 10.0
     #: adapt the per-destination ack-timeout base from observed RTTs
     #: (Jacobson estimator, Karn-filtered samples) instead of the fixed
     #: ``ack_timeout`` — overloaded-but-alive peers answer slowly, and a
     #: fixed base misreads that as loss and retransmits into the queue.
     adaptive_timeout: bool = False
-    #: lower clamp on the adaptive timeout base.
-    min_ack_timeout: float = 0.1
 
     @property
     def overload_protected(self) -> bool:
@@ -123,44 +124,19 @@ class ReliabilityConfig:
     def __post_init__(self) -> None:
         if self.ack_timeout <= 0:
             raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.query_attempts < 1:
             raise ValueError(
                 f"query_attempts must be >= 1, got {self.query_attempts}"
             )
-        if self.dedup_capacity < 1:
-            raise ValueError(
-                f"dedup_capacity must be >= 1, got {self.dedup_capacity}"
-            )
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1), got {self.jitter_fraction}"
-            )
         if self.retry_budget_ratio < 0:
             raise ValueError(
                 f"retry_budget_ratio must be >= 0, got {self.retry_budget_ratio}"
             )
-        if self.retry_budget_ratio > 0 and self.retry_budget_cap < 1.0:
-            raise ValueError(
-                f"retry_budget_cap must be >= 1, got {self.retry_budget_cap}"
-            )
         if self.breaker_threshold < 0:
             raise ValueError(
                 f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
-            )
-        if self.breaker_reset_timeout <= 0:
-            raise ValueError(
-                "breaker_reset_timeout must be > 0, got "
-                f"{self.breaker_reset_timeout}"
-            )
-        if self.min_ack_timeout <= 0:
-            raise ValueError(
-                f"min_ack_timeout must be > 0, got {self.min_ack_timeout}"
             )
 
 
@@ -184,8 +160,8 @@ class _RetryBudget:
 
     tokens: float
 
-    def deposit(self, ratio: float, cap: float) -> None:
-        self.tokens = min(self.tokens + ratio, cap)
+    def deposit(self, ratio: float) -> None:
+        self.tokens = min(self.tokens + ratio, RETRY_BUDGET_CAP)
 
     def take(self) -> bool:
         if self.tokens >= 1.0:
@@ -202,10 +178,10 @@ class _Breaker:
     failures: int = 0
     opened_at: float = 0.0
 
-    def allow(self, now: float, reset_timeout: float) -> bool:
+    def allow(self, now: float) -> bool:
         if self.state == "closed":
             return True
-        if self.state == "open" and now - self.opened_at >= reset_timeout:
+        if self.state == "open" and now - self.opened_at >= BREAKER_RESET_TIMEOUT:
             self.state = "half-open"
             return True  # one trial delivery probes the destination
         return False
@@ -314,16 +290,12 @@ class ReliableChannel:
         """
         if self._breakers is not None:
             breaker = self._breakers.get(dst)
-            if breaker is not None and not breaker.allow(
-                self.transport.now, self.config.breaker_reset_timeout
-            ):
+            if breaker is not None and not breaker.allow(self.transport.now):
                 self._c_breaker_refused.value += 1
                 self._dead_letter(dst, kind)
                 return -1
         if self._budgets is not None:
-            self._budget(dst).deposit(
-                self.config.retry_budget_ratio, self.config.retry_budget_cap
-            )
+            self._budget(dst).deposit(self.config.retry_budget_ratio)
         self._next_delivery_id += 1
         out = _Outstanding(
             delivery_id=self._next_delivery_id,
@@ -343,19 +315,17 @@ class ReliableChannel:
             estimator = self._rtt.get(dst)
             if estimator is not None and estimator.srtt >= 0:
                 base = min(
-                    max(estimator.timeout(), self.config.min_ack_timeout),
+                    max(estimator.timeout(), MIN_ACK_TIMEOUT),
                     self.config.max_backoff,
                 )
         timeout = min(
-            base * self.config.backoff_factor**attempt,
+            base * BACKOFF_FACTOR**attempt,
             self.config.max_backoff,
         )
-        if attempt > 0 and self.jitter_rng is not None and self.config.jitter_fraction:
+        if attempt > 0 and self.jitter_rng is not None:
             # Jitter applies to retries only, so the stream is untouched
             # on loss-free runs (byte-identical determinism).
-            timeout *= 1.0 + self.config.jitter_fraction * float(
-                self.jitter_rng.random()
-            )
+            timeout *= 1.0 + JITTER_FRACTION * float(self.jitter_rng.random())
         return timeout
 
     def _transmit(self, out: _Outstanding) -> None:
@@ -445,7 +415,7 @@ class ReliableChannel:
     def _budget(self, dst: int) -> _RetryBudget:
         budget = self._budgets.get(dst)
         if budget is None:
-            budget = _RetryBudget(tokens=self.config.retry_budget_cap)
+            budget = _RetryBudget(tokens=RETRY_BUDGET_CAP)
             self._budgets[dst] = budget
         return budget
 
@@ -492,7 +462,7 @@ class ReliableChannel:
         if self._budgets is None:
             return None
         budget = self._budgets.get(dst)
-        return self.config.retry_budget_cap if budget is None else budget.tokens
+        return RETRY_BUDGET_CAP if budget is None else budget.tokens
 
     def min_budget_tokens(self) -> float | None:
         """Lowest retry-budget balance across destinations, or None.
@@ -530,6 +500,6 @@ class ReliableChannel:
             _C_DUPLICATES.value += 1
             return True
         self._seen[key] = None
-        while len(self._seen) > self.config.dedup_capacity:
+        while len(self._seen) > DEDUP_CAPACITY:
             self._seen.popitem(last=False)
         return False

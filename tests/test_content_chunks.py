@@ -100,7 +100,6 @@ class TestContentConfig:
             {"replication_floor": 0},
             {"chunk_timeout": 0.0},
             {"max_chunk_attempts": 0},
-            {"heal_fetch_limit": 0},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):

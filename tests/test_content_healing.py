@@ -1,5 +1,6 @@
 """Anti-entropy healing: re-replicating documents below the holder floor."""
 
+from repro.content.healer import HEAL_FETCH_LIMIT
 from tests.test_content_fetch import (
     doc_with_holders,
     make_content_system,
@@ -78,9 +79,10 @@ class TestHealingRound:
         )
 
     def test_heal_fetch_limit_bounds_one_round(self):
-        system = make_content_system(replication_floor=3, heal_fetch_limit=2)
+        system = make_content_system(replication_floor=4)
         report = system.run_healing_round()
-        assert report["fetches"] <= 2
+        assert report["below_floor"] > HEAL_FETCH_LIMIT
+        assert report["fetches"] == HEAL_FETCH_LIMIT
 
     def test_healing_is_deterministic(self):
         snapshots = []
@@ -103,7 +105,7 @@ def reference_round(manager):
     algebra: sort every document's live holders, node by node."""
     network, ledger = manager.system.network, manager.system.ledger
     floor = manager.config.replication_floor
-    budget = manager.config.heal_fetch_limit
+    budget = HEAL_FETCH_LIMIT
     scanned = below_floor = started = unrepairable = 0
     for doc_id in sorted(manager.manifests):
         scanned += 1
@@ -163,9 +165,7 @@ class TestHealingScan:
     def _damaged_world():
         """Crashed holders, departed holders and a document nobody live
         holds; the heal budget below what the damage asks for."""
-        system = make_content_system(
-            seed=13, replication_floor=3, heal_fetch_limit=6
-        )
+        system = make_content_system(seed=13, replication_floor=3)
         manager = system.content
         doc_id, holders = doc_with_holders(system)
         for holder in holders:
@@ -181,7 +181,7 @@ class TestHealingScan:
         report = system.content.run_round()
         assert report == reference_round(twin.content)
         assert report["unrepairable"] >= 1
-        assert report["below_floor"] > report["fetches"] == 6
+        assert report["below_floor"] > report["fetches"] == HEAL_FETCH_LIMIT
         left = set(system.departed_node_ids()) - set(system.network.crashed_nodes())
         assert left and any(
             system.ledger.holders(doc_id) & left

@@ -8,8 +8,7 @@ from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
 from repro.model.system import SystemConfig, build_system
-from repro.overlay.replication_manager import ReplicationConfig
-from repro.overlay.system import P2PSystem, P2PSystemConfig
+from repro.overlay.system import P2PSystem
 from repro.scenario import designate_free_riders, generate_events, ScenarioSpec
 
 WORLD = SystemConfig(
@@ -103,43 +102,6 @@ class TestSystemTracking:
         assert system.contributing_capacity() == pytest.approx(
             total - free_capacity
         )
-
-
-class TestManagerExclusion:
-    def test_adaptive_manager_never_places_on_free_riders(self):
-        instance, assignment, free = build_free_rider_world()
-        plan = plan_replication(
-            instance, assignment, n_reps=2, exclude_free_riders=True
-        )
-        system = P2PSystem(
-            instance,
-            assignment,
-            plan=plan,
-            config=P2PSystemConfig(
-                seed=23,
-                cache_capacity=8,
-                replication=ReplicationConfig(
-                    enabled=True, exclude_free_riders=True, grow_threshold=2.0
-                ),
-            ),
-        )
-        manager = system.replication
-        # Force demand pressure on one category so the manager grows.
-        hot_category = min(manager._category_docs)
-        cluster_id = int(system.assignment.category_to_cluster[hot_category])
-        holder = system.peers_in_cluster(cluster_id)[0]
-        for _ in range(6):
-            holder.hit_counters[hot_category] = (
-                holder.hit_counters.get(hot_category, 0) + 10_000
-            )
-            system.run_replication_round()
-        placed = {
-            node_id
-            for nodes in manager.managed_view().values()
-            for node_id in nodes
-        }
-        assert placed, "manager never grew despite forced pressure"
-        assert not placed & set(free)
 
 
 class TestFairnessRegression:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.overlay.metadata import DCRT, DCRTEntry, NRT, DocumentTable
-from repro.overlay.peer import PeerConfig
+from repro.overlay import peer as peer_module
 
 from tests.helpers import MicroOverlay
 
@@ -368,8 +368,9 @@ class TestAddManyAgainstOneAtATime:
         # A full table of fellows: where an undrawn self is evicted from
         # its own table, and a drawn one keeps its drawn place.
         node_id = known[0] if self_in_known else 10
-        config = PeerConfig(nrt_capacity=len(known))
-        peer = MicroOverlay().add_peer(node_id, config=config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peer_module, "NRT_CAPACITY", len(known))
+            peer = MicroOverlay().add_peer(node_id)
         reference = NRT(len(known))
         for table in (peer.nrt, reference):
             _add_one_at_a_time(table, 2, prefill)

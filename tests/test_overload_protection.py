@@ -5,13 +5,18 @@ Exercises :class:`repro.reliability.channel.ReliableChannel` standalone
 BUSY-failover path through real peers.
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.overlay.peer import PeerConfig
 from repro.overlay.service import ServiceConfig
-from repro.reliability.channel import ReliabilityConfig, ReliableChannel
+from repro.reliability.channel import (
+    BREAKER_RESET_TIMEOUT,
+    MIN_ACK_TIMEOUT,
+    RETRY_BUDGET_CAP,
+    ReliabilityConfig,
+    ReliableChannel,
+)
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from tests.helpers import MicroOverlay
@@ -20,7 +25,10 @@ SENDER, RECEIVER = 0, 99
 
 
 def _channel_pair(config: ReliabilityConfig, base_latency: float = 0.05):
-    """Two wired channels: SENDER's acks and RECEIVER's observes flow."""
+    """Two wired channels: SENDER's acks and RECEIVER's observes flow.
+
+    The sender has no jitter stream, so retry timeouts are exact.
+    """
     sim = Simulator()
     network = Network(sim, base_latency=base_latency, bandwidth=None)
     give_ups: list[tuple[int, str]] = []
@@ -28,7 +36,7 @@ def _channel_pair(config: ReliabilityConfig, base_latency: float = 0.05):
         SENDER,
         network,
         config,
-        jitter_rng=np.random.default_rng(1),
+        jitter_rng=None,
         on_give_up=lambda dst, kind: give_ups.append((dst, kind)),
     )
     receiver = ReliableChannel(RECEIVER, network, config)
@@ -58,10 +66,8 @@ class TestRetryBudget:
         config = ReliabilityConfig(
             enabled=True,
             ack_timeout=0.2,
-            max_attempts=10,
+            max_attempts=16,
             retry_budget_ratio=0.5,
-            retry_budget_cap=2.0,
-            jitter_fraction=0.0,
         )
         sim, network, sender, give_ups = _channel_pair(config)
         network.crash(RECEIVER)
@@ -69,10 +75,10 @@ class TestRetryBudget:
         sender.send(RECEIVER, "publish_request", None)
         sim.run()
 
-        # Two retry tokens bought two retransmissions; the third was
-        # refused and the delivery dead-lettered well short of
-        # max_attempts.
-        assert c_retries.value - retries0 == 2
+        # A full bucket of retry tokens bought as many retransmissions;
+        # the next was refused and the delivery dead-lettered well short
+        # of max_attempts.
+        assert c_retries.value - retries0 == RETRY_BUDGET_CAP
         assert c_refused.value - refused0 == 1
         assert c_gave_up.value - gave_up0 == 0  # refusal is not a give-up
         assert sender.dead_letters == 1
@@ -83,17 +89,13 @@ class TestRetryBudget:
         assert sender.min_budget_tokens() >= 0.0
 
     def test_fresh_sends_replenish_the_bucket(self):
-        config = ReliabilityConfig(
-            enabled=True,
-            retry_budget_ratio=0.5,
-            retry_budget_cap=2.0,
-        )
+        config = ReliabilityConfig(enabled=True, retry_budget_ratio=0.5)
         sim, network, sender, _ = _channel_pair(config)
         for _ in range(3):
             sender.send(RECEIVER, "publish_request", None)
         sim.run()
         # Acked cleanly: deposits happened, nothing was spent or capped out.
-        assert sender.budget_tokens(RECEIVER) == pytest.approx(2.0)
+        assert sender.budget_tokens(RECEIVER) == pytest.approx(RETRY_BUDGET_CAP)
         assert sender.dead_letters == 0
 
     def test_budgets_off_by_default(self):
@@ -109,8 +111,6 @@ class TestCircuitBreaker:
         ack_timeout=0.1,
         max_attempts=2,
         breaker_threshold=2,
-        breaker_reset_timeout=5.0,
-        jitter_fraction=0.0,
     )
 
     def test_open_half_open_close_cycle(self):
@@ -137,7 +137,7 @@ class TestCircuitBreaker:
         # After the reset timeout one half-open trial probes the (now
         # recovered) destination; its ack closes the circuit.
         network.recover(RECEIVER)
-        _advance(sim, self.CONFIG.breaker_reset_timeout + 0.1)
+        _advance(sim, BREAKER_RESET_TIMEOUT + 0.1)
         delivery_id = sender.send(RECEIVER, "publish_request", None)
         assert delivery_id > 0
         sim.run()
@@ -155,7 +155,7 @@ class TestCircuitBreaker:
         assert sender.breaker_state(RECEIVER) == "open"
 
         # Still crashed: the half-open trial gives up and re-opens.
-        _advance(sim, self.CONFIG.breaker_reset_timeout + 0.1)
+        _advance(sim, BREAKER_RESET_TIMEOUT + 0.1)
         assert sender.send(RECEIVER, "publish_request", None) > 0
         sim.run()
         assert sender.breaker_state(RECEIVER) == "open"
@@ -182,8 +182,6 @@ class TestAdaptiveTimeout:
         enabled=True,
         ack_timeout=2.0,
         adaptive_timeout=True,
-        min_ack_timeout=0.05,
-        jitter_fraction=0.0,
     )
 
     def test_timeout_tracks_observed_rtt(self):
@@ -194,7 +192,7 @@ class TestAdaptiveTimeout:
         # RTT is 2 x base_latency = 0.1s; srtt + 4*rttvar lands far below
         # the 2s configured base but above the lower clamp.
         adapted = sender._attempt_timeout(0, RECEIVER)
-        assert self.CONFIG.min_ack_timeout <= adapted < 0.5
+        assert MIN_ACK_TIMEOUT <= adapted < 0.5
         # Destinations without samples keep the configured base.
         assert sender._attempt_timeout(0, dst=42) == pytest.approx(2.0)
 
@@ -203,7 +201,6 @@ class TestAdaptiveTimeout:
             enabled=True,
             ack_timeout=0.2,
             adaptive_timeout=True,
-            jitter_fraction=0.0,
         )
         sim, network, sender, _ = _channel_pair(config)
         # First attempt is lost; the destination heals before the retry,
@@ -227,7 +224,6 @@ class TestDeadLetters:
             ack_timeout=0.1,
             max_attempts=2,
             adaptive_timeout=True,  # any protection knob registers metrics
-            jitter_fraction=0.0,
         )
         sim, network, sender, give_ups = _channel_pair(config)
         network.crash(RECEIVER)
@@ -241,9 +237,7 @@ class TestDeadLetters:
     def test_unprotected_channel_counts_locally_only(self):
         c_dead = obs.counter("reliability.dead_letters")
         dead0 = c_dead.value
-        config = ReliabilityConfig(
-            enabled=True, ack_timeout=0.1, max_attempts=1, jitter_fraction=0.0
-        )
+        config = ReliabilityConfig(enabled=True, ack_timeout=0.1, max_attempts=1)
         assert not config.overload_protected
         sim, network, sender, _ = _channel_pair(config)
         network.crash(RECEIVER)
@@ -274,7 +268,6 @@ class TestBusyFailover:
                     base_service_time=0.4,
                     queue_capacity=1,
                     policy="drop-tail",
-                    busy_retry_after=0.2,
                 ),
             ),
         )

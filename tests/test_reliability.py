@@ -6,12 +6,14 @@ import pytest
 from repro import obs
 from repro.overlay import messages as m
 from repro.overlay.peer import DocInfo, PeerConfig
+from repro.overlay.query_protocol import SEEN_QUERY_CAPACITY
 from repro.reliability import (
     RELIABLE_KINDS,
     FailureDetector,
     ReliabilityConfig,
     ReliableChannel,
 )
+from repro.reliability.channel import JITTER_FRACTION
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from tests.helpers import MicroOverlay
@@ -19,7 +21,6 @@ from tests.helpers import MicroOverlay
 FAST = ReliabilityConfig(
     enabled=True,
     ack_timeout=0.5,
-    backoff_factor=2.0,
     max_backoff=2.0,
     max_attempts=3,
     query_deadline=1.5,
@@ -142,7 +143,7 @@ class TestReliableChannel:
         assert rng.calls == 0  # first attempts never consult the stream
         retry = channel._attempt_timeout(1)
         assert rng.calls == 1
-        assert retry == pytest.approx(1.0 * (1.0 + FAST.jitter_fraction * 0.5))
+        assert retry == pytest.approx(1.0 * (1.0 + JITTER_FRACTION * 0.5))
         assert first == 0.5
 
     def test_query_kind_is_not_reliable(self):
@@ -160,9 +161,7 @@ class TestReliableChannel:
         with pytest.raises(ValueError):
             ReliabilityConfig(max_attempts=0)
         with pytest.raises(ValueError):
-            ReliabilityConfig(jitter_fraction=1.0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(dedup_capacity=0)
+            ReliabilityConfig(query_attempts=0)
 
 
 class TestFailureDetector:
@@ -250,12 +249,12 @@ class TestPeerIntegration:
 
     def test_seen_queries_window_is_bounded(self):
         overlay = MicroOverlay()
-        peer_config = PeerConfig(reliability=FAST, seen_query_capacity=4)
+        peer_config = PeerConfig(reliability=FAST)
         for node_id in (0, 1):
             overlay.add_peer(node_id, config=peer_config)
         overlay.wire_cluster(4, [0, 1], edges=[(0, 1)], category_map={5: 4})
         overlay.give_document(1, 99, [5])
-        for query_id in range(10):
+        for query_id in range(SEEN_QUERY_CAPACITY + 1):
             overlay.network.transmit(
                 0,
                 1,
@@ -270,7 +269,7 @@ class TestPeerIntegration:
                 ),
             )
         overlay.run()
-        assert overlay.peers[1].queries.seen_query_count() == 4
+        assert overlay.peers[1].queries.seen_query_count() == SEEN_QUERY_CAPACITY
 
 
 class TestQueryFailover:

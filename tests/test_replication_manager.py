@@ -4,7 +4,7 @@ Pins the behaviours :mod:`repro.overlay.replication_manager` promises:
 off by default, pressure-driven growth (served hits + weighted sheds per
 live replica), grow-fast/shrink-slow hysteresis, capacity-biased
 placement through real document transfers, promotion of cached copies
-instead of re-shipping, the ``max_replicas`` ceiling, and clean retire
+instead of re-shipping, the ``MAX_REPLICAS`` ceiling, and clean retire
 semantics (contributions and cache-owned copies are never dropped).
 """
 
@@ -17,6 +17,10 @@ from repro.core.replication import plan_replication
 from repro.model.system import SystemConfig, build_system
 from repro.overlay.peer import DocInfo
 from repro.overlay.replication_manager import (
+    DOCS_PER_REPLICA,
+    GROW_STEP,
+    MAX_REPLICAS,
+    SHRINK_AFTER,
     ReplicationConfig,
     ReplicationManager,
 )
@@ -25,7 +29,7 @@ from repro.overlay.system import P2PSystem, P2PSystemConfig
 from tests.helpers import build_live_system
 
 
-def _adaptive_system(seed=7, **replication_overrides):
+def _adaptive_system(seed=7):
     """A multi-cluster world with the manager on.
 
     Built from explicit counts (like the chaos and CACHE-QOS worlds):
@@ -33,17 +37,6 @@ def _adaptive_system(seed=7, **replication_overrides):
     sizes, where the baseline plan already replicates the hottest
     documents onto every member and placement would be vacuous.
     """
-    defaults = dict(
-        enabled=True,
-        grow_threshold=8.0,
-        shrink_threshold=1.0,
-        grow_after=1,
-        shrink_after=3,
-        grow_step=2,
-        max_replicas=8,
-        docs_per_replica=2,
-    )
-    defaults.update(replication_overrides)
     instance = build_system(SystemConfig(
         seed=seed,
         n_docs=200,
@@ -58,7 +51,7 @@ def _adaptive_system(seed=7, **replication_overrides):
     config = P2PSystemConfig(
         seed=seed,
         cache_capacity=8,
-        replication=ReplicationConfig(**defaults),
+        replication=ReplicationConfig(enabled=True),
     )
     return P2PSystem(instance, assignment, plan=plan, config=config)
 
@@ -85,9 +78,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReplicationConfig(grow_threshold=1.0, shrink_threshold=2.0)
         with pytest.raises(ValueError):
-            ReplicationConfig(grow_step=0)
-        with pytest.raises(ValueError):
-            ReplicationConfig(shed_weight=-1.0)
+            ReplicationConfig(grow_threshold=1.0, shrink_threshold=1.0)
 
     def test_disabled_by_default(self):
         _instance, system = build_live_system(scale=0.02, seed=31)
@@ -112,7 +103,7 @@ class TestGrow:
         report = system.run_replication_round()
 
         (grown_nodes,) = [report.grown[category_id]]
-        assert len(grown_nodes) == manager.config.grow_step
+        assert len(grown_nodes) == GROW_STEP
         assert manager.replica_count(category_id) == len(grown_nodes)
         # The transfers actually landed: every managed doc is stored and
         # registered in the holder directory.
@@ -124,38 +115,41 @@ class TestGrow:
                 assert node_id in holders_view[doc_id]
 
     def test_placement_prefers_high_capacity(self):
-        system = _adaptive_system(grow_step=1)
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
         _heat(system, category_id)
         wanted = manager._hot_docs(category_id)
-        expected = manager._placement_candidates(category_id, wanted)[0]
+        expected = manager._placement_candidates(category_id, wanted)[:GROW_STEP]
         report = system.run_replication_round()
-        assert report.grown[category_id] == (expected,)
+        assert report.grown[category_id] == tuple(expected)
         cluster_id = int(system.assignment.category_to_cluster[category_id])
-        chosen = system.peers[expected]
+        weakest_chosen = min(system.peers[n].capacity_units for n in expected)
         for peer in system.peers_in_cluster(cluster_id):
-            if peer.node_id == expected or peer.node_id in report.grown.get(
-                category_id, ()
-            ):
+            if peer.node_id in expected:
                 continue
             durably_all = all(
                 doc_id in peer.docs and not peer.queries.cache.owns(doc_id)
                 for doc_id in wanted
             )
-            assert durably_all or peer.capacity_units <= chosen.capacity_units
+            assert durably_all or peer.capacity_units <= weakest_chosen
 
     def test_max_replicas_caps_growth(self):
-        system = _adaptive_system(max_replicas=2, grow_step=2)
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        for _ in range(4):
+        wanted = manager._hot_docs(category_id)
+        # More candidates than the ceiling, so the ceiling is what stops.
+        assert len(manager._placement_candidates(category_id, wanted)) > MAX_REPLICAS
+        counts = []
+        for _ in range(MAX_REPLICAS // GROW_STEP + 1):
             _heat(system, category_id)
             system.run_replication_round()
-        assert manager.replica_count(category_id) <= 2
+            counts.append(manager.replica_count(category_id))
+        assert counts == [2, 4, 6, 8, 8]
 
     def test_cached_copy_promoted_not_reshipped(self):
-        system = _adaptive_system(grow_step=1)
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
         wanted = manager._hot_docs(category_id)
@@ -174,7 +168,7 @@ class TestGrow:
 
         _heat(system, category_id)
         report = system.run_replication_round()
-        assert report.grown[category_id] == (target_id,)
+        assert report.grown[category_id][0] == target_id
         assert doc_id in manager.managed_view()[category_id][target_id]
         # Promoted, not re-transferred: the copy is pinned out of the
         # cache but still stored.
@@ -184,18 +178,18 @@ class TestGrow:
 
 class TestHysteresis:
     def test_grow_waits_for_grow_after_rounds(self):
-        system = _adaptive_system(grow_after=2)
+        # Grow fast: the first hot round already grows.
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        _heat(system, category_id)
         first = system.run_replication_round()
-        assert first.grown == {}  # one hot round is not enough
+        assert first.grown == {}
         _heat(system, category_id)
         second = system.run_replication_round()
-        assert category_id in second.grown
+        assert set(second.grown) == {category_id}
 
     def test_shrink_slowly_one_per_round(self):
-        system = _adaptive_system(shrink_after=3)
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
         _heat(system, category_id)
@@ -207,38 +201,40 @@ class TestHysteresis:
         for _ in range(placed + 4):
             system.run_replication_round()
             counts.append(manager.replica_count(category_id))
-        # The first shrink_after - 1 quiet rounds must not retire anything.
-        assert counts[: 3 - 1] == [placed] * (3 - 1)
+        # The first SHRINK_AFTER - 1 quiet rounds must not retire anything.
+        assert counts[: SHRINK_AFTER - 1] == [placed] * (SHRINK_AFTER - 1)
+        assert counts[SHRINK_AFTER - 1] == placed - 1
         # Then exactly one replica retires per round, down to zero.
         assert counts[-1] == 0
         drops = [a - b for a, b in zip(counts, counts[1:])]
         assert all(drop in (0, 1) for drop in drops)
 
     def test_shrink_drops_managed_docs_only(self):
-        system = _adaptive_system(grow_step=1, shrink_after=1)
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
         _heat(system, category_id)
         report = system.run_replication_round()
-        (node_id,) = report.grown[category_id]
-        peer = system.peers[node_id]
-        managed_docs = set(manager.managed_view()[category_id][node_id])
-        contributions = set(peer.docs) - managed_docs
+        managed = manager.managed_view()[category_id]
+        kept = {
+            node_id: set(system.peers[node_id].docs) - managed[node_id]
+            for node_id in report.grown[category_id]
+        }
 
         while manager.replica_count(category_id):
             system.run_replication_round()
-        for doc_id in managed_docs:
-            assert doc_id not in peer.docs
-        for doc_id in contributions:
-            assert doc_id in peer.docs
+        for node_id, contributions in kept.items():
+            docs = system.peers[node_id].docs
+            assert not managed[node_id] & docs.keys()
+            assert contributions <= docs.keys()
 
     def test_dead_managed_node_is_forgotten_without_drops(self):
-        system = _adaptive_system(grow_step=1, shrink_after=1)
+        system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
         _heat(system, category_id)
         report = system.run_replication_round()
-        (node_id,) = report.grown[category_id]
+        node_id = report.grown[category_id][0]
         docs_before = set(system.peers[node_id].docs)
         system.crash_node(node_id)
 
@@ -263,11 +259,14 @@ class TestInvariant:
         assert checker.violations == []
 
     def test_over_ceiling_is_flagged(self):
-        system = _adaptive_system(max_replicas=1)
+        system = _adaptive_system()
         checker = InvariantChecker(system)
         manager = system.replication
         category_id = min(manager._category_docs)
-        manager._managed[category_id] = {1: {0}, 2: {0}}  # defect injection
+        # Defect injection: one managed replica past the ceiling.
+        manager._managed[category_id] = {
+            node_id: {0} for node_id in range(MAX_REPLICAS + 1)
+        }
         checker.check_structural()
         assert "replication-bounds" in checker.violated_invariants
 
@@ -308,7 +307,7 @@ class _PairScanManager(ReplicationManager):
                 d not in peer.docs or peer.queries.cache.owns(d)
                 for peer in members
             )
-        ][: self.config.docs_per_replica]
+        ][:DOCS_PER_REPLICA]
 
 
 class TestAgainstPairScan:
@@ -318,7 +317,7 @@ class TestAgainstPairScan:
     def _disturbed_world(reference: bool):
         """A crashed holder, a departed holder, cache-owned copies and a
         document nobody holds any more."""
-        system = _adaptive_system(seed=11, shrink_after=1)
+        system = _adaptive_system(seed=11)
         if reference:
             system.replication.__class__ = _PairScanManager
         manager = system.replication

@@ -91,10 +91,8 @@ class TestDefaults:
         with pytest.raises(ValueError):
             ServiceConfig(policy="lifo")
         with pytest.raises(ValueError):
-            ServiceConfig(busy_retry_after=-0.1)
-        assert set(ADMISSION_POLICIES) == {
-            "drop-tail", "shed-popular", "redirect",
-        }
+            ServiceConfig(policy="shed-popular")
+        assert ADMISSION_POLICIES == ("drop-tail", "redirect")
 
 
 class TestDropTail:
@@ -144,66 +142,6 @@ class TestDropTail:
         assert snap["shed"] == 0
         assert snap["max_depth"] == 9  # everything behind the first waited
         assert not overlay.hooks.failures
-
-
-class TestShedPopular:
-    def _world(self):
-        overlay = MicroOverlay(seed=0)
-        server = overlay.add_peer(
-            1,
-            config=PeerConfig(
-                service=_service_config(policy="shed-popular", queue_capacity=2)
-            ),
-        )
-        client = overlay.add_peer(0)
-        overlay.wire_cluster(0, [1], edges=[], category_map={0: 0, 1: 0})
-        overlay.give_document(1, 10, [0])
-        overlay.give_document(1, 11, [1])
-        for category in (0, 1):
-            client.dcrt.set(category, 0)
-        client.nrt.add(0, 1)
-        return overlay, server, client
-
-    def test_hot_queued_query_yields_to_cold_incoming(self):
-        overlay, server, client = self._world()
-        server.hit_counters[0] = 50  # category 0 is hot (replicated elsewhere)
-        # q0 enters service, q1/q2 (hot) fill the queue, q3 (cold) overflows.
-        for offset, (query_id, category) in enumerate(
-            [(0, 0), (1, 0), (2, 0), (3, 1)]
-        ):
-            doc_id = 10 if category == 0 else 11
-            overlay.sim.schedule_at(
-                offset * 1e-4,
-                lambda q=query_id, c=category, d=doc_id: client.start_query(
-                    q, c, 1, target_doc_id=d
-                ),
-            )
-        overlay.run()
-
-        # The hottest queued query (q1) was shed in favour of the cold one.
-        assert overlay.hooks.failures == [(0, 1, "overloaded")]
-        served = sorted(e[1].query_id for e in overlay.hooks.responses)
-        assert served == [0, 2, 3]
-
-    def test_cold_queued_query_survives_hot_incoming(self):
-        overlay, server, client = self._world()
-        server.hit_counters[0] = 50
-        # q0 enters service, q1/q2 (cold) fill the queue, q3 (hot) overflows:
-        # the incoming query is itself the most popular, so it is shed.
-        for offset, (query_id, category) in enumerate(
-            [(0, 1), (1, 1), (2, 1), (3, 0)]
-        ):
-            doc_id = 10 if category == 0 else 11
-            overlay.sim.schedule_at(
-                offset * 1e-4,
-                lambda q=query_id, c=category, d=doc_id: client.start_query(
-                    q, c, 1, target_doc_id=d
-                ),
-            )
-        overlay.run()
-        assert overlay.hooks.failures == [(0, 3, "overloaded")]
-        served = sorted(e[1].query_id for e in overlay.hooks.responses)
-        assert served == [0, 1, 2]
 
 
 class TestRedirect:

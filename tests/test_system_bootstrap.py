@@ -14,6 +14,7 @@ import pytest
 from repro.core.replication import build_world
 from repro.model.workload import make_query_workload
 from repro.overlay.cluster import build_cluster_graph
+from repro.overlay import peer as peer_module
 from repro.overlay.peer import DocInfo
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
@@ -46,7 +47,7 @@ def _reference_topology_bootstrap(topology, instance, assignment, config):
         members_array = np.array(member_list, dtype=np.int64)
         for node_id in member_list:
             peer = peers[node_id]
-            keep = min(len(member_list), config.nrt_capacity)
+            keep = min(len(member_list), peer_module.NRT_CAPACITY)
             known = members_array[rng.permutation(len(members_array))[:keep]]
             _reference_join(peer, cluster_id, known.tolist())
             for member in member_list:
@@ -166,25 +167,30 @@ def world(request):
 
 
 @pytest.mark.parametrize(
-    "overrides, with_plan",
+    "overrides, nrt_capacity, with_plan",
     [
-        ({}, True),
-        ({"nrt_capacity": 8}, True),
-        ({"metadata_mode": "super_peer"}, True),
-        ({}, False),
+        ({}, None, True),
+        ({}, 8, True),
+        ({"metadata_mode": "super_peer"}, None, True),
+        ({}, None, False),
     ],
     ids=["default", "nrt_capacity=8", "super_peer", "plan=None"],
 )
-def test_bulk_bootstrap_builds_the_per_item_world(world, overrides, with_plan):
+def test_bulk_bootstrap_builds_the_per_item_world(
+    world, overrides, nrt_capacity, with_plan, monkeypatch
+):
     seed, (instance, assignment, plan) = world
+    if nrt_capacity is not None:
+        # No tier-1 world has a cluster past the real bound.
+        monkeypatch.setattr(peer_module, "NRT_CAPACITY", nrt_capacity)
     config = P2PSystemConfig(seed=seed, **overrides)
     if not with_plan:
         plan = None
     built = P2PSystem(instance, assignment, plan=plan, config=config)
     reference = ReferenceSystem(instance, assignment, plan=plan, config=config)
-    if "nrt_capacity" in overrides:
+    if nrt_capacity is not None:
         # The case is only worth its name if tables overflow.
-        assert max(map(len, built.topology.members.values())) > 8
+        assert max(map(len, built.topology.members.values())) > nrt_capacity
 
     # Section by section, so a failure names the table that differs.
     state, expected = _world_state(built), _world_state(reference)

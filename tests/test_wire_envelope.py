@@ -117,6 +117,27 @@ def test_envelope_field_of_wrong_type_or_range_rejected(field, value):
         decode_envelope(envelope)
 
 
+@pytest.mark.parametrize(
+    "payload, field, value",
+    [
+        (PAYLOADS[1], "hops", "many"),
+        (PAYLOADS[1], "category_id", [1, 2]),
+        (PAYLOADS[4], "found", 1),
+        (m.Busy(query_id=3, responder_id=2, retry_after=0.5), "retry_after", True),
+        # A tagged dict decodes to a DCRTEntry, which is not a tuple.
+        (PAYLOADS[2], "doc_ids", {"$": "DCRTEntry", "v": [1, 2]}),
+    ],
+    ids=["str-for-int", "list-for-int", "int-for-bool", "bool-for-float",
+         "dict-for-tuple"],
+)
+def test_payload_field_of_wrong_type_rejected(payload, field, value):
+    envelope = encode_envelope(Message(1, 2, "x", payload))
+    envelope["payload"]["fields"][field] = value
+    body = json.dumps(envelope).encode()
+    with pytest.raises(WireDecodeError, match=f"{field} must be"):
+        decode_frame(len(body).to_bytes(HEADER_BYTES, "big") + body)
+
+
 def test_truncated_header_rejected():
     with pytest.raises(WireDecodeError, match="truncated"):
         decode_frame(b"\x00\x01")
