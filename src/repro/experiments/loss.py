@@ -6,9 +6,12 @@ so any nonzero drop probability silently starves queries, publishes, and
 transfers.  This experiment quantifies that gap and the repair: it sweeps
 the uniform drop probability and runs the same Zipf query workload twice
 per setting — once fire-and-forget (the pre-reliability behaviour) and
-once with the ack/retry channel plus end-to-end query failover enabled —
-reporting success rate, p99 first-response latency, and how hard the
-reliability machinery had to work (retries, query failovers, give-ups).
+once with reliability enabled — reporting success rate, p99
+first-response latency, and how hard the reliability machinery had to
+work (retries, query failovers, give-ups).  Queries and their answers
+are not acked: a lost query, a lost answer and a dead target are all
+recovered by the requester's deadline failover, so in this query-only
+world the ack/retry channel carries nothing and ``retries`` stays 0.
 
 Loss draws come from a dedicated named stream (``loss.drop``), so the
 two arms of each sweep point see identical protocol randomness and the
@@ -21,17 +24,21 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.core.replication import build_world
-from repro.experiments.common import DES_SCALE
+from repro.experiments.common import DES_SCALE, require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
 
-__all__ = ["LossRow", "LossResult", "measure", "run", "format_result"]
+__all__ = ["LossRow", "LossResult", "measure", "run", "format_result", "smoke"]
 
 #: drop probabilities swept by :func:`run` (0% to 30%).
 DROP_SETTINGS = (0.0, 0.05, 0.10, 0.20, 0.30)
+#: drop probability -> least reliability-on success :func:`smoke` accepts
+#: (scale 0.03, seed 7, 2,000 queries): what the design with acked
+#: answers reached, so the deadline-only recovery must do no worse.
+SMOKE_SUCCESS_FLOOR = {0.05: 1.0, 0.10: 0.9995, 0.20: 0.9910, 0.30: 0.9490}
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,3 +176,21 @@ def format_result(result: LossResult) -> str:
             f"(scale={result.scale}, {result.n_queries} queries per cell)"
         ),
     )
+
+
+def smoke() -> None:
+    """CI gate: reliability-on success holds its floor at every drop rate."""
+    result = run(scale=0.03)
+    print(format_result(result))
+    off, on = result.row(0.0, False), result.row(0.0, True)
+    require(
+        on.success_rate == off.success_rate and on.query_failovers == 0,
+        f"zero-loss rows differ: off {off.success_rate}, on {on.success_rate} "
+        f"with {on.query_failovers} failovers",
+    )
+    for drop, floor in SMOKE_SUCCESS_FLOOR.items():
+        success = result.row(drop, True).success_rate
+        require(
+            success >= floor,
+            f"reliability-on success {success:.4f} < {floor} at drop {drop}",
+        )

@@ -82,6 +82,11 @@ class QueryMessage:
     #: Document retrieval is the paper's main use case; nodes that do not
     #: hold the document locate a replica holder through cluster metadata.
     target_doc_id: int = -1
+    #: the requester's dispatch number (1, 2, ... per failover).  A member
+    #: drops the query as a loop only when it has seen this attempt or a
+    #: later one, so a failover may revisit members an earlier attempt
+    #: touched.  0 is what a frame without the field decodes to.
+    attempt: int = 0
 
     def forwarded(self, remaining: int | None = None) -> "QueryMessage":
         """This query one overlay hop further on.
@@ -97,6 +102,7 @@ class QueryMessage:
             self.hops + 1,
             self.target_cluster,
             self.target_doc_id,
+            self.attempt,
         )
 
 
@@ -445,24 +451,44 @@ class ChunkRepair:
 # JSON-safe encoding.  ``to_wire`` / ``from_wire`` round-trip every payload
 # type above exactly: tuples come back as tuples, nested ``DCRTEntry`` /
 # ``DocInfo`` values come back as their own types.  Decoding checks each
-# top-level field against its annotation, so a hostile frame cannot hand
-# a handler a string where it counts hops.
+# field against its annotation, items of a tuple included, so a hostile
+# frame cannot hand a handler a string where it counts hops, or an int
+# where it merges a DCRT entry.
 
 #: payload type name -> class, for decoding.
 WIRE_TYPES: dict[str, type] = {}
 #: payload type name -> field name -> test the decoded value must pass.
 _FIELD_CHECKS: dict[str, dict[str, Callable[[object], bool]]] = {}
 
-#: annotation (its outer type) -> test; a ``tuple[...]`` only has to be a
-#: tuple, and ``type(v) is int`` refuses bools, as the envelope check does.
+#: scalar annotation -> test; ``type(v) is int`` refuses bools, as the
+#: envelope check does.
 _TYPE_CHECKS: dict[str, Callable[[object], bool]] = {
     "int": lambda v: type(v) is int,
     "float": lambda v: type(v) is float or type(v) is int,
     "bool": lambda v: type(v) is bool,
     "str": lambda v: type(v) is str,
-    "tuple": lambda v: type(v) is tuple,
-    "DCRTEntry": lambda v: isinstance(v, DCRTEntry),
+    "DCRTEntry": lambda v: type(v) is DCRTEntry,
+    "DocInfo": lambda v: type(v) is DocInfo,
 }
+
+
+def _compile_check(annotation: str) -> Callable[[object], bool]:
+    """The test a decoded value of ``annotation`` must pass.
+
+    ``tuple[X, ...]`` checks every item against ``X``.  The only
+    fixed-length tuples the payloads use are pairs with a scalar first,
+    ``tuple[int, Y]``: the length and each position are checked.
+    """
+    if not annotation.startswith("tuple["):
+        return _TYPE_CHECKS[annotation]
+    inner = annotation[len("tuple["):-1]
+    if inner.endswith(", ..."):
+        item = _compile_check(inner[: -len(", ...")])
+        return lambda v: type(v) is tuple and all(map(item, v))
+    first, second = map(_compile_check, inner.split(", ", 1))
+    return lambda v: (
+        type(v) is tuple and len(v) == 2 and first(v[0]) and second(v[1])
+    )
 
 
 def _register_wire_types() -> None:
@@ -471,7 +497,7 @@ def _register_wire_types() -> None:
         if isinstance(obj, type) and dataclasses.is_dataclass(obj):
             WIRE_TYPES[obj.__name__] = obj
             _FIELD_CHECKS[obj.__name__] = {
-                field.name: _TYPE_CHECKS[field.type.partition("[")[0]]
+                field.name: _compile_check(field.type)
                 for field in dataclasses.fields(obj)
             }
 

@@ -5,10 +5,10 @@ The :class:`QueryProtocol` component of a :class:`~repro.overlay.peer.Peer`:
 * step 1 at the requester (``start_query``: DCRT -> cluster, NRT ->
   random member; with reliability on, an end-to-end deadline fails the
   query over to a different member);
-* step 2 at a target (loop-break on the query id, redirect queries for
-  moved categories per the lazy-rebalancing protocol, serve locally,
-  locate a replica holder through cluster metadata, or fan out over the
-  cluster graph);
+* step 2 at a target (loop-break on the query id and attempt, redirect
+  queries for moved categories per the lazy-rebalancing protocol, serve
+  locally, locate a replica holder through cluster metadata, or fan out
+  over the cluster graph);
 * the overload signals of the service model (``redirect`` /
   ``reject_busy`` on the serving side, BUSY back-off at the requester);
 * the requester-side document cache filled from query responses.
@@ -60,7 +60,8 @@ class _QueryAttempt:
     """Failover state of a query this peer originated (reliability on).
 
     ``tried`` accumulates dispatch targets so each deadline expiry
-    retries against a *different* NRT member of the target cluster.
+    retries against a *different* NRT member of the target cluster;
+    ``attempts`` numbers the dispatches, and each carries its number.
     """
 
     query_id: int
@@ -78,8 +79,9 @@ class QueryProtocol:
     def __init__(self, peer: "Peer") -> None:
         self.peer = peer
         self._reliability = peer.config.reliability
-        #: recently seen query ids (loop detection), LRU-bounded.
-        self._seen_queries: "OrderedDict[int, None]" = OrderedDict()
+        #: recently seen query id -> highest attempt seen (loop
+        #: detection), LRU-bounded.
+        self._seen_queries: "OrderedDict[int, int]" = OrderedDict()
         #: query id -> failover state for queries this peer originated.
         self._attempts: dict[int, _QueryAttempt] = {}
         #: requester-side cache of retrieved (servable) documents; see
@@ -192,6 +194,7 @@ class QueryProtocol:
                 hops=1,
                 target_cluster=cluster_id,
                 target_doc_id=state.target_doc_id,
+                attempt=armed_attempts,
             ),
         )
         if not self._reliability.enabled:
@@ -222,14 +225,18 @@ class QueryProtocol:
 
     def handle_query(self, query: m.QueryMessage, src: int) -> None:
         """Step 2, at a target node: serve, redirect, or forward."""
-        if query.query_id in self._seen_queries:
+        seen = self._seen_queries.get(query.query_id)
+        if seen is None:
+            self._seen_queries[query.query_id] = query.attempt
+            _G_SEEN_QUERIES.value += 1
+            while len(self._seen_queries) > SEEN_QUERY_CAPACITY:
+                self._seen_queries.popitem(last=False)
+                _G_SEEN_QUERIES.value -= 1
+        else:
             self._seen_queries.move_to_end(query.query_id)
-            return  # loop broken via idQ (Section 3.3, step 2b)
-        self._seen_queries[query.query_id] = None
-        _G_SEEN_QUERIES.value += 1
-        while len(self._seen_queries) > SEEN_QUERY_CAPACITY:
-            self._seen_queries.popitem(last=False)
-            _G_SEEN_QUERIES.value -= 1
+            if seen >= query.attempt:
+                return  # loop broken via idQ (Section 3.3, step 2b)
+            self._seen_queries[query.query_id] = query.attempt
 
         if self.peer.misbehavior is not None and self.peer.misbehavior.bogus_responses:
             self._send_bogus_response(query)

@@ -15,9 +15,10 @@ package makes reliability a first-class, reusable layer:
   leader election, and the monitoring tree so dead nodes are routed
   around instead of timed out per-request.
 * :data:`RELIABLE_KINDS` — the request/response message kinds a peer
-  sends through the channel.  Query *requests* are deliberately absent:
-  they get end-to-end deadline failover in the peer instead (retrying
-  a different cluster member beats re-sending to the same one).
+  sends through the channel.  Queries and their answers are deliberately
+  absent: they get end-to-end deadline failover in the peer instead
+  (retrying a different cluster member beats re-sending to the same one,
+  and one mechanism recovers a lost query and a lost answer alike).
 
 Everything is off by default (``ReliabilityConfig(enabled=False)``):
 fault-free experiment runs stay byte-identical, and the jitter stream is

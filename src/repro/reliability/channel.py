@@ -57,6 +57,11 @@ RETRY_BUDGET_CAP = 8.0
 BREAKER_RESET_TIMEOUT = 10.0
 #: lower clamp on the adaptive ack-timeout base.
 MIN_ACK_TIMEOUT = 0.1
+#: kinds the retry budget and the circuit breaker never refuse.  An
+#: ownership notice is rare control traffic that adds no load worth
+#: shedding, and one dead-lettered notice leaves its receiver routing
+#: the category to a stale cluster.
+UNMETERED_KINDS = frozenset({"reassign_notice"})
 
 # Process-wide counters, cached at import time like the peer's.
 _C_SENDS = obs.counter("reliability.sends")
@@ -86,8 +91,11 @@ class ReliabilityConfig:
     #: end-to-end deadline armed by ``start_query``; on expiry the query
     #: is retried against a different NRT member of the target cluster.
     query_deadline: float = 3.0
-    #: dispatch attempts per query before declaring failure.
-    query_attempts: int = 4
+    #: dispatch attempts per query before declaring failure.  A query
+    #: answer is not acked, so an attempt must carry the query and the
+    #: answer both: ~2.7 messages, which all survive 30 % loss 39 % of
+    #: the time; eight attempts then succeed more than 98 % of the time.
+    query_attempts: int = 8
 
     # --- heartbeat failure detector ---
     #: simulated seconds to wait for a pong before counting a miss.
@@ -288,7 +296,7 @@ class ReliableChannel:
         circuit is open are dead-lettered immediately — no delivery id is
         allocated and nothing touches the network.
         """
-        if self._breakers is not None:
+        if self._breakers is not None and kind not in UNMETERED_KINDS:
             breaker = self._breakers.get(dst)
             if breaker is not None and not breaker.allow(self.transport.now):
                 self._c_breaker_refused.value += 1
@@ -351,7 +359,11 @@ class ReliableChannel:
                 self._note_failure(out.dst)
                 self._dead_letter(out.dst, out.kind)
                 return
-            if self._budgets is not None and not self._budget(out.dst).take():
+            if (
+                self._budgets is not None
+                and out.kind not in UNMETERED_KINDS
+                and not self._budget(out.dst).take()
+            ):
                 # Out of retry tokens for this destination: retransmitting
                 # would amplify whatever is already wrong there.
                 self._outstanding.pop(out.delivery_id, None)

@@ -27,12 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RELIABLE_KINDS", "ReliableTransport"]
 
 #: Message kinds routed through the ack/retry channel when reliability
-#: is enabled.  Query requests are absent on purpose — the peer gives
-#: them end-to-end deadline failover against a *different* cluster
-#: member, which a same-destination retry cannot provide.  Acks, pings,
-#: and gossip are fire-and-forget by design (gossip is its own
-#: anti-entropy repair).  Chunk traffic likewise relies on the
-#: fetcher's per-chunk deadline failover rather than per-hop retries.
+#: is enabled.  Queries and their answers are absent on purpose — the
+#: requester's end-to-end deadline fails a query over to a *different*
+#: cluster member as a new numbered attempt, which recovers a lost
+#: query, a lost answer and a dead target alike; a per-hop ack on the
+#: answer would recover the same loss twice.  Acks, pings, and gossip
+#: are fire-and-forget by design (gossip is its own anti-entropy
+#: repair).  Chunk traffic likewise relies on the fetcher's per-chunk
+#: deadline failover rather than per-hop retries.
 RELIABLE_KINDS = frozenset(
     {
         "publish_request",
@@ -42,7 +44,6 @@ RELIABLE_KINDS = frozenset(
         "reassign_notice",
         "transfer_request",
         "transfer_data",
-        "query_response",
     }
 )
 

@@ -301,15 +301,11 @@ class TestEmittedReproducer:
 
 
 class TestFullStackFindings:
-    """Shrunk reproducers from the all-on fuzz cell (seeds 0-49): real
-    protocol defects under feature *pairs*, tracked in ROADMAP aim 3(a).
-    ``strict`` makes the fix announce itself."""
+    """Shrunk reproducers from the all-on fuzz cell: protocol defects
+    under feature *pairs*, tracked in ROADMAP item 1.  An open one is
+    ``xfail(strict)``, so its fix announces itself; a fixed one stays as
+    a regression test."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="overload x recovery: peers still map the category to the "
-        "stale cluster after reconciliation",
-    )
     def test_split_brain_reconciles_in_an_overload_world(self):
         config = ScenarioConfig(features=["content", "overload", "recovery"])
         schedule = Schedule(
@@ -319,6 +315,55 @@ class TestFullStackFindings:
                 ScheduleEntry(step=18, action='force_move', params={'category': 9, 'target_rank': 614379}),
                 ScheduleEntry(step=22, action='query_burst', params={'n': 7, 'workload_seed': 459768412}),
                 ScheduleEntry(step=22, action='split_brain_heal', params={'category': 4, 'fraction': 0.353, 'salt': 356921}),
+            ),
+        )
+        report = run_schedule(schedule, config=config)
+        assert report.ok, "\n".join(str(v) for v in report.violations)
+
+    def test_split_brain_reconciles_under_a_retry_storm(self):
+        # All-on seed 22, shrunk under the two features it needs: the
+        # fenced reassign notices must get through although an ack-loss
+        # retry storm has emptied the retry budgets and opened breakers.
+        config = ScenarioConfig(features=["content", "overload", "recovery"])
+        schedule = Schedule(
+            seed=22,
+            entries=(
+                ScheduleEntry(step=10, action='join', params={'capacity': 4, 'category': 8, 'n_docs': 2}),
+                ScheduleEntry(step=11, action='retry_storm', params={'probability': 0.529}),
+                ScheduleEntry(step=11, action='split_brain_heal', params={'category': 10, 'fraction': 0.23, 'salt': 192616}),
+                ScheduleEntry(step=13, action='force_move', params={'category': 9, 'target_rank': 978496}),
+                ScheduleEntry(step=14, action='publish', params={'rank': 428683, 'category': 6, 'n_docs': 1}),
+                ScheduleEntry(step=14, action='split_brain_heal', params={'category': 11, 'fraction': 0.243, 'salt': 603125}),
+            ),
+        )
+        report = run_schedule(schedule, config=config)
+        assert report.ok, "\n".join(str(v) for v in report.violations)
+
+    def test_split_brain_reconciles_after_power_losses_under_loss(self):
+        # All-on seed 43, shrunk under adaptive + overload + recovery.  Query
+        # answers are not acked, so only control traffic refills retry
+        # budgets and closes breakers; the fenced reassign notices must get
+        # through regardless.
+        config = ScenarioConfig(features=["adaptive", "content", "overload", "recovery"])
+        schedule = Schedule(
+            seed=43,
+            entries=(
+                ScheduleEntry(step=1, action='query_burst', params={'n': 17, 'workload_seed': 2046358479}),
+                ScheduleEntry(step=2, action='loss_ramp', params={'target': 0.069, 'steps': 1}),
+                ScheduleEntry(step=4, action='adapt', params={}),
+                ScheduleEntry(step=6, action='graceful_shutdown', params={'rank': 973107}),
+                ScheduleEntry(step=7, action='flash_crowd', params={'category': 3, 'n': 39, 'workload_seed': 1201977107}),
+                ScheduleEntry(step=9, action='retry_storm', params={'probability': 0.298}),
+                ScheduleEntry(step=10, action='publish', params={'rank': 68756, 'category': 2, 'n_docs': 2}),
+                ScheduleEntry(step=11, action='query_burst', params={'n': 17, 'workload_seed': 897197650}),
+                ScheduleEntry(step=13, action='gossip', params={'rounds': 2}),
+                ScheduleEntry(step=15, action='join', params={'capacity': 4, 'category': 1, 'n_docs': 0}),
+                ScheduleEntry(step=15, action='power_loss', params={'rank': 683319}),
+                ScheduleEntry(step=16, action='adapt', params={}),
+                ScheduleEntry(step=16, action='regional_partition', params={'region': 0}),
+                ScheduleEntry(step=17, action='power_loss', params={'rank': 222056}),
+                ScheduleEntry(step=22, action='publish', params={'rank': 291436, 'category': 11, 'n_docs': 1}),
+                ScheduleEntry(step=22, action='split_brain_heal', params={'category': 8, 'fraction': 0.286, 'salt': 667522}),
             ),
         )
         report = run_schedule(schedule, config=config)

@@ -50,6 +50,12 @@ def _channel_pair(config: ReliabilityConfig, base_latency: float = 0.05):
     return sim, network, sender, give_ups
 
 
+def _delta(name: str):
+    counter = obs.counter(name)
+    start = counter.value
+    return lambda: counter.value - start
+
+
 def _advance(sim: Simulator, delay: float) -> None:
     sim.schedule(delay, lambda: None)
     sim.run()
@@ -87,6 +93,24 @@ class TestRetryBudget:
         # The bucket never overdrafts.
         assert sender.budget_tokens(RECEIVER) == pytest.approx(0.0)
         assert sender.min_budget_tokens() >= 0.0
+
+    def test_reassign_notice_retries_without_tokens(self):
+        # An ownership notice is never dead-lettered by the budget: it is
+        # retried to max_attempts on an empty bucket and then gives up.
+        config = ReliabilityConfig(
+            enabled=True, ack_timeout=0.2, max_attempts=16, retry_budget_ratio=0.5
+        )
+        sim, network, sender, give_ups = _channel_pair(config)
+        network.crash(RECEIVER)
+        sender.send(RECEIVER, "publish_request", None)
+        sim.run()
+        assert sender.budget_tokens(RECEIVER) == pytest.approx(0.0)
+        retries = _delta("reliability.retries")
+        sender.send(RECEIVER, "reassign_notice", None)
+        sim.run()
+        assert retries() == config.max_attempts - 1
+        assert give_ups[-1] == (RECEIVER, "reassign_notice")
+        assert sender.budget_tokens(RECEIVER) == pytest.approx(0.5)
 
     def test_fresh_sends_replenish_the_bucket(self):
         config = ReliabilityConfig(enabled=True, retry_budget_ratio=0.5)
@@ -160,6 +184,20 @@ class TestCircuitBreaker:
         sim.run()
         assert sender.breaker_state(RECEIVER) == "open"
         assert g_open.value - open0 == 1  # still exactly one open circuit
+
+    def test_open_circuit_still_carries_a_reassign_notice(self):
+        sim, network, sender, _ = _channel_pair(self.CONFIG)
+        network.crash(RECEIVER)
+        for _ in range(2):
+            sender.send(RECEIVER, "publish_request", None)
+            sim.run()
+        assert sender.breaker_state(RECEIVER) == "open"
+        network.recover(RECEIVER)
+        assert sender.send(RECEIVER, "publish_request", None) == -1
+        assert sender.send(RECEIVER, "reassign_notice", None) > 0
+        sim.run()
+        # Its ack is a success like any other: the circuit closes.
+        assert sender.breaker_state(RECEIVER) == "closed"
 
     def test_breaker_off_by_default(self):
         config = ReliabilityConfig(enabled=True, ack_timeout=0.1, max_attempts=1)

@@ -147,9 +147,11 @@ class TestReliableChannel:
         assert first == 0.5
 
     def test_query_kind_is_not_reliable(self):
-        # Query requests get end-to-end failover instead of same-target
-        # retries; acks/pings/gossip are fire-and-forget by design.
+        # Queries and their answers get end-to-end failover instead of
+        # same-target retries; acks/pings/gossip are fire-and-forget by
+        # design.
         assert "query" not in RELIABLE_KINDS
+        assert "query_response" not in RELIABLE_KINDS
         assert "ack" not in RELIABLE_KINDS
         assert "gossip" not in RELIABLE_KINDS
         assert "publish_request" in RELIABLE_KINDS
@@ -300,6 +302,74 @@ class TestQueryFailover:
         assert failovers() == FAST.query_attempts - 1
         assert not requester.queries.in_flight()
 
+    def test_answer_costs_no_ack_and_no_channel_send(self):
+        overlay = _reliable_overlay()
+        overlay.give_document(1, 99, [5])
+        overlay.give_document(2, 99, [5])
+        sends = _delta("reliability.sends")
+        overlay.peers[0].start_query(
+            query_id=10, category_id=5, m_results=1, target_doc_id=99
+        )
+        overlay.run()
+        assert [r.query_id for _node, r in overlay.hooks.responses] == [10]
+        assert overlay.network.stats.by_kind.get("ack", 0) == 0
+        assert sends() == 0
+
+    def test_later_attempt_is_served_where_an_earlier_one_was_seen(self):
+        overlay = _reliable_overlay()
+        overlay.give_document(1, 99, [5])
+
+        def ask(attempt: int) -> None:
+            overlay.network.transmit(
+                0,
+                1,
+                "query",
+                m.QueryMessage(
+                    query_id=11,
+                    requester_id=0,
+                    category_id=5,
+                    remaining=1,
+                    hops=1,
+                    target_cluster=4,
+                    attempt=attempt,
+                ),
+            )
+            overlay.run()
+
+        def answers() -> int:
+            return len(overlay.hooks.responses)
+
+        ask(1)
+        assert answers() == 1
+        ask(1)  # the same attempt again is a loop
+        assert answers() == 1
+        ask(2)  # a failover attempt is served
+        assert answers() == 2
+        ask(1)  # an older attempt arriving late is a loop too
+        assert answers() == 2
+
+    def test_failover_revisits_the_only_known_member(self):
+        # The requester knows one member of cluster 4, which does not hold
+        # the category and forwards to its neighbour; the neighbour is down
+        # for the first attempt.  The failover goes to the same member,
+        # which must forward again rather than drop its own query id.
+        overlay = MicroOverlay()
+        config = PeerConfig(reliability=FAST)
+        for node_id in (0, 1, 2):
+            overlay.add_peer(node_id, config=config)
+        overlay.wire_cluster(4, [1, 2], edges=[(1, 2)], category_map={5: 4})
+        overlay.give_document(2, 99, [5])
+        requester = overlay.peers[0]
+        requester.nrt.add(4, 1)
+        overlay.network.crash(2)
+        overlay.sim.schedule(1.0, lambda: overlay.network.recover(2))
+        failovers = _delta("reliability.query_failovers")
+        requester.start_query(query_id=12, category_id=5, m_results=1)
+        overlay.run()
+        assert not overlay.hooks.failures
+        assert [r.query_id for _node, r in overlay.hooks.responses] == [12]
+        assert failovers() == 1
+
     def test_no_known_member_fails_immediately(self):
         overlay = _reliable_overlay()
         requester = overlay.peers[0]
@@ -369,7 +439,7 @@ class TestLossExperiment:
         assert reliable.success_rate >= 0.99
         # The unreliable baseline must be measurably worse.
         assert unreliable.success_rate <= reliable.success_rate - 0.05
-        assert reliable.retries > 0
+        assert reliable.query_failovers > 0
         assert unreliable.retries == 0
 
     def test_zero_loss_identical_with_reliability_on_or_off(self):

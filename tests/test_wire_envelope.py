@@ -126,9 +126,17 @@ def test_envelope_field_of_wrong_type_or_range_rejected(field, value):
         (m.Busy(query_id=3, responder_id=2, retry_after=0.5), "retry_after", True),
         # A tagged dict decodes to a DCRTEntry, which is not a tuple.
         (PAYLOADS[2], "doc_ids", {"$": "DCRTEntry", "v": [1, 2]}),
+        (PAYLOADS[1], "attempt", "x"),
+        # Items of a tuple are checked too, pairs position by position.
+        (PAYLOADS[2], "doc_ids", ["x"]),
+        (PAYLOADS[2], "doc_infos", [5]),
+        (PAYLOADS[2], "dcrt_updates", [[1, 2]]),
+        (PAYLOADS[2], "dcrt_updates", [[3, {"$": "DCRTEntry", "v": [1, 5]}, 4]]),
+        (PAYLOADS[3], "nrt_snapshot", [[0, [1, "a"]]]),
     ],
     ids=["str-for-int", "list-for-int", "int-for-bool", "bool-for-float",
-         "dict-for-tuple"],
+         "dict-for-tuple", "str-attempt", "str-item", "int-for-docinfo",
+         "int-for-dcrt-entry", "triple-for-pair", "str-in-nested-tuple"],
 )
 def test_payload_field_of_wrong_type_rejected(payload, field, value):
     envelope = encode_envelope(Message(1, 2, "x", payload))
@@ -170,11 +178,11 @@ def test_corrupt_body_rejected():
 GOLDEN_FRAMES = {
     "query": (
         PAYLOADS[1],
-        b'\x00\x00\x00\xf9{"schema":"repro.wire/v1","kind":"query","src":1,'
+        b'\x00\x00\x01\x05{"schema":"repro.wire/v1","kind":"query","src":1,'
         b'"dst":2,"size":512,"delivery_id":7,"attempt":2,"payload":{"type":'
         b'"QueryMessage","fields":{"query_id":7,"requester_id":1,'
         b'"category_id":3,"remaining":2,"hops":0,"target_cluster":-1,'
-        b'"target_doc_id":-1}}}',
+        b'"target_doc_id":-1,"attempt":0}}}',
     ),
     "query_response": (
         PAYLOADS[2],
@@ -193,6 +201,21 @@ def test_frame_bytes_are_golden(kind):
     message = Message(1, 2, kind, payload, 512, delivery_id=7, attempt=2)
     assert encode_frame(message) == expected
     assert decode_frame(expected) == message
+
+
+def test_query_frame_without_attempt_decodes_as_attempt_zero():
+    # The ``query`` frame as peers wrote it before queries carried their
+    # dispatch number: it still decodes, as attempt 0.
+    legacy = (
+        b'\x00\x00\x00\xf9{"schema":"repro.wire/v1","kind":"query","src":1,'
+        b'"dst":2,"size":512,"delivery_id":7,"attempt":2,"payload":{"type":'
+        b'"QueryMessage","fields":{"query_id":7,"requester_id":1,'
+        b'"category_id":3,"remaining":2,"hops":0,"target_cluster":-1,'
+        b'"target_doc_id":-1}}}'
+    )
+    decoded = decode_frame(legacy)
+    assert decoded.payload.attempt == 0
+    assert decoded == Message(1, 2, "query", PAYLOADS[1], 512, 7, 2)
 
 
 def test_schema_tag_on_the_wire():
