@@ -22,10 +22,7 @@ from repro.content.chunks import (  # noqa: F401
     corrupted_hash,
     n_chunks,
 )
-from repro.content.fetcher import (  # noqa: F401
-    CHUNK_REQUEST_ID_BASE,
-    PeerContent,
-)
+from repro.content.fetcher import PeerContent  # noqa: F401
 from repro.content.healer import ContentHealer  # noqa: F401
 from repro.content.manifest import (  # noqa: F401
     ContentManager,
@@ -37,7 +34,6 @@ from repro.content.manifest import (  # noqa: F401
 )
 
 __all__ = [
-    "CHUNK_REQUEST_ID_BASE",
     "DEFAULT_CHUNK_SIZE",
     "ContentConfig",
     "ContentHealer",

@@ -18,7 +18,6 @@ import hashlib
 from dataclasses import dataclass
 
 __all__ = [
-    "CHUNK_REQUEST_ID_BASE",
     "DEFAULT_CHUNK_SIZE",
     "ContentConfig",
     "chunk_bytes",
@@ -30,10 +29,6 @@ __all__ = [
 #: default fixed chunk size (bytes); the chaos worlds' 256 KiB documents
 #: split into four chunks at this size.
 DEFAULT_CHUNK_SIZE = 65_536
-
-#: chunk request ids live far above any workload query id, so a BUSY
-#: signal's ``query_id`` identifies which subsystem it belongs to.
-CHUNK_REQUEST_ID_BASE = 1_000_000_000_000
 
 _HASH_MASK = (1 << 63) - 1
 #: non-zero constant XORed into a hash to model corruption; any non-zero

@@ -9,22 +9,24 @@ plane is enabled.  It plays both sides of the chunk protocol:
   chunk corrupt).  With the service model enabled, chunk requests go
   through the same bounded intake queue as queries — a chunk costs
   service time proportional to its bytes, so bandwidth is a first-class
-  load dimension and overloaded holders shed chunk work with BUSY.
+  load dimension.  An overloaded holder sheds a chunk request by
+  answering ``found=False``; it never redirects one, since the fetcher
+  owns source selection.
 
 * **Client**: schedules one request per chunk across the live sources,
   rarest-first (chunks with the fewest live sources are requested
   first, ties broken by chunk index — fully deterministic, no RNG).
   Every received chunk is verified against the manifest hash; a
-  mismatch, a BUSY shed, a ``found=False`` miss (the holder evicted or
-  dropped the document mid-transfer), or a response deadline triggers
-  failover to the next source.  A hash mismatch additionally schedules
-  **read-repair**: once the correct chunk arrives from elsewhere, it is
-  pushed back to the stale replica and the manifest version bumps.
+  mismatch, a ``found=False`` answer (the holder shed the request, or
+  evicted or dropped the document mid-transfer), or a response deadline
+  triggers failover to the next source.  A hash mismatch additionally
+  schedules **read-repair**: once the correct chunk arrives from
+  elsewhere, it is pushed back to the stale replica and the manifest
+  version bumps.
 
 Determinism contract: source selection sorts candidates and indexes
 them by attempt count; deadlines are fixed sim-time offsets; request
-ids come from a private namespace (``CHUNK_REQUEST_ID_BASE``) disjoint
-from query ids, so BUSY signals route unambiguously.
+ids count up per peer, and every answer names the request it answers.
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ from itertools import count
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
-from repro.content.chunks import (
-    CHUNK_REQUEST_ID_BASE,
-    ContentConfig,
-    chunk_hash,
-    corrupted_hash,
-)
+from repro.content.chunks import ContentConfig, chunk_hash, corrupted_hash
 from repro.content.manifest import Manifest, build_manifest, manifest_from_update
 from repro.overlay import messages as m
 
@@ -47,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.content.manifest import ContentManager
     from repro.overlay.peer import DocInfo, Peer
 
-__all__ = ["CHUNK_REQUEST_ID_BASE", "PeerContent"]
+__all__ = ["PeerContent"]
 
 
 @dataclass(slots=True)
@@ -134,28 +131,49 @@ class PeerContent:
     def handle_chunk_request(self, request: m.ChunkRequest, src: int) -> None:
         # Chunk serving is member-side work like query serving: with the
         # service model on it pays admission control and byte-proportional
-        # service time before :meth:`serve_chunk` runs.
-        self.peer.admit(request)
+        # service time before :meth:`serve` runs.
+        self.peer.admit(request, self)
+
+    def serve(self, request: m.ChunkRequest) -> None:
+        """Service-queue callback: the request's turn has come.
+
+        Looked up at call time, so a wrapper installed on ``serve_chunk``
+        (the stack benchmark's tracer) sees every served chunk.
+        """
+        self.serve_chunk(request)
+
+    def shed(self, request: m.ChunkRequest) -> None:
+        """Service-queue callback: the holder is overloaded.  The
+        requester's fetcher fails over on the refusal."""
+        self._refuse(request)
+
+    def redirect(self, request: m.ChunkRequest) -> bool:
+        """Service-queue callback: never redirect — the fetcher owns
+        source selection, so an overflow chunk request is shed."""
+        return False
+
+    def _refuse(self, request: m.ChunkRequest) -> None:
+        self.peer._send(
+            request.requester_id,
+            "chunk_data",
+            m.ChunkData(
+                request_id=request.request_id,
+                fetch_id=request.fetch_id,
+                responder_id=self.peer.node_id,
+                doc_id=request.doc_id,
+                chunk_index=request.chunk_index,
+                chunk_hash=0,
+                size_bytes=0,
+                found=False,
+            ),
+        )
 
     def serve_chunk(self, request: m.ChunkRequest) -> None:
         """Answer one chunk request (runs at service completion when the
         service model queues it, inline otherwise)."""
         doc_id, index = request.doc_id, request.chunk_index
         if not self.holds_chunk(doc_id, index):
-            self.peer._send(
-                request.requester_id,
-                "chunk_data",
-                m.ChunkData(
-                    request_id=request.request_id,
-                    fetch_id=request.fetch_id,
-                    responder_id=self.peer.node_id,
-                    doc_id=doc_id,
-                    chunk_index=index,
-                    chunk_hash=0,
-                    size_bytes=0,
-                    found=False,
-                ),
-            )
+            self._refuse(request)
             return
         value = chunk_hash(doc_id, index)
         if index in self.corrupt.get(doc_id, ()):
@@ -290,7 +308,7 @@ class PeerContent:
     def _request_chunk(
         self, fetch: _Fetch, chunk: _ChunkState, source: int
     ) -> None:
-        request_id = CHUNK_REQUEST_ID_BASE + next(self._next_request)
+        request_id = next(self._next_request)
         self._requests[request_id] = (fetch.fetch_id, chunk.index)
         chunk.outstanding = request_id
         chunk.tried.add(source)
@@ -305,9 +323,6 @@ class PeerContent:
                 doc_id=fetch.info.doc_id,
                 chunk_index=chunk.index,
                 chunk_bytes=fetch.manifest.chunk_bytes(chunk.index),
-                category_id=(
-                    fetch.info.categories[0] if fetch.info.categories else -1
-                ),
             ),
         )
         self.peer.transport.schedule(
@@ -342,21 +357,10 @@ class PeerContent:
             return
         self._request_chunk(fetch, chunk, source)
 
-    def handle_busy(self, busy: m.Busy) -> None:
-        """An overloaded holder shed one of our chunk requests."""
-        entry = self._requests.pop(busy.query_id, None)
-        if entry is None:
-            return
-        fetch_id, index = entry
-        fetch = self._fetches.get(fetch_id)
-        if fetch is None:
-            return
-        self._failover(fetch, fetch.chunks[index])
-
     def handle_chunk_data(self, data: m.ChunkData, src: int) -> None:
         entry = self._requests.pop(data.request_id, None)
         if entry is None:
-            return  # late reply after deadline/busy already acted
+            return  # late reply after the deadline already acted
         fetch_id, index = entry
         fetch = self._fetches.get(fetch_id)
         if fetch is None:
@@ -366,8 +370,9 @@ class PeerContent:
         if chunk.done:
             return
         if not data.found:
-            # The holder no longer has the chunk (dropped or evicted
-            # mid-transfer): fail over, never fail the fetch outright.
+            # The holder shed the request, or no longer has the chunk
+            # (dropped or evicted mid-transfer): fail over, never fail the
+            # fetch outright.
             self._failover(fetch, chunk)
             return
         expected = fetch.manifest.chunk_hashes[index]

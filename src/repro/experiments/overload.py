@@ -11,18 +11,23 @@ aggregate service capacity and runs the same Zipf retrieval workload
 twice per point:
 
 * **unprotected** — the service model on (queries cost real service
-  time) but with unbounded queues and plain reliability: no admission
-  control, no retry budgets, no circuit breakers;
+  time) but with unbounded queues: no admission control;
 * **protected** — bounded intake queues with redirect-to-replica
-  admission (falling back to shed + ``BUSY``), retry budgets, circuit
-  breakers, and adaptive ack timeouts.
+  admission (falling back to shed + ``BUSY``).
+
+Both arms run with reliability on, so a lost, shed or late query fails
+over on the requester's deadline.  The reliable channel's own
+protections (retry budgets, circuit breakers, adaptive ack timeouts) are
+left off: queries and their answers are not channel sends, so in this
+query-only world they would act on no message.  CACHE-QOS, where replica
+transfers are channel sends, is the experiment that meters them.
 
 Reported *goodput* counts only timely successes (first response within
 the SLO) per second of offered window.  The protected arm should degrade
 gracefully — goodput at 2x saturation stays near its peak because excess
 queries are shed or redirected early and queue waits stay bounded by
 ``queue_capacity * service_time`` — while the unprotected arm collapses
-as backlog (and deadline-driven retry amplification) pushes responses
+as backlog (and deadline-driven failover amplification) pushes responses
 past the SLO.
 """
 
@@ -98,9 +103,6 @@ class OverloadRow:
     shed: int
     #: queries re-routed to a replica holder instead of queueing.
     redirected: int
-    #: reliable sends abandoned by budgets, breakers, or give-up.
-    dead_letters: int
-    retries: int
     query_failovers: int
     #: simulated seconds past the last issue until full quiescence.
     drain_s: float
@@ -145,12 +147,6 @@ def _build_world(seed: int, protected: bool):
         SystemConfig(seed=seed, **_WORLD), n_reps=3, hot_mass=0.5
     )
     if protected:
-        reliability = ReliabilityConfig(
-            enabled=True,
-            retry_budget_ratio=0.5,
-            breaker_threshold=3,
-            adaptive_timeout=True,
-        )
         service = ServiceConfig(
             enabled=True,
             base_service_time=BASE_SERVICE_TIME,
@@ -158,7 +154,6 @@ def _build_world(seed: int, protected: bool):
             policy="redirect",
         )
     else:
-        reliability = ReliabilityConfig(enabled=True)
         service = ServiceConfig(
             enabled=True,
             base_service_time=BASE_SERVICE_TIME,
@@ -168,7 +163,9 @@ def _build_world(seed: int, protected: bool):
         instance,
         assignment,
         plan=plan,
-        config=P2PSystemConfig(seed=seed, reliability=reliability, service=service),
+        config=P2PSystemConfig(
+            seed=seed, reliability=ReliabilityConfig(enabled=True), service=service
+        ),
     )
     return instance, system
 
@@ -194,16 +191,8 @@ def measure(
 
     shed = obs.counter("overload.shed")
     redirected = obs.counter("overload.redirected")
-    dead = obs.counter("reliability.dead_letters")
-    retries = obs.counter("reliability.retries")
     failovers = obs.counter("reliability.query_failovers")
-    before = (
-        shed.value,
-        redirected.value,
-        dead.value,
-        retries.value,
-        failovers.value,
-    )
+    before = (shed.value, redirected.value, failovers.value)
     issue_span = (n_queries - 1) / offered_rate
     started = system.sim.now
     outcomes = system.run_workload(workload, query_interval=1.0 / offered_rate)
@@ -227,9 +216,7 @@ def measure(
         p99_latency=response.p99_latency,
         shed=int(shed.value - before[0]),
         redirected=int(redirected.value - before[1]),
-        dead_letters=int(dead.value - before[2]),
-        retries=int(retries.value - before[3]),
-        query_failovers=int(failovers.value - before[4]),
+        query_failovers=int(failovers.value - before[2]),
         drain_s=drain_s,
     )
 
@@ -275,8 +262,6 @@ def format_result(result: OverloadResult) -> str:
             f"{row.p99_latency:.3f}",
             row.shed,
             row.redirected,
-            row.dead_letters,
-            row.retries,
             row.query_failovers,
             f"{row.drain_s:.2f}",
         )
@@ -293,8 +278,6 @@ def format_result(result: OverloadResult) -> str:
             "p99",
             "shed",
             "redirected",
-            "dead",
-            "retries",
             "failovers",
             "drain s",
         ),

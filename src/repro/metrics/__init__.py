@@ -11,16 +11,12 @@
 from repro.metrics.load import LoadReportCard, load_report
 from repro.metrics.response import ResponseStats, summarize_responses
 from repro.metrics.report import format_series, format_table
-from repro.metrics.traffic import TrafficReport, format_traffic, traffic_report
 
 __all__ = [
     "LoadReportCard",
     "ResponseStats",
-    "TrafficReport",
     "format_series",
     "format_table",
-    "format_traffic",
     "load_report",
     "summarize_responses",
-    "traffic_report",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Document", "Category", "category_popularities"]
+__all__ = ["Document", "Category"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,22 +112,3 @@ class Category:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-
-def category_popularities(
-    documents: dict[int, Document], n_categories: int
-) -> list[float]:
-    """Compute ``p(s)`` for every category id in ``[0, n_categories)``.
-
-    Splits multi-category document popularity evenly, per Section 4.1.
-    """
-    popularity = [0.0] * n_categories
-    for doc in documents.values():
-        share = doc.popularity_per_category
-        for category_id in doc.categories:
-            if not 0 <= category_id < n_categories:
-                raise ValueError(
-                    f"document {doc.doc_id} references unknown category "
-                    f"{category_id}"
-                )
-            popularity[category_id] += share
-    return popularity

@@ -68,26 +68,3 @@ class Node:
         """Record ``doc_id`` as contributed (and therefore stored) here."""
         self.contributed_doc_ids.append(doc_id)
         self.stored_doc_ids.add(doc_id)
-
-    def store_replica(self, doc_id: int) -> None:
-        """Store a replica of ``doc_id`` placed by the replication policy."""
-        self.stored_doc_ids.add(doc_id)
-
-    def drop_replica(self, doc_id: int) -> None:
-        """Drop a stored replica; contributions cannot be dropped this way."""
-        if doc_id in self.contributed_doc_ids:
-            raise ValueError(
-                f"document {doc_id} is an original contribution of node "
-                f"{self.node_id}; remove the contribution instead"
-            )
-        self.stored_doc_ids.discard(doc_id)
-
-    def stored_bytes(self, doc_sizes: dict[int, int]) -> int:
-        """Total bytes currently stored, given a doc-id -> size mapping."""
-        return sum(doc_sizes[doc_id] for doc_id in self.stored_doc_ids)
-
-    def has_room_for(self, size_bytes: int, doc_sizes: dict[int, int]) -> bool:
-        """Whether ``size_bytes`` more fit under the storage budget."""
-        if self.storage_bytes is None:
-            return True
-        return self.stored_bytes(doc_sizes) + size_bytes <= self.storage_bytes

@@ -9,7 +9,7 @@ before/after number.  :mod:`repro.obs` is the shared substrate for both:
   ``SimHistogram`` stamped with simulation time;
 * :mod:`repro.obs.trace` — a ``TraceLog`` of typed trace events behind a
   global enabled/disabled switch (near-zero overhead when off);
-* :mod:`repro.obs.export` — JSONL and plain-text snapshot exporters.
+* :mod:`repro.obs.export` — JSONL snapshot exporters.
 
 Process-wide instances
 ----------------------
@@ -31,7 +31,7 @@ without invalidating those references.  Isolated ``MetricsRegistry`` /
 ``TraceLog`` instances can be created freely for tests.
 """
 
-from repro.obs.export import dump_jsonl, format_text, snapshot, write_jsonl
+from repro.obs.export import dump_jsonl, snapshot, write_jsonl
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -61,7 +61,6 @@ __all__ = [
     "snapshot",
     "write_jsonl",
     "dump_jsonl",
-    "format_text",
 ]
 
 #: process-wide default registry the simulation core records into.

@@ -1,4 +1,4 @@
-"""Snapshot exporters: JSONL for tooling, plain text for eyeballs.
+"""Snapshot exporters: JSONL records for tooling.
 
 An experiment run dumps one snapshot next to its results
 (``repro-experiments E3 --metrics-out run.jsonl``).  The JSONL format is
@@ -18,7 +18,7 @@ from typing import TextIO
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceLog
 
-__all__ = ["snapshot", "write_jsonl", "dump_jsonl", "format_text"]
+__all__ = ["snapshot", "write_jsonl", "dump_jsonl"]
 
 SCHEMA_VERSION = 1
 
@@ -80,28 +80,3 @@ def dump_jsonl(
     with open(path, "w", encoding="utf-8") as stream:
         return write_jsonl(stream, registry, trace, deterministic=deterministic)
 
-
-def format_text(registry: MetricsRegistry, trace: TraceLog | None = None) -> str:
-    """A human-readable metrics table (name, kind, value/summary)."""
-    lines = ["metric                                    value"]
-    lines.append("-" * len(lines[0]))
-    for metric in registry:
-        record = metric.snapshot()
-        if record["type"] in ("counter", "gauge"):
-            value = record["value"]
-            rendered = (
-                f"{value:g}" if isinstance(value, float) else str(value)
-            )
-        else:
-            rendered = (
-                f"n={record['count']} mean={record['mean']:.6g} "
-                f"p50={record['p50']:.6g} p99={record['p99']:.6g} "
-                f"max={record['max']:.6g}"
-            )
-        lines.append(f"{record['name']:<40s}  {rendered}")
-    if trace is not None and len(trace):
-        lines.append("")
-        lines.append(f"trace: {len(trace)} events")
-        for kind, count in sorted(trace.counts_by_kind().items()):
-            lines.append(f"  {kind:<38s}  {count}")
-    return "\n".join(lines)

@@ -3,8 +3,9 @@
 The :class:`AdaptationProtocol` component of a
 :class:`~repro.overlay.peer.Peer`:
 
-* capability dissemination, leader election and leader liveness probing
-  (Section 6.1.1);
+* capability dissemination and leader election (Section 6.1.1; leader
+  liveness comes from the failure detector's suspects, which election
+  strikes);
 * the Phase-1 monitoring tree: hit-counter aggregation with first-seen
   parent selection, duplicate suppression, and timeouts for dead children
   (Section 6.1.2);
@@ -69,8 +70,6 @@ class AdaptationProtocol:
     def __init__(self, peer: "Peer") -> None:
         self.peer = peer
         self._monitoring: dict[tuple[int, int], _MonitoringRound] = {}
-        #: (cluster, round) probes awaiting a leader's liveness reply.
-        self._pending_probes: set[tuple[int, int]] = set()
         #: category -> transfer owed to us during a category move.
         self._pending_transfers: dict[int, _PendingTransfer] = {}
         #: category -> destination partners this node (as a source) must
@@ -84,11 +83,6 @@ class AdaptationProtocol:
         """The kinds this component owns: ``kind -> (payload class, handler)``."""
         return {
             "capability": (m.CapabilityAnnounce, self.handle_capability),
-            "leader_probe": (m.LeaderProbe, self.handle_leader_probe),
-            "leader_probe_reply": (
-                m.LeaderProbeReply,
-                self.handle_leader_probe_reply,
-            ),
             "hit_count_request": (
                 m.HitCountRequest,
                 self.handle_hit_count_request,
@@ -142,63 +136,6 @@ class AdaptationProtocol:
             winner = elect_leader(capabilities, alive=eligible)
             if winner is not None:
                 self.peer.believed_leader[cluster_id] = winner
-
-    # ------------------------------------------------------------------
-    # leader liveness probing (Section 6.1.1: "during the adaptation
-    # stage, nodes probe their cluster leaders to assure they are alive")
-    # ------------------------------------------------------------------
-    def probe_leader(
-        self, cluster_id: int, round_id: int, timeout: float = 2.0
-    ) -> None:
-        """Probe the believed leader; on timeout, fail over to the next
-        most capable known node (excluding the dead one) — Section 6.1.1's
-        "in the case of a leader failure, another node is selected"."""
-        leader_id = self.peer.believed_leader.get(cluster_id)
-        if leader_id is None or leader_id == self.peer.node_id:
-            return
-        probe_key = (cluster_id, round_id)
-        self._pending_probes.add(probe_key)
-        self.peer._send(
-            leader_id,
-            "leader_probe",
-            m.LeaderProbe(
-                round_id=round_id, cluster_id=cluster_id, prober_id=self.peer.node_id
-            ),
-        )
-
-        def on_timeout() -> None:
-            if probe_key not in self._pending_probes:
-                return  # the leader answered in time
-            self._pending_probes.discard(probe_key)
-            if self.peer.config.reliability.enabled:
-                # Share the evidence: an unresponsive leader is suspect
-                # for every protocol, not just this probe.
-                self.peer.detector.note_missed(leader_id)
-            capabilities = dict(self.peer.known_capabilities.get(cluster_id, {}))
-            capabilities.pop(leader_id, None)
-            replacement = elect_leader(capabilities)
-            if replacement is not None:
-                self.peer.believed_leader[cluster_id] = replacement
-
-        self.peer.transport.schedule(timeout, on_timeout)
-
-    def handle_leader_probe(self, probe: m.LeaderProbe, src: int) -> None:
-        # Answer if this node believes itself to be (a) leader of the
-        # cluster; divergent beliefs are tolerated (Section 6.1.1).
-        if self.peer.believed_leader.get(probe.cluster_id) == self.peer.node_id:
-            self.peer._send(
-                probe.prober_id,
-                "leader_probe_reply",
-                m.LeaderProbeReply(
-                    round_id=probe.round_id,
-                    cluster_id=probe.cluster_id,
-                    leader_id=self.peer.node_id,
-                ),
-            )
-
-    def handle_leader_probe_reply(self, reply: m.LeaderProbeReply, src: int) -> None:
-        self._pending_probes.discard((reply.cluster_id, reply.round_id))
-        self.peer.believed_leader[reply.cluster_id] = reply.leader_id
 
     # ------------------------------------------------------------------
     # monitoring: Phase 1 of adaptation (Section 6.1.2)
@@ -367,7 +304,9 @@ class AdaptationProtocol:
         )
 
     def handle_load_report(self, report: m.LoadReport, src: int) -> None:
-        self.peer.hooks.on_load_report(self.peer, report)
+        """Phase 2's multicast lands here and stops: the coordinator
+        evaluates the reports it built, so the frame is charged to the
+        network and read by nobody."""
 
     # ------------------------------------------------------------------
     # rebalancing: node side of the lazy protocol (Section 6.1.2)
@@ -524,4 +463,3 @@ class AdaptationProtocol:
                 self._pending_transfers.pop(data.category_id, None)
             for query in waiting:
                 self.peer.queries.replay(query, entry)
-        self.peer.hooks.on_transfer_complete(self.peer, data.category_id, data.doc_ids)

@@ -1,15 +1,14 @@
-"""Cluster graphs, spanning trees, and leader election (Section 6.1.1).
+"""Cluster graphs and leader election (Section 6.1.1).
 
 A cluster's nodes know some of their fellow members (their NRT entries)
-and are connected in a *cluster graph*.  The adaptation machinery builds a
-spanning tree of this graph on the fly — a node considers the sender of
-the first request it sees to be its parent — and the most capable node is
-elected leader.
+and are connected in a *cluster graph*, and the most capable node is
+elected leader.  The monitoring tree of Section 6.1.2 is not built here:
+it forms on the fly over this graph, each node taking the sender of the
+first request it sees as its parent
+(:mod:`repro.overlay.adaptation_protocol`).
 
 This module provides the pure (message-free) parts: random connected
-graph construction, BFS tree building over live nodes, and the election
-rule.  The message exchanges that feed them live in
-:mod:`repro.overlay.peer` and :mod:`repro.overlay.adaptation`.
+graph construction and the election rule.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 __all__ = [
     "ClusterGraph",
     "build_cluster_graph",
-    "spanning_tree",
     "elect_leader",
 ]
 
@@ -104,33 +102,6 @@ def build_cluster_graph(
                     graph.adjacency[node_id].add(other)
                     graph.adjacency[other].add(node_id)
     return graph
-
-
-def spanning_tree(
-    graph: ClusterGraph, root: int, alive: set[int] | None = None
-) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """BFS spanning tree of the live part of ``graph`` rooted at ``root``.
-
-    Returns ``(parent, children)`` maps covering the nodes reachable from
-    the root.  Mirrors the on-the-fly tree of Section 6.1.2 Phase 1: the
-    node a request is first heard from becomes the parent; duplicate
-    requests are dropped.
-    """
-    nodes = graph.members if alive is None else (graph.members & alive)
-    if root not in nodes:
-        raise ValueError(f"root {root} is not a live member")
-    parent: dict[int, int] = {root: root}
-    children: dict[int, list[int]] = {root: []}
-    frontier = deque([root])
-    while frontier:
-        current = frontier.popleft()
-        for neighbor in sorted(graph.neighbors(current)):
-            if neighbor in nodes and neighbor not in parent:
-                parent[neighbor] = current
-                children.setdefault(current, []).append(neighbor)
-                children.setdefault(neighbor, [])
-                frontier.append(neighbor)
-    return parent, children
 
 
 def elect_leader(

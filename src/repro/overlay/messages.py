@@ -36,8 +36,6 @@ __all__ = [
     "TransferData",
     "GossipDigest",
     "CapabilityAnnounce",
-    "LeaderProbe",
-    "LeaderProbeReply",
     "Ack",
     "Ping",
     "Pong",
@@ -317,24 +315,6 @@ class CapabilityAnnounce:
 
 
 @dataclass(frozen=True, slots=True)
-class LeaderProbe:
-    """Liveness probe sent to the believed leader during adaptation."""
-
-    round_id: int
-    cluster_id: int
-    prober_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class LeaderProbeReply:
-    """The leader confirming it is alive."""
-
-    round_id: int
-    cluster_id: int
-    leader_id: int
-
-
-@dataclass(frozen=True, slots=True)
 class Ack:
     """Receipt acknowledgement for a reliably-sent message.
 
@@ -384,10 +364,8 @@ class ChunkRequest:
     """Ask a holder for one chunk of a document (content data plane).
 
     Flows through the holder's bounded service queue when the service
-    model is enabled: ``query_id``/``requester_id``/``category_id``
-    satisfy the queue's admission and BUSY-shed paths, and
-    ``service_units`` scales service time with the chunk's bytes so
-    bandwidth is a first-class load dimension.
+    model is enabled; ``service_units`` scales service time with the
+    chunk's bytes so bandwidth is a first-class load dimension.
     """
 
     request_id: int
@@ -396,13 +374,6 @@ class ChunkRequest:
     doc_id: int
     chunk_index: int
     chunk_bytes: int
-    category_id: int = -1
-
-    @property
-    def query_id(self) -> int:
-        """Alias for the service queue's BUSY/shed accounting; chunk
-        request ids live in a namespace disjoint from query ids."""
-        return self.request_id
 
     @property
     def service_units(self) -> float:
@@ -414,8 +385,9 @@ class ChunkRequest:
 class ChunkData:
     """One chunk answered (or refused) by a holder.
 
-    ``found=False`` means the responder no longer holds the chunk (the
-    document was dropped or cache-evicted mid-transfer); the fetcher
+    ``found=False`` means the responder will not serve the chunk: it no
+    longer holds it (the document was dropped or cache-evicted
+    mid-transfer), or its service queue shed the request.  The fetcher
     fails over to another source instead of failing the fetch.
     """
 

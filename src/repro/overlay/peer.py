@@ -157,14 +157,6 @@ class PeerHooks:
     ) -> None:
         """A leader finished aggregating its cluster's hit counters."""
 
-    def on_load_report(self, peer: "Peer", report: m.LoadReport) -> None:
-        """A leader received another cluster's load report."""
-
-    def on_transfer_complete(
-        self, peer: "Peer", category_id: int, doc_ids: tuple[int, ...]
-    ) -> None:
-        """A document-group transfer landed at this peer."""
-
     def on_leave_notice(self, peer: "Peer", notice: m.LeaveNotice) -> None:
         """A cluster fellow announced departure."""
 
@@ -383,16 +375,19 @@ class Peer:
         # lives in the transport stack (ReliableTransport), not here.
         self.transport.send(self.node_id, dst, kind, payload, size_bytes=size)
 
-    def admit(self, work) -> None:
-        """Take on member-side work (a routed query or a chunk request).
+    def admit(self, work, owner) -> None:
+        """Take on member-side work for ``owner``, the component it came to.
 
-        With the service model on it pays intake-queue admission and
-        service time first; otherwise it is served inline.
+        A routed query belongs to ``self.queries``, a chunk request to
+        ``self.content_state``.  With the service model on the work pays
+        intake-queue admission and service time first, and the queue hands
+        it back through ``owner.serve`` / ``shed`` / ``redirect``;
+        otherwise ``owner.serve(work)`` runs inline.
         """
         if self.service is not None:
-            self.service.offer(work)
+            self.service.offer(work, owner)
         else:
-            self.queries.process(work)
+            owner.serve(work)
 
     def suspects(self) -> frozenset[int] | set[int]:
         """Nodes the failure detector currently believes dead."""

@@ -9,8 +9,9 @@ The :class:`QueryProtocol` component of a :class:`~repro.overlay.peer.Peer`:
   queries for moved categories per the lazy-rebalancing protocol, serve
   locally, locate a replica holder through cluster metadata, or fan out
   over the cluster graph);
-* the overload signals of the service model (``redirect`` /
-  ``reject_busy`` on the serving side, BUSY back-off at the requester);
+* the query side of the service model (``serve`` / ``shed`` /
+  ``redirect``, which the service queue calls back, and BUSY back-off at
+  the requester);
 * the requester-side document cache filled from query responses.
 
 All of its state is volatile: a power loss rebuilds the component.
@@ -23,10 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
-# Submodule import on purpose: ``repro.content`` re-exports from modules
-# that import this package, so going through its __init__ here would
-# close an import cycle.
-from repro.content.chunks import CHUNK_REQUEST_ID_BASE
 from repro.overlay import messages as m
 from repro.overlay.cache import DocumentCache
 from repro.overlay.messages import DocInfo
@@ -262,21 +259,15 @@ class QueryProtocol:
         # costs service time and intake-queue admission when the service
         # model is on; the routing above stays instant — forwarding is
         # cheap, serving is not.
-        self.peer.admit(query)
+        self.peer.admit(query, self)
 
-    def process(self, query: m.QueryMessage) -> None:
+    def serve(self, query: m.QueryMessage) -> None:
         """Member-side query work: serve, redirect over metadata, or fan out.
 
         With the service model enabled this runs at service *completion*
         (after queueing delay plus ``1/capacity_units`` service time);
         otherwise it runs inline, exactly as it historically did.
         """
-        if isinstance(query, m.ChunkRequest):
-            # Chunk serving admitted through the service queue completes
-            # here, after queueing delay and byte-proportional service.
-            self.peer.content_state.serve_chunk(query)
-            return
-
         entry = self.peer.dcrt.entry(query.category_id)
         park = self.peer.adaptation.park
 
@@ -482,12 +473,6 @@ class QueryProtocol:
         random fellow member (NRT).  Returns False when nobody else is
         known — the caller sheds instead.
         """
-        if isinstance(query, m.ChunkRequest):
-            # Chunk requests target one specific holder's bytes; there is
-            # no equivalent replica to redirect to from here (the fetcher
-            # owns source selection), so overflow falls through to a shed
-            # and the requester's BUSY handler fails over.
-            return False
         entry = self.peer.dcrt.entry(query.category_id)
         if query.target_doc_id >= 0 and self._forward_to_holder(
             query, entry.cluster_id
@@ -504,7 +489,7 @@ class QueryProtocol:
             return True
         return False
 
-    def reject_busy(self, query: m.QueryMessage) -> None:
+    def shed(self, query: m.QueryMessage) -> None:
         """Shed a query: tell the requester to back off and go elsewhere."""
         self.peer._send(
             query.requester_id,
@@ -518,13 +503,6 @@ class QueryProtocol:
 
     def handle_busy(self, busy: m.Busy, src: int) -> None:
         """An overloaded member shed our query: back off, then fail over."""
-        if busy.query_id >= CHUNK_REQUEST_ID_BASE:
-            # A shed chunk request (ids live in their own namespace):
-            # the fetcher fails over to another source immediately.
-            content = self.peer.content_state
-            if content is not None:
-                content.handle_busy(busy)
-            return
         state = self._attempts.get(busy.query_id)
         if state is None:
             # No failover state (reliability off): the shed is terminal.

@@ -7,16 +7,24 @@ adds the missing capacity model: each peer serves queries one at a time,
 taking ``base_service_time / capacity_units`` simulated seconds per
 query, with a bounded FIFO intake queue in front of the server.
 
+The queue serves whatever member-side work it is offered (routed
+queries, chunk requests) and hands each item back to the component that
+admitted it, its *owner*: ``owner.serve(work)`` at service completion,
+``owner.shed(work)`` when the work is dropped, ``owner.redirect(work)``
+when the policy asks for a redirect.  The owner decides what those
+mean for its protocol.
+
 When the queue is full an admission policy decides what to do with the
 overflow:
 
-* ``drop-tail`` — shed the incoming query with a ``BUSY`` signal
-  carrying :data:`BUSY_RETRY_AFTER`; the requester backs off and fails
-  over to another cluster member.
+* ``drop-tail`` — shed the incoming work.  A shed query gets a ``BUSY``
+  signal carrying :data:`BUSY_RETRY_AFTER`, after which the requester
+  backs off and fails over to another cluster member.  A shed chunk
+  request is refused, and the fetcher fails over to another source.
 * ``redirect`` — hand the overflow query directly to another replica
   holder (via the cluster metadata) or cluster member (via the NRT),
   the load-based redirection of Roussopoulos & Baker; shed as
-  ``drop-tail`` when no other target is known.
+  ``drop-tail`` when the owner knows no other target.
 
 Everything is off by default (``ServiceConfig(enabled=False)``): peers
 serve instantly with unbounded intake, exactly as before, and none of
@@ -33,7 +41,6 @@ from typing import TYPE_CHECKING
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.overlay import messages as m
     from repro.overlay.peer import Peer
 
 __all__ = ["ADMISSION_POLICIES", "ServiceConfig", "ServiceQueue"]
@@ -79,7 +86,7 @@ class ServiceConfig:
 
 
 class ServiceQueue:
-    """Single-server FIFO queue gating one peer's query processing.
+    """Single-server FIFO queue gating one peer's member-side work.
 
     Constructed only when ``ServiceConfig.enabled`` — the overload
     metrics below are registered here, lazily, so default-off runs
@@ -93,10 +100,11 @@ class ServiceQueue:
     def __init__(self, peer: "Peer", config: ServiceConfig) -> None:
         self.peer = peer
         self.config = config
-        self._queue: deque["m.QueryMessage"] = deque()
+        #: waiting ``(work, owner)`` pairs, oldest first.
+        self._queue: deque[tuple[object, object]] = deque()
         self._in_service = False
-        #: query currently occupying the server (None when idle).
-        self._current: "m.QueryMessage | None" = None
+        #: ``(work, owner)`` occupying the server (None when idle).
+        self._current: tuple[object, object] | None = None
         #: bumped on crash so already-scheduled completions become no-ops.
         self._epoch = 0
         # local accounting (per peer)
@@ -114,36 +122,30 @@ class ServiceQueue:
     # ------------------------------------------------------------------
     # intake
     # ------------------------------------------------------------------
-    def offer(self, query: "m.QueryMessage") -> None:
-        """Admit, queue, or shed one incoming query."""
+    def offer(self, work, owner) -> None:
+        """Admit, queue, or shed one item of ``owner``'s work."""
         self.offered += 1
         if not self._in_service:
-            self._begin(query)
+            self._begin(work, owner)
             return
         capacity = self.config.queue_capacity
         if capacity <= 0 or len(self._queue) < capacity:
-            self._enqueue(query)
+            self._queue.append((work, owner))
+            self._g_depth.value += 1
+            if len(self._queue) > self.max_depth:
+                self.max_depth = len(self._queue)
             return
-        self._admit_overflow(query)
-
-    def _enqueue(self, query: "m.QueryMessage") -> None:
-        self._queue.append(query)
-        self._g_depth.value += 1
-        if len(self._queue) > self.max_depth:
-            self.max_depth = len(self._queue)
-
-    def _admit_overflow(self, incoming: "m.QueryMessage") -> None:
-        if self.config.policy == "redirect" and self.peer.queries.redirect(incoming):
+        if self.config.policy == "redirect" and owner.redirect(work):
             self.redirected += 1
             self._c_redirected.value += 1
             return
-        self._shed(incoming)
+        self._shed(work, owner)
 
-    def _shed(self, query: "m.QueryMessage") -> None:
+    def _shed(self, work, owner) -> None:
         self.shed += 1
         self._c_shed.value += 1
         self._c_busy.value += 1
-        self.peer.queries.reject_busy(query)
+        owner.shed(work)
 
     # ------------------------------------------------------------------
     # the server
@@ -161,20 +163,20 @@ class ServiceQueue:
             self.peer.capacity_units, 1e-9
         )
 
-    def _begin(self, query: "m.QueryMessage") -> None:
+    def _begin(self, work, owner) -> None:
         self._in_service = True
-        self._current = query
+        self._current = (work, owner)
         epoch = self._epoch
         # Bandwidth as a load dimension: payloads carrying bytes (chunk
         # requests from the content data plane) declare ``service_units``
         # proportional to their size; plain queries cost exactly one unit
         # (multiplying by 1.0 is exact, so query-only runs are untouched).
-        units = getattr(query, "service_units", 1.0)
+        units = getattr(work, "service_units", 1.0)
         self.peer.transport.schedule(
-            self.service_time * units, lambda: self._complete(query, epoch)
+            self.service_time * units, lambda: self._complete(work, owner, epoch)
         )
 
-    def _complete(self, query: "m.QueryMessage", epoch: int) -> None:
+    def _complete(self, work, owner, epoch: int) -> None:
         if epoch != self._epoch:
             return  # the host crashed mid-service; on_crash accounted it
         if not self.peer.transport.is_alive(self.peer.node_id):
@@ -184,21 +186,22 @@ class ServiceQueue:
             return
         self._current = None
         self.processed += 1
-        self.peer.queries.process(query)
+        owner.serve(work)
         if self._queue:
             self._g_depth.value -= 1
-            self._begin(self._queue.popleft())
+            self._begin(*self._queue.popleft())
         else:
             self._in_service = False
 
     def on_crash(self) -> None:
         """The host died without goodbye: account all accepted work.
 
-        The in-flight query and every queued query are shed — their BUSY
-        signals originate from a crashed node, so the network drops them
-        and requesters learn of the loss through failover deadlines, just
-        like any other message to or from a dead peer.  What matters here
-        is conservation: no accepted query may silently vanish from the
+        The in-flight item and every queued item are shed — the signals
+        their owners send originate from a crashed node, so the network
+        drops them and requesters learn of the loss through their
+        deadlines, just like any other message to or from a dead peer.
+        What matters here is conservation: no accepted work may silently
+        vanish from the
         ``offered == processed + shed + redirected + depth + in_service``
         ledger, and the already-scheduled completion must not fire on the
         corpse (the epoch bump disarms it).
@@ -208,10 +211,10 @@ class ServiceQueue:
             self._in_service = False
             current, self._current = self._current, None
             if current is not None:
-                self._shed(current)
+                self._shed(*current)
         while self._queue:
             self._g_depth.value -= 1
-            self._shed(self._queue.popleft())
+            self._shed(*self._queue.popleft())
 
     # ------------------------------------------------------------------
     # introspection

@@ -22,8 +22,6 @@ class RecordingHooks(PeerHooks):
         self.failures = []
         self.joined = []
         self.monitoring = []
-        self.load_reports = []
-        self.transfers = []
         self.leaves = []
         self.holders: dict[int, set[int]] = {}
 
@@ -43,12 +41,6 @@ class RecordingHooks(PeerHooks):
             (peer.node_id, cluster_id, round_id, dict(counts), dict(weights),
              subtree_size)
         )
-
-    def on_load_report(self, peer, report):
-        self.load_reports.append((peer.node_id, report))
-
-    def on_transfer_complete(self, peer, category_id, doc_ids):
-        self.transfers.append((peer.node_id, category_id, doc_ids))
 
     def on_leave_notice(self, peer, notice):
         self.leaves.append((peer.node_id, notice))

@@ -1,14 +1,8 @@
-"""Tests for repro.overlay.cluster — graphs, trees, leader election."""
+"""Tests for repro.overlay.cluster — graphs and leader election."""
 
 import numpy as np
-import pytest
 
-from repro.overlay.cluster import (
-    ClusterGraph,
-    build_cluster_graph,
-    elect_leader,
-    spanning_tree,
-)
+from repro.overlay.cluster import ClusterGraph, build_cluster_graph, elect_leader
 
 
 class TestClusterGraph:
@@ -60,40 +54,6 @@ class TestClusterGraph:
         graph.adjacency = {1: {2}, 2: {1, 3}, 3: {2}, 4: set()}
         assert not graph.is_connected()
         assert graph.is_connected(alive={1, 2, 3})
-
-
-class TestSpanningTree:
-    def test_covers_reachable_nodes(self):
-        graph = build_cluster_graph(0, range(40), np.random.default_rng(7))
-        parent, children = spanning_tree(graph, root=0)
-        assert set(parent) == graph.members
-        assert parent[0] == 0
-
-    def test_parent_child_consistency(self):
-        graph = build_cluster_graph(0, range(40), np.random.default_rng(8))
-        parent, children = spanning_tree(graph, root=0)
-        for node, node_parent in parent.items():
-            if node == 0:
-                continue
-            assert node in children[node_parent]
-            assert node_parent in graph.neighbors(node)
-
-    def test_tree_is_acyclic(self):
-        graph = build_cluster_graph(0, range(40), np.random.default_rng(9))
-        parent, children = spanning_tree(graph, root=0)
-        edges = sum(len(c) for c in children.values())
-        assert edges == len(parent) - 1
-
-    def test_respects_alive_subset(self):
-        graph = ClusterGraph(cluster_id=0)
-        graph.adjacency = {1: {2}, 2: {1, 3}, 3: {2}}
-        parent, _ = spanning_tree(graph, root=1, alive={1, 2})
-        assert set(parent) == {1, 2}
-
-    def test_dead_root_rejected(self):
-        graph = build_cluster_graph(0, range(5), np.random.default_rng(10))
-        with pytest.raises(ValueError):
-            spanning_tree(graph, root=0, alive={1, 2})
 
 
 class TestElection:

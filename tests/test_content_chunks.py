@@ -3,7 +3,6 @@
 import pytest
 
 from repro.content.chunks import (
-    CHUNK_REQUEST_ID_BASE,
     DEFAULT_CHUNK_SIZE,
     ContentConfig,
     chunk_bytes,
@@ -105,10 +104,6 @@ class TestContentConfig:
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ContentConfig(**kwargs)
-
-    def test_request_id_namespace_is_disjoint_from_queries(self):
-        # BUSY routing tells chunk requests from queries by id range.
-        assert CHUNK_REQUEST_ID_BASE >= 10**12
 
 
 class TestDocumentIntegration:

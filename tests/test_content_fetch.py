@@ -14,7 +14,9 @@ from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
 from repro.model.system import SystemConfig, build_system
+from repro.overlay import messages as m
 from repro.overlay.peer import DocInfo, PeerConfig
+from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
 from tests.helpers import MicroOverlay
@@ -160,6 +162,51 @@ class TestFailover:
         assert record.verified
         assert record.failovers >= 1
         assert requester.node_id in manager.live_holders(doc_id)
+
+    def test_overloaded_holder_refuses_and_the_fetch_fails_over(self):
+        # Holder 1's server is busy and its one-slot intake queue is full
+        # when the fetch's chunk request arrives: it sheds the request by
+        # answering chunk_data(found=False), never a query's BUSY, and the
+        # fetcher gets the chunk from holder 2 instead.
+        overlay = MicroOverlay()
+        config = PeerConfig(
+            service=ServiceConfig(enabled=True, queue_capacity=1),
+            content=ContentConfig(enabled=True),
+        )
+        for node_id in (0, 1, 2):
+            overlay.add_peer(node_id, config=config)
+        info = DocInfo(doc_id=5, categories=(0,), size_bytes=1000)
+        for holder in (1, 2):
+            overlay.peers[holder].store_document(info)
+        for request_id in (1, 2):
+            overlay.network.send(
+                2, 1, "chunk_request",
+                m.ChunkRequest(
+                    request_id=request_id, fetch_id=99, requester_id=2,
+                    doc_id=5, chunk_index=0, chunk_bytes=1000,
+                ),
+            )
+        requester = overlay.peers[0]
+        content = requester.content_state
+        answers = []
+
+        def spy(data, src):
+            answers.append((src, data.found))
+            content.handle_chunk_data(data, src)
+
+        requester.register("chunk_data", m.ChunkData, spy, replace=True)
+        done = []
+        content.start_fetch(
+            1, info, build_manifest(5, 1000, 65_536),
+            sources_fn=lambda: {0: (1, 2)},
+            on_done=lambda *outcome: done.append(outcome),
+        )
+        overlay.run()
+        assert overlay.peers[1].service_snapshot()["shed"] == 1
+        assert answers == [(1, False), (2, True)]
+        assert overlay.network.stats.by_kind.get("busy", 0) == 0
+        assert done == [(1, True, "")]
+        assert 5 in requester.docs
 
 
 class TestSourceLookups:

@@ -194,7 +194,7 @@ def test_architecture_tables_match_the_registries():
     text = (REPO / "docs/architecture.md").read_text()
     assert registry_disagreements(text, registered) == []
     assert len(registered["invariant"]) == len(INVARIANTS) == 22
-    assert len({kind for _, kind in registered["kind"]}) == 26
+    assert len({kind for _, kind in registered["kind"]}) == 24
 
 
 def test_table_checker_flags_drift_in_both_directions():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.documents import Category, Document, category_popularities
+from repro.model.documents import Category, Document
 
 
 class TestDocument:
@@ -75,25 +75,3 @@ class TestCategory:
             category.remove_document(
                 Document(doc_id=9, popularity=0.1, categories=(0,))
             )
-
-
-class TestCategoryPopularities:
-    def test_totals_preserved(self):
-        docs = {
-            1: Document(doc_id=1, popularity=0.5, categories=(0,)),
-            2: Document(doc_id=2, popularity=0.3, categories=(1, 2)),
-            3: Document(doc_id=3, popularity=0.2, categories=(2,)),
-        }
-        pops = category_popularities(docs, 3)
-        assert sum(pops) == pytest.approx(1.0)
-        assert pops[0] == pytest.approx(0.5)
-        assert pops[1] == pytest.approx(0.15)
-        assert pops[2] == pytest.approx(0.35)
-
-    def test_unknown_category_rejected(self):
-        docs = {1: Document(doc_id=1, popularity=0.5, categories=(7,))}
-        with pytest.raises(ValueError):
-            category_popularities(docs, 3)
-
-    def test_empty(self):
-        assert category_popularities({}, 4) == [0.0] * 4

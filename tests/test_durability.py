@@ -395,14 +395,12 @@ class TestPowerLossRecovery:
         peer = overlay.peers[0]
         # Dirty every protocol component: failover and loop-detection
         # state, a cached copy, a frozen gossip digest, a monitoring
-        # round, a leader probe, and an owed transfer with a parked query.
+        # round, and an owed transfer with a parked query.
         peer.start_query(1, 7, 1, target_doc_id=100)
         peer.queries.cache_store(DocInfo(200, (7,), 10))
         peer.membership._publish_retries[(7, 4)] = 1
         peer.arm_misbehavior(MisbehaviorConfig(stale_gossip=True))
         peer.adaptation.start_monitoring(4, round_id=1)
-        peer.believed_leader[4] = 2
-        peer.adaptation.probe_leader(4, round_id=1)
         peer.adaptation.handle_reassign_notice(
             m.ReassignNotice(
                 category_id=8, source_cluster=0, target_cluster=4,

@@ -24,8 +24,6 @@ ALL_MESSAGE_TYPES = [
     m.TransferData,
     m.GossipDigest,
     m.CapabilityAnnounce,
-    m.LeaderProbe,
-    m.LeaderProbeReply,
 ]
 
 

@@ -16,23 +16,6 @@ class TestNode:
     def test_free_rider(self):
         assert Node(node_id=1).is_free_rider
 
-    def test_store_and_drop_replica(self):
-        node = Node(node_id=1)
-        node.store_replica(5)
-        assert 5 in node.stored_doc_ids
-        node.drop_replica(5)
-        assert 5 not in node.stored_doc_ids
-
-    def test_cannot_drop_contribution_as_replica(self):
-        node = Node(node_id=1)
-        node.contribute(5)
-        with pytest.raises(ValueError):
-            node.drop_replica(5)
-
-    def test_drop_missing_replica_is_noop(self):
-        node = Node(node_id=1)
-        node.drop_replica(99)  # must not raise
-
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             Node(node_id=1, capacity_units=0)
@@ -40,20 +23,3 @@ class TestNode:
     def test_rejects_negative_storage(self):
         with pytest.raises(ValueError):
             Node(node_id=1, storage_bytes=-1)
-
-    def test_stored_bytes(self):
-        node = Node(node_id=1)
-        node.store_replica(1)
-        node.store_replica(2)
-        assert node.stored_bytes({1: 100, 2: 50}) == 150
-
-    def test_has_room_unlimited(self):
-        node = Node(node_id=1, storage_bytes=None)
-        assert node.has_room_for(10**12, {})
-
-    def test_has_room_respects_budget(self):
-        node = Node(node_id=1, storage_bytes=100)
-        node.store_replica(1)
-        sizes = {1: 80}
-        assert node.has_room_for(20, sizes)
-        assert not node.has_room_for(21, sizes)

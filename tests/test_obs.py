@@ -251,13 +251,6 @@ class TestExporters:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["schema"] == 1
 
-    def test_format_text(self):
-        reg, trace = self._populated()
-        text = obs.format_text(reg, trace)
-        assert "sim.events_processed" in text
-        assert "net.latency" in text
-        assert "adapt_phase" in text
-
     def test_snapshot_without_trace(self):
         reg, _ = self._populated()
         records = obs.snapshot(reg)

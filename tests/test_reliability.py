@@ -390,10 +390,11 @@ class TestSuspectAwareness:
             peer.adaptation.elect_leaders()
         prober = overlay.peers[0]
         assert prober.believed_leader[4] == 2
-        # Every probe to the leader is lost; each timeout is a miss.
-        overlay.network.set_kind_drop_probability("leader_probe", 0.999)
-        for round_id in (1, 2, 3):
-            prober.adaptation.probe_leader(4, round_id=round_id)
+        # Every ping to the leader is lost; each probe timeout is a miss.
+        overlay.network.set_kind_drop_probability("ping", 0.999)
+        for _ in range(FAST.suspicion_threshold):
+            assert not prober.detector.is_suspect(2)
+            prober.detector.probe(2)
             overlay.run()
         assert prober.detector.is_suspect(2)
         # Re-election strikes the suspect: node 1 (next capacity) wins.
