@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.frozen import frozen_dataclass
+
 __all__ = ["QueryOutcome", "ResponseStats", "summarize_responses"]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class QueryOutcome:
     """What happened to one query."""
 

@@ -10,9 +10,10 @@ document size.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
+from repro.frozen import frozen_dataclass
 from repro.overlay.metadata import DCRTEntry
 
 __all__ = [
@@ -50,7 +51,7 @@ __all__ = [
 CONTROL_SIZE = 256
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class DocInfo:
     """What a peer knows about a document it stores or transfers."""
 
@@ -59,7 +60,7 @@ class DocInfo:
     size_bytes: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class QueryMessage:
     """A query being processed (Section 3.3).
 
@@ -104,7 +105,7 @@ class QueryMessage:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class QueryResponse:
     """Documents matching a query, returned to the requester.
 
@@ -123,7 +124,7 @@ class QueryResponse:
     doc_infos: tuple[DocInfo, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Busy:
     """Overload signal: the responder shed the query instead of serving it.
 
@@ -138,7 +139,7 @@ class Busy:
     retry_after: float
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class PublishRequest:
     """Announce a contribution to a category (Section 6.2, step 4)."""
 
@@ -150,7 +151,7 @@ class PublishRequest:
     believed_entry: DCRTEntry = DCRTEntry(0, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class PublishReply:
     """Response to a publish: the receiver's routing knowledge.
 
@@ -166,14 +167,14 @@ class PublishReply:
     cluster_members: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class JoinRequest:
     """A new node contacting a bootstrap node (Section 6.3, step 2)."""
 
     joiner_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class JoinReply:
     """Bootstrap metadata handed to a joiner: DCRT and NRT snapshots."""
 
@@ -182,7 +183,7 @@ class JoinReply:
     nrt_snapshot: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class LeaveNotice:
     """A departing node warning its cluster (Section 6.3).
 
@@ -195,7 +196,7 @@ class LeaveNotice:
     doc_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class HitCountRequest:
     """Phase 1 of adaptation: the leader asks for per-category hit counters.
 
@@ -212,7 +213,7 @@ class HitCountRequest:
     timeout_budget: float = 5.0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class HitCountReply:
     """Aggregated per-category hits flowing back up the monitoring tree.
 
@@ -228,7 +229,7 @@ class HitCountReply:
     subtree_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class LoadReport:
     """Phase 2: a cluster leader sharing its cluster's load figures.
 
@@ -247,7 +248,7 @@ class LoadReport:
     n_members: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ReassignNotice:
     """Phase 4 outcome: a category moved from one cluster to another.
 
@@ -275,7 +276,7 @@ class ReassignNotice:
     epoch: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class TransferRequest:
     """A destination node pulling a document group from its paired source."""
 
@@ -284,7 +285,7 @@ class TransferRequest:
     doc_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class TransferData:
     """Documents shipped to a destination node (sized as their content)."""
 
@@ -293,7 +294,7 @@ class TransferData:
     total_bytes: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class GossipDigest:
     """Anti-entropy exchange of DCRT entries (epidemic dissemination)."""
 
@@ -301,7 +302,7 @@ class GossipDigest:
     entries: tuple[tuple[int, DCRTEntry], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class CapabilityAnnounce:
     """Pre-election information exchange (Section 6.1.1).
 
@@ -314,7 +315,7 @@ class CapabilityAnnounce:
     capabilities: tuple[tuple[int, float], ...]  # (node_id, capacity_units)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Ack:
     """Receipt acknowledgement for a reliably-sent message.
 
@@ -326,7 +327,7 @@ class Ack:
     receiver_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Ping:
     """Heartbeat probe from the failure detector (Section 6.1's liveness
     assumption made explicit): "are you there?"."""
@@ -335,7 +336,7 @@ class Ping:
     prober_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Pong:
     """Heartbeat reply: the probed node confirming liveness."""
 
@@ -343,7 +344,7 @@ class Pong:
     responder_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ManifestUpdate:
     """A document manifest on the wire (graceful-shutdown handoff).
 
@@ -359,7 +360,7 @@ class ManifestUpdate:
     holders: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ChunkRequest:
     """Ask a holder for one chunk of a document (content data plane).
 
@@ -381,7 +382,7 @@ class ChunkRequest:
         return max(1.0, self.chunk_bytes / 65_536)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ChunkData:
     """One chunk answered (or refused) by a holder.
 
@@ -401,7 +402,7 @@ class ChunkData:
     found: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ChunkRepair:
     """Read-repair push: the verified chunk sent back to a stale replica,
     with the bumped manifest version."""
@@ -418,94 +419,241 @@ class ChunkRepair:
 # ----------------------------------------------------------------------
 #
 # The simulated network passes payload objects by reference, but anything
-# that wants to cross a process boundary (persisted traces, replaying a
-# recorded fault schedule, an eventual real transport) needs a lossless
-# JSON-safe encoding.  ``to_wire`` / ``from_wire`` round-trip every payload
-# type above exactly: tuples come back as tuples, nested ``DCRTEntry`` /
-# ``DocInfo`` values come back as their own types.  Decoding checks each
-# field against its annotation, items of a tuple included, so a hostile
-# frame cannot hand a handler a string where it counts hops, or an int
-# where it merges a DCRT entry.
+# that wants to cross a process boundary (the live transport, persisted
+# traces) needs a lossless JSON-safe encoding.  ``to_wire`` / ``from_wire``
+# round-trip every payload type above exactly: tuples come back as tuples,
+# nested ``DCRTEntry`` / ``DocInfo`` values (on the wire, ``{"$": name,
+# "v": [their fields]}``) come back as their own types.  Decoding checks
+# every value against its annotation, the items of a tuple and the fields
+# of a nested value included, and coerces nothing, so a hostile frame
+# cannot hand a handler a string where it counts hops, or an int where it
+# merges a DCRT entry.
+#
+# Each wire type's encoder and decoder are generated from its field
+# annotations when this module loads, so a frame costs one Python call to
+# encode and one to decode, plus one constructor per object built, rather
+# than a call per value.
 
 #: payload type name -> class, for decoding.
 WIRE_TYPES: dict[str, type] = {}
-#: payload type name -> field name -> test the decoded value must pass.
-_FIELD_CHECKS: dict[str, dict[str, Callable[[object], bool]]] = {}
+#: payload class -> its generated encoder (payload -> record).
+_ENCODERS: dict[type, Callable[[object], dict]] = {}
+#: payload type name -> its generated decoder (``fields`` object -> payload).
+_DECODERS: dict[str, Callable[[dict], object]] = {}
 
-#: scalar annotation -> test; ``type(v) is int`` refuses bools, as the
-#: envelope check does.
-_TYPE_CHECKS: dict[str, Callable[[object], bool]] = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) is float or type(v) is int,
-    "bool": lambda v: type(v) is bool,
-    "str": lambda v: type(v) is str,
-    "DCRTEntry": lambda v: type(v) is DCRTEntry,
-    "DocInfo": lambda v: type(v) is DocInfo,
+#: scalar annotation -> the exact types its wire value may have:
+#: ``type(v) is int`` refuses bools, as the envelope check does, and a
+#: float field takes an int.
+_SCALAR_TYPES = {"int": (int,), "float": (float, int), "bool": (bool,), "str": (str,)}
+#: nested annotation -> class; such values travel tagged.
+_TAGGED = {"DCRTEntry": DCRTEntry, "DocInfo": DocInfo}
+#: names the generated code reads besides builtins.
+_CODEC_GLOBALS = {
+    **{f"_item_types_{name}": frozenset(t) for name, t in _SCALAR_TYPES.items()},
+    **{f"_{name}": cls for name, cls in _TAGGED.items()},
 }
 
 
-def _compile_check(annotation: str) -> Callable[[object], bool]:
-    """The test a decoded value of ``annotation`` must pass.
+class _Source:
+    """The body of one generated function, with fresh local names."""
 
-    ``tuple[X, ...]`` checks every item against ``X``.  The only
-    fixed-length tuples the payloads use are pairs with a scalar first,
-    ``tuple[int, Y]``: the length and each position are checked.
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.names = 0
+
+    def local(self) -> str:
+        self.names += 1
+        return f"_{self.names}"
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+
+def _tuple_args(annotation: str) -> tuple[str, str]:
+    """``tuple[X, ...]`` -> ``(X, "...")``; a pair ``tuple[A, B]`` -> ``(A, B)``.
+
+    The only fixed-length tuples the payloads use are pairs with a scalar
+    first, so a pair splits at its first comma.
     """
-    if not annotation.startswith("tuple["):
-        return _TYPE_CHECKS[annotation]
     inner = annotation[len("tuple["):-1]
     if inner.endswith(", ..."):
-        item = _compile_check(inner[: -len(", ...")])
-        return lambda v: type(v) is tuple and all(map(item, v))
-    first, second = map(_compile_check, inner.split(", ", 1))
-    return lambda v: (
-        type(v) is tuple and len(v) == 2 and first(v[0]) and second(v[1])
+        return inner[: -len(", ...")], "..."
+    first, second = inner.split(", ", 1)
+    return first, second
+
+
+def _encode_expr(annotation: str, value: str, out: _Source, depth: int) -> str:
+    """The expression that encodes ``value``, an ``annotation``, for JSON.
+
+    A tuple of non-scalars is built by a loop emitted into ``out`` first.
+    """
+    if annotation in _SCALAR_TYPES:
+        return value
+    if annotation in _TAGGED:
+        items = ", ".join(
+            _encode_expr(field.type, f"{value}.{field.name}", out, depth)
+            for field in dataclasses.fields(_TAGGED[annotation])
+        )
+        return f'{{"$": "{annotation}", "v": [{items}]}}'
+    first, second = _tuple_args(annotation)
+    if second != "...":
+        return (
+            f"[{_encode_expr(first, f'{value}[0]', out, depth)}, "
+            f"{_encode_expr(second, f'{value}[1]', out, depth)}]"
+        )
+    if first in _SCALAR_TYPES:
+        return f"[*{value}]"
+    encoded, item = out.local(), out.local()
+    out.emit(depth, f"{encoded} = []")
+    out.emit(depth, f"for {item} in {value}:")
+    out.emit(
+        depth + 1,
+        f"{encoded}.append({_encode_expr(first, item, out, depth + 1)})",
+    )
+    return encoded
+
+
+def _decode_expr(
+    annotation: str, value: str, out: _Source, depth: int, fail: str
+) -> str:
+    """Emit into ``out`` the checks wire ``value`` must pass to be an
+    ``annotation`` (each runs ``fail`` if it does not); return the
+    expression that builds the decoded value."""
+    types = _SCALAR_TYPES.get(annotation)
+    if types is not None:
+        test = " or ".join(f"type({value}) is {t.__name__}" for t in types)
+        out.emit(depth, f"if not ({test}): {fail}")
+        return value
+    cls = _TAGGED.get(annotation)
+    if cls is not None:
+        fields = dataclasses.fields(cls)
+        items = out.local()
+        out.emit(
+            depth,
+            f'if type({value}) is not dict or {value}.get("$") != "{annotation}": '
+            f"{fail}",
+        )
+        out.emit(depth, f'{items} = {value}.get("v")')
+        out.emit(
+            depth,
+            f"if type({items}) is not list or len({items}) != {len(fields)}: {fail}",
+        )
+        args = ", ".join(
+            _decode_expr(field.type, f"{items}[{i}]", out, depth, fail)
+            for i, field in enumerate(fields)
+        )
+        return f"_{annotation}({args})"
+    first, second = _tuple_args(annotation)
+    if second != "...":
+        out.emit(depth, f"if type({value}) is not list or len({value}) != 2: {fail}")
+        return (
+            f"({_decode_expr(first, f'{value}[0]', out, depth, fail)}, "
+            f"{_decode_expr(second, f'{value}[1]', out, depth, fail)})"
+        )
+    if first in _SCALAR_TYPES:
+        out.emit(
+            depth,
+            f"if type({value}) is not list "
+            f"or not {{*map(type, {value})}} <= _item_types_{first}: {fail}",
+        )
+        return f"tuple({value})"
+    decoded, item = out.local(), out.local()
+    out.emit(depth, f"if type({value}) is not list: {fail}")
+    out.emit(depth, f"{decoded} = []")
+    out.emit(depth, f"for {item} in {value}:")
+    out.emit(
+        depth + 1,
+        f"{decoded}.append({_decode_expr(first, item, out, depth + 1, fail)})",
+    )
+    return f"tuple({decoded})"
+
+
+def _record_expr(fields, out: _Source) -> str:
+    """The ``{name: encoded value}`` display of payload ``p``'s ``fields``."""
+    return "{%s}" % ", ".join(
+        f'"{field.name}": {_encode_expr(field.type, f"p.{field.name}", out, 1)}'
+        for field in fields
+    )
+
+
+def _define(param: str, body: _Source, env: dict, filename: str):
+    """Compile ``def _fn(param): body`` in ``env`` and return it."""
+    source = f"def _fn({param}):\n" + "\n".join(body.lines) + "\n"
+    namespace = {**_CODEC_GLOBALS, **env}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_fn"]
+
+
+def _field_error(cls: type, name: str, value) -> TypeError:
+    annotation = cls.__dataclass_fields__[name].type
+    return TypeError(
+        f"{cls.__name__}.{name} must be {annotation}, got {type(value).__name__}"
+    )
+
+
+def _completer(cls: type, wire_defaults: dict) -> Callable[[dict], dict]:
+    """Check a ``fields`` object that does not name every field of
+    ``cls``: refuse unknown and missing required fields, fill defaults."""
+    names = set(cls.__dataclass_fields__)
+    required = names.difference(wire_defaults)
+
+    def complete(fields: dict) -> dict:
+        unknown = [name for name in fields if name not in names]
+        missing = sorted(required.difference(fields))
+        if unknown or missing:
+            raise TypeError(
+                f"{cls.__name__} fields: unknown {unknown}, missing {missing}"
+            )
+        return {**wire_defaults, **fields}
+
+    return complete
+
+
+def _compile_codec(cls: type):
+    """Generate ``cls``'s encoder and decoder from its field annotations."""
+    name = cls.__name__
+    fields = dataclasses.fields(cls)
+    encoder = _Source()
+    encoder.emit(
+        1, f'return {{"type": "{name}", "fields": {_record_expr(fields, encoder)}}}'
+    )
+    # A record without a defaulted field (one written before the field
+    # existed) decodes as if the field carried what the encoder writes
+    # for its default.
+    defaulted = [f for f in fields if f.default is not dataclasses.MISSING]
+    defaults = _Source()
+    defaults.emit(1, f"return {_record_expr(defaulted, defaults)}")
+    wire_defaults = _define("p", defaults, {}, f"<wire {name} defaults>")(
+        SimpleNamespace(**{f.name: f.default for f in defaulted})
+    )
+    decoder = _Source()
+    decoder.emit(1, "if f.keys() != _names:")
+    decoder.emit(2, "f = _complete(f)")
+    args = []
+    for field in fields:
+        raw = decoder.local()
+        decoder.emit(1, f'{raw} = f["{field.name}"]')
+        fail = f'raise _field_error(_cls, "{field.name}", {raw})'
+        args.append(_decode_expr(field.type, raw, decoder, 1, fail))
+    decoder.emit(1, f"return _cls({', '.join(args)})")
+    env = {
+        "_cls": cls,
+        "_names": frozenset(f.name for f in fields),
+        "_complete": _completer(cls, wire_defaults),
+        "_field_error": _field_error,
+    }
+    return (
+        _define("p", encoder, env, f"<wire {name} encoder>"),
+        _define("f", decoder, env, f"<wire {name} decoder>"),
     )
 
 
 def _register_wire_types() -> None:
     for name in __all__:
-        obj = globals().get(name)
-        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
-            WIRE_TYPES[obj.__name__] = obj
-            _FIELD_CHECKS[obj.__name__] = {
-                field.name: _compile_check(field.type)
-                for field in dataclasses.fields(obj)
-            }
-
-
-def _encode(value):
-    if isinstance(value, DCRTEntry):
-        return {"$": "DCRTEntry", "v": [value.cluster_id, value.move_counter]}
-    if isinstance(value, DocInfo):
-        return {
-            "$": "DocInfo",
-            "v": [value.doc_id, [int(c) for c in value.categories], value.size_bytes],
-        }
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot encode {type(value).__name__} for the wire")
-
-
-def _decode(value):
-    if isinstance(value, dict):
-        tag = value.get("$")
-        if tag == "DCRTEntry":
-            cluster_id, move_counter = value["v"]
-            return DCRTEntry(int(cluster_id), int(move_counter))
-        if tag == "DocInfo":
-            doc_id, categories, size_bytes = value["v"]
-            return DocInfo(
-                doc_id=int(doc_id),
-                categories=tuple(int(c) for c in categories),
-                size_bytes=int(size_bytes),
-            )
-        raise TypeError(f"unknown wire tag {tag!r}")
-    if isinstance(value, list):
-        return tuple(_decode(item) for item in value)
-    return value
+        cls = globals().get(name)
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+            WIRE_TYPES[name] = cls
+            _ENCODERS[cls], _DECODERS[name] = _compile_codec(cls)
 
 
 def to_wire(payload) -> dict:
@@ -514,36 +662,30 @@ def to_wire(payload) -> dict:
     The result contains only dicts, lists, strings, numbers, bools, and
     nulls, so ``json.dumps`` accepts it directly.
     """
-    cls = type(payload)
-    if cls.__name__ not in WIRE_TYPES or WIRE_TYPES[cls.__name__] is not cls:
-        raise TypeError(f"{cls.__name__} is not a registered wire type")
-    fields = {
-        field.name: _encode(getattr(payload, field.name))
-        for field in dataclasses.fields(payload)
-    }
-    return {"type": cls.__name__, "fields": fields}
+    encode = _ENCODERS.get(type(payload))
+    if encode is None:
+        raise TypeError(f"{type(payload).__name__} is not a registered wire type")
+    return encode(payload)
 
 
 def from_wire(record: dict):
     """Decode a :func:`to_wire` record back into its payload object.
 
-    Raises ``TypeError`` for an unknown type, or for a field whose value
-    does not match its annotation.
+    Raises ``KeyError`` for a record without ``type`` or ``fields``, and
+    ``TypeError`` for an unknown type, for ``fields`` that is not an
+    object, for an unknown or missing field, or for a value that does not
+    match its annotation.
     """
-    cls = WIRE_TYPES.get(record["type"])
-    if cls is None:
+    decode = _DECODERS.get(record["type"])
+    if decode is None:
         raise TypeError(f"unknown wire type {record['type']!r}")
-    checks = _FIELD_CHECKS[cls.__name__]
-    kwargs = {name: _decode(value) for name, value in record["fields"].items()}
-    for name, value in kwargs.items():
-        check = checks.get(name)
-        if check is not None and not check(value):
-            annotation = cls.__dataclass_fields__[name].type
-            raise TypeError(
-                f"{cls.__name__}.{name} must be {annotation}, "
-                f"got {type(value).__name__}"
-            )
-    return cls(**kwargs)
+    fields = record["fields"]
+    if type(fields) is not dict:
+        raise TypeError(
+            f"{record['type']} fields must be an object, "
+            f"got {type(fields).__name__}"
+        )
+    return decode(fields)
 
 
 _register_wire_types()

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.frozen import frozen_dataclass
+
 __all__ = ["DocumentTable", "DCRT", "DCRTEntry", "NRT"]
 
 
@@ -71,7 +73,7 @@ class DocumentTable:
         return len(self._entries)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class DCRTEntry:
     """A DCRT row: which cluster serves a category, and how fresh that is."""
 

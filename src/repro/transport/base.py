@@ -22,13 +22,14 @@ Design constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.frozen import frozen_dataclass
 
 __all__ = ["Message", "Transport"]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Message:
     """The one envelope: what a transport carries and a handler receives.
 

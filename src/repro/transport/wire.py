@@ -14,8 +14,9 @@ record (``{"type": ClassName, "fields": {...}}``), so every protocol
 dataclass that travels through the simulator travels unchanged over
 UDP.  Decoding **fails fast**: an unknown schema tag, a truncated
 header, a length mismatch, a body that is not JSON, an envelope field
-that is not an in-range integer, or an unregistered payload type all
-raise :class:`WireDecodeError` before any protocol code runs.
+that is not an in-range integer, an unregistered payload type, or a
+payload record that does not match its type's fields all raise
+:class:`WireDecodeError` before any protocol code runs.
 """
 
 from __future__ import annotations

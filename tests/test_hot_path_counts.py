@@ -6,7 +6,8 @@ control round rescanning the world once per (document, holder) pair, the
 routing-table lookup allocating a row it throws away, the replica plan
 paying a Python call per copy it places, the world bootstrap paying one
 per NRT entry, capability entry and copy, the content data plane hashing
-every chunk of every document before any fetch reads one.
+every chunk of every document before any fetch reads one, the wire codec
+paying a Python call per value of a frame.
 """
 
 import gc
@@ -22,11 +23,14 @@ from repro.durability import DurabilityConfig
 from repro.experiments.world_size import python_calls
 from repro.model.workload import make_query_workload
 from repro.overlay import metadata
+from repro.overlay.messages import DocInfo, QueryMessage, QueryResponse
 from repro.overlay.metadata import DCRTEntry
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
+from repro.transport import Message
+from repro.transport.wire import decode_frame, encode_frame
 
 from tests.helpers import build_live_system
 from tests.test_content_fetch import (
@@ -101,6 +105,32 @@ def test_dcrt_entry_allocates_nothing_for_a_known_category(
     # The default row for an unknown category is still built on demand.
     assert peer.dcrt.entry(system.n_categories + 1) == DCRTEntry(0, 0)
     assert len(allocated) == 1
+
+
+@pytest.mark.parametrize(
+    "message, ceiling",
+    [
+        (Message(1, 2, "query", QueryMessage(7, 1, 3, 2, attempt=1)), 25),
+        (
+            Message(
+                2,
+                1,
+                "query_response",
+                QueryResponse(7, (4,), 2, 1, (), (DocInfo(4, (3,), 1024),)),
+                1024,
+            ),
+            30,
+        ),
+    ],
+    ids=["query", "query_response"],
+)
+def test_a_frame_costs_a_few_calls_to_encode_and_decode(message, ceiling):
+    decoded, calls = python_calls(lambda: decode_frame(encode_frame(message)))
+    assert decoded == message
+    # 16 and 17 calls with a generated codec per wire type and
+    # slot-filling constructors; the recursive codec (a call per value,
+    # ``dataclasses.fields`` per frame, ``cls(**kwargs)``) made 50 and 60.
+    assert calls <= ceiling
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.overlay import messages as m
 from repro.overlay.metadata import DCRTEntry
@@ -24,6 +25,8 @@ from repro.transport.wire import (
     encode_envelope,
     encode_frame,
 )
+
+from tests.test_message_roundtrip import WIRE_CLASSES, _payload_strategy
 
 PAYLOADS = [
     None,
@@ -133,17 +136,50 @@ def test_envelope_field_of_wrong_type_or_range_rejected(field, value):
         (PAYLOADS[2], "dcrt_updates", [[1, 2]]),
         (PAYLOADS[2], "dcrt_updates", [[3, {"$": "DCRTEntry", "v": [1, 5]}, 4]]),
         (PAYLOADS[3], "nrt_snapshot", [[0, [1, "a"]]]),
+        # So are the fields of a nested value, nothing coerced: each of
+        # these used to decode through ``int()`` (``["7", true]`` as
+        # ``DCRTEntry(7, 1)``).
+        (PAYLOADS[2], "dcrt_updates", [[3, {"$": "DCRTEntry", "v": ["7", True]}]]),
+        (PAYLOADS[2], "dcrt_updates", [[3, {"$": "DCRTEntry", "v": [7, True]}]]),
+        (PAYLOADS[2], "dcrt_updates", [[3, {"$": "DCRTEntry", "v": "12"}]]),
+        (PAYLOADS[2], "doc_infos", [{"$": "DocInfo", "v": [2.9, ["3"], "10"]}]),
+        (PAYLOADS[2], "doc_infos", [{"$": "DocInfo", "v": [2, [3.0], 10]}]),
+        (PAYLOADS[2], "doc_infos", [{"$": "DocInfo", "v": [2, {"3": 0}, 10]}]),
+        (
+            m.PublishRequest(publisher_id=1, doc_id=2, category_id=3),
+            "believed_entry",
+            {"$": "DCRTEntry", "v": [1.0, 0]},
+        ),
     ],
     ids=["str-for-int", "list-for-int", "int-for-bool", "bool-for-float",
          "dict-for-tuple", "str-attempt", "str-item", "int-for-docinfo",
-         "int-for-dcrt-entry", "triple-for-pair", "str-in-nested-tuple"],
+         "int-for-dcrt-entry", "triple-for-pair", "str-in-nested-tuple",
+         "str-and-bool-in-entry", "bool-in-entry", "str-for-entry-fields",
+         "float-and-str-in-docinfo", "float-category", "dict-for-categories",
+         "float-in-believed-entry"],
 )
 def test_payload_field_of_wrong_type_rejected(payload, field, value):
     envelope = encode_envelope(Message(1, 2, "x", payload))
     envelope["payload"]["fields"][field] = value
-    body = json.dumps(envelope).encode()
     with pytest.raises(WireDecodeError, match=f"{field} must be"):
-        decode_frame(len(body).to_bytes(HEADER_BYTES, "big") + body)
+        decode_frame(_frame(envelope))
+
+
+def _frame(envelope) -> bytes:
+    body = json.dumps(envelope).encode()
+    return len(body).to_bytes(HEADER_BYTES, "big") + body
+
+
+@pytest.mark.parametrize(
+    "fields", [[1, 2], None, "hops", 7], ids=["list", "null", "string", "number"]
+)
+def test_non_object_fields_rejected(fields):
+    # ``from_wire`` used to call ``.items()`` on these, and the
+    # ``AttributeError`` escaped ``decode_frame`` into the receive loop.
+    envelope = encode_envelope(Message(1, 2, "query", PAYLOADS[1]))
+    envelope["payload"]["fields"] = fields
+    with pytest.raises(WireDecodeError, match="fields must be an object"):
+        decode_frame(_frame(envelope))
 
 
 def test_truncated_header_rejected():
@@ -261,3 +297,42 @@ def test_fuzz_random_noise():
     for _ in range(200):
         data = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
         _assert_decode_is_total(data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON tree, the root's included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, (*path, key))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, (*path, index))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzz_one_node_of_a_valid_envelope(data):
+    # Byte-level fuzzing rarely keeps a frame parseable; this keeps the
+    # JSON valid and swaps one node anywhere in the tree (the envelope,
+    # the record, ``fields``, a tuple item, a nested entry) for any value.
+    cls = data.draw(st.sampled_from(WIRE_CLASSES))
+    envelope = encode_envelope(Message(1, 2, "x", data.draw(_payload_strategy(cls))))
+    path = data.draw(st.sampled_from(list(_paths(envelope))))
+    _assert_decode_is_total(_frame(_replaced(envelope, path, data.draw(JSON_VALUES))))
