@@ -52,7 +52,6 @@ class _ChunkState:
     index: int
     attempts: int = 0
     done: bool = False
-    outstanding: int | None = None  # request id in flight, if any
     tried: set[int] = field(default_factory=set)
 
 
@@ -67,8 +66,6 @@ class _Fetch:
     chunks: dict[int, _ChunkState]
     remaining: int
     bytes_fetched: int = 0
-    failovers: int = 0
-    repairs: int = 0
     received: dict[int, int] = field(default_factory=dict)
     #: (stale holder, chunk index) pairs owed a read-repair push once
     #: the correct chunk is in hand.
@@ -95,10 +92,6 @@ class PeerContent:
         #: request id -> (fetch id, chunk index) for in-flight requests.
         self._requests: dict[int, tuple[int, int]] = {}
         self._next_request = count(1)
-        # local accounting (per peer)
-        self.chunks_served = 0
-        self.bytes_served = 0
-        self.repairs_received = 0
 
     def registrations(self) -> dict:
         """The kinds this component owns: ``kind -> (payload class, handler)``."""
@@ -179,8 +172,6 @@ class PeerContent:
         if index in self.corrupt.get(doc_id, ()):
             value = corrupted_hash(value)
         size = max(request.chunk_bytes, m.CONTROL_SIZE)
-        self.chunks_served += 1
-        self.bytes_served += request.chunk_bytes
         self.peer._send(
             request.requester_id,
             "chunk_data",
@@ -310,7 +301,6 @@ class PeerContent:
     ) -> None:
         request_id = next(self._next_request)
         self._requests[request_id] = (fetch.fetch_id, chunk.index)
-        chunk.outstanding = request_id
         chunk.tried.add(source)
         chunk.attempts += 1
         self.peer._send(
@@ -344,8 +334,6 @@ class PeerContent:
         self._failover(fetch, fetch.chunks[index])
 
     def _failover(self, fetch: _Fetch, chunk: _ChunkState) -> None:
-        chunk.outstanding = None
-        fetch.failovers += 1
         if fetch.index is not None:
             fetch.index.on_chunk_failover(fetch.fetch_id)
         if chunk.attempts >= self.config.max_chunk_attempts:
@@ -366,7 +354,6 @@ class PeerContent:
         if fetch is None:
             return
         chunk = fetch.chunks[index]
-        chunk.outstanding = None
         if chunk.done:
             return
         if not data.found:
@@ -404,7 +391,6 @@ class PeerContent:
         self, fetch: _Fetch, target: int, index: int, value: int
     ) -> None:
         """Read-repair: push the verified chunk back to a stale replica."""
-        fetch.repairs += 1
         doc_id = fetch.info.doc_id
         version = fetch.manifest.version
         if fetch.index is not None:
@@ -429,7 +415,6 @@ class PeerContent:
             marks.discard(repair.chunk_index)
             if not marks:
                 self.corrupt.pop(repair.doc_id, None)
-        self.repairs_received += 1
         cached = self.manifests.get(repair.doc_id)
         if cached is not None and repair.version > cached.version:
             fresh = cached.with_version(repair.version)
@@ -530,13 +515,3 @@ class PeerContent:
 
     def in_flight(self) -> int:
         return len(self._fetches)
-
-    def stats(self) -> dict:
-        return {
-            "chunks_served": self.chunks_served,
-            "bytes_served": self.bytes_served,
-            "repairs_received": self.repairs_received,
-            "in_flight": len(self._fetches),
-            "partial_docs": len(self.partial),
-            "corrupt_docs": len(self.corrupt),
-        }

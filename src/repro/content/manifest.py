@@ -249,10 +249,6 @@ class ContentManager:
         self.manifests[doc_id] = manifest
         return manifest
 
-    def manifest_for(self, doc_id: int) -> Manifest | None:
-        """The current manifest of ``doc_id``, or None if unknown."""
-        return self.manifests.get(doc_id)
-
     def document_stored(self, peer: "Peer", doc_id: int) -> None:
         """A peer stored ``doc_id`` (publish, transfer, fetch).
 
@@ -446,9 +442,6 @@ class ContentManager:
 
     def record_for(self, fetch_id: int) -> FetchRecord | None:
         return self._records_by_id.get(fetch_id)
-
-    def fetch_ledger(self) -> tuple[FetchRecord, ...]:
-        return tuple(self.records)
 
     # callbacks from the per-peer fetchers -----------------------------
     def on_chunk_failover(self, fetch_id: int) -> None:

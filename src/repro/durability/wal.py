@@ -5,10 +5,10 @@ element names the change (``store``, ``drop``, ``dcrt``, ``epoch``,
 ``join``, ``manifest``, ``flags``).  Records are framed one per line as
 ``<crc32-hex> <json-body>\\n`` so that a torn tail — a write cut mid
 record by power loss — is detectable: replay applies the longest prefix
-of intact lines and stops at the first frame whose checksum or framing
-fails.  Everything after a torn record is unrecoverable by definition
-(the log is causally ordered), so stopping is the correct semantics,
-not a best-effort skip.
+of intact lines and stops at the first frame whose checksum, framing or
+record shape fails.  Everything after a torn record is unrecoverable by
+definition (the log is causally ordered), so stopping is the correct
+semantics, not a best-effort skip.
 
 Snapshots use the same one-frame encoding over a single canonical JSON
 object (sorted keys, no whitespace), which makes "byte-identical
@@ -34,6 +34,33 @@ __all__ = [
 # constructs a new ``JSONEncoder`` on every call.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _SNAPSHOT_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def _int(x) -> bool:
+    return type(x) is int
+
+
+def _ints(x) -> bool:
+    return type(x) is list and all(map(_int, x))
+
+
+#: record kind -> one check per field after the kind.  Any fields fit a
+#: kind not listed here (materializing skips it).
+_RECORD_FIELDS = {
+    "store": (_int, _int, _ints), "drop": (_int,), "dcrt": (_int,) * 3,
+    "epoch": (_int,) * 2, "join": (_int,), "manifest": (_int,) * 4,
+    "flags": (lambda x: type(x) in (int, float), lambda x: type(x) is bool),
+}
+#: snapshot section -> the record kind its rows are shaped like.
+_ROWS = {"dcrt": "dcrt", "docs": "store", "epochs": "epoch", "manifests": "manifest"}
+
+
+def _fits(values, kind) -> bool:
+    checks = _RECORD_FIELDS.get(kind) if type(kind) is str else None
+    return checks is None or (
+        type(values) is list and len(values) == len(checks)
+        and all(check(value) for check, value in zip(checks, values))
+    )
 
 
 def _frame(body: bytes) -> bytes:
@@ -69,9 +96,9 @@ def decode_frame(line: bytes):
 def replay_wal(data: bytes) -> list[tuple]:
     """Decode the longest valid prefix of a WAL byte string.
 
-    A record whose frame fails to decode — including the common torn
-    write: a final line with no terminating newline — ends the replay;
-    everything before it is returned as tuples.
+    A frame that fails to decode — including the common torn write: a
+    final line with no terminating newline — or a malformed record ends
+    the replay; everything before it is returned as tuples.
     """
     records: list[tuple] = []
     offset = 0
@@ -80,8 +107,10 @@ def replay_wal(data: bytes) -> list[tuple]:
         if newline < 0:
             break  # torn tail: the record was cut before its newline
         decoded = decode_frame(data[offset:newline])
-        if decoded is None or not isinstance(decoded, list) or not decoded:
+        if type(decoded) is not list or not decoded:
             break  # corrupt frame: nothing after it is trustworthy
+        if not _fits(decoded[1:], decoded[0]):
+            break  # malformed record: as untrustworthy as a torn one
         records.append(tuple(decoded))
         offset = newline + 1
     return records
@@ -93,8 +122,20 @@ def encode_snapshot(state: dict) -> bytes:
 
 
 def decode_snapshot(data: bytes) -> dict | None:
-    """Inverse of :func:`encode_snapshot`; None when torn or corrupt."""
-    decoded = decode_frame(data.rstrip(b"\n"))
-    if not isinstance(decoded, dict):
+    """Inverse of :func:`encode_snapshot`; None when torn or corrupt, or
+    when a section is not in its canonical shape."""
+    state = decode_frame(data.rstrip(b"\n"))
+    if type(state) is not dict:
         return None
-    return decoded
+    flags = state.get("flags", {"capacity": 0.0, "free_rider": False})
+    canonical = (
+        all(
+            type(rows := state.get(section, [])) is list
+            and all(_fits(row, kind) for row in rows)
+            for section, kind in _ROWS.items()
+        )
+        and _ints(state.get("memberships", []))
+        and type(flags) is dict and list(flags) == ["capacity", "free_rider"]
+        and _fits(list(flags.values()), "flags")
+    )
+    return state if canonical else None

@@ -166,7 +166,7 @@ def measure(
     latencies = sorted(r.completed_at - r.started_at for r in completed)
     repairs = [
         r
-        for r in manager.fetch_ledger()
+        for r in manager.records
         if r.purpose == "heal" and r.completed_at is not None
     ]
     mean_repair = (
@@ -186,9 +186,7 @@ def measure(
             else 0.0
         ),
         failovers=sum(r.failovers for r in records),
-        heal_fetches=sum(
-            1 for r in manager.fetch_ledger() if r.purpose == "heal"
-        ),
+        heal_fetches=sum(1 for r in manager.records if r.purpose == "heal"),
         mean_repair_latency=mean_repair,
         survivors=len(system.alive_peers()),
     )

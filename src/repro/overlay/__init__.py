@@ -12,8 +12,8 @@ Implements Section 3 (architecture and query processing) and Section 6
   dispatch table its protocol components register into;
 * :mod:`repro.overlay.query_protocol` — the two-step query processing of
   Section 3.3, overload signals and the requester cache;
-* :mod:`repro.overlay.cluster` — cluster graphs, spanning-tree
-  construction, and leader election (Section 6.1.1);
+* :mod:`repro.overlay.cluster` — cluster graphs and leader election
+  (Section 6.1.1);
 * :mod:`repro.overlay.membership_protocol` — the publish and join/leave
   protocols (Sections 6.2, 6.3) and DCRT gossip, node side;
 * :mod:`repro.overlay.adaptation_protocol` — election, monitoring and

@@ -203,11 +203,6 @@ class AdaptationCoordinator:
     def __init__(self, system: "P2PSystem", config: AdaptationConfig | None = None):
         self.system = system
         self.config = config if config is not None else AdaptationConfig()
-        #: cluster id -> (counts, weights, subtree) gathered in Phase 1.
-        self._monitoring_results: dict[int, tuple[dict[int, int], dict[int, float], int]] = {}
-        #: Phase-2 load reports of the most recent round, kept for
-        #: post-round introspection (the invariant checker reads them).
-        self.last_reports: dict[int, m.LoadReport] = {}
 
     # ------------------------------------------------------------------
     # phases
@@ -238,38 +233,34 @@ class AdaptationCoordinator:
                 leaders[cluster_id] = int(values[int(np.argmax(counts))])
         return leaders
 
-    def monitor(self, leaders: dict[int, int], round_id: int) -> None:
-        """Phase 1: every leader aggregates its cluster's hit counters."""
-        self._monitoring_results.clear()
+    def monitor(self, leaders: dict[int, int], round_id: int) -> set[int]:
+        """Phase 1: every leader aggregates its cluster's hit counters;
+        returns the clusters whose leader rooted a round."""
         system = self.system
+        rooted: set[int] = set()
         for cluster_id, leader_id in sorted(leaders.items()):
             leader = system.peer(leader_id)
             if leader is None or cluster_id not in leader.memberships:
                 continue
             leader.adaptation.start_monitoring(cluster_id, round_id)
+            rooted.add(cluster_id)
         system.sim.run()
-
-    def record_monitoring(
-        self,
-        cluster_id: int,
-        counts: dict[int, int],
-        weights: dict[int, float],
-        subtree_size: int,
-    ) -> None:
-        """Callback target wired through the system hooks."""
-        self._monitoring_results[cluster_id] = (counts, weights, subtree_size)
+        return rooted
 
     def exchange_reports(
-        self, leaders: dict[int, int], round_id: int
+        self, leaders: dict[int, int], round_id: int, rooted: set[int]
     ) -> dict[int, m.LoadReport]:
-        """Phase 2: leaders multicast their cluster load figures."""
+        """Phase 2: leaders multicast the figures their roots aggregated."""
         system = self.system
         reports: dict[int, m.LoadReport] = {}
         for cluster_id, leader_id in sorted(leaders.items()):
-            counts, weights, subtree = self._monitoring_results.get(
-                cluster_id, ({}, {}, 0)
-            )
             leader = system.peer(leader_id)
+            # Only a root ``monitor`` started is read: a leader it skipped
+            # may still hold an older round under a reused round id.
+            counts, weights, subtree = (
+                leader.adaptation.monitoring_result(cluster_id, round_id)
+                if cluster_id in rooted else ({}, {}, 0)
+            )
             capacity = sum(
                 peer.capacity_units for peer in system.peers_in_cluster(cluster_id)
             )
@@ -406,10 +397,9 @@ class AdaptationCoordinator:
         with self._enter_phase(round_id, "elect"):
             leaders = self.elect_leaders()
         with self._enter_phase(round_id, "monitor"):
-            self.monitor(leaders, round_id)
+            rooted = self.monitor(leaders, round_id)
         with self._enter_phase(round_id, "exchange"):
-            reports = self.exchange_reports(leaders, round_id)
-        self.last_reports = reports
+            reports = self.exchange_reports(leaders, round_id, rooted)
         with self._enter_phase(round_id, "evaluate"):
             fairness = self.evaluate_fairness(reports)
         obs.gauge("adapt.observed_fairness").set(fairness)

@@ -278,18 +278,18 @@ class AdaptationProtocol:
         if state.pending_children <= 0:
             self._finish_monitoring(state)
 
+    def monitoring_result(self, cluster_id: int, round_id: int) -> tuple:
+        """``(counts, weights, subtree_size)`` of a round this peer rooted
+        and finished; ``({}, {}, 0)`` for any other round."""
+        state = self._monitoring.get((cluster_id, round_id))
+        if state is None or not state.finished or state.parent_id != self.peer.node_id:
+            return {}, {}, 0
+        return state.counts, state.weights, state.subtree_size
+
     def _finish_monitoring(self, state: _MonitoringRound) -> None:
         state.finished = True
         if state.parent_id == self.peer.node_id:
-            self.peer.hooks.on_monitoring_complete(
-                self.peer,
-                state.cluster_id,
-                state.round_id,
-                state.counts,
-                state.weights,
-                state.subtree_size,
-            )
-            return
+            return  # the root keeps its aggregate: ``monitoring_result``
         self.peer._send(
             state.parent_id,
             "hit_count_reply",

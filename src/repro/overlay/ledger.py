@@ -1,12 +1,12 @@
 """What a world's peers report: the :class:`~repro.overlay.peer.PeerHooks`
 every peer of a :class:`~repro.overlay.system.P2PSystem` is built with,
 and the books its callbacks write — per-query outcomes, the Section 3.1
-cluster metadata (document -> holders), served loads, the integrity audit.
+cluster metadata (document -> holders), the integrity audit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Set
+from collections.abc import Iterable, Set
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -16,7 +16,6 @@ from repro.overlay.peer import Peer, PeerHooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.workload import Query
-    from repro.overlay.adaptation import AdaptationCoordinator
     from repro.overlay.topology import ClusterTopology
     from repro.sim.engine import Simulator
     from repro.sim.network import Network
@@ -34,12 +33,10 @@ class WorldLedger(PeerHooks):
         sim: "Simulator",
         network: "Network",
         topology: "ClusterTopology",
-        peers: Mapping[int, Peer],
     ) -> None:
         self._sim = sim
         self._network = network
         self._topology = topology
-        self._peers = peers
         #: global query id -> ``QueryOutcome`` keyword arguments so far.
         self._queries: dict[int, dict] = {}
         #: queries need globally unique ids across workloads — peers keep
@@ -55,21 +52,16 @@ class WorldLedger(PeerHooks):
         #: every (node, doc) pair dropped after being stored; with the
         #: current holders, the integrity audit's "ever stored" truth.
         self._ever_dropped: set[tuple[int, int]] = set()
-        #: memoized snapshots for the dict-rebuilding views experiments
-        #: poll every round; ``None`` = dirty, rebuilt on next access.
+        #: memoized snapshot for the dict-rebuilding view the chaos checker
+        #: polls at every quiescent point; ``None`` = dirty.
         self._doc_holders_view: dict[int, set[int]] | None = None
-        self._node_loads: dict[int, int] | None = None
         #: ``document_stored`` listeners of the world's subsystems.
         self.stored_listeners: tuple = ()
-        #: the adaptation round in progress, if any (monitoring reports).
-        self.coordinator: "AdaptationCoordinator | None" = None
         #: response-integrity audit, armed by ``P2PSystem.set_misbehavior``
         #: so honest worlds pay nothing and run no extra invariant checks.
         self.integrity_audit = False
         #: accepted responses that claimed never-stored documents.
         self.integrity_violations: list[str] = []
-        #: (responder_id, query_id) pairs requester-side checks rejected.
-        self.bogus_rejections: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # query records
@@ -126,9 +118,6 @@ class WorldLedger(PeerHooks):
         # A response settles the query even if a failover deadline already
         # declared it failed — a late answer is still an answer.
         args["failed"] = False
-
-    def on_bogus_response(self, peer: Peer, response: m.QueryResponse) -> None:
-        self.bogus_rejections.append((response.responder_id, response.query_id))
 
     def on_query_failed(self, peer: Peer, query_id: int, reason: str) -> None:
         args = self._queries.get(query_id)
@@ -217,38 +206,10 @@ class WorldLedger(PeerHooks):
         return self._doc_holders_view
 
     # ------------------------------------------------------------------
-    # served load
-    # ------------------------------------------------------------------
-    def on_request_served(self, peer: Peer) -> None:
-        self._node_loads = None
-
-    def forget_loads(self) -> None:
-        """A peer was added, or served counters were reset or replayed."""
-        self._node_loads = None
-
-    def node_loads(self) -> dict[int, int]:
-        """Requests served per peer, cached until any peer serves again."""
-        if self._node_loads is None:
-            self._node_loads = {
-                node_id: peer.requests_served
-                for node_id, peer in sorted(self._peers.items())
-            }
-        return self._node_loads
-
-    # ------------------------------------------------------------------
-    # membership and monitoring reports
+    # membership
     # ------------------------------------------------------------------
     def on_cluster_joined(self, peer: Peer, cluster_id: int) -> None:
         self._topology.admit(peer, cluster_id)
 
     def on_leave_notice(self, peer: Peer, notice: m.LeaveNotice) -> None:
         self._topology.note_departure(notice)
-
-    def on_monitoring_complete(
-        self, peer: Peer, cluster_id: int, round_id: int,
-        counts: dict[int, int], weights: dict[int, float], subtree_size: int,
-    ) -> None:
-        if self.coordinator is not None:
-            self.coordinator.record_monitoring(
-                cluster_id, counts, weights, subtree_size
-            )

@@ -112,7 +112,7 @@ class MisbehaviorConfig:
 
 
 class PeerHooks:
-    """Observation callbacks; the default implementation ignores everything.
+    """Events the world acts on; the default implementation ignores them.
 
     The experiment harness (:class:`repro.overlay.system.P2PSystem`)
     overrides what it needs — e.g. recording query responses or learning
@@ -125,17 +125,11 @@ class PeerHooks:
     def on_query_failed(self, peer: "Peer", query_id: int, reason: str) -> None:
         """A query could not even be dispatched (no live target known)."""
 
-    def on_bogus_response(self, peer: "Peer", response: m.QueryResponse) -> None:
-        """The peer rejected a response that failed the integrity check."""
-
     def on_document_stored(self, peer: "Peer", doc_id: int) -> None:
         """A peer stored a document (contribution, replica, or transfer)."""
 
     def on_document_dropped(self, peer: "Peer", doc_id: int) -> None:
         """A peer dropped a stored document."""
-
-    def on_request_served(self, peer: "Peer") -> None:
-        """The peer answered a query (its ``requests_served`` advanced)."""
 
     def lookup_holders(
         self, peer: "Peer", cluster_id: int, doc_id: int
@@ -150,12 +144,6 @@ class PeerHooks:
 
     def on_cluster_joined(self, peer: "Peer", cluster_id: int) -> None:
         """The peer became a member of a cluster (via publish or join)."""
-
-    def on_monitoring_complete(
-        self, peer: "Peer", cluster_id: int, round_id: int,
-        counts: dict[int, int], weights: dict[int, float], subtree_size: int,
-    ) -> None:
-        """A leader finished aggregating its cluster's hit counters."""
 
     def on_leave_notice(self, peer: "Peer", notice: m.LeaveNotice) -> None:
         """A cluster fellow announced departure."""

@@ -354,7 +354,6 @@ class QueryProtocol:
             for doc_id in doc_ids:
                 if self.cache.owns(doc_id):
                     self.cache.served_hits += 1
-        self.peer.hooks.on_request_served(self.peer)
         _C_QUERIES_SERVED.value += 1
         if _TRACE.enabled:
             _TRACE.emit(
@@ -450,7 +449,6 @@ class QueryProtocol:
             # keeps retrying other members.  (Counter registered lazily:
             # honest runs never take this branch, keeping goldens intact.)
             obs.counter("overlay.bogus_responses_rejected").inc()
-            self.peer.hooks.on_bogus_response(self.peer, response)
             return
         state = self._attempts.pop(response.query_id, None)
         if state is not None:

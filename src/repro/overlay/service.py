@@ -116,7 +116,6 @@ class ServiceQueue:
         # process-wide totals, shared by every enabled queue
         self._c_shed = obs.counter("overload.shed")
         self._c_redirected = obs.counter("overload.redirected")
-        self._c_busy = obs.counter("overload.busy_signals")
         self._g_depth = obs.gauge("overload.queue_depth")
 
     # ------------------------------------------------------------------
@@ -144,7 +143,6 @@ class ServiceQueue:
     def _shed(self, work, owner) -> None:
         self.shed += 1
         self._c_shed.value += 1
-        self._c_busy.value += 1
         owner.shed(work)
 
     # ------------------------------------------------------------------

@@ -140,7 +140,7 @@ class P2PSystem:
         self.topology = ClusterTopology(
             self.peers, assignment.n_clusters, self.rngs.stream("topology")
         )
-        self.ledger = WorldLedger(self.sim, self.network, self.topology, self.peers)
+        self.ledger = WorldLedger(self.sim, self.network, self.topology)
         self._departed: set[int] = set()
         #: nodes that consume without contributing (``Node.is_free_rider``
         #: at build time, plus empty-handed joiners); excluded from
@@ -299,9 +299,11 @@ class P2PSystem:
         ]
 
     def node_loads(self) -> dict[int, int]:
-        """Requests served per peer — the paper's load measure (a cached
-        snapshot; treat the returned dict as read-only)."""
-        return self.ledger.node_loads()
+        """Requests served per peer — the paper's load measure."""
+        return {
+            node_id: peer.requests_served
+            for node_id, peer in sorted(self._peers.items())
+        }
 
     def node_capacities(self) -> dict[int, float]:
         return {
@@ -511,7 +513,6 @@ class P2PSystem:
             )
         self.network.recover(node_id)
         self._departed.discard(node_id)
-        self.ledger.forget_loads()
         peer.clear_failure_state()
         if peer.lost_memory:
             # Durability replays the journal and re-learns topology, then
@@ -536,7 +537,6 @@ class P2PSystem:
             raise ValueError(f"node {node_id} is already a member")
         peer = self._new_peer(node_id, capacity_units)
         self._departed.discard(node_id)
-        self.ledger.forget_loads()
         # A joiner that brings nothing is a free rider until it serves
         # content; one that brings documents sheds the label.
         if doc_infos:
@@ -619,16 +619,10 @@ class P2PSystem:
         self, round_id: int = 0, config: AdaptationConfig | None = None
     ) -> AdaptationOutcome:
         """Execute one four-phase adaptation round (Section 6.1.2)."""
-        coordinator = AdaptationCoordinator(self, config=config)
-        self.ledger.coordinator = coordinator
-        try:
-            return coordinator.run_round(round_id)
-        finally:
-            self.ledger.coordinator = None
+        return AdaptationCoordinator(self, config=config).run_round(round_id)
 
     def reset_hit_counters(self) -> None:
         """Start a fresh observation period (between adaptation rounds)."""
-        self.ledger.forget_loads()
         for peer in self._peers.values():
             peer.hit_counters.clear()
             peer.requests_served = 0

@@ -1,6 +1,6 @@
 """The deployment-side record of Section 3.1's clusters: who is a member
-of which cluster, how a cluster's members are linked (the graph the
-adaptation spanning trees are built over), and — in super-peer mode —
+of which cluster, how a cluster's members are linked (the graph queries
+and the Phase-1 monitoring rounds fan out over), and — in super-peer mode —
 which member keeps the cluster metadata.
 """
 

@@ -21,7 +21,6 @@ class RecordingHooks(PeerHooks):
         self.responses = []
         self.failures = []
         self.joined = []
-        self.monitoring = []
         self.leaves = []
         self.holders: dict[int, set[int]] = {}
 
@@ -33,14 +32,6 @@ class RecordingHooks(PeerHooks):
 
     def on_cluster_joined(self, peer, cluster_id):
         self.joined.append((peer.node_id, cluster_id))
-
-    def on_monitoring_complete(
-        self, peer, cluster_id, round_id, counts, weights, subtree_size
-    ):
-        self.monitoring.append(
-            (peer.node_id, cluster_id, round_id, dict(counts), dict(weights),
-             subtree_size)
-        )
 
     def on_leave_notice(self, peer, notice):
         self.leaves.append((peer.node_id, notice))

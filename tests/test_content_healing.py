@@ -46,7 +46,7 @@ class TestHealingRound:
         heal_until_dry(system)
         assert len(manager.live_holders(doc_id)) >= 2
         # Heal fetches are labelled in the ledger.
-        purposes = {r.purpose for r in manager.fetch_ledger()}
+        purposes = {r.purpose for r in manager.records}
         assert "heal" in purposes
 
     def test_every_document_restored_to_the_floor(self):
@@ -75,7 +75,7 @@ class TestHealingRound:
         # No fetch was wasted on a document with zero live sources.
         assert all(
             r.doc_id != doc_id or r.purpose != "heal"
-            for r in manager.fetch_ledger()
+            for r in manager.records
         )
 
     def test_heal_fetch_limit_bounds_one_round(self):
@@ -94,7 +94,7 @@ class TestHealingRound:
             reports = heal_until_dry(system)
             ledger = [
                 (r.doc_id, r.requester_id, r.completed_at, r.failovers)
-                for r in system.content.fetch_ledger()
+                for r in system.content.records
             ]
             snapshots.append((reports, ledger))
         assert snapshots[0] == snapshots[1]
@@ -191,7 +191,7 @@ class TestHealingScan:
         def started(world):
             return [
                 (r.doc_id, r.requester_id, r.purpose)
-                for r in world.content.fetch_ledger()
+                for r in world.content.records
             ]
 
         assert started(system) == started(twin)

@@ -21,6 +21,7 @@ The layering under test (see ``docs/architecture.md`` §Durability):
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.chaos.harness import ChaosRunner
@@ -31,6 +32,7 @@ from repro.durability import (
     FileStore,
     MemoryStore,
     PeerJournal,
+    decode_snapshot,
     durable_state,
     empty_state,
     encode_record,
@@ -57,6 +59,21 @@ def make_recovery_system(seed=11, **overrides):
 # ----------------------------------------------------------------------
 # WAL codec
 # ----------------------------------------------------------------------
+#: a well-formed log prefix: records of three kinds.
+_VALID = [("store", 1, 10, [0]), ("dcrt", 3, 1, 5), ("join", 4)]
+#: any JSON value (what a record field can decode to).
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestWalCodec:
     def test_records_roundtrip(self):
         records = [
@@ -137,6 +154,63 @@ class TestWalCodec:
 
     def test_materialize_of_nothing_is_the_empty_state(self):
         assert materialize(None, []) == empty_state()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("store",),
+            ("store", 1),
+            ("dcrt", 1),
+            ("join",),
+            ("epoch", 1, "x"),
+            ("store", 1, 10, 5),
+            ("manifest", 1, 2),
+            ("flags", "fast", True),
+            ("drop", True),
+        ],
+    )
+    def test_malformed_record_ends_replay_like_a_torn_frame(self, bad):
+        store = MemoryStore()
+        for record in (*_VALID, bad, ("drop", 1)):
+            store.append(encode_record(record))
+        assert replay_wal(store.load()[1]) == _VALID
+        assert PeerJournal(store).load() == materialize(None, _VALID)
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            {"docs": [1]},
+            {"dcrt": [[1, 2]]},
+            {"memberships": 5},
+            {"flags": [1]},
+            {"manifests": [[1, 2, 3, "4"]]},
+            {"flags": {"capacity": 1.0}},
+        ],
+    )
+    def test_non_canonical_snapshot_is_discarded(self, snapshot):
+        store = MemoryStore()
+        store.write_snapshot(encode_snapshot(snapshot))
+        store.append(encode_record(("join", 4)))
+        assert decode_snapshot(store.load()[0]) is None
+        assert PeerJournal(store).load() == materialize(None, [("join", 4)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["store", "drop", "dcrt", "epoch", "join", "manifest", "flags"]
+        )
+        | _JSON,
+        fields=st.lists(_JSON, max_size=5),
+    )
+    def test_replay_is_total_over_one_arbitrary_record(self, kind, fields):
+        store = MemoryStore()
+        for record in (*_VALID, (kind, *fields)):
+            store.append(encode_record(record))
+        records = replay_wal(store.load()[1])
+        # The valid prefix always survives; the extra record is kept only
+        # when it has its kind's shape (or a kind replay does not know).
+        assert records in (_VALID, [*_VALID, (kind, *fields)])
+        assert PeerJournal(store).load() == materialize(None, records)
 
 
 # ----------------------------------------------------------------------

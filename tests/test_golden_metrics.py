@@ -28,8 +28,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     # Covers build_system vectorization, Zipf workload sampling, the
-    # fault-free network fast path, and the cached P2PSystem views
-    # (E2 polls node_loads every round).
+    # fault-free network fast path, and the P2PSystem load view E2
+    # reads once per world.
     "metrics_hotpath.jsonl": [
         "F2", "E2", "--scale", "0.02", "--seed", "7",
         "--metrics-deterministic",

@@ -41,7 +41,7 @@ class TestShutdownHandoff:
         system = make_content_system()
         manager = system.content
         doc_id, keeper = make_sole_holder(system)
-        before = manager.manifest_for(doc_id)
+        before = manager.manifests.get(doc_id)
         assert system.shutdown_node(keeper) is True
         cached = [
             system.peer(holder).content_state.manifests.get(doc_id)

@@ -22,6 +22,11 @@ def _cluster_with_hits(edges, hits_per_node, category_map=None):
     return overlay
 
 
+def _result(overlay, round_id=1):
+    """The finished aggregate node 0 holds as the round's root."""
+    return overlay.peers[0].adaptation.monitoring_result(4, round_id)
+
+
 class TestHitCountAggregation:
     def test_chain_aggregates_all_counters(self):
         overlay = _cluster_with_hits(
@@ -30,14 +35,21 @@ class TestHitCountAggregation:
         )
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        assert len(overlay.hooks.monitoring) == 1
-        leader_id, cluster_id, round_id, counts, _w, subtree = (
-            overlay.hooks.monitoring[0]
-        )
-        assert leader_id == 0
-        assert cluster_id == 4
+        counts, _w, subtree = _result(overlay)
         assert counts == {7: 10}
         assert subtree == 3
+
+    def test_only_the_root_holds_the_result(self):
+        overlay = _cluster_with_hits(
+            edges=[(0, 1), (1, 2)],
+            hits_per_node={0: {7: 5}, 1: {7: 3}, 2: {7: 2}},
+        )
+        overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
+        overlay.run()
+        # Node 1 relayed the round (and finished its subtree); it rooted
+        # nothing, and no peer holds a round that never ran.
+        assert overlay.peers[1].adaptation.monitoring_result(4, 1) == ({}, {}, 0)
+        assert overlay.peers[0].adaptation.monitoring_result(4, 2) == ({}, {}, 0)
 
     def test_cycle_counts_each_node_once(self):
         # Triangle: duplicate requests answered with empty "already
@@ -48,7 +60,7 @@ class TestHitCountAggregation:
         )
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        _, _, _, counts, _w, subtree = overlay.hooks.monitoring[0]
+        counts, _w, subtree = _result(overlay)
         assert counts == {7: 10}
         assert subtree == 3
 
@@ -60,7 +72,7 @@ class TestHitCountAggregation:
         )
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        _, _, _, counts, _w, _ = overlay.hooks.monitoring[0]
+        counts, _w, _ = _result(overlay)
         assert counts == {7: 5, 8: 10}
 
     def test_only_own_cluster_categories_counted(self):
@@ -73,14 +85,14 @@ class TestHitCountAggregation:
         )
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        _, _, _, counts, _w, _ = overlay.hooks.monitoring[0]
+        counts, _w, _ = _result(overlay)
         assert counts == {7: 3}
 
     def test_singleton_cluster(self):
         overlay = _cluster_with_hits(edges=[], hits_per_node={0: {7: 5}})
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        _, _, _, counts, _w, subtree = overlay.hooks.monitoring[0]
+        counts, _w, subtree = _result(overlay)
         assert counts == {7: 5}
         assert subtree == 1
 
@@ -92,7 +104,7 @@ class TestHitCountAggregation:
         overlay.give_document(0, 101, [7])
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        _, _, _, _counts, weights, _ = overlay.hooks.monitoring[0]
+        _counts, weights, _ = _result(overlay)
         # Node 0 holds 2 docs of category 7, all of its stored content ->
         # its whole capacity (1.0) is attributed to category 7.
         assert weights[7] == pytest.approx(1.0)
@@ -106,8 +118,7 @@ class TestHitCountAggregation:
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
         # The run completes (timeout fires) with the live nodes' counts.
-        assert len(overlay.hooks.monitoring) == 1
-        _, _, _, counts, _w, subtree = overlay.hooks.monitoring[0]
+        counts, _w, subtree = _result(overlay)
         assert counts == {7: 8}
         assert subtree == 2
 
@@ -120,9 +131,8 @@ class TestHitCountAggregation:
         overlay.peers[1].hit_counters[7] = 10
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=2)
         overlay.run()
-        assert len(overlay.hooks.monitoring) == 2
-        assert overlay.hooks.monitoring[0][3] == {7: 8}
-        assert overlay.hooks.monitoring[1][3] == {7: 15}
+        assert _result(overlay, round_id=1)[0] == {7: 8}
+        assert _result(overlay, round_id=2)[0] == {7: 15}
 
     def test_non_member_cannot_start(self):
         overlay = MicroOverlay()

@@ -112,6 +112,18 @@ class TestWorkloadExecution:
         system.run_workload(make_query_workload(instance, 300, seed=4))
         assert sum(system.node_loads().values()) >= 300 * 0.99
 
+    def test_loads_read_the_peers_after_a_power_loss(self, world, system):
+        instance, _, _ = world
+        system.run_workload(make_query_workload(instance, 300, seed=4))
+        loads = system.node_loads()
+        victim = max(loads, key=loads.get)
+        assert loads[victim] > 0
+        # The amnesia wipes the served counter; the load view must not
+        # keep reporting what the node served before it.
+        system.power_loss(victim)
+        assert system.peers[victim].requests_served == 0
+        assert system.node_loads()[victim] == 0
+
     def test_category_level_workload(self, world, system):
         instance, _, _ = world
         outcomes = system.run_workload(

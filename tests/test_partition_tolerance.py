@@ -31,9 +31,10 @@ class TestPartitionedMonitoring:
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.peers[5].adaptation.start_monitoring(cluster_id=4, round_id=1)
         overlay.run()
-        results = {leader: counts for leader, _c, _r, counts, _w, _s
-                   in overlay.hooks.monitoring}
-        assert set(results) == {0, 5}
+        results = {
+            leader: overlay.peers[leader].adaptation.monitoring_result(4, 1)[0]
+            for leader in (0, 5)
+        }
         # Side A: nodes 0,1,2 -> 10+20+30; side B: 3,4,5 -> 40+50+60.
         assert results[0] == {7: 60}
         assert results[5] == {7: 150}
@@ -43,7 +44,7 @@ class TestPartitionedMonitoring:
         overlay.network.heal_partitions()
         overlay.peers[0].adaptation.start_monitoring(cluster_id=4, round_id=2)
         overlay.run()
-        assert overlay.hooks.monitoring[-1][3] == {7: 210}
+        assert overlay.peers[0].adaptation.monitoring_result(4, 2)[0] == {7: 210}
 
     def test_gossip_reconciles_after_heal(self):
         overlay = _partitioned_cluster()
