@@ -19,7 +19,8 @@ Seconds are the least repeatable column (on a multi-GB heap they follow
 collector passes and page faults more than the code), so the gates are on
 calls and bytes: fewer calls than copies placed, bytes that grow no
 faster than ``copies + NRT entries``, NRT tables of about a pointer per
-entry (a recency-ordered list, not a dict), and — the one optional layer
+entry (a recency-ordered list, not a dict), one DCRT the peers share, a
+DT that costs nothing beside the stored documents, and — the one optional layer
 whose build grows with the world — a content data plane that adds a few
 calls per document and peer (:func:`content_calls`), not one per chunk.
 """
@@ -50,6 +51,13 @@ __all__ = [
 #: ceiling on NRT-table bytes per NRT entry: a list holds a pointer (8 B)
 #: per entry, where an ``OrderedDict`` held 85-91 B.
 NRT_BYTES_PER_ENTRY = 16
+#: ceiling on DCRT bytes per peer: bootstrap hands every peer one table
+#: (about 2 B a peer), where a copy per peer cost 225-633 B.
+DCRT_BYTES_PER_PEER = 64
+#: ceiling on docs + DT bytes per document copy: one dict slot and a share
+#: of the holders' one ``DocInfo`` (43-53 B), where a DT dict beside
+#: ``docs`` made it 84-100 B.
+DOCS_DT_BYTES_PER_COPY = 64
 
 #: the structures whose size follows the world's, in report order.
 SITES = (
@@ -102,6 +110,11 @@ def _distinct_bytes(objects) -> int:
     return sum(map(sys.getsizeof, {id(o): o for o in objects}.values()))
 
 
+def _dicts_of(obj) -> list[dict]:
+    """The dicts ``obj`` refers to directly."""
+    return [ref for ref in gc.get_referents(obj) if type(ref) is dict]
+
+
 def _site_bytes(system: P2PSystem) -> dict[str, int]:
     """Bytes held by each world-sized structure, shared objects once."""
     size = sys.getsizeof
@@ -116,18 +129,22 @@ def _site_bytes(system: P2PSystem) -> dict[str, int]:
         for table in peer.known_capabilities.values()
     }
     holders = system.ledger._doc_holders
+    dcrts = {id(p.dcrt._entries): p.dcrt._entries for p in peers}
     return {
         "nrt_tables": sum(map(size, tables)),
         "nrt_ids": len(table_ids - member_ids) * size(1 << 20),
         # A read-only view is sized by a copy of the table behind it.
         "capability_tables": sum(size(dict(t)) for t in capabilities.values()),
         "holder_sets": size(holders) + sum(map(size, holders.values())),
-        "docs_dt": sum(size(p.docs) + size(p.dt._entries) for p in peers)
+        # The DT with the dicts it holds; as a view of ``docs`` that is
+        # ``docs`` itself, counted once.
+        "docs_dt": _distinct_bytes(
+            chain.from_iterable((p.docs, p.dt, *_dicts_of(p.dt)) for p in peers)
+        )
         + _distinct_bytes(chain.from_iterable(p.docs.values() for p in peers)),
-        "dcrt": sum(size(p.dcrt._entries) for p in peers)
-        + _distinct_bytes(
-            chain.from_iterable(p.dcrt._entries.values() for p in peers)
-        ),
+        # Peers share one bootstrap table until they change a row.
+        "dcrt": _distinct_bytes(dcrts.values())
+        + _distinct_bytes(chain.from_iterable(t.values() for t in dcrts.values())),
     }
 
 
@@ -249,18 +266,26 @@ def content_calls(scale: float = 0.03, seed: int = 7) -> tuple[int, int]:
 
 def smoke() -> None:
     """CI gate: calls stay below copies, bytes grow no faster than the world,
-    NRT tables stay near a pointer per entry, and a content-on build adds a
-    few calls per document and peer."""
+    NRT tables stay near a pointer per entry, peers share the bootstrap
+    DCRT, the DT costs nothing beside ``docs``, and a content-on build adds
+    a few calls per document and peer."""
     result = run(scales=(0.01, 0.03))
     print(format_result(result))
     for row in result.rows:
         require(row.calls < row.copies, f"scale {row.scale}: {row.calls} calls")
-        per_entry = dict(row.site_bytes)["nrt_tables"] / row.nrt_entries
-        print(f"scale {row.scale}: {per_entry:.1f} NRT-table bytes per NRT entry")
-        require(
-            per_entry <= NRT_BYTES_PER_ENTRY,
-            f"scale {row.scale}: {per_entry:.1f} NRT-table bytes per entry",
-        )
+        sites = dict(row.site_bytes)
+        for label, per_unit, ceiling in (
+            ("NRT-table bytes per NRT entry",
+             sites["nrt_tables"] / row.nrt_entries, NRT_BYTES_PER_ENTRY),
+            ("DCRT bytes per peer", sites["dcrt"] / row.nodes, DCRT_BYTES_PER_PEER),
+            ("docs + DT bytes per copy",
+             sites["docs_dt"] / row.copies, DOCS_DT_BYTES_PER_COPY),
+        ):
+            print(f"scale {row.scale}: {per_unit:.1f} {label}")
+            require(
+                per_unit <= ceiling,
+                f"scale {row.scale}: {per_unit:.1f} {label} (ceiling {ceiling})",
+            )
     small, large = (row.bytes_per_entry for row in result.rows)
     # One-sided: a larger world amortises the per-peer constants and holds
     # relatively more (cheaper) NRT entries, so the figure falls with scale;

@@ -3,7 +3,7 @@
 Every node keeps three tables:
 
 * **DT** (Document Table) — maps ids of *locally stored* documents to
-  their document categories.
+  their document categories (a view of the peer's stored documents).
 * **DCRT** (Document Category Routing Table) — maps each document category
   to the cluster id currently serving it.  Extended (Section 6.1.2) with a
   per-category ``move_counter`` so that conflicting updates arriving via
@@ -18,38 +18,35 @@ Every node keeps three tables:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
 
 from repro.frozen import frozen_dataclass
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.overlay.messages import DocInfo
 
 __all__ = ["DocumentTable", "DCRT", "DCRTEntry", "NRT"]
 
 
-@dataclass(slots=True)
 class DocumentTable:
-    """DT: locally stored document id -> category ids."""
+    """DT: locally stored document id -> category ids.
 
-    _entries: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    A read-only view of the peer's ``docs`` (id -> :class:`DocInfo`, which
+    carries the categories): the DT is the same keys in the same order,
+    so it reads them there instead of keeping a second dict per peer.
+    """
 
-    def add(self, doc_id: int, categories: tuple[int, ...]) -> None:
-        if not categories:
-            raise ValueError("a document must have at least one category")
-        self._entries[doc_id] = tuple(categories)
+    __slots__ = ("_docs",)
 
-    def add_many(self, doc_ids, categories) -> None:
-        """:meth:`add` for parallel sequences, all or nothing."""
-        rows = list(map(tuple, categories))
-        if not all(rows):
-            raise ValueError("a document must have at least one category")
-        self._entries.update(zip(doc_ids, rows))
-
-    def remove(self, doc_id: int) -> None:
-        self._entries.pop(doc_id, None)
+    def __init__(self, docs: Mapping[int, "DocInfo"]) -> None:
+        self._docs = docs
 
     def categories_of(self, doc_id: int) -> tuple[int, ...]:
-        return self._entries.get(doc_id, ())
+        info = self._docs.get(doc_id)
+        return info.categories if info is not None else ()
 
     def has_document(self, doc_id: int) -> bool:
-        return doc_id in self._entries
+        return doc_id in self._docs
 
     def has_category(self, category_id: int) -> bool:
         """Whether any locally stored document belongs to ``category_id``.
@@ -57,20 +54,20 @@ class DocumentTable:
         The publish protocol uses this to decide if the node already
         announced a contribution to the category (Section 6.2, step 2).
         """
-        return any(category_id in cats for cats in self._entries.values())
+        return any(category_id in info.categories for info in self._docs.values())
 
     def docs_in_category(self, category_id: int) -> list[int]:
         return [
             doc_id
-            for doc_id, cats in self._entries.items()
-            if category_id in cats
+            for doc_id, info in self._docs.items()
+            if category_id in info.categories
         ]
 
     def doc_ids(self) -> list[int]:
-        return list(self._entries)
+        return list(self._docs)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._docs)
 
 
 @frozen_dataclass
@@ -88,12 +85,18 @@ class DCRT:
     Unknown categories resolve to cluster 0 — the paper's default mapping
     for zero-document categories, which makes concurrent first publishes of
     a new category converge on the same cluster (Section 6.2, step 3).
+
+    World bootstrap hands every peer the same table (:meth:`share`); a
+    peer copies it on the first write that changes a row, so a row is
+    written only through :meth:`_writable`.
     """
 
     _entries: dict[int, DCRTEntry] = field(default_factory=dict)
     #: optional ``(category_id, entry)`` callback fired whenever a row is
     #: installed or replaced — the durability journal's write-ahead hook.
     on_change: object | None = None
+    #: whether ``_entries`` is a table other peers also hold.
+    _shared: bool = field(default=False, init=False, repr=False)
 
     DEFAULT_CLUSTER = 0
 
@@ -113,26 +116,36 @@ class DCRT:
         """
         current = self._entries.get(category_id)
         if current is None or entry.move_counter > current.move_counter:
-            self._entries[category_id] = entry
+            self._writable()[category_id] = entry
             if self.on_change is not None:
                 self.on_change(category_id, entry)
             return True
         return False
 
     def set(self, category_id: int, cluster_id: int, move_counter: int = 0) -> None:
-        """Unconditionally install an entry (bootstrap only)."""
+        """Unconditionally install an entry (bootstrap and recovery)."""
         entry = DCRTEntry(cluster_id, move_counter)
-        self._entries[category_id] = entry
+        if self._entries.get(category_id) != entry:
+            self._writable()[category_id] = entry
         if self.on_change is not None:
             self.on_change(category_id, entry)
 
-    def set_many(self, entries: dict[int, DCRTEntry]) -> None:
-        """Unconditionally install ``entries``, shared rather than copied
-        (a :class:`DCRTEntry` is frozen): the whole world's bootstrap."""
-        self._entries.update(entries)
+    def share(self, entries: dict[int, DCRTEntry]) -> None:
+        """Make ``entries`` this table, held rather than copied: the whole
+        world's bootstrap hands every peer one dict.  The caller must not
+        change it afterwards; a peer that changes a row copies it first."""
+        self._entries = entries
+        self._shared = True
         if self.on_change is not None:
             for category_id, entry in entries.items():
                 self.on_change(category_id, entry)
+
+    def _writable(self) -> dict[int, DCRTEntry]:
+        """This peer's own rows, copied from the shared table on first use."""
+        if self._shared:
+            self._entries = dict(self._entries)
+            self._shared = False
+        return self._entries
 
     def snapshot(self) -> dict[int, DCRTEntry]:
         """A copy of all entries — what nodes exchange during gossip."""

@@ -194,9 +194,10 @@ class Peer:
         self.hooks = hooks if hooks is not None else PeerHooks()
         self.config = config if config is not None else PeerConfig()
 
-        self.dt = DocumentTable()
-        #: documents stored locally, with their metadata.
+        #: documents stored locally, with their metadata; the DT reads
+        #: through it, so it is changed in place and never rebound.
         self.docs: dict[int, DocInfo] = {}
+        self.dt = DocumentTable(self.docs)
         self._reset_tables()
         #: durability journal (None unless the deployment attaches one).
         self.journal = None
@@ -421,8 +422,9 @@ class Peer:
     # ------------------------------------------------------------------
     def store_document(self, info: DocInfo) -> None:
         """Store a document locally (contribution, replica, or transfer)."""
+        if not info.categories:
+            raise ValueError("a document must have at least one category")
         self.docs[info.doc_id] = info
-        self.dt.add(info.doc_id, info.categories)
         # Write-ahead: the store is journaled before any hook can
         # acknowledge it to the rest of the deployment.
         self._record("store", info.doc_id, info.size_bytes, info.categories)
@@ -430,7 +432,6 @@ class Peer:
 
     def drop_document(self, doc_id: int) -> None:
         held = self.docs.pop(doc_id, None) is not None
-        self.dt.remove(doc_id)
         if held:
             # Apply, then journal (as ``store_document`` does): a record
             # that triggers compaction snapshots the state it describes.
@@ -573,9 +574,10 @@ class Peer:
         fetched chunks, and chunk-corruption marks.  Documents are shed
         through ``drop_document`` so deployment hooks keep the holder
         directory consistent, but with the journal detached for the
-        wipe: losing memory is not an acknowledged drop.  The all-volatile
-        protocol components are wiped by being rebuilt; the others keep
-        their own ``lose_power``.
+        wipe: losing memory is not an acknowledged drop.  Every component
+        that defines ``lose_power`` runs it (the query protocol takes its
+        loop-detection window off the leak gauge there); the all-volatile
+        protocol components are then wiped by being rebuilt.
         """
         journal, self.journal = self.journal, None
         try:
@@ -584,11 +586,11 @@ class Peer:
         finally:
             self.journal = journal
         self._reset_tables(on_dcrt_change=self.dcrt.on_change)
+        self._fan_out("lose_power")
         for component in self.protocols:
             # Re-initialised in place, so timers armed before the outage
             # and the dispatch table both see the blank component.
             component.__init__(self)
-        self._fan_out("lose_power")
         self.lost_memory = True
 
     def restore_durable_state(self, state: dict) -> None:

@@ -19,7 +19,6 @@ All of its state is volatile: a power loss rebuilds the component.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,6 +46,11 @@ _C_QUERY_FAILOVERS = obs.counter("reliability.query_failovers")
 _G_SEEN_QUERIES = obs.gauge("overlay.seen_query_entries")
 #: most-recent query ids each peer remembers for loop detection.
 SEEN_QUERY_CAPACITY = 4096
+#: seconds of transport time a loop-detection generation covers: an id
+#: is remembered for at least one and at most two of them after it was
+#: last seen.  Every copy of one attempt arrives well within it (the
+#: longest requester horizon configured anywhere is 16 x 3.0 s).
+SEEN_QUERY_TTL = 60.0
 #: fabricated doc ids (armed ``bogus_responses``) start here, far above
 #: any real document.
 _BOGUS_DOC_BASE = 10_000_000
@@ -77,8 +81,13 @@ class QueryProtocol:
         self.peer = peer
         self._reliability = peer.config.reliability
         #: recently seen query id -> highest attempt seen (loop
-        #: detection), LRU-bounded.
-        self._seen_queries: "OrderedDict[int, int]" = OrderedDict()
+        #: detection), in two generations: ids seen since
+        #: ``_seen_since``, and the generation before.  Both are in
+        #: least-recently-seen order, and SEEN_QUERY_CAPACITY bounds them
+        #: together.
+        self._seen: dict[int, int] = {}
+        self._seen_before: dict[int, int] = {}
+        self._seen_since = float("-inf")
         #: query id -> failover state for queries this peer originated.
         self._attempts: dict[int, _QueryAttempt] = {}
         #: requester-side cache of retrieved (servable) documents; see
@@ -95,7 +104,13 @@ class QueryProtocol:
 
     def seen_query_count(self) -> int:
         """Current size of the bounded loop-detection window."""
-        return len(self._seen_queries)
+        return len(self._seen) + len(self._seen_before)
+
+    def lose_power(self) -> None:
+        """The window goes with the memory: off the leak gauge with it."""
+        _G_SEEN_QUERIES.value -= self.seen_query_count()
+        self._seen.clear()
+        self._seen_before.clear()
 
     def in_flight(self) -> int:
         """Queries this peer originated that still await an answer."""
@@ -222,18 +237,26 @@ class QueryProtocol:
 
     def handle_query(self, query: m.QueryMessage, src: int) -> None:
         """Step 2, at a target node: serve, redirect, or forward."""
-        seen = self._seen_queries.get(query.query_id)
+        now = self.peer.transport.now
+        if now - self._seen_since > SEEN_QUERY_TTL:
+            self._rotate_seen(now)
+        query_id = query.query_id
+        seen_queries = self._seen
+        seen = seen_queries.pop(query_id, None)
         if seen is None:
-            self._seen_queries[query.query_id] = query.attempt
+            seen = self._seen_before.pop(query_id, None)
+        if seen is None:
+            seen_queries[query_id] = query.attempt
             _G_SEEN_QUERIES.value += 1
-            while len(self._seen_queries) > SEEN_QUERY_CAPACITY:
-                self._seen_queries.popitem(last=False)
+            if len(seen_queries) + len(self._seen_before) > SEEN_QUERY_CAPACITY:
+                oldest = self._seen_before or seen_queries
+                del oldest[next(iter(oldest))]
                 _G_SEEN_QUERIES.value -= 1
+        elif seen >= query.attempt:
+            seen_queries[query_id] = seen
+            return  # loop broken via idQ (Section 3.3, step 2b)
         else:
-            self._seen_queries.move_to_end(query.query_id)
-            if seen >= query.attempt:
-                return  # loop broken via idQ (Section 3.3, step 2b)
-            self._seen_queries[query.query_id] = query.attempt
+            seen_queries[query_id] = query.attempt
 
         if self.peer.misbehavior is not None and self.peer.misbehavior.bogus_responses:
             self._send_bogus_response(query)
@@ -260,6 +283,23 @@ class QueryProtocol:
         # model is on; the routing above stays instant — forwarding is
         # cheap, serving is not.
         self.peer.admit(query, self)
+
+    def _rotate_seen(self, now: float) -> None:
+        """Start a new loop-detection generation at ``now``.
+
+        The current generation becomes the previous one and the previous
+        one is forgotten; a current generation older than two TTLs holds
+        nothing seen within one, so it is forgotten too.
+        """
+        forgotten = len(self._seen_before)
+        if now - self._seen_since > 2 * SEEN_QUERY_TTL:
+            forgotten += len(self._seen)
+            self._seen_before = {}
+        else:
+            self._seen_before = self._seen
+        _G_SEEN_QUERIES.value -= forgotten
+        self._seen = {}
+        self._seen_since = now
 
     def serve(self, query: m.QueryMessage) -> None:
         """Member-side query work: serve, redirect over metadata, or fan out.

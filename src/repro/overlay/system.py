@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 
 from repro.core.maxfair import Assignment
@@ -237,13 +238,13 @@ class P2PSystem:
             doc_id: DocInfo(doc.doc_id, doc.categories, doc.size_bytes)
             for doc_id, doc in instance.documents.items()
         }
-        categories = {doc_id: info.categories for doc_id, info in infos.items()}
+        if not all(map(attrgetter("categories"), infos.values())):
+            raise ValueError("a document must have at least one category")
 
         def place(peer: Peer, doc_ids) -> None:
             if peer.journal is not None:
                 raise RuntimeError("bulk placement would bypass the journal")
             peer.docs.update(zip(doc_ids, map(infos.__getitem__, doc_ids)))
-            peer.dt.add_many(doc_ids, map(categories.__getitem__, doc_ids))
             self.ledger.record_placement(peer.node_id, doc_ids)
 
         if self.plan is not None:
@@ -256,9 +257,9 @@ class P2PSystem:
             held = peer.docs
             place(peer, [d for d in node.contributed_doc_ids if d not in held])
 
-        # Metadata bootstrap: full DCRT everywhere (one frozen row per
-        # category, shared), then cluster membership, NRTs and the
-        # intra-cluster graphs.
+        # Metadata bootstrap: full DCRT everywhere (one table of frozen
+        # rows, shared until a peer changes it), then cluster membership,
+        # NRTs and the intra-cluster graphs.
         dcrt = {
             category_id: DCRTEntry(
                 int(assignment.category_to_cluster[category_id]),
@@ -267,7 +268,7 @@ class P2PSystem:
             for category_id in range(self.n_categories)
         }
         for peer in self._peers.values():
-            peer.dcrt.set_many(dcrt)
+            peer.dcrt.share(dcrt)
         self.topology.bootstrap(instance, assignment, self.config)
 
     # ------------------------------------------------------------------

@@ -176,7 +176,7 @@ def buggy_merge():
     original = DCRT.merge
 
     def bad_merge(self, category_id, entry):
-        self._entries[category_id] = entry
+        self._writable()[category_id] = entry
         return True
 
     DCRT.merge = bad_merge

@@ -7,44 +7,104 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos.harness import ChaosRunner
+from repro.chaos.scenario import ScenarioConfig, Schedule
+from repro.core.replication import build_world
 from repro.overlay.metadata import DCRT, DCRTEntry, NRT, DocumentTable
 from repro.overlay import peer as peer_module
+from repro.overlay.peer import DocInfo
+from repro.overlay.system import P2PSystem
 
-from tests.helpers import MicroOverlay
+from tests.helpers import MicroOverlay, build_live_system
+
+
+def _info(doc_id, *categories):
+    return DocInfo(doc_id=doc_id, categories=categories, size_bytes=100)
 
 
 class TestDocumentTable:
+    """The DT reads through a peer's ``docs`` (doc id -> DocInfo)."""
+
     def test_add_and_lookup(self):
-        dt = DocumentTable()
-        dt.add(1, (3, 4))
+        docs = {}
+        dt = DocumentTable(docs)
+        docs[1] = _info(1, 3, 4)
         assert dt.has_document(1)
         assert dt.categories_of(1) == (3, 4)
         assert len(dt) == 1
 
     def test_remove(self):
-        dt = DocumentTable()
-        dt.add(1, (3,))
-        dt.remove(1)
+        docs = {1: _info(1, 3)}
+        dt = DocumentTable(docs)
+        del docs[1]
         assert not dt.has_document(1)
-        dt.remove(1)  # idempotent
+        assert dt.categories_of(1) == ()
+        assert len(dt) == 0
 
     def test_has_category(self):
-        dt = DocumentTable()
-        dt.add(1, (3,))
+        dt = DocumentTable({1: _info(1, 3)})
         assert dt.has_category(3)
         assert not dt.has_category(4)
 
     def test_docs_in_category(self):
-        dt = DocumentTable()
-        dt.add(1, (3,))
-        dt.add(2, (3, 4))
-        dt.add(5, (4,))
-        assert sorted(dt.docs_in_category(3)) == [1, 2]
-        assert sorted(dt.docs_in_category(4)) == [2, 5]
+        dt = DocumentTable({5: _info(5, 4), 1: _info(1, 3), 2: _info(2, 3, 4)})
+        # In storage order, as the DT dict kept them.
+        assert dt.docs_in_category(3) == [1, 2]
+        assert dt.docs_in_category(4) == [5, 2]
+        assert dt.doc_ids() == [5, 1, 2]
 
     def test_rejects_empty_categories(self):
+        peer = MicroOverlay().add_peer(0)
         with pytest.raises(ValueError):
-            DocumentTable().add(1, ())
+            peer.store_document(_info(1))
+        assert not peer.docs and not peer.dt.has_document(1)
+
+    def test_bootstrap_rejects_empty_categories(self):
+        instance, assignment, plan = build_world(scale=0.01, seed=31)
+        doc = next(iter(instance.documents.values()))
+        object.__setattr__(doc, "categories", ())
+        with pytest.raises(ValueError):
+            P2PSystem(instance, assignment, plan=plan)
+
+
+def _assert_dt_is_docs(peer, categories):
+    """Every DT reader answers what ``peer.docs`` says, in its order."""
+    docs, dt = peer.docs, peer.dt
+    assert dt.doc_ids() == list(docs)
+    assert len(dt) == len(docs)
+    for doc_id, info in docs.items():
+        assert dt.has_document(doc_id)
+        assert dt.categories_of(doc_id) == info.categories
+    absent = max(docs, default=0) + 1
+    assert not dt.has_document(absent) and dt.categories_of(absent) == ()
+    for category_id in categories:
+        expected = [d for d, info in docs.items() if category_id in info.categories]
+        assert dt.docs_in_category(category_id) == expected
+        assert dt.has_category(category_id) == bool(expected)
+
+
+class TestDocumentTableView:
+    def test_readers_follow_store_drop_power_loss_and_restore(self):
+        config = ScenarioConfig(features={"recovery"})
+        system = ChaosRunner(Schedule(seed=11, entries=()), config).system
+        categories = range(system.n_categories + 1)
+        peer = max(system.alive_peers(), key=lambda p: len(p.docs))
+        _assert_dt_is_docs(peer, categories)
+
+        first, *_ = peer.docs
+        peer.drop_document(first)
+        _assert_dt_is_docs(peer, categories)
+        peer.store_document(_info(first, 0, system.n_categories - 1))
+        _assert_dt_is_docs(peer, categories)
+        held = dict(peer.docs)
+
+        system.power_loss(peer.node_id)
+        assert len(peer.dt) == 0
+        _assert_dt_is_docs(peer, categories)
+        system.sim.run()
+        system.recover_node(peer.node_id)
+        assert peer.docs == held
+        _assert_dt_is_docs(peer, categories)
 
 
 class TestDCRT:
@@ -114,6 +174,87 @@ class TestDCRT:
         dcrt.set(2, 1)
         assert dcrt.categories() == [2, 5]
         assert len(dcrt) == 2
+
+
+class TestDCRTSharing:
+    """Bootstrap shares one DCRT; a peer copies it on its first change."""
+
+    def test_bootstrap_shares_one_table(self):
+        _, system = build_live_system(scale=0.01)
+        tables = {id(peer.dcrt._entries) for peer in system.peers.values()}
+        assert len(tables) == 1
+        assert len(next(iter(system.peers.values())).dcrt) == system.n_categories
+
+    def test_a_changing_merge_privatises_only_that_peer(self):
+        _, system = build_live_system(scale=0.01)
+        first, *others = system.peers.values()
+        shared = first.dcrt._entries
+        before = dict(shared)
+        current = first.dcrt.entry(3)
+        moved = DCRTEntry(current.cluster_id + 1, current.move_counter + 1)
+        assert first.dcrt.merge(3, moved)
+        assert first.dcrt._entries is not shared
+        assert first.dcrt.entry(3) == moved
+        assert shared == before
+        assert all(peer.dcrt._entries is shared for peer in others)
+        assert all(peer.dcrt.entry(3) == current for peer in others)
+
+    def test_a_merge_that_changes_nothing_does_not_copy(self):
+        shared = {3: DCRTEntry(1, 2)}
+        dcrt = DCRT()
+        dcrt.share(shared)
+        assert not dcrt.merge(3, DCRTEntry(5, 2))
+        assert not dcrt.merge(3, DCRTEntry(5, 1))
+        assert dcrt.merge_snapshot({3: DCRTEntry(1, 2)}) == 0
+        dcrt.set(3, 1, 2)
+        assert dcrt._entries is shared
+        dcrt.set(3, 1, 3)
+        assert dcrt._entries is not shared
+        assert shared == {3: DCRTEntry(1, 2)}
+
+    def test_on_change_fires_for_every_change(self):
+        shared = {1: DCRTEntry(0, 0), 2: DCRTEntry(1, 4)}
+        seen = []
+        dcrt = DCRT(on_change=lambda *change: seen.append(change))
+        dcrt.share(shared)
+        assert seen == list(shared.items())
+        seen.clear()
+        dcrt.merge(2, DCRTEntry(0, 4))  # equal counter: no change
+        dcrt.merge(1, DCRTEntry(2, 1))
+        dcrt.merge(7, DCRTEntry(1, 0))
+        dcrt.set(2, 0, 9)
+        assert seen == [(1, DCRTEntry(2, 1)), (7, DCRTEntry(1, 0)), (2, DCRTEntry(0, 9))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 4),
+                st.integers(0, 3),
+                st.integers(0, 5),
+            ),
+            max_size=12,
+        )
+    )
+    def test_shared_table_answers_as_a_private_copy_would(self, ops):
+        shared = {c: DCRTEntry(c % 2, 2) for c in range(4)}
+        before = dict(shared)
+        sharing, private = DCRT(), DCRT(dict(shared))
+        sharing.share(shared)
+        for is_merge, category_id, cluster_id, counter in ops:
+            if is_merge:
+                entry = DCRTEntry(cluster_id, counter)
+                assert sharing.merge(category_id, entry) == private.merge(
+                    category_id, entry
+                )
+            else:
+                sharing.set(category_id, cluster_id, counter)
+                private.set(category_id, cluster_id, counter)
+            assert sharing.items() == private.items()
+        assert shared == before
+        if private.items() != sorted(before.items()):
+            assert sharing._entries is not shared
 
 
 class TestNRT:

@@ -5,6 +5,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs import (
@@ -104,6 +105,49 @@ class TestSimHistogram:
         h.observe(1.0)
         h.reset()
         assert h.samples() == []
+
+
+class _ListStorage(SimHistogram):
+    """Oracle: the same histogram over plain lists of boxed floats."""
+
+    __slots__ = ()
+
+    def __init__(self, name, clock=None):
+        super().__init__(name, clock)
+        self._values = []
+        self._times = []
+
+
+class TestUnboxedStorage:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(0.0, 1e6, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        st.lists(st.floats(0.0, 100.0), max_size=5),
+        st.booleans(),
+    )
+    def test_array_storage_answers_as_lists_do(self, samples, quantiles, reset):
+        clock = {"t": 0.0}
+        unboxed = SimHistogram("h", clock=lambda: clock["t"])
+        boxed = _ListStorage("h", clock=lambda: clock["t"])
+        for index, (value, now) in enumerate(samples):
+            clock["t"] = now
+            unboxed.observe(value)
+            boxed.observe(value)
+            if reset and index == len(samples) // 2:
+                unboxed.reset()
+                boxed.reset()
+        for q in [0.0, 50.0, 99.0, 100.0, *quantiles]:
+            assert unboxed.percentile(q) == boxed.percentile(q)
+        assert unboxed.snapshot() == boxed.snapshot()
+        assert unboxed.values() == boxed.values()
+        assert unboxed.samples() == boxed.samples()
+        assert all(type(v) is float for v in unboxed.values())
 
 
 class TestTimer:

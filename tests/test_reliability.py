@@ -6,7 +6,8 @@ import pytest
 from repro import obs
 from repro.overlay import messages as m
 from repro.overlay.peer import DocInfo, PeerConfig
-from repro.overlay.query_protocol import SEEN_QUERY_CAPACITY
+from repro.model.workload import make_query_workload
+from repro.overlay.query_protocol import SEEN_QUERY_CAPACITY, SEEN_QUERY_TTL
 from repro.reliability import (
     RELIABLE_KINDS,
     FailureDetector,
@@ -16,7 +17,7 @@ from repro.reliability import (
 from repro.reliability.channel import JITTER_FRACTION
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from tests.helpers import MicroOverlay
+from tests.helpers import MicroOverlay, build_live_system
 
 FAST = ReliabilityConfig(
     enabled=True,
@@ -272,6 +273,103 @@ class TestPeerIntegration:
             )
         overlay.run()
         assert overlay.peers[1].queries.seen_query_count() == SEEN_QUERY_CAPACITY
+
+
+def _window_overlay():
+    """Peer 1 serves category 5; peer 0 collects its answers."""
+    overlay = MicroOverlay()
+    for node_id in (0, 1):
+        overlay.add_peer(node_id)
+    overlay.wire_cluster(4, [0, 1], edges=[], category_map={5: 4})
+    overlay.give_document(1, 99, [5])
+    return overlay
+
+
+def _arrive(overlay, at, query_ids, attempt=0):
+    """Deliver one ``query`` per id to peer 1 at transport time ``at``."""
+
+    def send():
+        for query_id in query_ids:
+            overlay.network.transmit(
+                0, 1, "query",
+                m.QueryMessage(
+                    query_id=query_id, requester_id=0, category_id=5,
+                    remaining=1, hops=1, target_cluster=4, attempt=attempt,
+                ),
+            )
+
+    overlay.sim.schedule_at(at, send)
+    overlay.run()
+
+
+def _gauge_delta():
+    gauge = obs.gauge("overlay.seen_query_entries")
+    start = gauge.value
+    return lambda: gauge.value - start
+
+
+class TestSeenQueryWindow:
+    """The Section 3.3 idQ loop-detection window expires by transport time."""
+
+    def test_only_recent_ids_survive_two_ttls(self):
+        gauge = _gauge_delta()
+        overlay = _window_overlay()
+        queries = overlay.peers[1].queries
+        _arrive(overlay, 0.0, range(0, 10))
+        _arrive(overlay, 0.75 * SEEN_QUERY_TTL, range(10, 20))
+        assert queries.seen_query_count() == 20
+        _arrive(overlay, 1.5 * SEEN_QUERY_TTL, range(20, 30))
+        assert queries.seen_query_count() == 30
+        _arrive(overlay, 2.6 * SEEN_QUERY_TTL, range(30, 40))
+        assert queries.seen_query_count() == 20  # ids 0-19 are forgotten
+        assert gauge() == 20
+        served = len(overlay.hooks.responses)
+        _arrive(overlay, 2.7 * SEEN_QUERY_TTL, [5, 25, 35])
+        assert len(overlay.hooks.responses) == served + 1  # only id 5 is new
+        # A window older than two TTLs holds nothing seen within one.
+        _arrive(overlay, 10 * SEEN_QUERY_TTL, [50])
+        assert queries.seen_query_count() == 1
+        assert gauge() == 1
+
+    def test_duplicates_are_dropped_and_higher_attempts_pass(self):
+        overlay = _window_overlay()
+        answers = overlay.hooks.responses
+        _arrive(overlay, 0.0, [7], attempt=1)
+        assert len(answers) == 1
+        _arrive(overlay, 0.5 * SEEN_QUERY_TTL, [7], attempt=1)
+        _arrive(overlay, 0.9 * SEEN_QUERY_TTL, [7], attempt=0)
+        assert len(answers) == 1
+        # Across a rotation the id is still known: last seen under a TTL ago.
+        _arrive(overlay, 1.2 * SEEN_QUERY_TTL, [7], attempt=1)
+        assert len(answers) == 1
+        _arrive(overlay, 1.3 * SEEN_QUERY_TTL, [7], attempt=2)
+        assert len(answers) == 2
+        _arrive(overlay, 1.4 * SEEN_QUERY_TTL, [7], attempt=2)
+        assert len(answers) == 2
+
+    def test_gauge_is_the_windows_sum_through_rotation_crash_and_power_loss(self):
+        gauge = _gauge_delta()
+        _, system = build_live_system(scale=0.01, seed=3)
+        peers = list(system.peers.values())
+
+        def windows():
+            return sum(peer.queries.seen_query_count() for peer in peers)
+
+        workload = make_query_workload(system.instance, 500, seed=3)
+        system.run_workload(workload)
+        assert gauge() == windows() > 0
+        fullest = max(peers, key=lambda peer: peer.queries.seen_query_count())
+        system.crash_node(peers[0].node_id)
+        assert gauge() == windows()
+        system.power_loss(fullest.node_id)
+        assert fullest.queries.seen_query_count() == 0
+        assert gauge() == windows()
+        # Spread over more than a TTL, so every window rotates.
+        spread = 1.5 * SEEN_QUERY_TTL / 500
+        system.run_workload(
+            make_query_workload(system.instance, 500, seed=4), query_interval=spread
+        )
+        assert gauge() == windows()
 
 
 class TestQueryFailover:

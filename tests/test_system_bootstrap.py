@@ -127,7 +127,6 @@ def _world_state(system):
     peers = {
         node_id: {
             "docs": list(peer.docs.items()),
-            "dt": list(peer.dt._entries.items()),
             "nrt": _ordered(peer.nrt._clusters),
             "dcrt": list(peer.dcrt._entries.items()),
             "memberships": list(peer.memberships),
