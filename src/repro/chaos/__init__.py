@@ -1,25 +1,19 @@
 """Deterministic chaos harness: scenario fuzzing, invariants, replay.
 
 One root seed drives everything: :func:`generate_schedule` expands it into
-a randomized fault schedule drawn from the :data:`ACTIONS` registry (churn,
-loss ramps, partitions, publishes, query bursts, forced rebalances, plus
-the action groups of whichever :data:`FEATURES` the
-:class:`ScenarioConfig` switches on), :func:`run_schedule` executes the
-schedule against a freshly built overlay while an
-:class:`InvariantChecker` — registered as a simulation quiescence hook —
-asserts the :data:`INVARIANTS` registry's system-wide safety properties
-after every drained step, and
-:func:`shrink` reduces a failing schedule to a minimal reproducer that
-:func:`emit_pytest_case` turns into a ready-to-paste regression test.
-
-Everything is deterministic: the same seed produces the same schedule, the
-same event interleaving, and the same invariant verdicts, which is what
-makes recorded failures replayable.
+a fault schedule drawn from the :data:`ACTIONS` registry (the groups of
+whichever :data:`FEATURES` the :class:`ScenarioConfig` switches on),
+:func:`run_schedule` applies it through the :class:`Interpreter` to a
+freshly built overlay while an :class:`InvariantChecker` asserts the
+:data:`INVARIANTS` after every drained step, and :func:`shrink` reduces a
+failure to a minimal reproducer that :func:`emit_pytest_case` renders as
+a regression test.  The same seed gives the same schedule, interleaving
+and verdicts, so recorded failures replay exactly.
 """
 
-from repro.chaos.harness import ChaosReport, run_schedule
+from repro.chaos.harness import ChaosReport, Interpreter, run_schedule
 from repro.chaos.invariants import INVARIANTS, InvariantChecker, Violation
-from repro.chaos.replay import emit_pytest_case, replay, shrink
+from repro.chaos.replay import emit_pytest_case, shrink
 from repro.chaos.scenario import (
     ACTIONS,
     FEATURES,
@@ -35,6 +29,7 @@ __all__ = [
     "ChaosReport",
     "FEATURES",
     "INVARIANTS",
+    "Interpreter",
     "InvariantChecker",
     "Schedule",
     "ScheduleEntry",
@@ -43,7 +38,6 @@ __all__ = [
     "emit_pytest_case",
     "generate_schedule",
     "parse_features",
-    "replay",
     "run_schedule",
     "shrink",
 ]

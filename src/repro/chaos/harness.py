@@ -1,11 +1,13 @@
 """Deterministic execution of a fault schedule against a live overlay.
 
+:class:`Interpreter` — one ``_do_<action>`` handler per
+:data:`~repro.chaos.scenario.ACTIONS` entry — applies schedule entries,
+fuzzed or compiled from a scenario spec, to an already-built world.
 :func:`run_schedule` builds a fresh world from the schedule's seed,
 registers the :class:`~repro.chaos.invariants.InvariantChecker` as a
-simulation quiescence hook (so structural invariants are asserted after
-*every* drained step, including the intermediate drains inside join,
-leave, and adaptation protocols), applies the schedule entry by entry,
-and returns a :class:`ChaosReport`.
+simulation quiescence hook (structural invariants are asserted after
+*every* drained step), applies the schedule and returns a
+:class:`ChaosReport`.
 
 Schedule entries resolve rank parameters against the *current* live-node
 population ("crash the k-th live node"), so the same schedule replays
@@ -14,19 +16,25 @@ identically and shrunk schedules remain well-formed.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
 from repro.chaos.invariants import InvariantChecker, Violation
-from repro.chaos.scenario import Schedule, ScenarioConfig
+from repro.chaos.scenario import Schedule, ScheduleEntry, ScenarioConfig
 from repro.content import ContentConfig
 from repro.core.replication import build_world
 from repro.durability import DurabilityConfig
 from repro.model.system import SystemConfig
-from repro.model.workload import Query, QueryWorkload, make_query_workload
+from repro.model.workload import (
+    Query,
+    QueryWorkload,
+    diurnal_factor,
+    make_query_workload,
+)
+from repro.model.zipf import TimeVaryingZipfSampler
 from repro.overlay.adaptation import broadcast_notice, plan_category_move
 from repro.overlay.metadata import DCRTEntry
 from repro.overlay.peer import DocInfo, MisbehaviorConfig
@@ -35,7 +43,7 @@ from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import RELIABLE_KINDS, ReliabilityConfig
 
-__all__ = ["ChaosReport", "ChaosRunner", "run_schedule"]
+__all__ = ["ChaosReport", "ChaosRunner", "Interpreter", "run_schedule"]
 
 #: settle-round cap for the ``converge`` entry: gossip rounds to try
 #: before declaring the network unable to converge.
@@ -47,11 +55,8 @@ class ChaosReport:
     """What one schedule execution observed."""
 
     seed: int
-    n_entries: int
     entries_applied: int = 0
-    entries_skipped: int = 0
     outcomes_total: int = 0
-    settle_rounds: int = 0
     violations: list[Violation] = field(default_factory=list)
 
     @property
@@ -64,10 +69,7 @@ class ChaosReport:
 
     @property
     def invariant_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.invariant] = counts.get(violation.invariant, 0) + 1
-        return counts
+        return dict(Counter(violation.invariant for violation in self.violations))
 
     def summary(self) -> str:
         if self.ok:
@@ -146,13 +148,10 @@ class ChaosRunner:
         # stream so loss draws never perturb protocol randomness.
         self.system.network.rng = self.system.rngs.stream("chaos.loss")
         self.checker = InvariantChecker(self.system)
-        self.report = ChaosReport(seed=schedule.seed, n_entries=len(schedule))
-        self._next_doc_id = max(self.instance.documents) + 1
-        self._next_node_id = max(self.system.all_node_ids()) + 1
-        #: lazily-built document-draw law for the scenario actions; a
-        #: ``skew_flip`` entry reweights it in place.
-        self._scenario_doc_ids: list[int] | None = None
-        self._scenario_doc_weights: np.ndarray | None = None
+        self.interpreter = Interpreter(
+            self.system, config, self.checker, check_invariants
+        )
+        self.report = ChaosReport(seed=schedule.seed)
         self._unregister = None
         if check_invariants:
             self._unregister = self.system.sim.on_quiescence(
@@ -166,10 +165,8 @@ class ChaosRunner:
             for entry in self.schedule.entries:
                 self.checker.step = entry.step
                 obs.counter("chaos.entries").inc()
-                if self._apply(entry):
+                if self.interpreter.apply(entry):
                     self.report.entries_applied += 1
-                else:
-                    self.report.entries_skipped += 1
                 # Always return to quiescence between entries; a no-op
                 # when the action already drained the queue.
                 self.system.sim.run()
@@ -186,14 +183,69 @@ class ChaosRunner:
         finally:
             if self._unregister is not None:
                 self._unregister()
+        self.report.outcomes_total = self.interpreter.outcomes_total
         self.report.violations = list(self.checker.violations)
         return self.report
 
-    # ------------------------------------------------------------------
-    # actions
-    # ------------------------------------------------------------------
-    def _alive_ids(self) -> list[int]:
+    def _background_fetch(self) -> None:
+        """One fetch by a random live peer (content worlds only)."""
+        manager = self.system.content
+        if manager is None:
+            return
+        rng = self.system.rngs.stream("content.fetch")
+        alive = self.interpreter.alive_ids()
+        doc_ids = sorted(manager.manifests)
+        if alive and doc_ids:
+            requester = alive[int(rng.integers(0, len(alive)))]
+            doc_id = doc_ids[int(rng.integers(0, len(doc_ids)))]
+            manager.fetch(requester, doc_id)
+            self.system.sim.run()
+
+
+class Interpreter:
+    """Applies schedule entries to an already-built world.
+
+    ``config`` supplies the world facts the handlers read (category and
+    cluster counts, document size, the ``min_alive`` floor); issued
+    queries are counted in ``outcomes_total``.
+    """
+
+    def __init__(
+        self,
+        system: P2PSystem,
+        config: ScenarioConfig,
+        checker: InvariantChecker,
+        check_invariants: bool = True,
+    ) -> None:
+        self.system = system
+        self.instance = system.instance
+        self.config = config
+        self.checker = checker
+        self.check_invariants = check_invariants
+        self.outcomes_total = 0
+        self._next_doc_id = max(self.instance.documents) + 1
+        self._next_node_id = max(system.all_node_ids()) + 1
+        #: the scenario bursts' (doc ids, document law), built on first
+        #: use from ``_popularity``; each ``skew_flip`` adds one flip.
+        self._doc_law: tuple[list[int], TimeVaryingZipfSampler] | None = None
+        self._popularity: np.ndarray | None = None
+
+    def apply(self, entry: ScheduleEntry) -> bool:
+        """Apply one entry; False when the world could not take it."""
+        handler = getattr(self, f"_do_{entry.action}", None)
+        if handler is None:
+            raise ValueError(f"unknown chaos action {entry.action!r}")
+        return handler(entry.step, **entry.params)
+
+    def alive_ids(self) -> list[int]:
         return [peer.node_id for peer in self.system.alive_peers()]
+
+    def _victim(self, rank: int) -> int | None:
+        """The ``rank``-th live node; None at the ``min_alive`` floor."""
+        alive = self.alive_ids()
+        if len(alive) <= self.config.min_alive:
+            return None
+        return alive[rank % len(alive)]
 
     def _fresh_doc(self, category_id: int) -> DocInfo:
         doc_id = self._next_doc_id
@@ -214,15 +266,9 @@ class ChaosRunner:
     def _workload(self, workload: QueryWorkload, **kwargs) -> bool:
         """Run a query workload to quiescence: the ``workload`` event."""
         outcomes = self.system.run_workload(workload, **kwargs)
-        self.report.outcomes_total += len(outcomes)
+        self.outcomes_total += len(outcomes)
         self._check("query-termination", outcomes)
         return True
-
-    def _apply(self, entry) -> bool:
-        handler = getattr(self, f"_do_{entry.action}", None)
-        if handler is None:
-            raise ValueError(f"unknown chaos action {entry.action!r}")
-        return handler(entry.step, **entry.params)
 
     def _do_query_burst(self, step: int, n: int, workload_seed: int) -> bool:
         workload = make_query_workload(self.instance, n, seed=workload_seed)
@@ -235,7 +281,7 @@ class ChaosRunner:
         # nearly back-to-back so service queues actually fill.  Unlike
         # query_burst, requesters and targets are drawn from the hot
         # category only — the regime admission control exists for.
-        alive = self._alive_ids()
+        alive = self.alive_ids()
         if not alive:
             return False
         category_id = category % self.config.n_categories
@@ -268,7 +314,7 @@ class ChaosRunner:
         return True
 
     def _do_publish(self, step: int, rank: int, category: int, n_docs: int) -> bool:
-        alive = self._alive_ids()
+        alive = self.alive_ids()
         if not alive:
             return False
         publisher = self.system.peer(alive[rank % len(alive)])
@@ -278,7 +324,7 @@ class ChaosRunner:
         return True
 
     def _do_join(self, step: int, capacity: int, category: int, n_docs: int) -> bool:
-        if not self._alive_ids():
+        if not self.alive_ids():
             return False
         node_id = self._next_node_id
         self._next_node_id += 1
@@ -287,34 +333,36 @@ class ChaosRunner:
         return True
 
     def _do_leave(self, step: int, rank: int) -> bool:
-        alive = self._alive_ids()
-        if len(alive) <= self.config.min_alive:
-            return False
-        self.system.leave_node(alive[rank % len(alive)])
-        return True
+        node_id = self._victim(rank)
+        if node_id is not None:
+            self.system.leave_node(node_id)
+        return node_id is not None
 
     def _do_crash(self, step: int, rank: int) -> bool:
-        alive = self._alive_ids()
-        if len(alive) <= self.config.min_alive:
-            return False
-        self.system.crash_node(alive[rank % len(alive)])
-        return True
+        node_id = self._victim(rank)
+        if node_id is not None:
+            self.system.crash_node(node_id)
+        return node_id is not None
 
     def _do_loss_ramp(self, step: int, target: float, steps: int) -> bool:
         self.system.network.schedule_loss_ramp(target, duration=0.5, steps=steps)
         self.system.sim.run()
         return True
 
-    def _do_partition(self, step: int, fraction: float, salt: int) -> bool:
-        alive = sorted(self._alive_ids())
+    def _salted_split(self, fraction: float, salt: int) -> list[list[int]] | None:
+        """The sorted live nodes, rotated by ``salt``, cut at ``fraction``."""
+        alive = sorted(self.alive_ids())
         if len(alive) < 4:
-            return False
-        rotation = salt % len(alive)
-        rotated = alive[rotation:] + alive[:rotation]
+            return None
+        rotated = alive[salt % len(alive):] + alive[: salt % len(alive)]
         split = max(1, int(len(rotated) * fraction))
-        self.system.network.schedule_partition(
-            0.0, [rotated[:split], rotated[split:]]
-        )
+        return [rotated[:split], rotated[split:]]
+
+    def _do_partition(self, step: int, fraction: float, salt: int) -> bool:
+        groups = self._salted_split(fraction, salt)
+        if groups is None:
+            return False
+        self.system.network.schedule_partition(0.0, groups)
         self.system.sim.run()
         return True
 
@@ -352,7 +400,7 @@ class ChaosRunner:
         target = choices[target_rank % len(choices)]
         notice = plan_category_move(system, category_id, source, target)
         source_members = [p.node_id for p in system.peers_in_cluster(source)]
-        coordinator_pool = source_members or self._alive_ids()
+        coordinator_pool = source_members or self.alive_ids()
         if not coordinator_pool:
             return False
         broadcast_notice(system, notice, min(coordinator_pool))
@@ -360,17 +408,16 @@ class ChaosRunner:
         return True
 
     # -- scenario group ---------------------------------------------------
-    def _scenario_weights(self) -> tuple[list[int], np.ndarray]:
-        """The (doc ids, draw probabilities) law the scenario bursts use."""
-        if self._scenario_doc_weights is None:
+    def _scenario_law(self) -> tuple[list[int], TimeVaryingZipfSampler]:
+        """The (doc ids, document law) the scenario bursts draw from."""
+        if self._doc_law is None:
             doc_ids = sorted(self.instance.documents)
-            popularity = np.array(
+            self._popularity = np.array(
                 [self.instance.documents[d].popularity for d in doc_ids],
                 dtype=float,
             )
-            self._scenario_doc_ids = doc_ids
-            self._scenario_doc_weights = popularity / popularity.sum()
-        return self._scenario_doc_ids, self._scenario_doc_weights
+            self._doc_law = doc_ids, TimeVaryingZipfSampler(self._popularity)
+        return self._doc_law
 
     def _do_diurnal_burst(
         self,
@@ -380,64 +427,55 @@ class ChaosRunner:
         amplitude: float,
         workload_seed: int,
     ) -> bool:
-        # One sample point of the scenario engine's diurnal rate curve:
-        # the burst size is n scaled by ``1 + amplitude * sin(2π·phase)``.
-        alive = self._alive_ids()
+        # One sample point of the scenario engine's diurnal rate curve.
+        alive = self.alive_ids()
         if not alive:
             return False
-        factor = 1.0 + amplitude * math.sin(2.0 * math.pi * phase)
-        count = max(1, int(round(n * factor)))
-        doc_ids, weights = self._scenario_weights()
+        count = max(1, int(round(n * diurnal_factor(amplitude, phase))))
+        doc_ids, law = self._scenario_law()
         rng = np.random.default_rng(workload_seed)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        choices = cdf.searchsorted(rng.random(count), side="right")
+        choices = law.sample(rng, 0.0, count)
         requesters = rng.integers(0, len(alive), size=count)
-        queries = []
-        for index in range(count):
-            doc = self.instance.documents[doc_ids[int(choices[index])]]
-            queries.append(
-                Query(
-                    query_id=index,
-                    requester_id=alive[int(requesters[index])],
-                    target_doc_id=doc.doc_id,
-                    category_ids=doc.categories,
-                    m=1,
-                )
+        docs = [self.instance.documents[doc_ids[int(c)]] for c in choices]
+        queries = [
+            Query(
+                query_id=index,
+                requester_id=alive[int(requesters[index])],
+                target_doc_id=doc.doc_id,
+                category_ids=doc.categories,
+                m=1,
             )
+            for index, doc in enumerate(docs)
+        ]
         return self._workload(QueryWorkload(queries=queries))
 
     def _do_skew_flip(
         self, step: int, mass: float, n_hot: int, flip_seed: int
     ) -> bool:
-        # Breaking news: future scenario bursts draw from the convex
-        # mixture ``(1 - mass) * current + mass * uniform(hot set)``.
-        doc_ids, weights = self._scenario_weights()
+        # Breaking news: future scenario bursts draw from the law plus one
+        # flip, ``(1 - mass) * current + mass * uniform(hot set)``.  Bursts
+        # sample at t = 0, where every flip so far applies, in order.
+        doc_ids, law = self._scenario_law()
         n_hot = min(n_hot, len(doc_ids))
         if n_hot < 1:
             return False
         hot = np.random.default_rng(flip_seed).choice(
             len(doc_ids), size=n_hot, replace=False
         )
-        boost = np.zeros(len(doc_ids))
-        boost[hot] = 1.0 / n_hot
-        self._scenario_doc_weights = (1.0 - mass) * weights + mass * boost
+        flips = law.flips + ((0.0, mass, tuple(int(i) for i in hot)),)
+        self._doc_law = doc_ids, TimeVaryingZipfSampler(
+            self._popularity, flips=flips
+        )
         return True
 
     def _do_free_rider_join(self, step: int, capacity: int) -> bool:
-        if not self._alive_ids():
-            return False
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        self.system.join_node(node_id, float(capacity), doc_infos=[])
-        return True
+        return self._do_join(step, capacity, category=0, n_docs=0)
 
     def _do_misbehave(self, step: int, rank: int, mode: str) -> bool:
-        alive = self._alive_ids()
         # Keep enough honest peers to stay useful (and shrinkable).
-        if len(alive) <= self.config.min_alive:
+        node_id = self._victim(rank)
+        if node_id is None:
             return False
-        node_id = alive[rank % len(alive)]
         if mode == "stale_gossip":
             config = MisbehaviorConfig(stale_gossip=True)
         else:
@@ -455,7 +493,7 @@ class ChaosRunner:
         members = sorted(
             peer.node_id for peer in self.system.peers_in_cluster(cluster_id)
         )
-        others = sorted(set(self._alive_ids()) - set(members))
+        others = sorted(set(self.alive_ids()) - set(members))
         if not members or not others:
             return False
         self.system.network.schedule_partition(0.0, [members, others])
@@ -463,20 +501,6 @@ class ChaosRunner:
         return True
 
     # -- content group ----------------------------------------------------
-    def _background_fetch(self) -> None:
-        """One fetch by a random live peer (content worlds only)."""
-        manager = self.system.content
-        if manager is None:
-            return
-        rng = self.system.rngs.stream("content.fetch")
-        alive = self._alive_ids()
-        doc_ids = sorted(manager.manifests)
-        if alive and doc_ids:
-            requester = alive[int(rng.integers(0, len(alive)))]
-            doc_id = doc_ids[int(rng.integers(0, len(doc_ids)))]
-            manager.fetch(requester, doc_id)
-            self.system.sim.run()
-
     def _do_corrupt_chunk(
         self, step: int, rank: int, doc_rank: int, chunk_rank: int
     ) -> bool:
@@ -502,10 +526,9 @@ class ChaosRunner:
         return state.mark_corrupt(doc_id, index)
 
     def _do_graceful_shutdown(self, step: int, rank: int) -> bool:
-        alive = self._alive_ids()
-        if len(alive) <= self.config.min_alive:
+        node_id = self._victim(rank)
+        if node_id is None:
             return False
-        node_id = alive[rank % len(alive)]
         peer = self.system.peer(node_id)
         docs_before = sorted(peer.docs) if peer is not None else []
         ok = self.system.shutdown_node(node_id)
@@ -520,10 +543,9 @@ class ChaosRunner:
         # survives), replay the journal on recovery, give the control
         # plane one round (reconcile ownership, then heal), then demand
         # full recovery.
-        alive = self._alive_ids()
-        if len(alive) <= self.config.min_alive:
+        node_id = self._victim(rank)
+        if node_id is None:
             return False
-        node_id = alive[rank % len(alive)]
         system = self.system
         system.power_loss(node_id)
         system.sim.run()
@@ -541,20 +563,16 @@ class ChaosRunner:
         # isolated would gossip), then heal and reconcile — every live
         # peer must converge back to the fenced authoritative owner.
         system = self.system
-        alive = sorted(self._alive_ids())
-        if len(alive) < 4 or system.assignment.n_clusters < 2:
+        groups = self._salted_split(fraction, salt)
+        if groups is None or system.assignment.n_clusters < 2:
             return False
         category_id = category % self.config.n_categories
-        rotation = salt % len(alive)
-        rotated = alive[rotation:] + alive[:rotation]
-        split = max(1, int(len(rotated) * fraction))
-        minority, majority = rotated[:split], rotated[split:]
-        system.network.schedule_partition(0.0, [minority, majority])
+        system.network.schedule_partition(0.0, groups)
         system.sim.run()
         target = int(system.assignment.category_to_cluster[category_id])
         stale_cluster = (target + 1) % system.assignment.n_clusters
         counter = int(system.assignment.move_counters[category_id]) + 1
-        for node_id in minority:
+        for node_id in groups[0]:
             peer = system.peer(node_id)
             if peer is not None:
                 peer.dcrt.merge(
@@ -585,11 +603,10 @@ class ChaosRunner:
         # Fence any ownership divergence first so the gossip settle
         # loop converges toward the reconciled owner, not away.
         self.system.run_round("reconciliation")
-        rounds = 0
-        while rounds < MAX_SETTLE_ROUNDS and not self.checker.probe_convergence():
+        for _ in range(MAX_SETTLE_ROUNDS):
+            if self.checker.probe_convergence():
+                break
             self.system.run_round("gossip")
-            rounds += 1
-        self.report.settle_rounds += rounds
         self._check("gossip-convergence")
         # Heal until a scan starts no new fetch (the healer's per-round
         # budget can leave a backlog), then demand every surviving

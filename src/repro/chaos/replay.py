@@ -1,14 +1,11 @@
-"""Failure replay and schedule shrinking.
+"""Schedule shrinking and reproducer emission.
 
-A failing fuzz seed is only useful if it can be (a) re-run verbatim and
-(b) reduced to something a human can read.  :func:`replay` does the
-former — determinism makes it exact.  :func:`shrink` does the latter:
-first a cheap truncation to just past the first violation, then greedy
+:func:`shrink` reduces a failing schedule to something a human can read:
+a cheap truncation to just past the first violation, then greedy
 single-entry deletion, keeping any deletion after which the run still
-violates one of the *original* invariants (not merely any invariant — a
-drop that swaps one failure mode for an unrelated one is not a
-simplification).  :func:`emit_pytest_case` renders the result as a
-self-contained pytest test.
+violates one of the *original* invariants (a drop that swaps one failure
+mode for an unrelated one is not a simplification).
+:func:`emit_pytest_case` renders the result as a self-contained test.
 """
 
 from __future__ import annotations
@@ -16,14 +13,7 @@ from __future__ import annotations
 from repro.chaos.harness import ChaosReport, run_schedule
 from repro.chaos.scenario import Schedule, ScenarioConfig
 
-__all__ = ["replay", "shrink", "emit_pytest_case"]
-
-
-def replay(
-    schedule: Schedule, config: ScenarioConfig | None = None
-) -> ChaosReport:
-    """Re-run a recorded schedule exactly (fresh world, same seed)."""
-    return run_schedule(schedule, config=config)
+__all__ = ["shrink", "emit_pytest_case"]
 
 
 def _still_fails(
@@ -97,7 +87,8 @@ def emit_pytest_case(
 
     The emitted test replays the schedule and asserts *no* violations, so
     it fails on the buggy tree (reproducing the finding) and passes once
-    the underlying defect is fixed.
+    the underlying defect is fixed.  The schedule is rendered by
+    :meth:`Schedule.to_python`, the one serialisation of the vocabulary.
     """
     invariants = ", ".join(sorted(report.violated_invariants))
     config_line = (

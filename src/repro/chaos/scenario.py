@@ -137,11 +137,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One step of a fault schedule.
+    """One event: a fuzzed fault step or a compiled scenario control.
 
     ``params`` holds only JSON-safe scalars, so ``repr`` of an entry is
-    valid Python source — the replay layer leans on that to emit
-    reproducer test cases.
+    valid Python source and :meth:`Schedule.to_python` — the one
+    serialisation, which reproducers embed — is eval-able.
     """
 
     step: int
@@ -174,13 +174,9 @@ class Schedule:
         """Eval-able Python source for this schedule."""
         pad = " " * indent
         inner = " " * (indent + 4)
-        lines = [f"{pad}Schedule("]
-        lines.append(f"{inner}seed={self.seed},")
-        lines.append(f"{inner}entries=(")
-        for entry in self.entries:
-            lines.append(f"{inner}    {entry!r},")
-        lines.append(f"{inner}),")
-        lines.append(f"{pad})")
+        lines = [f"{pad}Schedule(", f"{inner}seed={self.seed},", f"{inner}entries=("]
+        lines += [f"{inner}    {entry!r}," for entry in self.entries]
+        lines += [f"{inner}),", f"{pad})"]
         return "\n".join(lines)
 
 
@@ -215,7 +211,7 @@ def _rank(rng, config) -> dict:
 
 
 #: every action the harness can apply: ``name -> (group, weight, draw)``.
-#: Adding an action is one entry here plus one ``ChaosRunner._do_<name>``
+#: Adding an action is one entry here plus one ``Interpreter._do_<name>``
 #: handler.  Within ``core`` the weights favour the traffic actions
 #: (queries, gossip) that *detect* divergence over the fault actions that
 #: *cause* it, so most schedules both break and probe; the core order,
@@ -273,9 +269,8 @@ ACTIONS: dict[str, Action] = {
         "n": _int(rng, 30, FLASH_CROWD_MAX + 1),
         "workload_seed": _int(rng, 0, _SEEDS),
     }),
-    # A query burst whose size is modulated by a diurnal factor
-    # ``1 + amplitude * sin(2π * phase)`` — the scenario engine's rate
-    # math driven from the schedule's own drawn phase point.
+    # A query burst whose size is scaled by the scenario engine's diurnal
+    # factor at the schedule's own drawn phase point.
     "diurnal_burst": Action("scenario", 2.0, lambda rng, c: {
         "n": _int(rng, 5, DIURNAL_BURST_MAX + 1),
         "phase": _real(rng, 0.0, 1.0),
@@ -387,18 +382,10 @@ def generate_schedule(
     # in, then demand convergence.  Without it, the convergence invariant
     # would flag every schedule that happens to end mid-partition.
     step = config.n_steps
-    entries.append(ScheduleEntry(step=step, action="heal", params={}))
-    entries.append(
-        ScheduleEntry(
-            step=step + 1, action="loss_ramp", params={"target": 0.0, "steps": 1}
-        )
-    )
-    entries.append(
-        ScheduleEntry(
-            step=step + 2,
-            action="gossip",
-            params={"rounds": COOLDOWN_GOSSIP_ROUNDS},
-        )
-    )
-    entries.append(ScheduleEntry(step=step + 3, action="converge", params={}))
+    entries += [
+        ScheduleEntry(step, "heal", {}),
+        ScheduleEntry(step + 1, "loss_ramp", {"target": 0.0, "steps": 1}),
+        ScheduleEntry(step + 2, "gossip", {"rounds": COOLDOWN_GOSSIP_ROUNDS}),
+        ScheduleEntry(step + 3, "converge", {}),
+    ]
     return Schedule(seed=seed, entries=tuple(entries))

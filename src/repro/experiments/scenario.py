@@ -7,8 +7,10 @@ regional partition, popularity drift with a breaking-news skew flip, and
 a free-rider population with misbehaving peers) it builds a fresh
 overlay, expands the spec into a deterministic
 :class:`~repro.scenario.engine.EventStream`, and plays the stream in
-phases: queries are issued at their scheduled times, control events
-(misbehavior arming, partitions, heals) fire between phases, and the
+phases: queries are issued at their scheduled times, and the chaos
+:class:`~repro.chaos.harness.Interpreter` applies each control
+(misbehaviour, partitions, heals) after every query issued before its
+time and before the rest.  The
 :class:`~repro.chaos.invariants.InvariantChecker` watches every
 quiescent step — including the ``response-integrity`` invariant once a
 misbehaving peer is armed.
@@ -18,7 +20,7 @@ p99 first-response latency, and Jain fairness over how evenly the
 phase's serving work spread across the contributing (non-free-riding)
 peers.  Identical seeds replay identically — the stream is a pure
 function of the spec, so every number here is reproducible from the
-spec's JSON alone::
+spec alone::
 
     repro-experiments scenario
     repro-experiments scenario --seed 11
@@ -27,8 +29,9 @@ spec's JSON alone::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from repro.chaos.invariants import InvariantChecker
+from repro.chaos import Interpreter, InvariantChecker, ScenarioConfig
 from repro.core.fairness import jain_fairness
 from repro.core.replication import build_world
 from repro.experiments.common import require
@@ -36,7 +39,6 @@ from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
 from repro.model.workload import QueryWorkload
-from repro.overlay.peer import MisbehaviorConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
 from repro.scenario import generate_events, designate_free_riders, standard_matrix
@@ -72,36 +74,21 @@ class ScenarioResult:
     goodput: list[float] = field(default_factory=list)
     p99_latency: list[float] = field(default_factory=list)
     fairness: list[float] = field(default_factory=list)
-    #: per-spec free-rider counts (parallel with the matrix specs).
+    #: one line per invariant violation, in the order found.
     violation_details: list[str] = field(default_factory=list)
 
 
-def _partition_groups(system, spec, region: int) -> tuple[list[int], list[int]]:
-    """The (region members, everyone else) split of the live population."""
-    alive = sorted(peer.node_id for peer in system.alive_peers())
-    members = [
-        node_id for node_id in alive if node_id % spec.n_regions == region
-    ]
-    others = [node_id for node_id in alive if node_id not in set(members)]
-    return members, others
-
-
-def _apply_control(system, spec, control) -> None:
-    params = dict(control.params)
-    if control.kind == "misbehave":
-        if params["mode"] == "stale_gossip":
-            config = MisbehaviorConfig(stale_gossip=True)
-        else:
-            config = MisbehaviorConfig(bogus_responses=True)
-        system.set_misbehavior(params["node_id"], config)
-    elif control.kind == "partition":
-        members, others = _partition_groups(system, spec, params["region"])
-        if members and others:
-            system.network.schedule_partition(0.0, [members, others])
-            system.sim.run()
-    elif control.kind == "heal":
-        system.network.schedule_heal(0.0)
-        system.sim.run()
+def _issue(system, stream, lo: int, hi: int, origin: float | None = None):
+    """Issue the stream's queries ``[lo, hi)``, timed from ``origin``
+    (default: the first one's time)."""
+    if lo == hi:
+        return []
+    times = stream.times[lo:hi]
+    origin = times[0] if origin is None else origin
+    return system.run_workload(
+        QueryWorkload(queries=stream.workload.queries[lo:hi]),
+        at_times=[time - origin for time in times],
+    )
 
 
 def run(
@@ -136,9 +123,14 @@ def run(
             ),
         )
         checker = InvariantChecker(system)
-        unregister = None
+        # The fuzzing churn floor (min_alive) would refuse every control
+        # on this 16-node world; a spec's controls always apply.
+        interpreter = Interpreter(
+            system, ScenarioConfig(min_alive=0, **_WORLD), checker,
+            check_invariants,
+        )
         if check_invariants:
-            unregister = system.sim.on_quiescence(checker.check_structural)
+            system.sim.on_quiescence(checker.check_structural)
 
         stream = generate_events(spec, instance)
         contributors = [
@@ -149,52 +141,51 @@ def run(
         served_before = {
             peer.node_id: peer.requests_served for peer in contributors
         }
-        controls = list(stream.controls)
+        controls = list(stream.controls.entries)
         phase_window = spec.duration / _N_PHASES
-        # Bucket every query into exactly one phase by its issue time.
-        buckets: list[list[tuple[float, object]]] = [
-            [] for _ in range(_N_PHASES)
-        ]
-        for time, query in zip(stream.times, stream.workload.queries):
-            index = min(int(time / phase_window), _N_PHASES - 1)
-            buckets[index].append((time, query))
-        try:
-            for phase in range(_N_PHASES):
-                checker.step = phase
-                start = phase * phase_window
-                end = start + phase_window
-                while controls and controls[0].time < end + 1e-9:
-                    _apply_control(system, spec, controls.pop(0))
-                phase_times = [time - start for time, _ in buckets[phase]]
-                phase_queries = [query for _, query in buckets[phase]]
-                outcomes = system.run_workload(
-                    QueryWorkload(queries=phase_queries),
-                    at_times=phase_times,
-                )
-                if check_invariants:
-                    checker.check("query-termination", outcomes)
-                response = summarize_responses(outcomes)
-                served_now = {
-                    peer.node_id: peer.requests_served for peer in contributors
-                }
-                deltas = [
-                    served_now[node_id] - served_before[node_id]
-                    for node_id in sorted(served_before)
-                ]
-                served_before = served_now
-                result.spec_names.append(spec.name)
-                result.phase_index.append(phase)
-                result.n_queries.append(len(outcomes))
-                result.goodput.append(
-                    response.n_succeeded / phase_window if phase_window else 0.0
-                )
-                result.p99_latency.append(
-                    response.p99_latency if response.n_succeeded else 0.0
-                )
-                result.fairness.append(jain_fairness(deltas))
-        finally:
-            if unregister is not None:
-                unregister()
+        # Bucket every query into exactly one phase by its issue time:
+        # phase p issues the stream's queries [bounds[p], bounds[p + 1]).
+        counts = [0] * (_N_PHASES + 1)
+        for time in stream.times:
+            counts[min(int(time / phase_window), _N_PHASES - 1) + 1] += 1
+        bounds = list(accumulate(counts))
+        for phase in range(_N_PHASES):
+            checker.step = phase
+            cut, end = bounds[phase], bounds[phase + 1]
+            origin = phase * phase_window
+            outcomes = []
+            # A control splits the phase at its step; the last phase
+            # also takes the controls timed after the final query.
+            while controls and (
+                controls[0].step < end or phase == _N_PHASES - 1
+            ):
+                entry = controls.pop(0)
+                if entry.step > cut:
+                    outcomes += _issue(system, stream, cut, entry.step, origin)
+                    cut, origin = entry.step, None
+                interpreter.apply(entry)
+            outcomes += _issue(system, stream, cut, end, origin)
+            if check_invariants:
+                checker.check("query-termination", outcomes)
+            response = summarize_responses(outcomes)
+            served_now = {
+                peer.node_id: peer.requests_served for peer in contributors
+            }
+            deltas = [
+                served_now[node_id] - served_before[node_id]
+                for node_id in sorted(served_before)
+            ]
+            served_before = served_now
+            result.spec_names.append(spec.name)
+            result.phase_index.append(phase)
+            result.n_queries.append(len(outcomes))
+            result.goodput.append(
+                response.n_succeeded / phase_window if phase_window else 0.0
+            )
+            result.p99_latency.append(
+                response.p99_latency if response.n_succeeded else 0.0
+            )
+            result.fairness.append(jain_fairness(deltas))
         result.violations += len(checker.violations)
         result.violation_details.extend(
             str(violation) for violation in checker.violations

@@ -15,6 +15,7 @@ Three kinds of workload are needed to reproduce the paper's evaluation:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "zipf_category_scenario",
     "uniform_category_scenario",
     "make_query_workload",
+    "diurnal_factor",
     "add_hot_documents",
     "node_churn_events",
 ]
@@ -162,6 +164,12 @@ def make_query_workload(
         )
     ]
     return QueryWorkload(queries=queries)
+
+
+def diurnal_factor(amplitude: float, cycles: float) -> float:
+    """The rate multiplier ``1 + amplitude * sin(2π * cycles)`` (``cycles``:
+    position in the day, in periods; non-negative for ``amplitude <= 1``)."""
+    return 1.0 + amplitude * math.sin(2.0 * math.pi * cycles)
 
 
 @dataclass(frozen=True, slots=True)

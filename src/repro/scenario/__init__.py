@@ -1,19 +1,16 @@
 """Composable, declarative workload scenarios (the scenario engine).
 
 Specs (:mod:`repro.scenario.spec`) describe non-stationary workloads as
-frozen, JSON-round-trippable dataclasses; the engine
-(:mod:`repro.scenario.engine`) expands a spec against a built world into
-a deterministic :class:`~repro.scenario.engine.EventStream`.  Same spec +
-seed ⇒ byte-identical stream; stationary specs reproduce
-:func:`~repro.model.workload.make_query_workload` exactly.
+frozen dataclasses; the engine (:mod:`repro.scenario.engine`) expands a
+spec against a built world into a deterministic
+:class:`~repro.scenario.engine.EventStream` whose controls are chaos
+schedule entries.  Same spec + seed ⇒ identical stream; stationary specs
+reproduce :func:`~repro.model.workload.make_query_workload` exactly.
 
-Consumed by the SCENARIO experiment
-(:mod:`repro.experiments.scenario`), the chaos harness's scenario
-actions (:mod:`repro.chaos`), and the ``scenario_step`` micro benchmark.
+Consumed by the SCENARIO experiment (:mod:`repro.experiments.scenario`).
 """
 
 from repro.scenario.engine import (  # noqa: F401  (re-exported)
-    ControlEvent,
     EventStream,
     designate_free_riders,
     generate_events,
@@ -31,7 +28,6 @@ from repro.scenario.spec import (  # noqa: F401  (re-exported)
 )
 
 __all__ = [
-    "ControlEvent",
     "DiurnalSpec",
     "DriftSpec",
     "EventStream",

@@ -1,12 +1,9 @@
 """Deterministic expansion of a :class:`ScenarioSpec` into events.
 
-:func:`generate_events` turns a spec plus a built
-:class:`~repro.model.system.SystemInstance` into an :class:`EventStream`:
-a timestamped query workload plus timestamped control events (misbehavior
-arming, regional partitions and heals).  Consumers are the SCENARIO
-experiment (phased ``run_workload`` calls), the chaos harness (scenario
-actions draw on the same modulation math), and the ``scenario_step``
-micro benchmark.
+:func:`generate_events` turns a spec plus a built world into an
+:class:`EventStream`: timestamped queries plus the spec's controls
+(misbehaviour, regional partitions, heals) as a chaos
+:class:`~repro.chaos.scenario.Schedule`.
 
 Determinism contract
 --------------------
@@ -19,29 +16,29 @@ The stream is a pure function of ``(spec, instance)``:
   issues a deterministic ``round(rate * window)`` queries per slice and
   region — no Poisson draws, so counts never depend on float summation
   order;
-* control events use their own salted seed streams, independent of the
-  query stream (adding a partition never perturbs the queries).
-
-``EventStream.canonical_bytes()`` renders the whole stream as canonical
-JSONL; the property suite asserts byte-identity across repeated
-generation and across a JSON spec round trip.
+* controls use their own salted seed streams, independent of the query
+  stream (adding a partition never perturbs the queries).
 """
 
 from __future__ import annotations
 
-import json
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chaos.scenario import Schedule, ScheduleEntry
 from repro.model.system import SystemInstance
-from repro.model.workload import Query, QueryWorkload, make_query_workload
+from repro.model.workload import (
+    Query,
+    QueryWorkload,
+    diurnal_factor,
+    make_query_workload,
+)
 from repro.model.zipf import TimeVaryingZipfSampler
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
-    "ControlEvent",
     "EventStream",
     "rate_at",
     "generate_events",
@@ -63,69 +60,19 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
 
 
-@dataclass(frozen=True, slots=True)
-class ControlEvent:
-    """A timestamped non-query action (``misbehave``/``partition``/``heal``).
-
-    ``params`` is a sorted tuple of JSON-safe key/value pairs, keeping the
-    event hashable and its canonical rendering stable.
-    """
-
-    time: float
-    kind: str
-    params: tuple[tuple[str, object], ...] = ()
-
-
 @dataclass(frozen=True)
 class EventStream:
-    """The expanded scenario: timestamped queries plus control events."""
+    """The expanded scenario: timestamped queries plus controls."""
 
-    spec: ScenarioSpec
     workload: QueryWorkload
     #: issue time of each query, aligned with ``workload.queries``.
     times: tuple[float, ...]
-    controls: tuple[ControlEvent, ...]
+    #: chaos entries whose ``step`` is the number of queries issued
+    #: before the entry applies.
+    controls: Schedule
 
     def __len__(self) -> int:
         return len(self.workload.queries)
-
-    def canonical_bytes(self) -> bytes:
-        """Canonical JSONL rendering — the byte-identity contract surface.
-
-        One line per event in stream order (queries first, then controls,
-        each already deterministically ordered), with sorted keys and
-        fixed separators so equal streams serialize to equal bytes.
-        """
-        lines = []
-        for time, query in zip(self.times, self.workload.queries):
-            lines.append(
-                json.dumps(
-                    {
-                        "t": time,
-                        "kind": "query",
-                        "query_id": query.query_id,
-                        "requester": query.requester_id,
-                        "doc": query.target_doc_id,
-                        "categories": list(query.category_ids),
-                        "m": query.m,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        for control in self.controls:
-            lines.append(
-                json.dumps(
-                    {
-                        "t": control.time,
-                        "kind": control.kind,
-                        "params": dict(control.params),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def rate_at(spec: ScenarioSpec, t: float, region: int = 0) -> float:
@@ -144,10 +91,9 @@ def rate_at(spec: ScenarioSpec, t: float, region: int = 0) -> float:
             offset = diurnal.regional_offsets[
                 region % len(diurnal.regional_offsets)
             ]
-        factor = 1.0 + diurnal.amplitude * math.sin(
-            2.0 * math.pi * (t / diurnal.period + diurnal.phase + offset)
+        rate *= diurnal_factor(
+            diurnal.amplitude, t / diurnal.period + diurnal.phase + offset
         )
-        rate *= factor
     return max(0.0, rate)
 
 
@@ -160,14 +106,11 @@ def _doc_sampler(
         [instance.documents[doc_id].popularity for doc_id in doc_ids]
     )
     flips = []
-    if spec.flips:
-        flip_rng = _rng(spec.seed, _SALT_FLIPS)
-        for flip in spec.flips:
-            n_hot = min(flip.n_hot, len(doc_ids))
-            hot = flip_rng.choice(len(doc_ids), size=n_hot, replace=False)
-            flips.append(
-                (flip.at, flip.mass, tuple(int(index) for index in hot))
-            )
+    flip_rng = _rng(spec.seed, _SALT_FLIPS)
+    for flip in spec.flips:
+        n_hot = min(flip.n_hot, len(doc_ids))
+        hot = flip_rng.choice(len(doc_ids), size=n_hot, replace=False)
+        flips.append((flip.at, flip.mass, tuple(int(i) for i in hot)))
     drift = spec.drift.ranks_per_unit if spec.drift is not None else 0.0
     sampler = TimeVaryingZipfSampler(
         popularity, drift_ranks_per_unit=drift, flips=tuple(flips)
@@ -231,47 +174,42 @@ def _modulated_queries(
     )
 
 
-def _control_events(
-    spec: ScenarioSpec, instance: SystemInstance
-) -> tuple[ControlEvent, ...]:
-    controls: list[ControlEvent] = []
+def _controls(
+    spec: ScenarioSpec, instance: SystemInstance, times: tuple[float, ...]
+) -> Schedule:
+    """The spec's controls as chaos entries, in time order.
+
+    A control at time ``t`` takes as its ``step`` the number of queries
+    issued before ``t``.  A misbehaviour pick's ``rank`` is its index among the
+    sorted node ids; a partitioned region is a cluster, as in chaos.
+    """
+    timed: list[tuple[float, str, dict]] = []
     misbehavior = spec.misbehavior
     if misbehavior is not None and (
         misbehavior.n_bogus or misbehavior.n_stale_gossip
     ):
         rng = _rng(spec.seed, _SALT_MISBEHAVE)
-        node_ids = sorted(instance.nodes)
-        total = min(
-            misbehavior.n_bogus + misbehavior.n_stale_gossip, len(node_ids)
-        )
-        picks = rng.choice(len(node_ids), size=total, replace=False)
+        n_nodes = len(instance.nodes)
+        total = min(misbehavior.n_bogus + misbehavior.n_stale_gossip, n_nodes)
+        picks = rng.choice(n_nodes, size=total, replace=False)
         for k, index in enumerate(picks):
             mode = "bogus" if k < misbehavior.n_bogus else "stale_gossip"
-            controls.append(
-                ControlEvent(
-                    time=float(misbehavior.at),
-                    kind="misbehave",
-                    params=(
-                        ("mode", mode),
-                        ("node_id", int(node_ids[int(index)])),
-                    ),
-                )
+            timed.append(
+                (misbehavior.at, "misbehave", {"rank": int(index), "mode": mode})
             )
     for partition in spec.partitions:
-        controls.append(
-            ControlEvent(
-                time=float(partition.at),
-                kind="partition",
-                params=(("region", int(partition.region)),),
-            )
+        timed.append(
+            (partition.at, "regional_partition", {"region": partition.region})
         )
-        controls.append(
-            ControlEvent(
-                time=float(partition.at + partition.duration), kind="heal"
-            )
-        )
-    controls.sort(key=lambda c: (c.time, c.kind, c.params))
-    return tuple(controls)
+        timed.append((partition.at + partition.duration, "heal", {}))
+    timed.sort(key=lambda control: control[:2])
+    return Schedule(
+        seed=spec.seed,
+        entries=tuple(
+            ScheduleEntry(step=bisect_left(times, t), action=action, params=params)
+            for t, action, params in timed
+        ),
+    )
 
 
 def generate_events(
@@ -294,10 +232,9 @@ def generate_events(
     else:
         workload, times = _modulated_queries(spec, instance)
     return EventStream(
-        spec=spec,
         workload=workload,
         times=times,
-        controls=_control_events(spec, instance),
+        controls=_controls(spec, instance, times),
     )
 
 

@@ -1,4 +1,4 @@
-"""Declarative scenario specifications (frozen, JSON-round-trippable).
+"""Declarative scenario specifications (frozen dataclasses).
 
 A :class:`ScenarioSpec` describes a complete non-stationary workload as
 data: a base request rate over a duration, optionally modulated by a
@@ -6,18 +6,13 @@ diurnal cycle (with per-region time-zone offsets), popularity drift, and
 breaking-news skew flips, plus environment stressors — free-riding nodes,
 misbehaving peers, and correlated regional partitions.
 
-Specs are the engine's only input besides the world itself.  The core
-contract (enforced by property tests): the same spec and seed always
-produce a **byte-identical** event stream (see
-:meth:`repro.scenario.engine.EventStream.canonical_bytes`), and a spec
-survives a JSON round trip unchanged, so any run is replayable from a
-serialized artifact.
+Specs are the engine's only input besides the world itself
+(:mod:`repro.scenario.engine` states the determinism contract).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = [
     "DiurnalSpec",
@@ -139,8 +134,8 @@ class MisbehaviorSpec:
 
 @dataclass(frozen=True, slots=True)
 class RegionalPartitionSpec:
-    """Correlated outage: one region drops off the network at ``at`` and
-    heals ``duration`` later."""
+    """Correlated outage: cluster ``region`` (modulo the cluster count)
+    drops off the network at ``at`` and heals ``duration`` later."""
 
     at: float
     duration: float
@@ -150,9 +145,7 @@ class RegionalPartitionSpec:
         if self.at < 0:
             raise ValueError(f"at must be non-negative, got {self.at}")
         if self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive, got {self.duration}"
-            )
+            raise ValueError(f"duration must be positive, got {self.duration}")
         if self.region < 0:
             raise ValueError(f"region must be non-negative, got {self.region}")
 
@@ -162,11 +155,8 @@ class ScenarioSpec:
     """One complete, seeded, replayable workload scenario.
 
     ``base_rate`` is the total request rate (queries per time unit across
-    all regions); nodes belong to region ``node_id % n_regions``.  The
-    rate modulators discretize time into ``window``-sized slices — per
-    slice and region the engine issues ``round(rate * window)`` queries
-    (deterministic, not Poisson, so the stream is a pure function of the
-    spec).
+    all regions); nodes belong to diurnal region ``node_id % n_regions``.
+    The rate modulators discretize time into ``window``-sized slices.
     """
 
     name: str
@@ -213,38 +203,6 @@ class ScenarioSpec:
     def n_queries(self) -> int:
         """Query count of the stationary path (``base_rate * duration``)."""
         return int(round(self.base_rate * self.duration))
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-safe dict (tuples become lists on the way out)."""
-        return asdict(self)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        def build(spec_cls, value):
-            return None if value is None else spec_cls(**value)
-
-        data = dict(data)
-        data["diurnal"] = build(DiurnalSpec, data.get("diurnal"))
-        data["drift"] = build(DriftSpec, data.get("drift"))
-        data["free_riders"] = build(FreeRiderSpec, data.get("free_riders"))
-        data["misbehavior"] = build(MisbehaviorSpec, data.get("misbehavior"))
-        data["flips"] = tuple(
-            SkewFlipSpec(**flip) for flip in data.get("flips", ())
-        )
-        data["partitions"] = tuple(
-            RegionalPartitionSpec(**part) for part in data.get("partitions", ())
-        )
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def standard_matrix(

@@ -16,7 +16,6 @@ from repro.chaos import (
     ScheduleEntry,
     emit_pytest_case,
     generate_schedule,
-    replay,
     run_schedule,
     shrink,
 )
@@ -70,7 +69,7 @@ class TestDeterministicReplay:
         schedule and the exact same invariant-check results."""
         schedule = generate_schedule(9, chaos_config)
         first = run_schedule(schedule, config=chaos_config)
-        second = replay(schedule, config=chaos_config)
+        second = run_schedule(schedule, config=chaos_config)
         assert first == second  # every field, including violations
 
     def test_shrink_rejects_passing_schedule(self, chaos_config):

@@ -27,7 +27,7 @@ from repro.chaos import (
     generate_schedule,
     run_schedule,
 )
-from repro.chaos.harness import ChaosReport, ChaosRunner
+from repro.chaos.harness import ChaosReport, ChaosRunner, Interpreter
 from repro.chaos.invariants import GROUPS as INVARIANT_GROUPS
 from repro.chaos.scenario import FLASH_CROWD_MAX
 from repro.experiments import fuzz
@@ -49,6 +49,22 @@ DEFAULT_DIGESTS = (
     "5af11cdc04d8368b",
     "b3ecb1d7a9c48c58",
 )
+
+#: the same digest of ``generate_schedule(seed, ScenarioConfig(features=
+#: FEATURES))`` for seeds 0-4, computed at the commit before scenario
+#: controls became chaos entries: pins every feature group's draws.
+FEATURE_DIGESTS = (
+    "73aa8505a4b88129",
+    "e6e33fe0b364dc9a",
+    "c6f241f51439ff95",
+    "5022c859431592f4",
+    "1b17301d26630fe9",
+)
+
+#: sha256(emit_pytest_case(...))[:16] of a clean three-step all-but-
+#: adaptive schedule for seeds 0-2, from the same commit: the emitted
+#: reproducer is ``Schedule.to_python`` inside a fixed test template.
+REPRODUCER_DIGESTS = ("89876a3003bc2eeb", "14d5a2bfca17f4b2", "4c6b0ed4ad8c6246")
 
 _SMALL_WORLD = dict(
     n_docs=150, n_nodes=24, n_categories=8, n_clusters=3, min_alive=10
@@ -105,10 +121,26 @@ class TestRegistry:
             source = generate_schedule(seed, ScenarioConfig()).to_python()
             assert hashlib.sha256(source.encode()).hexdigest()[:16] == digest
 
+    def test_feature_schedules_match_the_parent_commit(self):
+        config = ScenarioConfig(features=FEATURES)
+        for seed, digest in enumerate(FEATURE_DIGESTS):
+            source = generate_schedule(seed, config).to_python()
+            assert hashlib.sha256(source.encode()).hexdigest()[:16] == digest
+
+    def test_emitted_reproducers_match_the_parent_commit(self):
+        config = ScenarioConfig(
+            n_steps=3, features=["recovery", "overload", "scenario"]
+        )
+        for seed, digest in enumerate(REPRODUCER_DIGESTS):
+            schedule = generate_schedule(seed, config)
+            report = ChaosReport(seed=seed)
+            source = emit_pytest_case(schedule, report, config)
+            assert hashlib.sha256(source.encode()).hexdigest()[:16] == digest
+
     def test_every_action_has_a_handler_and_every_handler_an_action(self):
         handlers = {
             name.removeprefix("_do_")
-            for name in vars(ChaosRunner)
+            for name in vars(Interpreter)
             if name.startswith("_do_")
         }
         assert handlers == set(ACTIONS)
@@ -227,11 +259,12 @@ class TestWorlds:
     def test_flash_crowd_action_issues_and_accounts_queries(self):
         config = _config("overload", n_steps=2, **_SMALL_WORLD)
         runner = ChaosRunner(generate_schedule(0, config), config)
-        before = runner.report.outcomes_total
-        assert runner._do_flash_crowd(
-            step=0, category=3, n=40, workload_seed=123
-        )
-        assert runner.report.outcomes_total - before == 40
+        interpreter = runner.interpreter
+        before = interpreter.outcomes_total
+        assert interpreter.apply(ScheduleEntry(0, "flash_crowd", {
+            "category": 3, "n": 40, "workload_seed": 123,
+        }))
+        assert interpreter.outcomes_total - before == 40
         served = sum(
             peer.service_snapshot()["offered"]
             for peer in runner.system.alive_peers()
@@ -290,7 +323,7 @@ class TestEmittedReproducer:
         config = _config("recovery", "overload", n_steps=3)
         schedule = generate_schedule(1, config)
         source = emit_pytest_case(
-            schedule, ChaosReport(seed=1, n_entries=len(schedule)), config
+            schedule, ChaosReport(seed=1), config
         )
         assert "features=['content', 'overload', 'recovery']" in source
         assert "weights" not in source and "query_burst', 5.0" not in source

@@ -1,8 +1,10 @@
-"""Engine-layer tests: stationary equivalence, determinism, modulation."""
+"""Engine-layer tests: stationary equivalence, determinism, modulation,
+controls."""
 
 import numpy as np
 import pytest
 
+from repro.chaos import Schedule, ScheduleEntry
 from repro.model.system import SystemConfig, build_system
 from repro.model.workload import make_query_workload
 from repro.scenario import (
@@ -66,27 +68,17 @@ class TestByteIdentity:
             misbehavior=MisbehaviorSpec(at=2.0, n_bogus=1),
             partitions=(RegionalPartitionSpec(at=1.0, duration=2.0, region=1),),
         )
-        first = generate_events(spec, instance).canonical_bytes()
-        second = generate_events(spec, instance).canonical_bytes()
+        first = generate_events(spec, instance)
+        second = generate_events(spec, instance)
         assert first == second
-
-    def test_round_tripped_spec_same_bytes(self, instance):
-        spec = ScenarioSpec(
-            name="mod", seed=3, duration=4.0, base_rate=25.0,
-            diurnal=DiurnalSpec(period=2.0, amplitude=0.5),
-        )
-        clone = ScenarioSpec.from_json(spec.to_json())
-        assert (
-            generate_events(spec, instance).canonical_bytes()
-            == generate_events(clone, instance).canonical_bytes()
-        )
+        assert first.controls.to_python() == second.controls.to_python()
 
     def test_different_seed_different_bytes(self, instance):
         base = dict(name="mod", duration=4.0, base_rate=25.0,
                     diurnal=DiurnalSpec(period=2.0, amplitude=0.5))
         a = generate_events(ScenarioSpec(seed=1, **base), instance)
         b = generate_events(ScenarioSpec(seed=2, **base), instance)
-        assert a.canonical_bytes() != b.canonical_bytes()
+        assert a.workload != b.workload
 
 
 class TestDiurnalModulation:
@@ -162,19 +154,25 @@ class TestSkewFlip:
 
 
 class TestControlEvents:
+    """Controls are chaos schedule entries; ``step`` counts the queries
+    issued before the control applies."""
+
     def test_misbehavior_controls_are_timed_and_typed(self, instance):
         spec = ScenarioSpec(
             name="c", seed=8, duration=6.0, base_rate=10.0,
             misbehavior=MisbehaviorSpec(at=2.5, n_bogus=1, n_stale_gossip=2),
         )
-        controls = generate_events(spec, instance).controls
-        misbehaves = [c for c in controls if c.kind == "misbehave"]
+        stream = generate_events(spec, instance)
+        misbehaves = [
+            e for e in stream.controls.entries if e.action == "misbehave"
+        ]
         assert len(misbehaves) == 3
-        modes = sorted(dict(c.params)["mode"] for c in misbehaves)
+        modes = sorted(e.params["mode"] for e in misbehaves)
         assert modes == ["bogus", "stale_gossip", "stale_gossip"]
-        for control in misbehaves:
-            assert control.time == 2.5
-            assert dict(control.params)["node_id"] in instance.nodes
+        # Queries issue every 0.1 from t = 0: 25 come before t = 2.5.
+        assert [e.step for e in misbehaves] == [25, 25, 25]
+        ranks = {e.params["rank"] for e in misbehaves}
+        assert len(ranks) == 3 and ranks <= set(range(len(instance.nodes)))
 
     def test_partition_pairs_with_heal(self, instance):
         spec = ScenarioSpec(
@@ -182,9 +180,10 @@ class TestControlEvents:
             partitions=(RegionalPartitionSpec(at=1.0, duration=2.0, region=0),),
         )
         controls = generate_events(spec, instance).controls
-        kinds = [(c.kind, c.time) for c in controls]
-        assert ("partition", 1.0) in kinds
-        assert ("heal", 3.0) in kinds
+        assert controls == Schedule(seed=8, entries=(
+            ScheduleEntry(10, "regional_partition", {"region": 0}),
+            ScheduleEntry(30, "heal", {}),
+        ))
 
     def test_controls_sorted_by_time(self, instance):
         spec = ScenarioSpec(
@@ -193,8 +192,30 @@ class TestControlEvents:
             partitions=(RegionalPartitionSpec(at=1.0, duration=1.0),),
         )
         controls = generate_events(spec, instance).controls
-        times = [c.time for c in controls]
-        assert times == sorted(times)
+        assert [e.action for e in controls.entries] == [
+            "regional_partition", "heal", "misbehave",
+        ]
+        steps = [e.step for e in controls.entries]
+        assert steps == sorted(steps)
+
+    def test_controls_between_the_same_queries_keep_time_order(self, instance):
+        # A partition at 1.02 and a heal at 1.05 both fall between the
+        # queries at 1.0 and 1.1, so they share step 11; time, not the
+        # action name, orders them.
+        spec = ScenarioSpec(
+            name="c", seed=8, duration=6.0, base_rate=10.0,
+            partitions=(
+                RegionalPartitionSpec(at=0.5, duration=0.55, region=0),
+                RegionalPartitionSpec(at=1.02, duration=1.0, region=1),
+            ),
+        )
+        controls = generate_events(spec, instance).controls
+        assert [(e.step, e.action) for e in controls.entries] == [
+            (5, "regional_partition"),
+            (11, "regional_partition"),
+            (11, "heal"),
+            (21, "heal"),
+        ]
 
 
 class TestDesignateFreeRiders:

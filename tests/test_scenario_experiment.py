@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.experiments import EXPERIMENTS, scenario
+from repro.scenario import RegionalPartitionSpec, ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,36 @@ class TestMatrixRun:
         assert "SCENARIO matrix" in text
         assert "stationary" in text
         assert "invariant violations: 0" in text
+
+
+class TestControlTiming:
+    def test_a_partition_in_phase_one_leaves_phase_zero_clean(
+        self, monkeypatch
+    ):
+        """A control applies after every query issued before its time:
+        a partition from t = 2 (phase 1 of 0-2, 2-4, ...) must not touch
+        phase 0, whose queries all succeed at the unpartitioned latency."""
+        clean = ScenarioSpec(
+            name="clean", seed=8, duration=8.0, base_rate=60.0, n_regions=4
+        )
+        cut = ScenarioSpec(
+            name="cut", seed=8, duration=8.0, base_rate=60.0, n_regions=4,
+            partitions=(
+                RegionalPartitionSpec(at=2.0, duration=1.6, region=1),
+            ),
+        )
+        monkeypatch.setattr(
+            scenario, "standard_matrix", lambda seed: (clean, cut)
+        )
+        result = scenario.run(seed=7)
+        phase_window = 2.0
+        # rows: clean phases 0-3, then cut phases 0-3.
+        assert result.n_queries[4] == result.n_queries[0]
+        assert result.goodput[4] * phase_window == result.n_queries[4]
+        assert result.p99_latency[4] == result.p99_latency[0]
+        # ... and the partition does show, in phase 1.
+        assert result.p99_latency[5] > result.p99_latency[1]
+        assert result.violations == 0, result.violation_details
 
 
 class TestRegistry:

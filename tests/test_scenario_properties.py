@@ -2,17 +2,19 @@
 
 Four properties, each over randomly composed specs:
 
-1. the same spec + seed always yields a byte-identical event stream;
+1. the same spec + seed always yields an identical event stream;
 2. the instantaneous rate is non-negative under any diurnal composition;
 3. the time-varying popularity law conserves probability mass (and stays
    non-negative) through drift and any sequence of skew flips;
-4. every spec survives a JSON round trip unchanged.
+4. every spec's compiled controls survive their one codec,
+   ``Schedule.to_python``, unchanged — what makes a run replayable.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import Schedule, ScheduleEntry
 from repro.model.system import SystemConfig, build_system
 from repro.model.zipf import TimeVaryingZipfSampler
 from repro.scenario import (
@@ -97,9 +99,10 @@ specs = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(spec=specs)
 def test_same_spec_yields_byte_identical_streams(spec):
-    first = generate_events(spec, INSTANCE).canonical_bytes()
-    second = generate_events(spec, INSTANCE).canonical_bytes()
+    first = generate_events(spec, INSTANCE)
+    second = generate_events(spec, INSTANCE)
     assert first == second
+    assert first.controls.to_python() == second.controls.to_python()
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,5 +148,7 @@ def test_popularity_mass_conserved_through_drift_and_flips(
 
 @settings(max_examples=60, deadline=None)
 @given(spec=specs)
-def test_spec_survives_json_round_trip(spec):
-    assert ScenarioSpec.from_json(spec.to_json()) == spec
+def test_controls_survive_to_python_round_trip(spec):
+    controls = generate_events(spec, INSTANCE).controls
+    namespace = {"Schedule": Schedule, "ScheduleEntry": ScheduleEntry}
+    assert eval(controls.to_python(), namespace) == controls

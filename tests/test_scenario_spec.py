@@ -1,9 +1,9 @@
-"""Spec-layer tests: validation, serialization, the standard matrix."""
-
-import json
+"""Spec-layer tests: validation, stationarity, the standard matrix."""
 
 import pytest
 
+from repro.chaos import Schedule, ScheduleEntry
+from repro.model.system import SystemConfig, build_system
 from repro.scenario import (
     DiurnalSpec,
     DriftSpec,
@@ -12,30 +12,9 @@ from repro.scenario import (
     RegionalPartitionSpec,
     ScenarioSpec,
     SkewFlipSpec,
+    generate_events,
     standard_matrix,
 )
-
-
-def full_spec() -> ScenarioSpec:
-    """One spec exercising every optional block."""
-    return ScenarioSpec(
-        name="everything",
-        seed=13,
-        duration=12.0,
-        base_rate=40.0,
-        m=2,
-        n_regions=3,
-        window=0.5,
-        diurnal=DiurnalSpec(
-            period=6.0, amplitude=0.7, phase=0.1,
-            regional_offsets=(0.0, 1.0 / 3.0, 2.0 / 3.0),
-        ),
-        drift=DriftSpec(ranks_per_unit=2.0),
-        flips=(SkewFlipSpec(at=6.0, mass=0.25, n_hot=3),),
-        free_riders=FreeRiderSpec(fraction=0.2),
-        misbehavior=MisbehaviorSpec(at=4.0, n_bogus=1, n_stale_gossip=1),
-        partitions=(RegionalPartitionSpec(at=3.0, duration=2.0, region=1),),
-    )
 
 
 class TestValidation:
@@ -118,24 +97,6 @@ class TestStationary:
         ).n_queries == 500
 
 
-class TestRoundTrip:
-    def test_json_round_trip_full(self):
-        spec = full_spec()
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
-
-    def test_json_round_trip_minimal(self):
-        spec = ScenarioSpec(name="bare")
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
-
-    def test_to_json_is_canonical(self):
-        # sort_keys means equal specs always serialize to equal text.
-        spec = full_spec()
-        assert spec.to_json() == ScenarioSpec.from_json(spec.to_json()).to_json()
-
-    def test_to_dict_is_json_safe(self):
-        json.dumps(full_spec().to_dict())
-
-
 class TestStandardMatrix:
     def test_shape_and_names(self):
         matrix = standard_matrix(seed=7)
@@ -159,5 +120,9 @@ class TestStandardMatrix:
         assert [spec.seed for spec in matrix] == [100, 101, 102, 103]
 
     def test_every_spec_round_trips(self):
+        # A spec replays from its compiled controls' Python source.
+        instance = build_system(SystemConfig(seed=1, n_docs=60, n_nodes=16))
+        namespace = {"Schedule": Schedule, "ScheduleEntry": ScheduleEntry}
         for spec in standard_matrix():
-            assert ScenarioSpec.from_json(spec.to_json()) == spec
+            controls = generate_events(spec, instance).controls
+            assert eval(controls.to_python(), namespace) == controls
