@@ -437,22 +437,17 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     @invariant("replication-bounds", "replication")
     def _check_replication_bounds(self):
-        """The manager's per-category managed replica set stays within
-        ``MAX_REPLICAS`` and only ever names real nodes."""
+        """The copies the replica loop placed for each document stay
+        within ``MAX_REPLICAS`` and only ever name real nodes."""
         known = set(self.system.all_node_ids())
-        managed = self.system.replication.managed_view()
-        for category_id, nodes in sorted(managed.items()):
+        for doc_id, nodes in sorted(self.system.replication.placed.items()):
             if len(nodes) > MAX_REPLICAS:
                 yield (
-                    f"category {category_id} has {len(nodes)} managed "
-                    f"replicas, exceeding max_replicas {MAX_REPLICAS}"
+                    f"doc {doc_id} has {len(nodes)} placed copies, "
+                    f"exceeding max_replicas {MAX_REPLICAS}"
                 )
-            for node_id in sorted(nodes):
-                if node_id not in known:
-                    yield (
-                        f"category {category_id} tracks a managed replica "
-                        f"on unknown node {node_id}"
-                    )
+            for node_id in sorted(nodes - known):
+                yield f"doc {doc_id} tracks a placed copy on unknown node {node_id}"
 
     @invariant("response-integrity", "integrity")
     def _check_response_integrity(self):

@@ -305,8 +305,8 @@ ACTIONS: dict[str, Action] = {
         "doc_rank": _int(rng, 0, _RANKS),
         "chunk_rank": _int(rng, 0, 64),
     }),
-    # Clean departure through the drain-and-handoff path: no sole-holder
-    # chunk may be lost, unlike a crash.
+    # Clean departure through the replica loop: unlike a crash, no last
+    # copy may be lost.
     "graceful_shutdown": Action("content", 1.0, _rank),
     # Amnesia crash: volatile memory wiped, disk (journal, partial chunks,
     # corruption marks) kept — then recovery replays the snapshot+WAL and

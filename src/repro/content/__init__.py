@@ -4,10 +4,10 @@ Documents gain simulated bytes split into fixed-size chunks with
 deterministic content hashes; a per-document :class:`Manifest` (chunk
 hashes, size, version) is registered alongside the cluster metadata,
 and fetches move chunks from multiple sources with per-chunk integrity
-verification and mid-transfer failover.  Three robustness loops ride
-on top: read-repair (:mod:`repro.content.fetcher`), anti-entropy
-healing (:mod:`repro.content.healer`), and graceful-shutdown handoff
-(``P2PSystem.shutdown_node``).
+verification and mid-transfer failover.  Two robustness loops ride
+on top: read-repair (:mod:`repro.content.fetcher`) and anti-entropy
+healing (:mod:`repro.content.healer`, one caller of the replica loop
+in :mod:`repro.overlay.replication_manager`).
 
 Everything is off by default (``ContentConfig(enabled=False)``):
 disabled runs construct nothing, register no metrics, and consume no

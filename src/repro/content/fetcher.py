@@ -82,7 +82,7 @@ class PeerContent:
         self.partial: dict[int, set[int]] = {}
         #: doc id -> chunk indexes whose local copy is corrupt (chaos).
         self.corrupt: dict[int, set[int]] = {}
-        #: locally cached manifests (fetches, repairs, handoffs).
+        #: locally cached manifests (fetches, repairs, replica pulls).
         self.manifests: dict[int, Manifest] = {}
         #: optional ``(doc_id, manifest)`` callback fired whenever the
         #: manifest cache learns or advances a version — the durability
@@ -423,7 +423,7 @@ class PeerContent:
                 self.on_manifest(repair.doc_id, fresh)
 
     def handle_manifest_update(self, update: m.ManifestUpdate, src: int) -> None:
-        """Cache a manifest announced to us (graceful-shutdown handoff).
+        """Cache a manifest announced to us (beside a replica pull).
 
         The update arrives from outside the program: one whose hash count
         disagrees with its size is dropped and counted before it can

@@ -206,8 +206,8 @@ class ContentManager:
     partial holders (peers mid-fetch that can already serve some
     chunks), and the append-only fetch ledger the integrity invariant
     audits.  As a ``P2PSystem`` subsystem it listens to
-    ``document_stored``, ``document_handoff`` and ``peer_recovered`` and
-    runs the ``healing`` control round.
+    ``document_stored`` and ``peer_recovered`` and runs the ``healing``
+    control round.
     """
 
     round_name = "healing"
@@ -337,12 +337,12 @@ class ContentManager:
     # ------------------------------------------------------------------
     # lifecycle events and the control round
     # ------------------------------------------------------------------
-    def document_handoff(self, peer: "Peer", target_id: int, doc_id: int) -> None:
-        """A gracefully leaving ``peer`` hands ``doc_id`` to ``target_id``:
-        ship the manifest alongside the document transfer."""
+    def ship_manifest(self, source_id: int, target_id: int, doc_id: int) -> None:
+        """A copy of ``doc_id`` travels by transfer pull, outside the data
+        plane: the source sends its manifest alongside."""
         manifest = self.manifests.get(doc_id)
         if manifest is not None:
-            peer._send(
+            self.system.peers[source_id]._send(
                 target_id,
                 "manifest_update",
                 manifest_to_update(manifest, holders=self.live_holders(doc_id)),
@@ -351,17 +351,12 @@ class ContentManager:
     def peer_recovered(self, peer: "Peer") -> list[int]:
         """Audit a recovered peer's holdings before they are trusted.
 
-        Two failure modes hide in a replayed disk: the cached manifest
-        may be stale (the document's version was bumped while the node
-        was dark — sync it from the registry, i.e. replay the missed
-        bump), and chunks may be corrupt.  A corrupt document with other
-        live holders is *dropped* — its intact chunks become verified
-        partial state — so the healer re-fetches it instead of the peer
-        silently re-advertising bad bytes; a corrupt *sole* copy is kept
-        (corrupt beats destroyed).  Returns the dropped doc ids.
+        The cached manifest may be stale (the document's version was
+        bumped while the node was dark): sync it from the registry, i.e.
+        replay the missed bump.  Then :meth:`scrub` the corrupt copies.
+        Returns the dropped doc ids.
         """
         content = peer.content_state
-        dropped: list[int] = []
         for doc_id in sorted(peer.docs):
             registry = self.manifests.get(doc_id)
             if registry is not None:
@@ -370,8 +365,20 @@ class ContentManager:
                     content.manifests[doc_id] = registry
                     if content.on_manifest is not None:
                         content.on_manifest(doc_id, registry)
-            bad = content.corrupt.get(doc_id)
-            if not bad:
+        return self.scrub(peer)
+
+    def scrub(self, peer: "Peer") -> list[int]:
+        """Drop ``peer``'s corrupt copies that another live holder has.
+
+        The intact chunks of a dropped copy become verified partial state,
+        so the replica loop re-copies the document instead of the peer
+        re-advertising bad bytes; a corrupt *sole* copy is kept (corrupt
+        beats destroyed).  Returns the dropped doc ids.
+        """
+        content = peer.content_state
+        dropped: list[int] = []
+        for doc_id, bad in sorted(content.corrupt.items()):
+            if doc_id not in peer.docs or not bad:
                 continue
             others = [
                 holder
@@ -380,7 +387,7 @@ class ContentManager:
             ]
             if not others:
                 continue  # sole copy: corrupt beats destroyed
-            manifest = content.manifests.get(doc_id, registry)
+            manifest = content.manifests.get(doc_id, self.manifests.get(doc_id))
             if manifest is not None:
                 intact = set(range(manifest.n_chunks)) - set(bad)
                 if intact:

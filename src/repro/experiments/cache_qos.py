@@ -4,24 +4,24 @@ The OVERLOAD experiment showed that admission control keeps goodput from
 collapsing under saturation — but shedding only *rejects* excess demand.
 This experiment measures what the adaptive pieces add on top: requester-
 side caches (:mod:`repro.overlay.cache`) that turn every successful
-retrieval into another servable replica, and the demand-adaptive
-replication manager (:mod:`repro.overlay.replication_manager`) that
-grows the hot category's replica set while the crowd lasts and shrinks
-it back once the crowd passes.
+retrieval into another servable replica, and the demand term of the
+replica loop (:mod:`repro.overlay.replication_manager`) that places extra
+copies of the hot category's documents while the crowd lasts and drops
+them once the crowd passes.
 
 Both arms run the *same* protected world (bounded service queues,
 redirect admission, retry budgets) through three phases:
 
 1. **warmup** — a light Zipf workload; the adaptive arm runs a control
-   round that should leave replica counts at baseline (no false grows);
+   round that should leave placed copies at baseline (no false grows);
 2. **flash crowd** — a sustained doc-targeted burst at one category,
    offered at a multiple of aggregate service capacity, split into
    chunks with one control round between chunks (adaptive arm only);
-3. **cooldown** — quiet control rounds; the manager's slow-shrink
-   hysteresis retires the crowd-era replicas one per round.
+3. **cooldown** — quiet control rounds; the slow-shrink hysteresis
+   lowers each crowd-era extra by one a round.
 
 Reported per arm: crowd-phase goodput (timely successes per second),
-p99 latency, shed count, cache accounting, and the managed-replica trace
+p99 latency, shed count, cache accounting, and the placed-copy trace
 (baseline / peak / final) — the last demonstrating that hysteresis works
 in both directions.
 """
@@ -77,12 +77,12 @@ WARMUP_LOAD = 0.4
 WARMUP_WINDOW = 5.0
 
 #: quiet control rounds after the crowd (enough for the slow shrink to
-#: retire every crowd-era replica: at least ``SHRINK_AFTER`` +
-#: ``MAX_REPLICAS`` of :mod:`repro.overlay.replication_manager`).
+#: drop every crowd-era copy: at least ``SHRINK_AFTER`` + ``MAX_REPLICAS``
+#: of :mod:`repro.overlay.replication_manager`).
 COOLDOWN_ROUNDS = 12
 
-#: documents the crowd hammers (aligned with the manager's
-#: ``DOCS_PER_REPLICA`` so grown replicas hold exactly the hot set).
+#: documents the crowd hammers (as many as the manager's
+#: ``DOCS_PER_REPLICA``, the documents a hot round grows).
 HOT_DOCS = 4
 
 #: requester-side cache capacity of the adaptive arm, documents.
@@ -111,7 +111,7 @@ class ArmResult:
     p99_latency: float
     #: queries rejected with BUSY during the crowd phase.
     shed: int
-    #: managed replicas after warmup / at crowd peak / after cooldown.
+    #: placed copies after warmup / at crowd peak / after cooldown.
     replicas_baseline: int
     replicas_peak: int
     replicas_final: int
@@ -207,9 +207,9 @@ def _measure_arm(
     hot_category, hot_docs = _hot_targets(instance)
     shed_counter = obs.counter("overload.shed")
 
-    def managed() -> int:
+    def placed() -> int:
         return (
-            system.replication.total_managed()
+            system.replication.total_placed()
             if system.replication is not None
             else 0
         )
@@ -220,7 +220,7 @@ def _measure_arm(
     warmup = make_query_workload(instance, n_warmup, seed=seed + 1)
     system.run_workload(warmup, query_interval=1.0 / warmup_rate)
     system.run_replication_round()
-    replicas_baseline = managed()
+    replicas_baseline = placed()
 
     # Phase 2: flash crowd — chunks with a control round between them.
     crowd_rate = CROWD_LOAD * saturation_rate
@@ -241,13 +241,13 @@ def _measure_arm(
             )
         )
         system.run_replication_round()
-        replicas_peak = max(replicas_peak, managed())
+        replicas_peak = max(replicas_peak, placed())
     crowd_shed = int(shed_counter.value - shed_before)
 
     # Phase 3: cooldown — quiet rounds; slow shrink retires the replicas.
     for _round in range(cooldown_rounds):
         system.run_replication_round()
-    replicas_final = managed()
+    replicas_final = placed()
 
     response = summarize_responses(outcomes)
     timely = sum(
@@ -365,7 +365,7 @@ def format_result(result: CacheQosResult) -> str:
         f"{adaptive.p99_latency:.3f}s"
     )
     lines.append(
-        f"  hysteresis: managed replicas {adaptive.replicas_baseline} "
+        f"  hysteresis: placed copies {adaptive.replicas_baseline} "
         f"(baseline) -> {adaptive.replicas_peak} (crowd peak) -> "
         f"{adaptive.replicas_final} (after cooldown)"
     )

@@ -26,15 +26,15 @@ Implements Section 3 (architecture and query processing) and Section 6
   updates;
 * :mod:`repro.overlay.cache` — the requester-side LRU document cache
   that registers cached copies as servable holders;
-* :mod:`repro.overlay.replication_manager` — the demand-adaptive
-  replication control loop (grow fast on pressure, shrink slowly on
-  idle, QoS-aware placement);
+* :mod:`repro.overlay.replication_manager` — the one replica loop: each
+  document's target (the healing floor plus a demand term that grows fast
+  on pressure and shrinks slowly on idle), its count and its placement,
+  driven by the healing and replication rounds and graceful shutdown;
 * :mod:`repro.overlay.system` — :class:`~repro.overlay.system.P2PSystem`,
   the world core that wires a built system instance into a live
   simulation; its books live in :mod:`repro.overlay.ledger` (what peers
   report) and :mod:`repro.overlay.topology` (cluster membership and
-  graphs), graceful shutdown in :mod:`repro.overlay.handoff`, and the
-  durability subsystem in :mod:`repro.overlay.recovery`.
+  graphs), and the durability subsystem in :mod:`repro.overlay.recovery`.
 """
 
 from repro.overlay.cache import DocumentCache

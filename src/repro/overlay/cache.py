@@ -16,8 +16,7 @@ invariant checks.
 
 The accounting counters (:attr:`DocumentCache.fills`,
 :attr:`~DocumentCache.evictions`, :attr:`~DocumentCache.served_hits`)
-feed :meth:`Peer.cache_stats` — one of the demand signals the
-:mod:`~repro.overlay.replication_manager` control loop reads.
+feed :meth:`Peer.cache_stats`.
 """
 
 from __future__ import annotations
@@ -88,13 +87,6 @@ class DocumentCache:
             self.evictions += 1
             evicted.append(victim)
         return tuple(evicted)
-
-    def discard(self, doc_id: int) -> bool:
-        """Forget an entry without counting an eviction (external drop)."""
-        if doc_id not in self._entries:
-            return False
-        del self._entries[doc_id]
-        return True
 
     def stats(self) -> dict:
         """Read-only accounting snapshot (see ``Peer.cache_stats``)."""

@@ -346,7 +346,7 @@ class Pong:
 
 @frozen_dataclass
 class ManifestUpdate:
-    """A document manifest on the wire (graceful-shutdown handoff).
+    """A document manifest on the wire (sent beside a replica pull).
 
     Chunk hashes are 63-bit integers (see :mod:`repro.content.chunks`),
     so the whole manifest stays within the codec's scalar types.

@@ -29,7 +29,6 @@ from repro.overlay.adaptation import (
     AdaptationCoordinator,
     AdaptationOutcome,
 )
-from repro.overlay.handoff import graceful_shutdown
 from repro.overlay.ledger import WorldLedger
 from repro.overlay.metadata import DCRTEntry
 from repro.overlay.peer import DocInfo, MisbehaviorConfig, Peer, PeerConfig
@@ -41,7 +40,11 @@ from repro.overlay.topology import ClusterTopology
 from repro.content.chunks import ContentConfig
 from repro.content.manifest import ContentManager
 from repro.durability import DurabilityConfig, PeerJournal
-from repro.overlay.replication_manager import ReplicationConfig, ReplicationManager
+from repro.overlay.replication_manager import (
+    ReplicationConfig,
+    ReplicationManager,
+    graceful_shutdown,
+)
 from repro.overlay.service import ServiceConfig
 from repro.reliability import ReliabilityConfig
 from repro.sim.engine import Simulator
@@ -52,7 +55,7 @@ __all__ = ["P2PSystemConfig", "P2PSystem"]
 
 #: lifecycle events the core fans out to the subsystems that define a
 #: method of that name (``document_stored`` through the ledger's store hook).
-EVENTS = ("peer_created", "peer_recovered", "document_stored", "document_handoff")
+EVENTS = ("peer_created", "peer_recovered", "document_stored")
 
 #: every world's one-way message latency (simulated seconds) and link
 #: bandwidth (bytes per simulated second).
@@ -460,9 +463,10 @@ class P2PSystem:
         self.sim.run()
 
     def shutdown_node(self, node_id: int) -> bool:
-        """Gracefully shut a node down: drain, hand off sole-held
-        documents, then leave (see :func:`~repro.overlay.handoff.
-        graceful_shutdown`).  Returns whether the node left."""
+        """Gracefully shut a node down: drain, move its documents to their
+        replica targets, then leave (see :func:`~repro.overlay.
+        replication_manager.graceful_shutdown`).  Returns whether the node
+        left."""
         return graceful_shutdown(self, node_id)
 
     def crash_node(self, node_id: int) -> None:

@@ -404,10 +404,66 @@ class TestFullStackFindings:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="content x scenario: a document stays one holder below the "
-        "floor after healing runs dry",
+        reason="ROADMAP 1(iv): a join lost to a partition is never restarted",
     )
+    def test_join_lost_to_a_partition_is_restarted(self):
+        # All-on seed 24, shrunk under every feature.  The second free
+        # rider joins through a node the regional partition cut off; its
+        # join_request is dead-lettered and nothing starts the join again,
+        # so it ends alive with the default DCRT rows and no membership.
+        config = ScenarioConfig(features=['adaptive', 'content', 'overload', 'recovery', 'scenario'])
+        schedule = Schedule(
+            seed=24,
+            entries=(
+                ScheduleEntry(step=4, action='free_rider_join', params={'capacity': 4}),
+                ScheduleEntry(step=8, action='join', params={'capacity': 3, 'category': 7, 'n_docs': 2}),
+                ScheduleEntry(step=9, action='leave', params={'rank': 825005}),
+                ScheduleEntry(step=11, action='regional_partition', params={'region': 0}),
+                ScheduleEntry(step=15, action='free_rider_join', params={'capacity': 5}),
+                ScheduleEntry(step=16, action='crash', params={'rank': 47616}),
+                ScheduleEntry(step=22, action='power_loss', params={'rank': 91133}),
+                ScheduleEntry(step=43, action='converge', params={}),
+            ),
+        )
+        report = run_schedule(schedule, config=config)
+        assert report.ok, "\n".join(str(v) for v in report.violations)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1(iv): a join lost to a partition is never restarted",
+    )
+    def test_empty_handed_join_lost_to_a_partition_is_restarted(self):
+        # All-on seed 28, shrunk under every feature: the same family.
+        # Node 63 joins with no documents while a partition is up and ends
+        # with the default DCRT rows and no cluster.
+        config = ScenarioConfig(features=['adaptive', 'content', 'overload', 'recovery', 'scenario'])
+        schedule = Schedule(
+            seed=28,
+            entries=(
+                ScheduleEntry(step=1, action='crash', params={'rank': 63460}),
+                ScheduleEntry(step=4, action='join', params={'capacity': 4, 'category': 1, 'n_docs': 2}),
+                ScheduleEntry(step=4, action='free_rider_join', params={'capacity': 2}),
+                ScheduleEntry(step=5, action='crash', params={'rank': 310061}),
+                ScheduleEntry(step=7, action='join', params={'capacity': 3, 'category': 9, 'n_docs': 1}),
+                ScheduleEntry(step=12, action='leave', params={'rank': 812820}),
+                ScheduleEntry(step=16, action='partition', params={'fraction': 0.336, 'salt': 235636}),
+                ScheduleEntry(step=18, action='join', params={'capacity': 1, 'category': 5, 'n_docs': 0}),
+                ScheduleEntry(step=26, action='crash', params={'rank': 517962}),
+                ScheduleEntry(step=31, action='power_loss', params={'rank': 777179}),
+                ScheduleEntry(step=43, action='converge', params={}),
+            ),
+        )
+        report = run_schedule(schedule, config=config)
+        assert report.ok, "\n".join(str(v) for v in report.violations)
+
     def test_healing_reaches_the_floor_with_a_free_rider(self):
+        # All-on seed 26, shrunk under content + scenario.  Doc 239 sits at
+        # the floor when chunk 0 of node 54's copy is corrupted (step 25);
+        # node 43, its other holder, then leaves (step 33).  While the
+        # corrupt copy counted as a holder, healing fetched from it until
+        # every attempt was exhausted.  A healing round now scrubs a
+        # corrupt copy that has another live holder and re-copies the
+        # document from an intact one; the free rider is a bystander.
         config = ScenarioConfig(features=["content", "scenario"])
         schedule = Schedule(
             seed=26,

@@ -84,6 +84,27 @@ class TestHealingRound:
         assert report["below_floor"] > HEAL_FETCH_LIMIT
         assert report["fetches"] == HEAL_FETCH_LIMIT
 
+    def test_corrupt_copy_at_the_floor_is_replaced_in_one_round(self):
+        # A corrupt copy does not count toward the floor: the round scrubs
+        # it (its intact chunks stay as partial state) and re-copies the
+        # document from the intact holder.
+        system = make_content_system(replication_floor=2)
+        manager = system.content
+        doc_id, holders = doc_with_holders(system, min_holders=2)
+        for other in holders[2:]:
+            system.peer(other).drop_document(doc_id)
+        bad = holders[0]
+        assert system.peer(bad).content_state.mark_corrupt(doc_id, 0)
+        system.run_healing_round()
+        intact = [
+            node_id
+            for node_id in manager.live_holders(doc_id)
+            if doc_id not in system.peer(node_id).content_state.corrupt
+        ]
+        assert len(intact) == 2
+        assert bad not in manager.live_holders(doc_id)
+        assert system.peer(bad).content_state.partial[doc_id] == {1, 2, 3}
+
     def test_healing_is_deterministic(self):
         snapshots = []
         for _ in range(2):

@@ -3,8 +3,7 @@
 :mod:`repro.overlay.cache` owns replacement bookkeeping only; these
 tests pin its LRU semantics (byte-compatible with the historical inline
 OrderedDict), the accounting
-counters behind ``Peer.cache_stats``, the promote path the replication
-manager uses to pin hot cached copies, and the holder-directory
+counters behind ``Peer.cache_stats``, and the holder-directory
 consistency of evictions — including an eviction that races a query
 already in flight toward the evicting node.
 """
@@ -40,14 +39,6 @@ class TestDocumentCacheUnit:
         cache = DocumentCache(2)
         assert cache.touch(99) is False
         assert len(cache) == 0
-
-    def test_discard_does_not_count_as_eviction(self):
-        cache = DocumentCache(4)
-        cache.add(10)
-        assert cache.discard(10) is True
-        assert cache.discard(10) is False
-        assert cache.evictions == 0
-        assert cache.stats()["size"] == 0
 
     def test_stats_accounting(self):
         cache = DocumentCache(1)
@@ -119,23 +110,6 @@ class TestPeerCachePolicies:
         _retrieve(overlay, 1, 1, 100)  # node 1 caches doc 100
         _retrieve(overlay, 0, 2, 100)  # node 0 asks; node 1 serves from cache
         assert overlay.peers[1].cache_stats()["served_hits"] >= 1
-
-    def test_cache_promote_pins_the_copy(self):
-        overlay = _serving_overlay(capacity=1)
-        for doc_id in (100, 101):
-            overlay.give_document(2, doc_id, [7])
-        cacher = overlay.peers[1]
-        _retrieve(overlay, 1, 1, 100)
-        assert cacher.queries.cache.owns(100)
-        assert cacher.queries.cache.discard(100) is True
-        assert not cacher.queries.cache.owns(100)
-        assert cacher.dt.has_document(100)  # bytes stayed put
-        # The pinned copy no longer occupies cache capacity: the next
-        # fill needs no eviction and never touches doc 100.
-        _retrieve(overlay, 1, 2, 101)
-        assert cacher.dt.has_document(100)
-        assert cacher.dt.has_document(101)
-        assert cacher.queries.cache.discard(100) is False  # already pinned
 
     def test_eviction_deregisters_holder(self):
         overlay = _serving_overlay(capacity=1)

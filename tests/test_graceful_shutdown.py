@@ -1,17 +1,18 @@
-"""Graceful shutdown: drain, sole-holder handoff, and clean departure.
+"""Graceful shutdown: drain, the replica loop over the leaver's
+documents, and clean departure.
 
 Also pins the crash/leave asymmetry fix: a graceful departure clears
 the leaver from its neighbours' failure-detector suspect maps, while a
 crash (no goodbye) leaves the suspicion evidence in place.
 """
 
-from repro.overlay.handoff import handoff_target, sole_holder_docs
+from repro.core.maxfair import maxfair
+from repro.core.popularity import build_category_stats
+from repro.core.replication import plan_replication
+from repro.model.system import SystemConfig, build_system
+from repro.overlay.system import P2PSystem, P2PSystemConfig
 from tests.helpers import build_live_system
-from tests.test_content_fetch import (
-    doc_with_holders,
-    make_content_system,
-    pick_requester,
-)
+from tests.test_content_fetch import doc_with_holders, make_content_system
 
 
 def make_sole_holder(system, min_holders=2):
@@ -23,6 +24,43 @@ def make_sole_holder(system, min_holders=2):
         system.peer(other).drop_document(doc_id)
     assert manager.live_holders(doc_id) == [keeper]
     return doc_id, keeper
+
+
+def make_plain_system(seed):
+    """``make_content_system``'s world with the content data plane off."""
+    instance = build_system(SystemConfig(
+        seed=seed,
+        n_docs=40,
+        n_nodes=10,
+        n_categories=8,
+        n_clusters=2,
+        doc_size_bytes=262_144,
+    ))
+    assignment = maxfair(instance, stats=build_category_stats(instance))
+    plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.35)
+    return P2PSystem(
+        instance, assignment, plan=plan, config=P2PSystemConfig(seed=seed)
+    )
+
+
+#: (leaver, left, {doc: new live holders}) for three shutdowns in a row
+#: after the first three peers crashed, recorded at the commit before the
+#: replica loop absorbed the sole-holder handoff.
+PARENT_HANDOFFS = {
+    7: [
+        (3, True, {}),
+        (4, True, {9: [5], 29: [5], 36: [9]}),
+        (5, True, {7: [7], 9: [7], 11: [7], 12: [9], 20: [7], 22: [9],
+                   28: [9], 29: [7], 31: [9]}),
+    ],
+    23: [
+        (3, True, {3: [4], 14: [4], 17: [4], 24: [4], 26: [4]}),
+        (4, True, {3: [5], 14: [5], 17: [7], 23: [7], 24: [5], 26: [7],
+                   35: [5]}),
+        (5, True, {0: [8], 3: [8], 5: [8], 10: [7], 11: [8], 14: [8],
+                   16: [8], 24: [8], 27: [7], 35: [8], 38: [7]}),
+    ],
+}
 
 
 class TestShutdownHandoff:
@@ -51,19 +89,23 @@ class TestShutdownHandoff:
 
     def test_shutdown_without_orphans_is_a_plain_leave(self):
         system = make_content_system()
-        # Every document this node holds has another live copy, so no
-        # handoff traffic is needed and the node just leaves.
+        # Every document this node holds keeps the floor without it, so
+        # the loop moves nothing and the node just leaves.
         manager = system.content
+        floor = manager.config.replication_floor
         for peer in system.alive_peers():
-            if peer.docs and not sole_holder_docs(system, peer.node_id):
+            if peer.docs and all(
+                len(manager.live_holders(doc_id)) > floor for doc_id in peer.docs
+            ):
                 node_id = peer.node_id
                 break
         else:
             raise AssertionError("no fully-replicated node in this world")
         held = sorted(system.peer(node_id).docs)
         assert system.shutdown_node(node_id) is True
+        assert manager.records == []
         for doc_id in held:
-            assert manager.live_holders(doc_id), doc_id
+            assert len(manager.live_holders(doc_id)) >= floor, doc_id
 
     def test_dead_node_cannot_shut_down(self):
         system = make_content_system()
@@ -97,6 +139,50 @@ class TestShutdownHandoff:
                 (ok, doc_id, system.content.live_holders(doc_id))
             )
         assert outcomes[0] == outcomes[1]
+
+    def test_content_shutdown_leaves_every_document_at_the_floor(self):
+        # The loop moves every document the leaver held, not only the ones
+        # it held alone: each ends with floor live copies without it.
+        system = make_content_system()
+        manager = system.content
+        floor = manager.config.replication_floor
+        doc_id, holders = doc_with_holders(system, min_holders=floor)
+        keeper = holders[0]
+        for other in holders[floor:]:
+            system.peer(other).drop_document(doc_id)
+        assert len(manager.live_holders(doc_id)) == floor
+        held = sorted(system.peer(keeper).docs)
+        assert system.shutdown_node(keeper) is True
+        for doc_id in held:
+            holders = manager.live_holders(doc_id)
+            assert keeper not in holders
+            assert len(holders) >= floor, (doc_id, holders)
+        assert {r.purpose for r in manager.records} == {"heal"}
+        assert all(r.verified for r in manager.records)
+
+    def test_content_off_shutdown_matches_the_parent_handoffs(self):
+        # Without content the floor is one copy: the same documents go to
+        # the same destinations as the sole-holder handoff did.
+        for seed, expected in PARENT_HANDOFFS.items():
+            system = make_plain_system(seed)
+            peers = [p.node_id for p in system.alive_peers()]
+            for victim in peers[:3]:
+                system.crash_node(victim)
+            handoffs = []
+            for leaver in peers[3:6]:
+                before = {
+                    doc_id: set(system.ledger.live_holders(doc_id))
+                    for doc_id in sorted(system.peers[leaver].docs)
+                }
+                left = system.shutdown_node(leaver)
+                moved = {
+                    doc_id: sorted(set(system.ledger.live_holders(doc_id)) - old)
+                    for doc_id, old in before.items()
+                }
+                handoffs.append(
+                    (leaver, left, {d: n for d, n in moved.items() if n})
+                )
+            assert handoffs == expected, seed
 
 
 class TestCrashLeaveAsymmetry:
@@ -168,23 +254,28 @@ class TestCrashDuringHandoff:
 
     def test_crash_mid_handoff_does_not_count_partial_transfers(self):
         system = make_content_system()
+        manager = system.content
         doc_id, keeper = make_sole_holder(system)
-        target = handoff_target(system, doc_id, keeper)
-        assert target is not None
-        original = target.adaptation.pull_documents
+        original = manager.fetch
+        targets = []
 
-        def crash_after_pull(src, category_id, doc_ids):
-            original(src, category_id, doc_ids)
-            # The leaver dies the instant the pull goes out: the
-            # transfer can never complete, so nothing has been placed.
-            system.crash_node(keeper)
+        def crash_after_fetch(requester_id, fetched, purpose="fetch"):
+            fetch_id = original(requester_id, fetched, purpose)
+            if fetched == doc_id:
+                targets.append(requester_id)
+                # The leaver dies the instant the copy starts: the fetch
+                # can never complete, so nothing has been placed.
+                system.crash_node(keeper)
+            return fetch_id
 
-        target.adaptation.pull_documents = crash_after_pull
+        manager.fetch = crash_after_fetch
         assert system.shutdown_node(keeper) is False
         system.sim.run()
-        # The half-shipped manifest must not have registered the target
-        # as a live holder of a copy it never finished pulling.
-        assert doc_id not in target.docs
-        assert target.node_id not in system.content.live_holders(doc_id)
+        assert targets
+        # A half-fetched copy must not have registered its target as a
+        # live holder of a document it never finished fetching.
+        for target_id in targets:
+            assert doc_id not in system.peers[target_id].docs
+            assert target_id not in manager.live_holders(doc_id)
         # And the crashed disk still has the last copy for recovery.
         assert doc_id in system.peers[keeper].docs

@@ -1,11 +1,11 @@
-"""Tests for the demand-adaptive replication control loop.
+"""Tests for the demand term of the replica loop.
 
 Pins the behaviours :mod:`repro.overlay.replication_manager` promises:
 off by default, pressure-driven growth (served hits + weighted sheds per
-live replica), grow-fast/shrink-slow hysteresis, capacity-biased
-placement through real document transfers, promotion of cached copies
-instead of re-shipping, the ``MAX_REPLICAS`` ceiling, and clean retire
-semantics (contributions and cache-owned copies are never dropped).
+live replica), grow-fast/shrink-slow hysteresis, capacity-ranked
+placement through real document transfers, cached copies counted as
+copies, the ``MAX_REPLICAS`` ceiling, and clean retire semantics (only
+copies the loop placed are ever dropped).
 """
 
 import pytest
@@ -23,13 +23,14 @@ from repro.overlay.replication_manager import (
     SHRINK_AFTER,
     ReplicationConfig,
     ReplicationManager,
+    home_candidates,
 )
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
 from tests.helpers import build_live_system
 
 
-def _adaptive_system(seed=7):
+def _adaptive_system(seed=7, n_nodes=12):
     """A multi-cluster world with the manager on.
 
     Built from explicit counts (like the chaos and CACHE-QOS worlds):
@@ -40,7 +41,7 @@ def _adaptive_system(seed=7):
     instance = build_system(SystemConfig(
         seed=seed,
         n_docs=200,
-        n_nodes=12,
+        n_nodes=n_nodes,
         n_categories=12,
         n_clusters=4,
         doc_size_bytes=65_536,
@@ -87,93 +88,97 @@ class TestConfig:
         assert system.run_replication_round() is None
 
 
+def _hot(system, category_id):
+    """Heat ``category_id`` and return the documents a round will grow."""
+    _heat(system, category_id)
+    return system.replication._hot_docs(category_id)
+
+
 class TestGrow:
     def test_quiet_world_never_grows(self):
         system = _adaptive_system()
         for _ in range(5):
             report = system.run_replication_round()
             assert report.grown == {}
-        assert system.replication.total_managed() == 0
+        assert system.replication.total_placed() == 0
 
     def test_hot_category_grows_real_replicas(self):
         system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        _heat(system, category_id)
+        wanted = _hot(system, category_id)
+        assert len(wanted) == DOCS_PER_REPLICA
         report = system.run_replication_round()
 
-        (grown_nodes,) = [report.grown[category_id]]
-        assert len(grown_nodes) == GROW_STEP
-        assert manager.replica_count(category_id) == len(grown_nodes)
-        # The transfers actually landed: every managed doc is stored and
-        # registered in the holder directory.
+        assert sorted(report.grown) == sorted(wanted)
         holders_view = system.doc_holders_view()
-        for node_id in grown_nodes:
-            peer = system.peers[node_id]
-            for doc_id in manager.managed_view()[category_id][node_id]:
-                assert doc_id in peer.docs
+        for doc_id, nodes in report.grown.items():
+            assert len(nodes) == GROW_STEP
+            assert manager.extra[doc_id] == GROW_STEP
+            assert manager.placed[doc_id] == set(nodes)
+            # The transfers actually landed: every placed copy is stored
+            # and registered in the holder directory.
+            for node_id in nodes:
+                assert doc_id in system.peers[node_id].docs
                 assert node_id in holders_view[doc_id]
 
     def test_placement_prefers_high_capacity(self):
         system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        _heat(system, category_id)
-        wanted = manager._hot_docs(category_id)
-        expected = manager._placement_candidates(category_id, wanted)[:GROW_STEP]
+        wanted = _hot(system, category_id)
+        expected = {
+            doc_id: tuple(
+                peer.node_id
+                for peer in home_candidates(system, doc_id, category_id)
+            )[:GROW_STEP]
+            for doc_id in wanted
+        }
         report = system.run_replication_round()
-        assert report.grown[category_id] == tuple(expected)
+        assert report.grown == expected
         cluster_id = int(system.assignment.category_to_cluster[category_id])
-        weakest_chosen = min(system.peers[n].capacity_units for n in expected)
-        for peer in system.peers_in_cluster(cluster_id):
-            if peer.node_id in expected:
-                continue
-            durably_all = all(
-                doc_id in peer.docs and not peer.queries.cache.owns(doc_id)
-                for doc_id in wanted
-            )
-            assert durably_all or peer.capacity_units <= weakest_chosen
+        for doc_id, chosen in expected.items():
+            weakest = min(system.peers[n].capacity_units for n in chosen)
+            for peer in system.peers_in_cluster(cluster_id):
+                if peer.node_id not in chosen and doc_id not in peer.docs:
+                    assert peer.capacity_units <= weakest
 
     def test_max_replicas_caps_growth(self):
-        system = _adaptive_system()
+        # Twice the nodes: a cluster of the default world has fewer
+        # candidates per document than the ceiling.
+        system = _adaptive_system(n_nodes=24)
         manager = system.replication
         category_id = min(manager._category_docs)
-        wanted = manager._hot_docs(category_id)
+        doc_id = _hot(system, category_id)[0]
         # More candidates than the ceiling, so the ceiling is what stops.
-        assert len(manager._placement_candidates(category_id, wanted)) > MAX_REPLICAS
+        assert len(home_candidates(system, doc_id, category_id)) > MAX_REPLICAS
         counts = []
         for _ in range(MAX_REPLICAS // GROW_STEP + 1):
             _heat(system, category_id)
             system.run_replication_round()
-            counts.append(manager.replica_count(category_id))
+            counts.append(len(manager.placed[doc_id]))
         assert counts == [2, 4, 6, 8, 8]
 
-    def test_cached_copy_promoted_not_reshipped(self):
+    def test_cached_copy_counts_and_is_not_reshipped(self):
         system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        wanted = manager._hot_docs(category_id)
-        target_id = manager._placement_candidates(category_id, wanted)[0]
-        target = system.peers[target_id]
-        # Seed the target's cache with the first hot doc via the real
-        # retrieval-fill path.
-        doc_id = next(d for d in wanted if d not in target.docs)
-        info = DocInfo(
-            doc_id=doc_id,
-            categories=(category_id,),
-            size_bytes=1000,
-        )
-        target.queries.cache_store(info)
+        wanted = _hot(system, category_id)
+        doc_id = wanted[0]
+        target = home_candidates(system, doc_id, category_id)[0]
+        # Seed the best-ranked candidate's cache with the hot doc via the
+        # real retrieval-fill path.
+        target.queries.cache_store(DocInfo(
+            doc_id=doc_id, categories=(category_id,), size_bytes=1000
+        ))
         assert target.queries.cache.owns(doc_id)
 
-        _heat(system, category_id)
         report = system.run_replication_round()
-        assert report.grown[category_id][0] == target_id
-        assert doc_id in manager.managed_view()[category_id][target_id]
-        # Promoted, not re-transferred: the copy is pinned out of the
-        # cache but still stored.
-        assert not target.queries.cache.owns(doc_id)
-        assert doc_id in target.docs
+        # The cached copy is a copy: the loop ships to the next two and
+        # leaves the cache's copy to the cache.
+        assert target.node_id not in report.grown[doc_id]
+        assert len(report.grown[doc_id]) == GROW_STEP
+        assert target.queries.cache.owns(doc_id)
 
 
 class TestHysteresis:
@@ -184,61 +189,71 @@ class TestHysteresis:
         category_id = min(manager._category_docs)
         first = system.run_replication_round()
         assert first.grown == {}
-        _heat(system, category_id)
+        wanted = _hot(system, category_id)
         second = system.run_replication_round()
-        assert set(second.grown) == {category_id}
+        assert set(second.grown) == set(wanted)
 
     def test_shrink_slowly_one_per_round(self):
         system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        _heat(system, category_id)
+        doc_id = _hot(system, category_id)[0]
         system.run_replication_round()
-        placed = manager.replica_count(category_id)
-        assert placed > 0
+        placed = len(manager.placed[doc_id])
+        assert placed == GROW_STEP
 
         counts = []
         for _ in range(placed + 4):
             system.run_replication_round()
-            counts.append(manager.replica_count(category_id))
+            counts.append(len(manager.placed.get(doc_id, ())))
         # The first SHRINK_AFTER - 1 quiet rounds must not retire anything.
         assert counts[: SHRINK_AFTER - 1] == [placed] * (SHRINK_AFTER - 1)
         assert counts[SHRINK_AFTER - 1] == placed - 1
-        # Then exactly one replica retires per round, down to zero.
+        # Then exactly one copy retires per round, down to zero.
         assert counts[-1] == 0
         drops = [a - b for a, b in zip(counts, counts[1:])]
         assert all(drop in (0, 1) for drop in drops)
+        assert doc_id not in manager.extra
 
     def test_shrink_drops_managed_docs_only(self):
         system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        _heat(system, category_id)
-        report = system.run_replication_round()
-        managed = manager.managed_view()[category_id]
+        _hot(system, category_id)
+        system.run_replication_round()
+        placed = {doc_id: set(nodes) for doc_id, nodes in manager.placed.items()}
+        nodes = set().union(*placed.values())
         kept = {
-            node_id: set(system.peers[node_id].docs) - managed[node_id]
-            for node_id in report.grown[category_id]
+            node_id: {
+                doc_id
+                for doc_id in system.peers[node_id].docs
+                if node_id not in placed.get(doc_id, ())
+            }
+            for node_id in nodes
         }
 
-        while manager.replica_count(category_id):
+        while manager.total_placed():
             system.run_replication_round()
+        for doc_id, holders in placed.items():
+            for node_id in holders:
+                assert doc_id not in system.peers[node_id].docs
         for node_id, contributions in kept.items():
-            docs = system.peers[node_id].docs
-            assert not managed[node_id] & docs.keys()
-            assert contributions <= docs.keys()
+            assert contributions <= system.peers[node_id].docs.keys()
 
     def test_dead_managed_node_is_forgotten_without_drops(self):
         system = _adaptive_system()
         manager = system.replication
         category_id = min(manager._category_docs)
-        _heat(system, category_id)
+        doc_id = _hot(system, category_id)[0]
         report = system.run_replication_round()
-        node_id = report.grown[category_id][0]
+        node_id = report.grown[doc_id][0]
         docs_before = set(system.peers[node_id].docs)
         system.crash_node(node_id)
 
-        while manager.replica_count(category_id):
+        report = system.run_replication_round()
+        assert node_id in report.shrunk[doc_id]
+        assert node_id not in manager.placed[doc_id]
+        while manager.total_placed():
             system.run_replication_round()
         # The corpse's disk is dark but untouched — doc conservation
         # still counts its copies.
@@ -262,13 +277,15 @@ class TestInvariant:
         system = _adaptive_system()
         checker = InvariantChecker(system)
         manager = system.replication
-        category_id = min(manager._category_docs)
-        # Defect injection: one managed replica past the ceiling.
-        manager._managed[category_id] = {
-            node_id: {0} for node_id in range(MAX_REPLICAS + 1)
-        }
+        # Defect injection: one placed copy past the ceiling, and one on a
+        # node that does not exist.
+        manager.placed[0] = set(range(MAX_REPLICAS + 1))
+        manager.placed[1] = {999_999}
         checker.check_structural()
         assert "replication-bounds" in checker.violated_invariants
+        messages = [str(v) for v in checker.violations]
+        assert any("doc 0 has 9 placed copies" in m for m in messages)
+        assert any("unknown node 999999" in m for m in messages)
 
 
 class _PairScanManager(ReplicationManager):
@@ -303,10 +320,7 @@ class _PairScanManager(ReplicationManager):
         )
         return [
             d for d in ranked
-            if any(
-                d not in peer.docs or peer.queries.cache.owns(d)
-                for peer in members
-            )
+            if any(d not in peer.docs for peer in members)
         ][:DOCS_PER_REPLICA]
 
 
@@ -332,8 +346,8 @@ class TestAgainstPairScan:
         for node_id in sorted(system.doc_holders_view()[orphan]):
             system.peers[node_id].drop_document(orphan)
         assert orphan not in system.doc_holders_view()
-        # Cache-owned copies that decide shippability: a document every
-        # live cluster member stores, some of them only in their cache.
+        # Cache-owned copies that decide what the cluster can still take: a
+        # document every live cluster member stores, some only in a cache.
         cluster_id = int(system.assignment.category_to_cluster[hot])
         members = system.peers_in_cluster(cluster_id)
         lacking = {
@@ -372,5 +386,5 @@ class TestAgainstPairScan:
         # Not vacuous: the five rounds both grew and shrank.
         assert any(report.grown for report in reports)
         assert any(report.shrunk for report in reports)
-        assert manager.managed_view() == reference.managed_view()
+        assert manager.placed == reference.placed
         assert system.doc_holders_view() == twin.doc_holders_view()
