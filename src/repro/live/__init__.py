@@ -3,7 +3,7 @@
 The protocol code in :mod:`repro.overlay` talks to the world only
 through :class:`repro.transport.Transport`; this package provides the
 socket-backed implementation (:class:`AsyncioTransport`, UDP datagrams
-carrying the versioned ``repro.wire/v1`` codec) plus the process
+carrying the versioned binary ``repro.wire/v2`` codec) plus the process
 harness around it: per-node entrypoints, a bootstrap-only client peer,
 and the kill/restart soak supervisor behind ``python -m repro.live``.
 """

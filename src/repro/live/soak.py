@@ -11,7 +11,7 @@ Chaos is part of the acceptance bar, not an option: with
 third of the way through and restarted at two thirds — queries riding
 the reliability layer's failover deadlines and fetches riding chunk
 failover must keep the overall success rate at or above
-``min_success``.
+``min_success``, and the client must decode every frame it receives.
 
 Every query, fetch, kill, and restart is appended to a JSONL metrics
 file (when ``metrics_path`` is set), with a final ``summary`` line —
@@ -485,7 +485,14 @@ async def run_soak(config: SoakConfig) -> dict:
         "fetches_ok": counts["fetches_ok"],
         "success_rate": round(success_rate, 6),
         "min_success": config.min_success,
-        "passed": success_rate >= config.min_success and restart_ok,
+        # A frame the client could not decode is a codec bug (every
+        # process of a soak runs the same code), however few: the success
+        # slack left for injected loss must not hide it.
+        "passed": (
+            success_rate >= config.min_success
+            and restart_ok
+            and transport.decode_errors == 0
+        ),
         "kill_restart": config.kill_restart,
         "persistence": config.state_dir is not None,
         "restart_recovered_docs": chaos_state["restart_recovered"],

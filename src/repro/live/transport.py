@@ -50,7 +50,7 @@ class _DatagramProtocol(asyncio.DatagramProtocol):
 
 
 class AsyncioTransport(Transport):
-    """A UDP datagram transport speaking ``repro.wire/v1``.
+    """A UDP datagram transport speaking ``repro.wire/v2``.
 
     Parameters
     ----------

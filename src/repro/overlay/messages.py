@@ -10,16 +10,12 @@ document size.
 from __future__ import annotations
 
 import dataclasses
-from types import SimpleNamespace
-from typing import Callable
 
 from repro.frozen import frozen_dataclass
 from repro.overlay.metadata import DCRTEntry
 
 __all__ = [
     "WIRE_TYPES",
-    "to_wire",
-    "from_wire",
     "DocInfo",
     "QueryMessage",
     "QueryResponse",
@@ -84,7 +80,7 @@ class QueryMessage:
     #: the requester's dispatch number (1, 2, ... per failover).  A member
     #: drops the query as a loop only when it has seen this attempt or a
     #: later one, so a failover may revisit members an earlier attempt
-    #: touched.  0 is what a frame without the field decodes to.
+    #: touched.
     attempt: int = 0
 
     def forwarded(self, remaining: int | None = None) -> "QueryMessage":
@@ -414,278 +410,11 @@ class ChunkRepair:
     version: int
 
 
-# ----------------------------------------------------------------------
-# wire codec
-# ----------------------------------------------------------------------
-#
-# The simulated network passes payload objects by reference, but anything
-# that wants to cross a process boundary (the live transport, persisted
-# traces) needs a lossless JSON-safe encoding.  ``to_wire`` / ``from_wire``
-# round-trip every payload type above exactly: tuples come back as tuples,
-# nested ``DCRTEntry`` / ``DocInfo`` values (on the wire, ``{"$": name,
-# "v": [their fields]}``) come back as their own types.  Decoding checks
-# every value against its annotation, the items of a tuple and the fields
-# of a nested value included, and coerces nothing, so a hostile frame
-# cannot hand a handler a string where it counts hops, or an int where it
-# merges a DCRT entry.
-#
-# Each wire type's encoder and decoder are generated from its field
-# annotations when this module loads, so a frame costs one Python call to
-# encode and one to decode, plus one constructor per object built, rather
-# than a call per value.
-
-#: payload type name -> class, for decoding.
-WIRE_TYPES: dict[str, type] = {}
-#: payload class -> its generated encoder (payload -> record).
-_ENCODERS: dict[type, Callable[[object], dict]] = {}
-#: payload type name -> its generated decoder (``fields`` object -> payload).
-_DECODERS: dict[str, Callable[[dict], object]] = {}
-
-#: scalar annotation -> the exact types its wire value may have:
-#: ``type(v) is int`` refuses bools, as the envelope check does, and a
-#: float field takes an int.
-_SCALAR_TYPES = {"int": (int,), "float": (float, int), "bool": (bool,), "str": (str,)}
-#: nested annotation -> class; such values travel tagged.
-_TAGGED = {"DCRTEntry": DCRTEntry, "DocInfo": DocInfo}
-#: names the generated code reads besides builtins.
-_CODEC_GLOBALS = {
-    **{f"_item_types_{name}": frozenset(t) for name, t in _SCALAR_TYPES.items()},
-    **{f"_{name}": cls for name, cls in _TAGGED.items()},
+#: payload type name -> class: every dataclass this module exports
+#: travels on the wire, laid out from its field annotations
+#: (:mod:`repro.transport.wire`).
+WIRE_TYPES: dict[str, type] = {
+    name: globals()[name]
+    for name in __all__
+    if dataclasses.is_dataclass(globals().get(name))
 }
-
-
-class _Source:
-    """The body of one generated function, with fresh local names."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.names = 0
-
-    def local(self) -> str:
-        self.names += 1
-        return f"_{self.names}"
-
-    def emit(self, depth: int, line: str) -> None:
-        self.lines.append("    " * depth + line)
-
-
-def _tuple_args(annotation: str) -> tuple[str, str]:
-    """``tuple[X, ...]`` -> ``(X, "...")``; a pair ``tuple[A, B]`` -> ``(A, B)``.
-
-    The only fixed-length tuples the payloads use are pairs with a scalar
-    first, so a pair splits at its first comma.
-    """
-    inner = annotation[len("tuple["):-1]
-    if inner.endswith(", ..."):
-        return inner[: -len(", ...")], "..."
-    first, second = inner.split(", ", 1)
-    return first, second
-
-
-def _encode_expr(annotation: str, value: str, out: _Source, depth: int) -> str:
-    """The expression that encodes ``value``, an ``annotation``, for JSON.
-
-    A tuple of non-scalars is built by a loop emitted into ``out`` first.
-    """
-    if annotation in _SCALAR_TYPES:
-        return value
-    if annotation in _TAGGED:
-        items = ", ".join(
-            _encode_expr(field.type, f"{value}.{field.name}", out, depth)
-            for field in dataclasses.fields(_TAGGED[annotation])
-        )
-        return f'{{"$": "{annotation}", "v": [{items}]}}'
-    first, second = _tuple_args(annotation)
-    if second != "...":
-        return (
-            f"[{_encode_expr(first, f'{value}[0]', out, depth)}, "
-            f"{_encode_expr(second, f'{value}[1]', out, depth)}]"
-        )
-    if first in _SCALAR_TYPES:
-        return f"[*{value}]"
-    encoded, item = out.local(), out.local()
-    out.emit(depth, f"{encoded} = []")
-    out.emit(depth, f"for {item} in {value}:")
-    out.emit(
-        depth + 1,
-        f"{encoded}.append({_encode_expr(first, item, out, depth + 1)})",
-    )
-    return encoded
-
-
-def _decode_expr(
-    annotation: str, value: str, out: _Source, depth: int, fail: str
-) -> str:
-    """Emit into ``out`` the checks wire ``value`` must pass to be an
-    ``annotation`` (each runs ``fail`` if it does not); return the
-    expression that builds the decoded value."""
-    types = _SCALAR_TYPES.get(annotation)
-    if types is not None:
-        test = " or ".join(f"type({value}) is {t.__name__}" for t in types)
-        out.emit(depth, f"if not ({test}): {fail}")
-        return value
-    cls = _TAGGED.get(annotation)
-    if cls is not None:
-        fields = dataclasses.fields(cls)
-        items = out.local()
-        out.emit(
-            depth,
-            f'if type({value}) is not dict or {value}.get("$") != "{annotation}": '
-            f"{fail}",
-        )
-        out.emit(depth, f'{items} = {value}.get("v")')
-        out.emit(
-            depth,
-            f"if type({items}) is not list or len({items}) != {len(fields)}: {fail}",
-        )
-        args = ", ".join(
-            _decode_expr(field.type, f"{items}[{i}]", out, depth, fail)
-            for i, field in enumerate(fields)
-        )
-        return f"_{annotation}({args})"
-    first, second = _tuple_args(annotation)
-    if second != "...":
-        out.emit(depth, f"if type({value}) is not list or len({value}) != 2: {fail}")
-        return (
-            f"({_decode_expr(first, f'{value}[0]', out, depth, fail)}, "
-            f"{_decode_expr(second, f'{value}[1]', out, depth, fail)})"
-        )
-    if first in _SCALAR_TYPES:
-        out.emit(
-            depth,
-            f"if type({value}) is not list "
-            f"or not {{*map(type, {value})}} <= _item_types_{first}: {fail}",
-        )
-        return f"tuple({value})"
-    decoded, item = out.local(), out.local()
-    out.emit(depth, f"if type({value}) is not list: {fail}")
-    out.emit(depth, f"{decoded} = []")
-    out.emit(depth, f"for {item} in {value}:")
-    out.emit(
-        depth + 1,
-        f"{decoded}.append({_decode_expr(first, item, out, depth + 1, fail)})",
-    )
-    return f"tuple({decoded})"
-
-
-def _record_expr(fields, out: _Source) -> str:
-    """The ``{name: encoded value}`` display of payload ``p``'s ``fields``."""
-    return "{%s}" % ", ".join(
-        f'"{field.name}": {_encode_expr(field.type, f"p.{field.name}", out, 1)}'
-        for field in fields
-    )
-
-
-def _define(param: str, body: _Source, env: dict, filename: str):
-    """Compile ``def _fn(param): body`` in ``env`` and return it."""
-    source = f"def _fn({param}):\n" + "\n".join(body.lines) + "\n"
-    namespace = {**_CODEC_GLOBALS, **env}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["_fn"]
-
-
-def _field_error(cls: type, name: str, value) -> TypeError:
-    annotation = cls.__dataclass_fields__[name].type
-    return TypeError(
-        f"{cls.__name__}.{name} must be {annotation}, got {type(value).__name__}"
-    )
-
-
-def _completer(cls: type, wire_defaults: dict) -> Callable[[dict], dict]:
-    """Check a ``fields`` object that does not name every field of
-    ``cls``: refuse unknown and missing required fields, fill defaults."""
-    names = set(cls.__dataclass_fields__)
-    required = names.difference(wire_defaults)
-
-    def complete(fields: dict) -> dict:
-        unknown = [name for name in fields if name not in names]
-        missing = sorted(required.difference(fields))
-        if unknown or missing:
-            raise TypeError(
-                f"{cls.__name__} fields: unknown {unknown}, missing {missing}"
-            )
-        return {**wire_defaults, **fields}
-
-    return complete
-
-
-def _compile_codec(cls: type):
-    """Generate ``cls``'s encoder and decoder from its field annotations."""
-    name = cls.__name__
-    fields = dataclasses.fields(cls)
-    encoder = _Source()
-    encoder.emit(
-        1, f'return {{"type": "{name}", "fields": {_record_expr(fields, encoder)}}}'
-    )
-    # A record without a defaulted field (one written before the field
-    # existed) decodes as if the field carried what the encoder writes
-    # for its default.
-    defaulted = [f for f in fields if f.default is not dataclasses.MISSING]
-    defaults = _Source()
-    defaults.emit(1, f"return {_record_expr(defaulted, defaults)}")
-    wire_defaults = _define("p", defaults, {}, f"<wire {name} defaults>")(
-        SimpleNamespace(**{f.name: f.default for f in defaulted})
-    )
-    decoder = _Source()
-    decoder.emit(1, "if f.keys() != _names:")
-    decoder.emit(2, "f = _complete(f)")
-    args = []
-    for field in fields:
-        raw = decoder.local()
-        decoder.emit(1, f'{raw} = f["{field.name}"]')
-        fail = f'raise _field_error(_cls, "{field.name}", {raw})'
-        args.append(_decode_expr(field.type, raw, decoder, 1, fail))
-    decoder.emit(1, f"return _cls({', '.join(args)})")
-    env = {
-        "_cls": cls,
-        "_names": frozenset(f.name for f in fields),
-        "_complete": _completer(cls, wire_defaults),
-        "_field_error": _field_error,
-    }
-    return (
-        _define("p", encoder, env, f"<wire {name} encoder>"),
-        _define("f", decoder, env, f"<wire {name} decoder>"),
-    )
-
-
-def _register_wire_types() -> None:
-    for name in __all__:
-        cls = globals().get(name)
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
-            WIRE_TYPES[name] = cls
-            _ENCODERS[cls], _DECODERS[name] = _compile_codec(cls)
-
-
-def to_wire(payload) -> dict:
-    """Encode a protocol payload into a JSON-safe dict.
-
-    The result contains only dicts, lists, strings, numbers, bools, and
-    nulls, so ``json.dumps`` accepts it directly.
-    """
-    encode = _ENCODERS.get(type(payload))
-    if encode is None:
-        raise TypeError(f"{type(payload).__name__} is not a registered wire type")
-    return encode(payload)
-
-
-def from_wire(record: dict):
-    """Decode a :func:`to_wire` record back into its payload object.
-
-    Raises ``KeyError`` for a record without ``type`` or ``fields``, and
-    ``TypeError`` for an unknown type, for ``fields`` that is not an
-    object, for an unknown or missing field, or for a value that does not
-    match its annotation.
-    """
-    decode = _DECODERS.get(record["type"])
-    if decode is None:
-        raise TypeError(f"unknown wire type {record['type']!r}")
-    fields = record["fields"]
-    if type(fields) is not dict:
-        raise TypeError(
-            f"{record['type']} fields must be an object, "
-            f"got {type(fields).__name__}"
-        )
-    return decode(fields)
-
-
-_register_wire_types()

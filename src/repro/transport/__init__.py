@@ -40,8 +40,6 @@ _WIRE_EXPORTS = frozenset(
         "WIRE_SCHEMA",
         "WireError",
         "WireDecodeError",
-        "encode_envelope",
-        "decode_envelope",
         "encode_frame",
         "decode_frame",
     }

@@ -1,7 +1,5 @@
 """Manifests: construction, wire round-trips, and the fetch ledger."""
 
-import json
-
 import pytest
 
 from repro import obs
@@ -17,6 +15,7 @@ from repro.content.manifest import (
 from repro.overlay import messages as m
 from repro.overlay.peer import PeerConfig
 from repro.sim.network import Message
+from repro.transport.wire import decode_frame, encode_frame
 
 from tests.helpers import MicroOverlay
 
@@ -119,16 +118,20 @@ class TestWireRoundTrip:
 
     The hypothesis suite in test_message_roundtrip.py covers every
     registered type generically; this pins the full journey a real
-    manifest takes — Manifest -> ManifestUpdate -> JSON -> Manifest —
+    manifest takes — Manifest -> ManifestUpdate -> frame -> Manifest —
     including the holder hint and version.
     """
+
+    @staticmethod
+    def _wired(update):
+        message = Message(1, 2, "manifest_update", update)
+        return decode_frame(encode_frame(message)).payload
 
     def test_manifest_survives_the_wire(self):
         manifest = build_manifest(42, size_bytes=262_144,
                                   chunk_size=65_536, version=3)
         update = manifest_to_update(manifest, holders=(9, 1, 4))
-        record = json.loads(json.dumps(m.to_wire(update)))
-        decoded = m.from_wire(record)
+        decoded = self._wired(update)
         assert type(decoded) is m.ManifestUpdate
         assert decoded == update
         assert decoded.holders == (1, 4, 9)  # holder hint arrives sorted
@@ -143,7 +146,7 @@ class TestWireRoundTrip:
             chunk_hashes=(2**63 - 1, 0),
         )
         update = manifest_to_update(manifest)
-        wired = m.from_wire(json.loads(json.dumps(m.to_wire(update))))
+        wired = self._wired(update)
         back = manifest_from_update(wired)
         assert back == manifest
         assert back.chunk_hashes == (2**63 - 1, 0)
@@ -153,12 +156,10 @@ class TestWireRoundTrip:
         explicit = Manifest(42, 200, 64, 3, tuple(chunk_hash(42, i) for i in range(4)))
         update = manifest_to_update(manifest, holders=(2, 1))
         assert update == manifest_to_update(explicit, holders=(1, 2))
-        assert json.dumps(m.to_wire(update)) == json.dumps(
-            m.to_wire(manifest_to_update(explicit, holders=(1, 2)))
+        assert encode_frame(Message(1, 2, "x", update)) == encode_frame(
+            Message(1, 2, "x", manifest_to_update(explicit, holders=(1, 2)))
         )
-        back = manifest_from_update(
-            m.from_wire(json.loads(json.dumps(m.to_wire(update))))
-        )
+        back = manifest_from_update(self._wired(update))
         assert back == manifest == explicit
         assert back.chunk_hashes == explicit.chunk_hashes
 

@@ -7,7 +7,7 @@ routing-table lookup allocating a row it throws away, the replica plan
 paying a Python call per copy it places, the world bootstrap paying one
 per NRT entry, capability entry and copy, the content data plane hashing
 every chunk of every document before any fetch reads one, the wire codec
-paying a Python call per value of a frame.
+paying a Python call per value of a frame or growing its frames.
 """
 
 import gc
@@ -110,7 +110,7 @@ def test_dcrt_entry_allocates_nothing_for_a_known_category(
 @pytest.mark.parametrize(
     "message, ceiling",
     [
-        (Message(1, 2, "query", QueryMessage(7, 1, 3, 2, attempt=1)), 25),
+        (Message(1, 2, "query", QueryMessage(7, 1, 3, 2, attempt=1)), 9),
         (
             Message(
                 2,
@@ -119,7 +119,7 @@ def test_dcrt_entry_allocates_nothing_for_a_known_category(
                 QueryResponse(7, (4,), 2, 1, (), (DocInfo(4, (3,), 1024),)),
                 1024,
             ),
-            30,
+            10,
         ),
     ],
     ids=["query", "query_response"],
@@ -127,10 +127,19 @@ def test_dcrt_entry_allocates_nothing_for_a_known_category(
 def test_a_frame_costs_a_few_calls_to_encode_and_decode(message, ceiling):
     decoded, calls = python_calls(lambda: decode_frame(encode_frame(message)))
     assert decoded == message
-    # 16 and 17 calls with a generated codec per wire type and
-    # slot-filling constructors; the recursive codec (a call per value,
-    # ``dataclasses.fields`` per frame, ``cls(**kwargs)``) made 50 and 60.
+    # 7 and 8 calls with a generated binary codec per wire type (the
+    # frame functions, the type's encoder and decoder, the constructors);
+    # 16 and 17 through a generated JSON record and ``json``, 50 and 60
+    # with a call per value.
     assert calls <= ceiling
+
+
+def test_a_query_frame_is_116_bytes():
+    # 4 length + 2 version and kind length + "query" + 1 type id + 5
+    # header int64s + 8 payload int64s, whatever the values.  The JSON
+    # envelope of this message took 266.
+    frame = encode_frame(Message(1, 2, "query", QueryMessage(7, 1, 3, 2, attempt=1)))
+    assert len(frame) == 116
 
 
 @pytest.fixture(scope="module")

@@ -91,6 +91,38 @@ def test_live_soak_queries_and_fetches(tmp_path):
     assert all(e["chunks"] == 2 for e in events if e["event"] == "fetch")
 
 
+def test_soak_fails_on_one_frame_the_client_cannot_decode(monkeypatch):
+    """Failover recovers the query, so the success rate stays at 1.0; the
+    undecodable frame (a codec bug: every process of a soak runs the same
+    code) still fails the soak."""
+    from repro.live import transport
+
+    decode, broken = transport.decode_frame, []
+
+    def decode_one_response_wrongly(data):
+        message = decode(data)
+        if message.kind == "query_response" and not broken:
+            broken.append(message)
+            raise transport.WireDecodeError("injected")
+        return message
+
+    monkeypatch.setattr(transport, "decode_frame", decode_one_response_wrongly)
+    summary = run_soak_sync(
+        SoakConfig(
+            n_peers=2,
+            duration=2.0,
+            n_queries=10,
+            n_fetches=0,
+            kill_restart=False,
+            world=LiveWorld(n_docs=8, n_categories=4, doc_size_bytes=8192,
+                            chunk_size=4096),
+        )
+    )
+    assert broken and summary["client_decode_errors"] == 1
+    assert summary["success_rate"] >= summary["min_success"]
+    assert not summary["passed"], summary
+
+
 def test_live_soak_survives_kill_restart(tmp_path):
     """One peer SIGKILLed mid-run and restarted: reliability failover
     keeps the workload running (lenient rate — tiny sample)."""

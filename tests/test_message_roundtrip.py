@@ -3,14 +3,21 @@
 For each registered wire type, Hypothesis builds payloads from the
 dataclass field annotations (including nested ``DCRTEntry``/``DocInfo``
 values and empty/large collections) and asserts that
-``from_wire(json(to_wire(p))) == p`` — tuples stay tuples, nested types
-come back as their own classes, floats round-trip bit-exactly.
+``decode_frame(encode_frame(m)) == m`` — tuples stay tuples, nested
+types come back as their own classes, floats round-trip bit-exactly.
+
+A plain recursive codec written from the frame layout of
+``docs/api.md`` is kept below as the oracle for the generated one: same
+frame bytes, same decoded message, same accept/reject decision on a
+frame with one field overwritten.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
+import random
+import struct
 import typing
 
 import pytest
@@ -19,20 +26,26 @@ from hypothesis import given, settings, strategies as st
 from repro.overlay import messages as m
 from repro.overlay.metadata import DCRTEntry
 from repro.transport import Message, decode_frame, encode_frame
-from repro.transport.wire import HEADER_BYTES, encode_envelope
+from repro.transport.wire import (
+    HEADER_BYTES,
+    NO_PAYLOAD,
+    VERSION,
+    WireDecodeError,
+    WireError,
+)
 
 WIRE_CLASSES = sorted(m.WIRE_TYPES.values(), key=lambda cls: cls.__name__)
+
+INT64 = (-(2**63), 2**63 - 1)
 
 
 def _strategy_for(annotation):
     if annotation is int:
-        return st.integers(min_value=-(2**31), max_value=2**31 - 1)
+        return st.integers(*INT64)
     if annotation is float:
         return st.floats(allow_nan=False, allow_infinity=False, width=64)
     if annotation is bool:
         return st.booleans()
-    if annotation is str:
-        return st.text(max_size=16)
     if dataclasses.is_dataclass(annotation):
         return _payload_strategy(annotation)
     origin = typing.get_origin(annotation)
@@ -57,6 +70,30 @@ def _payload_strategy(cls):
     )
 
 
+def sample_payload(cls, rng: random.Random):
+    """A deterministic payload of ``cls`` drawn from ``rng``: every
+    tuple holds one or two items, so every layout case is on the wire."""
+
+    def value(annotation):
+        if annotation is int:
+            return rng.randint(*INT64)
+        if annotation is float:
+            return rng.uniform(-1e9, 1e9)
+        if annotation is bool:
+            return rng.random() < 0.5
+        if dataclasses.is_dataclass(annotation):
+            hints = typing.get_type_hints(annotation)
+            return annotation(
+                **{f.name: value(hints[f.name]) for f in dataclasses.fields(annotation)}
+            )
+        args = typing.get_args(annotation)
+        if args[1] is Ellipsis:
+            return tuple(value(args[0]) for _ in range(rng.randint(1, 2)))
+        return tuple(value(arg) for arg in args)
+
+    return value(cls)
+
+
 def test_every_message_type_is_registered():
     # The codec registry must cover the full protocol: every dataclass
     # exported by the messages module is a wire type.
@@ -75,8 +112,7 @@ def test_every_message_type_is_registered():
 @given(data=st.data())
 def test_wire_roundtrip_identity(cls, data):
     payload = data.draw(_payload_strategy(cls))
-    record = json.loads(json.dumps(m.to_wire(payload)))
-    decoded = m.from_wire(record)
+    decoded = decode_frame(encode_frame(Message(1, 2, "test", payload))).payload
     assert type(decoded) is cls
     assert decoded == payload
 
@@ -85,188 +121,162 @@ def test_wire_roundtrip_identity(cls, data):
 def test_wire_roundtrip_boundary_payloads(cls):
     """Defaults-only and extreme-scalar payloads survive the codec."""
     hints = typing.get_type_hints(cls)
-    boundary: dict[str, object] = {}
-    for field in dataclasses.fields(cls):
-        annotation = hints[field.name]
-        if annotation is int:
-            boundary[field.name] = 2**31 - 1
-        elif annotation is float:
-            boundary[field.name] = 0.1 + 0.2  # not exactly representable
-        elif annotation is bool:
-            boundary[field.name] = False
-        elif annotation is DCRTEntry:
-            boundary[field.name] = DCRTEntry(0, 2**31 - 1)
-        elif typing.get_origin(annotation) is tuple:
-            boundary[field.name] = ()
-        else:  # pragma: no cover - future field types
-            raise NotImplementedError(annotation)
-    payload = cls(**boundary)
-    assert m.from_wire(json.loads(json.dumps(m.to_wire(payload)))) == payload
-    message = Message(1, 2, "test", payload)
-    assert decode_frame(encode_frame(message)) == message
+    for extreme in INT64:
+        boundary: dict[str, object] = {}
+        for field in dataclasses.fields(cls):
+            annotation = hints[field.name]
+            if annotation is int:
+                boundary[field.name] = extreme
+            elif annotation is float:
+                boundary[field.name] = 0.1 + 0.2  # not exactly representable
+            elif annotation is bool:
+                boundary[field.name] = False
+            elif annotation is DCRTEntry:
+                boundary[field.name] = DCRTEntry(0, extreme)
+            elif typing.get_origin(annotation) is tuple:
+                boundary[field.name] = ()
+            else:  # pragma: no cover - future field types
+                raise NotImplementedError(annotation)
+        message = Message(1, 2, "test", cls(**boundary))
+        assert decode_frame(encode_frame(message)) == message
 
 
 def test_unregistered_payload_rejected():
-    with pytest.raises(TypeError):
-        m.to_wire(object())
-    with pytest.raises(TypeError):
-        m.from_wire({"type": "NotAMessage", "fields": {}})
+    with pytest.raises(WireError, match="not a registered wire type"):
+        encode_frame(Message(1, 2, "x", object()))
+    data = bytearray(encode_frame(Message(1, 2, "x")))
+    data[HEADER_BYTES + 3] = len(WIRE_CLASSES)  # the first unused type id
+    with pytest.raises(WireDecodeError, match="unknown wire type id"):
+        decode_frame(bytes(data))
 
 
 # ----------------------------------------------------------------------
-# differential: the generated per-type codec against the recursive one
+# differential: the generated per-type codec against a recursive one
 # ----------------------------------------------------------------------
-#
-# The recursive codec as it was before each wire type got a generated
-# encoder and decoder, kept verbatim as the oracle: same records, same
-# frame bytes, same accept/reject decision.  It coerced the fields of a
-# nested ``DCRTEntry`` / ``DocInfo`` with ``int()``; the hostile values
-# below never build a tagged dict, so that difference (tested in
-# ``tests/test_wire_envelope.py``) stays out of the comparison.
 
-WIRE_TYPES = m.WIRE_TYPES
-DocInfo = m.DocInfo
+#: scalar annotation -> struct format character.
+_FORMATS = {int: "q", float: "d", bool: "B"}
+#: type id -> class, as the frame layout defines it.
+_BY_ID = dict(enumerate(sorted(m.WIRE_TYPES.values(), key=lambda c: c.__name__)))
 
-#: payload type name -> field name -> test the decoded value must pass.
-_FIELD_CHECKS: dict[str, dict[str, typing.Callable[[object], bool]]] = {}
 
-#: scalar annotation -> test; ``type(v) is int`` refuses bools, as the
-#: envelope check does.
-_TYPE_CHECKS: dict[str, typing.Callable[[object], bool]] = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) is float or type(v) is int,
-    "bool": lambda v: type(v) is bool,
-    "str": lambda v: type(v) is str,
-    "DCRTEntry": lambda v: type(v) is DCRTEntry,
-    "DocInfo": lambda v: type(v) is DocInfo,
+def _write(annotation, value, out: bytearray, nodes: list) -> None:
+    """Append ``value``, an ``annotation``, to ``out``; record the
+    (offset, format) of every scalar and count written."""
+    fmt = _FORMATS.get(annotation)
+    if fmt is not None:
+        if annotation is float and not math.isfinite(value):
+            raise WireError("not finite")
+        nodes.append((len(out), fmt))
+        out += struct.pack(">" + fmt, value)
+    elif dataclasses.is_dataclass(annotation):
+        hints = typing.get_type_hints(annotation)
+        for field in dataclasses.fields(annotation):
+            _write(hints[field.name], getattr(value, field.name), out, nodes)
+    else:
+        args = typing.get_args(annotation)
+        if args[1] is Ellipsis:
+            nodes.append((len(out), "I"))
+            out += struct.pack(">I", len(value))
+            for item in value:
+                _write(args[0], item, out, nodes)
+        else:
+            for arg, item in zip(args, value, strict=True):
+                _write(arg, item, out, nodes)
+
+
+def oracle_frame(message: Message, nodes: list | None = None) -> bytes:
+    """``encode_frame(message)``, one value at a time; ``nodes`` collects
+    the (offset, format) of every field of the frame."""
+    nodes = [] if nodes is None else nodes
+    kind = message.kind.encode("ascii")
+    payload = message.payload
+    type_id = NO_PAYLOAD if payload is None else sorted(m.WIRE_TYPES).index(
+        type(payload).__name__
+    )
+    out = bytearray(HEADER_BYTES)
+    nodes += [(HEADER_BYTES, "B"), (HEADER_BYTES + 1, "B")]
+    out += bytes([VERSION, len(kind)]) + kind
+    nodes.append((len(out), "B"))
+    out.append(type_id)
+    for value in (message.src, message.dst, message.size_bytes,
+                  message.delivery_id, message.attempt):
+        _write(int, value, out, nodes)
+    if payload is not None:
+        _write(type(payload), payload, out, nodes)
+    out[:HEADER_BYTES] = struct.pack(">I", len(out) - HEADER_BYTES)
+    return bytes(out)
+
+
+class _Reader:
+    def __init__(self, data: bytes) -> None:
+        self.data, self.offset = data, 0
+
+    def take(self, fmt: str):
+        size = struct.calcsize(">" + fmt)
+        if self.offset + size > len(self.data):
+            raise ValueError("truncated")
+        (value,) = struct.unpack_from(">" + fmt, self.data, self.offset)
+        self.offset += size
+        return value
+
+
+def _read(annotation, reader: _Reader):
+    fmt = _FORMATS.get(annotation)
+    if fmt is not None:
+        value = reader.take(fmt)
+        if annotation is float and not math.isfinite(value):
+            raise ValueError("not finite")
+        if annotation is bool:
+            if value > 1:
+                raise ValueError("not a bool")
+            return value == 1
+        return value
+    if dataclasses.is_dataclass(annotation):
+        hints = typing.get_type_hints(annotation)
+        fields = dataclasses.fields(annotation)
+        return annotation(**{f.name: _read(hints[f.name], reader) for f in fields})
+    args = typing.get_args(annotation)
+    if args[1] is Ellipsis:
+        return tuple(_read(args[0], reader) for _ in range(reader.take("I")))
+    return tuple(_read(arg, reader) for arg in args)
+
+
+def oracle_decode(data: bytes) -> Message:
+    """``decode_frame(data)``, one value at a time; ``ValueError`` (or
+    ``KeyError``) where it would raise ``WireDecodeError``."""
+    reader = _Reader(data)
+    if reader.take("I") != len(data) - HEADER_BYTES or reader.take("B") != VERSION:
+        raise ValueError("length or version")
+    length = reader.take("B")
+    kind = bytes(data[reader.offset:reader.offset + length]).decode("ascii")
+    reader.offset += length
+    type_id = reader.take("B")
+    cls = None if type_id == NO_PAYLOAD else _BY_ID[type_id]
+    src, dst, size, delivery_id, attempt = (reader.take("q") for _ in range(5))
+    if size < 0 or delivery_id < -1 or attempt < 0:
+        raise ValueError("header range")
+    payload = None if cls is None else _read(cls, reader)
+    if reader.offset != len(data):
+        raise ValueError("trailing bytes")
+    return Message(src, dst, kind, payload, size, delivery_id, attempt)
+
+
+#: replacement values for one field, by format: in range, at the edges,
+#: and the values no encoder writes (a count past the end, a bool byte
+#: of 2, NaN and the infinities).
+_HOSTILE = {
+    "q": st.integers(*INT64) | st.sampled_from([-2, -1, 0, 1]),
+    "d": st.floats(width=64),
+    "B": st.integers(0, 255),
+    "I": st.integers(0, 2**32 - 1) | st.integers(0, 6),
 }
 
 
-def _compile_check(annotation: str) -> typing.Callable[[object], bool]:
-    """The test a decoded value of ``annotation`` must pass.
-
-    ``tuple[X, ...]`` checks every item against ``X``.  The only
-    fixed-length tuples the payloads use are pairs with a scalar first,
-    ``tuple[int, Y]``: the length and each position are checked.
-    """
-    if not annotation.startswith("tuple["):
-        return _TYPE_CHECKS[annotation]
-    inner = annotation[len("tuple["):-1]
-    if inner.endswith(", ..."):
-        item = _compile_check(inner[: -len(", ...")])
-        return lambda v: type(v) is tuple and all(map(item, v))
-    first, second = map(_compile_check, inner.split(", ", 1))
-    return lambda v: (
-        type(v) is tuple and len(v) == 2 and first(v[0]) and second(v[1])
-    )
-
-
-for _cls in WIRE_TYPES.values():
-    _FIELD_CHECKS[_cls.__name__] = {
-        field.name: _compile_check(field.type)
-        for field in dataclasses.fields(_cls)
-    }
-
-
-def _encode(value):
-    if isinstance(value, DCRTEntry):
-        return {"$": "DCRTEntry", "v": [value.cluster_id, value.move_counter]}
-    if isinstance(value, DocInfo):
-        return {
-            "$": "DocInfo",
-            "v": [value.doc_id, [int(c) for c in value.categories], value.size_bytes],
-        }
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    raise TypeError(f"cannot encode {type(value).__name__} for the wire")
-
-
-def _decode(value):
-    if isinstance(value, dict):
-        tag = value.get("$")
-        if tag == "DCRTEntry":
-            cluster_id, move_counter = value["v"]
-            return DCRTEntry(int(cluster_id), int(move_counter))
-        if tag == "DocInfo":
-            doc_id, categories, size_bytes = value["v"]
-            return DocInfo(
-                doc_id=int(doc_id),
-                categories=tuple(int(c) for c in categories),
-                size_bytes=int(size_bytes),
-            )
-        raise TypeError(f"unknown wire tag {tag!r}")
-    if isinstance(value, list):
-        return tuple(_decode(item) for item in value)
-    return value
-
-
-def to_wire(payload) -> dict:
-    """Encode a protocol payload into a JSON-safe dict.
-
-    The result contains only dicts, lists, strings, numbers, bools, and
-    nulls, so ``json.dumps`` accepts it directly.
-    """
-    cls = type(payload)
-    if cls.__name__ not in WIRE_TYPES or WIRE_TYPES[cls.__name__] is not cls:
-        raise TypeError(f"{cls.__name__} is not a registered wire type")
-    fields = {
-        field.name: _encode(getattr(payload, field.name))
-        for field in dataclasses.fields(payload)
-    }
-    return {"type": cls.__name__, "fields": fields}
-
-
-def from_wire(record: dict):
-    """Decode a :func:`to_wire` record back into its payload object.
-
-    Raises ``TypeError`` for an unknown type, or for a field whose value
-    does not match its annotation.
-    """
-    cls = WIRE_TYPES.get(record["type"])
-    if cls is None:
-        raise TypeError(f"unknown wire type {record['type']!r}")
-    checks = _FIELD_CHECKS[cls.__name__]
-    kwargs = {name: _decode(value) for name, value in record["fields"].items()}
-    for name, value in kwargs.items():
-        check = checks.get(name)
-        if check is not None and not check(value):
-            annotation = cls.__dataclass_fields__[name].type
-            raise TypeError(
-                f"{cls.__name__}.{name} must be {annotation}, "
-                f"got {type(value).__name__}"
-            )
-    return cls(**kwargs)
-
-
-def oracle_frame(message: Message) -> bytes:
-    """``encode_frame(message)`` with the oracle's payload record."""
-    envelope = encode_envelope(dataclasses.replace(message, payload=None))
-    envelope["payload"] = to_wire(message.payload)
-    body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    return len(body).to_bytes(HEADER_BYTES, "big") + body
-
-
-#: any JSON value except a tagged dict (a dict with a ``"$"`` key).
-HOSTILE_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False)
-    | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(
-        st.text(max_size=8).filter(lambda key: key != "$"), children, max_size=3
-    ),
-    max_leaves=6,
-)
-
-
-def _decision(decode, record):
+def _decision(decode, data, errors):
     try:
-        return "accept", decode(record)
-    except (TypeError, KeyError, ValueError):
+        return "accept", decode(data)
+    except errors:
         return "reject", None
 
 
@@ -275,35 +285,33 @@ def _decision(decode, record):
 @given(data=st.data())
 def test_generated_codec_matches_the_recursive_one(cls, data):
     payload = data.draw(_payload_strategy(cls))
-    record = m.to_wire(payload)
-    assert record == to_wire(payload)
     message = Message(3, 4, "test", payload, 512, delivery_id=9, attempt=1)
-    assert encode_frame(message) == oracle_frame(message)
-    wired = json.loads(json.dumps(record))
-    assert m.from_wire(wired) == from_wire(wired) == payload
+    frame = encode_frame(message)
+    assert frame == oracle_frame(message)
+    assert decode_frame(frame) == oracle_decode(frame) == message
 
 
 @pytest.mark.parametrize("cls", WIRE_CLASSES, ids=lambda cls: cls.__name__)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_generated_decoder_accepts_what_the_recursive_one_accepts(cls, data):
-    record = json.loads(json.dumps(m.to_wire(data.draw(_payload_strategy(cls)))))
-    fields = record["fields"]
-    names = sorted(fields)
-    how = data.draw(st.sampled_from(["missing", "extra", "mistyped", "item"]))
-    if how == "missing":
-        del fields[data.draw(st.sampled_from(names))]
-    elif how == "extra":
-        name = data.draw(st.text(max_size=12).filter(lambda n: n not in names))
-        fields[name] = data.draw(HOSTILE_VALUES)
-    elif how == "mistyped":
-        fields[data.draw(st.sampled_from(names))] = data.draw(HOSTILE_VALUES)
+    nodes: list = []
+    message = Message(3, 4, "test", data.draw(_payload_strategy(cls)), 512, 9, 1)
+    frame = bytearray(oracle_frame(message, nodes))
+    how = data.draw(st.sampled_from(["field", "cut", "extra"]))
+    if how == "field":
+        offset, fmt = data.draw(st.sampled_from(nodes))
+        frame[offset:offset + struct.calcsize(fmt)] = struct.pack(
+            ">" + fmt, data.draw(_HOSTILE[fmt])
+        )
+    elif how == "cut":
+        start = data.draw(st.integers(HEADER_BYTES, len(frame) - 1))
+        del frame[start:start + data.draw(st.integers(1, 16))]
     else:
-        lists = [name for name in names if fields[name] and type(fields[name]) is list]
-        if lists:
-            items = fields[data.draw(st.sampled_from(lists))]
-            items[data.draw(st.integers(0, len(items) - 1))] = data.draw(
-                HOSTILE_VALUES
-            )
-    expected = _decision(from_wire, record)
-    assert _decision(m.from_wire, record) == expected
+        at = data.draw(st.integers(HEADER_BYTES, len(frame)))
+        frame[at:at] = data.draw(st.binary(min_size=1, max_size=16))
+    # The length prefix follows the body, so the mutation reaches the
+    # payload decoder instead of failing the length check.
+    frame[:HEADER_BYTES] = struct.pack(">I", len(frame) - HEADER_BYTES)
+    expected = _decision(oracle_decode, bytes(frame), (ValueError, KeyError))
+    assert _decision(decode_frame, bytes(frame), WireDecodeError) == expected
