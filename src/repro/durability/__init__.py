@@ -13,12 +13,10 @@ from repro.durability.journal import (
     DurabilityConfig,
     PeerJournal,
     durable_state,
-    empty_state,
     materialize,
 )
 from repro.durability.store import FileStore, MemoryStore
 from repro.durability.wal import (
-    decode_frame,
     decode_snapshot,
     encode_record,
     encode_snapshot,
@@ -29,12 +27,10 @@ __all__ = [
     "DurabilityConfig",
     "PeerJournal",
     "durable_state",
-    "empty_state",
     "materialize",
     "MemoryStore",
     "FileStore",
     "encode_record",
-    "decode_frame",
     "replay_wal",
     "encode_snapshot",
     "decode_snapshot",

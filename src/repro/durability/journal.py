@@ -18,12 +18,15 @@ byte-identical-replay tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.durability.wal import (
+    SECTIONS,
     decode_snapshot,
     encode_record,
     encode_snapshot,
     replay_wal,
+    state_records,
 )
 
 __all__ = [
@@ -31,7 +34,6 @@ __all__ = [
     "PeerJournal",
     "durable_state",
     "materialize",
-    "empty_state",
 ]
 
 
@@ -57,27 +59,16 @@ class DurabilityConfig:
             )
 
 
-def empty_state() -> dict:
-    """The canonical durable state of a peer that never recorded anything."""
-    return {
-        "dcrt": [],
-        "docs": [],
-        "epochs": [],
-        "flags": {"capacity": 0.0, "free_rider": False},
-        "manifests": [],
-        "memberships": [],
-    }
-
-
-def durable_state(peer, flags: dict | None = None) -> dict:
+def durable_state(peer, flags=None) -> dict:
     """Snapshot a peer's durable state as the canonical dict.
 
     ``peer`` is duck-typed (the overlay's :class:`Peer`): this module
     must not import the overlay, which imports it.
     """
-    state = empty_state()
+    # ``flags`` is ignored; benchmarks/stack/workloads.py still passes it.
+    state = materialize(None, ())
     state["docs"] = [
-        [doc_id, info.size_bytes, list(info.categories)]
+        [doc_id, info.size_bytes, info.categories]
         for doc_id, info in sorted(peer.docs.items())
     ]
     state["dcrt"] = [
@@ -96,78 +87,34 @@ def durable_state(peer, flags: dict | None = None) -> dict:
             [doc_id, manifest.size_bytes, manifest.chunk_size, manifest.version]
             for doc_id, manifest in sorted(content.manifests.items())
         ]
-    state["flags"] = {
-        "capacity": float(peer.capacity_units),
-        "free_rider": bool((flags or {}).get("free_rider", False)),
-    }
     return state
 
 
 def materialize(snapshot: dict | None, records) -> dict:
-    """Snapshot + replayed WAL records -> the canonical durable state."""
-    docs: dict[int, tuple[int, list[int]]] = {}
-    dcrt: dict[int, tuple[int, int]] = {}
-    epochs: dict[int, int] = {}
-    memberships: set[int] = set()
-    manifests: dict[int, tuple[int, int, int]] = {}
-    flags = {"capacity": 0.0, "free_rider": False}
+    """Snapshot + replayed WAL records -> the canonical durable state.
+
+    Each section keeps one row per key, its first field, sorted by key: a
+    record replaces its key's row, except that a ``drop`` deletes one, an
+    epoch or a manifest version never moves back, and only positive
+    epochs are kept.
+    """
+    tables: dict[str, dict] = {section: {} for section in SECTIONS.values()}
     if snapshot is not None:
-        for doc_id, size_bytes, categories in snapshot.get("docs", ()):
-            docs[doc_id] = (size_bytes, list(categories))
-        for category_id, cluster_id, counter in snapshot.get("dcrt", ()):
-            dcrt[category_id] = (cluster_id, counter)
-        for category_id, epoch in snapshot.get("epochs", ()):
-            epochs[category_id] = epoch
-        memberships.update(snapshot.get("memberships", ()))
-        for doc_id, size_bytes, chunk_size, version in snapshot.get(
-            "manifests", ()
-        ):
-            manifests[doc_id] = (size_bytes, chunk_size, version)
-        flags.update(snapshot.get("flags", {}))
-    for record in records:
-        kind = record[0]
-        if kind == "store":
-            docs[record[1]] = (record[2], list(record[3]))
-        elif kind == "drop":
-            docs.pop(record[1], None)
-        elif kind == "dcrt":
-            dcrt[record[1]] = (record[2], record[3])
-        elif kind == "epoch":
-            epochs[record[1]] = max(epochs.get(record[1], 0), record[2])
-        elif kind == "join":
-            memberships.add(record[1])
-        elif kind == "manifest":
-            _doc, size_bytes, chunk_size, version = record[1:5]
-            current = manifests.get(record[1])
-            if current is None or version >= current[2]:
-                manifests[record[1]] = (size_bytes, chunk_size, version)
-        elif kind == "flags":
-            flags["capacity"] = float(record[1])
-            flags["free_rider"] = bool(record[2])
-        # Unknown kinds are skipped: older replayers tolerate newer logs.
-    return {
-        "dcrt": [
-            [category_id, cluster_id, counter]
-            for category_id, (cluster_id, counter) in sorted(dcrt.items())
-        ],
-        "docs": [
-            [doc_id, size_bytes, categories]
-            for doc_id, (size_bytes, categories) in sorted(docs.items())
-        ],
-        "epochs": [
-            [category_id, epoch]
-            for category_id, epoch in sorted(epochs.items())
-            if epoch > 0
-        ],
-        "flags": flags,
-        "manifests": [
-            [doc_id, size_bytes, chunk_size, version]
-            for doc_id, (size_bytes, chunk_size, version) in sorted(
-                manifests.items()
-            )
-        ],
-        "memberships": sorted(memberships),
+        records = chain(state_records(snapshot), records)
+    for kind, key, *row in records:
+        if kind == "drop":
+            tables["docs"].pop(key, None)
+            continue
+        table = tables[SECTIONS[kind]]
+        if kind in ("epoch", "manifest") and row[-1] < table.get(key, row)[-1]:
+            continue
+        table[key] = row
+    state = {
+        section: [[key, *row] if row else key for key, row in sorted(table.items())]
+        for section, table in tables.items()
     }
+    state["epochs"] = [row for row in state["epochs"] if row[1] > 0]
+    return state
 
 
 class PeerJournal:
@@ -183,7 +130,7 @@ class PeerJournal:
         #: () -> canonical durable state; set by the owning peer/system
         #: at attach time.  Compaction is a no-op until it is set.
         self.snapshot_fn = None
-        #: owner-level flags folded into snapshots (free-rider status).
+        #: read by benchmarks/stack/workloads.py; nothing here writes it.
         self.flags: dict = {}
         self.records_written = 0
         self.snapshots_written = 0
@@ -222,13 +169,8 @@ class PeerJournal:
 
     def load(self) -> dict:
         """Materialize snapshot + longest-valid-WAL-prefix into one state."""
-        snapshot_bytes, wal_bytes = self.store.load()
-        snapshot = (
-            decode_snapshot(snapshot_bytes)
-            if snapshot_bytes is not None
-            else None
-        )
-        return materialize(snapshot, replay_wal(wal_bytes))
+        snapshot, wal_bytes = self.store.load()
+        return materialize(decode_snapshot(snapshot or b""), replay_wal(wal_bytes))
 
     def durable_doc_ids(self) -> frozenset[int]:
         """Doc ids the journal currently acknowledges as held."""

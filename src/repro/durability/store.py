@@ -10,10 +10,10 @@ Two implementations of the same three-method contract
 * :class:`FileStore` — the live runtime's store, rooted at a
   ``--state-dir``.  The WAL is appended with flush+fsync per record
   (records are rare control-plane events, not data-path traffic);
-  snapshots are written to a temp file and atomically renamed before
-  the WAL is truncated, so a crash between the two leaves either the
-  old snapshot + full WAL or the new snapshot + empty WAL — both
-  replayable.
+  snapshots are written to a temp file and atomically renamed, and the
+  directory is fsync'd, before the WAL is truncated, so a crash between
+  the two leaves either the old snapshot + full WAL or the new snapshot
+  + empty WAL — both replayable.
 """
 
 from __future__ import annotations
@@ -80,7 +80,14 @@ class FileStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.snapshot_path)
-        # Truncate the WAL only after the snapshot is durably in place.
+        # Truncate the WAL only after the rename is durable: without the
+        # directory's fsync a power loss may keep the truncation and lose
+        # the rename, and with it every acknowledged record.
+        directory = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         if self._wal_file is not None and not self._wal_file.closed:
             self._wal_file.close()
         with open(self.wal_path, "wb") as handle:

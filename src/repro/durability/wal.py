@@ -1,141 +1,193 @@
 """Write-ahead-log and snapshot codec for per-peer durable state.
 
-The durable unit is a *record*: a small JSON-safe tuple whose first
-element names the change (``store``, ``drop``, ``dcrt``, ``epoch``,
-``join``, ``manifest``, ``flags``).  Records are framed one per line as
-``<crc32-hex> <json-body>\\n`` so that a torn tail — a write cut mid
-record by power loss — is detectable: replay applies the longest prefix
-of intact lines and stops at the first frame whose checksum, framing or
-record shape fails.  Everything after a torn record is unrecoverable by
-definition (the log is causally ordered), so stopping is the correct
-semantics, not a best-effort skip.
-
-Snapshots use the same one-frame encoding over a single canonical JSON
-object (sorted keys, no whitespace), which makes "byte-identical
-state" a checkable property: two peers with equal durable state encode
-to equal bytes.
+A record ``(kind, *fields)`` is one acknowledged change of one of the six
+kinds declared below, framed as body length and crc32 (uint32 each) and
+a body: the kind's type id byte (:data:`TYPE_IDS`) and its fields, laid
+out by :mod:`repro.codec` like a ``repro.wire/v2`` payload.  Replay keeps
+the longest valid prefix: the log is causally ordered, so it stops at the
+first torn or corrupt frame, unknown type id or malformed body (every
+process is built from one tree: no older replayer skips unknown kinds).
+A snapshot is one frame of the state's record bodies in :data:`SECTIONS`
+order, so equal durable state encodes to equal bytes.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import zlib
+from struct import Struct, error as StructError
 
-__all__ = [
-    "encode_record",
-    "decode_frame",
-    "replay_wal",
-    "encode_snapshot",
-    "decode_snapshot",
-]
+from repro.codec import Run, Source, decode, encode
+
+__all__ = ["encode_record", "replay_wal", "encode_snapshot", "decode_snapshot"]
 
 
-# One encoder each, built once: ``json.dumps`` with non-default separators
-# constructs a new ``JSONEncoder`` on every call.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_SNAPSHOT_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+@dataclasses.dataclass(frozen=True)
+class Dcrt:
+    category_id: int
+    cluster_id: int
+    move_counter: int
 
 
-def _int(x) -> bool:
-    return type(x) is int
+@dataclasses.dataclass(frozen=True)
+class Drop:
+    doc_id: int
 
 
-def _ints(x) -> bool:
-    return type(x) is list and all(map(_int, x))
+@dataclasses.dataclass(frozen=True)
+class Epoch:
+    category_id: int
+    epoch: int
 
 
-#: record kind -> one check per field after the kind.  Any fields fit a
-#: kind not listed here (materializing skips it).
-_RECORD_FIELDS = {
-    "store": (_int, _int, _ints), "drop": (_int,), "dcrt": (_int,) * 3,
-    "epoch": (_int,) * 2, "join": (_int,), "manifest": (_int,) * 4,
-    "flags": (lambda x: type(x) in (int, float), lambda x: type(x) is bool),
+@dataclasses.dataclass(frozen=True)
+class Join:
+    cluster_id: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Manifest:
+    doc_id: int
+    size_bytes: int
+    chunk_size: int
+    version: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Store:
+    doc_id: int
+    size_bytes: int
+    categories: tuple[int, ...]
+
+
+#: record kind -> the declaration of the fields after the kind.
+RECORD_TYPES = {
+    cls.__name__.lower(): cls for cls in (Dcrt, Drop, Epoch, Join, Manifest, Store)
 }
-#: snapshot section -> the record kind its rows are shaped like.
-_ROWS = {"dcrt": "dcrt", "docs": "store", "epochs": "epoch", "manifests": "manifest"}
+#: record kind -> type id.
+TYPE_IDS = {kind: index for index, kind in enumerate(sorted(RECORD_TYPES))}
+#: record kind -> the state section a snapshot holds its rows in, in
+#: snapshot order.  A ``drop`` is a change, never state.  A section's
+#: row is the record's fields as a list; a one-field row is the value.
+SECTIONS = {
+    "dcrt": "dcrt", "store": "docs", "epoch": "epochs",
+    "manifest": "manifests", "join": "memberships",
+}
+
+#: body length and crc32 of the body.
+_HEADER = Struct(">II")
 
 
-def _fits(values, kind) -> bool:
-    checks = _RECORD_FIELDS.get(kind) if type(kind) is str else None
-    return checks is None or (
-        type(values) is list and len(values) == len(checks)
-        and all(check(value) for check, value in zip(checks, values))
+def _compile(kind: str):
+    """Generate ``kind``'s encoder ``(rows, parts)``, which appends each
+    row's body to ``parts``, and its decoder ``(body, offset past the type
+    id) -> (record, offset)``, which raises ValueError or ``struct.error``."""
+    fields = dataclasses.fields(RECORD_TYPES[kind])
+    encoder, run = Source({}, {}, ValueError), Run()
+    names = [encoder.local() for _ in fields]
+    encoder.emit(1, "for r in rows:")
+    encoder.emit(2, f"{', '.join(names) if len(names) > 1 else names[0]} = r")
+    run.add("B", str(TYPE_IDS[kind]))
+    for name, field in zip(names, fields):
+        encode(field.type, name, encoder, run, 2, f"{kind}.{field.name}")
+    run.pack(encoder, 2)
+    decoder, run = Source({}, {}, ValueError), Run()
+    args = [decode(f.type, decoder, run, 1, f"{kind}.{f.name}") for f in fields]
+    run.unpack(decoder, 1)
+    decoder.emit(1, f"return ({kind!r}, {', '.join(args)}), o")
+    return (
+        encoder.define("rows, parts", f"<wal {kind} encoder>"),
+        decoder.define("d, o", f"<wal {kind} decoder>"),
     )
 
 
-def _frame(body: bytes) -> bytes:
-    return f"{zlib.crc32(body):08x} ".encode("ascii") + body + b"\n"
+#: record kind -> its encoder; type id, as a one-byte string -> its decoder.
+_ENCODERS, _DECODERS = {}, {}
+for _kind, _id in TYPE_IDS.items():
+    _ENCODERS[_kind], _DECODERS[bytes([_id])] = _compile(_kind)
+
+
+def _frame(parts: list[bytes]) -> bytes:
+    body = b"".join(parts)
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def _body(data: bytes, offset: int) -> bytes | None:
+    """The body of the frame at ``offset``; None when the header is short,
+    the length runs past the end or the crc does not match."""
+    if len(data) - offset < _HEADER.size:
+        return None
+    length, crc = _HEADER.unpack_from(data, offset)
+    start = offset + _HEADER.size
+    body = data[start:start + length]
+    return body if len(body) == length and zlib.crc32(body) == crc else None
+
+
+def _read(body: bytes, offset: int) -> tuple[tuple, int]:
+    """The record whose body starts at ``offset``, and the offset after it."""
+    decoder = _DECODERS.get(body[offset:offset + 1])
+    if decoder is None:
+        raise ValueError("unknown record type id")
+    return decoder(body, offset + 1)
 
 
 def encode_record(record) -> bytes:
-    """One WAL record -> one checksummed, newline-terminated frame."""
-    return _frame(_RECORD_ENCODER.encode(list(record)).encode("utf-8"))
-
-
-def decode_frame(line: bytes):
-    """One frame (without the newline) -> the decoded value, or None.
-
-    None means the frame is torn or corrupt: missing checksum field,
-    checksum mismatch, or unparsable body.
-    """
-    prefix, _, body = line.partition(b" ")
-    if len(prefix) != 8 or not body:
-        return None
-    try:
-        expected = int(prefix, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body) != expected:
-        return None
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
+    """One WAL record ``(kind, *fields)`` -> one checksummed frame."""
+    parts: list[bytes] = []
+    # Written as a section of one row; a one-field row is the value itself.
+    _ENCODERS[record[0]]((record[1:] if len(record) > 2 else record[1],), parts)
+    return _frame(parts)
 
 
 def replay_wal(data: bytes) -> list[tuple]:
     """Decode the longest valid prefix of a WAL byte string.
 
-    A frame that fails to decode — including the common torn write: a
-    final line with no terminating newline — or a malformed record ends
-    the replay; everything before it is returned as tuples.
+    A frame that is torn or corrupt, or whose body is not exactly one
+    record, ends the replay; everything before it is returned.
     """
     records: list[tuple] = []
     offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            break  # torn tail: the record was cut before its newline
-        decoded = decode_frame(data[offset:newline])
-        if type(decoded) is not list or not decoded:
-            break  # corrupt frame: nothing after it is trustworthy
-        if not _fits(decoded[1:], decoded[0]):
-            break  # malformed record: as untrustworthy as a torn one
-        records.append(tuple(decoded))
-        offset = newline + 1
+    while (body := _body(data, offset)) is not None:
+        try:
+            record, end = _read(body, 0)
+        except (ValueError, StructError):
+            break
+        if end != len(body):
+            break
+        records.append(record)
+        offset += _HEADER.size + end
     return records
 
 
+def state_records(state: dict):
+    """``state``'s rows as records, in snapshot order."""
+    for kind, section in SECTIONS.items():
+        for row in state[section]:
+            yield (kind, row) if type(row) is int else (kind, *row)
+
+
 def encode_snapshot(state: dict) -> bytes:
-    """Canonical (sorted-keys) checksummed encoding of one state dict."""
-    return _frame(_SNAPSHOT_ENCODER.encode(state).encode("utf-8"))
+    """One state dict -> one checksummed frame of its rows' record bodies."""
+    parts: list[bytes] = []
+    for kind, section in SECTIONS.items():
+        _ENCODERS[kind](state[section], parts)
+    return _frame(parts)
 
 
 def decode_snapshot(data: bytes) -> dict | None:
-    """Inverse of :func:`encode_snapshot`; None when torn or corrupt, or
-    when a section is not in its canonical shape."""
-    state = decode_frame(data.rstrip(b"\n"))
-    if type(state) is not dict:
+    """Inverse of :func:`encode_snapshot`; None when the frame is torn or
+    corrupt, a body does not decode, or a body is a ``drop``."""
+    body = _body(data, 0)
+    if body is None or len(data) != _HEADER.size + len(body):
         return None
-    flags = state.get("flags", {"capacity": 0.0, "free_rider": False})
-    canonical = (
-        all(
-            type(rows := state.get(section, [])) is list
-            and all(_fits(row, kind) for row in rows)
-            for section, kind in _ROWS.items()
-        )
-        and _ints(state.get("memberships", []))
-        and type(flags) is dict and list(flags) == ["capacity", "free_rider"]
-        and _fits(list(flags.values()), "flags")
-    )
-    return state if canonical else None
+    state: dict = {section: [] for section in SECTIONS.values()}
+    offset = 0
+    try:
+        while offset < len(body):
+            (kind, *row), offset = _read(body, offset)
+            if kind not in SECTIONS:
+                return None
+            state[SECTIONS[kind]].append(row if len(row) > 1 else row[0])
+    except (ValueError, StructError):
+        return None
+    return state

@@ -559,7 +559,7 @@ class Peer:
         state.
         """
         self.journal = journal
-        journal.snapshot_fn = lambda: durable_state(self, journal.flags)
+        journal.snapshot_fn = lambda: durable_state(self)
         self.dcrt.on_change = lambda category_id, entry: self._record(
             "dcrt", category_id, entry.cluster_id, entry.move_counter
         )

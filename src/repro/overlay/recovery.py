@@ -52,7 +52,6 @@ class RecoveryCoordinator:
         if journal is None:
             journal = PeerJournal(MemoryStore(), self.config)
             self._journals[peer.node_id] = journal
-        journal.flags["free_rider"] = self.system.is_free_rider(peer.node_id)
         peer.attach_journal(journal)
 
     def durable_docs_by_node(self) -> dict[int, set[int]]:

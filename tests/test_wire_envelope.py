@@ -444,38 +444,56 @@ def _assert_decode_is_total(data: bytes) -> None:
     assert isinstance(message, Message)
 
 
+def truncations(data: bytes, refit=_reframed, header: int = HEADER_BYTES):
+    """Every prefix of ``data``, and each one longer than its ``header``
+    again with ``refit`` fixing the header to the cut body, so the cut
+    reaches the body's decoder.  Shared with the WAL fuzzers."""
+    for cut in range(len(data)):
+        yield data[:cut]
+        if cut > header:
+            yield refit(bytearray(data[:cut]))
+
+
+def corruptions(base: bytes, rng: random.Random):
+    """``base`` with one bit flipped at every offset, then 100 times with
+    one to six random bytes overwritten."""
+    for offset in range(len(base)):
+        data = bytearray(base)
+        data[offset] ^= 1 << rng.randrange(8)
+        yield bytes(data)
+    for _ in range(100):
+        data = bytearray(base)
+        for _ in range(rng.randint(1, 6)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        yield bytes(data)
+
+
+def noise(rng: random.Random):
+    """400 random byte strings of up to 63 bytes."""
+    for _ in range(400):
+        yield bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
+
+
 def test_fuzz_truncations():
     for payload in SAMPLES:
         data = encode_frame(Message(3, 4, "fuzz", payload, 512, 9, 1))
-        for cut in range(len(data)):
-            _assert_decode_is_total(data[:cut])
-            # The same cut with its length prefix fixed reaches the payload.
-            if cut > HEADER_BYTES:
-                _assert_decode_is_total(_reframed(bytearray(data[:cut])))
+        for cut in truncations(data):
+            _assert_decode_is_total(cut)
 
 
 def test_fuzz_corruptions():
     rng = random.Random(0xC0DEC)
     for payload in SAMPLES:
         base = encode_frame(Message(1, 2, "fuzz", payload, 512, 9, 1))
-        for offset in range(len(base)):  # every single-byte flip
-            data = bytearray(base)
-            data[offset] ^= 1 << rng.randrange(8)
-            _assert_decode_is_total(bytes(data))
-        for _ in range(100):
-            data = bytearray(base)
-            for _ in range(rng.randint(1, 6)):
-                data[rng.randrange(len(data))] = rng.randrange(256)
-            _assert_decode_is_total(bytes(data))
+        for data in corruptions(base, rng):
+            _assert_decode_is_total(data)
 
 
 def test_fuzz_random_noise():
-    rng = random.Random(0xBADF00D)
-    for _ in range(400):
-        noise = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
-        _assert_decode_is_total(noise)
+    for data in noise(random.Random(0xBADF00D)):
+        _assert_decode_is_total(data)
         # Noise behind a valid length and version reaches the decoders.
-        _assert_decode_is_total(_framed(bytes([VERSION]) + noise))
+        _assert_decode_is_total(_framed(bytes([VERSION]) + data))
 
 
 @settings(max_examples=400, deadline=None)
