@@ -325,19 +325,23 @@ class Ack:
 
 @frozen_dataclass
 class Ping:
-    """Heartbeat probe from the failure detector (Section 6.1's liveness
-    assumption made explicit): "are you there?"."""
+    """Probe from the failure detector (Section 6.1's liveness assumption
+    made explicit): "are you there?".  ``target_id`` -1 (or the
+    receiver's own id) means the receiver; any other id asks the
+    receiver to forward this ping, unchanged, to that node (an indirect
+    probe)."""
 
     probe_id: int
     prober_id: int
+    target_id: int = -1
 
 
 @frozen_dataclass
 class Pong:
-    """Heartbeat reply: the probed node confirming liveness."""
+    """Probe reply, sent by the probed node straight to the prober: its
+    sender is the node it proves alive."""
 
     probe_id: int
-    responder_id: int
 
 
 @frozen_dataclass

@@ -59,8 +59,6 @@ from repro.transport import ReliableTransport, Transport
 __all__ = ["DocInfo", "MisbehaviorConfig", "PeerConfig", "PeerHooks", "Peer"]
 
 _NO_SUSPECTS: frozenset[int] = frozenset()
-#: heartbeat targets probed per failure-detector round.
-_PROBE_FANOUT = 3
 #: NRT entries kept per cluster (Section 6.2's LRU bound), in every world.
 NRT_CAPACITY = 512
 
@@ -211,7 +209,7 @@ class Peer:
         self._handlers: dict[str, tuple[type, Callable]] = {}
 
         #: reliable delivery: both halves of the ack/retry protocol plus
-        #: the heartbeat failure detector.  Constructed unconditionally —
+        #: the failure detector.  Constructed unconditionally —
         #: the receiver side (ack + dedup) must work even when this peer
         #: does not itself send reliably; the sender side only engages
         #: when ``config.reliability.enabled``.
@@ -224,7 +222,7 @@ class Peer:
             # A delivery that exhausted its attempts is evidence of death.
             on_give_up=lambda dst, kind: self.detector.note_missed(dst),
         )
-        self.detector = FailureDetector(node_id, transport, self._reliability)
+        self.detector = FailureDetector(node_id, transport, self._reliability, rng)
         if self._reliability.enabled:
             # Reliability composes as a transport wrapper: kinds wanting
             # ack/retry route through the channel, the rest pass straight
@@ -396,12 +394,15 @@ class Peer:
             self.membership.freeze_gossip_digest()
 
     def heartbeat_once(self) -> None:
-        """One failure-detector round: ping a few known contacts.
+        """One failure-detector round: at most one direct probe.
 
         Round-driven (see ``P2PSystem.run_failure_detector_rounds``)
         rather than self-scheduling, so run-to-quiescence callers still
-        drain.  Targets are drawn from the same pool gossip uses: cluster
-        neighbours first, NRT contacts as the fallback.
+        drain.  The pool is the one gossip uses: cluster neighbours
+        first, NRT contacts as the fallback.  The detector probes the
+        contact in the pool's next round-robin slot unless it was heard
+        from since the last round, and asks helpers from the pool to
+        ping it before it suspects (``FailureDetector.probe_round``).
         """
         partners: set[int] = set()
         for neighbors in self.cluster_neighbors.values():
@@ -410,12 +411,7 @@ class Peer:
             for cluster_id in self.nrt.clusters():
                 partners.update(self.nrt.nodes_in(cluster_id))
         partners.discard(self.node_id)
-        if not partners:
-            return
-        pool = sorted(partners)
-        fanout = min(_PROBE_FANOUT, len(pool))
-        for index in self.rng.permutation(len(pool))[:fanout]:
-            self.detector.probe(pool[int(index)])
+        self.detector.probe_round(partners)
 
     # ------------------------------------------------------------------
     # storage and membership

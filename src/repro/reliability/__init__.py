@@ -10,10 +10,10 @@ package makes reliability a first-class, reusable layer:
   and receiver-side duplicate suppression keyed on a ``delivery_id``
   that stays stable across retransmissions (at-least-once delivery with
   exactly-once effects).
-* :class:`FailureDetector` — heartbeat (ping/pong) probing with a
-  suspicion threshold; its suspect list feeds NRT target selection,
-  leader election, and the monitoring tree so dead nodes are routed
-  around instead of timed out per-request.
+* :class:`FailureDetector` — SWIM-style probing (one round-robin direct
+  ping a round, indirect pings before suspicion); its suspect list
+  feeds NRT target selection, leader election, and the monitoring tree
+  so dead nodes are routed around instead of timed out per-request.
 * :data:`RELIABLE_KINDS` — the request/response message kinds a peer
   sends through the channel.  Queries and their answers are deliberately
   absent: they get end-to-end deadline failover in the peer instead

@@ -97,10 +97,13 @@ class ReliabilityConfig:
     #: the time; eight attempts then succeed more than 98 % of the time.
     query_attempts: int = 8
 
-    # --- heartbeat failure detector ---
-    #: simulated seconds to wait for a pong before counting a miss.
+    # --- failure detector ---
+    #: simulated seconds to wait for a pong, once for the direct ping and
+    #: once more for the indirect pings: a probe cycle can take two.
     probe_timeout: float = 1.0
-    #: consecutive misses before a node becomes a suspect.
+    #: consecutive misses before a node becomes a suspect.  Misses come
+    #: from channel give-ups, chunk timeouts and probes with no helpers;
+    #: a probe whose indirect pings also time out suspects at once.
     suspicion_threshold: int = 2
 
     # --- client-side overload protection (all off by default) ---

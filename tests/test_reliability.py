@@ -16,7 +16,7 @@ from repro.reliability import (
 )
 from repro.reliability.channel import JITTER_FRACTION
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Message, Network
 from tests.helpers import MicroOverlay, build_live_system
 
 FAST = ReliabilityConfig(
@@ -562,3 +562,175 @@ class TestLossExperiment:
         assert result.row(0.1, True).success_rate >= result.row(
             0.1, False
         ).success_rate
+
+
+class TestProbeSchedule:
+    """The round-robin direct probe, the heard skip and indirect probing."""
+
+    def test_round_probes_one_slot_and_skips_the_recently_heard(self):
+        overlay = _reliable_overlay()
+        prober = overlay.peers[0]
+        probes = _delta("reliability.probes")
+        prober.heartbeat_once()
+        overlay.run()
+        assert probes() == 1  # one slot of the pool {1, 2}
+        assert prober.detector._pool == {1, 2}
+        # Both pool members speak before the next round: nothing to probe.
+        for node_id in (1, 2):
+            overlay.peers[node_id].detector.probe(0)
+        overlay.run()
+        prober.heartbeat_once()
+        overlay.run()
+        assert probes() == 3  # the two probes of node 0 only
+        # Nobody spoke since that round, so the next slot is probed.
+        prober.heartbeat_once()
+        overlay.run()
+        assert probes() == 4
+
+    def test_every_contact_gets_a_slot_each_pass(self):
+        overlay = _reliable_overlay()
+        prober = overlay.peers[0]
+        probed = []
+        send = prober.detector._send_ping
+        prober.detector._send_ping = lambda dst, ping: (
+            probed.append(dst), send(dst, ping)
+        )
+        for _ in range(4):
+            prober.heartbeat_once()
+            overlay.run()
+            # Forget the pong, so the heard skip does not hide a slot.
+            prober.detector._heard.clear()
+        assert sorted(probed[:2]) == [1, 2] and sorted(probed[2:]) == [1, 2]
+
+    def test_lost_direct_ping_is_rescued_by_a_helper(self):
+        overlay = _reliable_overlay(rng=np.random.default_rng(0))
+        prober = overlay.peers[0]
+        indirect = _delta("reliability.indirect_probes")
+        suspicions = _delta("reliability.suspicions")
+        overlay.network.set_kind_drop_probability("ping", 0.999)
+        prober.heartbeat_once()  # the direct ping is lost on send
+        overlay.network.clear_kind_drop_probabilities()
+        overlay.run()
+        assert indirect() == 1  # the one other pool member
+        assert suspicions() == 0
+        assert not prober.detector.suspects
+        assert not prober.detector._pending
+
+    def test_silent_target_is_suspected_after_the_indirect_round(self):
+        overlay = _reliable_overlay()
+        prober = overlay.peers[0]
+        overlay.network.crash(1)
+        overlay.network.crash(2)
+        prober.heartbeat_once()
+        overlay.run()
+        # One probe, no pong either way: suspected at once, no threshold.
+        assert len(prober.detector.suspects) == 1
+        assert not prober.detector._misses
+
+    def test_helper_forwards_only_a_request_from_its_prober(self):
+        overlay = MicroOverlay()
+        helper = overlay.add_peer(0)
+        seen = {node_id: [] for node_id in (5, 7, 9)}
+        for node_id, inbox in seen.items():
+            overlay.network.register(node_id, inbox.append)
+        rejected = _delta("reliability.rejected_pings")
+        request = m.Ping(probe_id=3, prober_id=5, target_id=7)
+
+        def deliver(src, ping):
+            helper.handle_message(
+                Message(src=src, dst=0, kind="ping", payload=ping)
+            )
+            overlay.run()
+
+        deliver(5, request)
+        assert [msg.payload for msg in seen[7]] == [request]  # unchanged
+        assert seen[5] == [] and rejected() == 0
+        deliver(9, request)  # relayed by a third node: no chaining
+        deliver(5, m.Ping(probe_id=3, prober_id=5, target_id=5))
+        assert rejected() == 2
+        assert len(seen[7]) == 1 and seen[5] == [] and seen[9] == []
+        # The target of a forwarded ping pongs the prober directly.
+        deliver(9, m.Ping(probe_id=4, prober_id=5, target_id=0))
+        assert [msg.payload for msg in seen[5]] == [m.Pong(probe_id=4)]
+
+    def test_pong_vouches_only_for_its_sender(self):
+        overlay = _reliable_overlay()
+        peer = overlay.peers[0]
+        overlay.network.crash(1)
+        peer.detector.note_missed(1)
+        peer.detector.note_missed(1)
+        peer.detector.probe(1)
+        (key,) = peer.detector._pending
+        forged = m.Pong(probe_id=key[1])
+        peer.handle_message(Message(src=2, dst=0, kind="pong", payload=forged))
+        assert peer.detector.is_suspect(1)
+        assert key in peer.detector._pending
+
+
+def _detector_world(loss: float = 0.0):
+    """A 100-peer reliable world, optionally with uniform message loss."""
+    from repro.overlay.system import P2PSystemConfig
+
+    _, system = build_live_system(
+        scale=0.005,
+        seed=7,
+        config=P2PSystemConfig(reliability=ReliabilityConfig(enabled=True)),
+    )
+    if loss:
+        system.network.rng = system.rngs.stream("loss.drop")
+        system.network.set_drop_probability(loss)
+    return system
+
+
+def _rounds_until_suspected(system, victim: int, cap: int = 100) -> dict:
+    """Crash ``victim``; ``watcher -> round it first suspected the victim``
+    for every live peer whose pool holds it, once all of them do."""
+    system.crash_node(victim)
+    first: dict[int, int] = {}
+    for round_no in range(1, cap + 1):
+        system.run_failure_detector_rounds(1)
+        watchers = [
+            peer for peer in system.alive_peers() if victim in peer.detector._pool
+        ]
+        for peer in watchers:
+            if peer.detector.is_suspect(victim):
+                first.setdefault(peer.node_id, round_no)
+        if all(peer.node_id in first for peer in watchers):
+            return first
+    raise AssertionError(f"node {victim} not suspected in {cap} rounds")
+
+
+class TestDetectionBounds:
+    def test_round_sends_at_most_one_direct_probe_per_peer(self):
+        system = _detector_world()
+        peers = system.alive_peers()
+        for _ in range(3):
+            before = {peer.node_id: peer.detector._next_probe_id for peer in peers}
+            system.run_failure_detector_rounds(1)
+            assert all(
+                peer.detector._next_probe_id - before[peer.node_id] <= 1
+                for peer in peers
+            )
+
+    def test_crash_suspected_within_one_pass_at_zero_loss(self):
+        system = _detector_world()
+        victim = system.all_node_ids()[3]
+        first = _rounds_until_suspected(system, victim)
+        assert first
+        for node_id, round_no in first.items():
+            pool = system.peer(node_id).detector._pool
+            # A pool of one has no helpers: the miss threshold applies.
+            threshold = system.peer(node_id).detector.config.suspicion_threshold
+            bound = len(pool) if len(pool) > 1 else threshold
+            assert round_no <= bound
+
+    def test_detection_and_false_suspicions_at_two_percent_loss(self):
+        # Seeded and exact: a change to the schedule, the helper draw or
+        # the loss stream moves these pins.
+        system = _detector_world(loss=0.02)
+        suspicions = _delta("reliability.suspicions")
+        system.run_failure_detector_rounds(150)
+        assert suspicions() == 0  # no false suspicion in 150 rounds
+        first = _rounds_until_suspected(system, system.all_node_ids()[3])
+        assert len(first) == 5
+        assert max(first.values()) == 6

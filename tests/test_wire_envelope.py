@@ -69,9 +69,12 @@ PAYLOADS = [
     m.Ack(delivery_id=55, receiver_id=9),
 ]
 
-#: one deterministic payload of every wire type, each tuple non-empty.
+#: one deterministic payload of every wire type, each tuple non-empty,
+#: and an indirect-probe request as the failure detector sends it.
 SAMPLES = [sample_payload(cls, random.Random(index))
-           for index, cls in enumerate(WIRE_CLASSES)]
+           for index, cls in enumerate(WIRE_CLASSES)] + [
+    m.Ping(probe_id=41, prober_id=3, target_id=17)
+]
 
 
 @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
