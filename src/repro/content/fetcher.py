@@ -225,9 +225,11 @@ class PeerContent:
             remaining=manifest.n_chunks,
         )
         self._fetches[fetch_id] = fetch
-        self.manifests[doc_id] = manifest
-        if self.on_manifest is not None:
-            self.on_manifest(doc_id, manifest)
+        cached = self.manifests.get(doc_id)
+        if cached is None or manifest.version > cached.version:
+            self.manifests[doc_id] = manifest
+            if self.on_manifest is not None:
+                self.on_manifest(doc_id, manifest)
         already = self.partial.get(doc_id, set())
         for i in sorted(already & set(chunks)):
             # Chunks left behind by an abandoned fetch are already

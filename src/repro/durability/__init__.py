@@ -17,6 +17,7 @@ from repro.durability.journal import (
 )
 from repro.durability.store import FileStore, MemoryStore
 from repro.durability.wal import (
+    StoreBodies,
     decode_snapshot,
     encode_record,
     encode_snapshot,
@@ -30,6 +31,7 @@ __all__ = [
     "materialize",
     "MemoryStore",
     "FileStore",
+    "StoreBodies",
     "encode_record",
     "replay_wal",
     "encode_snapshot",

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter, itemgetter
 
 from repro.durability.wal import (
     SECTIONS,
+    StoreBodies,
     decode_snapshot,
     encode_record,
     encode_snapshot,
@@ -59,6 +61,10 @@ class DurabilityConfig:
             )
 
 
+#: a held document's ``docs`` row: doc id, size and categories.
+_STORE_ROW = attrgetter("doc_id", "size_bytes", "categories")
+
+
 def durable_state(peer, flags=None) -> dict:
     """Snapshot a peer's durable state as the canonical dict.
 
@@ -66,28 +72,24 @@ def durable_state(peer, flags=None) -> dict:
     must not import the overlay, which imports it.
     """
     # ``flags`` is ignored; benchmarks/stack/workloads.py still passes it.
-    state = materialize(None, ())
-    state["docs"] = [
-        [doc_id, info.size_bytes, info.categories]
-        for doc_id, info in sorted(peer.docs.items())
-    ]
-    state["dcrt"] = [
-        [category_id, entry.cluster_id, entry.move_counter]
-        for category_id, entry in peer.dcrt.items()
-    ]
-    state["epochs"] = [
-        [category_id, epoch]
-        for category_id, epoch in sorted(peer.ownership_epochs.items())
-        if epoch > 0
-    ]
-    state["memberships"] = sorted(peer.memberships)
-    content = peer.content_state
-    if content is not None:
-        state["manifests"] = [
+    docs, content = peer.docs, peer.content_state
+    return {
+        "dcrt": [
+            [category_id, entry.cluster_id, entry.move_counter]
+            for category_id, entry in peer.dcrt.items()
+        ],
+        "docs": list(map(_STORE_ROW, map(docs.__getitem__, sorted(docs)))),
+        "epochs": [
+            [category_id, epoch]
+            for category_id, epoch in sorted(peer.ownership_epochs.items())
+            if epoch > 0
+        ],
+        "manifests": [] if content is None else [
             [doc_id, manifest.size_bytes, manifest.chunk_size, manifest.version]
             for doc_id, manifest in sorted(content.manifests.items())
-        ]
-    return state
+        ],
+        "memberships": sorted(peer.memberships),
+    }
 
 
 def materialize(snapshot: dict | None, records) -> dict:
@@ -118,15 +120,24 @@ def materialize(snapshot: dict | None, records) -> dict:
 
 
 class PeerJournal:
-    """One peer's append-only WAL with periodic compacting snapshots."""
+    """One peer's append-only WAL with periodic compacting snapshots.
+
+    ``bodies`` is the :class:`StoreBodies` cache its snapshots draw
+    ``store`` bodies from: a world passes the one its journals share,
+    and a journal given none keeps its own.
+    """
 
     def __init__(
-        self, store, config: DurabilityConfig | None = None
+        self,
+        store,
+        config: DurabilityConfig | None = None,
+        bodies: StoreBodies | None = None,
     ) -> None:
         self.store = store
         self.config = (
             config if config is not None else DurabilityConfig(enabled=True)
         )
+        self.bodies = bodies if bodies is not None else StoreBodies()
         #: () -> canonical durable state; set by the owning peer/system
         #: at attach time.  Compaction is a no-op until it is set.
         self.snapshot_fn = None
@@ -136,10 +147,15 @@ class PeerJournal:
         self.snapshots_written = 0
         self._records_since_snapshot = 0
         #: doc ids the log currently acknowledges as held — maintained
-        #: incrementally so invariant checks do not replay the WAL.
-        self._durable_docs: set[int] = {
-            entry[0] for entry in self.load().get("docs", ())
-        }
+        #: incrementally so invariant checks do not replay the WAL, which
+        #: is replayed here only when the store holds something.
+        self._durable_docs: set[int] = set()
+        snapshot, wal_bytes = store.load()
+        if snapshot or wal_bytes:
+            state = materialize(
+                decode_snapshot(snapshot or b""), replay_wal(wal_bytes)
+            )
+            self._durable_docs.update(map(itemgetter(0), state["docs"]))
 
     # ------------------------------------------------------------------
     def record(self, *record) -> None:
@@ -162,8 +178,8 @@ class PeerJournal:
         if self.snapshot_fn is None:
             return
         state = self.snapshot_fn()
-        self.store.write_snapshot(encode_snapshot(state))
-        self._durable_docs = {entry[0] for entry in state["docs"]}
+        self.store.write_snapshot(encode_snapshot(state, self.bodies))
+        self._durable_docs = set(map(itemgetter(0), state["docs"]))
         self.snapshots_written += 1
         self._records_since_snapshot = 0
 

@@ -8,7 +8,9 @@ the longest valid prefix: the log is causally ordered, so it stops at the
 first torn or corrupt frame, unknown type id or malformed body (every
 process is built from one tree: no older replayer skips unknown kinds).
 A snapshot is one frame of the state's record bodies in :data:`SECTIONS`
-order, so equal durable state encodes to equal bytes.
+order, so equal durable state encodes to equal bytes.  Its ``store``
+bodies may come from a :class:`StoreBodies` cache, which gives the same
+bytes while encoding each distinct row once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from struct import Struct, error as StructError
 
 from repro.codec import Run, Source, decode, encode
 
-__all__ = ["encode_record", "replay_wal", "encode_snapshot", "decode_snapshot"]
+__all__ = [
+    "StoreBodies", "encode_record", "replay_wal", "encode_snapshot",
+    "decode_snapshot",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,11 +171,47 @@ def state_records(state: dict):
             yield (kind, row) if type(row) is int else (kind, *row)
 
 
-def encode_snapshot(state: dict) -> bytes:
-    """One state dict -> one checksummed frame of its rows' record bodies."""
+class StoreBodies:
+    """Encoded ``store`` record bodies, one per distinct row value
+    ``(doc_id, size_bytes, categories)``.
+
+    Every holder of a document snapshots the same row, so one body serves
+    all its copies; a row whose size or categories changed is another key
+    and is encoded afresh.  Owned by a world (or by one live journal),
+    never by the module, and holding only ``bytes``, which the collector
+    does not walk.
+    """
+
+    def __init__(self) -> None:
+        self._bodies: dict[tuple, bytes] = {}
+
+    def __len__(self) -> int:
+        """How many bodies have been encoded."""
+        return len(self._bodies)
+
+    def extend(self, rows, parts: list[bytes]) -> None:
+        """Append each ``store`` row's body to ``parts``; a row's
+        categories may be any sequence, keyed as a tuple."""
+        bodies, encode = self._bodies, _ENCODERS["store"]
+        for doc_id, size_bytes, categories in rows:
+            key = (doc_id, size_bytes, tuple(categories))
+            body = bodies.get(key)
+            if body is None:
+                fresh: list[bytes] = []
+                encode((key,), fresh)
+                body = bodies[key] = b"".join(fresh)
+            parts.append(body)
+
+
+def encode_snapshot(state: dict, bodies: StoreBodies | None = None) -> bytes:
+    """One state dict -> one checksummed frame of its rows' record bodies;
+    the ``store`` bodies come from ``bodies`` when it is given."""
     parts: list[bytes] = []
     for kind, section in SECTIONS.items():
-        _ENCODERS[kind](state[section], parts)
+        if kind == "store" and bodies is not None:
+            bodies.extend(state[section], parts)
+        else:
+            _ENCODERS[kind](state[section], parts)
     return _frame(parts)
 
 

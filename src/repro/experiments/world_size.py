@@ -23,6 +23,8 @@ entry (a recency-ordered list, not a dict), one DCRT the peers share, a
 DT that costs nothing beside the stored documents, and — the one optional layer
 whose build grows with the world — a content data plane that adds a few
 calls per document and peer (:func:`content_calls`), not one per chunk.
+With durability on, the baseline snapshots encode one ``store`` body per
+document, not one per copy (:func:`durable_baseline`).
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from itertools import chain
 
 from repro.content.chunks import ContentConfig
 from repro.core.replication import build_world
+from repro.durability import DurabilityConfig
 from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
 __all__ = [
-    "SITES", "WorldRow", "WorldResult", "content_calls", "measure",
-    "python_calls", "run", "format_result",
+    "SITES", "WorldRow", "WorldResult", "content_calls", "durable_baseline",
+    "measure", "python_calls", "run", "format_result",
 ]
 
 #: ceiling on NRT-table bytes per NRT entry: a list holds a pointer (8 B)
@@ -267,8 +270,9 @@ def content_calls(scale: float = 0.03, seed: int = 7) -> tuple[int, int]:
 def smoke() -> None:
     """CI gate: calls stay below copies, bytes grow no faster than the world,
     NRT tables stay near a pointer per entry, peers share the bootstrap
-    DCRT, the DT costs nothing beside ``docs``, and a content-on build adds
-    a few calls per document and peer."""
+    DCRT, the DT costs nothing beside ``docs``, a content-on build adds
+    a few calls per document and peer, and a durability-on build encodes
+    one ``store`` body per document held."""
     result = run(scales=(0.01, 0.03))
     print(format_result(result))
     for row in result.rows:
@@ -297,3 +301,29 @@ def smoke() -> None:
     added, size = content_calls()
     print(f"content on at scale 0.03 adds {added} calls ({size} documents + peers)")
     require(added < 5 * size, f"content on adds {added} calls for {size}")
+    encoded, documents, per_copy = durable_baseline()
+    print(
+        f"durability on at scale 0.03 encodes {encoded} store bodies "
+        f"({documents} documents held); {per_copy:.1f} snapshot bytes per copy"
+    )
+    require(
+        encoded == documents,
+        f"durability on encodes {encoded} store bodies for {documents} documents",
+    )
+
+
+def durable_baseline(scale: float = 0.03, seed: int = 7) -> tuple[int, int, float]:
+    """``(store bodies encoded, documents held, snapshot bytes per copy)``
+    of one durability-on build, whose journals each get a baseline
+    snapshot.  The world's body cache holds one body per distinct row
+    encoded: fewer than the documents held means the snapshots bypassed
+    it, more means a document was encoded under two rows."""
+    world = build_world(scale=scale, seed=seed)
+    config = P2PSystemConfig(seed=seed, durability=DurabilityConfig(enabled=True))
+    system = P2PSystem(*world, config=config)
+    held = {doc_id for peer in system.peers.values() for doc_id in peer.docs}
+    snapshot_bytes = sum(
+        len(system.journal(node_id).store.load()[0]) for node_id in system.peers
+    )
+    copies = sum(len(peer.docs) for peer in system.peers.values())
+    return len(system.recovery.bodies), len(held), snapshot_bytes / copies

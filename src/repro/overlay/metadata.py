@@ -18,6 +18,7 @@ Every node keeps three tables:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
 from repro.frozen import frozen_dataclass
@@ -56,12 +57,18 @@ class DocumentTable:
         """
         return any(category_id in info.categories for info in self._docs.values())
 
-    def docs_in_category(self, category_id: int) -> list[int]:
-        return [
+    def docs_in_category(
+        self, category_id: int, limit: int | None = None
+    ) -> list[int]:
+        """Stored documents of ``category_id`` in table order; with a
+        ``limit``, the first that many (none for a limit below one), and
+        the scan stops there."""
+        matched = (
             doc_id
             for doc_id, info in self._docs.items()
             if category_id in info.categories
-        ]
+        )
+        return list(islice(matched, None if limit is None else max(limit, 0)))
 
     def doc_ids(self) -> list[int]:
         return list(self._docs)

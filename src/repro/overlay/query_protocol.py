@@ -236,7 +236,17 @@ class QueryProtocol:
         self.peer.transport.schedule(self._reliability.query_deadline, on_deadline)
 
     def handle_query(self, query: m.QueryMessage, src: int) -> None:
-        """Step 2, at a target node: serve, redirect, or forward."""
+        """Step 2, at a target node: serve, redirect, or forward.
+
+        A query that wants no result is dropped and counted first: the
+        requester asks for at least one and a server forwards only what
+        is still wanted, so only a frame from outside carries one.
+        """
+        if query.remaining < 1:
+            # Lazily registered, as in ``Peer.handle_message``: honest
+            # worlds never reach this, so their snapshots gain no line.
+            obs.counter("overlay.rejected_messages").inc()
+            return
         now = self.peer.transport.now
         if now - self._seen_since > SEEN_QUERY_TTL:
             self._rotate_seen(now)
@@ -328,7 +338,9 @@ class QueryProtocol:
                     self.peer._send(super_peer, "query", query.forwarded())
             return
 
-        matched = self.peer.dt.docs_in_category(query.category_id)
+        matched = self.peer.dt.docs_in_category(
+            query.category_id, query.remaining
+        )
         if not matched and park(query):
             # Destination of an in-flight move without the content yet:
             # pulled from the coupled source node, then answered (lazy
@@ -340,7 +352,9 @@ class QueryProtocol:
     def replay(self, query: m.QueryMessage, entry: DCRTEntry) -> None:
         """Answer a query that was parked on a transfer which has landed."""
         if query.target_doc_id < 0:
-            matched = self.peer.dt.docs_in_category(query.category_id)
+            matched = self.peer.dt.docs_in_category(
+                query.category_id, query.remaining
+            )
             self._serve_and_forward(query, matched, entry)
         elif self.peer.dt.has_document(query.target_doc_id):
             self._serve_docs(query, (query.target_doc_id,), entry)
@@ -433,7 +447,7 @@ class QueryProtocol:
         matched: list[int],
         entry: DCRTEntry,
     ) -> None:
-        served = tuple(matched[: query.remaining])
+        served = tuple(matched)
         if served:
             self._serve_docs(query, served, entry)
         remaining = query.remaining - len(served)

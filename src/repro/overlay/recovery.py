@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.durability import DurabilityConfig, MemoryStore, PeerJournal
+from repro.durability import (
+    DurabilityConfig,
+    MemoryStore,
+    PeerJournal,
+    StoreBodies,
+)
 from repro.overlay import messages as m
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,6 +33,8 @@ class RecoveryCoordinator:
         self.system = system
         self.config = config
         self._journals: dict[int, PeerJournal] = {}
+        #: the world's encoded ``store`` bodies, shared by its journals.
+        self.bodies = StoreBodies()
         #: the world's view of per-category ownership epochs, and the
         #: append-only ledger of (category, epoch, cluster) claims the
         #: single-owner-per-epoch invariant audits.
@@ -50,7 +57,7 @@ class RecoveryCoordinator:
         """
         journal = self._journals.get(peer.node_id)
         if journal is None:
-            journal = PeerJournal(MemoryStore(), self.config)
+            journal = PeerJournal(MemoryStore(), self.config, self.bodies)
             self._journals[peer.node_id] = journal
         peer.attach_journal(journal)
 

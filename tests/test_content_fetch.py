@@ -13,6 +13,7 @@ from repro.content.manifest import build_manifest
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
+from repro.durability import MemoryStore, PeerJournal, replay_wal
 from repro.model.system import SystemConfig, build_system
 from repro.overlay import messages as m
 from repro.overlay.peer import DocInfo, PeerConfig
@@ -309,6 +310,40 @@ class TestReadRepair:
         doc_id, _ = doc_with_holders(system)
         outsider = pick_requester(system, doc_id)
         assert not outsider.content_state.mark_corrupt(doc_id, 0)
+
+
+class TestManifestJournal:
+    def test_a_refetch_at_one_version_journals_one_manifest(self):
+        overlay = MicroOverlay()
+        peer = overlay.add_peer(
+            0, config=PeerConfig(content=ContentConfig(enabled=True))
+        )
+        peer.attach_journal(PeerJournal(MemoryStore()))
+        peer._send = lambda *args, **kwargs: None
+        content = peer.content_state
+        manifest = build_manifest(9, size_bytes=40, chunk_size=10)
+        info = DocInfo(doc_id=9, categories=(0,), size_bytes=40)
+
+        def manifest_records():
+            return [
+                record for record in replay_wal(peer.journal.store.load()[1])
+                if record[0] == "manifest"
+            ]
+
+        for fetch_id in (1, 2):
+            content.start_fetch(
+                fetch_id, info, manifest, sources_fn=lambda: {0: (1,)}
+            )
+        assert manifest_records() == [("manifest", 9, 40, 10, 0)]
+        # A newer version is journaled and cached; an older one neither.
+        content.start_fetch(3, info, manifest.with_version(2),
+                            sources_fn=lambda: {0: (1,)})
+        content.start_fetch(4, info, manifest.with_version(1),
+                            sources_fn=lambda: {0: (1,)})
+        assert manifest_records() == [
+            ("manifest", 9, 40, 10, 0), ("manifest", 9, 40, 10, 2),
+        ]
+        assert content.manifests[9].version == 2
 
 
 class TestRarestFirst:

@@ -19,12 +19,14 @@ The layering under test (see ``docs/architecture.md`` §Durability):
 """
 
 import dataclasses
+import gc
 import json
 import os
 import random
 import stat
 import struct
 import tracemalloc
+import weakref
 import zlib
 
 import pytest
@@ -39,6 +41,7 @@ from repro.durability import (
     FileStore,
     MemoryStore,
     PeerJournal,
+    StoreBodies,
     decode_snapshot,
     durable_state,
     encode_record,
@@ -412,6 +415,100 @@ def test_fuzz_one_field_of_a_valid_record_or_snapshot(data):
     offset, fmt = data.draw(st.sampled_from(nodes))
     struct.pack_into(">" + fmt, frame, offset, data.draw(_HOSTILE[fmt]))
     _assert_total(_refit(frame))
+
+
+#: ``store`` rows over few doc ids, sizes and categories, so that states
+#: drawn one after another reuse a doc id with another size or category
+#: tuple; one to three categories, or none.
+_STORE_ROWS = st.tuples(
+    st.just("store"),
+    st.integers(0, 5),
+    st.sampled_from([10, 4096, 2**40]),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+)
+
+
+class TestStoreBodies:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=st.lists(
+            st.tuples(
+                st.lists(_STORE_ROWS, max_size=6),
+                st.lists(_RECORDS.filter(lambda r: r[0] != "store"), max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_cached_bytes_are_the_generators_bytes(self, states):
+        # One cache over several states, as a world's journals share one:
+        # every snapshot encodes as it does uncached and decodes back.
+        bodies, rows = StoreBodies(), set()
+        for stores, others in states:
+            state = materialize(None, stores + others)
+            frame = encode_snapshot(state, bodies)
+            assert frame == encode_snapshot(state)
+            assert decode_snapshot(frame) == state
+            rows.update(map(tuple, state["docs"]))
+        # Each distinct row was encoded once.
+        assert len(bodies) == len(rows)
+
+    def test_a_changed_row_is_encoded_again(self):
+        bodies = StoreBodies()
+        for row in ((1, 10, (0,)), (1, 10, (0, 2)), (1, 11, (0,)), (1, 10, (0,))):
+            state = materialize(None, [("store", *row)])
+            assert encode_snapshot(state, bodies) == encode_snapshot(state)
+        assert len(bodies) == 3
+        # Categories spelled as a list are the same row as the tuple.
+        state = {**materialize(None, []), "docs": [[1, 10, [0]]]}
+        assert encode_snapshot(state, bodies) == encode_snapshot(state)
+        assert len(bodies) == 3
+
+    def test_each_world_owns_its_cache(self):
+        first, second = make_recovery_system(), make_recovery_system()
+        assert first.recovery.bodies is not second.recovery.bodies
+        for system in (first, second):
+            assert all(
+                system.journal(node_id).bodies is system.recovery.bodies
+                for node_id in system.peers
+            )
+        # One body per document held, however many copies there are.
+        copies = sum(len(peer.docs) for peer in first.peers.values())
+        held = {d for peer in first.peers.values() for d in peer.docs}
+        assert len(first.recovery.bodies) == len(held) < copies
+        freed = weakref.ref(first.recovery.bodies)
+        del first
+        gc.collect()
+        assert freed() is None
+        assert second.recovery.bodies
+
+    def test_a_journal_without_a_world_keeps_its_own(self):
+        assert PeerJournal(MemoryStore()).bodies is not PeerJournal(MemoryStore()).bodies
+
+    def test_a_journal_reads_its_store_once_and_replays_only_state(
+        self, monkeypatch
+    ):
+        from repro.durability import journal as journal_module
+
+        replayed, loads = [], []
+        materialize_ = journal_module.materialize
+        monkeypatch.setattr(
+            journal_module, "materialize",
+            lambda *args: replayed.append(1) or materialize_(*args),
+        )
+
+        class CountingStore(MemoryStore):
+            def load(self):
+                loads.append(1)
+                return super().load()
+
+        assert PeerJournal(CountingStore()).durable_doc_ids() == frozenset()
+        assert replayed == [] and loads == [1]
+        store = CountingStore()
+        store.append(encode_record(("store", 4, 16, (1,))))
+        loads.clear()
+        assert PeerJournal(store).durable_doc_ids() == frozenset({4})
+        assert replayed == [1] and loads == [1]
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,27 @@ class TestDocumentTable:
         assert dt.docs_in_category(4) == [5, 2]
         assert dt.doc_ids() == [5, 1, 2]
 
+    def test_docs_in_category_stops_at_its_limit(self):
+        class Scanned(dict):
+            """A docs dict that counts the rows a scan reads."""
+
+            read = 0
+
+            def items(self):
+                for item in super().items():
+                    self.read += 1
+                    yield item
+
+        docs = Scanned({d: _info(d, 3 if d % 2 else 4) for d in range(64)})
+        dt = DocumentTable(docs)
+        every = dt.docs_in_category(3)
+        assert len(every) == 32 and docs.read == 64
+        for limit in (1, 3, 32, 40):
+            docs.read = 0
+            assert dt.docs_in_category(3, limit) == every[:limit]
+            assert docs.read == (2 * limit if limit < 32 else 64)
+        assert dt.docs_in_category(3, 0) == dt.docs_in_category(3, -2) == []
+
     def test_rejects_empty_categories(self):
         peer = MicroOverlay().add_peer(0)
         with pytest.raises(ValueError):

@@ -52,6 +52,50 @@ class TestCategoryQueries:
         assert response.responder_id == 2
         assert response.hops == 3  # 0 (1) -> 1 (2) -> 2 (3)
 
+    @pytest.mark.parametrize("m_results", [1, 3, 8])
+    def test_a_member_serves_the_first_remaining_of_its_category(self, m_results):
+        # Node 1 holds five documents of category 7 among others; it reads
+        # only as many as the query still wants, and answers with the same
+        # prefix a full scan would give.
+        overlay = _three_node_cluster()
+        for doc_id in range(100, 110):
+            overlay.give_document(1, doc_id, [7] if doc_id % 2 else [8])
+        requester = overlay.peers[0]
+        requester.nrt.remove(0, 0)
+        requester.nrt.remove(0, 2)
+        requester.start_query(query_id=1, category_id=7, m_results=m_results)
+        overlay.run()
+        [response] = [r for _, r in overlay.hooks.responses if r.responder_id == 1]
+        assert response.doc_ids == (101, 103, 105, 107, 109)[:m_results]
+        assert [info.doc_id for info in response.doc_infos] == list(response.doc_ids)
+
+    @pytest.mark.parametrize("remaining", [0, -3])
+    def test_a_query_wanting_no_result_is_rejected_on_receipt(self, remaining):
+        # No honest sender makes one; at a holder it must not be served,
+        # forwarded, remembered, or parked (which would pull the group).
+        from repro import obs
+        from repro.overlay import messages as m
+
+        overlay = _three_node_cluster()
+        overlay.give_document(1, 100, [7])
+        holder = overlay.peers[1]
+        parked = []
+        holder.adaptation.park = lambda query: parked.append(query) or True
+        sent = []
+        holder._send = lambda *args, **kwargs: sent.append(args)
+        rejected = obs.counter("overlay.rejected_messages")
+        before = rejected.value
+        query = m.QueryMessage(
+            query_id=1, requester_id=0, category_id=7, remaining=remaining,
+            hops=1, target_cluster=0,
+        )
+        holder.queries.handle_query(query, 0)
+        overlay.run()
+        assert rejected.value - before == 1
+        assert parked == [] and sent == [] and overlay.hooks.responses == []
+        assert holder.queries.seen_query_count() == 0
+        assert holder.requests_served == 0
+
     def test_m_results_collected_from_several_nodes(self):
         overlay = _three_node_cluster()
         overlay.give_document(0, 100, [7])
