@@ -15,6 +15,9 @@ Regenerate (only for an *intentional* behavior change)::
     PYTHONPATH=src python -m repro.experiments FUZZ --fuzz-seeds 2 --steps 25 \
         --seed 3 --metrics-out tests/golden/metrics_chaos.jsonl \
         --metrics-deterministic
+    PYTHONPATH=src python -m repro.experiments scenario --seed 7 \
+        --metrics-out tests/golden/metrics_scenario.jsonl \
+        --metrics-deterministic
 """
 
 import os
@@ -39,6 +42,11 @@ CASES = {
     "metrics_chaos.jsonl": [
         "FUZZ", "--fuzz-seeds", "2", "--steps", "25", "--seed", "3",
         "--metrics-deterministic",
+    ],
+    # Covers the scenario engine's compiled schedules played through the
+    # overlay: timed query runs, controls between them, per-phase checks.
+    "metrics_scenario.jsonl": [
+        "scenario", "--seed", "7", "--metrics-deterministic",
     ],
 }
 
