@@ -2,7 +2,8 @@
 
 :class:`Interpreter` — one ``_do_<action>`` handler per
 :data:`~repro.chaos.scenario.ACTIONS` entry — applies schedule entries,
-fuzzed or compiled from a scenario spec, to an already-built world.
+fuzzed or compiled from a scenario spec, to an already-built world;
+``Interpreter.play`` issues a compiled schedule's queries at their times.
 :func:`run_schedule` builds a fresh world from the schedule's seed,
 registers the :class:`~repro.chaos.invariants.InvariantChecker` as a
 simulation quiescence hook (structural invariants are asserted after
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from repro import obs
 from repro.chaos.invariants import InvariantChecker, Violation
-from repro.chaos.scenario import Schedule, ScheduleEntry, ScenarioConfig
+from repro.chaos.scenario import Schedule, ScheduleEntry, ScenarioConfig, draw_requests
 from repro.content import ContentConfig
 from repro.core.replication import build_world
 from repro.durability import DurabilityConfig
@@ -84,30 +86,38 @@ class ChaosReport:
 
 
 class ChaosRunner:
-    """One schedule, one world, one checker."""
+    """One schedule, one world, one checker.
+
+    The world is built from ``config`` and the schedule's seed unless
+    ``world`` hands over an already built ``(instance, assignment, plan)``
+    (SCENARIO's, whose free riders are designated before placement).
+    """
 
     def __init__(
         self,
         schedule: Schedule,
         config: ScenarioConfig | None = None,
         check_invariants: bool = True,
+        world: tuple | None = None,
     ) -> None:
         self.schedule = schedule
         self.config = config if config is not None else ScenarioConfig()
         self.check_invariants = check_invariants
         config = self.config
 
-        self.instance, assignment, plan = build_world(
-            SystemConfig(
-                n_docs=config.n_docs,
-                n_nodes=config.n_nodes,
-                n_categories=config.n_categories,
-                n_clusters=config.n_clusters,
-                doc_size_bytes=config.doc_size_bytes,
-                seed=schedule.seed,
-            ),
-            n_reps=config.n_reps,
-        )
+        if world is None:
+            world = build_world(
+                SystemConfig(
+                    n_docs=config.n_docs,
+                    n_nodes=config.n_nodes,
+                    n_categories=config.n_categories,
+                    n_clusters=config.n_clusters,
+                    doc_size_bytes=config.doc_size_bytes,
+                    seed=schedule.seed,
+                ),
+                n_reps=config.n_reps,
+            )
+        self.instance, assignment, plan = world
         features = config.features
         if "overload" in features:
             # Overload worlds pair the per-peer service model with the
@@ -263,12 +273,50 @@ class Interpreter:
         if self.check_invariants:
             self.checker.check(name, *args, **kwargs)
 
+    def play(self, entries, start: float) -> list:
+        """Apply ``entries`` in order and return the queries' outcomes.
+
+        Each run of consecutive ``query`` entries goes out as one
+        workload, every query at its time ``t``: the first run timed from
+        ``start``, every later run from its own first query.  The caller
+        checks the outcomes.
+        """
+        outcomes = []
+        origin = start
+        for is_query, run in groupby(entries, lambda e: e.action == "query"):
+            if not is_query:
+                for entry in run:
+                    self.apply(entry)
+                continue
+            run = list(run)
+            origin = run[0].params["t"] if origin is None else origin
+            outcomes += self.system.run_workload(
+                QueryWorkload([self._query(e.step, **e.params) for e in run]),
+                at_times=[e.params["t"] - origin for e in run],
+            )
+            origin = None
+        self.outcomes_total += len(outcomes)
+        return outcomes
+
+    def _query(
+        self, step: int, requester: int, doc: int, m: int, t: float = 0.0
+    ) -> Query:
+        """The query a ``query`` entry names (``t`` says when, not what)."""
+        categories = self.instance.documents[doc].categories
+        return Query(step, requester, doc, categories, m)
+
     def _workload(self, workload: QueryWorkload, **kwargs) -> bool:
         """Run a query workload to quiescence: the ``workload`` event."""
         outcomes = self.system.run_workload(workload, **kwargs)
         self.outcomes_total += len(outcomes)
         self._check("query-termination", outcomes)
         return True
+
+    def _do_query(
+        self, step: int, t: float, requester: int, doc: int, m: int
+    ) -> bool:
+        # One compiled scenario query on its own, issued now.
+        return self._workload(QueryWorkload([self._query(step, requester, doc, m)]))
 
     def _do_query_burst(self, step: int, n: int, workload_seed: int) -> bool:
         workload = make_query_workload(self.instance, n, seed=workload_seed)
@@ -434,20 +482,11 @@ class Interpreter:
         count = max(1, int(round(n * diurnal_factor(amplitude, phase))))
         doc_ids, law = self._scenario_law()
         rng = np.random.default_rng(workload_seed)
-        choices = law.sample(rng, 0.0, count)
-        requesters = rng.integers(0, len(alive), size=count)
-        docs = [self.instance.documents[doc_ids[int(c)]] for c in choices]
-        queries = [
-            Query(
-                query_id=index,
-                requester_id=alive[int(requesters[index])],
-                target_doc_id=doc.doc_id,
-                category_ids=doc.categories,
-                m=1,
-            )
-            for index, doc in enumerate(docs)
-        ]
-        return self._workload(QueryWorkload(queries=queries))
+        requests = draw_requests(rng, law, 0.0, count, doc_ids, alive)
+        return self._workload(QueryWorkload([
+            self._query(index, requester, doc, 1)
+            for index, (requester, doc) in enumerate(requests)
+        ]))
 
     def _do_skew_flip(
         self, step: int, mass: float, n_hot: int, flip_seed: int

@@ -35,6 +35,7 @@ __all__ = [
     "ScenarioConfig",
     "ScheduleEntry",
     "Schedule",
+    "draw_requests",
     "generate_schedule",
     "parse_features",
 ]
@@ -262,6 +263,9 @@ ACTIONS: dict[str, Action] = {
     }),
     # Cooldown tail only: weight 0, never drawn.
     "converge": Action("core", 0.0, _no_params),
+    # One query compiled from a scenario spec (repro.scenario): its issue
+    # time ``t``, requester, document and ``m``.  Weight 0, never drawn.
+    "query": Action("core", 0.0, _no_params),
     # A synchronized burst of document retrievals concentrated on one
     # category — the hot-spot regime the admission policies exist for.
     "flash_crowd": Action("overload", 2.0, lambda rng, c: {
@@ -321,6 +325,21 @@ ACTIONS: dict[str, Action] = {
         "salt": _int(rng, 0, _RANKS),
     }),
 }
+
+
+def draw_requests(
+    rng, law, t: float, count: int, doc_ids: list[int], pool: list[int]
+) -> list[tuple[int, int]]:
+    """``count`` ``(requester, doc id)`` requests at time ``t``.
+
+    Every document is drawn from ``law`` first, then every requester
+    uniformly from ``pool``: the one draw order behind the scenario
+    engine's windows and the ``diurnal_burst`` action, which recorded
+    schedules and metric goldens pin.
+    """
+    docs = law.sample(rng, t, count)
+    requesters = rng.integers(0, len(pool), size=count)
+    return [(pool[int(r)], doc_ids[int(d)]) for d, r in zip(docs, requesters)]
 
 
 def _group_table(group: str) -> tuple[list[str], list[float], float]:

@@ -4,16 +4,16 @@ Not a paper figure: this experiment drives :mod:`repro.scenario` — for
 each spec in :func:`~repro.scenario.spec.standard_matrix` (a stationary
 baseline, a diurnal cycle with regional time zones plus a correlated
 regional partition, popularity drift with a breaking-news skew flip, and
-a free-rider population with misbehaving peers) it builds a fresh
-overlay, expands the spec into a deterministic
-:class:`~repro.scenario.engine.EventStream`, and plays the stream in
-phases: queries are issued at their scheduled times, and the chaos
-:class:`~repro.chaos.harness.Interpreter` applies each control
-(misbehaviour, partitions, heals) after every query issued before its
-time and before the rest.  The
-:class:`~repro.chaos.invariants.InvariantChecker` watches every
-quiescent step — including the ``response-integrity`` invariant once a
-misbehaving peer is armed.
+a free-rider population with misbehaving peers) it compiles the spec
+into one deterministic chaos :class:`~repro.chaos.scenario.Schedule`,
+hands the world it built to a :class:`~repro.chaos.harness.ChaosRunner`
+and plays the schedule phase by phase through the runner's
+:meth:`~repro.chaos.harness.Interpreter.play`: queries are issued at
+their scheduled times, and each control (misbehaviour, partitions,
+heals) applies after every query issued before its time and before the
+rest.  The runner's :class:`~repro.chaos.invariants.InvariantChecker`
+watches every quiescent step — including the ``response-integrity``
+invariant once a misbehaving peer is armed.
 
 Reported per spec and phase: goodput (successes per unit of sim time),
 p99 first-response latency, and Jain fairness over how evenly the
@@ -29,18 +29,15 @@ spec alone::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
-from repro.chaos import Interpreter, InvariantChecker, ScenarioConfig
+from repro.chaos import ScenarioConfig
+from repro.chaos.harness import ChaosRunner
 from repro.core.fairness import jain_fairness
 from repro.core.replication import build_world
 from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
-from repro.model.workload import QueryWorkload
-from repro.overlay.system import P2PSystem, P2PSystemConfig
-from repro.reliability import ReliabilityConfig
 from repro.scenario import generate_events, designate_free_riders, standard_matrix
 
 __all__ = ["ScenarioResult", "run", "format_result"]
@@ -78,19 +75,6 @@ class ScenarioResult:
     violation_details: list[str] = field(default_factory=list)
 
 
-def _issue(system, stream, lo: int, hi: int, origin: float | None = None):
-    """Issue the stream's queries ``[lo, hi)``, timed from ``origin``
-    (default: the first one's time)."""
-    if lo == hi:
-        return []
-    times = stream.times[lo:hi]
-    origin = times[0] if origin is None else origin
-    return system.run_workload(
-        QueryWorkload(queries=stream.workload.queries[lo:hi]),
-        at_times=[time - origin for time in times],
-    )
-
-
 def run(
     seed: int = 7,
     check_invariants: bool = True,
@@ -110,29 +94,18 @@ def run(
             designate_free_riders(
                 instance, spec.free_riders.fraction, spec.seed
             )
-        _, assignment, plan = build_world(
-            instance, exclude_free_riders=spec.free_riders is not None
-        )
-        system = P2PSystem(
-            instance,
-            assignment,
-            plan=plan,
-            config=P2PSystemConfig(
-                seed=spec.seed,
-                reliability=ReliabilityConfig(enabled=True),
+        schedule = generate_events(spec, instance)
+        runner = ChaosRunner(
+            schedule,
+            # The fuzzing churn floor (min_alive) would refuse every
+            # control on this 16-node world; a spec's controls always apply.
+            ScenarioConfig(min_alive=0, **_WORLD),
+            check_invariants,
+            world=build_world(
+                instance, exclude_free_riders=spec.free_riders is not None
             ),
         )
-        checker = InvariantChecker(system)
-        # The fuzzing churn floor (min_alive) would refuse every control
-        # on this 16-node world; a spec's controls always apply.
-        interpreter = Interpreter(
-            system, ScenarioConfig(min_alive=0, **_WORLD), checker,
-            check_invariants,
-        )
-        if check_invariants:
-            system.sim.on_quiescence(checker.check_structural)
-
-        stream = generate_events(spec, instance)
+        system, checker = runner.system, runner.checker
         contributors = [
             peer
             for peer in system.alive_peers()
@@ -141,30 +114,22 @@ def run(
         served_before = {
             peer.node_id: peer.requests_served for peer in contributors
         }
-        controls = list(stream.controls.entries)
         phase_window = spec.duration / _N_PHASES
-        # Bucket every query into exactly one phase by its issue time:
-        # phase p issues the stream's queries [bounds[p], bounds[p + 1]).
-        counts = [0] * (_N_PHASES + 1)
-        for time in stream.times:
-            counts[min(int(time / phase_window), _N_PHASES - 1) + 1] += 1
-        bounds = list(accumulate(counts))
-        for phase in range(_N_PHASES):
+        # A query plays in the phase its issue time falls in, a control in
+        # the phase of the next query; the last phase also takes the
+        # controls timed after the final query.
+        phases = [[] for _ in range(_N_PHASES)]
+        pending = []
+        for entry in schedule.entries:
+            pending.append(entry)
+            if entry.action == "query":
+                t = entry.params["t"]
+                phases[min(int(t / phase_window), _N_PHASES - 1)] += pending
+                pending = []
+        phases[-1] += pending
+        for phase, entries in enumerate(phases):
             checker.step = phase
-            cut, end = bounds[phase], bounds[phase + 1]
-            origin = phase * phase_window
-            outcomes = []
-            # A control splits the phase at its step; the last phase
-            # also takes the controls timed after the final query.
-            while controls and (
-                controls[0].step < end or phase == _N_PHASES - 1
-            ):
-                entry = controls.pop(0)
-                if entry.step > cut:
-                    outcomes += _issue(system, stream, cut, entry.step, origin)
-                    cut, origin = entry.step, None
-                interpreter.apply(entry)
-            outcomes += _issue(system, stream, cut, end, origin)
+            outcomes = runner.interpreter.play(entries, phase * phase_window)
             if check_invariants:
                 checker.check("query-termination", outcomes)
             response = summarize_responses(outcomes)

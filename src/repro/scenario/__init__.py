@@ -1,17 +1,16 @@
 """Composable, declarative workload scenarios (the scenario engine).
 
 Specs (:mod:`repro.scenario.spec`) describe non-stationary workloads as
-frozen dataclasses; the engine (:mod:`repro.scenario.engine`) expands a
-spec against a built world into a deterministic
-:class:`~repro.scenario.engine.EventStream` whose controls are chaos
-schedule entries.  Same spec + seed ⇒ identical stream; stationary specs
-reproduce :func:`~repro.model.workload.make_query_workload` exactly.
+frozen dataclasses; the engine (:mod:`repro.scenario.engine`) compiles a
+spec against a built world into one deterministic chaos
+:class:`~repro.chaos.scenario.Schedule` of ``query`` entries and controls.
+Same spec + seed ⇒ identical schedule; stationary specs reproduce
+:func:`~repro.model.workload.make_query_workload` exactly.
 
 Consumed by the SCENARIO experiment (:mod:`repro.experiments.scenario`).
 """
 
 from repro.scenario.engine import (  # noqa: F401  (re-exported)
-    EventStream,
     designate_free_riders,
     generate_events,
     rate_at,
@@ -30,7 +29,6 @@ from repro.scenario.spec import (  # noqa: F401  (re-exported)
 __all__ = [
     "DiurnalSpec",
     "DriftSpec",
-    "EventStream",
     "FreeRiderSpec",
     "MisbehaviorSpec",
     "RegionalPartitionSpec",

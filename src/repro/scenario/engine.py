@@ -1,13 +1,14 @@
-"""Deterministic expansion of a :class:`ScenarioSpec` into events.
+"""Deterministic compilation of a :class:`ScenarioSpec` into a schedule.
 
-:func:`generate_events` turns a spec plus a built world into an
-:class:`EventStream`: timestamped queries plus the spec's controls
-(misbehaviour, regional partitions, heals) as a chaos
-:class:`~repro.chaos.scenario.Schedule`.
+:func:`generate_events` turns a spec plus a built world into one
+time-ordered chaos :class:`~repro.chaos.scenario.Schedule`: a ``query``
+entry per request (issue time, requester, document, ``m``) and the spec's
+controls (misbehaviour, regional partitions, heals), each control before
+the first query issued at or after its time.
 
 Determinism contract
 --------------------
-The stream is a pure function of ``(spec, instance)``:
+The schedule is a pure function of ``(spec, instance)``:
 
 * the **stationary path** (no diurnal/drift/flips) consumes its RNG in
   exactly the :func:`~repro.model.workload.make_query_workload` order, so
@@ -22,24 +23,15 @@ The stream is a pure function of ``(spec, instance)``:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.chaos.scenario import Schedule, ScheduleEntry
+from repro.chaos.scenario import Schedule, ScheduleEntry, draw_requests
 from repro.model.system import SystemInstance
-from repro.model.workload import (
-    Query,
-    QueryWorkload,
-    diurnal_factor,
-    make_query_workload,
-)
+from repro.model.workload import diurnal_factor, make_query_workload
 from repro.model.zipf import TimeVaryingZipfSampler
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
-    "EventStream",
     "rate_at",
     "generate_events",
     "designate_free_riders",
@@ -58,21 +50,6 @@ _EPS = 1e-12
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
-
-
-@dataclass(frozen=True)
-class EventStream:
-    """The expanded scenario: timestamped queries plus controls."""
-
-    workload: QueryWorkload
-    #: issue time of each query, aligned with ``workload.queries``.
-    times: tuple[float, ...]
-    #: chaos entries whose ``step`` is the number of queries issued
-    #: before the entry applies.
-    controls: Schedule
-
-    def __len__(self) -> int:
-        return len(self.workload.queries)
 
 
 def rate_at(spec: ScenarioSpec, t: float, region: int = 0) -> float:
@@ -126,64 +103,56 @@ def _region_members(spec: ScenarioSpec, instance: SystemInstance) -> list[list[i
     return regions
 
 
-def _modulated_queries(
+def _requests(
     spec: ScenarioSpec, instance: SystemInstance
-) -> tuple[QueryWorkload, tuple[float, ...]]:
-    """The non-stationary path: window-discretized, rate-modulated draws."""
+) -> list[tuple[float, int, int]]:
+    """The spec's ``(time, requester, doc id)`` requests, in draw order.
+
+    Stationary specs draw through ``make_query_workload`` and space the
+    requests evenly; modulated specs draw window by window, region by
+    region, so regions interleave in time within a window.
+    """
+    if spec.is_stationary:
+        workload = make_query_workload(
+            instance, spec.n_queries, seed=spec.seed, m=spec.m
+        )
+        interval = spec.duration / max(len(workload.queries), 1)
+        return [
+            (i * interval, query.requester_id, query.target_doc_id)
+            for i, query in enumerate(workload.queries)
+        ]
     rng = np.random.default_rng(spec.seed)
     doc_ids, sampler = _doc_sampler(spec, instance)
     regions = _region_members(spec, instance)
-    documents = instance.documents
-
-    queries: list[Query] = []
-    times: list[float] = []
-    query_id = 0
+    requests = []
     t = 0.0
     while t < spec.duration - _EPS:
         window = min(spec.window, spec.duration - t)
         mid = t + window / 2.0
         for region_id, members in enumerate(regions):
-            if not members:
-                continue
             count = int(round(rate_at(spec, mid, region_id) * window))
-            if count <= 0:
+            if not members or count <= 0:
                 continue
-            choices = sampler.sample(rng, mid, count)
-            requester_idx = rng.integers(0, len(members), size=count)
-            for j in range(count):
-                doc = documents[doc_ids[int(choices[j])]]
-                queries.append(
-                    Query(
-                        query_id=query_id,
-                        requester_id=members[int(requester_idx[j])],
-                        target_doc_id=doc.doc_id,
-                        category_ids=doc.categories,
-                        m=spec.m,
-                    )
+            requests += [
+                (t + (j + 0.5) * window / count, requester, doc)
+                for j, (requester, doc) in enumerate(
+                    draw_requests(rng, sampler, mid, count, doc_ids, members)
                 )
-                times.append(t + (j + 0.5) * window / count)
-                query_id += 1
+            ]
         t += window
-
-    # Regions interleave within a window; sort jointly so issue times are
-    # non-decreasing (ties broken by generation order — deterministic).
-    order = sorted(range(len(queries)), key=lambda i: (times[i], i))
-    return (
-        QueryWorkload(queries=[queries[i] for i in order]),
-        tuple(times[i] for i in order),
-    )
+    return requests
 
 
 def _controls(
-    spec: ScenarioSpec, instance: SystemInstance, times: tuple[float, ...]
-) -> Schedule:
-    """The spec's controls as chaos entries, in time order.
+    spec: ScenarioSpec, instance: SystemInstance
+) -> list[tuple[float, int, str, dict]]:
+    """The spec's controls as ``(time, 0, action, params)`` chaos entries.
 
-    A control at time ``t`` takes as its ``step`` the number of queries
-    issued before ``t``.  A misbehaviour pick's ``rank`` is its index among the
-    sorted node ids; a partitioned region is a cluster, as in chaos.
+    The 0 sorts a control before a query (1) issued at the same time.  A
+    misbehaviour pick's ``rank`` is its index among the sorted node ids;
+    a partitioned region is a cluster, as in chaos.
     """
-    timed: list[tuple[float, str, dict]] = []
+    timed: list[tuple[float, int, str, dict]] = []
     misbehavior = spec.misbehavior
     if misbehavior is not None and (
         misbehavior.n_bogus or misbehavior.n_stale_gossip
@@ -194,48 +163,37 @@ def _controls(
         picks = rng.choice(n_nodes, size=total, replace=False)
         for k, index in enumerate(picks):
             mode = "bogus" if k < misbehavior.n_bogus else "stale_gossip"
-            timed.append(
-                (misbehavior.at, "misbehave", {"rank": int(index), "mode": mode})
-            )
+            params = {"rank": int(index), "mode": mode}
+            timed.append((misbehavior.at, 0, "misbehave", params))
     for partition in spec.partitions:
-        timed.append(
-            (partition.at, "regional_partition", {"region": partition.region})
-        )
-        timed.append((partition.at + partition.duration, "heal", {}))
-    timed.sort(key=lambda control: control[:2])
-    return Schedule(
-        seed=spec.seed,
-        entries=tuple(
-            ScheduleEntry(step=bisect_left(times, t), action=action, params=params)
-            for t, action, params in timed
-        ),
-    )
+        params = {"region": partition.region}
+        timed.append((partition.at, 0, "regional_partition", params))
+        timed.append((partition.at + partition.duration, 0, "heal", {}))
+    return timed
 
 
-def generate_events(
-    spec: ScenarioSpec, instance: SystemInstance
-) -> EventStream:
-    """Expand ``spec`` against ``instance`` into an :class:`EventStream`.
+def generate_events(spec: ScenarioSpec, instance: SystemInstance) -> Schedule:
+    """Compile ``spec`` against ``instance`` into one time-ordered schedule.
 
     Stationary specs (no diurnal/drift/flips) delegate to
     :func:`~repro.model.workload.make_query_workload` with the spec's seed
     — same RNG stream, same queries — and space issues evenly over the
     duration.  Modulated specs go through the windowed path.
+
+    Entries are sorted by time (a stable sort: equal-time queries keep
+    their draw order); at equal time controls come first, ordered by
+    action name.  An entry's ``step`` is the number of queries before it.
     """
-    if spec.is_stationary:
-        workload = make_query_workload(
-            instance, spec.n_queries, seed=spec.seed, m=spec.m
-        )
-        n = len(workload.queries)
-        interval = spec.duration / n if n else 0.0
-        times = tuple(i * interval for i in range(n))
-    else:
-        workload, times = _modulated_queries(spec, instance)
-    return EventStream(
-        workload=workload,
-        times=times,
-        controls=_controls(spec, instance, times),
-    )
+    queries = [
+        (t, 1, "query", {"t": t, "requester": requester, "doc": doc, "m": spec.m})
+        for t, requester, doc in _requests(spec, instance)
+    ]
+    timed = sorted(_controls(spec, instance) + queries, key=lambda e: e[:3])
+    entries, n_queries = [], 0
+    for _, is_query, action, params in timed:
+        entries.append(ScheduleEntry(n_queries, action, params))
+        n_queries += is_query
+    return Schedule(seed=spec.seed, entries=tuple(entries))
 
 
 def designate_free_riders(

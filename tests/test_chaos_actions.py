@@ -147,7 +147,8 @@ class TestRegistry:
 
     def test_groups_are_core_plus_features(self):
         assert set(GROUPS) | {"adaptive"} == set(FEATURES)
-        assert len(_names("core")) == 14  # 13 drawn + the cooldown converge
+        # 13 drawn + the cooldown converge + the compiled scenario query
+        assert len(_names("core")) == 15
 
     def test_features_are_validated_and_recovery_implies_content(self):
         assert _config("recovery").features == {"recovery", "content"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chaos import Interpreter, InvariantChecker, ScenarioConfig
 from repro.core.fairness import jain_fairness
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
@@ -27,6 +28,16 @@ def build_free_rider_world(fraction=0.25, seed=23):
     stats = build_category_stats(instance)
     assignment = maxfair(instance, stats=stats)
     return instance, assignment, free
+
+
+def play_stationary_scenario(system):
+    """Issue a stationary scenario's queries at their scheduled times."""
+    spec = ScenarioSpec(name="fair", seed=23, duration=5.0, base_rate=80.0)
+    schedule = generate_events(spec, system.instance)
+    interpreter = Interpreter(
+        system, ScenarioConfig(), InvariantChecker(system), False
+    )
+    interpreter.play(schedule.entries, 0.0)
 
 
 class TestPlanExclusion:
@@ -113,9 +124,7 @@ class TestFairnessRegression:
             instance, assignment, n_reps=2, exclude_free_riders=True
         )
         system = P2PSystem(instance, assignment, plan=plan)
-        spec = ScenarioSpec(name="fair", seed=23, duration=5.0, base_rate=80.0)
-        stream = generate_events(spec, instance)
-        system.run_workload(stream.workload, at_times=list(stream.times))
+        play_stationary_scenario(system)
         contributors = [
             peer
             for peer in system.alive_peers()
@@ -132,9 +141,7 @@ class TestFairnessRegression:
             instance, assignment, n_reps=2, exclude_free_riders=True
         )
         system = P2PSystem(instance, assignment, plan=plan)
-        spec = ScenarioSpec(name="fair", seed=23, duration=5.0, base_rate=80.0)
-        stream = generate_events(spec, instance)
-        system.run_workload(stream.workload, at_times=list(stream.times))
+        play_stationary_scenario(system)
         for node_id in free:
             peer = system.peer(node_id)
             # A designated free rider holds no replicas, so it can serve

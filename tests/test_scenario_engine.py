@@ -1,10 +1,10 @@
 """Engine-layer tests: stationary equivalence, determinism, modulation,
-controls."""
+controls — all read off the one compiled schedule."""
 
 import numpy as np
 import pytest
 
-from repro.chaos import Schedule, ScheduleEntry
+from repro.chaos import ScenarioConfig, ScheduleEntry, run_schedule
 from repro.model.system import SystemConfig, build_system
 from repro.model.workload import make_query_workload
 from repro.scenario import (
@@ -35,21 +35,39 @@ def instance():
     return build_system(WORLD)
 
 
+def _queries(schedule):
+    return [entry for entry in schedule.entries if entry.action == "query"]
+
+
+def _times(schedule):
+    return [entry.params["t"] for entry in _queries(schedule)]
+
+
+def _controls(schedule):
+    return [entry for entry in schedule.entries if entry.action != "query"]
+
+
 class TestStationaryEquivalence:
     def test_queries_match_make_query_workload_exactly(self, instance):
         # The acceptance criterion: a stationary spec's query stream is
         # byte-for-byte today's make_query_workload output.
         spec = ScenarioSpec(name="s", seed=42, duration=5.0, base_rate=30.0, m=2)
-        stream = generate_events(spec, instance)
+        schedule = generate_events(spec, instance)
         expected = make_query_workload(instance, spec.n_queries, seed=42, m=2)
-        assert stream.workload.queries == expected.queries
+        assert [
+            (e.step, e.params["requester"], e.params["doc"], e.params["m"])
+            for e in _queries(schedule)
+        ] == [
+            (q.query_id, q.requester_id, q.target_doc_id, q.m)
+            for q in expected.queries
+        ]
 
     def test_times_evenly_spaced(self, instance):
         spec = ScenarioSpec(name="s", seed=1, duration=10.0, base_rate=10.0)
-        stream = generate_events(spec, instance)
-        assert len(stream.times) == 100
-        assert stream.times[0] == 0.0
-        diffs = np.diff(stream.times)
+        times = _times(generate_events(spec, instance))
+        assert len(times) == 100
+        assert times[0] == 0.0
+        diffs = np.diff(times)
         assert np.allclose(diffs, 0.1)
 
 
@@ -71,14 +89,14 @@ class TestByteIdentity:
         first = generate_events(spec, instance)
         second = generate_events(spec, instance)
         assert first == second
-        assert first.controls.to_python() == second.controls.to_python()
+        assert first.to_python() == second.to_python()
 
     def test_different_seed_different_bytes(self, instance):
         base = dict(name="mod", duration=4.0, base_rate=25.0,
                     diurnal=DiurnalSpec(period=2.0, amplitude=0.5))
         a = generate_events(ScenarioSpec(seed=1, **base), instance)
         b = generate_events(ScenarioSpec(seed=2, **base), instance)
-        assert a.workload != b.workload
+        assert _queries(a) != _queries(b)
 
 
 class TestDiurnalModulation:
@@ -88,9 +106,8 @@ class TestDiurnalModulation:
             name="d", seed=2, duration=8.0, base_rate=40.0, window=1.0,
             diurnal=DiurnalSpec(period=8.0, amplitude=0.9, phase=0.25),
         )
-        stream = generate_events(spec, instance)
         counts = np.zeros(8)
-        for t in stream.times:
+        for t in _times(generate_events(spec, instance)):
             counts[min(int(t), 7)] += 1
         assert counts[0] > counts[4]
         # trough rate = base * (1 - 0.9) -- much smaller, never negative.
@@ -105,10 +122,9 @@ class TestDiurnalModulation:
             diurnal=DiurnalSpec(period=8.0, amplitude=0.9, phase=0.25,
                                 regional_offsets=(0.0, 0.5)),
         )
-        stream = generate_events(spec, instance)
         region_counts = {0: np.zeros(8), 1: np.zeros(8)}
-        for t, query in zip(stream.times, stream.workload.queries):
-            region = query.requester_id % 2
+        for entry in _queries(generate_events(spec, instance)):
+            t, region = entry.params["t"], entry.params["requester"] % 2
             region_counts[region][min(int(t), 7)] += 1
         # region 0 peaks in window 0; region 1 peaks half a period later.
         assert region_counts[0][0] > region_counts[0][4]
@@ -127,10 +143,10 @@ class TestDiurnalModulation:
             name="d", seed=4, duration=4.0, base_rate=40.0, n_regions=3,
             diurnal=DiurnalSpec(period=4.0, amplitude=0.3),
         )
-        stream = generate_events(spec, instance)
-        assert len(stream) > 0
-        for query in stream.workload.queries:
-            assert query.requester_id in instance.nodes
+        queries = _queries(generate_events(spec, instance))
+        assert len(queries) > 0
+        for entry in queries:
+            assert entry.params["requester"] in instance.nodes
 
 
 class TestSkewFlip:
@@ -139,12 +155,12 @@ class TestSkewFlip:
             name="f", seed=11, duration=10.0, base_rate=200.0,
             flips=(SkewFlipSpec(at=5.0, mass=0.8, n_hot=2),),
         )
-        stream = generate_events(spec, instance)
         before: dict[int, int] = {}
         after: dict[int, int] = {}
-        for t, query in zip(stream.times, stream.workload.queries):
-            bucket = after if t >= 5.0 else before
-            bucket[query.target_doc_id] = bucket.get(query.target_doc_id, 0) + 1
+        for entry in _queries(generate_events(spec, instance)):
+            bucket = after if entry.params["t"] >= 5.0 else before
+            doc_id = entry.params["doc"]
+            bucket[doc_id] = bucket.get(doc_id, 0) + 1
         top2_after = sorted(after.values(), reverse=True)[:2]
         n_after = sum(after.values())
         # the two hot docs should absorb most post-flip traffic.
@@ -154,23 +170,26 @@ class TestSkewFlip:
 
 
 class TestControlEvents:
-    """Controls are chaos schedule entries; ``step`` counts the queries
-    issued before the control applies."""
+    """Controls are chaos schedule entries, each placed before the first
+    query issued at or after its time; ``step`` counts the queries
+    before it."""
 
     def test_misbehavior_controls_are_timed_and_typed(self, instance):
         spec = ScenarioSpec(
             name="c", seed=8, duration=6.0, base_rate=10.0,
             misbehavior=MisbehaviorSpec(at=2.5, n_bogus=1, n_stale_gossip=2),
         )
-        stream = generate_events(spec, instance)
-        misbehaves = [
-            e for e in stream.controls.entries if e.action == "misbehave"
-        ]
+        schedule = generate_events(spec, instance)
+        misbehaves = [e for e in schedule.entries if e.action == "misbehave"]
         assert len(misbehaves) == 3
         modes = sorted(e.params["mode"] for e in misbehaves)
         assert modes == ["bogus", "stale_gossip", "stale_gossip"]
-        # Queries issue every 0.1 from t = 0: 25 come before t = 2.5.
+        # Queries issue every 0.1 from t = 0: 25 come before t = 2.5, and
+        # the three controls sit together right before the 26th.
         assert [e.step for e in misbehaves] == [25, 25, 25]
+        first = schedule.entries.index(misbehaves[0])
+        assert schedule.entries[first : first + 3] == tuple(misbehaves)
+        assert len(_queries(schedule.truncated(first))) == 25
         ranks = {e.params["rank"] for e in misbehaves}
         assert len(ranks) == 3 and ranks <= set(range(len(instance.nodes)))
 
@@ -179,11 +198,16 @@ class TestControlEvents:
             name="c", seed=8, duration=6.0, base_rate=10.0,
             partitions=(RegionalPartitionSpec(at=1.0, duration=2.0, region=0),),
         )
-        controls = generate_events(spec, instance).controls
-        assert controls == Schedule(seed=8, entries=(
+        schedule = generate_events(spec, instance)
+        assert schedule.seed == 8
+        assert _controls(schedule) == [
             ScheduleEntry(10, "regional_partition", {"region": 0}),
             ScheduleEntry(30, "heal", {}),
-        ))
+        ]
+        # The partition applies after the query at t = 0.9, before 1.0.
+        index = schedule.entries.index(_controls(schedule)[0])
+        assert schedule.entries[index - 1].params["t"] < 1.0
+        assert schedule.entries[index + 1].params["t"] == pytest.approx(1.0)
 
     def test_controls_sorted_by_time(self, instance):
         spec = ScenarioSpec(
@@ -191,11 +215,11 @@ class TestControlEvents:
             misbehavior=MisbehaviorSpec(at=4.0, n_bogus=1),
             partitions=(RegionalPartitionSpec(at=1.0, duration=1.0),),
         )
-        controls = generate_events(spec, instance).controls
-        assert [e.action for e in controls.entries] == [
+        schedule = generate_events(spec, instance)
+        assert [e.action for e in _controls(schedule)] == [
             "regional_partition", "heal", "misbehave",
         ]
-        steps = [e.step for e in controls.entries]
+        steps = [e.step for e in schedule.entries]
         assert steps == sorted(steps)
 
     def test_controls_between_the_same_queries_keep_time_order(self, instance):
@@ -209,8 +233,8 @@ class TestControlEvents:
                 RegionalPartitionSpec(at=1.02, duration=1.0, region=1),
             ),
         )
-        controls = generate_events(spec, instance).controls
-        assert [(e.step, e.action) for e in controls.entries] == [
+        schedule = generate_events(spec, instance)
+        assert [(e.step, e.action) for e in _controls(schedule)] == [
             (5, "regional_partition"),
             (11, "regional_partition"),
             (11, "heal"),
@@ -260,3 +284,24 @@ class TestDesignateFreeRiders:
     def test_fraction_one_rejected(self):
         with pytest.raises(ValueError, match="fraction"):
             designate_free_riders(build_system(WORLD), 1.0, seed=3)
+
+
+class TestReplay:
+    def test_run_schedule_applies_every_compiled_entry(self):
+        # Entry by entry through Interpreter.apply, on the world the
+        # chaos runner builds from the same config and seed: every query
+        # and control applies, and the run stays clean.
+        config = ScenarioConfig(
+            n_docs=120, n_nodes=12, n_categories=8, n_clusters=3,
+            doc_size_bytes=65_536, min_alive=0,
+        )
+        spec = ScenarioSpec(
+            name="replay", seed=5, duration=2.0, base_rate=8.0,
+            misbehavior=MisbehaviorSpec(at=0.5, n_bogus=1),
+            partitions=(RegionalPartitionSpec(at=1.0, duration=0.5),),
+        )
+        schedule = generate_events(spec, build_system(WORLD))
+        report = run_schedule(schedule, config)
+        assert report.ok, report.summary()
+        assert report.entries_applied == len(schedule)
+        assert report.outcomes_total == spec.n_queries == 16

@@ -1,14 +1,18 @@
 """Property tests for the scenario engine's core contracts.
 
-Four properties, each over randomly composed specs:
+Five properties, each over randomly composed specs:
 
-1. the same spec + seed always yields an identical event stream;
+1. the same spec + seed always yields an identical schedule;
 2. the instantaneous rate is non-negative under any diurnal composition;
 3. the time-varying popularity law conserves probability mass (and stays
    non-negative) through drift and any sequence of skew flips;
-4. every spec's compiled controls survive their one codec,
-   ``Schedule.to_python``, unchanged — what makes a run replayable.
+4. every spec's compiled schedule, queries included, survives its one
+   codec, ``Schedule.to_python``, unchanged — what makes a run replayable;
+5. the schedule's queries are in time order and each control sits
+   before exactly the queries issued at or after its time.
 """
+
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -102,7 +106,7 @@ def test_same_spec_yields_byte_identical_streams(spec):
     first = generate_events(spec, INSTANCE)
     second = generate_events(spec, INSTANCE)
     assert first == second
-    assert first.controls.to_python() == second.controls.to_python()
+    assert first.to_python() == second.to_python()
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,6 +153,40 @@ def test_popularity_mass_conserved_through_drift_and_flips(
 @settings(max_examples=60, deadline=None)
 @given(spec=specs)
 def test_controls_survive_to_python_round_trip(spec):
-    controls = generate_events(spec, INSTANCE).controls
+    schedule = generate_events(spec, INSTANCE)
     namespace = {"Schedule": Schedule, "ScheduleEntry": ScheduleEntry}
-    assert eval(controls.to_python(), namespace) == controls
+    assert eval(schedule.to_python(), namespace) == schedule
+
+
+def _declared_controls(spec):
+    """``(time, action)`` of every control the spec declares, in order."""
+    declared = []
+    misbehavior = spec.misbehavior
+    if misbehavior is not None:
+        n_picks = misbehavior.n_bogus + misbehavior.n_stale_gossip
+        declared += [(misbehavior.at, "misbehave")] * min(
+            n_picks, len(INSTANCE.nodes)
+        )
+    for partition in spec.partitions:
+        declared.append((partition.at, "regional_partition"))
+        declared.append((partition.at + partition.duration, "heal"))
+    return sorted(declared)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs)
+def test_queries_in_time_order_and_controls_before_their_queries(spec):
+    schedule = generate_events(spec, INSTANCE)
+    times = []
+    placed = []  # (action, queries before it), one per control
+    for entry in schedule.entries:
+        assert entry.step == len(times)
+        if entry.action == "query":
+            times.append(entry.params["t"])
+        else:
+            placed.append((entry.action, len(times)))
+    assert times == sorted(times)
+    declared = _declared_controls(spec)
+    assert [action for action, _ in placed] == [a for _, a in declared]
+    for (_, n_before), (t, _) in zip(placed, declared):
+        assert n_before == bisect_left(times, t)

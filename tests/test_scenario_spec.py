@@ -120,9 +120,9 @@ class TestStandardMatrix:
         assert [spec.seed for spec in matrix] == [100, 101, 102, 103]
 
     def test_every_spec_round_trips(self):
-        # A spec replays from its compiled controls' Python source.
+        # A spec replays from its compiled schedule's Python source.
         instance = build_system(SystemConfig(seed=1, n_docs=60, n_nodes=16))
         namespace = {"Schedule": Schedule, "ScheduleEntry": ScheduleEntry}
         for spec in standard_matrix():
-            controls = generate_events(spec, instance).controls
-            assert eval(controls.to_python(), namespace) == controls
+            schedule = generate_events(spec, instance)
+            assert eval(schedule.to_python(), namespace) == schedule
