@@ -123,7 +123,7 @@ class ChaosRunner:
             # Overload worlds pair the per-peer service model with the
             # client-side protections the flash_crowd action stresses.
             reliability = ReliabilityConfig(
-                enabled=config.reliability,
+                enabled=True,
                 retry_budget_ratio=0.5,
                 breaker_threshold=3,
                 adaptive_timeout=True,
@@ -135,7 +135,7 @@ class ChaosRunner:
                 policy="redirect",
             )
         else:
-            reliability = ReliabilityConfig(enabled=config.reliability)
+            reliability = ReliabilityConfig(enabled=True)
             service = ServiceConfig()
         self.system = P2PSystem(
             self.instance,

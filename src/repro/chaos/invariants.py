@@ -152,16 +152,9 @@ class InvariantChecker:
             if entry.when == "quiescence" and GROUPS[entry.group](system):
                 self.check(name)
 
-    def check_convergence(self) -> bool:
-        """Run ``gossip-convergence``, recording any disagreement; True
-        when every component agrees."""
-        before = len(self.violations)
-        self.check("gossip-convergence")
-        return len(self.violations) == before
-
     def probe_convergence(self) -> bool:
-        """Like :meth:`check_convergence` but never records violations
-        (the settle loop's "are more gossip rounds worth running?")."""
+        """``gossip-convergence`` without recording violations (the settle
+        loop's "are more gossip rounds worth running?")."""
         return next(self._check_convergence(), None) is None
 
     # ------------------------------------------------------------------

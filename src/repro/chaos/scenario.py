@@ -97,9 +97,6 @@ class ScenarioConfig:
     query_burst_max: int = 25
     #: never leave/crash below this many live nodes.
     min_alive: int = 20
-    #: run the world with the ack/retry reliability layer enabled, so
-    #: chaos exercises retransmission and duplicate-suppression paths.
-    reliability: bool = True
     #: which of :data:`FEATURES` are on (any iterable of names, or
     #: ``"a,b"``).  This one set picks the world the harness builds, the
     #: action groups the generator draws from and — through the built

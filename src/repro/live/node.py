@@ -78,11 +78,6 @@ class LiveWorld:
     def manifest(self, doc_id: int) -> Manifest:
         return build_manifest(doc_id, self.doc_size_bytes, self.chunk_size)
 
-    def docs_in_category(self, category_id: int) -> tuple[int, ...]:
-        return tuple(
-            d for d in range(self.n_docs) if self.category_of(d) == category_id
-        )
-
 
 def live_peer_config(world: LiveWorld) -> PeerConfig:
     """Peer tunables for wall-clock loopback time.

@@ -355,20 +355,8 @@ class P2PSystem:
     # ------------------------------------------------------------------
     # free riders and misbehaving peers
     # ------------------------------------------------------------------
-    def free_rider_ids(self) -> frozenset[int]:
-        """Node ids currently designated free riders (consume-only)."""
-        return frozenset(self._free_riders)
-
     def is_free_rider(self, node_id: int) -> bool:
         return node_id in self._free_riders
-
-    def contributing_capacity(self) -> float:
-        """Total capacity of alive, contributing (non-free-riding) peers."""
-        return sum(
-            peer.capacity_units
-            for node_id, peer in self._peers.items()
-            if node_id not in self._free_riders and self.is_live(node_id)
-        )
 
     def set_misbehavior(self, node_id: int, config: MisbehaviorConfig) -> None:
         """Arm ``node_id`` with ``config`` (a :class:`MisbehaviorConfig`).

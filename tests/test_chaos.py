@@ -157,16 +157,6 @@ class TestReliabilityActions:
         runner.run()
         assert runner.system.network._kind_drop == {}
 
-    def test_reliability_off_config_builds_unreliable_world(self, chaos_config):
-        from dataclasses import replace
-
-        from repro.chaos.harness import ChaosRunner
-
-        config = replace(chaos_config, reliability=False)
-        runner = ChaosRunner(generate_schedule(1, config), config)
-        peer = runner.system.alive_peers()[0]
-        assert not peer.config.reliability.enabled
-
 
 @pytest.fixture()
 def buggy_merge():

@@ -146,7 +146,7 @@ class TestStaleGossip:
         # frozen digest; the move-counter merge order makes the replay
         # harmless, so the network still converges.
         system.run_gossip_rounds(8)
-        assert checker.check_convergence()
+        checker.check("gossip-convergence")
         assert not checker.violations
 
     def test_stale_digest_is_frozen_at_arming_time(self):
@@ -179,7 +179,8 @@ class TestStaleGossip:
         system.sim.run()
         system.run_gossip_rounds(12)
         checker = InvariantChecker(system)
-        assert checker.check_convergence()
+        checker.check("gossip-convergence")
+        assert not checker.violations
         # The stale peer merges incoming gossip honestly, so even it
         # learns the new owner despite replaying its frozen digest.
         stale_peer = system.peer(stale_id)
