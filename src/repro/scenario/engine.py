@@ -149,8 +149,10 @@ def _controls(
     """The spec's controls as ``(time, 0, action, params)`` chaos entries.
 
     The 0 sorts a control before a query (1) issued at the same time.  A
-    misbehaviour pick's ``rank`` is its index among the sorted node ids;
-    a partitioned region is a cluster, as in chaos.
+    misbehaving peer is drawn among the contributors — a free rider holds
+    no document and is routed no query, so it could not misbehave — and
+    its ``rank`` is its index among the sorted node ids; a partitioned
+    region is a cluster, as in chaos.
     """
     timed: list[tuple[float, int, str, dict]] = []
     misbehavior = spec.misbehavior
@@ -158,12 +160,16 @@ def _controls(
         misbehavior.n_bogus or misbehavior.n_stale_gossip
     ):
         rng = _rng(spec.seed, _SALT_MISBEHAVE)
-        n_nodes = len(instance.nodes)
-        total = min(misbehavior.n_bogus + misbehavior.n_stale_gossip, n_nodes)
-        picks = rng.choice(n_nodes, size=total, replace=False)
+        ranks = [
+            rank
+            for rank, node_id in enumerate(sorted(instance.nodes))
+            if not instance.nodes[node_id].is_free_rider
+        ]
+        total = min(misbehavior.n_bogus + misbehavior.n_stale_gossip, len(ranks))
+        picks = rng.choice(len(ranks), size=total, replace=False)
         for k, index in enumerate(picks):
             mode = "bogus" if k < misbehavior.n_bogus else "stale_gossip"
-            params = {"rank": int(index), "mode": mode}
+            params = {"rank": ranks[index], "mode": mode}
             timed.append((misbehavior.at, 0, "misbehave", params))
     for partition in spec.partitions:
         params = {"region": partition.region}

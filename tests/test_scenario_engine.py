@@ -193,6 +193,24 @@ class TestControlEvents:
         ranks = {e.params["rank"] for e in misbehaves}
         assert len(ranks) == 3 and ranks <= set(range(len(instance.nodes)))
 
+    def test_misbehaving_peers_are_contributors(self):
+        # A free rider holds no document and is routed no query: armed,
+        # it could not misbehave at all.
+        instance = build_system(WORLD)
+        designate_free_riders(instance, 0.5, seed=8)
+        spec = ScenarioSpec(
+            name="c", seed=8, duration=2.0, base_rate=10.0,
+            misbehavior=MisbehaviorSpec(at=1.0, n_bogus=3, n_stale_gossip=3),
+        )
+        node_ids = sorted(instance.nodes)
+        ranks = [
+            e.params["rank"]
+            for e in generate_events(spec, instance).entries
+            if e.action == "misbehave"
+        ]
+        assert len(ranks) == 6
+        assert not any(instance.nodes[node_ids[r]].is_free_rider for r in ranks)
+
     def test_partition_pairs_with_heal(self, instance):
         spec = ScenarioSpec(
             name="c", seed=8, duration=6.0, base_rate=10.0,

@@ -4,8 +4,9 @@ import inspect
 
 import pytest
 
+from repro import obs
 from repro.experiments import EXPERIMENTS, scenario
-from repro.scenario import RegionalPartitionSpec, ScenarioSpec
+from repro.scenario import RegionalPartitionSpec, ScenarioSpec, standard_matrix
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,24 @@ class TestControlTiming:
         assert result.p99_latency[4] == result.p99_latency[0]
         # ... and the partition does show, in phase 1.
         assert result.p99_latency[5] > result.p99_latency[1]
+        assert result.violations == 0, result.violation_details
+
+
+class TestMisbehaviour:
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_the_bogus_responder_answers(self, seed, monkeypatch):
+        """``freeride-misbehave`` arms a contributor, never a free rider
+        (which holds no document and is routed no query), so the bogus
+        answers it reports are really sent — and every one is caught."""
+        monkeypatch.setattr(
+            scenario, "standard_matrix",
+            lambda seed: [s for s in standard_matrix(seed) if s.misbehavior],
+        )
+        sent = obs.counter("overlay.bogus_responses_sent")
+        before = sent.value
+        result = scenario.run(seed=seed)
+        assert result.spec_names[0] == "freeride-misbehave"
+        assert sent.value > before
         assert result.violations == 0, result.violation_details
 
 

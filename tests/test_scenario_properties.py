@@ -164,8 +164,9 @@ def _declared_controls(spec):
     misbehavior = spec.misbehavior
     if misbehavior is not None:
         n_picks = misbehavior.n_bogus + misbehavior.n_stale_gossip
+        contributors = [n for n in INSTANCE.nodes.values() if not n.is_free_rider]
         declared += [(misbehavior.at, "misbehave")] * min(
-            n_picks, len(INSTANCE.nodes)
+            n_picks, len(contributors)
         )
     for partition in spec.partitions:
         declared.append((partition.at, "regional_partition"))
