@@ -86,12 +86,9 @@ class ChaosReport:
 
 
 class ChaosRunner:
-    """One schedule, one world, one checker.
-
-    The world is built from ``config`` and the schedule's seed unless
-    ``world`` hands over an already built ``(instance, assignment, plan)``
-    (SCENARIO's, whose free riders are designated before placement).
-    """
+    """One schedule, one world, one checker.  The world is built from
+    ``config`` and the schedule's seed unless ``world`` hands over one
+    already built, as ``(instance, assignment, plan)``."""
 
     def __init__(
         self,
@@ -274,13 +271,10 @@ class Interpreter:
             self.checker.check(name, *args, **kwargs)
 
     def play(self, entries, start: float) -> list:
-        """Apply ``entries`` in order and return the queries' outcomes.
-
-        Each run of consecutive ``query`` entries goes out as one
-        workload, every query at its time ``t``: the first run timed from
-        ``start``, every later run from its own first query.  The caller
-        checks the outcomes.
-        """
+        """Apply ``entries`` in order; each run of consecutive ``query``
+        entries goes out as one workload, every query at its time ``t``
+        (the first run timed from ``start``, later runs from their own
+        first query).  Returns the queries' outcomes, unchecked."""
         outcomes = []
         origin = start
         for is_query, run in groupby(entries, lambda e: e.action == "query"):

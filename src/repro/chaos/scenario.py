@@ -135,7 +135,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    """One event: a fuzzed fault step or a compiled scenario control.
+    """One event: a fuzzed fault step, or a compiled scenario query or
+    control.
 
     ``params`` holds only JSON-safe scalars, so ``repr`` of an entry is
     valid Python source and :meth:`Schedule.to_python` — the one
@@ -327,13 +328,9 @@ ACTIONS: dict[str, Action] = {
 def draw_requests(
     rng, law, t: float, count: int, doc_ids: list[int], pool: list[int]
 ) -> list[tuple[int, int]]:
-    """``count`` ``(requester, doc id)`` requests at time ``t``.
-
-    Every document is drawn from ``law`` first, then every requester
-    uniformly from ``pool``: the one draw order behind the scenario
-    engine's windows and the ``diurnal_burst`` action, which recorded
-    schedules and metric goldens pin.
-    """
+    """``count`` ``(requester, doc id)`` requests at time ``t``: every
+    document from ``law`` first, then every requester uniformly from
+    ``pool`` — the draw order recorded schedules and goldens pin."""
     docs = law.sample(rng, t, count)
     requesters = rng.integers(0, len(pool), size=count)
     return [(pool[int(r)], doc_ids[int(d)]) for d, r in zip(docs, requesters)]

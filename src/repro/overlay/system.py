@@ -401,7 +401,7 @@ class P2PSystem:
 
         Queries are spaced ``query_interval`` apart — or issued at the
         explicit per-query offsets ``at_times`` (relative to now; one per
-        query, as produced by the scenario engine's event streams).  The
+        query, as ``Interpreter.play`` passes for a compiled scenario).  The
         simulation then runs to quiescence, so all in-flight responses
         land before outcomes are finalized.  ``doc_targeted`` requests
         the workload's specific documents (the retrieval case, default);
