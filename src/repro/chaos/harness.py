@@ -37,9 +37,10 @@ from repro.model.workload import (
     make_query_workload,
 )
 from repro.model.zipf import TimeVaryingZipfSampler
+from repro.overlay import misbehavior
 from repro.overlay.adaptation import broadcast_notice, plan_category_move
 from repro.overlay.metadata import DCRTEntry
-from repro.overlay.peer import DocInfo, MisbehaviorConfig
+from repro.overlay.peer import DocInfo
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
@@ -509,14 +510,7 @@ class Interpreter:
         node_id = self._victim(rank)
         if node_id is None:
             return False
-        if mode == "stale_gossip":
-            config = MisbehaviorConfig(stale_gossip=True)
-        else:
-            # Rejectable bogus mode only (empty doc_infos): requesters
-            # catch every fabricated answer, so fuzz runs stay clean and
-            # the response-integrity audit has real work to do.
-            config = MisbehaviorConfig(bogus_responses=True)
-        self.system.set_misbehavior(node_id, config)
+        misbehavior.arm(self.system, node_id, mode)
         return True
 
     def _do_regional_partition(self, step: int, region: int) -> bool:

@@ -36,7 +36,7 @@ GROUPS = {
     "core": lambda system: True,
     "overload": lambda system: system.config.service.enabled,
     "replication": lambda system: system.replication is not None,
-    "integrity": lambda system: system.ledger.integrity_audit,
+    "integrity": lambda system: system.ledger.audit is not None,
     "content": lambda system: system.content is not None,
     "recovery": lambda system: system.recovery is not None,
 }
@@ -448,7 +448,7 @@ class InvariantChecker:
         responder actually stored at some point."""
         # The audit list is cumulative: report only the tail beyond the
         # last quiescent step's cursor.
-        failures = self.system.ledger.integrity_violations
+        failures = self.system.ledger.audit.violations
         new = failures[self._integrity_cursor :]
         self._integrity_cursor = len(failures)
         yield from new

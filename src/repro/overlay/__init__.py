@@ -26,6 +26,8 @@ Implements Section 3 (architecture and query processing) and Section 6
   updates;
 * :mod:`repro.overlay.cache` — the requester-side LRU document cache
   that registers cached copies as servable holders;
+* :mod:`repro.overlay.misbehavior` — arming a lying peer (fault
+  injection) and the world's response-integrity audit;
 * :mod:`repro.overlay.replication_manager` — the one replica loop: each
   document's target (the healing floor plus a demand term that grows fast
   on pressure and shrinks slowly on idle), its count and its placement,

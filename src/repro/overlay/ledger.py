@@ -1,7 +1,8 @@
 """What a world's peers report: the :class:`~repro.overlay.peer.PeerHooks`
 every peer of a :class:`~repro.overlay.system.P2PSystem` is built with,
 and the books its callbacks write — per-query outcomes, the Section 3.1
-cluster metadata (document -> holders), the integrity audit.
+cluster metadata (document -> holders), and the integrity audit once a
+peer is armed to lie (:mod:`repro.overlay.misbehavior`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.overlay.peer import Peer, PeerHooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.workload import Query
+    from repro.overlay.misbehavior import IntegrityAudit
     from repro.overlay.topology import ClusterTopology
     from repro.sim.engine import Simulator
     from repro.sim.network import Network
@@ -49,19 +51,14 @@ class WorldLedger(PeerHooks):
         )
         #: cluster metadata (Section 3.1): doc id -> holder node ids.
         self._doc_holders: dict[int, set[int]] = {}
-        #: every (node, doc) pair dropped after being stored; with the
-        #: current holders, the integrity audit's "ever stored" truth.
-        self._ever_dropped: set[tuple[int, int]] = set()
         #: memoized snapshot for the dict-rebuilding view the chaos checker
         #: polls at every quiescent point; ``None`` = dirty.
         self._doc_holders_view: dict[int, set[int]] | None = None
         #: ``document_stored`` listeners of the world's subsystems.
         self.stored_listeners: tuple = ()
-        #: response-integrity audit, armed by ``P2PSystem.set_misbehavior``
-        #: so honest worlds pay nothing and run no extra invariant checks.
-        self.integrity_audit = False
-        #: accepted responses that claimed never-stored documents.
-        self.integrity_violations: list[str] = []
+        #: the response-integrity audit (an ``IntegrityAudit``), attached
+        #: by the first ``misbehavior.arm``; None in an honest world.
+        self.audit: "IntegrityAudit | None" = None
 
     # ------------------------------------------------------------------
     # query records
@@ -88,16 +85,8 @@ class WorldLedger(PeerHooks):
         return [QueryOutcome(**args) for args in self._queries.values()]
 
     def on_query_response(self, peer: Peer, response: m.QueryResponse) -> None:
-        if self.integrity_audit:
-            # An accepted response may only claim documents its responder
-            # has actually stored at some point.
-            for doc_id in response.doc_ids:
-                if not self.ever_stored(response.responder_id, doc_id):
-                    self.integrity_violations.append(
-                        f"node {response.responder_id} answered query "
-                        f"{response.query_id} claiming doc {doc_id} it "
-                        f"never stored"
-                    )
+        if self.audit is not None:
+            self.audit.check(response)
         args = self._queries.get(response.query_id)
         if args is None:
             return
@@ -152,15 +141,9 @@ class WorldLedger(PeerHooks):
         holders = self._doc_holders.get(doc_id)
         if holders is not None and peer.node_id in holders:
             holders.discard(peer.node_id)
-            self._ever_dropped.add((peer.node_id, doc_id))
             self._doc_holders_view = None
-
-    def ever_stored(self, node_id: int, doc_id: int) -> bool:
-        """Whether ``node_id`` has held ``doc_id`` at any point."""
-        return (
-            node_id in self._doc_holders.get(doc_id, _NO_HOLDERS)
-            or (node_id, doc_id) in self._ever_dropped
-        )
+            if self.audit is not None:
+                self.audit.note_drop(peer.node_id, doc_id)
 
     def holders(self, doc_id: int) -> Set[int]:
         """Nodes recorded as holding ``doc_id``, crashed ones included.

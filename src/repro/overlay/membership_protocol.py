@@ -40,7 +40,8 @@ class MembershipProtocol:
     def __init__(self, peer: "Peer") -> None:
         self.peer = peer
         self._publish_retries: dict[tuple[int, int], int] = {}
-        #: DCRT digest frozen at arming time (stale_gossip misbehavior).
+        #: the digest every gossip push replays (a ``stale_gossip`` peer
+        #: of :mod:`repro.overlay.misbehavior`); None = honest.
         self._stale_gossip_digest: tuple | None = None
 
     def registrations(self) -> dict:
@@ -55,9 +56,12 @@ class MembershipProtocol:
             "gossip_reply": (m.GossipDigest, self.handle_gossip_reply),
         }
 
-    def freeze_gossip_digest(self) -> None:
-        """Capture the DCRT now; every future gossip push replays it."""
-        self._stale_gossip_digest = tuple(self.peer.dcrt.snapshot().items())
+    def freeze_gossip_digest(self, frozen: bool = True) -> None:
+        """Capture the DCRT now for every gossip push to replay (or, with
+        ``frozen=False``, end the replay); the DCRT itself keeps merging."""
+        self._stale_gossip_digest = (
+            tuple(self.peer.dcrt.snapshot().items()) if frozen else None
+        )
 
     # ------------------------------------------------------------------
     # publish (Section 6.2)
@@ -267,18 +271,14 @@ class MembershipProtocol:
                 node=self.peer.node_id,
                 partner=partner,
             )
-        entries = tuple(self.peer.dcrt.snapshot().items())
-        if (
-            self.peer.misbehavior is not None
-            and self.peer.misbehavior.stale_gossip
-            and self._stale_gossip_digest is not None
-        ):
-            # Replay the digest frozen at arming time: the push half of
-            # push-pull spreads nothing new, but receivers ignore stale
-            # entries by move-counter and this peer still merges incoming
-            # corrections — so the blast radius is wasted bytes, not
-            # divergence (asserted by the gossip-convergence invariant).
-            entries = self._stale_gossip_digest
+        # A frozen digest is replayed: the push half of push-pull spreads
+        # nothing new, but receivers ignore stale entries by move-counter
+        # and this peer still merges incoming corrections — so the blast
+        # radius is wasted bytes, not divergence (asserted by the
+        # gossip-convergence invariant).
+        entries = self._stale_gossip_digest
+        if entries is None:
+            entries = tuple(self.peer.dcrt.snapshot().items())
         self.peer._send(
             partner,
             "gossip",

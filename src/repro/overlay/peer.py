@@ -56,7 +56,7 @@ from repro.reliability.detector import FailureDetector
 from repro.sim.network import Message
 from repro.transport import ReliableTransport, Transport
 
-__all__ = ["DocInfo", "MisbehaviorConfig", "PeerConfig", "PeerHooks", "Peer"]
+__all__ = ["DocInfo", "PeerConfig", "PeerHooks", "Peer"]
 
 _NO_SUSPECTS: frozenset[int] = frozenset()
 #: NRT entries kept per cluster (Section 6.2's LRU bound), in every world.
@@ -80,33 +80,6 @@ class PeerConfig:
     #: content data plane: chunked transfer, multi-source fetch, repair
     #: loops (off by default — documents stay metadata-only tokens).
     content: ContentConfig = ContentConfig()
-
-
-@dataclass(frozen=True, slots=True)
-class MisbehaviorConfig:
-    """How an armed peer misbehaves (scenario-engine fault injection).
-
-    ``bogus_responses``
-        Answer every query with a fabricated document id and *no*
-        matching metadata.  Honest servers always ship one ``DocInfo``
-        per claimed doc (they serve from their own store), so the
-        requester-side integrity check rejects these without settling
-        the query — an armed failover deadline retries other members.
-    ``forge_infos``
-        Harden the bogus responses with complete fabricated metadata so
-        they pass the requester-side check.  Exists so tests can prove
-        the system-level ``response-integrity`` invariant catches what
-        the local check cannot.
-    ``stale_gossip``
-        Replay the DCRT digest captured at arming time in every
-        outgoing gossip push, forever.  Receivers ignore stale entries
-        by move-counter ordering, and the armed peer still merges
-        incoming corrections, so the damage is bounded to wasted bytes.
-    """
-
-    bogus_responses: bool = False
-    forge_infos: bool = False
-    stale_gossip: bool = False
 
 
 class PeerHooks:
@@ -202,8 +175,6 @@ class Peer:
         #: True between a power loss (memory wiped) and the replay that
         #: restores durable state on recovery.
         self.lost_memory = False
-        #: armed misbehavior mode (scenario fault injection); None = honest.
-        self.misbehavior: MisbehaviorConfig | None = None
         #: kind -> (payload class, handler(payload, src)); filled only by
         #: component registrations.
         self._handlers: dict[str, tuple[type, Callable]] = {}
@@ -381,17 +352,6 @@ class Peer:
         if self._reliability.enabled and self.detector.suspects:
             return self.detector.suspects
         return _NO_SUSPECTS
-
-    def arm_misbehavior(self, config: MisbehaviorConfig) -> None:
-        """Switch this peer into a misbehaving mode (scenario injection).
-
-        For ``stale_gossip`` the current DCRT snapshot is frozen now and
-        replayed in every future gossip push; the peer's *own* DCRT keeps
-        merging honestly, so only its outgoing digests lie.
-        """
-        self.misbehavior = config
-        if config.stale_gossip:
-            self.membership.freeze_gossip_digest()
 
     def heartbeat_once(self) -> None:
         """One failure-detector round: at most one direct probe.

@@ -51,9 +51,6 @@ SEEN_QUERY_CAPACITY = 4096
 #: last seen.  Every copy of one attempt arrives well within it (the
 #: longest requester horizon configured anywhere is 16 x 3.0 s).
 SEEN_QUERY_TTL = 60.0
-#: fabricated doc ids (armed ``bogus_responses``) start here, far above
-#: any real document.
-_BOGUS_DOC_BASE = 10_000_000
 
 
 @dataclass(slots=True)
@@ -236,42 +233,9 @@ class QueryProtocol:
         self.peer.transport.schedule(self._reliability.query_deadline, on_deadline)
 
     def handle_query(self, query: m.QueryMessage, src: int) -> None:
-        """Step 2, at a target node: serve, redirect, or forward.
-
-        A query that wants no result is dropped and counted first: the
-        requester asks for at least one and a server forwards only what
-        is still wanted, so only a frame from outside carries one.
-        """
-        if query.remaining < 1:
-            # Lazily registered, as in ``Peer.handle_message``: honest
-            # worlds never reach this, so their snapshots gain no line.
-            obs.counter("overlay.rejected_messages").inc()
+        """Step 2, at a target node: serve, redirect, or forward."""
+        if not self.accept(query):
             return
-        now = self.peer.transport.now
-        if now - self._seen_since > SEEN_QUERY_TTL:
-            self._rotate_seen(now)
-        query_id = query.query_id
-        seen_queries = self._seen
-        seen = seen_queries.pop(query_id, None)
-        if seen is None:
-            seen = self._seen_before.pop(query_id, None)
-        if seen is None:
-            seen_queries[query_id] = query.attempt
-            _G_SEEN_QUERIES.value += 1
-            if len(seen_queries) + len(self._seen_before) > SEEN_QUERY_CAPACITY:
-                oldest = self._seen_before or seen_queries
-                del oldest[next(iter(oldest))]
-                _G_SEEN_QUERIES.value -= 1
-        elif seen >= query.attempt:
-            seen_queries[query_id] = seen
-            return  # loop broken via idQ (Section 3.3, step 2b)
-        else:
-            seen_queries[query_id] = query.attempt
-
-        if self.peer.misbehavior is not None and self.peer.misbehavior.bogus_responses:
-            self._send_bogus_response(query)
-            return
-
         entry = self.peer.dcrt.entry(query.category_id)
         serving_cluster = entry.cluster_id
         if serving_cluster not in self.peer.memberships:
@@ -293,6 +257,40 @@ class QueryProtocol:
         # model is on; the routing above stays instant — forwarding is
         # cheap, serving is not.
         self.peer.admit(query, self)
+
+    def accept(self, query: m.QueryMessage) -> bool:
+        """The loop window of step 2: whether this peer takes ``query`` on.
+
+        A query that wants no result is dropped and counted first: the
+        requester asks for at least one and a server forwards only what
+        is still wanted, so only a frame from outside carries one.
+        """
+        if query.remaining < 1:
+            # Lazily registered, as in ``Peer.handle_message``: honest
+            # worlds never reach this, so their snapshots gain no line.
+            obs.counter("overlay.rejected_messages").inc()
+            return False
+        now = self.peer.transport.now
+        if now - self._seen_since > SEEN_QUERY_TTL:
+            self._rotate_seen(now)
+        query_id = query.query_id
+        seen_queries = self._seen
+        seen = seen_queries.pop(query_id, None)
+        if seen is None:
+            seen = self._seen_before.pop(query_id, None)
+        if seen is None:
+            seen_queries[query_id] = query.attempt
+            _G_SEEN_QUERIES.value += 1
+            if len(seen_queries) + len(self._seen_before) > SEEN_QUERY_CAPACITY:
+                oldest = self._seen_before or seen_queries
+                del oldest[next(iter(oldest))]
+                _G_SEEN_QUERIES.value -= 1
+        elif seen >= query.attempt:
+            seen_queries[query_id] = seen
+            return False  # loop broken via idQ (Section 3.3, step 2b)
+        else:
+            seen_queries[query_id] = query.attempt
+        return True
 
     def _rotate_seen(self, now: float) -> None:
         """Start a new loop-detection generation at ``now``.
@@ -458,41 +456,6 @@ class QueryProtocol:
             forwarded = query.forwarded(remaining)
             for neighbor in neighbors:
                 self.peer._send(neighbor, "query", forwarded)
-
-    def _send_bogus_response(self, query: m.QueryMessage) -> None:
-        """Answer with fabricated content (armed ``bogus_responses`` mode).
-
-        The fabricated doc id is claimed in ``doc_ids`` but — unless
-        ``forge_infos`` hardens the lie — no matching ``DocInfo`` ships,
-        which is exactly the asymmetry the requester-side integrity
-        check rejects (an honest server serves from its own store, so
-        its metadata always covers every claimed doc).
-        """
-        mis = self.peer.misbehavior
-        fake_doc_id = _BOGUS_DOC_BASE + query.query_id
-        infos: tuple[DocInfo, ...] = ()
-        if mis.forge_infos:
-            infos = (
-                DocInfo(
-                    doc_id=fake_doc_id,
-                    categories=(query.category_id,),
-                    size_bytes=m.CONTROL_SIZE,
-                ),
-            )
-        # Lazily registered: honest worlds never reach this path, so the
-        # counter stays out of their metric snapshots (and goldens).
-        obs.counter("overlay.bogus_responses_sent").inc()
-        self.peer._send(
-            query.requester_id,
-            "query_response",
-            m.QueryResponse(
-                query_id=query.query_id,
-                doc_ids=(fake_doc_id,),
-                responder_id=self.peer.node_id,
-                hops=query.hops,
-                doc_infos=infos,
-            ),
-        )
 
     def handle_query_response(self, response: m.QueryResponse, src: int) -> None:
         if len(response.doc_infos) != len(response.doc_ids):

@@ -31,7 +31,7 @@ from repro.overlay.adaptation import (
 )
 from repro.overlay.ledger import WorldLedger
 from repro.overlay.metadata import DCRTEntry
-from repro.overlay.peer import DocInfo, MisbehaviorConfig, Peer, PeerConfig
+from repro.overlay.peer import DocInfo, Peer, PeerConfig
 from repro.overlay.recovery import RecoveryCoordinator
 from repro.overlay.topology import ClusterTopology
 # Submodule imports on purpose (see the matching note in peer.py):
@@ -353,24 +353,10 @@ class P2PSystem:
         }
 
     # ------------------------------------------------------------------
-    # free riders and misbehaving peers
+    # free riders
     # ------------------------------------------------------------------
     def is_free_rider(self, node_id: int) -> bool:
         return node_id in self._free_riders
-
-    def set_misbehavior(self, node_id: int, config: MisbehaviorConfig) -> None:
-        """Arm ``node_id`` with ``config`` (a :class:`MisbehaviorConfig`).
-
-        Arming any peer also arms the ledger's response-integrity audit
-        (``ledger.integrity_audit``), so the ``response-integrity``
-        invariant starts checking accepted responses against the storage
-        ledger; failures accumulate in ``ledger.integrity_violations``.
-        """
-        peer = self._peers.get(node_id)
-        if peer is None:
-            raise ValueError(f"unknown node id {node_id}")
-        peer.arm_misbehavior(config)
-        self.ledger.integrity_audit = True
 
     def apply_reassignment(
         self, category_id: int, target_cluster: int, epoch: int = 0

@@ -762,7 +762,7 @@ class TestPowerLossRecovery:
 
     def test_power_loss_leaves_protocol_components_as_freshly_built(self):
         from repro.overlay import messages as m
-        from repro.overlay.peer import MisbehaviorConfig, PeerConfig
+        from repro.overlay.peer import PeerConfig
         from repro.reliability import ReliabilityConfig
         from tests.helpers import MicroOverlay
 
@@ -792,7 +792,7 @@ class TestPowerLossRecovery:
         peer.start_query(1, 7, 1, target_doc_id=100)
         peer.queries.cache_store(DocInfo(200, (7,), 10))
         peer.membership._publish_retries[(7, 4)] = 1
-        peer.arm_misbehavior(MisbehaviorConfig(stale_gossip=True))
+        peer.membership.freeze_gossip_digest()
         peer.adaptation.start_monitoring(4, round_id=1)
         peer.adaptation.handle_reassign_notice(
             m.ReassignNotice(

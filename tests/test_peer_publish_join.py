@@ -5,6 +5,7 @@ from types import MappingProxyType
 import pytest
 
 from repro.overlay import messages as m
+from repro.overlay import misbehavior
 from repro.overlay.metadata import DCRT
 from repro.overlay.peer import DocInfo
 
@@ -256,12 +257,14 @@ class TestCapabilityCopyOnWrite:
 def test_integrity_audit_reads_ever_stored_from_holders_and_drops():
     _, system = build_live_system(scale=0.01, seed=31)
     ledger = system.ledger
-    ledger.integrity_audit = True
-    peer = next(peer for peer in system.peers.values() if peer.docs)
+    peer = next(peer for peer in system.peers.values() if len(peer.docs) > 1)
     held, dropped = list(peer.docs)[:2]
+    misbehavior.arm(system, peer.node_id, "stale_gossip")
+    audit = ledger.audit
     peer.drop_document(dropped)
     never = next(d for d in system.instance.documents if d not in peer.docs and d != dropped)
-    assert not ledger.ever_stored(peer.node_id, never)
+    assert audit.ever_stored(peer.node_id, dropped)
+    assert not audit.ever_stored(peer.node_id, never)
 
     def respond(doc_id):
         ledger.on_query_response(
@@ -269,8 +272,8 @@ def test_integrity_audit_reads_ever_stored_from_holders_and_drops():
         )
 
     respond(held)
-    respond(dropped)  # stored at bootstrap, dropped since: still honest
-    assert ledger.integrity_violations == []
+    respond(dropped)  # held when the audit began, dropped since: still honest
+    assert audit.violations == []
     respond(never)
-    assert len(ledger.integrity_violations) == 1
-    assert f"claiming doc {never}" in ledger.integrity_violations[0]
+    assert len(audit.violations) == 1
+    assert f"claiming doc {never}" in audit.violations[0]
