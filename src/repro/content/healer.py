@@ -36,11 +36,3 @@ class ContentHealer:
             manager.system, sorted(manager.manifests), budget=HEAL_FETCH_LIMIT
         )
 
-    def _targets(self, doc_id: int, need: int) -> list[int]:
-        """The loop's destinations for ``need`` floor copies of ``doc_id``."""
-        from repro.overlay.replication_manager import floor_targets, home_candidates
-
-        system = self.manager.system
-        category_id = self.manager.doc_info(doc_id).categories[0]
-        ranked = home_candidates(system, doc_id, category_id)
-        return [p.node_id for p in floor_targets(system, doc_id, ranked, need)]

@@ -72,12 +72,6 @@ class ComparisonResult:
                 return row
         raise KeyError(name)
 
-    def search_row(self, strategy: str) -> SearchStrategyRow:
-        for row in self.search_rows:
-            if row.strategy == strategy:
-                return row
-        raise KeyError(strategy)
-
 
 def _load_summary(loads: dict[int, int]) -> tuple[float, float]:
     values = np.array([v for v in loads.values()], dtype=np.float64)

@@ -51,10 +51,6 @@ class Figure4Result:
     scale: float
     points: tuple[Figure4Point, ...]
 
-    @property
-    def worst_final(self) -> float:
-        return min(p.final_fairness for p in self.points)
-
 
 def run(
     scale: float = ALGO_SCALE,

@@ -123,10 +123,6 @@ class SystemInstance:
     def total_popularity(self) -> float:
         return float(sum(d.popularity for d in self.documents.values()))
 
-    @property
-    def doc_sizes(self) -> dict[int, int]:
-        return {d.doc_id: d.size_bytes for d in self.documents.values()}
-
     def contributors_of_category(self, category_id: int) -> list[int]:
         """Node ids contributing at least one document of ``category_id``."""
         return [

@@ -110,15 +110,6 @@ class QueryWorkload:
             counts[query.target_doc_id] += 1
         return counts
 
-    def category_hit_counts(self, n_categories: int) -> np.ndarray:
-        """Requests per category id (split across multi-category targets)."""
-        counts = np.zeros(n_categories, dtype=np.float64)
-        for query in self.queries:
-            share = 1.0 / len(query.category_ids)
-            for category_id in query.category_ids:
-                counts[category_id] += share
-        return counts
-
 
 def make_query_workload(
     instance: SystemInstance,

@@ -81,9 +81,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def reset(self) -> None:
         self.value = 0.0
 

@@ -1,6 +1,7 @@
 """Anti-entropy healing: re-replicating documents below the holder floor."""
 
 from repro.content.healer import HEAL_FETCH_LIMIT
+from repro.overlay.replication_manager import floor_targets, home_candidates
 from tests.test_content_fetch import (
     doc_with_holders,
     make_content_system,
@@ -143,10 +144,12 @@ def reference_round(manager):
         below_floor += 1
         if budget <= 0:
             continue
-        for target in manager.healer._targets(doc_id, floor - len(holders)):
+        category_id = manager.doc_info(doc_id).categories[0]
+        ranked = home_candidates(manager.system, doc_id, category_id)
+        for target in floor_targets(manager.system, doc_id, ranked, floor - len(holders)):
             if budget <= 0:
                 break
-            if manager.fetch(target, doc_id, purpose="heal") is not None:
+            if manager.fetch(target.node_id, doc_id, purpose="heal") is not None:
                 started += 1
                 budget -= 1
     return {

@@ -102,7 +102,7 @@ class TestFigure4:
             assert point.final_fairness < point.initial_fairness
         # The perturbation hurts but stays "tolerable" (paper: >= 0.78 at
         # full scale; tiny instances are noisier, so bound loosely).
-        assert result.worst_final > 0.5
+        assert min(p.final_fairness for p in result.points) > 0.5
         figure4.format_result(result)
 
 
@@ -211,8 +211,8 @@ class TestComparison:
         # E1a: flooding reliably finds single-copy content but at hundreds
         # of messages per query; k random walkers bound the message cost
         # and pay in success rate (the [7] trade-off).
-        flood = result.search_row("flood")
-        walk = result.search_row("random_walk")
+        by_strategy = {row.strategy: row for row in result.search_rows}
+        flood, walk = by_strategy["flood"], by_strategy["random_walk"]
         assert flood.success_rate > walk.success_rate
         assert walk.mean_messages < flood.mean_messages
         assert flood.mean_messages > 100

@@ -39,11 +39,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         g = Gauge("depth")
         g.set(10.0)
         g.inc(2.5)
-        g.dec()
+        g.inc(-1.0)
         assert g.value == pytest.approx(11.5)
 
     def test_reset(self):

@@ -72,7 +72,7 @@ class TestReplicationProperties:
         )
         assignment = maxfair(instance)
         plan = plan_replication(instance, assignment, n_reps=2, hot_mass=0.2)
-        sizes = instance.doc_sizes
+        sizes = {d.doc_id: d.size_bytes for d in instance.documents.values()}
         for node_id, docs in plan.node_docs.items():
             assert plan.node_bytes[node_id] == sum(sizes[d] for d in docs)
 

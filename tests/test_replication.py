@@ -105,7 +105,7 @@ class TestPlanReplication:
         assert hot_fairness > bare_fairness
 
     def test_byte_accounting_consistent(self, small_instance, small_plan):
-        sizes = small_instance.doc_sizes
+        sizes = {d.doc_id: d.size_bytes for d in small_instance.documents.values()}
         for node_id, docs in small_plan.node_docs.items():
             expected = sum(sizes[d] for d in docs)
             assert small_plan.node_bytes[node_id] == expected

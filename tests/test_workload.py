@@ -68,11 +68,6 @@ class TestQueryWorkload:
         workload = make_query_workload(small_instance, 10, seed=10, m=5)
         assert all(q.m == 5 for q in workload)
 
-    def test_category_hit_counts(self, small_instance):
-        workload = make_query_workload(small_instance, 200, seed=11)
-        counts = workload.category_hit_counts(len(small_instance.categories))
-        assert counts.sum() == pytest.approx(200)
-
     def test_rejects_negative_count(self, small_instance):
         with pytest.raises(ValueError):
             make_query_workload(small_instance, -1)
