@@ -107,9 +107,11 @@ class InvariantChecker:
         self._integrity_cursor = 0
         #: doc_id -> highest manifest version seen (monotonicity mark).
         self._manifest_marks: dict[int, int] = {}
-        #: how many fetch-ledger records have already been audited — the
-        #: ledger is append-only, so only the settled tail is new.
-        self._fetch_cursor = 0
+        #: fetch-integrity breaches found as fetches settled, reported
+        #: at the next check.
+        self._fetch_breaches: list[str] = []
+        if system.content is not None:
+            system.content.settled_listeners.append(self._audit_fetch)
         #: how many epoch-ledger claims have already been audited (the
         #: ledger is append-only) plus every (category, epoch) -> cluster
         #: claim seen so far, so a conflicting re-claim is caught even
@@ -488,37 +490,32 @@ class InvariantChecker:
 
     @invariant("fetch-integrity", "content")
     def _check_fetch_integrity(self):
-        """Every fetch the ledger marks completed verified all of its
-        chunks against exactly the manifest's hashes."""
-        manager = self.system.content
-        records = manager.records
-        cursor = self._fetch_cursor
-        # The ledger is append-only; advance the cursor over the settled
-        # prefix only, so in-flight records at the boundary get re-audited
-        # next pass instead of being skipped forever.
-        while cursor < len(records) and records[cursor].settled:
-            cursor += 1
-        for record in records[self._fetch_cursor : cursor]:
-            if record.failed:
-                continue
-            if not record.verified:
-                yield (
-                    f"fetch {record.fetch_id} of doc {record.doc_id} "
-                    f"completed without verification"
-                )
-                continue
-            manifest = manager.manifests.get(record.doc_id)
-            if manifest is None:
-                yield (
-                    f"fetch {record.fetch_id} completed for unknown doc "
-                    f"{record.doc_id}"
-                )
-            elif record.chunk_hashes != manifest.chunk_hashes:
-                yield (
-                    f"fetch {record.fetch_id} of doc {record.doc_id} "
-                    f"verified hashes that differ from the manifest"
-                )
-        self._fetch_cursor = cursor
+        """Every fetch that completed verified all of its chunks against
+        exactly the manifest's hashes."""
+        breaches, self._fetch_breaches = self._fetch_breaches, []
+        yield from breaches
+
+    def _audit_fetch(self, record) -> None:
+        """``fetch-integrity`` for one fetch as it settles."""
+        if record.failed:
+            return
+        if not record.verified:
+            self._fetch_breaches.append(
+                f"fetch {record.fetch_id} of doc {record.doc_id} "
+                f"completed without verification"
+            )
+            return
+        manifest = self.system.content.manifests.get(record.doc_id)
+        if manifest is None:
+            self._fetch_breaches.append(
+                f"fetch {record.fetch_id} completed for unknown doc "
+                f"{record.doc_id}"
+            )
+        elif record.chunk_hashes != manifest.chunk_hashes:
+            self._fetch_breaches.append(
+                f"fetch {record.fetch_id} of doc {record.doc_id} "
+                f"verified hashes that differ from the manifest"
+            )
 
     @invariant("chunk-availability", "content", when="converge")
     def _check_chunk_availability(self):

@@ -82,7 +82,11 @@ class PeerContent:
         self.partial: dict[int, set[int]] = {}
         #: doc id -> chunk indexes whose local copy is corrupt (chaos).
         self.corrupt: dict[int, set[int]] = {}
-        #: locally cached manifests (fetches, repairs, replica pulls).
+        #: locally cached manifests (fetches, repairs, replica pulls).  A
+        #: drop keeps its entry (forgetting it would journal the manifest
+        #: again at the next fetch), so the cache and the snapshots that
+        #: carry it level off at peers x documents (192,000 on a 96-peer,
+        #: 2,000-document world).
         self.manifests: dict[int, Manifest] = {}
         #: optional ``(doc_id, manifest)`` callback fired whenever the
         #: manifest cache learns or advances a version — the durability
@@ -203,7 +207,7 @@ class PeerContent:
         """Begin fetching ``info.doc_id`` chunk by chunk, rarest first.
 
         ``index`` is the deployment's :class:`ContentManager` (source
-        lookups, ledger callbacks); unit tests may instead pass a bare
+        lookups, fetch-record callbacks); unit tests may instead pass a bare
         ``sources_fn`` returning ``{chunk index: (source ids, ...)}``.
         """
         doc_id = info.doc_id

@@ -173,7 +173,8 @@ def manifest_from_update(update: "m.ManifestUpdate") -> Manifest:
 
 @dataclass(slots=True)
 class FetchRecord:
-    """Ledger entry for one multi-source fetch (user, heal, or replicate)."""
+    """One multi-source fetch (user, heal, or replicate), kept by the
+    manager while it is in flight."""
 
     fetch_id: int
     doc_id: int
@@ -192,22 +193,20 @@ class FetchRecord:
     #: per-chunk hashes as received and verified, set on completion.
     chunk_hashes: tuple[int, ...] = ()
 
-    @property
-    def settled(self) -> bool:
-        return self.completed_at is not None or self.failed
-
 
 class ContentManager:
-    """Deployment-wide manifest registry, fetch ledger, and healer.
+    """Deployment-wide manifest registry, in-flight fetches, and healer.
 
     Holder ground truth is the deployment's existing replica index
     (the world ledger's holder directory, maintained by the store/drop
     hooks); the manager adds the chunk-level view on top: manifests,
     partial holders (peers mid-fetch that can already serve some
-    chunks), and the append-only fetch ledger the integrity invariant
-    audits.  As a ``P2PSystem`` subsystem it listens to
-    ``document_stored`` and ``peer_recovered`` and runs the ``healing``
-    control round.
+    chunks), and one :class:`FetchRecord` per fetch in flight.  A record
+    leaves the manager when its fetch settles, handed to each of
+    ``settled_listeners`` (the integrity invariant, HEAL, RECOVERY), so a
+    world nobody audits keeps nothing per finished fetch.  As a
+    ``P2PSystem`` subsystem it listens to ``document_stored`` and
+    ``peer_recovered`` and runs the ``healing`` control round.
     """
 
     round_name = "healing"
@@ -223,10 +222,10 @@ class ContentManager:
         #: doc id -> node id -> chunk indexes held partially (in-flight
         #: or abandoned fetches); full holders are *not* listed here.
         self.partials: dict[int, dict[int, set[int]]] = {}
-        #: append-only fetch ledger (the integrity invariant keeps a
-        #: cursor into this list, so entries are never removed).
-        self.records: list[FetchRecord] = []
+        #: fetch id -> record, while the fetch is in flight.
         self._records_by_id: dict[int, FetchRecord] = {}
+        #: callables handed each record as its fetch settles.
+        self.settled_listeners: list = []
         self._next_fetch_id = count(1)
         self.healer = ContentHealer(self)
         # process-wide totals; registered here, lazily, so content-off
@@ -351,12 +350,20 @@ class ContentManager:
     def peer_recovered(self, peer: "Peer") -> list[int]:
         """Audit a recovered peer's holdings before they are trusted.
 
-        The cached manifest may be stale (the document's version was
-        bumped while the node was dark): sync it from the registry, i.e.
-        replay the missed bump.  Then :meth:`scrub` the corrupt copies.
-        Returns the dropped doc ids.
+        Replay built a fresh manifest for each cached one: where it equals
+        the registry's, the registry's own object replaces it, so peers
+        share one manifest and the hashes it derives.  A cached manifest
+        may be stale (the document's version was bumped while the node
+        was dark): sync it from the registry, i.e. replay the missed bump.
+        Then :meth:`scrub` the corrupt copies.  Returns the dropped doc
+        ids.
         """
         content = peer.content_state
+        cache = content.manifests
+        for doc_id, cached in cache.items():
+            shared = self.manifests.get(doc_id)
+            if shared is not None and cached._identity() == shared._identity():
+                cache[doc_id] = shared
         for doc_id in sorted(peer.docs):
             registry = self.manifests.get(doc_id)
             if registry is not None:
@@ -414,8 +421,8 @@ class ContentManager:
         Returns the fetch id, or None when there is nothing to do (the
         requester already holds the document, is not alive, or the
         document is unknown).  A fetch with no live sources *is* started
-        and immediately recorded as failed — unavailability must show up
-        in the ledger, not vanish silently.
+        and settles as failed at once — unavailability must reach the
+        settled listeners, not vanish silently.
         """
         peer = self.system.peer(requester_id)
         if peer is None or not self.system.network.is_alive(requester_id):
@@ -439,7 +446,6 @@ class ContentManager:
             started_at=self.system.sim.now,
             manifest_version=manifest.version,
         )
-        self.records.append(record)
         self._records_by_id[fetch_id] = record
         self._c_fetches.inc()
         if purpose == "heal":
@@ -448,6 +454,7 @@ class ContentManager:
         return fetch_id
 
     def record_for(self, fetch_id: int) -> FetchRecord | None:
+        """The record of an in-flight fetch; None once it has settled."""
         return self._records_by_id.get(fetch_id)
 
     # callbacks from the per-peer fetchers -----------------------------
@@ -468,8 +475,8 @@ class ContentManager:
     def on_fetch_complete(
         self, fetch_id: int, chunk_hashes: tuple[int, ...], bytes_fetched: int
     ) -> None:
-        record = self._records_by_id.get(fetch_id)
-        if record is None or record.settled:
+        record = self._records_by_id.pop(fetch_id, None)
+        if record is None:
             return
         record.completed_at = self.system.sim.now
         record.verified = True
@@ -477,11 +484,15 @@ class ContentManager:
         record.bytes_fetched = bytes_fetched
         self._c_completed.inc()
         self._c_bytes.value += bytes_fetched
+        for listener in self.settled_listeners:
+            listener(record)
 
     def on_fetch_failed(self, fetch_id: int, reason: str) -> None:
-        record = self._records_by_id.get(fetch_id)
-        if record is None or record.settled:
+        record = self._records_by_id.pop(fetch_id, None)
+        if record is None:
             return
         record.failed = True
         record.failure = reason
         self._c_failed.inc()
+        for listener in self.settled_listeners:
+            listener(record)

@@ -126,6 +126,8 @@ def measure(
     crash_rng = system.rngs.stream("heal.churn")
     fetch_rng = system.rngs.stream("heal.fetch")
     doc_ids = sorted(manager.manifests)
+    settled = []
+    manager.settled_listeners.append(settled.append)
 
     def heal_until_dry() -> None:
         for _ in range(MAX_HEAL_ROUNDS):
@@ -161,14 +163,14 @@ def measure(
                 workload_ids.append(fetch_id)
         system.sim.run()
 
-    records = [manager.record_for(fetch_id) for fetch_id in workload_ids]
+    # Start order, the order the repair latencies are summed in.
+    settled.sort(key=lambda r: r.fetch_id)
+    by_id = {r.fetch_id: r for r in settled}
+    records = [by_id[fetch_id] for fetch_id in workload_ids]
     completed = [r for r in records if r.completed_at is not None]
     latencies = sorted(r.completed_at - r.started_at for r in completed)
-    repairs = [
-        r
-        for r in manager.records
-        if r.purpose == "heal" and r.completed_at is not None
-    ]
+    heals = [r for r in settled if r.purpose == "heal"]
+    repairs = [r for r in heals if r.completed_at is not None]
     mean_repair = (
         sum(r.completed_at - r.started_at for r in repairs) / len(repairs)
         if repairs
@@ -186,7 +188,7 @@ def measure(
             else 0.0
         ),
         failovers=sum(r.failovers for r in records),
-        heal_fetches=sum(1 for r in manager.records if r.purpose == "heal"),
+        heal_fetches=len(heals),
         mean_repair_latency=mean_repair,
         survivors=len(system.alive_peers()),
     )

@@ -130,6 +130,8 @@ def measure(
     manager = system.content
     fetch_rng = system.rngs.stream("recovery.fetch")
     victims = _victim_plan(system, n_cycles)
+    settled = []
+    manager.settled_listeners.append(settled.append)
 
     sole_docs = docs_lost = queries = 0
     workload_ids: list[int] = []
@@ -166,11 +168,8 @@ def measure(
             1 for doc_id in sole if not manager.live_holders(doc_id)
         )
 
-    completed = sum(
-        1
-        for fetch_id in workload_ids
-        if manager.record_for(fetch_id).completed_at is not None
-    )
+    done = {r.fetch_id for r in settled if r.completed_at is not None}
+    completed = sum(1 for fetch_id in workload_ids if fetch_id in done)
     divergent_before, divergent_after = _divergence_phase(system)
     return RecoveryRow(
         persistence=persistence,

@@ -8,12 +8,18 @@ fabricated source map.
 
 import pytest
 
+from repro.chaos.invariants import InvariantChecker
 from repro.content.chunks import ContentConfig
 from repro.content.manifest import build_manifest
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
-from repro.durability import MemoryStore, PeerJournal, replay_wal
+from repro.durability import (
+    DurabilityConfig,
+    MemoryStore,
+    PeerJournal,
+    replay_wal,
+)
 from repro.model.system import SystemConfig, build_system
 from repro.overlay import messages as m
 from repro.overlay.peer import DocInfo, PeerConfig
@@ -23,7 +29,9 @@ from repro.overlay.system import P2PSystem, P2PSystemConfig
 from tests.helpers import MicroOverlay
 
 
-def make_content_system(seed=7, cache_capacity=0, **content_kwargs):
+def make_content_system(
+    seed=7, cache_capacity=0, durability=False, **content_kwargs
+):
     """A small live system with four-chunk documents and content on."""
     instance = build_system(SystemConfig(
         seed=seed,
@@ -44,6 +52,7 @@ def make_content_system(seed=7, cache_capacity=0, **content_kwargs):
             seed=seed,
             cache_capacity=cache_capacity,
             content=ContentConfig(enabled=True, **content_kwargs),
+            durability=DurabilityConfig(enabled=durability),
         ),
     )
 
@@ -56,6 +65,13 @@ def doc_with_holders(system, min_holders=2, exclude=()):
         if len(holders) >= min_holders and not set(holders) & set(exclude):
             return doc_id, holders
     raise AssertionError("no suitable document in this world")
+
+
+def settled_records(manager):
+    """The list each fetch ``manager`` settles from now on is appended to."""
+    settled = []
+    manager.settled_listeners.append(settled.append)
+    return settled
 
 
 def pick_requester(system, doc_id, exclude=()):
@@ -75,8 +91,8 @@ class TestFetchHappyPath:
         requester = pick_requester(system, doc_id)
         fetch_id = manager.fetch(requester.node_id, doc_id)
         assert fetch_id is not None
-        system.sim.run()
         record = manager.record_for(fetch_id)
+        system.sim.run()
         assert record.completed_at is not None
         assert record.verified
         assert not record.failed
@@ -105,10 +121,12 @@ class TestFetchHappyPath:
         for holder in holders:
             system.crash_node(holder)
         requester = pick_requester(system, doc_id)
+        settled = settled_records(manager)
         fetch_id = manager.fetch(requester.node_id, doc_id)
         assert fetch_id is not None  # unavailability is recorded, not hidden
         system.sim.run()
-        record = manager.record_for(fetch_id)
+        [record] = settled
+        assert record.fetch_id == fetch_id
         assert record.failed
         assert record.failure == "no-live-source"
 
@@ -119,11 +137,10 @@ class TestFailover:
         manager = system.content
         doc_id, holders = doc_with_holders(system, min_holders=2)
         requester = pick_requester(system, doc_id)
-        fetch_id = manager.fetch(requester.node_id, doc_id)
+        record = manager.record_for(manager.fetch(requester.node_id, doc_id))
         # Kill one source while its chunk requests are still in flight.
         system.crash_node(holders[0])
         system.sim.run()
-        record = manager.record_for(fetch_id)
         assert record.completed_at is not None
         assert record.verified
         assert record.failovers >= 1
@@ -147,7 +164,7 @@ class TestFailover:
         assert cacher.node_id in manager.live_holders(doc_id)
         system.crash_node(holders[1])  # sources are now survivor + cacher
         requester = pick_requester(system, doc_id, exclude=(cacher.node_id,))
-        fetch_id = manager.fetch(requester.node_id, doc_id)
+        record = manager.record_for(manager.fetch(requester.node_id, doc_id))
         # LRU eviction while the chunk requests are in flight: caching a
         # second document evicts the first and deregisters the holder.
         other = next(
@@ -158,7 +175,6 @@ class TestFailover:
         assert doc_id not in cacher.docs
         assert cacher.node_id not in manager.live_holders(doc_id)
         system.sim.run()
-        record = manager.record_for(fetch_id)
         assert record.completed_at is not None, record.failure
         assert record.verified
         assert record.failovers >= 1
@@ -231,11 +247,10 @@ class TestSourceLookups:
         doc_id, _ = doc_with_holders(system)
         requester = pick_requester(system, doc_id)
         lookups = self._counted(manager, monkeypatch)
-        fetch_id = manager.fetch(requester.node_id, doc_id)
-        assert manager.record_for(fetch_id).n_chunks == 4
+        record = manager.record_for(manager.fetch(requester.node_id, doc_id))
+        assert record.n_chunks == 4
         assert lookups == [doc_id]
         system.sim.run()
-        record = manager.record_for(fetch_id)
         assert record.verified and record.failovers == 0
         assert lookups == [doc_id]
 
@@ -245,10 +260,9 @@ class TestSourceLookups:
         doc_id, holders = doc_with_holders(system, min_holders=2)
         requester = pick_requester(system, doc_id)
         lookups = self._counted(manager, monkeypatch)
-        fetch_id = manager.fetch(requester.node_id, doc_id)
+        record = manager.record_for(manager.fetch(requester.node_id, doc_id))
         system.crash_node(holders[0])  # its chunk requests are in flight
         system.sim.run()
-        record = manager.record_for(fetch_id)
         assert record.verified and record.failovers >= 1
         assert lookups == [doc_id] * (1 + record.failovers)
 
@@ -287,9 +301,8 @@ class TestReadRepair:
         for index in range(manifest.n_chunks):
             assert bad_peer.content_state.mark_corrupt(doc_id, index)
         requester = pick_requester(system, doc_id)
-        fetch_id = manager.fetch(requester.node_id, doc_id)
+        record = manager.record_for(manager.fetch(requester.node_id, doc_id))
         system.sim.run()
-        record = manager.record_for(fetch_id)
         # The fetch completed with verified bytes despite the bad source,
         assert record.completed_at is not None
         assert record.verified
@@ -399,12 +412,13 @@ class TestRarestFirst:
             manager = system.content
             doc_id, _ = doc_with_holders(system)
             requester = pick_requester(system, doc_id)
+            settled = settled_records(manager)
             manager.fetch(requester.node_id, doc_id)
             system.sim.run()
             ledgers.append([
                 (r.doc_id, r.completed_at, r.failovers, r.bytes_fetched,
                  r.chunk_hashes)
-                for r in manager.records
+                for r in settled
             ])
         assert ledgers[0] == ledgers[1]
 
@@ -415,10 +429,56 @@ class TestCrashLifecycle:
         manager = system.content
         doc_id, _ = doc_with_holders(system)
         requester = pick_requester(system, doc_id)
-        fetch_id = manager.fetch(requester.node_id, doc_id)
+        record = manager.record_for(manager.fetch(requester.node_id, doc_id))
         system.crash_node(requester.node_id)
         system.sim.run()
-        record = manager.record_for(fetch_id)
         assert record.failed
         assert record.failure == "requester-crashed"
         assert requester.content_state.in_flight() == 0
+
+
+class TestSettledRecords:
+    """A record leaves the manager when its fetch settles."""
+
+    @staticmethod
+    def _checked_fetch():
+        system = make_content_system()
+        checker = InvariantChecker(system)
+        manager = system.content
+        doc_id, _ = doc_with_holders(system)
+        requester = pick_requester(system, doc_id)
+        fetch_id = manager.fetch(requester.node_id, doc_id)
+        assert manager.record_for(fetch_id) is not None
+        return checker, manager, fetch_id, manager.manifests[doc_id]
+
+    def test_fetch_integrity_fires_on_hashes_other_than_the_manifest(self):
+        checker, manager, fetch_id, manifest = self._checked_fetch()
+        wrong = tuple(value ^ 1 for value in manifest.chunk_hashes)
+        manager.on_fetch_complete(fetch_id, wrong, manifest.size_bytes)
+        checker.check("fetch-integrity")
+        assert [v.invariant for v in checker.violations] == ["fetch-integrity"]
+        assert "differ from the manifest" in checker.violations[0].detail
+        # Reported once: the next check finds nothing new.
+        checker.check("fetch-integrity")
+        assert len(checker.violations) == 1
+
+    def test_fetch_integrity_passes_the_manifest_hashes(self):
+        checker, manager, fetch_id, manifest = self._checked_fetch()
+        manager.on_fetch_complete(
+            fetch_id, manifest.chunk_hashes, manifest.size_bytes
+        )
+        checker.check("fetch-integrity")
+        assert checker.violations == []
+
+    def test_a_world_without_listeners_keeps_no_settled_record(self):
+        system = make_content_system()
+        manager = system.content
+        doc_id, _ = doc_with_holders(system)
+        requester = pick_requester(system, doc_id)
+        fetch_id = manager.fetch(requester.node_id, doc_id)
+        record = manager.record_for(fetch_id)
+        system.sim.run()
+        assert record.verified
+        assert manager.settled_listeners == []
+        assert manager.record_for(fetch_id) is None
+        assert manager._records_by_id == {}

@@ -6,6 +6,7 @@ from tests.test_content_fetch import (
     doc_with_holders,
     make_content_system,
     pick_requester,
+    settled_records,
 )
 
 
@@ -41,13 +42,14 @@ class TestHealingRound:
         for holder in holders[1:]:
             system.crash_node(holder)
         assert len(manager.live_holders(doc_id)) == 1
+        settled = settled_records(manager)
         report = system.run_healing_round()
         assert report["below_floor"] >= 1
         assert report["fetches"] >= 1
         heal_until_dry(system)
         assert len(manager.live_holders(doc_id)) >= 2
-        # Heal fetches are labelled in the ledger.
-        purposes = {r.purpose for r in manager.records}
+        # Heal fetches are labelled in their records.
+        purposes = {r.purpose for r in settled}
         assert "heal" in purposes
 
     def test_every_document_restored_to_the_floor(self):
@@ -71,12 +73,14 @@ class TestHealingRound:
         for holder in holders:
             system.crash_node(holder)
         assert manager.live_holders(doc_id) == []
+        settled = settled_records(manager)
         report = system.run_healing_round()
         assert report["unrepairable"] >= 1
         # No fetch was wasted on a document with zero live sources.
+        assert len(settled) == report["fetches"]
         assert all(
             r.doc_id != doc_id or r.purpose != "heal"
-            for r in manager.records
+            for r in settled
         )
 
     def test_heal_fetch_limit_bounds_one_round(self):
@@ -110,13 +114,14 @@ class TestHealingRound:
         snapshots = []
         for _ in range(2):
             system = make_content_system(seed=13, replication_floor=2)
+            settled = settled_records(system.content)
             victims = [p.node_id for p in system.alive_peers()][:3]
             for node_id in victims:
                 system.crash_node(node_id)
             reports = heal_until_dry(system)
             ledger = [
                 (r.doc_id, r.requester_id, r.completed_at, r.failovers)
-                for r in system.content.records
+                for r in settled
             ]
             snapshots.append((reports, ledger))
         assert snapshots[0] == snapshots[1]
@@ -202,6 +207,7 @@ class TestHealingScan:
 
     def test_report_and_fetches_match_the_reference_scan(self):
         system, twin = self._damaged_world(), self._damaged_world()
+        settled = [settled_records(world.content) for world in (system, twin)]
         report = system.content.run_round()
         assert report == reference_round(twin.content)
         assert report["unrepairable"] >= 1
@@ -211,14 +217,17 @@ class TestHealingScan:
             system.ledger.holders(doc_id) & left
             for doc_id in system.content.manifests
         )
+        system.sim.run()
+        twin.sim.run()
 
-        def started(world):
+        def started(records):
             return [
                 (r.doc_id, r.requester_id, r.purpose)
-                for r in world.content.records
+                for r in sorted(records, key=lambda r: r.fetch_id)
             ]
 
-        assert started(system) == started(twin)
+        assert len(settled[0]) == HEAL_FETCH_LIMIT
+        assert started(settled[0]) == started(settled[1])
 
 
 class TestHealExperiment:

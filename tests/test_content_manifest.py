@@ -1,4 +1,4 @@
-"""Manifests: construction, wire round-trips, and the fetch ledger."""
+"""Manifests: construction and wire round-trips."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro import obs
 from repro.content import manifest as manifest_module
 from repro.content.chunks import ContentConfig, chunk_hash
 from repro.content.manifest import (
-    FetchRecord,
     Manifest,
     build_manifest,
     manifest_from_update,
@@ -221,19 +220,3 @@ class TestHostileManifestUpdate:
         assert content.manifests[5].version == 9
         assert journaled == [5]
 
-
-class TestFetchRecord:
-    def test_settles_on_completion_or_failure(self):
-        record = FetchRecord(
-            fetch_id=1, doc_id=2, requester_id=3, n_chunks=4,
-            purpose="fetch", started_at=0.0, manifest_version=0,
-        )
-        assert not record.settled
-        record.completed_at = 1.5
-        assert record.settled
-        failed = FetchRecord(
-            fetch_id=2, doc_id=2, requester_id=3, n_chunks=4,
-            purpose="heal", started_at=0.0, manifest_version=0,
-            failed=True, failure="no-live-source",
-        )
-        assert failed.settled

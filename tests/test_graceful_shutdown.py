@@ -12,7 +12,11 @@ from repro.core.replication import plan_replication
 from repro.model.system import SystemConfig, build_system
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from tests.helpers import build_live_system
-from tests.test_content_fetch import doc_with_holders, make_content_system
+from tests.test_content_fetch import (
+    doc_with_holders,
+    make_content_system,
+    settled_records,
+)
 
 
 def make_sole_holder(system, min_holders=2):
@@ -102,8 +106,9 @@ class TestShutdownHandoff:
         else:
             raise AssertionError("no fully-replicated node in this world")
         held = sorted(system.peer(node_id).docs)
+        settled = settled_records(manager)
         assert system.shutdown_node(node_id) is True
-        assert manager.records == []
+        assert settled == []
         for doc_id in held:
             assert len(manager.live_holders(doc_id)) >= floor, doc_id
 
@@ -152,13 +157,14 @@ class TestShutdownHandoff:
             system.peer(other).drop_document(doc_id)
         assert len(manager.live_holders(doc_id)) == floor
         held = sorted(system.peer(keeper).docs)
+        settled = settled_records(manager)
         assert system.shutdown_node(keeper) is True
         for doc_id in held:
             holders = manager.live_holders(doc_id)
             assert keeper not in holders
             assert len(holders) >= floor, (doc_id, holders)
-        assert {r.purpose for r in manager.records} == {"heal"}
-        assert all(r.verified for r in manager.records)
+        assert {r.purpose for r in settled} == {"heal"}
+        assert all(r.verified for r in settled)
 
     def test_content_off_shutdown_matches_the_parent_handoffs(self):
         # Without content the floor is one copy: the same documents go to

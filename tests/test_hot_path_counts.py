@@ -215,14 +215,30 @@ def test_content_on_build_hashes_no_chunk_and_a_fetch_only_its_own(
     assert len(world.content.manifests) == 4000
     assert hashed == {manifest: [], fetcher: []}
 
-    system = make_content_system()
+    system = make_content_system(durability=True)
+    registry = system.content.manifests
     doc_id, _ = doc_with_holders(system)
     requester = pick_requester(system, doc_id)
-    fetch_id = system.content.fetch(requester.node_id, doc_id)
+    record = system.content.record_for(
+        system.content.fetch(requester.node_id, doc_id)
+    )
     system.sim.run()
-    assert system.content.record_for(fetch_id).verified
+    assert record.verified
     chunks = [(doc_id, index) for index in range(4)]
     # The manifest derives its four hashes once; each holder hashes the
     # chunk it serves.
+    assert hashed[manifest] == chunks
+    assert sorted(hashed[fetcher]) == chunks
+
+    # Journal replay builds a fresh manifest per cached one; recovery swaps
+    # in the registry's equal object, so no peer derives the hashes again.
+    system.power_loss(requester.node_id)
+    system.sim.run()
+    system.recover_node(requester.node_id)
+    cached = requester.content_state.manifests
+    assert cached[doc_id] is registry[doc_id]
+    for cached_id, cached_manifest in cached.items():
+        if cached_manifest._identity() == registry[cached_id]._identity():
+            assert cached_manifest is registry[cached_id], cached_id
     assert hashed[manifest] == chunks
     assert sorted(hashed[fetcher]) == chunks
