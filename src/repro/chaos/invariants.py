@@ -641,9 +641,7 @@ class InvariantChecker:
             return
         if peer.lost_memory:
             yield f"node {node_id} still reports lost memory after recovery"
-        durable = self.system.recovery.durable_docs_by_node().get(
-            node_id, frozenset()
-        )
+        durable = self.system.journal(node_id).durable_doc_ids()
         missing = durable - set(peer.docs)
         if missing:
             yield (

@@ -17,6 +17,7 @@ byte-identical-replay tests assert.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -146,25 +147,23 @@ class PeerJournal:
         self.records_written = 0
         self.snapshots_written = 0
         self._records_since_snapshot = 0
-        #: doc ids the log currently acknowledges as held — maintained
-        #: incrementally so invariant checks do not replay the WAL, which
-        #: is replayed here only when the store holds something.
-        self._durable_docs: set[int] = set()
-        snapshot, wal_bytes = store.load()
-        if snapshot or wal_bytes:
-            state = materialize(
-                decode_snapshot(snapshot or b""), replay_wal(wal_bytes)
-            )
-            self._durable_docs.update(map(itemgetter(0), state["docs"]))
+        #: doc ids the log currently acknowledges as held; None until
+        #: :meth:`durable_doc_ids` first builds it from the store, then
+        #: maintained incrementally so later reads replay nothing.  Only
+        #: invariant checks and restarts read it, so a world that never
+        #: does keeps no second copy of every peer's holdings.
+        self._durable_docs: set[int] | None = None
 
     # ------------------------------------------------------------------
     def record(self, *record) -> None:
         """Append one durable record (synchronous: the write IS the ack)."""
         self.store.append(encode_record(record))
-        if record[0] == "store":
-            self._durable_docs.add(record[1])
-        elif record[0] == "drop":
-            self._durable_docs.discard(record[1])
+        durable_docs = self._durable_docs
+        if durable_docs is not None:
+            if record[0] == "store":
+                durable_docs.add(record[1])
+            elif record[0] == "drop":
+                durable_docs.discard(record[1])
         self.records_written += 1
         self._records_since_snapshot += 1
         if (
@@ -179,7 +178,8 @@ class PeerJournal:
             return
         state = self.snapshot_fn()
         self.store.write_snapshot(encode_snapshot(state, self.bodies))
-        self._durable_docs = set(map(itemgetter(0), state["docs"]))
+        if self._durable_docs is not None:
+            self._durable_docs = set(map(itemgetter(0), state["docs"]))
         self.snapshots_written += 1
         self._records_since_snapshot = 0
 
@@ -188,6 +188,18 @@ class PeerJournal:
         snapshot, wal_bytes = self.store.load()
         return materialize(decode_snapshot(snapshot or b""), replay_wal(wal_bytes))
 
-    def durable_doc_ids(self) -> frozenset[int]:
-        """Doc ids the journal currently acknowledges as held."""
-        return frozenset(self._durable_docs)
+    def durable_doc_ids(self) -> Set[int]:
+        """Doc ids the journal currently acknowledges as held.
+
+        Built from the store on the first call (one ``load``, replayed
+        only when the store holds something), then maintained.  The
+        journal's own set, not a copy: read-only for callers, and only
+        valid until the next record or compaction.
+        """
+        if self._durable_docs is None:
+            snapshot, wal_bytes = self.store.load()
+            docs = materialize(
+                decode_snapshot(snapshot or b""), replay_wal(wal_bytes)
+            )["docs"] if snapshot or wal_bytes else ()
+            self._durable_docs = set(map(itemgetter(0), docs))
+        return self._durable_docs

@@ -35,6 +35,8 @@ class MemoryStore:
         self._wal = bytearray()
 
     def append(self, data: bytes) -> None:
+        # Bounded: the journal compacts, clearing the WAL, every
+        # ``snapshot_every`` records.
         self._wal += data
 
     def write_snapshot(self, data: bytes) -> None:

@@ -79,6 +79,7 @@ class DocumentCache:
         returned id *after* — mirroring the historical inline order so
         holder-directory registration stays identical.
         """
+        # Bounded: the loop below evicts down to ``capacity`` entries.
         self._entries[doc_id] = None
         self.fills += 1
         evicted: list[int] = []

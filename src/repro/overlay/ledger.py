@@ -8,6 +8,8 @@ peer is armed to lie (:mod:`repro.overlay.misbehavior`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Set
+from dataclasses import fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -27,6 +29,24 @@ __all__ = ["WorldLedger"]
 _NO_HOLDERS: frozenset[int] = frozenset()
 
 
+class _QueryRecord:
+    """One issued query's :class:`QueryOutcome` fields so far, in order."""
+
+    __slots__ = tuple(field.name for field in fields(QueryOutcome))
+
+    def __init__(self, query_id: int, issued_at: float, wanted: int) -> None:
+        self.query_id = query_id
+        self.issued_at = issued_at
+        self.first_response_at: float | None = None
+        self.first_response_hops: int | None = None
+        self.results = 0
+        self.wanted = wanted
+        self.failed = False
+
+
+_RECORD_FIELDS = attrgetter(*_QueryRecord.__slots__)
+
+
 class WorldLedger(PeerHooks):
     """Routes peer callbacks into the world's bookkeeping."""
 
@@ -39,8 +59,8 @@ class WorldLedger(PeerHooks):
         self._sim = sim
         self._network = network
         self._topology = topology
-        #: global query id -> ``QueryOutcome`` keyword arguments so far.
-        self._queries: dict[int, dict] = {}
+        #: global query id -> its outcome so far, for the current workload.
+        self._queries: dict[int, _QueryRecord] = {}
         #: queries need globally unique ids across workloads — peers keep
         #: the ids they have seen for loop detection (the paper's idQ is a
         #: unique pseudorandom number), so reusing one silences the query.
@@ -50,6 +70,7 @@ class WorldLedger(PeerHooks):
             "overlay.first_response_latency", clock=lambda: sim.now
         )
         #: cluster metadata (Section 3.1): doc id -> holder node ids.
+        #: Bounded by documents x peers; a drop leaves an empty set.
         self._doc_holders: dict[int, set[int]] = {}
         #: memoized snapshot for the dict-rebuilding view the chaos checker
         #: polls at every quiescent point; ``None`` = dirty.
@@ -67,34 +88,33 @@ class WorldLedger(PeerHooks):
         self._queries.clear()
 
     def open_query(self, query: "Query", issued_at: float) -> int:
-        """Start the record of one issued query; returns its global id."""
+        """Start the record of one issued query; returns its global id.
+
+        The records last one workload.  The id ints outlive them in the
+        peers' loop-detection windows, which forget them after at most
+        two ``SEEN_QUERY_TTL`` of transport time.
+        """
         global_id = self._next_query_id
         self._next_query_id += 1
-        self._queries[global_id] = {
-            "query_id": query.query_id,
-            "issued_at": issued_at,
-            "first_response_at": None,
-            "first_response_hops": None,
-            "results": 0,
-            "wanted": query.m,
-            "failed": False,
-        }
+        self._queries[global_id] = _QueryRecord(query.query_id, issued_at, query.m)
         return global_id
 
     def outcomes(self) -> list[QueryOutcome]:
-        return [QueryOutcome(**args) for args in self._queries.values()]
+        return [
+            QueryOutcome(*_RECORD_FIELDS(record)) for record in self._queries.values()
+        ]
 
     def on_query_response(self, peer: Peer, response: m.QueryResponse) -> None:
         if self.audit is not None:
             self.audit.check(response)
-        args = self._queries.get(response.query_id)
-        if args is None:
+        record = self._queries.get(response.query_id)
+        if record is None:
             return
-        if args["first_response_at"] is None:
+        if record.first_response_at is None:
             now = self._sim.now
-            args["first_response_at"] = now
-            args["first_response_hops"] = response.hops
-            self._h_latency.observe(now - args["issued_at"])
+            record.first_response_at = now
+            record.first_response_hops = response.hops
+            self._h_latency.observe(now - record.issued_at)
             if obs.TRACE.enabled:
                 obs.TRACE.emit(
                     "query_resolve",
@@ -103,22 +123,26 @@ class WorldLedger(PeerHooks):
                     hops=response.hops,
                     results=len(response.doc_ids),
                 )
-        args["results"] += len(response.doc_ids)
+        record.results += len(response.doc_ids)
         # A response settles the query even if a failover deadline already
         # declared it failed — a late answer is still an answer.
-        args["failed"] = False
+        record.failed = False
 
     def on_query_failed(self, peer: Peer, query_id: int, reason: str) -> None:
-        args = self._queries.get(query_id)
+        record = self._queries.get(query_id)
         # A failover that raced an already-arrived response is no failure.
-        if args is not None and args["first_response_at"] is None:
-            args["failed"] = True
+        if record is not None and record.first_response_at is None:
+            record.failed = True
 
     # ------------------------------------------------------------------
     # holder directory
     # ------------------------------------------------------------------
     def on_document_stored(self, peer: Peer, doc_id: int) -> None:
-        self._doc_holders.setdefault(doc_id, set()).add(peer.node_id)
+        holders = self._doc_holders.get(doc_id)
+        if holders is None:
+            self._doc_holders[doc_id] = {peer.node_id}
+        else:
+            holders.add(peer.node_id)
         self._doc_holders_view = None
         for listener in self.stored_listeners:
             listener(peer, doc_id)

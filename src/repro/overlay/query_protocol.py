@@ -279,6 +279,9 @@ class QueryProtocol:
         if seen is None:
             seen = self._seen_before.pop(query_id, None)
         if seen is None:
+            # Levels off: the two generations hold only ids seen within
+            # 2 x SEEN_QUERY_TTL of transport time, and at most
+            # SEEN_QUERY_CAPACITY of them.
             seen_queries[query_id] = query.attempt
             _G_SEEN_QUERIES.value += 1
             if len(seen_queries) + len(self._seen_before) > SEEN_QUERY_CAPACITY:

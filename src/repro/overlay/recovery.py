@@ -65,7 +65,8 @@ class RecoveryCoordinator:
         """Doc ids each node's journal acknowledges as held.
 
         Crashed nodes included: their disks survive, which is what the
-        conservation and no-acknowledged-write-loss checks need.
+        conservation and no-acknowledged-write-loss checks need.  Each
+        set is a copy the caller may keep.
         """
         return {
             node_id: set(journal.durable_doc_ids())

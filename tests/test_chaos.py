@@ -19,7 +19,9 @@ from repro.chaos import (
     run_schedule,
     shrink,
 )
+from repro.durability import DurabilityConfig
 from repro.overlay.metadata import DCRT
+from repro.overlay.system import P2PSystemConfig
 
 from tests.helpers import build_live_system
 
@@ -96,6 +98,30 @@ class TestInvariantDetection:
         checker.note_published(10**9)  # never actually stored anywhere
         checker.check_structural()
         assert "doc-conservation" in checker.violated_invariants
+
+    def test_lost_acknowledged_write_detected(self):
+        """A document gone from a peer behind its journal's back is a lost
+        acknowledged write, whether or not the peer just recovered."""
+        _instance, system = build_live_system(
+            scale=0.02,
+            seed=61,
+            config=P2PSystemConfig(
+                seed=61, durability=DurabilityConfig(enabled=True)
+            ),
+        )
+        checker = InvariantChecker(system)
+        peer = system.alive_peers()[0]
+        checker.check("no-acknowledged-write-loss")
+        checker.check("recovery-convergence", node_id=peer.node_id)
+        assert checker.violations == []
+        lost = min(peer.docs)
+        del peer.docs[lost]
+        checker.check("no-acknowledged-write-loss")
+        checker.check("recovery-convergence", node_id=peer.node_id)
+        assert checker.violated_invariants == {
+            "no-acknowledged-write-loss", "recovery-convergence"
+        }
+        assert all(f"sample: [{lost}]" in v.detail for v in checker.violations)
 
     def test_quiescence_hook_fires_checks(self):
         """Registered as an on_quiescence hook, the checker catches a

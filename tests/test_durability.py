@@ -592,6 +592,53 @@ class TestJournal:
         journal.record("drop", 1)
         assert journal.durable_doc_ids() == frozenset({2})
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["store", "drop", "compact", "reopen"]),
+                st.integers(0, 7),
+            ),
+            max_size=40,
+        ),
+        first_read=st.integers(0, 40),
+        snapshot_every=st.integers(1, 8),
+    )
+    def test_durable_view_built_on_first_read_matches_the_log(
+        self, ops, first_read, snapshot_every
+    ):
+        # From its first read on, at every step, the view is what the
+        # store replays to, however the stores, drops, compactions
+        # (explicit or every ``snapshot_every`` records) and reopenings
+        # over a store that holds data fell before and after that read.
+        store, held = MemoryStore(), set()
+        config = DurabilityConfig(enabled=True, snapshot_every=snapshot_every)
+
+        def open_journal():
+            journal = PeerJournal(store, config)
+            journal.snapshot_fn = lambda: materialize(
+                None, [("store", doc_id, 10, (0,)) for doc_id in sorted(held)]
+            )
+            return journal
+
+        journal = open_journal()
+        for step, (op, doc_id) in enumerate(ops):
+            if op == "store":
+                held.add(doc_id)
+                journal.record("store", doc_id, 10, (0,))
+            elif op == "drop":
+                held.discard(doc_id)
+                journal.record("drop", doc_id)
+            elif op == "compact":
+                journal.compact()
+            else:
+                journal = open_journal()
+            if step >= first_read:
+                logged = {row[0] for row in journal.load()["docs"]}
+                assert journal.durable_doc_ids() == logged == held
+        logged = {row[0] for row in journal.load()["docs"]}
+        assert journal.durable_doc_ids() == logged == held
+
 
 # ----------------------------------------------------------------------
 # overlay integration

@@ -7,7 +7,8 @@ routing-table lookup allocating a row it throws away, the replica plan
 paying a Python call per copy it places, the world bootstrap paying one
 per NRT entry, capability entry and copy, the content data plane hashing
 every chunk of every document before any fetch reads one, the wire codec
-paying a Python call per value of a frame or growing its frames.
+paying a Python call per value of a frame or growing its frames, a
+journal keeping its durable view of a peer's holdings with no reader.
 """
 
 import gc
@@ -56,6 +57,16 @@ def full_stack_world():
     outcomes = system.run_workload(make_query_workload(instance, 200, seed=31))
     assert len(outcomes) == 200
     return system
+
+
+def test_a_world_nobody_checks_materializes_no_durable_view(full_stack_world):
+    # The durable view is a second copy of each peer's holdings; only
+    # invariant checks and restarts read it.
+    system = full_stack_world
+    journals = [system.journal(node_id) for node_id in system.peers]
+    for journal in journals:
+        journal.compact()
+    assert all(journal._durable_docs is None for journal in journals)
 
 
 def test_read_signals_tests_liveness_once_per_distinct_holder(
