@@ -5,8 +5,9 @@ The repro's claims are *measured* claims, and the ROADMAP's north star
 before/after number.  :mod:`repro.obs` is the shared substrate for both:
 
 * :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
-  primitives, a wall-clock ``Timer`` context manager, and a
-  ``SimHistogram`` stamped with simulation time;
+  primitives and a wall-clock ``Timer`` context manager (a query's
+  in-sim latency is not a metric: it is ``QueryOutcome.latency``,
+  summarized by :func:`repro.metrics.response.summarize_responses`);
 * :mod:`repro.obs.trace` — a ``TraceLog`` of typed trace events behind a
   global enabled/disabled switch (near-zero overhead when off);
 * :mod:`repro.obs.export` — JSONL snapshot exporters.
@@ -37,7 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SimHistogram,
     Timer,
 )
 from repro.obs.trace import TraceEvent, TraceLog
@@ -47,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SimHistogram",
     "Timer",
     "TraceEvent",
     "TraceLog",
@@ -56,7 +55,6 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
-    "sim_histogram",
     "reset",
     "snapshot",
     "write_jsonl",
@@ -83,11 +81,6 @@ def gauge(name: str) -> Gauge:
 def histogram(name: str) -> Histogram:
     """The default registry's histogram ``name`` (created on first use)."""
     return REGISTRY.histogram(name)
-
-
-def sim_histogram(name: str, clock=None) -> SimHistogram:
-    """The default registry's sim-time histogram ``name``."""
-    return REGISTRY.sim_histogram(name, clock)
 
 
 def reset() -> None:

@@ -5,8 +5,8 @@ An experiment run dumps one snapshot next to its results
 one self-describing JSON object per line:
 
 * a ``meta`` header line (schema version, metric/trace counts);
-* one line per metric (``counter``/``gauge``/``histogram``/
-  ``sim_histogram`` with count/mean/min/max/p50/p99);
+* one line per metric (``counter``/``gauge`` with its value,
+  ``histogram`` with count/mean/min/max/p50/p99);
 * optionally one line per trace event (``type: "trace"``).
 """
 
@@ -30,11 +30,12 @@ def snapshot(
 ) -> list[dict]:
     """All JSON-ready records of a registry (and optionally a trace).
 
-    With ``deterministic``, plain (wall-clock) histograms are dropped:
-    they time host execution, so they differ between otherwise identical
-    runs.  Counters, gauges, and sim-time histograms are pure functions
-    of the seeded simulation, so what remains is byte-reproducible — the
-    determinism regression tests diff these snapshots directly.
+    With ``deterministic``, histograms are dropped: every histogram is a
+    wall-clock :class:`~repro.obs.metrics.Timer` reading, so it differs
+    between otherwise identical runs.  Counters and gauges are pure
+    functions of the seeded simulation, so what remains is
+    byte-reproducible — the determinism regression tests diff these
+    snapshots directly.
     """
     metric_records = [
         record

@@ -9,13 +9,14 @@ the primitives deliberately small:
 * :class:`Counter` — a monotonically increasing count (events processed,
   messages sent, queries served);
 * :class:`Gauge` — a last-written value (queue depth, observed fairness);
-* :class:`Histogram` — a value distribution with percentiles (per-event
-  callback times, message sizes);
-* :class:`SimHistogram` — a histogram whose samples are stamped with
-  *simulation* time from a clock callable (in-sim latencies, queue depths
-  over virtual time);
+* :class:`Histogram` — a value distribution with percentiles; every
+  histogram the program registers holds :class:`Timer` readings;
 * :class:`Timer` — a context manager that observes wall-clock elapsed
   seconds into a histogram (profiling hot paths).
+
+A query's in-sim latency is no metric here: it lives once, in its
+:class:`~repro.metrics.response.QueryOutcome`, and
+:func:`~repro.metrics.response.summarize_responses` reduces those.
 
 A :class:`MetricsRegistry` names metrics (dotted lowercase, e.g.
 ``sim.events_processed``) and hands out the *same* object for the same
@@ -28,13 +29,12 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Callable, Iterable
+from typing import Iterable
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "SimHistogram",
     "Timer",
     "MetricsRegistry",
 ]
@@ -44,8 +44,6 @@ class Counter:
     """A monotonically increasing counter."""
 
     __slots__ = ("name", "value")
-
-    kind = "counter"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -68,8 +66,6 @@ class Gauge:
     """A value that can go up and down; remembers the last write."""
 
     __slots__ = ("name", "value")
-
-    kind = "gauge"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -101,8 +97,6 @@ class Histogram:
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "_values")
-
-    kind = "histogram"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -147,7 +141,7 @@ class Histogram:
 
     def snapshot(self) -> dict:
         return {
-            "type": self.kind,
+            "type": "histogram",
             "name": self.name,
             "count": self.count,
             "mean": self.mean,
@@ -158,38 +152,7 @@ class Histogram:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name}, n={self.count})"
-
-
-class SimHistogram(Histogram):
-    """A histogram whose samples are stamped with simulation time.
-
-    ``clock`` is any zero-argument callable returning the current virtual
-    time — pass ``lambda: sim.now`` (or the bound ``Simulator`` property)
-    so in-sim latencies and queue depths can later be replayed as a time
-    series via :meth:`samples`.
-    """
-
-    __slots__ = ("clock", "_times")
-
-    kind = "sim_histogram"
-
-    def __init__(self, name: str, clock: Callable[[], float] | None = None) -> None:
-        super().__init__(name)
-        self.clock = clock if clock is not None else (lambda: 0.0)
-        self._times = array("d")
-
-    def observe(self, value: float) -> None:
-        super().observe(value)
-        self._times.append(self.clock())
-
-    def samples(self) -> list[tuple[float, float]]:
-        """The ``(sim_time, value)`` pairs in observation order."""
-        return list(zip(self._times, self._values))
-
-    def reset(self) -> None:
-        super().reset()
-        del self._times[:]
+        return f"Histogram({self.name}, n={self.count})"
 
 
 class Timer:
@@ -220,7 +183,7 @@ class Timer:
 class MetricsRegistry:
     """Named metrics with stable identity across resets.
 
-    ``counter/gauge/histogram/sim_histogram`` return the existing metric
+    ``counter/gauge/histogram`` return the existing metric
     when the name is already registered (creating it on first use), so
     hot call sites can cache the object once.  Asking for a name that
     exists with a *different* metric type is a programming error.
@@ -235,7 +198,7 @@ class MetricsRegistry:
             metric = cls(name, *args)
             self._metrics[name] = metric
             return metric
-        if not isinstance(metric, cls) or type(metric) is not cls:
+        if type(metric) is not cls:
             raise ValueError(
                 f"metric {name!r} already registered as {type(metric).__name__}, "
                 f"requested {cls.__name__}"
@@ -250,23 +213,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def sim_histogram(
-        self, name: str, clock: Callable[[], float] | None = None
-    ) -> SimHistogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = SimHistogram(name, clock)
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(metric, SimHistogram):
-            raise ValueError(
-                f"metric {name!r} already registered as {type(metric).__name__}, "
-                f"requested SimHistogram"
-            )
-        if clock is not None:
-            metric.clock = clock
-        return metric
 
     def get(self, name: str):
         """The metric registered under ``name``, or ``None``."""

@@ -65,10 +65,6 @@ class WorldLedger(PeerHooks):
         #: the ids they have seen for loop detection (the paper's idQ is a
         #: unique pseudorandom number), so reusing one silences the query.
         self._next_query_id = 0
-        #: in-sim first-response latencies, stamped with simulation time.
-        self._h_latency = obs.sim_histogram(
-            "overlay.first_response_latency", clock=lambda: sim.now
-        )
         #: cluster metadata (Section 3.1): doc id -> holder node ids.
         #: Bounded by documents x peers; a drop leaves an empty set.
         self._doc_holders: dict[int, set[int]] = {}
@@ -114,7 +110,6 @@ class WorldLedger(PeerHooks):
             now = self._sim.now
             record.first_response_at = now
             record.first_response_hops = response.hops
-            self._h_latency.observe(now - record.issued_at)
             if obs.TRACE.enabled:
                 obs.TRACE.emit(
                     "query_resolve",

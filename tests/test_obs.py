@@ -13,7 +13,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SimHistogram,
     Timer,
     TraceLog,
 )
@@ -90,53 +89,27 @@ class TestHistogram:
         assert h.values() == []
 
 
-class TestSimHistogram:
-    def test_samples_stamped_with_clock(self):
-        now = {"t": 0.0}
-        h = SimHistogram("q", clock=lambda: now["t"])
-        h.observe(3.0)
-        now["t"] = 2.5
-        h.observe(4.0)
-        assert h.samples() == [(0.0, 3.0), (2.5, 4.0)]
-        assert h.count == 2
-
-    def test_reset_clears_samples(self):
-        h = SimHistogram("q", clock=lambda: 1.0)
-        h.observe(1.0)
-        h.reset()
-        assert h.samples() == []
-
-
-class _ListStorage(SimHistogram):
-    """Oracle: the same histogram over plain lists of boxed floats."""
+class _ListStorage(Histogram):
+    """Oracle: the same histogram over a plain list of boxed floats."""
 
     __slots__ = ()
 
-    def __init__(self, name, clock=None):
-        super().__init__(name, clock)
+    def __init__(self, name):
+        super().__init__(name)
         self._values = []
-        self._times = []
 
 
 class TestUnboxedStorage:
     @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.floats(0.0, 1e6, allow_nan=False),
-            ),
-            max_size=40,
-        ),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
         st.lists(st.floats(0.0, 100.0), max_size=5),
         st.booleans(),
     )
     def test_array_storage_answers_as_lists_do(self, samples, quantiles, reset):
-        clock = {"t": 0.0}
-        unboxed = SimHistogram("h", clock=lambda: clock["t"])
-        boxed = _ListStorage("h", clock=lambda: clock["t"])
-        for index, (value, now) in enumerate(samples):
-            clock["t"] = now
+        unboxed = Histogram("h")
+        boxed = _ListStorage("h")
+        for index, value in enumerate(samples):
             unboxed.observe(value)
             boxed.observe(value)
             if reset and index == len(samples) // 2:
@@ -146,7 +119,6 @@ class TestUnboxedStorage:
             assert unboxed.percentile(q) == boxed.percentile(q)
         assert unboxed.snapshot() == boxed.snapshot()
         assert unboxed.values() == boxed.values()
-        assert unboxed.samples() == boxed.samples()
         assert all(type(v) is float for v in unboxed.values())
 
 
@@ -173,7 +145,7 @@ class TestRegistry:
             reg.gauge("a")
         reg.histogram("h")
         with pytest.raises(ValueError):
-            reg.sim_histogram("h")
+            reg.gauge("h")
 
     def test_reset_keeps_identity(self):
         reg = MetricsRegistry()
