@@ -2,12 +2,13 @@
 
 This subpackage holds the paper's algorithmic heart:
 
-* :mod:`repro.core.fairness` — Jain's fairness index [25] plus the
-  alternative fairness metrics the paper's future-work list calls for
-  (majorization [24], Gini, coefficient of variation, max-min ratio);
-* :mod:`repro.core.popularity` — the four normalized-cluster-popularity
-  models of Sections 4.1-4.3.3, from "identical peers" to "heterogeneous
-  capacities with limited storage";
+* :mod:`repro.core.fairness` — Jain's fairness index [25], the one
+  objective, plus the alternative views the paper's future-work list
+  calls for (majorization [24], Gini, coefficient of variation, max-min
+  ratio);
+* :mod:`repro.core.popularity` — normalized cluster popularity under the
+  Section 4.3.3 limited-storage model, which reduces to the Section
+  4.1/4.3.1 models when each node contributes to one category;
 * :mod:`repro.core.maxfair` — the greedy MaxFair assignment algorithm;
 * :mod:`repro.core.reassign` — the MaxFair_Reassign rebalancing algorithm;
 * :mod:`repro.core.replication` — the Section 4.3.3 replica-placement
@@ -29,16 +30,12 @@ from repro.core.fairness import (
     max_min_ratio,
 )
 from repro.core.maxfair import Assignment, maxfair
-from repro.core.popularity import (
-    ClusterModel,
-    normalized_cluster_popularities,
-)
+from repro.core.popularity import normalized_cluster_popularities
 from repro.core.reassign import ReassignResult, maxfair_reassign
 from repro.core.replication import ReplicationPlan, build_world, plan_replication
 
 __all__ = [
     "Assignment",
-    "ClusterModel",
     "ReassignResult",
     "ReplicationPlan",
     "build_world",

@@ -20,8 +20,8 @@ import hashlib
 
 import numpy as np
 
-from repro.core.maxfair import Assignment
-from repro.core.popularity import CategoryStats, ClusterModel, build_category_stats
+from repro.core.maxfair import Assignment, maxfair_from_stats
+from repro.core.popularity import CategoryStats, build_category_stats
 from repro.model.system import SystemInstance
 
 __all__ = [
@@ -70,18 +70,14 @@ def hash_assignment(n_categories: int, n_clusters: int) -> Assignment:
     return Assignment(category_to_cluster=mapping, n_clusters=n_clusters)
 
 
-def lpt_assignment(
-    stats: CategoryStats,
-    n_clusters: int,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
-) -> Assignment:
+def lpt_assignment(stats: CategoryStats, n_clusters: int) -> Assignment:
     """Longest-processing-time greedy on normalized popularity.
 
     Unlike MaxFair it does not evaluate the global fairness index; it just
     tops up the currently least-loaded cluster.  The two coincide often but
     not always — the difference is the subject of an ablation bench.
     """
-    weights = stats.weights_for(model)
+    weights = stats.storage_weight
     order = np.argsort(-stats.popularity, kind="stable")
     load = np.zeros(n_clusters)
     capacity = np.zeros(n_clusters)
@@ -111,7 +107,6 @@ ASSIGNMENT_STRATEGIES = ("maxfair", "random", "round_robin", "hash", "lpt")
 def assign_with_strategy(
     instance: SystemInstance,
     strategy: str,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
     stats: CategoryStats | None = None,
     seed: int = 0,
 ) -> Assignment:
@@ -127,11 +122,9 @@ def assign_with_strategy(
     if stats is None:
         stats = build_category_stats(instance)
     if strategy == "lpt":
-        return lpt_assignment(stats, n_clusters, model=model)
+        return lpt_assignment(stats, n_clusters)
     if strategy == "maxfair":
-        from repro.core.maxfair import maxfair_from_stats
-
-        return maxfair_from_stats(stats, n_clusters, model=model)
+        return maxfair_from_stats(stats, n_clusters)
     raise ValueError(
         f"unknown strategy {strategy!r}; choose from {ASSIGNMENT_STRATEGIES}"
     )

@@ -9,11 +9,15 @@ which lies in (0, 1], is scale-invariant, and equals 1 exactly when all
 allocations are equal.  A value of ``f`` reads as "the allocation is fair
 for a fraction f of the participants".
 
-The paper's future-work item (v) asks for alternative fairness metrics;
-this module also provides majorization (shown stricter than the fairness
-index by Bhargava, Goel and Meyerson [24]), the Gini coefficient, the
-coefficient of variation, and the max/min ratio, all over the same
-normalized-popularity vectors, so they can be swapped into MaxFair.
+The index is the one objective MaxFair, MaxFair_Reassign and the
+refinement maximize, kept incrementally by :class:`JainState`.  The
+paper's future-work item (v) asks for alternative fairness metrics; this
+module also provides majorization (shown stricter than the fairness index
+by Bhargava, Goel and Meyerson [24]), the Gini coefficient, the
+coefficient of variation, and the max/min ratio, as views of a load
+vector.  Run as MaxFair's objective on the Figure 2 scenario, all four
+reached Jain indices within 3e-4 of one another (EXPERIMENTS.md), so the
+objective is fixed to the paper's.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ __all__ = [
     "lorenz_curve",
     "coefficient_of_variation",
     "max_min_ratio",
-    "FAIRNESS_METRICS",
-    "fairness_metric",
 ]
 
 
@@ -83,11 +85,12 @@ class JainState:
         self.sum2 = 0.0
 
     @classmethod
-    def of_assignment(cls, stats, assignment, weights: np.ndarray) -> "JainState":
+    def of_assignment(cls, stats, assignment) -> "JainState":
         """The state of ``assignment`` under ``stats.popularity`` and
-        per-category ``weights``; unassigned categories (-1) count nowhere."""
+        ``stats.storage_weight``; unassigned categories (-1) count nowhere."""
         state = cls(assignment.n_clusters)
         load, capacity = state.load, state.capacity
+        weights = stats.storage_weight
         for category_id, cluster in enumerate(assignment.category_to_cluster):
             if cluster >= 0:
                 load[cluster] += stats.popularity[category_id]
@@ -192,53 +195,3 @@ def max_min_ratio(x: Sequence[float]) -> float:
     if lowest == 0.0:
         return float("inf") if arr.max() > 0 else 1.0
     return float(arr.max() / lowest)
-
-
-def _jain_objective(x: Sequence[float]) -> float:
-    return jain_fairness(x)
-
-
-def _neg_gini_objective(x: Sequence[float]) -> float:
-    return 1.0 - gini(x)
-
-
-def _neg_cv_objective(x: Sequence[float]) -> float:
-    return -coefficient_of_variation(x)
-
-
-def _neg_max_min_objective(x: Sequence[float]) -> float:
-    """Max/min objective usable as a *greedy construction* criterion.
-
-    Raw max/min is infinite while any cluster is still empty, which would
-    make every early placement look equally terrible and collapse the
-    greedy onto one cluster.  Score lexicographically instead: first fill
-    empty clusters, then minimize the ratio over the occupied ones.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    positive = arr[arr > 0]
-    empties = int(len(arr) - len(positive))
-    if len(positive) == 0:
-        return -1e12
-    ratio = float(positive.max() / positive.min())
-    return -(empties * 1e6) - ratio
-
-
-#: Named maximization objectives usable as MaxFair's fairness criterion.
-#: Each maps an allocation vector to a score where larger is fairer.
-FAIRNESS_METRICS = {
-    "jain": _jain_objective,
-    "gini": _neg_gini_objective,
-    "cv": _neg_cv_objective,
-    "max_min": _neg_max_min_objective,
-}
-
-
-def fairness_metric(name: str):
-    """Look up a named fairness objective for use in MaxFair variants."""
-    try:
-        return FAIRNESS_METRICS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fairness metric {name!r}; "
-            f"choose from {sorted(FAIRNESS_METRICS)}"
-        ) from None

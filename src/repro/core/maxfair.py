@@ -6,12 +6,12 @@ cluster popularities that would result.  All ``|C|`` candidate placements
 are tested per category, giving the paper's worst-case complexity of
 ``O(|S| * |C|^2)``.
 
-For the Jain index this implementation maintains running sums of the
-normalized-popularity vector and of its squares, evaluating each candidate
-in O(1); this computes exactly the same argmax as the textbook
-re-evaluation (the tests cross-check the two), just in ``O(|S| * |C|)``.
-Alternative fairness objectives from :mod:`repro.core.fairness` take the
-generic ``O(|S| * |C|^2)`` path.
+This implementation maintains running sums of the normalized-popularity
+vector and of its squares (:class:`repro.core.fairness.JainState`),
+evaluating each candidate in O(1); this computes exactly the same argmax
+as the textbook re-evaluation (the tests cross-check the two), just in
+``O(|S| * |C|)``.  The objective is the paper's Jain index under the
+limited-storage capacity model (:mod:`repro.core.popularity`).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fairness import JainState, fairness_metric, jain_fairness
+from repro.core.fairness import JainState, jain_fairness
 from repro.core.popularity import (
     CategoryStats,
-    ClusterModel,
     build_category_stats,
     normalized_cluster_popularities,
 )
@@ -32,7 +31,7 @@ from repro.model.system import SystemInstance
 __all__ = ["Assignment", "maxfair", "maxfair_from_stats", "category_order"]
 
 #: Category consideration orders supported by :func:`maxfair`.
-ORDERS = ("popularity_desc", "popularity_asc", "arbitrary", "random")
+ORDERS = ("popularity_desc", "popularity_asc", "arbitrary")
 
 
 @dataclass(slots=True)
@@ -92,9 +91,7 @@ class Assignment:
         )
 
 
-def category_order(
-    popularity: np.ndarray, order: str, seed: int = 0
-) -> np.ndarray:
+def category_order(popularity: np.ndarray, order: str) -> np.ndarray:
     """Return category ids in the requested consideration order."""
     if order == "popularity_desc":
         return np.argsort(-popularity, kind="stable")
@@ -102,18 +99,11 @@ def category_order(
         return np.argsort(popularity, kind="stable")
     if order == "arbitrary":
         return np.arange(len(popularity))
-    if order == "random":
-        return np.random.default_rng(seed).permutation(len(popularity))
     raise ValueError(f"unknown order {order!r}; choose from {ORDERS}")
 
 
 def maxfair_from_stats(
-    stats: CategoryStats,
-    n_clusters: int,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
-    order: str = "popularity_desc",
-    metric: str = "jain",
-    seed: int = 0,
+    stats: CategoryStats, n_clusters: int, order: str = "popularity_desc"
 ) -> Assignment:
     """Run MaxFair over precomputed category statistics.
 
@@ -122,97 +112,52 @@ def maxfair_from_stats(
     (Section 6.2).
     """
     popularity = stats.popularity
-    weights = stats.weights_for(model)
+    weights = stats.storage_weight
     assignment = Assignment(
         category_to_cluster=np.full(stats.n_categories, -1, dtype=np.int64),
         n_clusters=n_clusters,
     )
-
-    consider = category_order(popularity, order, seed=seed)
-    if metric == "jain":
-        state = JainState(n_clusters)
-        for category_id in consider:
-            category_id = int(category_id)
-            pop, weight = float(popularity[category_id]), float(weights[category_id])
-            if pop <= 0.0:
-                assignment.category_to_cluster[category_id] = 0
-                continue
-            gains = [
-                state.fairness_if((cluster, pop, weight))
-                for cluster in range(n_clusters)
-            ]
-            best = int(np.argmax(gains))
-            state.apply((best, pop, weight))
-            assignment.category_to_cluster[category_id] = best
-        return assignment
-
-    # Generic metric: re-evaluate the full vector per candidate, the
-    # paper's O(|S| * |C|^2) formulation.
-    objective = fairness_metric(metric)
-    load = np.zeros(n_clusters)
-    capacity = np.zeros(n_clusters)
-    for category_id in consider:
+    state = JainState(n_clusters)
+    for category_id in category_order(popularity, order):
         category_id = int(category_id)
         pop, weight = float(popularity[category_id]), float(weights[category_id])
         if pop <= 0.0:
             assignment.category_to_cluster[category_id] = 0
             continue
-        best_cluster, best_score = 0, -np.inf
-        for cluster in range(n_clusters):
-            load[cluster] += pop
-            capacity[cluster] += weight
-            values = np.divide(
-                load, capacity, out=np.zeros_like(load), where=capacity > 0
-            )
-            score = objective(values)
-            load[cluster] -= pop
-            capacity[cluster] -= weight
-            if score > best_score:
-                best_cluster, best_score = cluster, score
-        load[best_cluster] += pop
-        capacity[best_cluster] += weight
-        assignment.category_to_cluster[category_id] = best_cluster
+        gains = [
+            state.fairness_if((cluster, pop, weight))
+            for cluster in range(n_clusters)
+        ]
+        best = int(np.argmax(gains))
+        state.apply((best, pop, weight))
+        assignment.category_to_cluster[category_id] = best
     return assignment
 
 
 def maxfair(
     instance: SystemInstance,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
     order: str = "popularity_desc",
-    metric: str = "jain",
     stats: CategoryStats | None = None,
-    seed: int = 0,
 ) -> Assignment:
     """Run MaxFair on a system instance.
 
     Returns a complete :class:`Assignment` of every category to a cluster.
-    The achieved fairness can be read back with
-    :func:`repro.core.popularity.normalized_cluster_popularities` plus
-    :func:`repro.core.fairness.jain_fairness`.
+    The achieved fairness can be read back with :func:`achieved_fairness`.
     """
     if stats is None:
         stats = build_category_stats(instance)
-    return maxfair_from_stats(
-        stats,
-        n_clusters=instance.n_clusters,
-        model=model,
-        order=order,
-        metric=metric,
-        seed=seed,
-    )
+    return maxfair_from_stats(stats, n_clusters=instance.n_clusters, order=order)
 
 
 def achieved_fairness(
     instance: SystemInstance,
     assignment: Assignment,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
     stats: CategoryStats | None = None,
 ) -> float:
     """Jain fairness of the normalized cluster popularities of ``assignment``."""
     values = normalized_cluster_popularities(
         instance,
         assignment.category_to_cluster,
-        model=model,
         stats=stats,
         n_clusters=assignment.n_clusters,
     )

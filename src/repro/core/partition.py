@@ -40,6 +40,9 @@ __all__ = [
     "partition_decision",
 ]
 
+#: Largest spread of normalized popularities still read as "all equal".
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class ICLBInstance:
@@ -93,7 +96,7 @@ def _all_assignments(n_categories: int, k: int):
         yield (0, *rest)
 
 
-def iclb_decision(instance: ICLBInstance, tolerance: float = 1e-9) -> bool:
+def iclb_decision(instance: ICLBInstance) -> bool:
     """Exhaustively answer the ICLB decision question.
 
     Exponential in the number of categories — usable as a ground-truth
@@ -107,7 +110,7 @@ def iclb_decision(instance: ICLBInstance, tolerance: float = 1e-9) -> bool:
         occupied = [values[c] for c in set(assignment)]
         if not occupied:
             continue
-        if max(occupied) - min(occupied) <= tolerance and len(set(assignment)) == min(
+        if max(occupied) - min(occupied) <= TOLERANCE and len(set(assignment)) == min(
             instance.k, instance.n_categories
         ):
             return True

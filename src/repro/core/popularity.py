@@ -1,41 +1,38 @@
-"""Normalized cluster popularities under the paper's four peer models.
+"""Normalized cluster popularities under the paper's limited-storage model.
 
 Section 4 develops the load model in four steps of increasing generality;
 each step changes how a cluster's *capacity* (the denominator of its
 normalized popularity) is computed:
 
-1. ``UNIFORM_NODES`` (Section 4.1/4.2): identical peers, one category per
-   node — normalized popularity of cluster ``c_i`` is ``p(S_i) / |N_i|``.
-2. ``PROC_CAPACITY`` (Section 4.3.1): heterogeneous processing — divide by
-   the total computational units ``U_i`` instead of the node count.
-3. ``MULTI_CATEGORY`` (Section 4.3.2): nodes contribute to categories in
-   several clusters and split their units across those clusters in
-   proportion to the popularity of the categories each cluster stores:
-   ``p(S_i) / sum_k u_k * p(S_i) / p(S(k))``.
-4. ``LIMITED_STORAGE`` (Section 4.3.3): nodes store only subsets
-   ``D_i(k)`` of cluster content —
-   ``p(S_i) / sum_k u_k * p(D_i(k)) / p(D(k))``.
+1. identical peers, one category per node (Section 4.1/4.2) —
+   ``p(S_i) / |N_i|``;
+2. heterogeneous processing (Section 4.3.1) — divide by the total
+   computational units ``U_i`` instead of the node count;
+3. nodes in several clusters (Section 4.3.2), each splitting its units
+   across its clusters in proportion to their popularity;
+4. limited storage (Section 4.3.3): nodes store only subsets ``D_i(k)`` of
+   cluster content — ``p(S_i) / sum_k u_k * p(D_i(k)) / p(D(k))``.
 
-Models 1, 2, and 4 decompose into *per-category* constants (a category
-carries its popularity, its contributor count, its contributor capacity,
-and its storage-capacity weight), which is what lets MaxFair evaluate a
-candidate assignment incrementally in O(1).  Model 3's denominator depends
-on the whole assignment (through ``p(S(k))``), so it is evaluated exactly
-but non-incrementally; MaxFair uses the model-4 weights as its additive
-surrogate when asked to optimize under model 3.
+This module computes model 4, the one every experiment reports.  Its
+denominator decomposes into a per-category weight
+``g(s) = sum_k u_k * p_k(s) / p(D(k))``, so a cluster's capacity is the sum
+of its categories' weights and MaxFair evaluates a candidate placement in
+O(1).  When every node contributes to one category, ``p_k(s) = p(D(k))``
+for that category and ``g(s)`` is the summed units of its contributors —
+model 2 — which with unit capacities is their count — model 1.  Model 3
+keeps no per-category weight (its denominator depends on the whole
+assignment); EXPERIMENTS.md records Figure 2 measured under all four.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from repro.model.system import SystemInstance
 
 __all__ = [
-    "ClusterModel",
     "CategoryStats",
     "build_category_stats",
     "normalized_cluster_popularities",
@@ -43,34 +40,17 @@ __all__ = [
 ]
 
 
-class ClusterModel(str, Enum):
-    """Which of the Section 4 peer models to use for cluster capacity."""
-
-    UNIFORM_NODES = "uniform_nodes"
-    PROC_CAPACITY = "proc_capacity"
-    MULTI_CATEGORY = "multi_category"
-    LIMITED_STORAGE = "limited_storage"
-
-
 @dataclass(frozen=True, slots=True)
 class CategoryStats:
     """Per-category aggregates of a system instance.
 
-    All arrays are indexed by category id.  These are the sufficient
-    statistics for the additive models: a cluster's popularity and capacity
-    are sums of its categories' entries.
+    Both arrays are indexed by category id; a cluster's popularity and
+    capacity are sums of its categories' entries.
 
     Attributes
     ----------
     popularity:
         ``p(s)`` — total popularity of the category's documents.
-    contributor_count:
-        ``|N(s)|`` — number of nodes contributing documents of ``s``
-        (model 1 capacity; exact under the one-category-per-node
-        assumption, an attribution of nodes to each of their categories
-        otherwise).
-    capacity_units:
-        Summed computational units of the contributors (model 2 capacity).
     storage_weight:
         ``g(s) = sum_k u_k * p_k(s) / p(D(k))`` where ``p_k(s)`` is the
         popularity of node ``k``'s contributed documents in ``s`` — the
@@ -78,8 +58,6 @@ class CategoryStats:
     """
 
     popularity: np.ndarray
-    contributor_count: np.ndarray
-    capacity_units: np.ndarray
     storage_weight: np.ndarray
 
     @property
@@ -100,23 +78,8 @@ class CategoryStats:
                 f"popularity length {len(popularity)} != {self.n_categories}"
             )
         return CategoryStats(
-            popularity=popularity,
-            contributor_count=self.contributor_count,
-            capacity_units=self.capacity_units,
-            storage_weight=self.storage_weight,
+            popularity=popularity, storage_weight=self.storage_weight
         )
-
-    def weights_for(self, model: ClusterModel) -> np.ndarray:
-        """The additive per-category capacity weight for ``model``.
-
-        ``MULTI_CATEGORY`` has no exact additive weight; the model-4 weight
-        is returned as its surrogate (see module docstring).
-        """
-        if model is ClusterModel.UNIFORM_NODES:
-            return self.contributor_count
-        if model is ClusterModel.PROC_CAPACITY:
-            return self.capacity_units
-        return self.storage_weight
 
 
 def build_category_stats(instance: SystemInstance) -> CategoryStats:
@@ -127,13 +90,9 @@ def build_category_stats(instance: SystemInstance) -> CategoryStats:
     is the storage state at assignment time (replicas are placed only after
     categories have clusters).
     """
-    n_categories = len(instance.categories)
-    popularity = instance.category_popularity
-    # Accumulate into plain lists (float64 arithmetic either way, but list
+    # Accumulate into a plain list (float64 arithmetic either way, but list
     # indexing avoids numpy scalar-indexing overhead on this hot path).
-    contributor_count = [0.0] * n_categories
-    capacity_units = [0.0] * n_categories
-    storage_weight = [0.0] * n_categories
+    storage_weight = [0.0] * len(instance.categories)
 
     documents = instance.documents
     nodes = instance.nodes
@@ -153,22 +112,14 @@ def build_category_stats(instance: SystemInstance) -> CategoryStats:
                 for category_id in doc_cats:
                     per_category[category_id] = get(category_id, 0.0) + share
         total = sum(per_category.values())
-        units = node.capacity_units
         if total > 0:
+            units = node.capacity_units
             for category_id in cats:
-                contributor_count[category_id] += 1
-                capacity_units[category_id] += units
                 storage_weight[category_id] += (
                     units * get(category_id, 0.0) / total
                 )
-        else:
-            for category_id in cats:
-                contributor_count[category_id] += 1
-                capacity_units[category_id] += units
     return CategoryStats(
-        popularity=popularity,
-        contributor_count=np.array(contributor_count),
-        capacity_units=np.array(capacity_units),
+        popularity=instance.category_popularity,
         storage_weight=np.array(storage_weight),
     )
 
@@ -191,73 +142,13 @@ def cluster_members(
     return members
 
 
-def _additive_normalized(
-    stats: CategoryStats,
-    category_to_cluster: np.ndarray,
-    n_clusters: int,
-    weights: np.ndarray,
-) -> np.ndarray:
-    load = np.zeros(n_clusters)
-    capacity = np.zeros(n_clusters)
-    for category_id, cluster in enumerate(category_to_cluster):
-        if cluster < 0:
-            continue
-        load[cluster] += stats.popularity[category_id]
-        capacity[cluster] += weights[category_id]
-    normalized = np.zeros(n_clusters)
-    populated = capacity > 0
-    normalized[populated] = load[populated] / capacity[populated]
-    # A populated cluster with zero capacity means contributing nodes are
-    # gone — surface it as an (effectively) unbounded load.
-    stranded = (~populated) & (load > 0)
-    normalized[stranded] = np.inf
-    return normalized
-
-
-def _multi_category_normalized(
-    instance: SystemInstance,
-    category_to_cluster: np.ndarray,
-    n_clusters: int,
-) -> np.ndarray:
-    """Exact Section 4.3.2 computation (non-incremental).
-
-    ``p(S(k))`` is the total popularity of all categories in all clusters
-    node ``k`` belongs to (a member node stores *all* cluster content under
-    this model).
-    """
-    cluster_pop = np.zeros(n_clusters)
-    for category_id, cluster in enumerate(category_to_cluster):
-        if cluster >= 0:
-            cluster_pop[cluster] += instance.categories[category_id].popularity
-
-    denominator = np.zeros(n_clusters)
-    for node_id, cats in instance.node_categories.items():
-        node_clusters = {
-            int(category_to_cluster[c]) for c in cats if category_to_cluster[c] >= 0
-        }
-        p_stored = sum(cluster_pop[c] for c in node_clusters)
-        if p_stored <= 0:
-            continue
-        units = instance.nodes[node_id].capacity_units
-        for cluster in node_clusters:
-            denominator[cluster] += units * cluster_pop[cluster] / p_stored
-
-    normalized = np.zeros(n_clusters)
-    populated = denominator > 0
-    normalized[populated] = cluster_pop[populated] / denominator[populated]
-    stranded = (~populated) & (cluster_pop > 0)
-    normalized[stranded] = np.inf
-    return normalized
-
-
 def normalized_cluster_popularities(
     instance: SystemInstance,
     category_to_cluster: np.ndarray,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
     stats: CategoryStats | None = None,
     n_clusters: int | None = None,
 ) -> np.ndarray:
-    """Normalized popularity of every cluster under ``model``.
+    """Normalized popularity of every cluster.
 
     Parameters
     ----------
@@ -265,8 +156,6 @@ def normalized_cluster_popularities(
         The system the assignment lives in.
     category_to_cluster:
         Integer array mapping category id -> cluster id (-1 = unassigned).
-    model:
-        Which Section 4 capacity model to apply.
     stats:
         Optional precomputed :func:`build_category_stats` (saves rework in
         sweeps).
@@ -278,10 +167,20 @@ def normalized_cluster_popularities(
     category_to_cluster = np.asarray(category_to_cluster)
     if category_to_cluster.max(initial=-1) >= n_clusters:
         raise ValueError("assignment references a cluster id >= n_clusters")
-    if model is ClusterModel.MULTI_CATEGORY:
-        return _multi_category_normalized(instance, category_to_cluster, n_clusters)
     if stats is None:
         stats = build_category_stats(instance)
-    return _additive_normalized(
-        stats, category_to_cluster, n_clusters, stats.weights_for(model)
-    )
+    load = np.zeros(n_clusters)
+    capacity = np.zeros(n_clusters)
+    for category_id, cluster in enumerate(category_to_cluster):
+        if cluster < 0:
+            continue
+        load[cluster] += stats.popularity[category_id]
+        capacity[cluster] += stats.storage_weight[category_id]
+    normalized = np.zeros(n_clusters)
+    populated = capacity > 0
+    normalized[populated] = load[populated] / capacity[populated]
+    # A populated cluster with zero capacity means contributing nodes are
+    # gone — surface it as an (effectively) unbounded load.
+    stranded = (~populated) & (load > 0)
+    normalized[stranded] = np.inf
+    return normalized

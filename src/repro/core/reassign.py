@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.fairness import JainState
 from repro.core.maxfair import Assignment
-from repro.core.popularity import CategoryStats, ClusterModel, build_category_stats
+from repro.core.popularity import CategoryStats, build_category_stats
 from repro.model.system import SystemInstance
 
 __all__ = ["Move", "ReassignResult", "maxfair_reassign", "maxfair_reassign_from_stats"]
@@ -74,7 +74,6 @@ def maxfair_reassign_from_stats(
     assignment: Assignment,
     fairness_threshold: float = 0.92,
     max_moves: int = 50,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
 ) -> ReassignResult:
     """Run MaxFair_Reassign over precomputed category statistics.
 
@@ -92,8 +91,8 @@ def maxfair_reassign_from_stats(
         raise ValueError("MaxFair_Reassign requires a complete assignment")
 
     result_assignment = assignment.copy()
-    weights = stats.weights_for(model)
-    state = JainState.of_assignment(stats, result_assignment, weights)
+    weights = stats.storage_weight
+    state = JainState.of_assignment(stats, result_assignment)
     trace = [state.fairness()]
     moves: list[Move] = []
 
@@ -151,8 +150,6 @@ def maxfair_reassign(
     instance: SystemInstance,
     assignment: Assignment,
     fairness_threshold: float = 0.92,
-    max_moves: int = 50,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
     stats: CategoryStats | None = None,
 ) -> ReassignResult:
     """Run MaxFair_Reassign on a system instance.
@@ -160,13 +157,10 @@ def maxfair_reassign(
     ``stats`` should be rebuilt after any content perturbation so the
     popularity vector reflects the *current* system state — exactly what
     the Phase 1 monitoring of Section 6.1.2 estimates from hit counters.
+    The move budget is :func:`maxfair_reassign_from_stats`'s default.
     """
     if stats is None:
         stats = build_category_stats(instance)
     return maxfair_reassign_from_stats(
-        stats,
-        assignment,
-        fairness_threshold=fairness_threshold,
-        max_moves=max_moves,
-        model=model,
+        stats, assignment, fairness_threshold=fairness_threshold
     )

@@ -24,9 +24,15 @@ from dataclasses import dataclass
 
 from repro.core.fairness import JainState
 from repro.core.maxfair import Assignment
-from repro.core.popularity import CategoryStats, ClusterModel
+from repro.core.popularity import CategoryStats
 
 __all__ = ["RefineResult", "refine_assignment"]
+
+#: Steps a refinement applies at most (each one the best of a full
+#: neighbourhood scan).
+MAX_ROUNDS = 200
+#: The least fairness gain a step must bring to be applied.
+MIN_GAIN = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,14 +46,7 @@ class RefineResult:
     swaps_applied: int
 
 
-def refine_assignment(
-    stats: CategoryStats,
-    assignment: Assignment,
-    max_rounds: int = 200,
-    model: ClusterModel = ClusterModel.LIMITED_STORAGE,
-    enable_swaps: bool = True,
-    min_gain: float = 1e-9,
-) -> RefineResult:
+def refine_assignment(stats: CategoryStats, assignment: Assignment) -> RefineResult:
     """Hill-climb ``assignment`` toward higher fairness.
 
     Returns a refined *copy*; the input assignment is untouched (and move
@@ -56,12 +55,10 @@ def refine_assignment(
     """
     if not assignment.is_complete():
         raise ValueError("refinement requires a complete assignment")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
 
     refined = assignment.copy()
-    weights = stats.weights_for(model)
-    state = JainState.of_assignment(stats, refined, weights)
+    weights = stats.storage_weight
+    state = JainState.of_assignment(stats, refined)
     initial = state.fairness()
     moves_applied = 0
     swaps_applied = 0
@@ -72,9 +69,9 @@ def refine_assignment(
         if stats.popularity[category_id] > 0
     ]
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         current = state.fairness()
-        best_gain = min_gain
+        best_gain = MIN_GAIN
         best_action: tuple | None = None
 
         # Move neighbourhood.
@@ -94,27 +91,26 @@ def refine_assignment(
                     best_action = ("move", category_id, source, target)
 
         # Swap neighbourhood (pairs in different clusters).
-        if enable_swaps:
-            for i, cat_a in enumerate(active):
-                cluster_a = int(refined.category_to_cluster[cat_a])
-                pop_a = float(stats.popularity[cat_a])
-                weight_a = float(weights[cat_a])
-                for cat_b in active[i + 1 :]:
-                    cluster_b = int(refined.category_to_cluster[cat_b])
-                    if cluster_a == cluster_b:
-                        continue
-                    d_pop = float(stats.popularity[cat_b]) - pop_a
-                    d_weight = float(weights[cat_b]) - weight_a
-                    gain = (
-                        state.fairness_if(
-                            (cluster_a, d_pop, d_weight),
-                            (cluster_b, -d_pop, -d_weight),
-                        )
-                        - current
+        for i, cat_a in enumerate(active):
+            cluster_a = int(refined.category_to_cluster[cat_a])
+            pop_a = float(stats.popularity[cat_a])
+            weight_a = float(weights[cat_a])
+            for cat_b in active[i + 1 :]:
+                cluster_b = int(refined.category_to_cluster[cat_b])
+                if cluster_a == cluster_b:
+                    continue
+                d_pop = float(stats.popularity[cat_b]) - pop_a
+                d_weight = float(weights[cat_b]) - weight_a
+                gain = (
+                    state.fairness_if(
+                        (cluster_a, d_pop, d_weight),
+                        (cluster_b, -d_pop, -d_weight),
                     )
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_action = ("swap", cat_a, cat_b)
+                    - current
+                )
+                if gain > best_gain:
+                    best_gain = gain
+                    best_action = ("swap", cat_a, cat_b)
 
         if best_action is None:
             break  # local optimum

@@ -185,12 +185,9 @@ def precheck_output_path(path: str | None, flag: str) -> str | None:
     return None
 
 
-def fairness_of_assignment(
-    stats: CategoryStats, assignment: Assignment, weights: np.ndarray | None = None
-) -> float:
+def fairness_of_assignment(stats: CategoryStats, assignment: Assignment) -> float:
     """Jain fairness of the normalized cluster popularities of an assignment."""
-    if weights is None:
-        weights = stats.storage_weight
+    weights = stats.storage_weight
     load = np.zeros(assignment.n_clusters)
     capacity = np.zeros(assignment.n_clusters)
     for category_id, cluster in enumerate(assignment.category_to_cluster):

@@ -78,10 +78,7 @@ def _document_stats(instance, category_stats: CategoryStats):
             )
         weights[index] = share
     stats = CategoryStats(
-        popularity=popularity,
-        contributor_count=np.maximum(weights, 1e-12),
-        capacity_units=np.maximum(weights, 1e-12),
-        storage_weight=np.maximum(weights, 1e-12),
+        popularity=popularity, storage_weight=np.maximum(weights, 1e-12)
     )
     return stats, doc_ids
 

@@ -10,7 +10,7 @@ Three kinds of workload are needed to reproduce the paper's evaluation:
   per-node load and response hops.
 * **Perturbations** — the Figure 4/5 stress test: add 5% new documents
   that carry 30% of the (resulting) total popularity mass, randomly spread
-  over categories, plus node churn generators for Section 6.3 experiments.
+  over categories.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "make_query_workload",
     "diurnal_factor",
     "add_hot_documents",
-    "node_churn_events",
 ]
 
 
@@ -63,13 +62,9 @@ def zipf_category_scenario(
     return build_system(config)
 
 
-def uniform_category_scenario(
-    scale: float = 1.0, seed: int = 0, doc_theta: float = 0.8
-) -> SystemInstance:
+def uniform_category_scenario(scale: float = 1.0, seed: int = 0) -> SystemInstance:
     """Build the Figure 3 scenario (near-uniform category popularities)."""
-    config = SystemConfig(
-        scenario=SCENARIO_UNIFORM, doc_theta=doc_theta, seed=seed
-    ).scaled(scale)
+    config = SystemConfig(scenario=SCENARIO_UNIFORM, seed=seed).scaled(scale)
     return build_system(config)
 
 
@@ -252,59 +247,3 @@ def add_hot_documents(
         added_mass=added_mass,
         affected_categories=tuple(sorted(set(int(c) for c in target_categories))),
     )
-
-
-@dataclass(frozen=True, slots=True)
-class ChurnEvent:
-    """A scheduled node arrival or departure (Section 6.3 experiments)."""
-
-    time: float
-    node_id: int
-    kind: str  # "join" or "leave"
-
-
-def node_churn_events(
-    instance: SystemInstance,
-    duration: float,
-    leave_rate: float,
-    join_rate: float,
-    seed: int = 2,
-) -> list[ChurnEvent]:
-    """Generate a Poisson join/leave schedule over ``duration`` time units.
-
-    Leaves pick uniformly among the instance's current nodes (without
-    repetition); joins allocate fresh node ids above the existing range.
-    Rates are events per time unit.
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if leave_rate < 0 or join_rate < 0:
-        raise ValueError("rates must be non-negative")
-
-    rng = np.random.default_rng(seed)
-    events: list[ChurnEvent] = []
-
-    def poisson_times(rate: float) -> list[float]:
-        times, t = [], 0.0
-        if rate <= 0:
-            return times
-        while True:
-            t += float(rng.exponential(1.0 / rate))
-            if t >= duration:
-                return times
-            times.append(t)
-
-    leavers = list(instance.nodes)
-    rng.shuffle(leavers)
-    for t in poisson_times(leave_rate):
-        if not leavers:
-            break
-        events.append(ChurnEvent(time=t, node_id=leavers.pop(), kind="leave"))
-
-    next_id = max(instance.nodes, default=-1) + 1
-    for t in poisson_times(join_rate):
-        events.append(ChurnEvent(time=t, node_id=next_id, kind="join"))
-        next_id += 1
-
-    events.sort(key=lambda e: e.time)
-    return events

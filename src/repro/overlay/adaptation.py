@@ -327,12 +327,7 @@ class AdaptationCoordinator:
         # Categories with no observed traffic keep a nominal weight so they
         # do not look infinitely attractive to the reassigner.
         weights[weights <= 0] = weights[weights > 0].min() if np.any(weights > 0) else 1.0
-        stats = CategoryStats(
-            popularity=popularity,
-            contributor_count=np.maximum(weights, 1.0),
-            capacity_units=weights,
-            storage_weight=weights,
-        )
+        stats = CategoryStats(popularity=popularity, storage_weight=weights)
         assignment = Assignment(
             category_to_cluster=mapping,
             n_clusters=self.system.assignment.n_clusters,

@@ -1,9 +1,10 @@
-"""Integration: Poisson churn schedules driving a live system."""
+"""Integration: Poisson churn driving a live system."""
 
+import numpy as np
 import pytest
 
 from repro.metrics.response import summarize_responses
-from repro.model.workload import make_query_workload, node_churn_events
+from repro.model.workload import make_query_workload
 
 from tests.helpers import build_live_system
 
@@ -16,17 +17,24 @@ def churny_world():
 class TestScheduledChurn:
     def test_system_survives_poisson_churn(self, churny_world):
         instance, system = churny_world
-        events = node_churn_events(
-            instance, duration=50.0, leave_rate=0.4, join_rate=0.2, seed=82
+        # Poisson-many distinct leavers (mean 20) and fresh joiners (mean
+        # 10), interleaved at random.
+        rng = np.random.default_rng(82)
+        leavers = rng.choice(
+            sorted(instance.nodes), size=rng.poisson(20), replace=False
         )
-        assert events, "expected a non-trivial churn schedule"
+        first_joiner = max(instance.nodes) + 1
+        events = [("leave", int(node_id)) for node_id in leavers] + [
+            ("join", first_joiner + i) for i in range(rng.poisson(10))
+        ]
         applied_leaves = applied_joins = 0
-        for event in events:
-            if event.kind == "leave" and system.peer(event.node_id) is not None:
-                system.leave_node(event.node_id)
+        for index in rng.permutation(len(events)).tolist():
+            kind, node_id = events[index]
+            if kind == "leave" and system.peer(node_id) is not None:
+                system.leave_node(node_id)
                 applied_leaves += 1
-            elif event.kind == "join":
-                system.join_node(event.node_id, capacity_units=2.0)
+            elif kind == "join":
+                system.join_node(node_id, capacity_units=2.0)
                 applied_joins += 1
         assert applied_leaves > 0
         assert applied_joins > 0

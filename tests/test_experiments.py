@@ -11,9 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.fairness import FAIRNESS_METRICS
-from repro.core.maxfair import achieved_fairness, maxfair
-from repro.core.popularity import build_category_stats
 from repro.experiments import EXPERIMENTS
 from repro.experiments import (
     comparison,
@@ -28,7 +25,6 @@ from repro.experiments import (
     storage,
 )
 
-from repro.model.workload import zipf_category_scenario
 
 SCALE = 0.05  # tiny but structurally complete
 
@@ -142,22 +138,6 @@ class TestScaling:
             cells.sort()
             assert cells[-1][1] >= cells[0][1] - 1e-6
         scaling.format_result(result)
-
-    def test_objective_ablation(self):
-        """Future-work item (v): any fairness metric plugged into MaxFair
-        still balances well, and the paper's Jain objective is at or
-        near the top."""
-        instance = zipf_category_scenario(scale=SCALE, seed=7)
-        stats = build_category_stats(instance)
-        scores = {
-            metric: achieved_fairness(
-                instance, maxfair(instance, stats=stats, metric=metric),
-                stats=stats,
-            )
-            for metric in sorted(FAIRNESS_METRICS)
-        }
-        assert all(score > 0.85 for score in scores.values())
-        assert scores["jain"] >= max(scores.values()) - 0.02
 
 
 class TestStorage:

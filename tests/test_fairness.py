@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fairness import (
-    FAIRNESS_METRICS,
     coefficient_of_variation,
-    fairness_metric,
     gini,
     jain_fairness,
     lorenz_curve,
@@ -147,19 +145,3 @@ class TestOtherMetrics:
     def test_max_min_ratio_with_zero(self):
         assert max_min_ratio([0.0, 1.0]) == float("inf")
         assert max_min_ratio([0.0, 0.0]) == 1.0
-
-
-class TestMetricRegistry:
-    def test_all_metrics_present(self):
-        assert set(FAIRNESS_METRICS) == {"jain", "gini", "cv", "max_min"}
-
-    def test_all_metrics_prefer_equal(self):
-        equal = [2.0, 2.0, 2.0]
-        skewed = [5.0, 0.5, 0.5]
-        for name in FAIRNESS_METRICS:
-            metric = fairness_metric(name)
-            assert metric(equal) > metric(skewed), name
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            fairness_metric("nope")

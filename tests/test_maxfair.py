@@ -19,12 +19,7 @@ def _stats(popularity, weights=None):
     if weights is None:
         weights = np.ones_like(popularity)
     weights = np.asarray(weights, dtype=float)
-    return CategoryStats(
-        popularity=popularity,
-        contributor_count=weights,
-        capacity_units=weights,
-        storage_weight=weights,
-    )
+    return CategoryStats(popularity=popularity, storage_weight=weights)
 
 
 class TestAssignment:
@@ -84,11 +79,6 @@ class TestCategoryOrder:
     def test_arbitrary(self):
         order = category_order(np.array([0.1, 0.5]), "arbitrary")
         assert order.tolist() == [0, 1]
-
-    def test_random_is_seeded(self):
-        a = category_order(np.arange(10.0), "random", seed=3)
-        b = category_order(np.arange(10.0), "random", seed=3)
-        assert a.tolist() == b.tolist()
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -203,12 +193,6 @@ class TestMaxFairOnInstances:
         b = maxfair(small_instance, stats=small_stats)
         assert a.category_to_cluster.tolist() == b.category_to_cluster.tolist()
 
-    def test_generic_metric_path(self, small_instance, small_stats):
-        assignment = maxfair(small_instance, stats=small_stats, metric="gini")
-        assert assignment.is_complete()
-        fairness = achieved_fairness(small_instance, assignment, stats=small_stats)
-        assert fairness > 0.8
-
     def test_beats_random_assignment(self, small_instance, small_stats):
         from repro.core.baselines import random_assignment
 
@@ -221,6 +205,6 @@ class TestMaxFairOnInstances:
         ) >= achieved_fairness(small_instance, random, stats=small_stats)
 
     def test_order_variants_complete(self, small_instance, small_stats):
-        for order in ("popularity_desc", "popularity_asc", "arbitrary", "random"):
+        for order in ("popularity_desc", "popularity_asc", "arbitrary"):
             assignment = maxfair(small_instance, stats=small_stats, order=order)
             assert assignment.is_complete()

@@ -91,12 +91,7 @@ class TestExhaustiveOracle:
                 k=3,
             )
             _, optimal = best_assignment_exhaustive(instance)
-            stats = CategoryStats(
-                popularity=popularity,
-                contributor_count=np.ones(6),
-                capacity_units=np.ones(6),
-                storage_weight=np.ones(6),
-            )
+            stats = CategoryStats(popularity=popularity, storage_weight=np.ones(6))
             assignment = maxfair_from_stats(stats, n_clusters=3)
             greedy = jain_fairness(
                 instance.normalized_popularities(

@@ -1,18 +1,25 @@
-"""Tests for repro.core.popularity — the four Section 4 capacity models."""
+"""Tests for repro.core.popularity — the Section 4.3.3 capacity model and
+its reduction to the Section 4.1 / 4.3.1 models."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.maxfair import Assignment
 from repro.core.popularity import (
-    ClusterModel,
     build_category_stats,
     cluster_members,
     normalized_cluster_popularities,
 )
 from repro.model.documents import Document
 from repro.model.nodes import Node
-from repro.model.system import SystemConfig, SystemInstance
+from repro.model.system import (
+    SCENARIO_UNIFORM,
+    SCENARIO_ZIPF,
+    SystemConfig,
+    SystemInstance,
+    build_system,
+)
 
 
 def _tiny_instance(
@@ -53,24 +60,41 @@ def _tiny_instance(
     )
 
 
+@st.composite
+def one_category_per_node(draw, capacity_range=None):
+    """A world where every node contributes to one category: at least as
+    many nodes as categories, so the round-robin deal gives each node one."""
+    n_categories = draw(st.integers(min_value=1, max_value=12))
+    if capacity_range is None:
+        low = draw(st.integers(min_value=1, max_value=5))
+        capacity_range = (low, draw(st.integers(min_value=low, max_value=6)))
+    return SystemConfig(
+        n_docs=draw(st.integers(min_value=1, max_value=150)),
+        n_nodes=draw(st.integers(min_value=n_categories, max_value=40)),
+        n_categories=n_categories,
+        n_clusters=1,
+        scenario=draw(st.sampled_from((SCENARIO_ZIPF, SCENARIO_UNIFORM))),
+        capacity_range=capacity_range,
+        categories_per_node=(1, 1),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+    )
+
+
+def _contributor_units(instance: SystemInstance) -> list[list[float]]:
+    """Per category, the units of the nodes contributing documents to it
+    (``node_categories`` holds exactly the contributing nodes)."""
+    units: list[list[float]] = [[] for _ in instance.categories]
+    for node_id, cats in instance.node_categories.items():
+        assert len(cats) == 1
+        units[cats[0]].append(instance.nodes[node_id].capacity_units)
+    return units
+
+
 class TestCategoryStats:
     def test_popularity_matches_instance(self, small_instance, small_stats):
         assert np.allclose(
             small_stats.popularity, small_instance.category_popularity
         )
-
-    def test_contributor_counts(self, small_instance, small_stats):
-        for category_id in range(len(small_instance.categories)):
-            expected = len(small_instance.contributors_of_category(category_id))
-            assert small_stats.contributor_count[category_id] == expected
-
-    def test_capacity_units_sum(self, small_instance, small_stats):
-        for category_id in range(5):
-            contributors = small_instance.contributors_of_category(category_id)
-            expected = sum(
-                small_instance.nodes[n].capacity_units for n in contributors
-            )
-            assert small_stats.capacity_units[category_id] == pytest.approx(expected)
 
     def test_storage_weights_sum_to_total_capacity(
         self, small_instance, small_stats
@@ -93,23 +117,56 @@ class TestCategoryStats:
         with pytest.raises(ValueError):
             small_stats.with_popularity(np.array([1.0]))
 
-    def test_weights_for_models(self, small_stats):
-        assert (
-            small_stats.weights_for(ClusterModel.UNIFORM_NODES)
-            is small_stats.contributor_count
-        )
-        assert (
-            small_stats.weights_for(ClusterModel.PROC_CAPACITY)
-            is small_stats.capacity_units
-        )
-        assert (
-            small_stats.weights_for(ClusterModel.LIMITED_STORAGE)
-            is small_stats.storage_weight
-        )
+    # Models 1 and 2 are model 4 with one category per node: a node's
+    # whole stored popularity is in its category, so its weight there is
+    # its units.  A category's weight is then its contributors' summed
+    # units (Section 4.3.1), and their count at unit capacity (Section
+    # 4.1) — equal up to the rounding of ``units * p_k(s) / p(D(k))``.
+
+    @settings(max_examples=40, deadline=None)
+    @given(one_category_per_node(capacity_range=(1, 1)))
+    def test_contributor_counts(self, config):
+        instance = build_system(config)
+        expected = [len(units) for units in _contributor_units(instance)]
+        weights = build_category_stats(instance).storage_weight
+        assert weights.tolist() == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(one_category_per_node())
+    def test_capacity_units_sum(self, config):
+        instance = build_system(config)
+        expected = [sum(units) for units in _contributor_units(instance)]
+        weights = build_category_stats(instance).storage_weight
+        assert weights.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 class TestHandComputedModels:
-    """Pin the formulas of Sections 4.1-4.3.3 on a hand-checkable instance."""
+    """Pin the Section 4.3.3 formula, and the Section 4.1 / 4.3.1 formulas
+    it reduces to, on hand-checkable instances."""
+
+    def _one_category_per_node(self, units):
+        # Three nodes, each contributing to one category: nodes 0 and 1 to
+        # category 0 (popularity 0.4 + 0.2), node 2 to category 1 (0.4).
+        return _tiny_instance(
+            doc_specs=[(0.4, [0], 0), (0.2, [0], 1), (0.4, [1], 2)],
+            node_specs=list(enumerate(units)),
+            n_categories=2,
+            n_clusters=2,
+        )
+
+    def test_uniform_nodes_model(self):
+        # Identical peers: p(S_i) / |N_i|.
+        instance = self._one_category_per_node([1.0, 1.0, 1.0])
+        values = normalized_cluster_popularities(instance, np.array([0, 1]))
+        assert values[0] == pytest.approx(0.6 / 2)
+        assert values[1] == pytest.approx(0.4 / 1)
+
+    def test_proc_capacity_model(self):
+        # Heterogeneous processing: p(S_i) / U_i.
+        instance = self._one_category_per_node([2.0, 3.0, 4.0])
+        values = normalized_cluster_popularities(instance, np.array([0, 1]))
+        assert values[0] == pytest.approx(0.6 / (2.0 + 3.0))
+        assert values[1] == pytest.approx(0.4 / 4.0)
 
     def _instance(self):
         # Two categories, two nodes: node 0 (2 units) contributes docs of
@@ -126,44 +183,10 @@ class TestHandComputedModels:
             n_clusters=2,
         )
 
-    def test_uniform_nodes_model(self):
-        instance = self._instance()
-        mapping = np.array([0, 1])
-        values = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.UNIFORM_NODES
-        )
-        # cluster 0: p = 0.7, contributors {0, 1} -> count attribution 2.
-        assert values[0] == pytest.approx(0.7 / 2)
-        # cluster 1: p = 0.3, contributor {1}.
-        assert values[1] == pytest.approx(0.3 / 1)
-
-    def test_proc_capacity_model(self):
-        instance = self._instance()
-        mapping = np.array([0, 1])
-        values = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.PROC_CAPACITY
-        )
-        assert values[0] == pytest.approx(0.7 / (2.0 + 4.0))
-        assert values[1] == pytest.approx(0.3 / 4.0)
-
-    def test_multi_category_model(self):
-        instance = self._instance()
-        mapping = np.array([0, 1])
-        values = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.MULTI_CATEGORY
-        )
-        # Node 0 in cluster 0 only: contributes all 2 units to cluster 0.
-        # Node 1 in both: p(S(1)) = 0.7 + 0.3 = 1.0, so it gives
-        # 4 * 0.7 = 2.8 units to cluster 0 and 4 * 0.3 = 1.2 to cluster 1.
-        assert values[0] == pytest.approx(0.7 / (2.0 + 2.8))
-        assert values[1] == pytest.approx(0.3 / 1.2)
-
     def test_limited_storage_model(self):
         instance = self._instance()
         mapping = np.array([0, 1])
-        values = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.LIMITED_STORAGE
-        )
+        values = normalized_cluster_popularities(instance, mapping)
         # Node 0: stores only category-0 docs -> all 2 units to cluster 0.
         # Node 1: stored popularity 0.1 (cat 0) + 0.3 (cat 1) = 0.4 ->
         # 4 * 0.1/0.4 = 1 unit to cluster 0, 4 * 0.3/0.4 = 3 to cluster 1.
@@ -171,28 +194,13 @@ class TestHandComputedModels:
         assert values[1] == pytest.approx(0.3 / 3.0)
 
     def test_same_cluster_collapses_models(self):
-        # With every category in one cluster, the *exact* models agree:
-        # total popularity over total capacity (6 units).  The additive
-        # per-category attributions count multi-category node 1 once per
-        # category (documented approximation), giving larger denominators.
+        # With every category in one cluster the capacity is the total
+        # units, as under Section 4.3.1: storage weights split node 1's
+        # units across its categories, so they do not double count:
+        # 2 + (1 + 3) = 6.
         instance = self._instance()
-        mapping = np.array([0, 0])
-        exact = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.MULTI_CATEGORY
-        )
-        assert exact[0] == pytest.approx(1.0 / 6.0)
-        storage = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.LIMITED_STORAGE
-        )
-        # Storage weights split node 1's units across its categories, so
-        # they do NOT double count: 2 + (1 + 3) = 6.
-        assert storage[0] == pytest.approx(1.0 / 6.0)
-        proc = normalized_cluster_popularities(
-            instance, mapping, model=ClusterModel.PROC_CAPACITY
-        )
-        # Per-category capacity attribution counts node 1 in both
-        # categories: (2 + 4) + 4 = 10.
-        assert proc[0] == pytest.approx(1.0 / 10.0)
+        values = normalized_cluster_popularities(instance, np.array([0, 0]))
+        assert values[0] == pytest.approx(1.0 / 6.0)
 
 
 class TestNormalizedPopularities:

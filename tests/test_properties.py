@@ -167,12 +167,7 @@ stats_strategy = st.integers(min_value=2, max_value=30).flatmap(
 def _make_stats(popularity, weights):
     popularity = np.asarray(popularity)
     weights = np.asarray(weights)
-    return CategoryStats(
-        popularity=popularity,
-        contributor_count=weights,
-        capacity_units=weights,
-        storage_weight=weights,
-    )
+    return CategoryStats(popularity=popularity, storage_weight=weights)
 
 
 class TestMaxFairProperties:

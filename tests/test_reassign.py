@@ -14,12 +14,7 @@ def _stats(popularity, weights=None):
     if weights is None:
         weights = np.ones_like(popularity)
     weights = np.asarray(weights, dtype=float)
-    return CategoryStats(
-        popularity=popularity,
-        contributor_count=weights,
-        capacity_units=weights,
-        storage_weight=weights,
-    )
+    return CategoryStats(popularity=popularity, storage_weight=weights)
 
 
 class TestReassignBasics:

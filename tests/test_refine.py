@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.fairness import jain_fairness
+from repro.core import refine
+from repro.core.fairness import JainState, jain_fairness
 from repro.core.maxfair import Assignment, achieved_fairness, maxfair, maxfair_from_stats
 from repro.core.partition import ICLBInstance, best_assignment_exhaustive
 from repro.core.popularity import CategoryStats
@@ -15,12 +16,7 @@ def _stats(popularity, weights=None):
     if weights is None:
         weights = np.ones_like(popularity)
     weights = np.asarray(weights, dtype=float)
-    return CategoryStats(
-        popularity=popularity,
-        contributor_count=weights,
-        capacity_units=weights,
-        storage_weight=weights,
-    )
+    return CategoryStats(popularity=popularity, storage_weight=weights)
 
 
 class TestRefineBasics:
@@ -48,19 +44,22 @@ class TestRefineBasics:
         assert result.moves_applied == 1
 
     def test_swap_escapes_move_local_optimum(self):
-        # Clusters {0.9, 0.8} and {0.6, 0.7} are a local optimum for
-        # single moves under equal weights (any move worsens), but the
-        # swap 0.8 <-> 0.7 equalizes (1.6 / 1.3 -> 1.5 / 1.4 ... with
-        # weights 1 each normalized popularity is sum/2 per cluster).
-        stats = _stats([0.9, 0.8, 0.6, 0.7])
+        # Clusters {2, 5} and {1, 4} under unit weights: normalized 3.5 and
+        # 2.5.  Every single move leaves one category alone (5 vs 7/3 at
+        # best) and lowers the index, but swapping 2 <-> 1 gives 3 and 3.
+        stats = _stats([2.0, 5.0, 1.0, 4.0])
         assignment = Assignment(
             category_to_cluster=np.array([0, 0, 1, 1]), n_clusters=2
         )
-        no_swaps = refine_assignment(stats, assignment, enable_swaps=False)
-        with_swaps = refine_assignment(stats, assignment, enable_swaps=True)
-        assert with_swaps.final_fairness >= no_swaps.final_fairness
-        assert with_swaps.final_fairness == pytest.approx(1.0)
-        assert with_swaps.swaps_applied >= 1
+        state = JainState.of_assignment(stats, assignment)
+        for category_id, source in enumerate([0, 0, 1, 1]):
+            pop = stats.popularity[category_id]
+            assert state.fairness_if(
+                (source, -pop, -1.0), (1 - source, pop, 1.0)
+            ) < state.fairness()
+        result = refine_assignment(stats, assignment)
+        assert result.swaps_applied >= 1
+        assert result.final_fairness == pytest.approx(1.0)
 
     def test_move_counters_bumped(self):
         stats = _stats([0.5, 0.5])
@@ -74,13 +73,14 @@ class TestRefineBasics:
         with pytest.raises(ValueError):
             refine_assignment(stats, assignment)
 
-    def test_round_budget_respected(self):
+    def test_round_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(refine, "MAX_ROUNDS", 3)
         rng = np.random.default_rng(6)
         stats = _stats(rng.random(20))
         assignment = Assignment(
             category_to_cluster=np.zeros(20, dtype=int), n_clusters=5
         )
-        result = refine_assignment(stats, assignment, max_rounds=3)
+        result = refine_assignment(stats, assignment)
         assert result.moves_applied + result.swaps_applied <= 3
 
 

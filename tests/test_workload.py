@@ -6,7 +6,6 @@ import pytest
 from repro.model.workload import (
     add_hot_documents,
     make_query_workload,
-    node_churn_events,
     uniform_category_scenario,
     zipf_category_scenario,
 )
@@ -119,40 +118,3 @@ class TestAddHotDocuments:
         rb = add_hot_documents(b, seed=5)
         assert ra.new_doc_ids == rb.new_doc_ids
         assert ra.affected_categories == rb.affected_categories
-
-
-class TestChurnEvents:
-    def test_event_times_sorted_and_bounded(self, small_instance):
-        events = node_churn_events(
-            small_instance, duration=100.0, leave_rate=0.5, join_rate=0.3, seed=1
-        )
-        times = [e.time for e in events]
-        assert times == sorted(times)
-        assert all(0 <= t < 100.0 for t in times)
-
-    def test_leavers_are_distinct_members(self, small_instance):
-        events = node_churn_events(
-            small_instance, duration=50.0, leave_rate=1.0, join_rate=0.0, seed=2
-        )
-        leavers = [e.node_id for e in events if e.kind == "leave"]
-        assert len(set(leavers)) == len(leavers)
-        assert all(n in small_instance.nodes for n in leavers)
-
-    def test_joiners_get_fresh_ids(self, small_instance):
-        events = node_churn_events(
-            small_instance, duration=50.0, leave_rate=0.0, join_rate=1.0, seed=3
-        )
-        joiners = [e.node_id for e in events if e.kind == "join"]
-        assert all(n not in small_instance.nodes for n in joiners)
-        assert len(set(joiners)) == len(joiners)
-
-    def test_zero_rates(self, small_instance):
-        assert node_churn_events(
-            small_instance, duration=10.0, leave_rate=0.0, join_rate=0.0
-        ) == []
-
-    def test_rejects_bad_args(self, small_instance):
-        with pytest.raises(ValueError):
-            node_churn_events(small_instance, duration=0, leave_rate=1, join_rate=1)
-        with pytest.raises(ValueError):
-            node_churn_events(small_instance, duration=10, leave_rate=-1, join_rate=0)

@@ -1,9 +1,9 @@
-"""Edge cases of the workload generators (churn schedules, hot-doc upsets)."""
+"""Edge cases of the hot-document perturbation."""
 
 import pytest
 
 from repro.model.system import SystemConfig, build_system
-from repro.model.workload import add_hot_documents, node_churn_events
+from repro.model.workload import add_hot_documents
 
 WORLD = SystemConfig(
     seed=19,
@@ -18,65 +18,6 @@ WORLD = SystemConfig(
 @pytest.fixture()
 def instance():
     return build_system(WORLD)
-
-
-class TestNodeChurnEvents:
-    def test_zero_rates_yield_empty_schedule(self, instance):
-        assert node_churn_events(instance, 10.0, 0.0, 0.0) == []
-
-    def test_zero_leave_rate_yields_joins_only(self, instance):
-        events = node_churn_events(instance, 50.0, 0.0, 1.0)
-        assert events
-        assert all(event.kind == "join" for event in events)
-
-    def test_zero_join_rate_yields_leaves_only(self, instance):
-        events = node_churn_events(instance, 5.0, 1.0, 0.0)
-        assert all(event.kind == "leave" for event in events)
-
-    def test_horizon_shorter_than_first_arrival(self, instance):
-        # With a tiny rate the first exponential gap almost surely
-        # exceeds the horizon, so the schedule is empty.
-        events = node_churn_events(instance, 1e-6, 1e-6, 1e-6)
-        assert events == []
-
-    def test_nonpositive_duration_rejected(self, instance):
-        with pytest.raises(ValueError, match="duration"):
-            node_churn_events(instance, 0.0, 1.0, 1.0)
-
-    def test_negative_rate_rejected(self, instance):
-        with pytest.raises(ValueError, match="rates"):
-            node_churn_events(instance, 1.0, -1.0, 0.0)
-
-    def test_reproducible_for_seed(self, instance):
-        a = node_churn_events(instance, 20.0, 0.5, 0.5, seed=77)
-        b = node_churn_events(instance, 20.0, 0.5, 0.5, seed=77)
-        assert a == b
-
-    def test_different_seed_differs(self, instance):
-        a = node_churn_events(instance, 20.0, 0.5, 0.5, seed=1)
-        b = node_churn_events(instance, 20.0, 0.5, 0.5, seed=2)
-        assert a != b
-
-    def test_sorted_by_time_within_duration(self, instance):
-        events = node_churn_events(instance, 20.0, 0.5, 0.5)
-        times = [event.time for event in events]
-        assert times == sorted(times)
-        assert all(0.0 < t < 20.0 for t in times)
-
-    def test_leaves_never_repeat_and_name_real_nodes(self, instance):
-        events = node_churn_events(instance, 200.0, 1.0, 0.0)
-        leavers = [event.node_id for event in events]
-        assert len(leavers) == len(set(leavers))
-        assert set(leavers) <= set(instance.nodes)
-        # more leave arrivals than nodes: the schedule stops at the
-        # population size instead of inventing departures.
-        assert len(leavers) <= len(instance.nodes)
-
-    def test_joins_use_fresh_ids_above_existing_range(self, instance):
-        events = node_churn_events(instance, 50.0, 0.0, 1.0)
-        join_ids = [event.node_id for event in events]
-        assert min(join_ids) == max(instance.nodes) + 1
-        assert len(join_ids) == len(set(join_ids))
 
 
 class TestAddHotDocumentsMass:
