@@ -24,6 +24,12 @@ import numpy as np
 
 __all__ = ["GnutellaNetwork", "FloodResult"]
 
+#: iterative deepening's flood TTLs, shallow to deep [7].
+DEEPENING_TTLS = (2, 4, 7)
+#: random-walk search: walkers per query and each walker's step budget.
+WALKERS = 4
+MAX_WALK_STEPS = 128
+
 
 @dataclass(frozen=True, slots=True)
 class FloodResult:
@@ -122,9 +128,7 @@ class GnutellaNetwork:
             )
         return FloodResult(found=False, hops=ttl, messages=messages, responder=None)
 
-    def iterative_deepening(
-        self, start: int, doc_id: int, ttls=(2, 4, 7)
-    ) -> FloodResult:
+    def iterative_deepening(self, start: int, doc_id: int) -> FloodResult:
         """Yang & Garcia-Molina's iterative deepening [7].
 
         Flood with a small TTL first; only widen when the shallow search
@@ -133,7 +137,7 @@ class GnutellaNetwork:
         """
         total_messages = 0
         last = FloodResult(found=False, hops=0, messages=0, responder=None)
-        for ttl in ttls:
+        for ttl in DEEPENING_TTLS:
             result = self.flood(start, doc_id, ttl)
             total_messages += result.messages
             if result.found:
@@ -154,14 +158,12 @@ class GnutellaNetwork:
         start: int,
         doc_id: int,
         rng: np.random.Generator,
-        walkers: int = 4,
-        max_steps: int = 128,
     ) -> FloodResult:
         """k independent random walkers [7] instead of flooding.
 
         Each walker steps to a uniformly random neighbour until it finds a
         holder or exhausts its step budget; one message per step.  Message
-        cost is bounded by ``walkers * max_steps`` regardless of the
+        cost is bounded by ``WALKERS * MAX_WALK_STEPS`` regardless of the
         overlay size — the trade-off is a longer (and unbounded-variance)
         response path.
         """
@@ -170,9 +172,9 @@ class GnutellaNetwork:
             return FloodResult(found=True, hops=0, messages=0, responder=start)
         messages = 0
         best: FloodResult | None = None
-        for _ in range(walkers):
+        for _ in range(WALKERS):
             current = start
-            for step in range(1, max_steps + 1):
+            for step in range(1, MAX_WALK_STEPS + 1):
                 neighbors = sorted(self.nodes[current].neighbors)
                 if not neighbors:
                     break
@@ -195,7 +197,7 @@ class GnutellaNetwork:
                 messages=messages,
                 responder=best.responder,
             )
-        return FloodResult(found=False, hops=max_steps, messages=messages, responder=None)
+        return FloodResult(found=False, hops=MAX_WALK_STEPS, messages=messages, responder=None)
 
     def run_queries(
         self,

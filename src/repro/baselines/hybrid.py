@@ -24,6 +24,9 @@ import numpy as np
 
 __all__ = ["HybridIndexNetwork", "HybridQueryResult"]
 
+#: the directory node's id, outside the range of peer ids.
+DIRECTORY_ID = -1
+
 
 @dataclass(frozen=True, slots=True)
 class HybridQueryResult:
@@ -44,17 +47,17 @@ class _HNode:
 class HybridIndexNetwork:
     """A central directory plus data-holding peers.
 
-    The directory is a dedicated node (id ``directory_id``); peers register
-    their documents with it on "connect".
+    The directory is a dedicated node (id :data:`DIRECTORY_ID`); peers
+    register their documents with it on "connect".
     """
 
-    def __init__(self, node_ids, directory_id: int = -1) -> None:
+    def __init__(self, node_ids) -> None:
         node_list = list(node_ids)
         if not node_list:
             raise ValueError("network needs at least one node")
-        if directory_id in node_list:
-            raise ValueError("directory_id must not collide with a peer id")
-        self.directory_id = directory_id
+        if DIRECTORY_ID in node_list:
+            raise ValueError("the directory's id must not collide with a peer id")
+        self.directory_id = DIRECTORY_ID
         self.directory_load = 0
         self.nodes: dict[int, _HNode] = {
             node_id: _HNode(node_id=node_id) for node_id in node_list

@@ -27,7 +27,6 @@ from repro.core.fairness import (
     jain_fairness,
     lorenz_curve,
     majorizes,
-    max_min_ratio,
 )
 from repro.core.maxfair import Assignment, maxfair
 from repro.core.popularity import normalized_cluster_popularities
@@ -44,7 +43,6 @@ __all__ = [
     "jain_fairness",
     "lorenz_curve",
     "majorizes",
-    "max_min_ratio",
     "maxfair",
     "maxfair_reassign",
     "normalized_cluster_popularities",

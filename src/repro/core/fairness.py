@@ -13,11 +13,11 @@ The index is the one objective MaxFair, MaxFair_Reassign and the
 refinement maximize, kept incrementally by :class:`JainState`.  The
 paper's future-work item (v) asks for alternative fairness metrics; this
 module also provides majorization (shown stricter than the fairness index
-by Bhargava, Goel and Meyerson [24]), the Gini coefficient, the
-coefficient of variation, and the max/min ratio, as views of a load
-vector.  Run as MaxFair's objective on the Figure 2 scenario, all four
-reached Jain indices within 3e-4 of one another (EXPERIMENTS.md), so the
-objective is fixed to the paper's.
+by Bhargava, Goel and Meyerson [24]), the Gini coefficient and the
+coefficient of variation, as views of a load vector.  Run as MaxFair's
+objective on the Figure 2 scenario, these, the index and the max/min
+ratio reached Jain indices within 3e-4 of one another (EXPERIMENTS.md),
+so the objective is fixed to the paper's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "gini",
     "lorenz_curve",
     "coefficient_of_variation",
-    "max_min_ratio",
 ]
 
 
@@ -187,11 +186,3 @@ def coefficient_of_variation(x: Sequence[float]) -> float:
         return 0.0
     return float(arr.std() / mean)
 
-
-def max_min_ratio(x: Sequence[float]) -> float:
-    """Ratio of the largest to the smallest allocation (inf if min is 0)."""
-    arr = _as_array(x)
-    lowest = arr.min()
-    if lowest == 0.0:
-        return float("inf") if arr.max() > 0 else 1.0
-    return float(arr.max() / lowest)

@@ -46,10 +46,6 @@ class MemoryStore:
     def load(self) -> tuple[bytes | None, bytes]:
         return self._snapshot, bytes(self._wal)
 
-    def tear_wal(self, keep_bytes: int) -> None:
-        """Cut the WAL mid-record (test hook simulating a torn write)."""
-        del self._wal[keep_bytes:]
-
     def close(self) -> None:  # same contract as FileStore; nothing held
         pass
 

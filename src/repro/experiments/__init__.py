@@ -35,8 +35,8 @@ from repro.experiments import (  # noqa: F401  (re-exported for discovery)
     world_size,
 )
 
-#: experiment id -> module: the one registry.  The CLI, the :mod:`repro.api`
-#: facade and the tests all dispatch through it.
+#: experiment id -> module: the one registry.  The CLI and the tests
+#: dispatch through it.
 EXPERIMENTS = {
     "F2": figure2,
     "F3": figure3,

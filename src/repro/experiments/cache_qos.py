@@ -58,7 +58,7 @@ BASE_SERVICE_TIME = 0.5
 QUEUE_CAPACITY = 3
 
 #: a success counts toward goodput only within this many seconds.
-DEFAULT_SLO = 2.0
+SLO = 2.0
 
 #: flash-crowd offered load as a multiple of aggregate service capacity.
 CROWD_LOAD = 2.0
@@ -192,15 +192,7 @@ def _crowd_chunk(
     )
 
 
-def _measure_arm(
-    adaptive: bool,
-    seed: int,
-    slo: float,
-    crowd_chunks: int,
-    chunk_window: float,
-    warmup_window: float,
-    cooldown_rounds: int,
-) -> tuple[ArmResult, float, int]:
+def _measure_arm(adaptive: bool, seed: int) -> tuple[ArmResult, float, int]:
     instance, system = _build_world(seed, adaptive)
     capacity = sum(node.capacity_units for node in instance.nodes.values())
     saturation_rate = capacity / BASE_SERVICE_TIME
@@ -216,7 +208,7 @@ def _measure_arm(
 
     # Phase 1: warmup — light Zipf traffic plus one control round.
     warmup_rate = WARMUP_LOAD * saturation_rate
-    n_warmup = max(1, int(round(warmup_rate * warmup_window)))
+    n_warmup = max(1, int(round(warmup_rate * WARMUP_WINDOW)))
     warmup = make_query_workload(instance, n_warmup, seed=seed + 1)
     system.run_workload(warmup, query_interval=1.0 / warmup_rate)
     system.run_replication_round()
@@ -224,12 +216,12 @@ def _measure_arm(
 
     # Phase 2: flash crowd — chunks with a control round between them.
     crowd_rate = CROWD_LOAD * saturation_rate
-    per_chunk = max(1, int(round(crowd_rate * chunk_window)))
+    per_chunk = max(1, int(round(crowd_rate * CHUNK_WINDOW)))
     crowd_rng = np.random.default_rng(seed + 2)
     shed_before = shed_counter.value
     outcomes = []
     replicas_peak = replicas_baseline
-    for _chunk in range(crowd_chunks):
+    for _chunk in range(CROWD_CHUNKS):
         outcomes.extend(
             _crowd_chunk(
                 system,
@@ -245,7 +237,7 @@ def _measure_arm(
     crowd_shed = int(shed_counter.value - shed_before)
 
     # Phase 3: cooldown — quiet rounds; slow shrink retires the replicas.
-    for _round in range(cooldown_rounds):
+    for _round in range(COOLDOWN_ROUNDS):
         system.run_replication_round()
     replicas_final = placed()
 
@@ -255,9 +247,9 @@ def _measure_arm(
         for outcome in outcomes
         if outcome.succeeded
         and outcome.latency is not None
-        and outcome.latency <= slo
+        and outcome.latency <= SLO
     )
-    crowd_window = crowd_chunks * chunk_window
+    crowd_window = CROWD_CHUNKS * CHUNK_WINDOW
     cache_totals = {"fills": 0, "served_hits": 0, "evictions": 0}
     for peer in system.alive_peers():
         stats = peer.cache_stats()
@@ -281,38 +273,21 @@ def _measure_arm(
     return arm, saturation_rate, hot_category
 
 
-def run(
-    seed: int = 7,
-    slo: float = DEFAULT_SLO,
-    crowd_chunks: int = CROWD_CHUNKS,
-    chunk_window: float = CHUNK_WINDOW,
-    warmup_window: float = WARMUP_WINDOW,
-    cooldown_rounds: int = COOLDOWN_ROUNDS,
-) -> CacheQosResult:
+def run(seed: int = 7) -> CacheQosResult:
     """Run both arms over identical worlds and crowd traffic.
 
     There is no ``scale``: the experiment uses the fixed multi-cluster
     OVERLOAD world so saturation is well defined and the redirect policy
-    has replica holders to offer.  The phase-length knobs exist for the
-    test suite, which runs a shortened crowd; the defaults are the
-    reported experiment.
+    has replica holders to offer.
     """
-    phase_kwargs = dict(
-        crowd_chunks=crowd_chunks,
-        chunk_window=chunk_window,
-        warmup_window=warmup_window,
-        cooldown_rounds=cooldown_rounds,
-    )
     static_arm, saturation_rate, hot_category = _measure_arm(
-        adaptive=False, seed=seed, slo=slo, **phase_kwargs
+        adaptive=False, seed=seed
     )
-    adaptive_arm, _, _ = _measure_arm(
-        adaptive=True, seed=seed, slo=slo, **phase_kwargs
-    )
+    adaptive_arm, _, _ = _measure_arm(adaptive=True, seed=seed)
     return CacheQosResult(
         seed=seed,
-        slo=slo,
-        crowd_window_s=crowd_chunks * chunk_window,
+        slo=SLO,
+        crowd_window_s=CROWD_CHUNKS * CHUNK_WINDOW,
         saturation_rate=saturation_rate,
         hot_category=hot_category,
         static=static_arm,

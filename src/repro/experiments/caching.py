@@ -31,6 +31,7 @@ from repro.overlay.system import P2PSystem, P2PSystemConfig
 __all__ = ["CacheRow", "CachingResult", "run", "format_result"]
 
 CACHE_CAPACITIES = (0, 4, 16, 64)
+N_QUERIES = 6000
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,19 +49,14 @@ class CachingResult:
     rows: tuple[CacheRow, ...]
 
 
-def run(
-    scale: float = DES_SCALE,
-    seed: int = 7,
-    n_queries: int = 6000,
-    capacities: tuple[int, ...] = CACHE_CAPACITIES,
-) -> CachingResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> CachingResult:
     """Sweep the cache capacity under a fixed Zipf workload."""
     # No hot-mass replication: caching is the only hot-content spreader.
     instance, assignment, plan = build_world(scale=scale, seed=seed, hot_mass=0.0)
-    workload = make_query_workload(instance, n_queries, seed=seed + 1)
+    workload = make_query_workload(instance, N_QUERIES, seed=seed + 1)
 
     rows = []
-    for capacity in capacities:
+    for capacity in CACHE_CAPACITIES:
         system = P2PSystem(
             instance,
             assignment,
@@ -87,7 +83,7 @@ def run(
                 cached_copies=cached_copies,
             )
         )
-    return CachingResult(scale=scale, n_queries=n_queries, rows=tuple(rows))
+    return CachingResult(scale=scale, n_queries=N_QUERIES, rows=tuple(rows))
 
 
 def format_result(result: CachingResult) -> str:

@@ -58,15 +58,11 @@ class ClusterConfigResult:
     rows: tuple[ConfigRow, ...]
 
 
-def run(
-    scale: float = DES_SCALE,
-    seed: int = 7,
-    cluster_counts: tuple[int, ...] = CLUSTER_COUNTS,
-) -> ClusterConfigResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> ClusterConfigResult:
     """Sweep the cluster count; measure the configuration trade-offs."""
     base = SystemConfig(seed=seed).scaled(scale)
     rows = []
-    for paper_count in cluster_counts:
+    for paper_count in CLUSTER_COUNTS:
         n_clusters = max(2, round(paper_count * scale))
         config = replace(base, n_clusters=n_clusters)
         instance, assignment, plan = build_world(config)

@@ -34,6 +34,8 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["SystemRow", "ComparisonResult", "run", "format_result"]
 
+N_QUERIES = 5000
+
 
 @dataclass(frozen=True, slots=True)
 class SystemRow:
@@ -81,13 +83,11 @@ def _load_summary(loads: dict[int, int]) -> tuple[float, float]:
     return fairness, hottest
 
 
-def run(
-    scale: float = DES_SCALE, seed: int = 7, n_queries: int = 5000
-) -> ComparisonResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
     """Run the four systems on one instance and one query stream."""
     rngs = RngRegistry(root_seed=seed)
     instance, assignment, plan = build_world(scale=scale, seed=seed)
-    workload = make_query_workload(instance, n_queries, seed=seed + 1)
+    workload = make_query_workload(instance, N_QUERIES, seed=seed + 1)
     doc_stream = [q.target_doc_id for q in workload]
     contributors = set(instance.node_categories)
     rows = []
@@ -228,7 +228,7 @@ def run(
 
     return ComparisonResult(
         scale=scale,
-        n_queries=n_queries,
+        n_queries=N_QUERIES,
         rows=tuple(rows),
         search_rows=tuple(search_rows),
     )

@@ -37,6 +37,16 @@ from repro.overlay.system import P2PSystem
 
 __all__ = ["DynamicsRound", "DynamicsResult", "run", "format_result"]
 
+QUERIES_PER_ROUND = 4000
+ROUNDS_AFTER_CROWD = 3
+# Adaptation thresholds: rebalance below LOW_THRESHOLD, until fairness
+# reaches HIGH_THRESHOLD.
+LOW_THRESHOLD = 0.90
+HIGH_THRESHOLD = 0.92
+# Graceful departures (capped at a tenth of the live peers) and fresh joins.
+CHURN_LEAVES = 10
+CHURN_JOINS = 5
+
 
 @dataclass(frozen=True, slots=True)
 class DynamicsRound:
@@ -62,28 +72,19 @@ class DynamicsResult:
         return self.rounds[-1].observed_fairness
 
 
-def run(
-    scale: float = DES_SCALE,
-    seed: int = 5,
-    queries_per_round: int = 4000,
-    n_rounds_after_crowd: int = 3,
-    low_threshold: float = 0.90,
-    high_threshold: float = 0.92,
-    churn_leaves: int = 10,
-    churn_joins: int = 5,
-) -> DynamicsResult:
+def run(scale: float = DES_SCALE, seed: int = 5) -> DynamicsResult:
     """Run the full dynamics scenario; returns the per-round trace."""
     instance, assignment, plan = build_world(scale=scale, seed=seed)
     system = P2PSystem(instance, assignment, plan=plan)
     config = AdaptationConfig(
-        low_threshold=low_threshold, high_threshold=high_threshold
+        low_threshold=LOW_THRESHOLD, high_threshold=HIGH_THRESHOLD
     )
     rounds: list[DynamicsRound] = []
 
     def observe(label: str, round_id: int, workload_seed: int) -> None:
         system.reset_hit_counters()
         outcomes = system.run_workload(
-            make_query_workload(instance, queries_per_round, seed=workload_seed)
+            make_query_workload(instance, QUERIES_PER_ROUND, seed=workload_seed)
         )
         response = summarize_responses(outcomes)
         adaptation = system.run_adaptation(round_id=round_id, config=config)
@@ -121,7 +122,7 @@ def run(
     system.sim.run()
 
     # 3. adaptation rounds until stable
-    for index in range(n_rounds_after_crowd):
+    for index in range(ROUNDS_AFTER_CROWD):
         observe(
             f"post-crowd {index + 1}",
             round_id=index + 1,
@@ -134,15 +135,15 @@ def run(
     leavers = [
         alive[int(i)]
         for i in protocol_rng.choice(
-            len(alive), size=min(churn_leaves, len(alive) // 10), replace=False
+            len(alive), size=min(CHURN_LEAVES, len(alive) // 10), replace=False
         )
     ]
     for node_id in leavers:
         system.leave_node(node_id)
     next_id = max(instance.nodes) + 1
-    for joiner in range(churn_joins):
+    for joiner in range(CHURN_JOINS):
         system.join_node(next_id + joiner, capacity_units=2.0)
-    observe("post-churn", round_id=n_rounds_after_crowd + 1,
+    observe("post-churn", round_id=ROUNDS_AFTER_CROWD + 1,
             workload_seed=seed + 300)
 
     # 5. epidemic dissemination of the moved mappings
@@ -154,7 +155,7 @@ def run(
         rounds=tuple(rounds),
         final_dcrt_agreement=convergence.agreement,
         departures=len(leavers),
-        joins=churn_joins,
+        joins=CHURN_JOINS,
     )
 
 

@@ -35,6 +35,14 @@ __all__ = ["Figure4Point", "Figure4Result", "run", "format_result"]
 
 PAPER_WORST_FINAL = 0.78
 THETAS = (0.4, 0.5, 0.6, 0.7, 0.8)
+# Section 5: 5 % new documents carrying 30 % of the mass, spread over a
+# random 15 % of the categories.
+DOC_FRACTION = 0.05
+MASS_FRACTION = 0.30
+CATEGORY_SUBSET_FRACTION = 0.15
+# Perturbation seeds averaged per theta (the paper plots a single curve;
+# averaging removes one-draw noise at reduced scale).
+N_REPEATS = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,23 +60,10 @@ class Figure4Result:
     points: tuple[Figure4Point, ...]
 
 
-def run(
-    scale: float = ALGO_SCALE,
-    seed: int = 7,
-    thetas: tuple[float, ...] = THETAS,
-    doc_fraction: float = 0.05,
-    mass_fraction: float = 0.30,
-    category_subset_fraction: float = 0.15,
-    n_repeats: int = 3,
-) -> Figure4Result:
-    """Sweep theta; measure fairness before/after the perturbation.
-
-    ``n_repeats`` perturbation seeds are averaged per theta (the paper
-    plots a single curve; averaging removes one-draw noise at reduced
-    scale).
-    """
+def run(scale: float = ALGO_SCALE, seed: int = 7) -> Figure4Result:
+    """Sweep theta; measure fairness before/after the perturbation."""
     points = []
-    for theta in thetas:
+    for theta in THETAS:
         instance = zipf_category_scenario(
             scale=scale, seed=seed, doc_theta=theta, category_theta=0.7
         )
@@ -77,17 +72,17 @@ def run(
         initial = fairness_of_assignment(stats, assignment)
 
         finals = []
-        for repeat in range(n_repeats):
+        for repeat in range(N_REPEATS):
             perturbed = zipf_category_scenario(
                 scale=scale, seed=seed, doc_theta=theta, category_theta=0.7
             )
             add_hot_documents(
                 perturbed,
-                doc_fraction=doc_fraction,
-                mass_fraction=mass_fraction,
+                doc_fraction=DOC_FRACTION,
+                mass_fraction=MASS_FRACTION,
                 seed=seed + 101 * (repeat + 1),
                 new_doc_theta=theta,
-                category_subset_fraction=category_subset_fraction,
+                category_subset_fraction=CATEGORY_SUBSET_FRACTION,
             )
             new_stats = build_category_stats(perturbed)
             finals.append(

@@ -27,6 +27,11 @@ __all__ = ["Figure5Run", "Figure5Result", "run", "format_result"]
 PAPER_MAX_MOVES = 8
 UPPER_THRESHOLD = 0.92
 LOWER_THRESHOLD = 0.83
+# The five experiments' perturbation seeds, the new documents' share of
+# the popularity mass, and the reassignment budget of each run.
+SEEDS = (3, 11, 23, 37, 51)
+MASS_FRACTION = 0.30
+MAX_MOVES = 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,30 +61,23 @@ class Figure5Result:
         return all(r.converged for r in self.runs)
 
 
-def run(
-    scale: float = ALGO_SCALE,
-    seeds: tuple[int, ...] = (3, 11, 23, 37, 51),
-    mass_fraction: float = 0.30,
-    category_subset_fraction: float | None = None,
-    max_moves: int = 30,
-) -> Figure5Result:
+def run(scale: float = ALGO_SCALE) -> Figure5Result:
     """Run the five Figure 5 experiments.
 
     Evaluation and reassignment both use the post-perturbation popularity
     against the pre-perturbation capacity structure — the load changed, the
     resources did not (rebalancing is exactly what is being decided).
 
-    ``category_subset_fraction`` defaults to a scale-aware value: the drop
-    a given concentration causes grows with the cluster count, so the
+    The new mass lands on a scale-aware fraction of the categories: the
+    drop a given concentration causes grows with the cluster count, so the
     fraction widens with scale to keep the *initial fairness* in the
     paper's observed band (~0.65-0.87) — at full scale, 30% extra mass on
     40% of the categories starts runs near 0.87 and MaxFair_Reassign
     recovers in the paper's 7-8 moves.
     """
-    if category_subset_fraction is None:
-        category_subset_fraction = min(1.0, max(0.10, 0.4 * scale))
+    category_subset_fraction = min(1.0, max(0.10, 0.4 * scale))
     runs = []
-    for experiment_seed in seeds:
+    for experiment_seed in SEEDS:
         instance = zipf_category_scenario(
             scale=scale,
             seed=7 + experiment_seed,
@@ -90,7 +88,7 @@ def run(
         assignment = maxfair(instance, stats=stats)
         add_hot_documents(
             instance,
-            mass_fraction=mass_fraction,
+            mass_fraction=MASS_FRACTION,
             seed=experiment_seed,
             new_doc_theta=0.8,
             category_subset_fraction=category_subset_fraction,
@@ -101,7 +99,7 @@ def run(
             hybrid,
             assignment,
             fairness_threshold=UPPER_THRESHOLD,
-            max_moves=max_moves,
+            max_moves=MAX_MOVES,
         )
         runs.append(
             Figure5Run(

@@ -32,6 +32,9 @@ from repro.chaos import (
 
 __all__ = ["FuzzResult", "run", "format_result"]
 
+#: shrink the first failing schedule to a minimal pytest reproducer.
+SHRINK_FAILING = True
+
 
 @dataclass(slots=True)
 class FuzzResult:
@@ -71,7 +74,6 @@ def run(
     seeds: int = 10,
     steps: int | None = None,
     check_invariants: bool = True,
-    shrink_failing: bool = True,
     features: frozenset[str] = frozenset(),
 ) -> FuzzResult:
     """Fuzz ``seeds`` consecutive seeds starting at ``seed``.
@@ -109,7 +111,7 @@ def run(
             run_schedule(schedule, config, check_invariants=check_invariants)
         )
     obs.gauge("chaos.failing_seeds").set(len(result.failing_seeds))
-    if result.failing_seeds and shrink_failing and check_invariants:
+    if result.failing_seeds and SHRINK_FAILING and check_invariants:
         first = result.failing_seeds[0]
         original = generate_schedule(first, config)
         small, report = shrink(original, config, max_runs=80)

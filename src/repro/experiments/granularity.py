@@ -34,6 +34,12 @@ from repro.model.workload import add_hot_documents, zipf_category_scenario
 __all__ = ["GranularityRow", "GranularityResult", "run", "format_result"]
 
 MB = 1024 * 1024
+# The perturbation (30 % new mass on 10 % of the categories), the upper
+# reassignment threshold, and the replicas each moved item drags along.
+MASS_FRACTION = 0.30
+CATEGORY_SUBSET_FRACTION = 0.10
+FAIRNESS_THRESHOLD = 0.92
+N_REPS = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,14 +89,7 @@ def _document_stats(instance, category_stats: CategoryStats):
     return stats, doc_ids
 
 
-def run(
-    scale: float = ALGO_SCALE,
-    seed: int = 7,
-    mass_fraction: float = 0.30,
-    category_subset_fraction: float = 0.10,
-    fairness_threshold: float = 0.92,
-    n_reps: int = 2,
-) -> GranularityResult:
+def run(scale: float = ALGO_SCALE, seed: int = 7) -> GranularityResult:
     """Perturb once, rebalance at both granularities, compare costs."""
     instance = zipf_category_scenario(
         scale=scale, seed=seed, doc_theta=0.8, category_theta=0.8
@@ -99,10 +98,10 @@ def run(
     assignment = maxfair(instance, stats=original_stats)
     add_hot_documents(
         instance,
-        mass_fraction=mass_fraction,
+        mass_fraction=MASS_FRACTION,
         seed=seed + 1,
         new_doc_theta=0.8,
-        category_subset_fraction=category_subset_fraction,
+        category_subset_fraction=CATEGORY_SUBSET_FRACTION,
     )
     perturbed = build_category_stats(instance)
     hybrid = original_stats.with_popularity(perturbed.popularity)
@@ -112,10 +111,10 @@ def run(
 
     # (a) category granularity — the paper's algorithm.
     category_result = maxfair_reassign_from_stats(
-        hybrid, assignment, fairness_threshold=fairness_threshold, max_moves=60
+        hybrid, assignment, fairness_threshold=FAIRNESS_THRESHOLD, max_moves=60
     )
     category_bytes = sum(
-        instance.categories[move.category_id].n_docs * doc_size * n_reps
+        instance.categories[move.category_id].n_docs * doc_size * N_REPS
         for move in category_result.moves
     )
     rows.append(
@@ -143,10 +142,10 @@ def run(
     doc_result = maxfair_reassign_from_stats(
         doc_stats,
         doc_assignment,
-        fairness_threshold=fairness_threshold,
+        fairness_threshold=FAIRNESS_THRESHOLD,
         max_moves=400,
     )
-    doc_bytes = doc_result.n_moves * doc_size * n_reps
+    doc_bytes = doc_result.n_moves * doc_size * N_REPS
     rows.append(
         GranularityRow(
             granularity="document",

@@ -110,7 +110,6 @@ def measure(
     churn_rate: float,
     healing: bool,
     seed: int = 7,
-    n_waves: int = N_WAVES,
     fetches_per_wave: int = 40,
     scale: float = 1.0,
 ) -> HealRow:
@@ -141,7 +140,7 @@ def measure(
         heal_until_dry()
 
     workload_ids: list[int] = []
-    for _wave in range(n_waves):
+    for _wave in range(N_WAVES):
         alive = [peer.node_id for peer in system.alive_peers()]
         n_crashes = min(
             int(round(churn_rate * len(alive))),
@@ -194,15 +193,11 @@ def measure(
     )
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 7,
-    churns: tuple[float, ...] = CHURN_SETTINGS,
-) -> HealResult:
+def run(scale: float = 1.0, seed: int = 7) -> HealResult:
     """Sweep churn rate x {healing off, healing on}."""
     fetches_per_wave = max(10, int(40 * scale))
     rows = []
-    for churn_rate in churns:
+    for churn_rate in CHURN_SETTINGS:
         for healing in (False, True):
             rows.append(
                 measure(

@@ -33,6 +33,7 @@ from repro.overlay.system import P2PSystem
 __all__ = ["IntraClusterRow", "IntraClusterResult", "run", "format_result"]
 
 HOT_MASS_SETTINGS = (0.0, 0.20, 0.35, 0.50)
+N_QUERIES = 6000
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +61,10 @@ class IntraClusterResult:
     policy_rows: tuple[PolicyRow, ...] = ()
 
 
-def run(
-    scale: float = DES_SCALE,
-    seed: int = 7,
-    n_queries: int = 6000,
-    hot_masses: tuple[float, ...] = HOT_MASS_SETTINGS,
-) -> IntraClusterResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> IntraClusterResult:
     """Sweep the hot-mass knob; measure expected and observed fairness."""
     rows = []
-    for hot_mass in hot_masses:
+    for hot_mass in HOT_MASS_SETTINGS:
         instance, assignment, plan = build_world(
             scale=scale, seed=seed, hot_mass=hot_mass
         )
@@ -84,7 +80,7 @@ def run(
         # Observed: run a query stream, measure served-load fairness among
         # cluster members (averaged over clusters).
         system = P2PSystem(instance, assignment, plan=plan)
-        system.run_workload(make_query_workload(instance, n_queries, seed=seed + 1))
+        system.run_workload(make_query_workload(instance, N_QUERIES, seed=seed + 1))
         loads = system.node_loads()
         members = cluster_members(instance, assignment.category_to_cluster)
         cluster_fairness = []

@@ -35,6 +35,8 @@ __all__ = ["LossRow", "LossResult", "measure", "run", "format_result", "smoke"]
 
 #: drop probabilities swept by :func:`run` (0% to 30%).
 DROP_SETTINGS = (0.0, 0.05, 0.10, 0.20, 0.30)
+#: queries per sweep cell.
+N_QUERIES = 2000
 #: drop probability -> least reliability-on success :func:`smoke` accepts
 #: (scale 0.03, seed 7, 2,000 queries): what the design with acked
 #: answers reached, so the deadline-only recovery must do no worse.
@@ -80,7 +82,6 @@ def measure(
     reliable: bool,
     scale: float,
     seed: int = 7,
-    n_queries: int = 2000,
 ) -> LossRow:
     """Run one workload under one (loss, reliability) setting.
 
@@ -88,7 +89,7 @@ def measure(
     identical except for the reliability switch.
     """
     instance, assignment, plan = build_world(scale=scale, seed=seed)
-    workload = make_query_workload(instance, n_queries, seed=seed + 1)
+    workload = make_query_workload(instance, N_QUERIES, seed=seed + 1)
     system = P2PSystem(
         instance,
         assignment,
@@ -123,26 +124,14 @@ def measure(
     )
 
 
-def run(
-    scale: float = DES_SCALE,
-    seed: int = 7,
-    n_queries: int = 2000,
-    drops: tuple[float, ...] = DROP_SETTINGS,
-) -> LossResult:
+def run(scale: float = DES_SCALE, seed: int = 7) -> LossResult:
     """Sweep drop probability x {unreliable, reliable}."""
-    rows = []
-    for drop_probability in drops:
-        for reliable in (False, True):
-            rows.append(
-                measure(
-                    drop_probability,
-                    reliable,
-                    scale=scale,
-                    seed=seed,
-                    n_queries=n_queries,
-                )
-            )
-    return LossResult(scale=scale, n_queries=n_queries, rows=tuple(rows))
+    rows = [
+        measure(drop_probability, reliable, scale=scale, seed=seed)
+        for drop_probability in DROP_SETTINGS
+        for reliable in (False, True)
+    ]
+    return LossResult(scale=scale, n_queries=N_QUERIES, rows=tuple(rows))
 
 
 def format_result(result: LossResult) -> str:

@@ -65,7 +65,7 @@ QUEUE_CAPACITY = 3
 #: within this many seconds (deliberately below the reliability layer's
 #: query deadline: a response that limps in just before give-up is not
 #: "good" service).
-DEFAULT_SLO = 2.0
+SLO = 2.0
 
 #: seconds of offered traffic per sweep cell.  Long relative to the SLO:
 #: at 2x saturation an unbounded queue's wait grows by a second per
@@ -175,7 +175,6 @@ def measure(
     protected: bool,
     seed: int = 7,
     window: float = DEFAULT_WINDOW,
-    slo: float = DEFAULT_SLO,
 ) -> OverloadRow:
     """Run one offered-load window under one protection mode.
 
@@ -203,7 +202,7 @@ def measure(
         for outcome in outcomes
         if outcome.succeeded
         and outcome.latency is not None
-        and outcome.latency <= slo
+        and outcome.latency <= SLO
     )
     return OverloadRow(
         load=load,
@@ -225,7 +224,6 @@ def run(
     seed: int = 7,
     loads: tuple[float, ...] = LOAD_SETTINGS,
     window: float = DEFAULT_WINDOW,
-    slo: float = DEFAULT_SLO,
 ) -> OverloadResult:
     """Sweep offered load x {unprotected, protected}.
 
@@ -238,12 +236,10 @@ def run(
     rows = []
     for load in loads:
         for protected in (False, True):
-            rows.append(
-                measure(load, protected, seed=seed, window=window, slo=slo)
-            )
+            rows.append(measure(load, protected, seed=seed, window=window))
     return OverloadResult(
         seed=seed,
-        slo=slo,
+        slo=SLO,
         window_s=window,
         saturation_rate=capacity / BASE_SERVICE_TIME,
         rows=tuple(rows),

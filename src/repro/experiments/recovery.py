@@ -121,7 +121,6 @@ def _victim_plan(system, n_cycles: int) -> list[int]:
 def measure(
     persistence: bool,
     seed: int = 7,
-    n_cycles: int = N_CYCLES,
     scale: float = 1.0,
 ) -> RecoveryRow:
     """Run the crash/restart cycles plus the divergence phase, one arm."""
@@ -129,7 +128,7 @@ def measure(
     system = runner.system
     manager = system.content
     fetch_rng = system.rngs.stream("recovery.fetch")
-    victims = _victim_plan(system, n_cycles)
+    victims = _victim_plan(system, N_CYCLES)
     settled = []
     manager.settled_listeners.append(settled.append)
 
@@ -221,17 +220,13 @@ def _divergence_phase(system) -> tuple[int, int]:
     return before, dissenters()
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 7,
-    n_cycles: int = N_CYCLES,
-) -> RecoveryResult:
+def run(scale: float = 1.0, seed: int = 7) -> RecoveryResult:
     """Measure {persistence off, persistence on} under identical faults."""
     rows = [
-        measure(persistence, seed=seed, n_cycles=n_cycles, scale=scale)
+        measure(persistence, seed=seed, scale=scale)
         for persistence in (False, True)
     ]
-    return RecoveryResult(seed=seed, n_cycles=n_cycles, rows=tuple(rows))
+    return RecoveryResult(seed=seed, n_cycles=N_CYCLES, rows=tuple(rows))
 
 
 def format_result(result: RecoveryResult) -> str:

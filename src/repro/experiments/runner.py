@@ -34,7 +34,7 @@ from repro.experiments.common import (
 __all__ = ["main"]
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -147,4 +147,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -75,10 +75,7 @@ class ScenarioResult:
     violation_details: list[str] = field(default_factory=list)
 
 
-def run(
-    seed: int = 7,
-    check_invariants: bool = True,
-) -> ScenarioResult:
+def run(seed: int = 7) -> ScenarioResult:
     """Run the standard 4-spec matrix; see the module docstring.
 
     There is no ``scale``: the scenario world uses a fixed multi-cluster
@@ -100,7 +97,6 @@ def run(
             # The fuzzing churn floor (min_alive) would refuse every
             # control on this 16-node world; a spec's controls always apply.
             ScenarioConfig(min_alive=0, **_WORLD),
-            check_invariants,
             world=build_world(
                 instance, exclude_free_riders=spec.free_riders is not None
             ),
@@ -130,8 +126,7 @@ def run(
         for phase, entries in enumerate(phases):
             checker.step = phase
             outcomes = runner.interpreter.play(entries, phase * phase_window)
-            if check_invariants:
-                checker.check("query-termination", outcomes)
+            checker.check("query-termination", outcomes)
             response = summarize_responses(outcomes)
             served_now = {
                 peer.node_id: peer.requests_served for peer in contributors

@@ -67,6 +67,10 @@ SITES = (
     "nrt_tables", "nrt_ids", "capability_tables", "holder_sets", "docs_dt", "dcrt",
 )
 
+#: the one world :func:`content_calls` and :func:`durable_baseline` build.
+PROBE_SCALE = 0.03
+PROBE_SEED = 7
+
 _MIB = 1024 * 1024
 
 #: what the fresh interpreter of one scale runs: ``-c _CHILD scale seed``.
@@ -253,15 +257,15 @@ def format_result(result: WorldResult) -> str:
     )
 
 
-def content_calls(scale: float = 0.03, seed: int = 7) -> tuple[int, int]:
+def content_calls() -> tuple[int, int]:
     """``(calls, documents + peers)``: the Python-level calls switching the
     content data plane on adds to one world's build, and the size they are
     held against — a manifest per document and a chunk endpoint per peer,
     no hash before a fetch reads it."""
-    world = build_world(scale=scale, seed=seed)
-    on = P2PSystemConfig(seed=seed, content=ContentConfig(enabled=True))
+    world = build_world(scale=PROBE_SCALE, seed=PROBE_SEED)
+    on = P2PSystemConfig(seed=PROBE_SEED, content=ContentConfig(enabled=True))
     _, without = python_calls(
-        lambda: P2PSystem(*world, config=P2PSystemConfig(seed=seed))
+        lambda: P2PSystem(*world, config=P2PSystemConfig(seed=PROBE_SEED))
     )
     system, with_content = python_calls(lambda: P2PSystem(*world, config=on))
     return with_content - without, len(system.content.manifests) + len(system.peers)
@@ -299,11 +303,11 @@ def smoke() -> None:
         f"bytes per (copy + NRT entry) {small:.0f} -> {large:.0f}: superlinear",
     )
     added, size = content_calls()
-    print(f"content on at scale 0.03 adds {added} calls ({size} documents + peers)")
+    print(f"content on at scale {PROBE_SCALE} adds {added} calls ({size} documents + peers)")
     require(added < 5 * size, f"content on adds {added} calls for {size}")
     encoded, documents, per_copy = durable_baseline()
     print(
-        f"durability on at scale 0.03 encodes {encoded} store bodies "
+        f"durability on at scale {PROBE_SCALE} encodes {encoded} store bodies "
         f"({documents} documents held); {per_copy:.1f} snapshot bytes per copy"
     )
     require(
@@ -312,14 +316,16 @@ def smoke() -> None:
     )
 
 
-def durable_baseline(scale: float = 0.03, seed: int = 7) -> tuple[int, int, float]:
+def durable_baseline() -> tuple[int, int, float]:
     """``(store bodies encoded, documents held, snapshot bytes per copy)``
     of one durability-on build, whose journals each get a baseline
     snapshot.  The world's body cache holds one body per distinct row
     encoded: fewer than the documents held means the snapshots bypassed
     it, more means a document was encoded under two rows."""
-    world = build_world(scale=scale, seed=seed)
-    config = P2PSystemConfig(seed=seed, durability=DurabilityConfig(enabled=True))
+    world = build_world(scale=PROBE_SCALE, seed=PROBE_SEED)
+    config = P2PSystemConfig(
+        seed=PROBE_SEED, durability=DurabilityConfig(enabled=True)
+    )
     system = P2PSystem(*world, config=config)
     held = {doc_id for peer in system.peers.values() for doc_id in peer.docs}
     snapshot_bytes = sum(

@@ -26,7 +26,6 @@ import asyncio
 import contextlib
 import logging
 import signal
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,7 +232,6 @@ async def run_node(
     heartbeat_interval: float = 0.5,
     seed: int = 0,
     state_dir: str | None = None,
-    ready_stream=None,
 ) -> None:
     """Run one server node until SIGTERM/SIGINT.
 
@@ -270,10 +268,8 @@ async def run_node(
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(signum, stop.set)
 
-    stream = ready_stream if ready_stream is not None else sys.stdout
     print(
         f"READY {node_id} {transport.local_address[1]} recovered={recovered}",
-        file=stream,
         flush=True,
     )
 

@@ -24,7 +24,7 @@ from repro.model.workload import (
     uniform_category_scenario,
     zipf_category_scenario,
 )
-from repro.model.zipf import ZipfSampler, zipf_pmf, zipf_sample
+from repro.model.zipf import ZipfSampler, zipf_pmf
 
 __all__ = [
     "Category",
@@ -41,5 +41,4 @@ __all__ = [
     "zipf_category_scenario",
     "ZipfSampler",
     "zipf_pmf",
-    "zipf_sample",
 ]

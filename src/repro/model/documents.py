@@ -61,16 +61,6 @@ class Document:
         """The share of this document's popularity each category receives."""
         return self.popularity / len(self.categories)
 
-    def n_chunks(self, chunk_size: int | None = None) -> int:
-        """Fixed-size chunks this document splits into on the content
-        data plane (``repro.content``); the last chunk may be short."""
-        from repro.content.chunks import DEFAULT_CHUNK_SIZE, n_chunks
-
-        return n_chunks(
-            self.size_bytes,
-            DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size,
-        )
-
 
 @dataclass(slots=True)
 class Category:
@@ -102,11 +92,6 @@ class Category:
             )
         self.doc_ids.append(doc.doc_id)
         self.popularity += doc.popularity_per_category
-
-    def remove_document(self, doc: Document) -> None:
-        """Unregister ``doc`` and release its popularity share."""
-        self.doc_ids.remove(doc.doc_id)
-        self.popularity = max(0.0, self.popularity - doc.popularity_per_category)
 
     @property
     def n_docs(self) -> int:

@@ -123,14 +123,6 @@ class SystemInstance:
     def total_popularity(self) -> float:
         return float(sum(d.popularity for d in self.documents.values()))
 
-    def contributors_of_category(self, category_id: int) -> list[int]:
-        """Node ids contributing at least one document of ``category_id``."""
-        return [
-            node_id
-            for node_id, cats in self.node_categories.items()
-            if category_id in cats
-        ]
-
     def node_popularity(self, node_id: int) -> float:
         """``p(n)`` — summed popularity of the node's contributed documents."""
         node = self.nodes[node_id]
@@ -163,17 +155,6 @@ class SystemInstance:
                 cats.sort()
         self.nodes[contributor_id].contribute(doc.doc_id)
         self._next_doc_id = max(self._next_doc_id, doc.doc_id + 1)
-
-    def remove_document(self, doc_id: int) -> Document:
-        """Delete a document (content-population variation, Section 6.2)."""
-        doc = self.documents.pop(doc_id)
-        for category_id in doc.categories:
-            self.categories[category_id].remove_document(doc)
-        for node in self.nodes.values():
-            if doc_id in node.contributed_doc_ids:
-                node.contributed_doc_ids.remove(doc_id)
-            node.stored_doc_ids.discard(doc_id)
-        return doc
 
     def validate(self) -> None:
         """Check the structural invariants; raise ``AssertionError`` on breach."""

@@ -25,12 +25,9 @@ import numpy as np
 
 __all__ = [
     "zipf_pmf",
-    "zipf_sample",
-    "zipf_cdf",
     "ZipfSampler",
     "TimeVaryingZipfSampler",
     "top_mass_count",
-    "mass_of_top",
     "estimate_theta",
 ]
 
@@ -55,11 +52,6 @@ def zipf_pmf(n: int, theta: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks**-theta
     return weights / weights.sum()
-
-
-def zipf_cdf(n: int, theta: float) -> np.ndarray:
-    """Return the cumulative distribution over ranks ``1..n``."""
-    return np.cumsum(zipf_pmf(n, theta))
 
 
 @lru_cache(maxsize=128)
@@ -188,17 +180,6 @@ class TimeVaryingZipfSampler:
         return np.asarray(idx, dtype=np.int64)
 
 
-def zipf_sample(
-    rng: np.random.Generator, n: int, theta: float, size: int
-) -> np.ndarray:
-    """Draw ``size`` item ranks (0-based indices) from a Zipf-like law.
-
-    Returns an integer array of indices in ``[0, n)``, where index 0 is the
-    most popular item.
-    """
-    return ZipfSampler(n, theta).sample(rng, size)
-
-
 def top_mass_count(pmf: np.ndarray, mass: float) -> int:
     """Smallest number of top-ranked items whose total popularity >= ``mass``.
 
@@ -223,19 +204,6 @@ def top_mass_count(pmf: np.ndarray, mass: float) -> int:
         return 0
     cumulative = np.cumsum(np.sort(pmf)[::-1]) / total
     return int(np.searchsorted(cumulative, mass - 1e-12) + 1)
-
-
-def mass_of_top(pmf: np.ndarray, count: int) -> float:
-    """Fraction of total popularity held by the ``count`` most popular items."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if len(pmf) == 0 or count == 0:
-        return 0.0
-    total = float(np.sum(pmf))
-    if total <= 0.0:
-        return 0.0
-    top = np.sort(pmf)[::-1][:count]
-    return float(np.sum(top) / total)
 
 
 def estimate_theta(counts: np.ndarray) -> float:

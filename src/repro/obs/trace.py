@@ -36,6 +36,9 @@ from typing import Iterator
 
 __all__ = ["TraceEvent", "TraceLog"]
 
+#: events a :class:`TraceLog` holds before it compacts.
+CAPACITY = 1_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
@@ -55,17 +58,14 @@ class TraceEvent:
 class TraceLog:
     """An in-memory, bounded log of :class:`TraceEvent`.
 
-    ``capacity`` bounds memory on long runs: when full, the oldest half
+    :data:`CAPACITY` bounds memory on long runs: when full, the oldest half
     is discarded in one O(n) compaction (amortized O(1) per event) and
     ``dropped_events`` records how many were lost, so an exported trace
     is never silently truncated.
     """
 
-    def __init__(self, capacity: int = 1_000_000) -> None:
-        if capacity < 2:
-            raise ValueError(f"capacity must be >= 2, got {capacity}")
+    def __init__(self) -> None:
         self.enabled = False
-        self.capacity = capacity
         self.dropped_events = 0
         self._events: list[TraceEvent] = []
 
@@ -89,8 +89,8 @@ class TraceLog:
         """
         if not self.enabled:
             return
-        if len(self._events) >= self.capacity:
-            keep = self.capacity // 2
+        if len(self._events) >= CAPACITY:
+            keep = CAPACITY // 2
             self.dropped_events += len(self._events) - keep
             del self._events[: len(self._events) - keep]
         self._events.append(TraceEvent(kind=kind, fields=fields))
@@ -98,17 +98,9 @@ class TraceLog:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def events(self, kind: str | None = None) -> list[TraceEvent]:
-        """Recorded events, optionally filtered by ``kind``."""
-        if kind is None:
-            return list(self._events)
-        return [event for event in self._events if event.kind == kind]
-
-    def counts_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self._events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+    def events(self) -> list[TraceEvent]:
+        """The recorded events, oldest first."""
+        return list(self._events)
 
     def __len__(self) -> int:
         return len(self._events)

@@ -13,7 +13,6 @@ graph construction and the election rule.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,22 +51,6 @@ class ClusterGraph:
         links = self.adjacency.pop(node_id, set())
         for other in links:
             self.adjacency[other].discard(node_id)
-
-    def is_connected(self, alive: set[int] | None = None) -> bool:
-        """Connectivity over (optionally only the live subset of) members."""
-        nodes = self.members if alive is None else (self.members & alive)
-        if not nodes:
-            return True
-        start = next(iter(nodes))
-        seen = {start}
-        frontier = deque([start])
-        while frontier:
-            current = frontier.popleft()
-            for neighbor in self.adjacency[current]:
-                if neighbor in nodes and neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return seen == nodes
 
 
 def build_cluster_graph(

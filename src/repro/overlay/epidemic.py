@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.system import P2PSystem
 
-__all__ = ["dcrt_convergence", "run_gossip_until_converged"]
+__all__ = ["dcrt_convergence"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,23 +55,3 @@ def dcrt_convergence(system: "P2PSystem") -> ConvergenceReport:
         agreement=matches / (len(peers) * n_categories),
         fully_converged=fully,
     )
-
-
-def run_gossip_until_converged(
-    system: "P2PSystem",
-    max_rounds: int = 50,
-    target_agreement: float = 1.0,
-) -> tuple[int, ConvergenceReport]:
-    """Run discrete gossip rounds until DCRTs agree with the assignment.
-
-    Returns ``(rounds_used, final_report)``.  Used by tests and the
-    dynamics experiment to show the epidemic phase actually converges
-    (and how fast).
-    """
-    report = dcrt_convergence(system)
-    rounds = 0
-    while report.agreement < target_agreement and rounds < max_rounds:
-        system.run_gossip_rounds(1)
-        rounds += 1
-        report = dcrt_convergence(system)
-    return rounds, report

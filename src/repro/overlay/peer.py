@@ -285,10 +285,6 @@ class Peer:
             raise ValueError(f"peer {self.node_id}: kind {kind!r} already owned")
         self._handlers[kind] = (payload_class, handler)
 
-    def registered_kinds(self) -> dict[str, type]:
-        """``kind -> payload class`` of everything this peer handles."""
-        return {kind: entry[0] for kind, entry in self._handlers.items()}
-
     def _each(self, method: str) -> list:
         """``method`` of every component that defines it, bound."""
         return [

@@ -509,9 +509,9 @@ class P2PSystem:
         node_id: int,
         capacity_units: float,
         doc_infos: list[DocInfo] = (),
-        bootstrap_id: int | None = None,
     ) -> Peer:
-        """Admit a new node via the Section 6.3 join protocol."""
+        """Admit a new node via the Section 6.3 join protocol, bootstrapped
+        from a live member drawn from the ``protocol`` stream."""
         if node_id in self._peers and node_id not in self._departed:
             raise ValueError(f"node {node_id} is already a member")
         peer = self._new_peer(node_id, capacity_units)
@@ -527,13 +527,11 @@ class P2PSystem:
         # After the initial stores, so a journal's baseline snapshot
         # covers what the joiner brought.
         self.emit("peer_created", peer)
-        if bootstrap_id is None:
-            alive = [p.node_id for p in self.alive_peers() if p.node_id != node_id]
-            if not alive:
-                raise RuntimeError("no live node to bootstrap from")
-            rng = self.rngs.stream("protocol")
-            bootstrap_id = alive[int(rng.integers(0, len(alive)))]
-        peer.start_join(bootstrap_id)
+        alive = [p.node_id for p in self.alive_peers() if p.node_id != node_id]
+        if not alive:
+            raise RuntimeError("no live node to bootstrap from")
+        rng = self.rngs.stream("protocol")
+        peer.start_join(alive[int(rng.integers(0, len(alive)))])
         self.sim.run()
         return peer
 

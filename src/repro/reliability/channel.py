@@ -286,10 +286,6 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
-    def outstanding(self) -> int:
-        """Number of sends still awaiting acknowledgement."""
-        return len(self._outstanding)
-
     def send(
         self, dst: int, kind: str, payload: Any, size_bytes: int = _CONTROL_SIZE
     ) -> int:
@@ -465,19 +461,6 @@ class ReliableChannel:
         if breaker.state != "closed":
             self._g_breakers_open.value -= 1
         breaker.record_success()
-
-    def breaker_state(self, dst: int) -> str:
-        """The destination's circuit state ('closed' when no breaker)."""
-        if self._breakers is None or dst not in self._breakers:
-            return "closed"
-        return self._breakers[dst].state
-
-    def budget_tokens(self, dst: int) -> float | None:
-        """Remaining retry tokens for ``dst`` (None when budgets are off)."""
-        if self._budgets is None:
-            return None
-        budget = self._budgets.get(dst)
-        return RETRY_BUDGET_CAP if budget is None else budget.tokens
 
     def min_budget_tokens(self) -> float | None:
         """Lowest retry-budget balance across destinations, or None.

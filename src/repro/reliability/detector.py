@@ -82,9 +82,6 @@ class FailureDetector:
         #: pool members heard from since the last round.
         self._heard: set[int] = set()
 
-    def is_suspect(self, node_id: int) -> bool:
-        return node_id in self.suspects
-
     # ------------------------------------------------------------------
     # evidence
     # ------------------------------------------------------------------

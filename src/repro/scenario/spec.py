@@ -25,6 +25,10 @@ __all__ = [
     "standard_matrix",
 ]
 
+#: simulated seconds and queries per second of every standard-matrix spec.
+MATRIX_DURATION = 8.0
+MATRIX_BASE_RATE = 60.0
+
 
 @dataclass(frozen=True, slots=True)
 class DiurnalSpec:
@@ -205,15 +209,14 @@ class ScenarioSpec:
         return int(round(self.base_rate * self.duration))
 
 
-def standard_matrix(
-    seed: int = 7, duration: float = 8.0, base_rate: float = 60.0
-) -> tuple[ScenarioSpec, ...]:
+def standard_matrix(seed: int = 7) -> tuple[ScenarioSpec, ...]:
     """The SCENARIO experiment's canonical 4-spec matrix.
 
     One stationary baseline plus one spec per modulation family, all
     driven from the same root ``seed`` so a matrix run is one number to
     reproduce.
     """
+    duration, base_rate = MATRIX_DURATION, MATRIX_BASE_RATE
     return (
         ScenarioSpec(
             name="stationary",

@@ -82,8 +82,8 @@ class Simulator:
         sim.schedule(0.0, lambda: print("hello at", sim.now))
         sim.run()
 
-    ``run`` processes events until the queue drains, a time horizon is
-    reached, or an event budget is exhausted.
+    ``run`` processes events until the queue drains or a time horizon is
+    reached.
     """
 
     def __init__(self) -> None:
@@ -155,23 +155,12 @@ class Simulator:
             )
         return self.schedule(time - self._now, callback)
 
-    def run(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """Process events until the queue drains or a bound is hit.
+    def run(self, until: float | None = None) -> None:
+        """Process events until the queue drains or ``until`` is passed.
 
-        Parameters
-        ----------
-        until:
-            Stop once the next event would fire after this time (the clock
-            is advanced to ``until``).  A time before ``now`` raises
-            :class:`SimulationError`: the clock never runs backwards.
-        max_events:
-            Safety valve against runaway protocols; raises
-            :class:`SimulationError` when exceeded.  The budget is checked
-            *before* an event is popped, so the event that would exceed it
-            stays queued: a caller may catch the error and call ``run()``
-            again to resume with no callback lost.
+        ``until`` stops the run once the next event would fire after that
+        time (the clock is advanced to ``until``).  A time before ``now``
+        raises :class:`SimulationError`: the clock never runs backwards.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -193,10 +182,6 @@ class Simulator:
                 if event.cancelled:
                     heappop(queue)
                     continue
-                if max_events is not None and processed_this_run >= max_events:
-                    raise SimulationError(
-                        f"event budget of {max_events} exhausted at t={self._now}"
-                    )
                 heappop(queue)
                 self._live -= 1
                 event.owner = None  # cancel() after dispatch must not count

@@ -80,11 +80,11 @@ class Network(Transport):
     bandwidth:
         Bytes per time unit; transfer time is ``size / bandwidth`` on top
         of the base latency.  ``None`` means size does not affect latency.
-    drop_probability:
-        Probability an arbitrary message is lost in transit.
-    rng:
-        Random generator for drop decisions (only consulted when
-        ``drop_probability > 0``, keeping fault-free runs deterministic).
+
+    A network starts loss-free; :meth:`set_drop_probability` arms random
+    loss once ``rng`` holds the generator for drop decisions (only
+    consulted while the probability is above zero, keeping fault-free
+    runs deterministic).
     """
 
     def __init__(
@@ -92,19 +92,11 @@ class Network(Transport):
         sim: Simulator,
         base_latency: float = 0.05,
         bandwidth: float | None = 1_000_000.0,
-        drop_probability: float = 0.0,
-        rng=None,
     ) -> None:
         if base_latency < 0:
             raise ValueError(f"base_latency must be >= 0, got {base_latency}")
         if bandwidth is not None and bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError(
-                f"drop_probability must be in [0, 1), got {drop_probability}"
-            )
-        if drop_probability > 0.0 and rng is None:
-            raise ValueError("drop_probability > 0 requires an rng")
         self.sim = sim
         # Hot-path rebinds: instance attributes shadow the Transport
         # methods, so ``transport.send(...)`` is one bound-method call.
@@ -112,8 +104,8 @@ class Network(Transport):
         self.schedule = sim.schedule
         self.base_latency = base_latency
         self.bandwidth = bandwidth
-        self.drop_probability = drop_probability
-        self.rng = rng
+        self.drop_probability = 0.0
+        self.rng = None
         self.stats = NetworkStats()
         self._c_sent = obs.counter("net.messages_sent")
         self._c_delivered = obs.counter("net.messages_delivered")
@@ -213,9 +205,9 @@ class Network(Transport):
     def set_drop_probability(self, probability: float) -> None:
         """Change the random-loss probability mid-run.
 
-        Raising it above zero requires the network to have been built with
-        an ``rng`` (drop decisions must come from a named stream so the
-        run stays reproducible).
+        Raising it above zero requires ``rng`` to be set first (drop
+        decisions must come from a named stream so the run stays
+        reproducible).
         """
         if not 0.0 <= probability < 1.0:
             raise ValueError(

@@ -53,10 +53,6 @@ class RngRegistry:
             self._streams[name] = generator
         return generator
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        return RngRegistry(root_seed=derive_seed(self.root_seed, f"fork:{name}"))
-
     def names(self) -> list[str]:
         """Names of all streams created so far (sorted)."""
         return sorted(self._streams)

@@ -49,9 +49,9 @@ class RecordingHooks(PeerHooks):
 class MicroOverlay:
     """A tiny overlay with explicit wiring."""
 
-    def __init__(self, seed: int = 0, **network_kwargs) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator()
-        self.network = Network(self.sim, **network_kwargs)
+        self.network = Network(self.sim)
         self.rng = np.random.default_rng(seed)
         self.hooks = RecordingHooks()
         self.peers: dict[int, Peer] = {}
@@ -136,12 +136,10 @@ def build_live_system(
     hot_mass: float = 0.35,
 ):
     """``(instance, system)``: a booted :class:`P2PSystem` on a fresh world."""
-    system = api.build_system(
-        scale=scale,
-        seed=seed,
-        n_reps=n_reps,
-        hot_mass=hot_mass,
-        replicate=with_plan,
-        system_config=config,
+    instance, assignment, plan = api.build_world(
+        scale=scale, seed=seed, n_reps=n_reps, hot_mass=hot_mass
     )
-    return system.instance, system
+    system = api.P2PSystem(
+        instance, assignment, plan=plan if with_plan else None, config=config
+    )
+    return instance, system

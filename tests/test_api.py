@@ -3,7 +3,6 @@
 import re
 from pathlib import Path
 
-import pytest
 
 from repro import api
 
@@ -19,7 +18,9 @@ class TestBuildSystem:
         assert system.assignment.is_complete()
 
     def test_replicate_false_skips_plan(self):
-        system = api.build_system(scale=0.02, seed=31, replicate=False)
+        # A placement-only world: the facade's pipeline without its plan.
+        instance, assignment, _plan = api.build_world(scale=0.02, seed=31)
+        system = api.P2PSystem(instance, assignment)
         assert system.plan is None
 
     def test_explicit_config(self):
@@ -31,10 +32,9 @@ class TestBuildSystem:
         assert system.assignment.n_clusters == 3
 
     def test_system_config_passthrough(self):
-        system = api.build_system(
-            scale=0.02,
-            seed=31,
-            system_config=api.P2PSystemConfig(cache_capacity=4, seed=2),
+        system = api.P2PSystem(
+            *api.build_world(scale=0.02, seed=31),
+            config=api.P2PSystemConfig(cache_capacity=4, seed=2),
         )
         assert system.config.cache_capacity == 4
 
@@ -71,26 +71,6 @@ class TestBuildSystem:
         workload = api.make_query_workload(system.instance, 50, seed=3)
         outcomes = system.run_workload(workload)
         assert len(outcomes) == 50
-
-
-class TestExperiments:
-    def test_run_experiment_case_insensitive(self):
-        result = api.run_experiment("t3")
-        assert result == api.run_experiment("T3")
-        assert "T3" in api.format_experiment("t3", result)
-
-    def test_unknown_experiment(self):
-        with pytest.raises(ValueError, match="unknown experiment"):
-            api.run_experiment("nope")
-
-    def test_unknown_param(self):
-        with pytest.raises(TypeError, match="unexpected keyword argument"):
-            api.run_experiment("T3", banana=1)
-
-    def test_list_experiments(self):
-        listing = api.list_experiments()
-        assert "F2" in listing and "FUZZ" in listing
-        assert all(description for description in listing.values())
 
 
 class TestFacade:

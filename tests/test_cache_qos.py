@@ -8,18 +8,27 @@ an adaptive arm whose replica trace rises under the crowd and returns to
 baseline, and goodput no worse than static.
 """
 
+import pytest
+
 from repro.experiments import cache_qos
 
-#: shortened phases shared by the smoke tests (the full-length defaults
+#: shortened phases shared by the smoke tests (the full-length phases
 #: run in CI's ``experiment-smoke`` job via ``cache_qos.smoke()``).
 SHORT = dict(
-    crowd_chunks=2, chunk_window=1.5, warmup_window=2.0, cooldown_rounds=8
+    CROWD_CHUNKS=2, CHUNK_WINDOW=1.5, WARMUP_WINDOW=2.0, COOLDOWN_ROUNDS=8
 )
 
 
+@pytest.fixture
+def short_phases(monkeypatch):
+    for name, value in SHORT.items():
+        monkeypatch.setattr(cache_qos, name, value)
+
+
+@pytest.mark.usefixtures("short_phases")
 class TestCacheQosExperiment:
     def test_run_and_format(self):
-        result = cache_qos.run(seed=7, **SHORT)
+        result = cache_qos.run(seed=7)
         static, adaptive = result.static, result.adaptive
 
         # Both arms saw the exact same offered load.
@@ -48,19 +57,16 @@ class TestCacheQosExperiment:
         assert "hysteresis" in text
 
     def test_deterministic(self):
-        assert cache_qos.run(seed=7, **SHORT) == cache_qos.run(seed=7, **SHORT)
+        assert cache_qos.run(seed=7) == cache_qos.run(seed=7)
 
 
 class TestAdaptiveFuzz:
-    def test_adaptive_replication_seeds_run_clean(self):
+    def test_adaptive_replication_seeds_run_clean(self, monkeypatch):
         from repro.experiments import fuzz
 
+        monkeypatch.setattr(fuzz, "SHRINK_FAILING", False)
         result = fuzz.run(
-            seed=0,
-            seeds=2,
-            steps=8,
-            features={"overload", "adaptive"},
-            shrink_failing=False,
+            seed=0, seeds=2, steps=8, features={"overload", "adaptive"}
         )
         assert result.failing_seeds == []
         assert "features adaptive,overload" in fuzz.format_result(result)

@@ -266,10 +266,11 @@ class TestEmittedReproducer:
 
 
 class TestFuzzExperiment:
-    def test_run_and_format(self, chaos_config):
+    def test_run_and_format(self, chaos_config, monkeypatch):
         from repro.experiments import fuzz
 
-        result = fuzz.run(seed=0, seeds=2, steps=8, shrink_failing=False)
+        monkeypatch.setattr(fuzz, "SHRINK_FAILING", False)
+        result = fuzz.run(seed=0, seeds=2, steps=8)
         assert result.n_seeds == 2
         assert result.failing_seeds == []
         text = fuzz.format_result(result)

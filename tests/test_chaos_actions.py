@@ -209,10 +209,9 @@ class TestGroup:
             assert report.ok, f"seed {seed}: {report.summary()}"
         assert run_schedule(schedule, config) == report
 
-    def test_fuzz_run_reports_the_feature_set(self, group):
-        result = fuzz.run(
-            seed=0, seeds=1, steps=12, features={group}, shrink_failing=False
-        )
+    def test_fuzz_run_reports_the_feature_set(self, group, monkeypatch):
+        monkeypatch.setattr(fuzz, "SHRINK_FAILING", False)
+        result = fuzz.run(seed=0, seeds=1, steps=12, features={group})
         assert group in result.features
         assert not result.failing_seeds
         assert result.total_queries > 0

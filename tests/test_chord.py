@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.chord import ChordNetwork
 from repro.core.fairness import jain_fairness
-from repro.model.zipf import zipf_sample
+from repro.model.zipf import ZipfSampler
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestLoadBehaviour:
         network = ChordNetwork(range(200), bits=20)
         network.store_all(range(2000))
         rng = np.random.default_rng(1)
-        queries = zipf_sample(rng, 2000, 0.8, 10_000)
+        queries = ZipfSampler(2000, 0.8).sample(rng, 10_000)
         _, loads = network.run_queries(queries, rng)
         zipf_fairness = jain_fairness(list(loads.values()))
 

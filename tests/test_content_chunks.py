@@ -107,13 +107,7 @@ class TestContentConfig:
 
 
 class TestDocumentIntegration:
-    def test_document_n_chunks_matches_chunk_math(self):
-        doc = Document(doc_id=1, popularity=0.1, categories=(0,),
-                       size_bytes=262_144)
-        assert doc.n_chunks() == n_chunks(262_144, DEFAULT_CHUNK_SIZE) == 4
-        assert doc.n_chunks(chunk_size=100_000) == 3
-
     def test_default_document_size(self):
         # The paper's 4 MB MP3 splits into 64 default-size chunks.
         doc = Document(doc_id=1, popularity=0.1, categories=(0,))
-        assert doc.n_chunks() == 64
+        assert n_chunks(doc.size_bytes, DEFAULT_CHUNK_SIZE) == 64

@@ -238,12 +238,13 @@ class TestHealExperiment:
         assert callable(heal.run)
         assert callable(heal.format_result)
 
-    def test_measure_shows_healing_advantage(self):
+    def test_measure_shows_healing_advantage(self, monkeypatch):
         # One churn setting at reduced scale: the healing-on arm must
         # sustain fetch success where the healing-off arm degrades.
         from repro.experiments import heal
 
-        result = heal.run(scale=0.25, churns=(0.20,))
+        monkeypatch.setattr(heal, "CHURN_SETTINGS", (0.20,))
+        result = heal.run(scale=0.25)
         off = result.row(0.20, False)
         on = result.row(0.20, True)
         assert on.success_rate >= off.success_rate

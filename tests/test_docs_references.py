@@ -137,7 +137,8 @@ def doc_table(text: str, first_header: str) -> list[dict[str, str]]:
 
 def component_kinds() -> set[tuple[str, str]]:
     """``(peer attribute, kind)`` for every kind a full-stack peer's
-    components register — together, all of ``Peer.registered_kinds()``."""
+    components register — together, every kind in the peer's dispatch
+    table."""
     peer = MicroOverlay().add_peer(
         0,
         config=PeerConfig(
@@ -151,7 +152,7 @@ def component_kinds() -> set[tuple[str, str]]:
         if any(value is component for component in peer.components)
         for kind in getattr(value, "registrations", dict)()
     }
-    assert {kind for _, kind in pairs} == set(peer.registered_kinds())
+    assert {kind for _, kind in pairs} == set(peer._handlers)
     return pairs
 
 

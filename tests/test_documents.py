@@ -60,18 +60,3 @@ class TestCategory:
         category = Category(category_id=0)
         with pytest.raises(ValueError):
             category.add_document(Document(doc_id=1, popularity=0.1, categories=(1,)))
-
-    def test_remove_document(self):
-        category = Category(category_id=0)
-        doc = Document(doc_id=1, popularity=0.3, categories=(0,))
-        category.add_document(doc)
-        category.remove_document(doc)
-        assert category.popularity == pytest.approx(0.0)
-        assert category.n_docs == 0
-
-    def test_remove_unknown_document_raises(self):
-        category = Category(category_id=0)
-        with pytest.raises(ValueError):
-            category.remove_document(
-                Document(doc_id=9, popularity=0.1, categories=(0,))
-            )

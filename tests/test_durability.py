@@ -221,8 +221,7 @@ class TestWalCodec:
         last_len = len(encode_record(("drop", 1)))
         for torn in range(1, last_len):
             store2 = MemoryStore()
-            store2.append(wal_bytes)
-            store2.tear_wal(len(wal_bytes) - torn)
+            store2.append(wal_bytes[: len(wal_bytes) - torn])
             _, torn_wal = store2.load()
             assert replay_wal(torn_wal) == [
                 ("store", 1, 10, ()),

@@ -106,50 +106,6 @@ class TestRunBounds:
         sim.run()
         assert log == [15.0]
 
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(0.1, loop)
-
-        sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_max_events_preserves_budget_tripping_event(self):
-        # Regression: the event that trips the budget must stay queued so
-        # the caller can catch the error and resume without losing it.
-        sim = Simulator()
-        log = []
-        for name in "abc":
-            sim.schedule(1.0, lambda n=name: log.append(n))
-        with pytest.raises(SimulationError):
-            sim.run(max_events=1)
-        assert log == ["a"]
-        assert sim.pending() == 2  # 'b' and 'c' survive the exhaustion
-        sim.run()
-        assert log == ["a", "b", "c"]  # each fires exactly once, in order
-
-    def test_max_events_resume_in_steps(self):
-        sim = Simulator()
-        log = []
-        for i in range(5):
-            sim.schedule(float(i), lambda i=i: log.append(i))
-        for _ in range(2):
-            with pytest.raises(SimulationError):
-                sim.run(max_events=2)
-        sim.run()
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_cancelled_events_do_not_consume_budget(self):
-        sim = Simulator()
-        log = []
-        for i in range(3):
-            sim.schedule(1.0, lambda i=i: log.append(i)).cancel()
-        sim.schedule(2.0, lambda: log.append("live"))
-        sim.run(max_events=1)
-        assert log == ["live"]
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         errors = []
@@ -290,24 +246,18 @@ class _ReferenceQueue:
     def cancel(self, seq):
         self.live.pop(seq, None)  # fired, cleared or cancelled: a no-op
 
-    def run(self, until, max_events, dispatch):
-        """Returns False where the engine raises: event budget exhausted."""
-        fired = 0
+    def run(self, until, dispatch):
         while self.live:
             seq = min(self.live, key=lambda s: (self.live[s], s))
             time = self.live[seq]
             if until is not None and time > until:
                 break
-            if max_events is not None and fired >= max_events:
-                return False
             del self.live[seq]
             self.now = time
             dispatch(seq)
             self.processed += 1
-            fired += 1
         if until is not None and until > self.now:
             self.now = until
-        return True
 
 
 # Dyadic values: sums and differences are exact, and ties are common.
@@ -319,8 +269,7 @@ _steps = st.one_of(
               st.none() | st.integers(0, 40)),
     st.tuples(st.just("schedule_at"), _delays),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
-    st.tuples(st.just("run"), st.none() | _delays,
-              st.none() | st.integers(0, 4)),
+    st.tuples(st.just("run"), st.none() | _delays),
     st.tuples(st.just("clear")),
 )
 
@@ -373,12 +322,8 @@ class TestAgainstReferenceModel:
                 model.live.clear()
             elif kind == "run":
                 until = None if step[1] is None else model.now + step[1]
-                within_budget = model.run(until, step[2], model_fire)
-                if within_budget:
-                    sim.run(until=until, max_events=step[2])
-                else:
-                    with pytest.raises(SimulationError, match="event budget"):
-                        sim.run(until=until, max_events=step[2])
+                model.run(until, model_fire)
+                sim.run(until=until)
             assert fired == expected
             assert sim.now == model.now
             assert sim.events_processed == model.processed

@@ -91,8 +91,10 @@ class TestFigure3:
 
 
 class TestFigure4:
-    def test_shape(self):
-        result = figure4.run(scale=SCALE, thetas=(0.4, 0.8), n_repeats=2)
+    def test_shape(self, monkeypatch):
+        monkeypatch.setattr(figure4, "THETAS", (0.4, 0.8))
+        monkeypatch.setattr(figure4, "N_REPEATS", 2)
+        result = figure4.run(scale=SCALE)
         for point in result.points:
             assert point.initial_fairness > 0.95
             assert point.final_fairness < point.initial_fairness
@@ -103,8 +105,10 @@ class TestFigure4:
 
 
 class TestFigure5:
-    def test_shape(self):
-        result = figure5.run(scale=SCALE, seeds=(3, 11), max_moves=40)
+    def test_shape(self, monkeypatch):
+        monkeypatch.setattr(figure5, "SEEDS", (3, 11))
+        monkeypatch.setattr(figure5, "MAX_MOVES", 40)
+        result = figure5.run(scale=SCALE)
         for run_ in result.runs:
             trace = run_.fairness_trace
             assert all(b > a for a, b in zip(trace, trace[1:]))
@@ -171,8 +175,9 @@ class TestRebalanceCost:
 
 
 class TestComparison:
-    def test_paper_claims(self):
-        result = comparison.run(scale=SCALE, n_queries=2000)
+    def test_paper_claims(self, monkeypatch):
+        monkeypatch.setattr(comparison, "N_QUERIES", 2000)
+        result = comparison.run(scale=SCALE)
         clustered = result.row("clustered (paper)")
         chord = result.row("chord (DHT)")
         gnutella = result.row("gnutella (flood)")
@@ -200,10 +205,10 @@ class TestComparison:
 
 
 class TestIntraCluster:
-    def test_replication_monotone(self):
-        result = intra_cluster.run(
-            scale=SCALE, n_queries=2000, hot_masses=(0.0, 0.35)
-        )
+    def test_replication_monotone(self, monkeypatch):
+        monkeypatch.setattr(intra_cluster, "N_QUERIES", 2000)
+        monkeypatch.setattr(intra_cluster, "HOT_MASS_SETTINGS", (0.0, 0.35))
+        result = intra_cluster.run(scale=SCALE)
         bare, hot = result.rows
         assert hot.expected_fairness > bare.expected_fairness
         assert hot.observed_fairness > bare.observed_fairness
@@ -212,14 +217,12 @@ class TestIntraCluster:
 
 
 class TestDynamics:
-    def test_full_loop(self):
-        result = dynamics.run(
-            scale=0.02,
-            queries_per_round=1500,
-            n_rounds_after_crowd=2,
-            churn_leaves=4,
-            churn_joins=2,
-        )
+    def test_full_loop(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "QUERIES_PER_ROUND", 1500)
+        monkeypatch.setattr(dynamics, "ROUNDS_AFTER_CROWD", 2)
+        monkeypatch.setattr(dynamics, "CHURN_LEAVES", 4)
+        monkeypatch.setattr(dynamics, "CHURN_JOINS", 2)
+        result = dynamics.run(scale=0.02)
         labels = [r.label for r in result.rounds]
         assert labels[0] == "baseline"
         assert labels[-1] == "post-churn"

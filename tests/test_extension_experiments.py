@@ -30,8 +30,10 @@ class TestClusterConfig:
 
 
 class TestCaching:
-    def test_cache_improves_balance(self):
-        result = caching.run(scale=0.02, n_queries=3000, capacities=(0, 16))
+    def test_cache_improves_balance(self, monkeypatch):
+        monkeypatch.setattr(caching, "N_QUERIES", 3000)
+        monkeypatch.setattr(caching, "CACHE_CAPACITIES", (0, 16))
+        result = caching.run(scale=0.02)
         off, on = result.rows
         assert off.capacity == 0 and on.capacity == 16
         assert on.load_fairness > off.load_fairness

@@ -9,7 +9,6 @@ from repro.core.fairness import (
     jain_fairness,
     lorenz_curve,
     majorizes,
-    max_min_ratio,
 )
 
 
@@ -137,11 +136,3 @@ class TestOtherMetrics:
 
     def test_cv_zero_mean(self):
         assert coefficient_of_variation([0.0, 0.0]) == 0.0
-
-    def test_max_min_ratio(self):
-        assert max_min_ratio([2.0, 4.0]) == pytest.approx(2.0)
-        assert max_min_ratio([3.0, 3.0]) == pytest.approx(1.0)
-
-    def test_max_min_ratio_with_zero(self):
-        assert max_min_ratio([0.0, 1.0]) == float("inf")
-        assert max_min_ratio([0.0, 0.0]) == 1.0

@@ -16,9 +16,9 @@ from tests.helpers import MicroOverlay, build_live_system
 class TestLossyGossip:
     def test_gossip_converges_despite_drops(self):
         """Anti-entropy is idempotent, so a lossy network only slows it."""
-        overlay = MicroOverlay(
-            drop_probability=0.3, rng=np.random.default_rng(0)
-        )
+        overlay = MicroOverlay()
+        overlay.network.rng = np.random.default_rng(0)
+        overlay.network.set_drop_probability(0.3)
         for node_id in range(8):
             overlay.add_peer(node_id)
         edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)]

@@ -204,7 +204,7 @@ class TestCrashLeaveAsymmetry:
                         )
                         for _ in range(threshold):
                             peer.detector.note_missed(target)
-                        assert peer.detector.is_suspect(target)
+                        assert target in peer.detector.suspects
                         return peer, target
         raise AssertionError("no neighbouring pair found")
 
@@ -216,7 +216,7 @@ class TestCrashLeaveAsymmetry:
         observer, target = self._suspecting_pair(system)
         system.leave_node(target)
         system.sim.run()
-        assert not observer.detector.is_suspect(target)
+        assert target not in observer.detector.suspects
         assert target not in observer.detector._misses
 
     def test_crash_keeps_suspicion(self):
@@ -226,13 +226,13 @@ class TestCrashLeaveAsymmetry:
         observer, target = self._suspecting_pair(system)
         system.crash_node(target)
         system.sim.run()
-        assert observer.detector.is_suspect(target)
+        assert target in observer.detector.suspects
 
     def test_graceful_shutdown_clears_suspicion_too(self):
         system = make_content_system()
         observer, target = self._suspecting_pair(system)
         assert system.shutdown_node(target) is True
-        assert not observer.detector.is_suspect(target)
+        assert target not in observer.detector.suspects
 
 
 class TestCrashDuringHandoff:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.hybrid import HybridIndexNetwork
+from repro.baselines.hybrid import DIRECTORY_ID, HybridIndexNetwork
 
 
 @pytest.fixture()
@@ -54,7 +54,7 @@ class TestConstruction:
 
     def test_rejects_directory_collision(self):
         with pytest.raises(ValueError):
-            HybridIndexNetwork([0, 1], directory_id=1)
+            HybridIndexNetwork([0, DIRECTORY_ID])
 
     def test_duplicate_registration_idempotent(self):
         net = HybridIndexNetwork(range(3))

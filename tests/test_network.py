@@ -1,5 +1,7 @@
 """Tests for repro.sim.network — delivery, faults, accounting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,9 @@ from repro.sim.network import Network
 
 def _make(drop=0.0, rng=None, **kwargs):
     sim = Simulator()
-    network = Network(sim, drop_probability=drop, rng=rng, **kwargs)
+    network = Network(sim, **kwargs)
+    network.rng = rng
+    network.set_drop_probability(drop)
     return sim, network
 
 
@@ -132,7 +136,7 @@ class TestFaults:
     def test_drop_probability_requires_rng(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            Network(sim, drop_probability=0.5)
+            Network(sim).set_drop_probability(0.5)
 
 
 class TestAccounting:
@@ -164,7 +168,7 @@ class TestAccounting:
         with pytest.raises(ValueError):
             Network(sim, bandwidth=0)
         with pytest.raises(ValueError):
-            Network(sim, drop_probability=1.0)
+            Network(sim).set_drop_probability(1.0)
 
 
 class TestDropReasons:
@@ -237,11 +241,12 @@ class TestTracing:
             sim.run()
         finally:
             obs.TRACE.disable()
-        counts = obs.TRACE.counts_by_kind()
+        events = obs.TRACE.events()
+        counts = Counter(event.kind for event in events)
         assert counts["msg_send"] == 2
         assert counts["msg_deliver"] == 1
         assert counts["msg_drop"] == 1
-        drop = obs.TRACE.events("msg_drop")[0]
+        drop = next(event for event in events if event.kind == "msg_drop")
         assert drop.fields["reason"] == "dst-dead"
         assert drop.fields["msg"] == "query"
         obs.TRACE.clear()

@@ -61,6 +61,20 @@ def _advance(sim: Simulator, delay: float) -> None:
     sim.run()
 
 
+def budget_tokens(channel: ReliableChannel) -> float | None:
+    """The receiver's retry tokens (None when budgets are off)."""
+    if channel._budgets is None:
+        return None
+    budget = channel._budgets.get(RECEIVER)
+    return RETRY_BUDGET_CAP if budget is None else budget.tokens
+
+
+def breaker_state(channel: ReliableChannel) -> str:
+    """The receiver's circuit state ('closed' when it has no breaker)."""
+    breaker = (channel._breakers or {}).get(RECEIVER)
+    return "closed" if breaker is None else breaker.state
+
+
 class TestRetryBudget:
     def test_budget_exhaustion_dead_letters_instead_of_retrying(self):
         c_refused = obs.counter("reliability.retry_budget_refusals")
@@ -88,10 +102,10 @@ class TestRetryBudget:
         assert c_refused.value - refused0 == 1
         assert c_gave_up.value - gave_up0 == 0  # refusal is not a give-up
         assert sender.dead_letters == 1
-        assert sender.outstanding() == 0
+        assert not sender._outstanding
         assert give_ups == [(RECEIVER, "publish_request")]
         # The bucket never overdrafts.
-        assert sender.budget_tokens(RECEIVER) == pytest.approx(0.0)
+        assert budget_tokens(sender) == pytest.approx(0.0)
         assert sender.min_budget_tokens() >= 0.0
 
     def test_reassign_notice_retries_without_tokens(self):
@@ -104,13 +118,13 @@ class TestRetryBudget:
         network.crash(RECEIVER)
         sender.send(RECEIVER, "publish_request", None)
         sim.run()
-        assert sender.budget_tokens(RECEIVER) == pytest.approx(0.0)
+        assert budget_tokens(sender) == pytest.approx(0.0)
         retries = _delta("reliability.retries")
         sender.send(RECEIVER, "reassign_notice", None)
         sim.run()
         assert retries() == config.max_attempts - 1
         assert give_ups[-1] == (RECEIVER, "reassign_notice")
-        assert sender.budget_tokens(RECEIVER) == pytest.approx(0.5)
+        assert budget_tokens(sender) == pytest.approx(0.5)
 
     def test_fresh_sends_replenish_the_bucket(self):
         config = ReliabilityConfig(enabled=True, retry_budget_ratio=0.5)
@@ -119,13 +133,13 @@ class TestRetryBudget:
             sender.send(RECEIVER, "publish_request", None)
         sim.run()
         # Acked cleanly: deposits happened, nothing was spent or capped out.
-        assert sender.budget_tokens(RECEIVER) == pytest.approx(RETRY_BUDGET_CAP)
+        assert budget_tokens(sender) == pytest.approx(RETRY_BUDGET_CAP)
         assert sender.dead_letters == 0
 
     def test_budgets_off_by_default(self):
         config = ReliabilityConfig(enabled=True)
         _, _, sender, _ = _channel_pair(config)
-        assert sender.budget_tokens(RECEIVER) is None
+        assert budget_tokens(sender) is None
         assert sender.min_budget_tokens() is None
 
 
@@ -148,7 +162,7 @@ class TestCircuitBreaker:
         for _ in range(2):
             sender.send(RECEIVER, "publish_request", None)
             sim.run()
-        assert sender.breaker_state(RECEIVER) == "open"
+        assert breaker_state(sender) == "open"
         assert g_open.value - open0 == 1
 
         # While open, sends are refused locally: no id, no network traffic.
@@ -165,7 +179,7 @@ class TestCircuitBreaker:
         delivery_id = sender.send(RECEIVER, "publish_request", None)
         assert delivery_id > 0
         sim.run()
-        assert sender.breaker_state(RECEIVER) == "closed"
+        assert breaker_state(sender) == "closed"
         assert g_open.value - open0 == 0  # gauge restored on close
 
     def test_failed_half_open_trial_reopens(self):
@@ -176,13 +190,13 @@ class TestCircuitBreaker:
         for _ in range(2):
             sender.send(RECEIVER, "publish_request", None)
             sim.run()
-        assert sender.breaker_state(RECEIVER) == "open"
+        assert breaker_state(sender) == "open"
 
         # Still crashed: the half-open trial gives up and re-opens.
         _advance(sim, BREAKER_RESET_TIMEOUT + 0.1)
         assert sender.send(RECEIVER, "publish_request", None) > 0
         sim.run()
-        assert sender.breaker_state(RECEIVER) == "open"
+        assert breaker_state(sender) == "open"
         assert g_open.value - open0 == 1  # still exactly one open circuit
 
     def test_open_circuit_still_carries_a_reassign_notice(self):
@@ -191,13 +205,13 @@ class TestCircuitBreaker:
         for _ in range(2):
             sender.send(RECEIVER, "publish_request", None)
             sim.run()
-        assert sender.breaker_state(RECEIVER) == "open"
+        assert breaker_state(sender) == "open"
         network.recover(RECEIVER)
         assert sender.send(RECEIVER, "publish_request", None) == -1
         assert sender.send(RECEIVER, "reassign_notice", None) > 0
         sim.run()
         # Its ack is a success like any other: the circuit closes.
-        assert sender.breaker_state(RECEIVER) == "closed"
+        assert breaker_state(sender) == "closed"
 
     def test_breaker_off_by_default(self):
         config = ReliabilityConfig(enabled=True, ack_timeout=0.1, max_attempts=1)
@@ -207,7 +221,7 @@ class TestCircuitBreaker:
             sender.send(RECEIVER, "publish_request", None)
         sim.run()
         # Plenty of give-ups, but no breaker configured: never refused.
-        assert sender.breaker_state(RECEIVER) == "closed"
+        assert breaker_state(sender) == "closed"
         assert all(
             sender.send(RECEIVER, "publish_request", None) > 0
             for _ in range(2)
@@ -247,7 +261,7 @@ class TestAdaptiveTimeout:
         sim.schedule(0.15, lambda: network.recover(RECEIVER))
         sender.send(RECEIVER, "publish_request", None)
         sim.run()
-        assert sender.outstanding() == 0  # the retry was acked
+        assert not sender._outstanding  # the retry was acked
         assert sender._rtt == {}  # but produced no RTT sample
         assert sender._attempt_timeout(0, RECEIVER) == pytest.approx(0.2)
 

@@ -281,7 +281,7 @@ class TestDispatchTable:
             service=ServiceConfig(enabled=True),
             content=ContentConfig(enabled=True),
         ))
-        table = full.registered_kinds()
+        table = {kind: entry[0] for kind, entry in full._handlers.items()}
         assert set(table) == self._kinds_sent()
         assert set(table.values()) <= set(m.WIRE_TYPES.values())
         # Exactly one owner per kind: the components' registrations
@@ -296,7 +296,7 @@ class TestDispatchTable:
         with pytest.raises(ValueError):
             full.register("query", m.QueryMessage, lambda payload, src: None)
         # A subsystem that is off is absent from the table.
-        bare = overlay.add_peer(1).registered_kinds()
+        bare = overlay.add_peer(1)._handlers
         assert set(table) - set(bare) == set(full.content_state.registrations())
 
     def test_frame_with_unknown_kind_or_wrong_payload_is_rejected_first(self):

@@ -73,7 +73,7 @@ class TestReliableChannel:
         sender.channel.send(1, "publish_request", "payload")
         sim.run()
         assert receiver.applied == [("publish_request", 1)]
-        assert sender.channel.outstanding() == 0
+        assert not sender.channel._outstanding
         assert retries() == 0
 
     def test_retransmits_until_destination_appears(self):
@@ -87,7 +87,7 @@ class TestReliableChannel:
         sim.schedule(0.6, lambda: receiver_box.append(_Endpoint(1, network, FAST)))
         sim.run()
         assert receiver_box[0].applied == [("transfer_request", 1)]
-        assert sender.channel.outstanding() == 0
+        assert not sender.channel._outstanding
         assert retries() >= 1
 
     def test_gives_up_after_max_attempts(self):
@@ -102,7 +102,7 @@ class TestReliableChannel:
         gave_up_counter = _delta("reliability.gave_up")
         channel.send(9, "publish_reply", "payload")  # node 9 never exists
         sim.run()
-        assert channel.outstanding() == 0
+        assert not channel._outstanding
         assert gave_up == [(9, "publish_reply")]
         assert retries() == FAST.max_attempts - 1
         assert gave_up_counter() == 1
@@ -172,11 +172,11 @@ class TestFailureDetector:
         detector = FailureDetector(0, Network(Simulator()), FAST)
         cleared = _delta("reliability.suspicions_cleared")
         detector.note_missed(5)
-        assert not detector.is_suspect(5)
+        assert 5 not in detector.suspects
         detector.note_missed(5)
-        assert detector.is_suspect(5)
+        assert 5 in detector.suspects
         detector.note_alive(5)  # a suspect that speaks is rehabilitated
-        assert not detector.is_suspect(5)
+        assert 5 not in detector.suspects
         assert cleared() == 1
 
     def test_probe_timeout_counts_a_miss(self):
@@ -187,20 +187,20 @@ class TestFailureDetector:
         detector = FailureDetector(0, network, config)
         detector.probe(7)  # node 7 does not exist
         sim.run()
-        assert detector.is_suspect(7)
+        assert 7 in detector.suspects
 
     def test_pong_clears_pending_probe(self):
         overlay = _reliable_overlay()
         peer = overlay.peers[0]
         peer.detector.probe(1)
         overlay.run()
-        assert not peer.detector.is_suspect(1)
+        assert 1 not in peer.detector.suspects
         assert not peer.detector._pending
 
 
-def _reliable_overlay(config: ReliabilityConfig = FAST, **network_kwargs):
+def _reliable_overlay(config: ReliabilityConfig = FAST):
     """Three peers in cluster 4 with reliability enabled everywhere."""
-    overlay = MicroOverlay(**network_kwargs)
+    overlay = MicroOverlay()
     peer_config = PeerConfig(reliability=config)
     for node_id, capacity in ((0, 1.0), (1, 3.0), (2, 9.0)):
         overlay.add_peer(node_id, capacity=capacity, config=peer_config)
@@ -221,10 +221,11 @@ class TestPeerIntegration:
         overlay.run()
         assert sends() >= 1  # publish_request went through the channel
         assert acked() == sends()
-        assert all(p.channel.outstanding() == 0 for p in overlay.peers.values())
+        assert all(not p.channel._outstanding for p in overlay.peers.values())
 
     def test_exactly_once_under_ack_loss(self):
-        overlay = _reliable_overlay(rng=np.random.default_rng(3))
+        overlay = _reliable_overlay()
+        overlay.network.rng = np.random.default_rng(3)
         overlay.network.set_kind_drop_probability("ack", 0.8)
         duplicates = _delta("reliability.duplicates_suppressed")
         for doc_id in range(200, 210):
@@ -247,7 +248,7 @@ class TestPeerIntegration:
         overlay.network.crash(2)
         overlay.peers[0]._send(2, "publish_request", "payload")
         overlay.run()
-        assert overlay.peers[0].detector.is_suspect(2)
+        assert 2 in overlay.peers[0].detector.suspects
         assert 2 in overlay.peers[0].suspects()
 
     def test_seen_queries_window_is_bounded(self):
@@ -479,7 +480,8 @@ class TestQueryFailover:
 
 class TestSuspectAwareness:
     def test_probe_loss_chain_marks_leader_suspect_then_reelects(self):
-        overlay = _reliable_overlay(rng=np.random.default_rng(0))
+        overlay = _reliable_overlay()
+        overlay.network.rng = np.random.default_rng(0)
         for _ in range(2):
             for peer in overlay.peers.values():
                 peer.adaptation.announce_capabilities()
@@ -491,10 +493,10 @@ class TestSuspectAwareness:
         # Every ping to the leader is lost; each probe timeout is a miss.
         overlay.network.set_kind_drop_probability("ping", 0.999)
         for _ in range(FAST.suspicion_threshold):
-            assert not prober.detector.is_suspect(2)
+            assert 2 not in prober.detector.suspects
             prober.detector.probe(2)
             overlay.run()
-        assert prober.detector.is_suspect(2)
+        assert 2 in prober.detector.suspects
         # Re-election strikes the suspect: node 1 (next capacity) wins.
         prober.adaptation.elect_leaders()
         assert prober.believed_leader[4] == 1
@@ -519,43 +521,49 @@ class TestSuspectAwareness:
         peer = overlay.peers[0]
         peer.detector.note_missed(1)
         peer.detector.note_missed(1)
-        assert peer.detector.is_suspect(1)
+        assert 1 in peer.detector.suspects
         probes = _delta("reliability.probes")
         peer.heartbeat_once()
         overlay.run()
         assert probes() >= 1
-        assert not peer.detector.is_suspect(1)  # its pong cleared suspicion
+        assert 1 not in peer.detector.suspects  # its pong cleared suspicion
 
 
 class TestLossExperiment:
     SCALE = 0.03
 
-    def test_reliability_meets_success_target_at_ten_percent_loss(self):
-        from repro.experiments.loss import measure
+    def test_reliability_meets_success_target_at_ten_percent_loss(
+        self, monkeypatch
+    ):
+        from repro.experiments import loss
 
-        reliable = measure(0.10, True, scale=self.SCALE, seed=7, n_queries=300)
-        unreliable = measure(0.10, False, scale=self.SCALE, seed=7, n_queries=300)
+        monkeypatch.setattr(loss, "N_QUERIES", 300)
+        reliable = loss.measure(0.10, True, scale=self.SCALE, seed=7)
+        unreliable = loss.measure(0.10, False, scale=self.SCALE, seed=7)
         assert reliable.success_rate >= 0.99
         # The unreliable baseline must be measurably worse.
         assert unreliable.success_rate <= reliable.success_rate - 0.05
         assert reliable.query_failovers > 0
         assert unreliable.retries == 0
 
-    def test_zero_loss_identical_with_reliability_on_or_off(self):
-        from repro.experiments.loss import measure
+    def test_zero_loss_identical_with_reliability_on_or_off(self, monkeypatch):
+        from repro.experiments import loss
 
-        off = measure(0.0, False, scale=self.SCALE, seed=7, n_queries=200)
-        on = measure(0.0, True, scale=self.SCALE, seed=7, n_queries=200)
+        monkeypatch.setattr(loss, "N_QUERIES", 200)
+        off = loss.measure(0.0, False, scale=self.SCALE, seed=7)
+        on = loss.measure(0.0, True, scale=self.SCALE, seed=7)
         assert on.success_rate == off.success_rate
         assert on.p99_latency == off.p99_latency
         assert on.mean_latency == off.mean_latency
         assert on.retries == 0
         assert on.query_failovers == 0
 
-    def test_run_and_format(self):
+    def test_run_and_format(self, monkeypatch):
         from repro.experiments import loss
 
-        result = loss.run(scale=self.SCALE, n_queries=60, drops=(0.0, 0.1))
+        monkeypatch.setattr(loss, "N_QUERIES", 60)
+        monkeypatch.setattr(loss, "DROP_SETTINGS", (0.0, 0.1))
+        result = loss.run(scale=self.SCALE)
         assert len(result.rows) == 4
         text = loss.format_result(result)
         assert "reliability" in text
@@ -603,7 +611,8 @@ class TestProbeSchedule:
         assert sorted(probed[:2]) == [1, 2] and sorted(probed[2:]) == [1, 2]
 
     def test_lost_direct_ping_is_rescued_by_a_helper(self):
-        overlay = _reliable_overlay(rng=np.random.default_rng(0))
+        overlay = _reliable_overlay()
+        overlay.network.rng = np.random.default_rng(0)
         prober = overlay.peers[0]
         indirect = _delta("reliability.indirect_probes")
         suspicions = _delta("reliability.suspicions")
@@ -663,7 +672,7 @@ class TestProbeSchedule:
         (key,) = peer.detector._pending
         forged = m.Pong(probe_id=key[1])
         peer.handle_message(Message(src=2, dst=0, kind="pong", payload=forged))
-        assert peer.detector.is_suspect(1)
+        assert 1 in peer.detector.suspects
         assert key in peer.detector._pending
 
 
@@ -693,7 +702,7 @@ def _rounds_until_suspected(system, victim: int, cap: int = 100) -> dict:
             peer for peer in system.alive_peers() if victim in peer.detector._pool
         ]
         for peer in watchers:
-            if peer.detector.is_suspect(victim):
+            if victim in peer.detector.suspects:
                 first.setdefault(peer.node_id, round_no)
         if all(peer.node_id in first for peer in watchers):
             return first

@@ -36,18 +36,6 @@ class TestRngRegistry:
         second = rngs.stream("b").random(3)
         assert first.tolist() == second.tolist()
 
-    def test_fork_differs_from_parent(self):
-        parent = RngRegistry(7)
-        child = parent.fork("trial-1")
-        a = parent.stream("x").random(3)
-        b = child.stream("x").random(3)
-        assert a.tolist() != b.tolist()
-
-    def test_fork_deterministic(self):
-        a = RngRegistry(7).fork("t").stream("x").random(3)
-        b = RngRegistry(7).fork("t").stream("x").random(3)
-        assert a.tolist() == b.tolist()
-
     def test_names(self):
         rngs = RngRegistry(0)
         rngs.stream("b")

@@ -157,26 +157,10 @@ class TestInstanceMutation:
         with pytest.raises(KeyError):
             mutable_instance.add_document(doc, contributor_id=10**9)
 
-    def test_remove_document(self, mutable_instance):
-        doc_id = next(iter(mutable_instance.documents))
-        doc = mutable_instance.documents[doc_id]
-        category = doc.categories[0]
-        before = mutable_instance.categories[category].popularity
-        removed = mutable_instance.remove_document(doc_id)
-        assert removed.doc_id == doc_id
-        assert doc_id not in mutable_instance.documents
-        assert mutable_instance.categories[category].popularity <= before
-
     def test_fresh_doc_ids_unique(self, mutable_instance):
         ids = {mutable_instance.fresh_doc_id() for _ in range(10)}
         assert len(ids) == 10
         assert all(i not in mutable_instance.documents for i in ids)
-
-    def test_contributors_of_category(self, small_instance):
-        for category_id in range(5):
-            contributors = small_instance.contributors_of_category(category_id)
-            for node_id in contributors:
-                assert category_id in small_instance.node_categories[node_id]
 
     def test_node_popularity_sums_contributions(self, small_instance):
         node_id = next(iter(small_instance.node_categories))

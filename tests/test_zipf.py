@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from repro.model.zipf import (
+    ZipfSampler,
     estimate_theta,
     expected_top_mass,
     harmonic_generalized,
-    mass_of_top,
     top_mass_count,
-    zipf_cdf,
     zipf_pmf,
-    zipf_sample,
 )
+
+
+def zipf_sample(rng, n, theta, size):
+    return ZipfSampler(n, theta).sample(rng, size)
+
+
+def mass_of_top(pmf, count):
+    """Fraction of the mass held by the ``count`` most popular items:
+    :func:`top_mass_count`'s inverse, the oracle it is checked against."""
+    return float(np.sum(np.sort(pmf)[::-1][:count]) / np.sum(pmf))
 
 
 class TestZipfPmf:
@@ -49,15 +57,6 @@ class TestZipfPmf:
     def test_rejects_negative_theta(self):
         with pytest.raises(ValueError):
             zipf_pmf(10, -0.1)
-
-
-class TestZipfCdf:
-    def test_ends_at_one(self):
-        assert zipf_cdf(50, 0.8)[-1] == pytest.approx(1.0)
-
-    def test_monotone(self):
-        cdf = zipf_cdf(50, 0.8)
-        assert np.all(np.diff(cdf) > 0)
 
 
 class TestZipfSample:
