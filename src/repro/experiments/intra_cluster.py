@@ -14,6 +14,11 @@ the ablation baseline) and reports, per setting:
 * the *expected* intra-cluster fairness from the placement (each
   document's load split over its replica holders);
 * the *observed* served-load fairness from a simulated Zipf query stream.
+
+E2b takes the paper's setting (hot mass 0.35) apart: Jain's index of
+served load per capacity unit over every node, from the plan's cluster
+balance down to sampling noise (:func:`repro.metrics.load.
+fairness_decomposition`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.core.fairness import jain_fairness
 from repro.core.popularity import cluster_members
 from repro.core.replication import build_world, plan_replication
 from repro.experiments.common import DES_SCALE
+from repro.metrics.load import FairnessDecomposition, fairness_decomposition
 from repro.metrics.report import format_table
 from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem
@@ -33,6 +39,8 @@ from repro.overlay.system import P2PSystem
 __all__ = ["IntraClusterRow", "IntraClusterResult", "run", "format_result"]
 
 HOT_MASS_SETTINGS = (0.0, 0.20, 0.35, 0.50)
+#: the setting E2b decomposes (the paper's).
+DECOMPOSED_HOT_MASS = 0.35
 N_QUERIES = 6000
 
 
@@ -57,6 +65,8 @@ class PolicyRow:
 class IntraClusterResult:
     scale: float
     rows: tuple[IntraClusterRow, ...]
+    #: E2b: the paper's setting, planned -> realised fairness per unit.
+    decomposition: FairnessDecomposition | None
     #: future-work item (vii): space-efficient placement alternatives.
     policy_rows: tuple[PolicyRow, ...] = ()
 
@@ -64,6 +74,7 @@ class IntraClusterResult:
 def run(scale: float = DES_SCALE, seed: int = 7) -> IntraClusterResult:
     """Sweep the hot-mass knob; measure expected and observed fairness."""
     rows = []
+    decomposition = None
     for hot_mass in HOT_MASS_SETTINGS:
         instance, assignment, plan = build_world(
             scale=scale, seed=seed, hot_mass=hot_mass
@@ -92,6 +103,8 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> IntraClusterResult:
                 jain_fairness([loads.get(node_id, 0) for node_id in ids])
             )
         observed = float(np.mean(cluster_fairness)) if cluster_fairness else 1.0
+        if hot_mass == DECOMPOSED_HOT_MASS:
+            decomposition = _decompose(system)
 
         storage = np.array(list(plan.node_bytes.values()), dtype=np.float64)
         rows.append(
@@ -129,7 +142,27 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> IntraClusterResult:
             )
         )
     return IntraClusterResult(
-        scale=scale, rows=tuple(rows), policy_rows=tuple(policy_rows)
+        scale=scale,
+        rows=tuple(rows),
+        decomposition=decomposition,
+        policy_rows=tuple(policy_rows),
+    )
+
+
+def _decompose(system: P2PSystem) -> FairnessDecomposition:
+    """E2b: the served load of ``system``'s peers, by the cluster each
+    request was served for (the cluster its category maps to)."""
+    cluster_of = system.assignment.category_to_cluster
+    node_cluster_loads: dict[int, dict[int, int]] = {}
+    for node_id, peer in system.peers.items():
+        per_cluster = node_cluster_loads[node_id] = {}
+        for category_id, hits in peer.hit_counters.items():
+            cluster_id = int(cluster_of[category_id])
+            per_cluster[cluster_id] = per_cluster.get(cluster_id, 0) + hits
+    capacities = system.node_capacities()
+    # Members are drawn by their advertised capacity (NRT.random_node).
+    return fairness_decomposition(
+        node_cluster_loads, capacities, system.topology.members, capacities
     )
 
 
@@ -153,6 +186,35 @@ def format_result(result: IntraClusterResult) -> str:
             ),
         )
     ]
+    decomposition = result.decomposition
+    if decomposition is not None:
+        parts.append(
+            format_table(
+                [
+                    "cluster J", "ceiling", "inter-cluster", "capacity",
+                    "count balance", "sampling floor", "product", "observed",
+                ],
+                [
+                    tuple(
+                        f"{value:.4f}"
+                        for value in (
+                            decomposition.cluster_fairness,
+                            decomposition.ceiling,
+                            decomposition.inter_cluster,
+                            decomposition.capacity,
+                            decomposition.count_balance,
+                            decomposition.sampling_floor,
+                            decomposition.product,
+                            decomposition.observed,
+                        )
+                    )
+                ],
+                title=(
+                    "E2b — Jain of served load per capacity unit, planned -> "
+                    f"realised (hot mass {DECOMPOSED_HOT_MASS})"
+                ),
+            )
+        )
     if result.policy_rows:
         parts.append(
             format_table(

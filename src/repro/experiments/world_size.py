@@ -140,8 +140,8 @@ def _site_bytes(system: P2PSystem) -> dict[str, int]:
     return {
         "nrt_tables": sum(map(size, tables)),
         "nrt_ids": len(table_ids - member_ids) * size(1 << 20),
-        # A read-only view is sized by a copy of the table behind it.
-        "capability_tables": sum(size(dict(t)) for t in capabilities.values()),
+        # Shared tables once: every peer holds every cluster's table.
+        "capability_tables": sum(map(size, capabilities.values())),
         "holder_sets": size(holders) + sum(map(size, holders.values())),
         # The DT with the dicts it holds; as a view of ``docs`` that is
         # ``docs`` itself, counted once.

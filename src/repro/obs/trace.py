@@ -98,10 +98,6 @@ class TraceLog:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def events(self) -> list[TraceEvent]:
-        """The recorded events, oldest first."""
-        return list(self._events)
-
     def __len__(self) -> int:
         return len(self._events)
 

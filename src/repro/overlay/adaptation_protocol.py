@@ -18,9 +18,11 @@ All of its state is volatile: a power loss rebuilds the component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro import obs
 from repro.overlay import messages as m
 from repro.overlay.cluster import elect_leader
 from repro.overlay.messages import DocInfo
@@ -114,6 +116,16 @@ class AdaptationProtocol:
                 self.peer._send(neighbor, "capability", payload)
 
     def handle_capability(self, announce: m.CapabilityAnnounce, src: int) -> None:
+        """Learn what a neighbour knows about member capacities.
+
+        Query dispatch draws members in proportion to these numbers, so an
+        announce with a capacity that is not a positive finite number is
+        dropped whole and counted, like any malformed frame.
+        """
+        if not all(0.0 < capacity < math.inf for _, capacity in announce.capabilities):
+            # Lazily registered, as in ``Peer.handle_message``.
+            obs.counter("overlay.rejected_messages").inc()
+            return
         self.peer.learn_capabilities(announce.cluster_id, announce.capabilities)
 
     def elect_leaders(self, alive: set[int] | None = None) -> None:

@@ -13,12 +13,18 @@ Every node keeps three tables:
   ids.  Because NRTs "can grow very fast, an LRU replacement algorithm can
   be adopted" (Section 6.2): per-cluster entries are capped with
   least-recently-used eviction.
+
+Beside the three tables a peer keeps, per cluster it knows, the capacity
+every member advertises (Section 6.1.1): a :class:`CapabilityTable`.
+Query dispatch draws a member with probability proportional to that
+capacity (:func:`weighted_index`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Mapping
 
 from repro.frozen import frozen_dataclass
@@ -26,7 +32,17 @@ from repro.frozen import frozen_dataclass
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.messages import DocInfo
 
-__all__ = ["DocumentTable", "DCRT", "DCRTEntry", "NRT"]
+__all__ = [
+    "CapabilityTable", "DocumentTable", "DCRT", "DCRTEntry", "NRT", "weighted_index",
+]
+
+#: rejected trials after which a weighted draw scans the candidates
+#: instead, which draws from the same distribution.  At the model's 1-5
+#: capacity units a trial is accepted with probability 1/5 or more (1/1.7
+#: on average), so 64 rejections in a row come less than once in a million
+#: draws; the bound keeps a table of tiny advertised capacities from
+#: spinning.
+_MAX_TRIALS = 64
 
 
 class DocumentTable:
@@ -182,6 +198,74 @@ class DCRT:
         return len(self._entries)
 
 
+class CapabilityTable(dict):
+    """One cluster's advertised capacities: member id -> capacity units.
+
+    ``peak`` is the largest capacity in the table and never less than the
+    one unit a member missing from it counts as.  It is the acceptance
+    bound of :func:`weighted_index`, and every write keeps it, so no draw
+    scans the table.  A ``shared`` table (world bootstrap hands one to
+    every peer that knows the cluster) refuses writes; a peer that learns
+    something else copies it first (``Peer.own_capabilities``).  Entries
+    are written by item only, so that ``peak`` stays right.
+    """
+
+    __slots__ = ("peak", "shared")
+
+    def __init__(self, entries: Mapping[int, float]) -> None:
+        super().__init__(entries)
+        self.shared = False
+        self.peak = max(1.0, max(self.values(), default=1.0))
+
+    def __setitem__(self, node_id: int, capacity: float) -> None:
+        self._check_writable()
+        old = self.get(node_id)
+        super().__setitem__(node_id, capacity)
+        if capacity >= self.peak:
+            self.peak = capacity
+        elif old == self.peak:
+            self.peak = max(1.0, max(self.values()))
+
+    def __delitem__(self, node_id: int) -> None:
+        self._check_writable()
+        old = self[node_id]
+        super().__delitem__(node_id)
+        if old == self.peak:
+            self.peak = max(1.0, max(self.values(), default=1.0))
+
+    def _check_writable(self) -> None:
+        if self.shared:
+            raise TypeError("a shared capability table is read-only")
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a capability table is written by item only")
+
+    clear = pop = popitem = setdefault = update = __ior__ = _refuse
+
+
+def weighted_index(candidates: list[int], weights: CapabilityTable | None, rng) -> int:
+    """Index of a candidate drawn with probability proportional to its
+    advertised capacity in ``weights``; a member it does not name counts
+    as one unit, and so does every member when there is no table.
+
+    A rejection draw, one ``rng.random()`` a trial: its integer part (x the
+    number of candidates) picks an index, its fractional part x
+    ``weights.peak`` is the acceptance test.  Where every weight is one
+    unit the first trial is accepted, which is a uniform draw.
+    """
+    n = len(candidates)
+    if weights is None:
+        return int(rng.random() * n)
+    get, peak, random = weights.get, weights.peak, rng.random
+    for _ in range(_MAX_TRIALS):
+        u = random() * n
+        index = int(u)
+        if (u - index) * peak < get(candidates[index], 1.0):
+            return index
+    cumulative = list(accumulate(get(node_id, 1.0) for node_id in candidates))
+    return min(bisect_right(cumulative, random() * cumulative[-1]), n - 1)
+
+
 class NRT:
     """Node Routing Table: cluster id -> known member nodes, LRU-capped.
 
@@ -246,15 +330,20 @@ class NRT:
         members = self._clusters.get(cluster_id)
         return list(members) if members is not None else []
 
-    def random_node(self, cluster_id: int, rng, exclude=()) -> int | None:
-        """Pick a uniformly random known member of ``cluster_id``.
+    def random_node(
+        self, cluster_id: int, rng, weights: CapabilityTable | None, exclude=()
+    ) -> int | None:
+        """Pick a known member of ``cluster_id``, weighted by capacity.
 
-        Random selection is the paper's intra-cluster dispatch rule: it
-        "can ensure that cluster nodes get an equal share of the workload
-        targeting their cluster" (Section 3.3).  ``exclude`` removes
+        Section 3.3 draws uniformly, so that members "get an equal share of
+        the workload targeting their cluster"; that assumes identical
+        peers.  Fair load is load per capacity unit (Section 4.3.1), so a
+        member is drawn in proportion to the capacity it advertises in
+        ``weights`` (:func:`weighted_index`).  ``exclude`` removes
         candidates (already-tried failover targets, suspected-dead nodes)
         before the draw; with nothing to exclude the rng consumption is
-        identical to the plain call.
+        identical to the plain call.  The chosen entry becomes the most
+        recently used.
         """
         members = self._clusters.get(cluster_id)
         if not members:
@@ -263,10 +352,10 @@ class NRT:
             node_ids = [node_id for node_id in members if node_id not in exclude]
             if not node_ids:
                 return None
-            choice = node_ids[int(rng.integers(0, len(node_ids)))]
+            choice = node_ids[weighted_index(node_ids, weights, rng)]
             members.remove(choice)
         else:
-            choice = members.pop(int(rng.integers(0, len(members))))
+            choice = members.pop(weighted_index(members, weights, rng))
         members.append(choice)
         return choice
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.overlay import messages as m
 from repro.overlay.adaptation_protocol import AdaptationProtocol
 from repro.overlay.membership_protocol import MembershipProtocol
 from repro.overlay.messages import DocInfo
-from repro.overlay.metadata import DCRT, NRT, DocumentTable
+from repro.overlay.metadata import DCRT, NRT, CapabilityTable, DocumentTable
 from repro.overlay.query_protocol import QueryProtocol
 from repro.overlay.service import ServiceConfig, ServiceQueue
 from repro.reliability.channel import DEDUP_CAPACITY, ReliabilityConfig, ReliableChannel
@@ -253,9 +253,11 @@ class Peer:
         #: doc queries this node *routed* (metadata lookups / redirects)
         #: without serving content — the super peer's directory workload.
         self.queries_routed = 0
-        #: capability knowledge per cluster (Section 6.1.1 gossip); a table
-        #: is read-only until :meth:`own_capabilities` makes it this peer's.
-        self.known_capabilities: dict[int, Mapping[int, float]] = {}
+        #: capability knowledge per cluster (Section 6.1.1 gossip), own
+        #: clusters and foreign ones alike: query dispatch draws members by
+        #: it.  A shared table is read-only until :meth:`own_capabilities`
+        #: makes it this peer's.
+        self.known_capabilities: dict[int, CapabilityTable] = {}
         self.believed_leader: dict[int, int] = {}
         #: cluster id -> super-peer node holding the cluster metadata, when
         #: the deployment runs in super-peer mode (Section 3's hybrid
@@ -407,23 +409,27 @@ class Peer:
             self._record("join", cluster_id)
             self.hooks.on_cluster_joined(self, cluster_id)
 
-    def own_capabilities(self, cluster_id: int) -> dict[int, float]:
+    def own_capabilities(self, cluster_id: int) -> CapabilityTable:
         """This peer's private, writable capability table for ``cluster_id``.
 
-        World bootstrap hands every member of a cluster one read-only view
-        of the same table; whoever is about to change an entry calls this,
-        and the first such call copies the view.
+        World bootstrap hands every peer that knows a cluster one shared,
+        read-only table; whoever is about to change an entry calls this,
+        and the first such call copies it.
         """
         known = self.known_capabilities.get(cluster_id)
-        if type(known) is not dict:
-            known = self.known_capabilities[cluster_id] = dict(known or ())
+        if known is None or known.shared:
+            known = self.known_capabilities[cluster_id] = CapabilityTable(
+                known or {}
+            )
         return known
 
     def learn_capabilities(
         self, cluster_id: int, capabilities: Iterable[tuple[int, float]]
-    ) -> Mapping[int, float]:
+    ) -> CapabilityTable:
         """Record ``(node id, capacity)`` pairs; returns the cluster's table."""
-        known = self.known_capabilities.setdefault(cluster_id, {})
+        known = self.known_capabilities.get(cluster_id)
+        if known is None:
+            known = self.own_capabilities(cluster_id)
         for node_id, capacity in capabilities:
             if known.get(node_id) != capacity:
                 known = self.own_capabilities(cluster_id)

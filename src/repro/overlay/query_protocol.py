@@ -3,8 +3,8 @@
 The :class:`QueryProtocol` component of a :class:`~repro.overlay.peer.Peer`:
 
 * step 1 at the requester (``start_query``: DCRT -> cluster, NRT ->
-  random member; with reliability on, an end-to-end deadline fails the
-  query over to a different member);
+  a member drawn by advertised capacity; with reliability on, an
+  end-to-end deadline fails the query over to a different member);
 * step 2 at a target (loop-break on the query id and attempt, redirect
   queries for moved categories per the lazy-rebalancing protocol, serve
   locally, locate a replica holder through cluster metadata, or fan out
@@ -26,7 +26,7 @@ from repro import obs
 from repro.overlay import messages as m
 from repro.overlay.cache import DocumentCache
 from repro.overlay.messages import DocInfo
-from repro.overlay.metadata import DCRTEntry
+from repro.overlay.metadata import DCRTEntry, weighted_index
 from repro.overlay.service import BUSY_RETRY_AFTER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,12 +125,12 @@ class QueryProtocol:
     ) -> None:
         """Step 1 of query processing, at the requesting node.
 
-        Maps the (pre-categorized) query to its cluster via the DCRT, picks
-        a random cluster node via the NRT, and dispatches.  Fails when no
-        member of the cluster is known — "if no live node exists, the query
-        will fail".  With ``target_doc_id`` set, the query asks for a
-        specific document (the retrieval case); otherwise it asks for up to
-        ``m_results`` documents of the category.
+        Maps the (pre-categorized) query to its cluster via the DCRT, draws
+        a cluster node from the NRT by advertised capacity, and dispatches.
+        Fails when no member of the cluster is known — "if no live node
+        exists, the query will fail".  With ``target_doc_id`` set, the query
+        asks for a specific document (the retrieval case); otherwise it asks
+        for up to ``m_results`` documents of the category.
         """
         if m_results < 1:
             raise ValueError(f"m_results must be >= 1, got {m_results}")
@@ -180,11 +180,12 @@ class QueryProtocol:
         suspects = self.peer.suspects()
         avoid = state.tried | suspects if suspects else state.tried
         pick = self.peer.nrt.random_node
-        target = pick(cluster_id, self.peer.rng, exclude=avoid)
+        rng, weights = self.peer.rng, self.peer.known_capabilities.get(cluster_id)
+        target = pick(cluster_id, rng, weights, exclude=avoid)
         if target is None and state.tried:
-            target = pick(cluster_id, self.peer.rng, exclude=suspects)
+            target = pick(cluster_id, rng, weights, exclude=suspects)
         if target is None and suspects:
-            target = pick(cluster_id, self.peer.rng)
+            target = pick(cluster_id, rng, weights)
         if target is None:
             self._attempts.pop(state.query_id, None)
             self._fail_query(state.query_id, "no-known-member")
@@ -245,7 +246,10 @@ class QueryProtocol:
             # original believed cluster stays in the message so the serving
             # node can piggyback the metadata correction (step 4).
             target = self.peer.nrt.random_node(
-                serving_cluster, self.peer.rng, exclude=self.peer.suspects()
+                serving_cluster,
+                self.peer.rng,
+                self.peer.known_capabilities.get(serving_cluster),
+                exclude=self.peer.suspects(),
             )
             if target is not None:
                 _C_QUERIES_FORWARDED.value += 1
@@ -367,9 +371,11 @@ class QueryProtocol:
     def _forward_to_holder(
         self, query: m.QueryMessage, cluster_id: int, *, relayed: bool = False
     ) -> bool:
-        """Hand a document query to a random other holder, if one is known.
+        """Hand a document query to another holder, if one is known.
 
-        Holders come from the cluster metadata (``lookup_holders``).
+        Holders come from the cluster metadata (``lookup_holders``); one is
+        drawn in proportion to its advertised capacity, as members are
+        (:meth:`NRT.random_node`).
         ``relayed`` is the post-transfer replay, which passes the parked
         query on unchanged: no hop bump, not counted in
         ``queries_routed`` (kept as it was; see the ROADMAP note).
@@ -383,7 +389,11 @@ class QueryProtocol:
         ]
         if not holders:
             return False
-        choice = holders[int(self.peer.rng.integers(0, len(holders)))]
+        choice = holders[
+            weighted_index(
+                holders, self.peer.known_capabilities.get(cluster_id), self.peer.rng
+            )
+        ]
         if not relayed:
             self.peer.queries_routed += 1
             query = query.forwarded()
@@ -488,8 +498,8 @@ class QueryProtocol:
 
         The load-based-redirection admission policy: prefer a replica
         holder of the wanted document (cluster metadata), fall back to a
-        random fellow member (NRT).  Returns False when nobody else is
-        known — the caller sheds instead.
+        fellow member drawn by capacity (NRT).  Returns False when nobody
+        else is known — the caller sheds instead.
         """
         entry = self.peer.dcrt.entry(query.category_id)
         if query.target_doc_id >= 0 and self._forward_to_holder(
@@ -499,6 +509,7 @@ class QueryProtocol:
         target = self.peer.nrt.random_node(
             entry.cluster_id,
             self.peer.rng,
+            self.peer.known_capabilities.get(entry.cluster_id),
             exclude=self.peer.suspects() | {self.peer.node_id},
         )
         if target is not None:

@@ -7,12 +7,12 @@ which member keeps the cluster metadata.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.overlay.cluster import ClusterGraph, build_cluster_graph
+from repro.overlay.metadata import CapabilityTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.maxfair import Assignment
@@ -45,6 +45,8 @@ class ClusterTopology:
         self.graphs: dict[int, ClusterGraph] = {}
         #: cluster id -> designated super peer (super-peer mode only).
         self.super_peers: dict[int, int] = {}
+        #: cluster id -> the shared capability table bootstrap handed out.
+        self.capabilities: dict[int, CapabilityTable] = {}
         self._members_view: dict[int, set[int]] | None = None
         #: what :meth:`bootstrap` drew NRTs by; :meth:`rewire` redraws by it.
         self._config: "P2PSystemConfig | None" = None
@@ -59,7 +61,9 @@ class ClusterTopology:
 
         Membership follows the assignment (contributors of a cluster's
         categories are its members, Section 3.1); NRTs are complete for
-        own clusters and sampled for foreign ones.
+        own clusters and sampled for foreign ones, and every peer holds
+        every cluster's capability table, so that it can weigh the members
+        it dispatches to.
         """
         peers, rng = self._peers, self._rng
         self._config = config
@@ -75,11 +79,12 @@ class ClusterTopology:
             # of the cluster shares one ``int`` per member.
             members_array = np.array(member_list, dtype=object)
             # The capability table is advertised state, equal at every
-            # member: one copy behind a read-only view, private only once
-            # a member learns something else (``Peer.own_capabilities``).
-            capabilities = MappingProxyType(
+            # peer: one shared read-only table, private only once a peer
+            # learns something else (``Peer.own_capabilities``).
+            capabilities = CapabilityTable(
                 {member: instance.nodes[member].capacity_units for member in member_list}
             )
+            capabilities.shared = True
             for node_id in member_list:
                 peer = peers[node_id]
                 peer.known_capabilities[cluster_id] = capabilities
@@ -92,6 +97,7 @@ class ClusterTopology:
                 peer.join_cluster(cluster_id, known_members=known.tolist())
             # Foreign-cluster samples for everyone else.
             if member_list:
+                self.capabilities[cluster_id] = capabilities
                 sample_size = min(config.remote_nrt_sample, len(member_list))
                 for node_id in all_nodes:
                     if node_id in members:
@@ -99,9 +105,9 @@ class ClusterTopology:
                     picks = rng.choice(
                         len(member_list), size=sample_size, replace=False
                     )
-                    peers[node_id].nrt.add_many(
-                        cluster_id, members_array[picks].tolist()
-                    )
+                    peer = peers[node_id]
+                    peer.nrt.add_many(cluster_id, members_array[picks].tolist())
+                    peer.known_capabilities[cluster_id] = capabilities
 
         for cluster_id, members in self.members.items():
             if not members:
@@ -194,9 +200,10 @@ class ClusterTopology:
         Its NRT is redrawn from the topology stream the way
         :meth:`bootstrap` drew it: a random subset (up to the NRT capacity)
         of every own cluster, a ``remote_nrt_sample`` of every other
-        non-empty one.  The cluster graphs never dropped the node (a crash
-        keeps membership), so its neighbour links are all still there —
-        only the peer's own copy of them was wiped.
+        non-empty one, with that cluster's bootstrap capability table.  The
+        cluster graphs never dropped the node (a crash keeps membership), so
+        its neighbour links are all still there — only the peer's own copy
+        of them was wiped.
         """
         config, rng = self._config, self._rng
         for cluster_id in sorted(self.members.keys() | peer.memberships):
@@ -218,3 +225,6 @@ class ClusterTopology:
                     size, size=min(config.remote_nrt_sample, size), replace=False
                 )
                 peer.nrt.add_many(cluster_id, members_array[picks].tolist())
+                capabilities = self.capabilities.get(cluster_id)
+                if capabilities is not None:
+                    peer.known_capabilities.setdefault(cluster_id, capabilities)

@@ -209,7 +209,7 @@ class TestInstrumentation:
             sim.run()
         finally:
             log.disable()
-        kinds = [event.kind for event in log.events()]
+        kinds = [event.kind for event in log]
         assert "event_dispatch" in kinds
         log.clear()
 

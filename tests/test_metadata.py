@@ -1,7 +1,6 @@
 """Tests for repro.overlay.metadata — the Figure 1 data structures."""
 
 from collections import OrderedDict
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import ScenarioConfig, Schedule
 from repro.core.replication import build_world
-from repro.overlay.metadata import DCRT, DCRTEntry, NRT, DocumentTable
+from repro.overlay import metadata
+from repro.overlay.metadata import (
+    DCRT, DCRTEntry, NRT, CapabilityTable, DocumentTable, weighted_index,
+)
 from repro.overlay import peer as peer_module
 from repro.overlay.peer import DocInfo
+from repro.overlay.query_protocol import _QueryAttempt
 from repro.overlay.system import P2PSystem
 
 from tests.helpers import MicroOverlay, build_live_system
@@ -318,17 +321,31 @@ class TestNRT:
         assert nrt.nodes_in(1) == []
         assert nrt.nodes_in(2) == [11]
 
-    def test_random_node_uniformish(self):
+    @staticmethod
+    def _uniform_picks(weights):
+        """2,000 draws from ten members; asserts they are uniform and cost
+        one ``rng.random()`` each (the first trial is accepted)."""
         nrt = NRT()
         nrt.add_many(1, range(10))
         rng = np.random.default_rng(0)
-        picks = [nrt.random_node(1, rng) for _ in range(2000)]
+        picks = [nrt.random_node(1, rng, weights) for _ in range(2000)]
         counts = np.bincount(picks, minlength=10)
         assert counts.min() > 120  # expected 200 each
+        replay = np.random.default_rng(0)
+        for _ in range(2000):
+            replay.random()
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_random_node_uniformish(self):
+        """A table where every member has one unit draws uniformly."""
+        self._uniform_picks(CapabilityTable(dict.fromkeys(range(10), 1.0)))
+
+    def test_random_node_without_a_table_is_uniform(self):
+        self._uniform_picks(None)
 
     def test_random_node_empty(self):
         nrt = NRT()
-        assert nrt.random_node(9, np.random.default_rng(0)) is None
+        assert nrt.random_node(9, np.random.default_rng(0), None) is None
 
     def test_clusters_listing(self):
         nrt = NRT()
@@ -339,6 +356,143 @@ class TestNRT:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             NRT(max_nodes_per_cluster=0)
+
+
+def _pick_counts(weights, exclude=(), draws=30_000, members=range(10)):
+    nrt = NRT()
+    nrt.add_many(1, members)
+    rng = np.random.default_rng(3)
+    picks = [nrt.random_node(1, rng, weights, exclude) for _ in range(draws)]
+    return np.bincount(picks, minlength=10)
+
+
+class TestWeightedDraw:
+    """Members are drawn in proportion to their advertised capacity."""
+
+    def test_a_five_unit_member_is_drawn_five_times_as_often(self):
+        weights = CapabilityTable({n: 5.0 if n < 5 else 1.0 for n in range(10)})
+        counts = _pick_counts(weights)
+        # Expected 5,000 for each 5-unit member, 1,000 for each 1-unit one.
+        ratio = counts[:5].sum() / counts[5:].sum()
+        assert 4.6 < ratio < 5.4
+        assert counts[:5].min() > 4_600 and counts[5:].max() < 1_150
+
+    def test_an_unknown_member_counts_as_one_unit(self):
+        named = CapabilityTable({0: 3.0})
+        spelled_out = CapabilityTable({n: 3.0 if n == 0 else 1.0 for n in range(10)})
+        assert list(_pick_counts(named)) == list(_pick_counts(spelled_out))
+        counts = _pick_counts(named)
+        assert 2.6 < counts[0] / counts[1:].mean() < 3.4
+
+    def test_exclude_is_never_drawn_and_weights_hold_among_the_rest(self):
+        weights = CapabilityTable({0: 5.0, 1: 5.0, 2: 5.0})
+        counts = _pick_counts(weights, exclude={0, 3, 4, 5, 6, 7, 8})
+        assert counts[[0, 3, 4, 5, 6, 7, 8]].sum() == 0
+        assert 4.5 < counts[1] / counts[9] < 5.5
+        assert 4.5 < counts[2] / counts[9] < 5.5
+
+    def test_excluding_everyone_draws_nothing(self):
+        nrt = NRT()
+        nrt.add_many(1, [4, 5])
+        rng = np.random.default_rng(0)
+        assert nrt.random_node(1, rng, CapabilityTable({4: 2.0}), {4, 5}) is None
+
+    def test_the_drawn_member_becomes_most_recently_used(self):
+        nrt = NRT()
+        nrt.add_many(1, range(5))
+        choice = nrt.random_node(1, np.random.default_rng(1), CapabilityTable({}))
+        assert nrt.nodes_in(1)[-1] == choice
+        assert sorted(nrt.nodes_in(1)) == list(range(5))
+
+    def test_after_too_many_rejections_a_scan_draws_the_same_distribution(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(metadata, "_MAX_TRIALS", 0)
+        weights = CapabilityTable({n: 4.0 if n % 2 else 1.0 for n in range(10)})
+        rng = np.random.default_rng(5)
+        candidates = list(range(10))
+        picks = [weighted_index(candidates, weights, rng) for _ in range(30_000)]
+        counts = np.bincount(picks, minlength=10)
+        assert 3.6 < counts[1::2].sum() / counts[::2].sum() < 4.4
+        # A table of vanishing capacities costs one scan, not a spin.
+        monkeypatch.setattr(metadata, "_MAX_TRIALS", 64)
+        tiny = CapabilityTable({n: 1e-300 for n in range(10)})
+        assert 0 <= weighted_index(candidates, tiny, rng) < 10
+
+
+class TestCapabilityTable:
+    def test_peak_follows_writes(self):
+        table = CapabilityTable({1: 2.0, 2: 4.0})
+        assert table.peak == 4.0
+        table[3] = 5.0
+        assert table.peak == 5.0
+        table[3] = 3.0  # the peak member went down
+        assert table.peak == 4.0
+        del table[2]
+        assert table.peak == 3.0
+        del table[1], table[3]
+        assert table.peak == 1.0  # an unnamed member's one unit
+
+    def test_peak_is_never_below_one_unit(self):
+        assert CapabilityTable({1: 0.5}).peak == 1.0
+        assert CapabilityTable({}).peak == 1.0
+
+    def test_a_shared_table_refuses_writes(self):
+        table = CapabilityTable({1: 2.0})
+        table.shared = True
+        with pytest.raises(TypeError):
+            table[1] = 3.0
+        with pytest.raises(TypeError):
+            del table[1]
+        assert dict(table) == {1: 2.0}
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda t: t.update({1: 9.0}),
+            lambda t: t.pop(1),
+            lambda t: t.popitem(),
+            lambda t: t.setdefault(2, 9.0),
+            lambda t: t.clear(),
+        ],
+    )
+    def test_writes_other_than_by_item_are_refused(self, write):
+        table = CapabilityTable({1: 2.0})
+        with pytest.raises(TypeError):
+            write(table)
+        assert dict(table) == {1: 2.0} and table.peak == 2.0
+
+
+class TestDispatchRelaxation:
+    """``_try_query`` excludes tried nodes and suspects, then relaxes the
+    exclusions in order: tried first, then suspects."""
+
+    @pytest.mark.parametrize(
+        "tried, suspects, allowed",
+        [
+            ({1}, {2}, {3}),
+            ({1, 3}, {2}, {1, 3}),
+            ({1, 3}, {1, 2, 3}, {1, 2, 3}),
+        ],
+    )
+    def test_order(self, tried, suspects, allowed, monkeypatch):
+        overlay = MicroOverlay()
+        requester = overlay.add_peer(0)
+        for node_id in (1, 2, 3):
+            overlay.add_peer(node_id, capacity=float(node_id))
+        overlay.wire_cluster(5, [1, 2, 3], edges=[(1, 2), (2, 3)])
+        requester.nrt.add_many(5, [1, 2, 3])
+        requester.known_capabilities[5] = CapabilityTable({1: 1.0, 2: 5.0, 3: 1.0})
+        requester.dcrt.set(7, 5)
+        sent = []
+        monkeypatch.setattr(requester, "suspects", lambda: set(suspects))
+        monkeypatch.setattr(
+            requester, "_send", lambda dst, kind, payload, **_: sent.append(dst)
+        )
+        for query_id in range(200):
+            state = _QueryAttempt(query_id, 7, 1, -1, tried=set(tried))
+            requester.queries._try_query(state)
+        assert set(sent) == allowed
 
 
 class OrderedDictNRT:
@@ -406,28 +560,33 @@ class OrderedDictNRT:
         members = self._clusters.get(cluster_id)
         return list(members) if members is not None else []
 
-    def random_node(self, cluster_id: int, rng, exclude=()) -> int | None:
-        """Pick a uniformly random known member of ``cluster_id``.
+    def random_node(self, cluster_id: int, rng, weights, exclude=()) -> int | None:
+        """Pick a known member of ``cluster_id`` in proportion to its weight.
 
-        Random selection is the paper's intra-cluster dispatch rule: it
-        "can ensure that cluster nodes get an equal share of the workload
-        targeting their cluster" (Section 3.3).  ``exclude`` removes
-        candidates (already-tried failover targets, suspected-dead nodes)
-        before the draw; with nothing to exclude the rng consumption is
-        identical to the plain call.
+        ``weights`` is a plain dict (or None), read afresh: the bound is
+        its maximum at the time of the draw, and an unnamed member weighs
+        one unit.  ``exclude`` removes candidates before the draw.
         """
         members = self._clusters.get(cluster_id)
         if not members:
             return None
-        if exclude:
-            node_ids = [node_id for node_id in members if node_id not in exclude]
-            if not node_ids:
-                return None
-            choice = node_ids[int(rng.integers(0, len(node_ids)))]
+        node_ids = [node_id for node_id in members if node_id not in exclude]
+        if not node_ids:
+            return None
+        weights = weights or {}
+        bound = max([1.0, *weights.values()])
+        for _ in range(metadata._MAX_TRIALS):
+            position = rng.random() * len(node_ids)
+            index = int(position)
+            if (position - index) * bound < weights.get(node_ids[index], 1.0):
+                break
         else:
-            # Walk to the drawn position instead of copying the table.
-            index = int(rng.integers(0, len(members)))
-            choice = next(islice(members, index, None))
+            total = sum(weights.get(node_id, 1.0) for node_id in node_ids)
+            target, index = rng.random() * total, 0
+            while target >= weights.get(node_ids[index], 1.0):
+                target -= weights.get(node_ids[index], 1.0)
+                index += 1
+        choice = node_ids[index]
         members.move_to_end(choice)
         return choice
 
@@ -450,6 +609,10 @@ _nrt_steps = st.lists(
         st.tuples(
             st.just("random_node"), _cluster, st.frozensets(_node, max_size=12)
         ),
+        # Capability writes between draws: the table's cached peak must
+        # follow them.
+        st.tuples(st.just("set_weight"), _node, st.integers(1, 5)),
+        st.tuples(st.just("drop_weight"), _node),
     ),
     max_size=60,
 )
@@ -457,15 +620,29 @@ _nrt_steps = st.lists(
 
 class TestNRTAgainstOrderedDictOracle:
     @settings(max_examples=300, deadline=None)
-    @given(_nrt_steps, st.integers(0, 2**32 - 1), st.integers(1, 8))
-    def test_same_tables_picks_and_generator_state(self, steps, seed, capacity):
+    @given(
+        _nrt_steps,
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.dictionaries(_node, st.integers(1, 5)),
+    )
+    def test_same_tables_picks_and_generator_state(
+        self, steps, seed, capacity, initial_weights
+    ):
         nrt, oracle = NRT(capacity), OrderedDictNRT(capacity)
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        weights = CapabilityTable(initial_weights)
+        oracle_weights = dict(initial_weights)
         for kind, *args in steps:
             if kind == "random_node":
-                assert nrt.random_node(args[0], rng, args[1]) == (
-                    oracle.random_node(args[0], oracle_rng, args[1])
+                assert nrt.random_node(args[0], rng, weights, args[1]) == (
+                    oracle.random_node(args[0], oracle_rng, oracle_weights, args[1])
                 )
+            elif kind == "set_weight":
+                weights[args[0]] = oracle_weights[args[0]] = float(args[1])
+            elif kind == "drop_weight":
+                if args[0] in oracle_weights:
+                    del weights[args[0]], oracle_weights[args[0]]
             else:
                 getattr(nrt, kind)(*args)
                 getattr(oracle, kind)(*args)

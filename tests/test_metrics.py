@@ -1,8 +1,10 @@
 """Tests for repro.metrics: load report cards, response stats, reporting."""
 
+import numpy as np
 import pytest
 
-from repro.metrics.load import load_report
+from repro.core.fairness import jain_fairness
+from repro.metrics.load import fairness_decomposition, load_report
 from repro.metrics.report import format_kv, format_series, format_table
 from repro.metrics.response import QueryOutcome, summarize_responses
 
@@ -41,6 +43,87 @@ class TestLoadReport:
         card = load_report({1: 5})
         rows = dict(card.rows())
         assert rows["nodes"] == "1"
+
+
+class TestFairnessDecomposition:
+    """Planned -> realised Jain of load per capacity unit, in factors."""
+
+    @staticmethod
+    def _one_cluster(loads, capacities, weights):
+        nodes = sorted(capacities)
+        return fairness_decomposition(
+            {n: {0: loads[n]} for n in nodes},
+            capacities,
+            {0: set(nodes)},
+            weights,
+        )
+
+    def test_uniform_dispatch_at_equal_counts_scores_jain_of_inverse_capacity(self):
+        capacities = {n: float(1 + n % 5) for n in range(50)}
+        parts = self._one_cluster(
+            dict.fromkeys(capacities, 40), capacities, dict.fromkeys(capacities, 1.0)
+        )
+        closed_form = jain_fairness([1.0 / c for c in capacities.values()])
+        assert parts.observed == pytest.approx(closed_form)
+        assert parts.capacity == pytest.approx(closed_form)
+        assert parts.inter_cluster == pytest.approx(1.0)
+        # Equal counts are exactly what uniform draws expect.
+        assert parts.count_balance * parts.sampling_floor == pytest.approx(1.0)
+        assert parts.product == pytest.approx(parts.observed)
+
+    def test_capacity_weighted_dispatch_has_no_capacity_term(self):
+        capacities = {n: float(1 + n % 5) for n in range(50)}
+        parts = self._one_cluster(
+            {n: 10 * int(c) for n, c in capacities.items()}, capacities, capacities
+        )
+        assert parts.capacity == pytest.approx(1.0)
+        assert parts.observed == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0, 17.5, 44.0])
+    def test_sampling_floor_is_lambda_over_lambda_plus_one(self, lam):
+        capacities = dict.fromkeys(range(20), 1.0)
+        loads = {n: lam for n in capacities}
+        parts = self._one_cluster(loads, capacities, capacities)
+        assert parts.sampling_floor == pytest.approx(lam / (lam + 1))
+
+    def test_poisson_loads_sit_at_the_floor(self):
+        lam, n_nodes = 12.0, 20_000
+        capacities = dict.fromkeys(range(n_nodes), 1.0)
+        draws = np.random.default_rng(4).poisson(lam, size=n_nodes)
+        loads = dict(enumerate(draws.tolist()))
+        parts = self._one_cluster(loads, capacities, capacities)
+        assert parts.observed == pytest.approx(lam / (lam + 1), abs=0.003)
+        assert parts.count_balance == pytest.approx(1.0, abs=0.003)
+
+    def test_factors_multiply_to_the_observed_index(self):
+        rng = np.random.default_rng(9)
+        capacities = {n: float(rng.integers(1, 6)) for n in range(120)}
+        members = {0: set(range(0, 70)), 1: set(range(50, 110))}  # 110+: none
+        loads = {
+            n: {
+                k: int(rng.poisson(3 * capacities[n]))
+                for k in (0, 1)
+                if n in members[k]
+            }
+            for n in capacities
+        }
+        parts = fairness_decomposition(loads, capacities, members, capacities)
+        assert parts.ceiling == pytest.approx(110 / 120)
+        assert parts.product == pytest.approx(parts.observed)
+        # Nodes 50-69 serve two clusters and collect two shares.
+        per_unit = {0: 0.0, 1: 0.0}
+        for n, per_cluster in loads.items():
+            for k, load in per_cluster.items():
+                per_unit[k] += load
+        for k in per_unit:
+            per_unit[k] /= sum(capacities[n] for n in members[k])
+        shares = [
+            sum(per_unit[k] for k in (0, 1) if n in members[k]) for n in range(110)
+        ]
+        assert parts.inter_cluster == pytest.approx(jain_fairness(shares))
+        assert parts.cluster_fairness == pytest.approx(
+            jain_fairness(list(per_unit.values()))
+        )
 
 
 class TestResponseStats:

@@ -241,7 +241,7 @@ class TestTracing:
             sim.run()
         finally:
             obs.TRACE.disable()
-        events = obs.TRACE.events()
+        events = list(obs.TRACE)
         counts = Counter(event.kind for event in events)
         assert counts["msg_send"] == 2
         assert counts["msg_deliver"] == 1

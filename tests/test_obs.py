@@ -181,15 +181,15 @@ class TestTraceLog:
         log.emit("msg_send", src=1, dst=2, kind="query")
         log.emit("msg_drop", src=1, dst=3, kind="query", reason="dst-dead")
         assert len(log) == 2
-        assert [event.kind for event in log.events()] == ["msg_send", "msg_drop"]
-        assert log.events()[1].fields["reason"] == "dst-dead"
+        assert [event.kind for event in log] == ["msg_send", "msg_drop"]
+        assert list(log)[1].fields["reason"] == "dst-dead"
 
     def test_kind_field_allowed(self):
         # ``kind`` is positional-only on emit, so a field may reuse the name.
         log = TraceLog()
         log.enable()
         log.emit("msg_send", kind="gossip")
-        assert log.events()[0].snapshot()["kind"] == "msg_send"
+        assert list(log)[0].snapshot()["kind"] == "msg_send"
 
     def test_capacity_compaction_counts_drops(self, monkeypatch):
         monkeypatch.setattr(trace_module, "CAPACITY", 10)
@@ -200,7 +200,7 @@ class TestTraceLog:
         assert len(log) <= 10
         assert log.dropped_events > 0
         # The newest events survive.
-        assert log.events()[-1].fields["i"] == 24
+        assert list(log)[-1].fields["i"] == 24
 
     def test_clear(self):
         log = TraceLog()

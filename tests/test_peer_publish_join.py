@@ -1,12 +1,13 @@
 """Tests for the publish (Section 6.2) and join/leave (6.3) protocols."""
 
-from types import MappingProxyType
+import math
 
 import pytest
 
+from repro import obs
 from repro.overlay import messages as m
 from repro.overlay import misbehavior
-from repro.overlay.metadata import DCRT
+from repro.overlay.metadata import DCRT, CapabilityTable
 from repro.overlay.peer import DocInfo
 
 from tests.helpers import MicroOverlay, build_live_system
@@ -208,7 +209,7 @@ class TestCapabilityCopyOnWrite:
 
     def test_a_bootstrapped_table_rejects_item_assignment(self, booted):
         _, _, a, _, shared = booted
-        assert type(shared) is MappingProxyType
+        assert type(shared) is CapabilityTable and shared.shared
         with pytest.raises(TypeError):
             shared[a.node_id] = 99.0
 
@@ -238,9 +239,20 @@ class TestCapabilityCopyOnWrite:
             a.capacity_units += 1.0
             a.join_cluster(cluster_id)
             assert a.known_capabilities[cluster_id][a.node_id] == a.capacity_units
-        assert type(a.known_capabilities[cluster_id]) is dict
+        assert not a.known_capabilities[cluster_id].shared
         assert b.known_capabilities[cluster_id] is shared
         assert dict(shared) == before
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
+    def test_an_announce_of_a_bad_capacity_is_dropped_and_counted(
+        self, booted, capacity
+    ):
+        _, cluster_id, a, b, shared = booted
+        before = obs.counter("overlay.rejected_messages").value
+        announce = m.CapabilityAnnounce(cluster_id, ((b.node_id, capacity),))
+        a.adaptation.handle_capability(announce, b.node_id)
+        assert obs.counter("overlay.rejected_messages").value == before + 1
+        assert a.known_capabilities[cluster_id] is shared
 
     def test_power_loss_and_rewire_leave_the_shared_table_intact(self, booted):
         system, cluster_id, a, b, shared = booted
@@ -252,6 +264,62 @@ class TestCapabilityCopyOnWrite:
         assert a.known_capabilities[cluster_id] == {a.node_id: a.capacity_units}
         assert b.known_capabilities[cluster_id] is shared
         assert dict(shared) == before
+
+
+@pytest.fixture
+def two_clusters():
+    """A bootstrapped world of two clusters, each with non-members."""
+    _, system = build_live_system(scale=0.02, seed=7)
+    assert sum(1 for members in system.topology.members.values() if members) == 2
+    return system
+
+
+class TestForeignCapabilityTables:
+    """Every peer holds every cluster's shared capability table, foreign
+    ones too: a requester weighs the members it dispatches to by it."""
+
+    def test_every_peer_holds_every_cluster_table_once(self, two_clusters):
+        system = two_clusters
+        for cluster_id, members in system.topology.members.items():
+            if not members:
+                continue
+            tables = {
+                id(peer.known_capabilities[cluster_id])
+                for peer in system.peers.values()
+            }
+            assert tables == {id(system.topology.capabilities[cluster_id])}
+
+    def test_a_leave_notice_privatises_a_foreign_table_it_names(self, two_clusters):
+        system = two_clusters
+        outsider, cluster_id = next(
+            (peer, cluster_id)
+            for cluster_id, members in system.topology.members.items()
+            for peer in system.peers.values()
+            if members and cluster_id not in peer.memberships
+        )
+        shared = system.topology.capabilities[cluster_id]
+        leaver = min(system.topology.members[cluster_id])
+        outsider.membership.handle_leave_notice(
+            m.LeaveNotice(leaver, cluster_id, ()), leaver
+        )
+        assert leaver not in outsider.known_capabilities[cluster_id]
+        assert not outsider.known_capabilities[cluster_id].shared
+        assert leaver in shared
+        for peer in system.peers.values():
+            if peer is not outsider:
+                assert peer.known_capabilities[cluster_id] is shared
+
+    def test_rewire_hands_back_the_foreign_tables(self, two_clusters):
+        system = two_clusters
+        peer = next(p for p in system.peers.values() if len(p.memberships) == 1)
+        (own,) = peer.memberships
+        peer.lose_power()
+        peer.memberships.add(own)  # what the journal replay restores
+        system.topology.rewire(peer)
+        assert peer.known_capabilities[own] == {peer.node_id: peer.capacity_units}
+        for cluster_id, table in system.topology.capabilities.items():
+            if cluster_id != own:
+                assert peer.known_capabilities[cluster_id] is table
 
 
 def test_integrity_audit_reads_ever_stored_from_holders_and_drops():

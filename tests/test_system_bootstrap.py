@@ -14,6 +14,7 @@ import pytest
 from repro.core.replication import build_world
 from repro.model.workload import make_query_workload
 from repro.overlay.cluster import build_cluster_graph
+from repro.overlay.metadata import CapabilityTable
 from repro.overlay import peer as peer_module
 from repro.overlay.peer import DocInfo
 from repro.overlay.system import P2PSystem, P2PSystemConfig
@@ -26,15 +27,15 @@ def _reference_join(peer, cluster_id, known_members):
     for node_id in known_members:
         peer.nrt.add(cluster_id, node_id)
     peer.cluster_neighbors.setdefault(cluster_id, set())
-    peer.known_capabilities.setdefault(cluster_id, {})[peer.node_id] = (
-        peer.capacity_units
-    )
+    peer.known_capabilities.setdefault(cluster_id, CapabilityTable({}))[
+        peer.node_id
+    ] = peer.capacity_units
     peer.hooks.on_cluster_joined(peer, cluster_id)
 
 
 def _reference_topology_bootstrap(topology, instance, assignment, config):
     """``ClusterTopology.bootstrap`` as it was: a call per NRT entry, a
-    private capability table per member filled one entry at a time."""
+    private capability table per peer filled one entry at a time."""
     peers, rng = topology._peers, topology._rng
     for node_id, cats in instance.node_categories.items():
         for category_id in cats:
@@ -62,6 +63,11 @@ def _reference_topology_bootstrap(topology, instance, assignment, config):
                 picks = rng.choice(len(member_list), size=sample_size, replace=False)
                 for i in picks:
                     peers[node_id].nrt.add(cluster_id, member_list[int(i)])
+                table = peers[node_id].known_capabilities.setdefault(
+                    cluster_id, CapabilityTable({})
+                )
+                for member in member_list:
+                    table[member] = instance.nodes[member].capacity_units
 
     for cluster_id, members in topology.members.items():
         if not members:
