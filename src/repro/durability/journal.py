@@ -13,6 +13,11 @@ is a *canonical* dict (sorted lists, fixed keys) so that
 ``encode_snapshot(materialize(...))`` is byte-comparable against
 ``encode_snapshot(durable_state(peer))`` — the property the
 byte-identical-replay tests assert.
+
+A journal's first snapshot, its owner's state at attach, goes to the
+store unencoded (a list of references to the owner's frozen document
+records, not a row each); the store encodes it when it needs the bytes.
+Every later snapshot is encoded when it is compacted.
 """
 
 from __future__ import annotations
@@ -64,32 +69,60 @@ class DurabilityConfig:
 
 #: a held document's ``docs`` row: doc id, size and categories.
 _STORE_ROW = attrgetter("doc_id", "size_bytes", "categories")
+_DOC_ID = attrgetter("doc_id")
+
+
+class _Rows:
+    """Held documents as ``docs`` rows in id order, sorted and made from
+    the (frozen, world-shared) ``DocInfo``s each time they are iterated."""
+
+    __slots__ = ("_infos",)
+
+    def __init__(self, infos: list) -> None:
+        self._infos = infos
+
+    def __iter__(self):
+        return map(_STORE_ROW, sorted(self._infos, key=_DOC_ID))
+
+
+class _Snapshot:
+    """A snapshot not yet encoded: ``bytes()`` of it encodes ``state``,
+    drawing its ``store`` bodies from ``bodies``."""
+
+    __slots__ = ("_state", "_bodies")
+
+    def __init__(self, state: dict, bodies: StoreBodies) -> None:
+        self._state, self._bodies = state, bodies
+
+    def __bytes__(self) -> bytes:
+        return encode_snapshot(self._state, self._bodies)
 
 
 def durable_state(peer, flags=None) -> dict:
     """Snapshot a peer's durable state as the canonical dict.
 
-    ``peer`` is duck-typed (the overlay's :class:`Peer`): this module
-    must not import the overlay, which imports it.
+    Its ``docs`` section is an iterable of rows read off the peer's
+    document records at each pass; the others are tuples of ints or of
+    int tuples, which the collector stops tracking, since a baseline
+    keeps its state until it is read.  ``peer`` is duck-typed (the overlay's :class:`Peer`):
+    this module must not import the overlay, which imports it.
     """
     # ``flags`` is ignored; benchmarks/stack/workloads.py still passes it.
-    docs, content = peer.docs, peer.content_state
+    content = peer.content_state
     return {
-        "dcrt": [
-            [category_id, entry.cluster_id, entry.move_counter]
+        "dcrt": tuple(
+            (category_id, entry.cluster_id, entry.move_counter)
             for category_id, entry in peer.dcrt.items()
-        ],
-        "docs": list(map(_STORE_ROW, map(docs.__getitem__, sorted(docs)))),
-        "epochs": [
-            [category_id, epoch]
-            for category_id, epoch in sorted(peer.ownership_epochs.items())
-            if epoch > 0
-        ],
-        "manifests": [] if content is None else [
-            [doc_id, manifest.size_bytes, manifest.chunk_size, manifest.version]
+        ),
+        "docs": _Rows(list(peer.docs.values())),
+        "epochs": tuple(
+            row for row in sorted(peer.ownership_epochs.items()) if row[1] > 0
+        ),
+        "manifests": () if content is None else tuple(
+            (doc_id, manifest.size_bytes, manifest.chunk_size, manifest.version)
             for doc_id, manifest in sorted(content.manifests.items())
-        ],
-        "memberships": sorted(peer.memberships),
+        ),
+        "memberships": tuple(sorted(peer.memberships)),
     }
 
 
@@ -173,11 +206,15 @@ class PeerJournal:
             self.compact()
 
     def compact(self) -> None:
-        """Write a snapshot of the owner's full state; truncate the WAL."""
+        """Write a snapshot of the owner's full state; truncate the WAL.
+        The first (at attach) goes to the store unencoded."""
         if self.snapshot_fn is None:
             return
         state = self.snapshot_fn()
-        self.store.write_snapshot(encode_snapshot(state, self.bodies))
+        snapshot = _Snapshot(state, self.bodies)
+        self.store.write_snapshot(
+            bytes(snapshot) if self.snapshots_written else snapshot
+        )
         if self._durable_docs is not None:
             self._durable_docs = set(map(itemgetter(0), state["docs"]))
         self.snapshots_written += 1

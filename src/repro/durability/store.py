@@ -1,12 +1,15 @@
 """Pluggable backing stores for a peer's WAL + snapshot.
 
 Two implementations of the same three-method contract
-(``append`` / ``write_snapshot`` / ``load``):
+(``append`` / ``write_snapshot`` / ``load``).  ``write_snapshot`` takes
+bytes or an object whose ``bytes()`` encodes the snapshot.
 
 * :class:`MemoryStore` — the simulator's store.  Deterministic and
   byte-replayable: it holds exactly the bytes a file store would hold,
   so torn-write and replay semantics are testable without touching a
   filesystem, and a "power loss" in the sim simply re-reads the bytes.
+  It encodes a snapshot on the first ``load``: nothing tears this
+  store, so no reader can tell when.
 * :class:`FileStore` — the live runtime's store, rooted at a
   ``--state-dir``.  The WAL is appended with flush+fsync per record
   (records are rare control-plane events, not data-path traffic);
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import SupportsBytes
 
 __all__ = ["MemoryStore", "FileStore"]
 
@@ -39,11 +43,13 @@ class MemoryStore:
         # ``snapshot_every`` records.
         self._wal += data
 
-    def write_snapshot(self, data: bytes) -> None:
-        self._snapshot = bytes(data)
+    def write_snapshot(self, data: SupportsBytes) -> None:
+        self._snapshot = data
         self._wal.clear()
 
     def load(self) -> tuple[bytes | None, bytes]:
+        if self._snapshot is not None:
+            self._snapshot = bytes(self._snapshot)
         return self._snapshot, bytes(self._wal)
 
     def close(self) -> None:  # same contract as FileStore; nothing held
@@ -71,10 +77,10 @@ class FileStore:
         handle.flush()
         os.fsync(handle.fileno())
 
-    def write_snapshot(self, data: bytes) -> None:
+    def write_snapshot(self, data: SupportsBytes) -> None:
         tmp = self.snapshot_path.with_suffix(".tmp")
         with open(tmp, "wb") as handle:
-            handle.write(data)
+            handle.write(bytes(data))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.snapshot_path)

@@ -319,9 +319,10 @@ def smoke() -> None:
 def durable_baseline() -> tuple[int, int, float]:
     """``(store bodies encoded, documents held, snapshot bytes per copy)``
     of one durability-on build, whose journals each get a baseline
-    snapshot.  The world's body cache holds one body per distinct row
-    encoded: fewer than the documents held means the snapshots bypassed
-    it, more means a document was encoded under two rows."""
+    snapshot, encoded here by reading every journal's store once.  The
+    world's body cache holds one body per distinct row encoded: fewer
+    than the documents held means the snapshots bypassed it, more means
+    a document was encoded under two rows."""
     world = build_world(scale=PROBE_SCALE, seed=PROBE_SEED)
     config = P2PSystemConfig(
         seed=PROBE_SEED, durability=DurabilityConfig(enabled=True)

@@ -514,7 +514,8 @@ class Peer:
         The journal's snapshot callback is bound to this peer's live
         state, and a baseline snapshot is compacted immediately so a
         power loss right after attach still recovers the bootstrap
-        state.
+        state.  The baseline holds this peer's document records by
+        reference; its store encodes it (see ``PeerJournal.compact``).
         """
         self.journal = journal
         journal.snapshot_fn = lambda: durable_state(self)

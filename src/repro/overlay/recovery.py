@@ -53,7 +53,9 @@ class RecoveryCoordinator:
 
         Reuse matters for re-admitted node ids: ``attach_journal``
         compacts a fresh baseline immediately, so a stale journal left
-        by a departed incarnation is overwritten, never replayed.
+        by a departed incarnation is overwritten, never replayed.  A new
+        journal's baseline reaches its :class:`MemoryStore` unencoded and
+        is encoded, through :attr:`bodies`, when the store is first read.
         """
         journal = self._journals.get(peer.node_id)
         if journal is None:

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.chaos import InvariantChecker
 from repro.chaos.harness import ChaosRunner
 from repro.chaos.scenario import ScenarioConfig, Schedule
 from repro.core.replication import build_world
@@ -471,15 +472,20 @@ class TestStoreBodies:
                 system.journal(node_id).bodies is system.recovery.bodies
                 for node_id in system.peers
             )
-        # One body per document held, however many copies there are.
-        copies = sum(len(peer.docs) for peer in first.peers.values())
+        # A build encodes no baseline; reading every journal encodes one
+        # body per document held, however many copies there are.
         held = {d for peer in first.peers.values() for d in peer.docs}
-        assert len(first.recovery.bodies) == len(held) < copies
+        copies = sum(len(peer.docs) for peer in first.peers.values())
+        for system in (first, second):
+            assert len(system.recovery.bodies) == 0
+            for node_id in system.peers:
+                system.journal(node_id).load()
+            assert len(system.recovery.bodies) == len(held) < copies
         freed = weakref.ref(first.recovery.bodies)
         del first
         gc.collect()
         assert freed() is None
-        assert second.recovery.bodies
+        assert len(second.recovery.bodies) == len(held)
 
     def test_a_journal_without_a_world_keeps_its_own(self):
         assert PeerJournal(MemoryStore()).bodies is not PeerJournal(MemoryStore()).bodies
@@ -541,6 +547,18 @@ class TestFileStore:
         store.wal_path.write_bytes(raw[:-3])  # torn mid-final-record
         _, wal = store.load()
         assert replay_wal(wal) == [("store", 1, 10, ())]
+
+    def test_a_journals_baseline_is_on_disk_when_it_is_attached(self, tmp_path):
+        # A live SIGKILL right after attach must find the baseline: a
+        # FileStore encodes the unencoded first snapshot at once.
+        _instance, system = build_live_system()
+        peer = system.alive_peers()[0]
+        journal = PeerJournal(FileStore(tmp_path / "node-4"))
+        peer.attach_journal(journal)
+        assert journal.records_written == 0
+        assert journal.store.snapshot_path.is_file()
+        assert journal.store.load() == (encode_snapshot(durable_state(peer)), b"")
+        journal.store.close()
 
     def test_snapshot_rename_is_durable_before_the_wal_is_truncated(
         self, tmp_path, monkeypatch
@@ -656,6 +674,80 @@ class TestPowerLossRecovery:
             persisted = encode_snapshot(journal.load())
             live = encode_snapshot(durable_state(peer))
             assert persisted == live
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_power_loss_recovers_the_attach_state_and_k_records(self, k):
+        # The baseline reaches the store unencoded; a power loss before
+        # anything reads it, after k < snapshot_every records, recovers
+        # the state at attach with those k records replayed over it.
+        durability = DurabilityConfig(enabled=True, snapshot_every=8)
+        _instance, system = build_live_system(
+            config=P2PSystemConfig(durability=durability)
+        )
+        peer = system.peer(self._victim(system))
+        journal = system.journal(peer.node_id)
+        at_attach = durable_state(peer)
+        assert (journal.records_written, journal.snapshots_written) == (0, 1)
+        held = sorted(peer.docs)
+        records = []
+        for i in range(k):
+            if i % 2:
+                peer.drop_document(held[i])
+                records.append(("drop", held[i]))
+            else:
+                peer.store_document(DocInfo(10**9 + i, (0,), 64))
+                records.append(("store", 10**9 + i, 64, (0,)))
+        assert journal.snapshots_written == 1
+        assert len(system.recovery.bodies) == 0  # nothing encoded yet
+        system.power_loss(peer.node_id)
+        system.sim.run()
+        system.recover_node(peer.node_id)
+        expected = encode_snapshot(materialize(at_attach, records))
+        assert encode_snapshot(journal.load()) == expected
+        assert encode_snapshot(durable_state(peer)) == expected
+
+    def test_a_readmitted_node_ids_journal_is_overwritten_not_replayed(self):
+        _instance, system = build_live_system(
+            config=P2PSystemConfig(durability=DurabilityConfig(enabled=True))
+        )
+        node_id = self._victim(system)
+        journal = system.journal(node_id)
+        stale = set(system.peer(node_id).docs)
+        system.power_loss(node_id)
+        system.sim.run()
+        brought = DocInfo(10**9, (0,), 64)
+        peer = system.join_node(node_id, 1.0, [brought])
+        assert system.journal(node_id) is journal
+        durable = {row[0] for row in journal.load()["docs"]}
+        assert brought.doc_id in durable and not durable & stale
+        assert encode_snapshot(journal.load()) == encode_snapshot(durable_state(peer))
+        system.power_loss(node_id)
+        system.sim.run()
+        system.recover_node(node_id)
+        assert brought.doc_id in peer.docs and not set(peer.docs) & stale
+
+    def test_a_write_lost_before_the_first_durable_read_is_detected(self):
+        # The first read of a journal comes after a document went from the
+        # peer behind its back: the unencoded baseline is the state at
+        # attach, not the live one, so the loss still shows.
+        _instance, system = build_live_system(
+            scale=0.02,
+            seed=61,
+            config=P2PSystemConfig(
+                seed=61, durability=DurabilityConfig(enabled=True)
+            ),
+        )
+        peer = system.alive_peers()[0]
+        lost = min(peer.docs)
+        del peer.docs[lost]
+        assert len(system.recovery.bodies) == 0
+        checker = InvariantChecker(system)
+        checker.check("no-acknowledged-write-loss")
+        checker.check("recovery-convergence", node_id=peer.node_id)
+        assert checker.violated_invariants == {
+            "no-acknowledged-write-loss", "recovery-convergence"
+        }
+        assert all(f"sample: [{lost}]" in v.detail for v in checker.violations)
 
     def test_recover_restores_docs_memberships_and_dcrt(self):
         system = make_recovery_system()

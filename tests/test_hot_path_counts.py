@@ -8,7 +8,8 @@ paying a Python call per copy it places, the world bootstrap paying one
 per NRT entry, capability entry and copy, the content data plane hashing
 every chunk of every document before any fetch reads one, the wire codec
 paying a Python call per value of a frame or growing its frames, a
-journal keeping its durable view of a peer's holdings with no reader.
+journal keeping its durable view of a peer's holdings with no reader, a
+build encoding every journal's baseline snapshot before anything reads it.
 """
 
 import gc
@@ -20,7 +21,8 @@ import pytest
 from repro.content import fetcher, manifest
 from repro.content.chunks import ContentConfig, chunk_hash
 from repro.core.replication import build_world, plan_replication
-from repro.durability import DurabilityConfig
+from repro.durability import DurabilityConfig, encode_snapshot
+from repro.durability import journal as journal_module
 from repro.experiments.world_size import python_calls
 from repro.model.workload import make_query_workload
 from repro.overlay import metadata
@@ -205,6 +207,37 @@ def test_world_bootstrap_memory_and_shared_capability_tables(paper_world):
         if members
     ]
     assert table_bytes(held.values()) <= 2 * table_bytes(one_per_cluster)
+
+
+def test_full_stack_build_encodes_no_snapshot_until_one_is_read(
+    paper_world, monkeypatch
+):
+    encoded = []
+    monkeypatch.setattr(
+        journal_module,
+        "encode_snapshot",
+        lambda *args: encoded.append(1) or encode_snapshot(*args),
+    )
+    config = P2PSystemConfig(
+        seed=7,
+        cache_capacity=8,
+        reliability=ReliabilityConfig(enabled=True),
+        service=ServiceConfig(enabled=True, queue_capacity=32, policy="redirect"),
+        replication=ReplicationConfig(enabled=True),
+        content=ContentConfig(enabled=True),
+        durability=DurabilityConfig(enabled=True),
+    )
+    system = P2PSystem(*paper_world, config=config)
+    # Each of the 400 journals compacts a baseline at attach; encoded
+    # there, the build made 400 of these calls over 59,458 copies.
+    assert {system.journal(n).snapshots_written for n in system.peers} == {1}
+    assert encoded == [] and len(system.recovery.bodies) == 0
+    # The first read of a journal encodes its baseline, once.
+    peer = system.alive_peers()[0]
+    journal = system.journal(peer.node_id)
+    journal.load()
+    journal.load()
+    assert encoded == [1] and len(system.recovery.bodies) == len(peer.docs)
 
 
 def test_content_on_build_hashes_no_chunk_and_a_fetch_only_its_own(
