@@ -75,6 +75,11 @@ class _Fetch:
 class PeerContent:
     """Chunk-protocol endpoint attached to one peer (enabled runs only)."""
 
+    __slots__ = (
+        "peer", "config", "partial", "corrupt", "manifests",
+        "on_manifest", "_fetches", "_requests", "_next_request",
+    )
+
     def __init__(self, peer: "Peer", config: ContentConfig) -> None:
         self.peer = peer
         self.config = config
@@ -97,13 +102,14 @@ class PeerContent:
         self._requests: dict[int, tuple[int, int]] = {}
         self._next_request = count(1)
 
-    def registrations(self) -> dict:
-        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+    @classmethod
+    def registrations(cls) -> dict:
+        """The kinds this class owns: ``kind -> (payload class, handler)``."""
         return {
-            "chunk_request": (m.ChunkRequest, self.handle_chunk_request),
-            "chunk_data": (m.ChunkData, self.handle_chunk_data),
-            "chunk_repair": (m.ChunkRepair, self.handle_chunk_repair),
-            "manifest_update": (m.ManifestUpdate, self.handle_manifest_update),
+            "chunk_request": (m.ChunkRequest, cls.handle_chunk_request),
+            "chunk_data": (m.ChunkData, cls.handle_chunk_data),
+            "chunk_repair": (m.ChunkRepair, cls.handle_chunk_repair),
+            "manifest_update": (m.ManifestUpdate, cls.handle_manifest_update),
         }
 
     # ------------------------------------------------------------------

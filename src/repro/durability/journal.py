@@ -161,6 +161,12 @@ class PeerJournal:
     and a journal given none keeps its own.
     """
 
+    __slots__ = (
+        "store", "config", "bodies", "snapshot_fn", "flags",
+        "records_written", "snapshots_written",
+        "_records_since_snapshot", "_durable_docs",
+    )
+
     def __init__(
         self,
         store,

@@ -34,6 +34,8 @@ WAL_NAME = "wal.log"
 class MemoryStore:
     """In-memory WAL + snapshot bytes (the simulator's 'disk')."""
 
+    __slots__ = ("_snapshot", "_wal")
+
     def __init__(self) -> None:
         self._snapshot: bytes | None = None
         self._wal = bytearray()

@@ -13,7 +13,9 @@ The paper's architectural claims (Sections 1-3):
 
 This experiment runs the *same* document population and Zipf query stream
 through all four systems and prints one table of: success rate, mean/max
-hops, node-load fairness, and the hottest node's share of total load.
+hops, node-load fairness (of raw request counts, and of load per capacity
+unit — the paper's measure, Section 4.3.1), and the hottest node's share
+of total load.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ class SystemRow:
     success_rate: float
     mean_hops: float
     max_hops: int
+    #: Jain's index of raw request counts.
     load_fairness: float
+    #: Jain's index of requests per capacity unit: the paper's measure.
+    load_fairness_per_unit: float
     hottest_share: float
 
 
@@ -75,12 +80,19 @@ class ComparisonResult:
         raise KeyError(name)
 
 
-def _load_summary(loads: dict[int, int]) -> tuple[float, float]:
-    values = np.array([v for v in loads.values()], dtype=np.float64)
+def _load_summary(
+    loads: dict[int, int], capacities: dict[int, float]
+) -> tuple[float, float, float]:
+    """``(fairness, fairness per capacity unit, hottest share)`` of
+    ``loads``; a node with no capacity of its own (the central index's
+    directory) counts as one unit."""
+    values = np.array(list(loads.values()), dtype=np.float64)
+    units = np.array([capacities.get(n, 1.0) for n in loads], dtype=np.float64)
     total = values.sum()
     fairness = jain_fairness(values) if len(values) else 1.0
+    per_unit = jain_fairness(values / units) if len(values) else 1.0
     hottest = float(values.max() / total) if total > 0 else 0.0
-    return fairness, hottest
+    return fairness, per_unit, hottest
 
 
 def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
@@ -90,6 +102,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
     workload = make_query_workload(instance, N_QUERIES, seed=seed + 1)
     doc_stream = [q.target_doc_id for q in workload]
     contributors = set(instance.node_categories)
+    capacities = {n: node.capacity_units for n, node in instance.nodes.items()}
     rows = []
 
     # --- the paper's clustered architecture --------------------------
@@ -101,7 +114,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
         for node_id, load in system.node_loads().items()
         if node_id in contributors
     }
-    fairness, hottest = _load_summary(loads)
+    fairness, per_unit, hottest = _load_summary(loads, capacities)
     rows.append(
         SystemRow(
             name="clustered (paper)",
@@ -109,6 +122,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
             mean_hops=response.mean_hops,
             max_hops=response.max_hops,
             load_fairness=fairness,
+            load_fairness_per_unit=per_unit,
             hottest_share=hottest,
         )
     )
@@ -129,7 +143,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
         for node_id, load in super_system.node_loads().items()
         if node_id in contributors
     }
-    fairness, hottest = _load_summary(super_loads)
+    fairness, per_unit, hottest = _load_summary(super_loads, capacities)
     rows.append(
         SystemRow(
             name="clustered (super-peer)",
@@ -137,6 +151,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
             mean_hops=super_response.mean_hops,
             max_hops=super_response.max_hops,
             load_fairness=fairness,
+            load_fairness_per_unit=per_unit,
             hottest_share=hottest,
         )
     )
@@ -145,7 +160,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
     chord = ChordNetwork(sorted(instance.nodes), bits=24)
     chord.store_all(sorted(instance.documents))
     chord_hops, chord_loads = chord.run_queries(doc_stream, rngs.stream("chord"))
-    fairness, hottest = _load_summary(chord_loads)
+    fairness, per_unit, hottest = _load_summary(chord_loads, capacities)
     rows.append(
         SystemRow(
             name="chord (DHT)",
@@ -153,6 +168,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
             mean_hops=float(chord_hops.mean()),
             max_hops=int(chord_hops.max()),
             load_fairness=fairness,
+            load_fairness_per_unit=per_unit,
             hottest_share=hottest,
         )
     )
@@ -168,7 +184,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
         doc_stream, rngs.stream("gnutella"), ttl=7
     )
     found = [r for r in flood_results if r.found]
-    fairness, hottest = _load_summary(gnutella_loads)
+    fairness, per_unit, hottest = _load_summary(gnutella_loads, capacities)
     rows.append(
         SystemRow(
             name="gnutella (flood)",
@@ -176,6 +192,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
             mean_hops=float(np.mean([r.hops for r in found])) if found else 0.0,
             max_hops=max((r.hops for r in found), default=0),
             load_fairness=fairness,
+            load_fairness_per_unit=per_unit,
             hottest_share=hottest,
         )
     )
@@ -214,7 +231,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
     hybrid_loads = dict(hybrid_loads)
     hybrid_loads[hybrid.directory_id] = hybrid.directory_load
     found_h = [r for r in hybrid_results if r.found]
-    fairness, hottest = _load_summary(hybrid_loads)
+    fairness, per_unit, hottest = _load_summary(hybrid_loads, capacities)
     rows.append(
         SystemRow(
             name="central index",
@@ -222,6 +239,7 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> ComparisonResult:
             mean_hops=float(np.mean([r.hops for r in found_h])) if found_h else 0.0,
             max_hops=max((r.hops for r in found_h), default=0),
             load_fairness=fairness,
+            load_fairness_per_unit=per_unit,
             hottest_share=hottest,
         )
     )
@@ -242,13 +260,17 @@ def format_result(result: ComparisonResult) -> str:
             f"{row.mean_hops:.2f}",
             row.max_hops,
             f"{row.load_fairness:.3f}",
+            f"{row.load_fairness_per_unit:.3f}",
             f"{row.hottest_share:.3%}",
         )
         for row in result.rows
     ]
     parts = [
         format_table(
-            ["system", "success", "mean hops", "max hops", "load fairness", "hottest node share"],
+            [
+                "system", "success", "mean hops", "max hops", "load fairness",
+                "load fairness / unit", "hottest node share",
+            ],
             rows,
             title=(
                 f"E1 — architecture comparison ({result.n_queries} Zipf queries, "

@@ -12,15 +12,17 @@ optional layer off) in a *fresh interpreter* and reports
 * what the build costs — wall seconds, Python-level calls, the
   interpreter's peak RSS;
 * where the bytes are — the ``tracemalloc`` total of the build, split
-  over the six structures that grow with the world (each sized by walking
-  it with ``sys.getsizeof``, shared objects counted once), and the rest.
+  over the seven structures that grow with the world (each sized by
+  walking it with ``sys.getsizeof``, shared objects counted once), and the
+  rest.
 
 Seconds are the least repeatable column (on a multi-GB heap they follow
 collector passes and page faults more than the code), so the gates are on
 calls and bytes: fewer calls than copies placed, bytes that grow no
 faster than ``copies + NRT entries``, NRT tables of about a pointer per
 entry (a recency-ordered list, not a dict), one DCRT the peers share, a
-DT that costs nothing beside the stored documents, and — the one optional layer
+DT that costs nothing beside the stored documents, slotted peers and
+components over one dispatch table a world shares, and — the one optional layer
 whose build grows with the world — a content data plane that adds a few
 calls per document and peer (:func:`content_calls`), not one per chunk.
 With durability on, the baseline snapshots encode one ``store`` body per
@@ -38,6 +40,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from itertools import chain
+from types import MethodType
 
 from repro.content.chunks import ContentConfig
 from repro.core.replication import build_world
@@ -61,10 +64,16 @@ DCRT_BYTES_PER_PEER = 64
 #: of the holders' one ``DocInfo`` (43-53 B), where a DT dict beside
 #: ``docs`` made it 84-100 B.
 DOCS_DT_BYTES_PER_COPY = 64
+#: ceiling on peer bytes per peer (the peer, its components and its
+#: dispatch table): slotted objects over one table the world shares
+#: (795-801 B), where a ``__dict__`` each and a table per peer made it
+#: 5,488 B.
+PEER_BYTES_PER_PEER = 960
 
 #: the structures whose size follows the world's, in report order.
 SITES = (
     "nrt_tables", "nrt_ids", "capability_tables", "holder_sets", "docs_dt", "dcrt",
+    "peers",
 )
 
 #: the one world :func:`content_calls` and :func:`durable_baseline` build.
@@ -122,6 +131,21 @@ def _dicts_of(obj) -> list[dict]:
     return [ref for ref in gc.get_referents(obj) if type(ref) is dict]
 
 
+def _peer_objects(peer) -> list:
+    """A peer, its components, their instance dicts (slotted classes have
+    none), and its dispatch table with the entries and bound methods in it."""
+    owners = (peer, *peer.components)
+    table = peer._dispatch
+    entries = list(table.values())
+    return [
+        *owners,
+        *(vars(owner) for owner in owners if hasattr(owner, "__dict__")),
+        table,
+        *entries,
+        *(value for entry in entries for value in entry if type(value) is MethodType),
+    ]
+
+
 def _site_bytes(system: P2PSystem) -> dict[str, int]:
     """Bytes held by each world-sized structure, shared objects once."""
     size = sys.getsizeof
@@ -152,6 +176,8 @@ def _site_bytes(system: P2PSystem) -> dict[str, int]:
         # Peers share one bootstrap table until they change a row.
         "dcrt": _distinct_bytes(dcrts.values())
         + _distinct_bytes(chain.from_iterable(t.values() for t in dcrts.values())),
+        # Peers of one world share a dispatch table until one changes it.
+        "peers": _distinct_bytes(chain.from_iterable(map(_peer_objects, peers))),
     }
 
 
@@ -274,7 +300,8 @@ def content_calls() -> tuple[int, int]:
 def smoke() -> None:
     """CI gate: calls stay below copies, bytes grow no faster than the world,
     NRT tables stay near a pointer per entry, peers share the bootstrap
-    DCRT, the DT costs nothing beside ``docs``, a content-on build adds
+    DCRT, the DT costs nothing beside ``docs``, a peer is slotted objects
+    over its world's one dispatch table, a content-on build adds
     a few calls per document and peer, and a durability-on build encodes
     one ``store`` body per document held."""
     result = run(scales=(0.01, 0.03))
@@ -288,6 +315,7 @@ def smoke() -> None:
             ("DCRT bytes per peer", sites["dcrt"] / row.nodes, DCRT_BYTES_PER_PEER),
             ("docs + DT bytes per copy",
              sites["docs_dt"] / row.copies, DOCS_DT_BYTES_PER_COPY),
+            ("peer bytes per peer", sites["peers"] / row.nodes, PEER_BYTES_PER_PEER),
         ):
             print(f"scale {row.scale}: {per_unit:.1f} {label}")
             require(

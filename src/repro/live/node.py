@@ -117,18 +117,25 @@ class LiveClientPeer(Peer):
     await readiness.
     """
 
+    __slots__ = ("_on_bootstrap", "bootstrapped")
+
     def __init__(self, *args, on_bootstrap=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._on_bootstrap = on_bootstrap
         self.bootstrapped = False
-        self.register("join_reply", JoinReply, self._bootstrap_from, replace=True)
+        self.register(
+            "join_reply", JoinReply, self.membership, _bootstrap_from, replace=True
+        )
 
-    def _bootstrap_from(self, reply: JoinReply, src: int) -> None:
-        self.membership.merge_join_reply(reply)
-        first = not self.bootstrapped
-        self.bootstrapped = True
-        if first and self._on_bootstrap is not None:
-            self._on_bootstrap()
+
+def _bootstrap_from(membership, reply: JoinReply, src: int) -> None:
+    """A client's ``join_reply`` handler: merge the snapshots, then stop."""
+    membership.merge_join_reply(reply)
+    client = membership.peer
+    first = not client.bootstrapped
+    client.bootstrapped = True
+    if first and client._on_bootstrap is not None:
+        client._on_bootstrap()
 
 
 def parse_routes(spec: str) -> dict[int, tuple[str, int]]:

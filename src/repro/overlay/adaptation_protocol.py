@@ -69,6 +69,11 @@ class _PendingTransfer:
 class AdaptationProtocol:
     """Election, monitoring, and reassign/transfer state of one peer."""
 
+    __slots__ = (
+        "peer", "_monitoring", "_pending_transfers",
+        "_transfer_partners", "_designated_docs",
+    )
+
     def __init__(self, peer: "Peer") -> None:
         self.peer = peer
         self._monitoring: dict[tuple[int, int], _MonitoringRound] = {}
@@ -81,22 +86,23 @@ class AdaptationProtocol:
         #: ship (deduplicates replicated content across source nodes).
         self._designated_docs: dict[int, tuple[int, ...]] = {}
 
-    def registrations(self) -> dict:
-        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+    @classmethod
+    def registrations(cls) -> dict:
+        """The kinds this class owns: ``kind -> (payload class, handler)``."""
         return {
-            "capability": (m.CapabilityAnnounce, self.handle_capability),
+            "capability": (m.CapabilityAnnounce, cls.handle_capability),
             "hit_count_request": (
                 m.HitCountRequest,
-                self.handle_hit_count_request,
+                cls.handle_hit_count_request,
             ),
-            "hit_count_reply": (m.HitCountReply, self.handle_hit_count_reply),
-            "load_report": (m.LoadReport, self.handle_load_report),
-            "reassign_notice": (m.ReassignNotice, self.handle_reassign_notice),
+            "hit_count_reply": (m.HitCountReply, cls.handle_hit_count_reply),
+            "load_report": (m.LoadReport, cls.handle_load_report),
+            "reassign_notice": (m.ReassignNotice, cls.handle_reassign_notice),
             "transfer_request": (
                 m.TransferRequest,
-                self.handle_transfer_request,
+                cls.handle_transfer_request,
             ),
-            "transfer_data": (m.TransferData, self.handle_transfer_data),
+            "transfer_data": (m.TransferData, cls.handle_transfer_data),
         }
 
     # ------------------------------------------------------------------

@@ -37,6 +37,8 @@ _MAX_PUBLISH_RETRIES = 8
 class MembershipProtocol:
     """Publish, join/leave and DCRT gossip of one peer."""
 
+    __slots__ = ("peer", "_publish_retries", "_stale_gossip_digest")
+
     def __init__(self, peer: "Peer") -> None:
         self.peer = peer
         self._publish_retries: dict[tuple[int, int], int] = {}
@@ -44,16 +46,17 @@ class MembershipProtocol:
         #: of :mod:`repro.overlay.misbehavior`); None = honest.
         self._stale_gossip_digest: tuple | None = None
 
-    def registrations(self) -> dict:
-        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+    @classmethod
+    def registrations(cls) -> dict:
+        """The kinds this class owns: ``kind -> (payload class, handler)``."""
         return {
-            "publish_request": (m.PublishRequest, self.handle_publish_request),
-            "publish_reply": (m.PublishReply, self.handle_publish_reply),
-            "join_request": (m.JoinRequest, self.handle_join_request),
-            "join_reply": (m.JoinReply, self.handle_join_reply),
-            "leave_notice": (m.LeaveNotice, self.handle_leave_notice),
-            "gossip": (m.GossipDigest, self.handle_gossip),
-            "gossip_reply": (m.GossipDigest, self.handle_gossip_reply),
+            "publish_request": (m.PublishRequest, cls.handle_publish_request),
+            "publish_reply": (m.PublishReply, cls.handle_publish_reply),
+            "join_request": (m.JoinRequest, cls.handle_join_request),
+            "join_reply": (m.JoinReply, cls.handle_join_reply),
+            "leave_notice": (m.LeaveNotice, cls.handle_leave_notice),
+            "gossip": (m.GossipDigest, cls.handle_gossip),
+            "gossip_reply": (m.GossipDigest, cls.handle_gossip_reply),
         }
 
     def freeze_gossip_digest(self, frozen: bool = True) -> None:

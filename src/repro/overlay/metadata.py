@@ -274,6 +274,8 @@ class NRT:
     again, or selecting it for routing) moves it to the end.
     """
 
+    __slots__ = ("max_nodes_per_cluster", "_clusters")
+
     def __init__(self, max_nodes_per_cluster: int = 64) -> None:
         if max_nodes_per_cluster < 1:
             raise ValueError(

@@ -3,13 +3,14 @@
 :func:`arm` makes one peer of a :class:`~repro.overlay.system.P2PSystem`
 lie and, the first time, attaches an :class:`IntegrityAudit` to the
 world's ledger, so honest worlds carry neither.  A ``"bogus"`` peer takes
-over its ``query`` kind and answers every query that passes the loop
-window with a fabricated doc id and no ``DocInfo``, which the requester's
-length check rejects without settling the query; the dispatch entry
-survives a power loss.  A ``"stale_gossip"`` peer replays the DCRT digest
-frozen at arming in every gossip push (receivers ignore it by move
-counter); the digest is volatile and a power loss ends the replay.  The
-last arming of a peer wins: each mode ends the other.
+over its ``query`` kind (in a private copy of its world's dispatch
+table, so no other peer lies) and answers every query that passes the
+loop window with a fabricated doc id and no ``DocInfo``, which the
+requester's length check rejects without settling the query; the
+dispatch entry survives a power loss.  A ``"stale_gossip"`` peer replays
+the DCRT digest frozen at arming in every gossip push (receivers ignore
+it by move counter); the digest is volatile and a power loss ends the
+replay.  The last arming of a peer wins: each mode ends the other.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.overlay import messages as m
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.ledger import WorldLedger
-    from repro.overlay.peer import Peer
+    from repro.overlay.query_protocol import QueryProtocol
     from repro.overlay.system import P2PSystem
 
 __all__ = ["BOGUS_DOC_BASE", "MODES", "IntegrityAudit", "arm"]
@@ -75,26 +76,23 @@ def arm(system: "P2PSystem", node_id: int, mode: str) -> None:
     if system.ledger.audit is None:
         system.ledger.audit = IntegrityAudit(system.ledger)
     peer.membership.freeze_gossip_digest(mode == "stale_gossip")
-    if mode == "bogus":
-        handler = _bogus_handler(peer)
-    else:
-        handler = peer.queries.handle_query
-    peer.register("query", m.QueryMessage, handler, replace=True)
+    queries = peer.queries
+    handler = _bogus_query if mode == "bogus" else type(queries).handle_query
+    peer.register("query", m.QueryMessage, queries, handler, replace=True)
 
 
-def _bogus_handler(peer: "Peer"):
-    accept = peer.queries.accept
-
-    def handle_query(query: m.QueryMessage, src: int) -> None:
-        if accept(query):
-            # Lazily registered: the counter stays out of honest worlds'
-            # metric snapshots (and goldens).
-            obs.counter("overlay.bogus_responses_sent").inc()
-            fake = (BOGUS_DOC_BASE + query.query_id,)
-            peer._send(
-                query.requester_id,
-                "query_response",
-                m.QueryResponse(query.query_id, fake, peer.node_id, query.hops),
-            )
-
-    return handle_query
+def _bogus_query(
+    queries: "QueryProtocol", query: m.QueryMessage, src: int
+) -> None:
+    """A lying peer's ``query`` handler: a fabricated answer to each query."""
+    if queries.accept(query):
+        # Lazily registered: the counter stays out of honest worlds'
+        # metric snapshots (and goldens).
+        obs.counter("overlay.bogus_responses_sent").inc()
+        peer = queries.peer
+        fake = (BOGUS_DOC_BASE + query.query_id,)
+        peer._send(
+            query.requester_id,
+            "query_response",
+            m.QueryResponse(query.query_id, fake, peer.node_id, query.hops),
+        )

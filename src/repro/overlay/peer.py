@@ -4,10 +4,12 @@ A :class:`Peer` is one live node of the overlay.  The core owns what
 every protocol shares — identity, the Figure 1 metadata (DT / DCRT /
 NRT), the stored documents, cluster memberships and per-category hit
 counters, the transport, storage, and the node's lifecycle (crash,
-heal, power loss, durable recovery) — plus one dispatch table,
-``kind -> (payload class, handler)``.  The protocols themselves are
-components that hold a back-reference to the peer, own their state and
-register their kinds into that table:
+heal, power loss, durable recovery) — plus a dispatch table,
+``kind -> (payload class, component index, function)``.  The protocols
+themselves are components that hold a back-reference to the peer, own
+their state and declare their kinds at class level; every peer of a
+world whose components are of the same classes holds the one table
+built from those declarations:
 
 * ``peer.queries`` — :class:`~repro.overlay.query_protocol.QueryProtocol`
   (Section 3.3, overload signals, requester cache);
@@ -35,6 +37,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -61,6 +64,41 @@ __all__ = ["DocInfo", "PeerConfig", "PeerHooks", "Peer"]
 _NO_SUSPECTS: frozenset[int] = frozenset()
 #: NRT entries kept per cluster (Section 6.2's LRU bound), in every world.
 NRT_CAPACITY = 512
+
+#: kind -> (payload class, component index, function): a frame of
+#: ``kind`` whose payload is exactly that class is handled by
+#: ``function(components[index], payload, src)``.
+DispatchTable = dict[str, tuple[type, int, Callable]]
+
+#: world (the base transport its peers share) -> component classes -> the
+#: one table built from their declarations.  Per world, not per process:
+#: a table holds the functions its classes had when the world's first peer
+#: was built, so a later world sees what the classes hold then.
+_TABLES: "WeakKeyDictionary[Transport, dict[tuple[type, ...], DispatchTable]]" = (
+    WeakKeyDictionary()
+)
+
+
+def _shared_table(transport: Transport, components: tuple) -> DispatchTable:
+    """The one table of ``transport``'s world for these components' classes.
+
+    A component class declares its kinds with ``registrations()``:
+    ``kind -> (payload class, function)``.  Every kind has one owner.
+    """
+    classes = tuple(map(type, components))
+    tables = _TABLES.setdefault(transport, {})
+    table = tables.get(classes)
+    if table is None:
+        table = {}
+        for index, cls in enumerate(classes):
+            if not hasattr(cls, "registrations"):
+                continue
+            for kind, (payload_class, fn) in cls.registrations().items():
+                if kind in table:
+                    raise ValueError(f"kind {kind!r} already owned")
+                table[kind] = (payload_class, index, fn)
+        tables[classes] = table
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,19 +181,28 @@ class Peer:
         registers its handler on creation.
     """
 
+    __slots__ = (
+        "node_id", "capacity_units", "transport", "rng", "hooks", "config",
+        "docs", "dt", "journal", "lost_memory", "_dispatch", "_reliability",
+        "channel", "detector", "service", "content_state", "queries",
+        "membership", "adaptation", "components",
+        # the volatile tables of ``_reset_tables``
+        "dcrt", "nrt", "memberships", "cluster_neighbors", "hit_counters",
+        "requests_served", "queries_routed", "known_capabilities",
+        "believed_leader", "super_peers", "ownership_epochs", "_applied_counts",
+    )
+
     def __init__(
         self,
         node_id: int,
         capacity_units: float,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         hooks: PeerHooks | None = None,
         config: PeerConfig | None = None,
         jitter_rng: np.random.Generator | None = None,
         *,
         transport: Transport,
     ) -> None:
-        if rng is None:
-            raise TypeError("Peer requires an rng")
         self.node_id = node_id
         self.capacity_units = capacity_units
         #: the world seam every send, timer, and clock read goes through;
@@ -175,9 +222,6 @@ class Peer:
         #: True between a power loss (memory wiped) and the replay that
         #: restores durable state on recovery.
         self.lost_memory = False
-        #: kind -> (payload class, handler(payload, src)); filled only by
-        #: component registrations.
-        self._handlers: dict[str, tuple[type, Callable]] = {}
 
         #: reliable delivery: both halves of the ack/retry protocol plus
         #: the failure detector.  Constructed unconditionally —
@@ -220,7 +264,6 @@ class Peer:
         self.queries = QueryProtocol(self)
         self.membership = MembershipProtocol(self)
         self.adaptation = AdaptationProtocol(self)
-        self.protocols = (self.queries, self.membership, self.adaptation)
         #: every live component, in lifecycle fan-out order.
         self.components = tuple(
             component
@@ -230,10 +273,15 @@ class Peer:
             )
             if component is not None
         )
-        for registrations in self._each("registrations"):
-            for kind, entry in registrations().items():
-                self.register(kind, *entry)
+        #: the world's :data:`DispatchTable` for these component classes,
+        #: until :meth:`register` gives this peer a copy of its own.
+        self._dispatch = _shared_table(transport, self.components)
         transport.register(node_id, self.handle_message)
+
+    @property
+    def protocols(self) -> tuple:
+        """The protocol components, which a power loss rebuilds."""
+        return (self.queries, self.membership, self.adaptation)
 
     def _reset_tables(self, on_dcrt_change=None) -> None:
         """(Re)create the core's volatile tables.
@@ -275,29 +323,27 @@ class Peer:
     # dispatch
     # ------------------------------------------------------------------
     def register(
-        self, kind: str, payload_class: type, handler: Callable, *,
+        self, kind: str, payload_class: type, owner, fn: Callable, *,
         replace: bool = False,
     ) -> None:
-        """Route ``kind`` frames carrying ``payload_class`` to ``handler``.
+        """Route ``kind`` frames carrying ``payload_class`` to ``fn``.
 
-        ``handler(payload, src)``.  Every kind has exactly one owner;
-        taking over a registered kind must say so with ``replace``.
+        ``fn(owner, payload, src)``; ``owner`` is one of this peer's
+        components.  Every kind has exactly one owner; taking over a
+        registered kind must say so with ``replace``.  The table written
+        is a copy, so the change reaches no other peer of the world.
         """
-        if not replace and kind in self._handlers:
+        if not replace and kind in self._dispatch:
             raise ValueError(f"peer {self.node_id}: kind {kind!r} already owned")
-        self._handlers[kind] = (payload_class, handler)
-
-    def _each(self, method: str) -> list:
-        """``method`` of every component that defines it, bound."""
-        return [
-            getattr(component, method)
-            for component in self.components
-            if hasattr(component, method)
-        ]
+        entry = (payload_class, self.components.index(owner), fn)
+        self._dispatch = {**self._dispatch, kind: entry}
 
     def _fan_out(self, method: str, *args) -> None:
-        for bound in self._each(method):
-            bound(*args)
+        """Call ``method`` of every component that defines it."""
+        for component in self.components:
+            bound = getattr(component, method, None)
+            if bound is not None:
+                bound(*args)
 
     def handle_message(self, message: Message) -> None:
         """Network entry point: reject, ack/dedup reliable traffic, dispatch.
@@ -307,7 +353,7 @@ class Peer:
         kind's owner registered, is dropped and counted before it can
         count as liveness evidence, be acked, or enter the dedup window.
         """
-        entry = self._handlers.get(message.kind)
+        entry = self._dispatch.get(message.kind)
         payload = message.payload
         if entry is None or type(payload) is not entry[0]:
             # Lazily registered: honest worlds never reach this path, so
@@ -324,7 +370,7 @@ class Peer:
             if previous is None:
                 while len(self._applied_counts) > DEDUP_CAPACITY:
                     self._applied_counts.popitem(last=False)
-        entry[1](payload, message.src)
+        entry[2](self.components[entry[1]], payload, message.src)
 
     def _send(self, dst: int, kind: str, payload, size: int = m.CONTROL_SIZE) -> None:
         # One send path for every configuration: the reliability branch

@@ -74,6 +74,11 @@ class _QueryAttempt:
 class QueryProtocol:
     """Queries, overload signals and the requester cache of one peer."""
 
+    __slots__ = (
+        "peer", "_reliability", "_seen", "_seen_before", "_seen_since",
+        "_attempts", "cache",
+    )
+
     def __init__(self, peer: "Peer") -> None:
         self.peer = peer
         self._reliability = peer.config.reliability
@@ -91,12 +96,13 @@ class QueryProtocol:
         #: PeerConfig.cache_capacity.
         self.cache = DocumentCache(peer.config.cache_capacity)
 
-    def registrations(self) -> dict:
-        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+    @classmethod
+    def registrations(cls) -> dict:
+        """The kinds this class owns: ``kind -> (payload class, handler)``."""
         return {
-            "query": (m.QueryMessage, self.handle_query),
-            "query_response": (m.QueryResponse, self.handle_query_response),
-            "busy": (m.Busy, self.handle_busy),
+            "query": (m.QueryMessage, cls.handle_query),
+            "query_response": (m.QueryResponse, cls.handle_query_response),
+            "busy": (m.Busy, cls.handle_busy),
         }
 
     def seen_query_count(self) -> int:

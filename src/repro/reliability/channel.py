@@ -235,6 +235,13 @@ class ReliableChannel:
     persistent unresponsiveness into suspicion.
     """
 
+    __slots__ = (
+        "node_id", "transport", "config", "jitter_rng", "on_give_up",
+        "_next_delivery_id", "_outstanding", "_seen", "dead_letters",
+        "_budgets", "_breakers", "_rtt", "_c_dead_letters",
+        "_c_budget_refused", "_c_breaker_refused", "_g_breakers_open",
+    )
+
     def __init__(
         self,
         node_id: int,
@@ -378,11 +385,12 @@ class ReliableChannel:
             self._attempt_timeout(armed_attempt, out.dst), on_timeout
         )
 
-    def registrations(self) -> dict:
-        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+    @classmethod
+    def registrations(cls) -> dict:
+        """The kinds this class owns: ``kind -> (payload class, handler)``."""
         from repro.overlay.messages import Ack
 
-        return {"ack": (Ack, self.handle_ack)}
+        return {"ack": (Ack, cls.handle_ack)}
 
     def handle_ack(self, ack: "m.Ack", src: int) -> None:
         """Settle the acked delivery (idempotent: late acks are no-ops)."""

@@ -56,6 +56,12 @@ _C_CLEARED = obs.counter("reliability.suspicions_cleared")
 class FailureDetector:
     """Tracks miss counts, the probe schedule and the suspect set for one peer."""
 
+    __slots__ = (
+        "node_id", "transport", "config", "rng", "_misses", "_pending",
+        "_next_probe_id", "suspects", "_pool", "_order", "_slot",
+        "_heard",
+    )
+
     def __init__(
         self,
         node_id: int,
@@ -219,13 +225,14 @@ class FailureDetector:
     def _send_ping(self, dst: int, ping: "m.Ping") -> None:
         self.transport.send(self.node_id, dst, "ping", ping, size_bytes=_CONTROL_SIZE)
 
-    def registrations(self) -> dict:
-        """The kinds this component owns: ``kind -> (payload class, handler)``."""
+    @classmethod
+    def registrations(cls) -> dict:
+        """The kinds this class owns: ``kind -> (payload class, handler)``."""
         from repro.overlay.messages import Ping, Pong
 
         return {
-            "ping": (Ping, self.handle_ping),
-            "pong": (Pong, self.handle_pong),
+            "ping": (Ping, cls.handle_ping),
+            "pong": (Pong, cls.handle_pong),
         }
 
     def handle_ping(self, ping: "m.Ping", src: int) -> None:

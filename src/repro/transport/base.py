@@ -63,6 +63,8 @@ class Transport:
     top (:class:`repro.transport.reliable.ReliableTransport`).
     """
 
+    __slots__ = ()
+
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------

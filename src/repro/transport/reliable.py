@@ -58,6 +58,11 @@ class ReliableTransport(Transport):
     must not re-enter this wrapper.
     """
 
+    __slots__ = (
+        "inner", "channel", "_inner_send", "_channel_send", "register",
+        "unregister", "is_alive", "schedule",
+    )
+
     def __init__(self, inner: Transport, channel: "ReliableChannel") -> None:
         self.inner = inner
         self.channel = channel

@@ -14,6 +14,24 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
+def patch_method(monkeypatch, obj, name: str, replacement) -> None:
+    """Make ``obj.name(...)`` call ``replacement(...)`` for one test.
+
+    Peers and their components are slotted and take no instance
+    attribute, so the class's method is wrapped instead; every other
+    instance keeps the original.
+    """
+    cls = type(obj)
+    original = getattr(cls, name)
+
+    def method(self, *args, **kwargs):
+        if self is obj:
+            return replacement(*args, **kwargs)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, method)
+
+
 class RecordingHooks(PeerHooks):
     """Hooks that record every callback and serve a holder directory."""
 

@@ -26,7 +26,7 @@ from repro.overlay.peer import DocInfo, PeerConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
-from tests.helpers import MicroOverlay
+from tests.helpers import MicroOverlay, patch_method
 
 
 def make_content_system(
@@ -207,11 +207,11 @@ class TestFailover:
         content = requester.content_state
         answers = []
 
-        def spy(data, src):
+        def spy(content, data, src):
             answers.append((src, data.found))
             content.handle_chunk_data(data, src)
 
-        requester.register("chunk_data", m.ChunkData, spy, replace=True)
+        requester.register("chunk_data", m.ChunkData, content, spy, replace=True)
         done = []
         content.start_fetch(
             1, info, build_manifest(5, 1000, 65_536),
@@ -326,13 +326,13 @@ class TestReadRepair:
 
 
 class TestManifestJournal:
-    def test_a_refetch_at_one_version_journals_one_manifest(self):
+    def test_a_refetch_at_one_version_journals_one_manifest(self, monkeypatch):
         overlay = MicroOverlay()
         peer = overlay.add_peer(
             0, config=PeerConfig(content=ContentConfig(enabled=True))
         )
         peer.attach_journal(PeerJournal(MemoryStore()))
-        peer._send = lambda *args, **kwargs: None
+        patch_method(monkeypatch, peer, "_send", lambda *args, **kwargs: None)
         content = peer.content_state
         manifest = build_manifest(9, size_bytes=40, chunk_size=10)
         info = DocInfo(doc_id=9, categories=(0,), size_bytes=40)
@@ -367,12 +367,15 @@ class TestRarestFirst:
         )
         return overlay, peer, peer.content_state
 
-    def test_order_is_scarcity_then_index(self):
+    def test_order_is_scarcity_then_index(self, monkeypatch):
         overlay, peer, content = self._fetcher()
         sources = {0: (1, 2), 1: (1,), 2: (1, 2, 3), 3: (2,)}
         requested = []
-        peer._send = lambda dst, kind, payload, **kw: requested.append(
-            (payload.chunk_index, dst)
+        patch_method(
+            monkeypatch, peer, "_send",
+            lambda dst, kind, payload, **kw: requested.append(
+                (payload.chunk_index, dst)
+            ),
         )
         manifest = build_manifest(9, size_bytes=40, chunk_size=10)
         info = DocInfo(doc_id=9, categories=(0,), size_bytes=40)
@@ -383,14 +386,17 @@ class TestRarestFirst:
         # broken by chunk index; then 0 (two sources), then 2 (three).
         assert [index for index, _ in requested] == [1, 3, 0, 2]
 
-    def test_order_is_deterministic_across_runs(self):
+    def test_order_is_deterministic_across_runs(self, monkeypatch):
         runs = []
         for _ in range(2):
             overlay, peer, content = self._fetcher()
             sources = {i: (1, 2, 3) for i in range(6)}
             requested = []
-            peer._send = lambda dst, kind, payload, **kw: requested.append(
-                (payload.chunk_index, dst)
+            patch_method(
+                monkeypatch, peer, "_send",
+                lambda dst, kind, payload, **kw: requested.append(
+                    (payload.chunk_index, dst)
+                ),
             )
             manifest = build_manifest(9, size_bytes=60, chunk_size=10)
             info = DocInfo(doc_id=9, categories=(0,), size_bytes=60)

@@ -146,13 +146,14 @@ def component_kinds() -> set[tuple[str, str]]:
             content=ContentConfig(enabled=True),
         ),
     )
+    attributes = {name: getattr(peer, name) for name in type(peer).__slots__}
     pairs = {
         (f"peer.{attribute}", kind)
-        for attribute, value in vars(peer).items()
+        for attribute, value in attributes.items()
         if any(value is component for component in peer.components)
         for kind in getattr(value, "registrations", dict)()
     }
-    assert {kind for _, kind in pairs} == set(peer._handlers)
+    assert {kind for _, kind in pairs} == set(peer._dispatch)
     return pairs
 
 

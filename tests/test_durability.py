@@ -908,13 +908,14 @@ class TestPowerLossRecovery:
             cache_capacity=2, reliability=ReliabilityConfig(enabled=True)
         )
 
+        def slots(obj):
+            return {name: getattr(obj, name) for name in obj.__slots__}
+
         def state(component):
-            """``vars`` with the back-reference dropped, caches opened up."""
+            """Every slot but the back-reference, caches opened up."""
             return {
-                name: {slot: getattr(value, slot) for slot in value.__slots__}
-                if hasattr(value, "__slots__")
-                else value
-                for name, value in vars(component).items()
+                name: slots(value) if hasattr(value, "__slots__") else value
+                for name, value in slots(component).items()
                 if name != "peer"
             }
 

@@ -190,6 +190,9 @@ class TestComparison:
         # Better load fairness than hash placement or flooding.
         assert clustered.load_fairness > chord.load_fairness
         assert clustered.load_fairness > gnutella.load_fairness
+        # And per capacity unit, the paper's measure.
+        for other in (chord, gnutella, central):
+            assert clustered.load_fairness_per_unit > other.load_fairness_per_unit
         # The central index's hottest node absorbs ~half of everything.
         assert central.hottest_share > 0.4
         assert central.hottest_share > 10 * clustered.hottest_share

@@ -9,7 +9,8 @@ per NRT entry, capability entry and copy, the content data plane hashing
 every chunk of every document before any fetch reads one, the wire codec
 paying a Python call per value of a frame or growing its frames, a
 journal keeping its durable view of a peer's holdings with no reader, a
-build encoding every journal's baseline snapshot before anything reads it.
+build encoding every journal's baseline snapshot before anything reads it,
+a peer holding its own copy of the dispatch table every peer shares.
 """
 
 import gc
@@ -18,16 +19,20 @@ import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.content import fetcher, manifest
 from repro.content.chunks import ContentConfig, chunk_hash
 from repro.core.replication import build_world, plan_replication
 from repro.durability import DurabilityConfig, encode_snapshot
 from repro.durability import journal as journal_module
 from repro.experiments.world_size import python_calls
+from repro.live.node import LiveClientPeer
 from repro.model.workload import make_query_workload
-from repro.overlay import metadata
+from repro.overlay import metadata, misbehavior
+from repro.overlay.membership_protocol import MembershipProtocol
 from repro.overlay.messages import DocInfo, QueryMessage, QueryResponse
 from repro.overlay.metadata import DCRTEntry
+from repro.overlay.query_protocol import QueryProtocol
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
@@ -286,3 +291,105 @@ def test_content_on_build_hashes_no_chunk_and_a_fetch_only_its_own(
             assert cached_manifest is registry[cached_id], cached_id
     assert hashed[manifest] == chunks
     assert sorted(hashed[fetcher]) == chunks
+
+
+#: the stack benchmark's full-stack peer: every optional layer on, with
+#: the channel's retry budget, breakers and adaptive timeouts.
+PEER_CONFIG = P2PSystemConfig(
+    seed=7,
+    cache_capacity=8,
+    reliability=ReliabilityConfig(
+        enabled=True,
+        retry_budget_ratio=0.5,
+        breaker_threshold=3,
+        adaptive_timeout=True,
+        max_attempts=8,
+        query_attempts=16,
+    ),
+    service=ServiceConfig(enabled=True, queue_capacity=32, policy="redirect"),
+    replication=ReplicationConfig(enabled=True),
+    content=ContentConfig(enabled=True),
+    durability=DurabilityConfig(enabled=True),
+)
+
+
+def test_full_stack_peers_share_one_dispatch_table(full_stack_world):
+    tables = {id(peer._dispatch) for peer in full_stack_world.peers.values()}
+    assert len(tables) == 1
+
+
+def test_a_peer_costs_at_most_6500_bytes_to_construct(paper_world, monkeypatch):
+    # 5,572 B a peer here and 5,452 on the benchmark's full-stack world
+    # (seed 7, 600 peers).  The parent read 11,811 and 11,749: a dispatch
+    # table per peer (24 (payload class, bound method) entries and their
+    # dict, 3.6 KiB), a __dict__ per peer and component, and an empty
+    # service-queue deque (760 B).
+    constructed = []
+    new_peer = P2PSystem._new_peer
+
+    def measured(system, *args):
+        before, _ = tracemalloc.get_traced_memory()
+        peer = new_peer(system, *args)
+        after, _ = tracemalloc.get_traced_memory()
+        constructed.append(after - before)
+        return peer
+
+    monkeypatch.setattr(P2PSystem, "_new_peer", measured)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        P2PSystem(*paper_world, config=PEER_CONFIG)
+    finally:
+        tracemalloc.stop()
+    assert len(constructed) == 400
+    assert sum(constructed) / len(constructed) <= 6_500
+
+
+@pytest.fixture
+def small_full_stack_world():
+    return build_live_system(scale=0.005, seed=7, config=PEER_CONFIG)[1]
+
+
+def test_an_armed_peer_lies_from_a_private_table(small_full_stack_world):
+    system = small_full_stack_world
+    peers = sorted(system.peers.values(), key=lambda peer: peer.node_id)
+    liar, honest = peers[1], peers[2]
+    shared = honest._dispatch
+    misbehavior.arm(system, liar.node_id, "bogus")
+    assert liar._dispatch is not shared
+    assert liar._dispatch["query"][2] is not QueryProtocol.handle_query
+    assert shared["query"][2] is QueryProtocol.handle_query
+    assert all(peer._dispatch is shared for peer in peers if peer is not liar)
+
+    sent = obs.counter("overlay.bogus_responses_sent")
+    requester = peers[0].node_id
+    for query_id, target in enumerate((honest, liar, honest), start=900_000):
+        before = sent.value
+        query = QueryMessage(query_id, requester, 0, 1, target_cluster=0)
+        target.handle_message(Message(requester, target.node_id, "query", query))
+        system.sim.run()
+        assert sent.value - before == (target is liar)
+
+
+def test_a_live_client_changes_no_servers_join_reply(small_full_stack_world):
+    system = small_full_stack_world
+    shared = next(iter(system.peers.values()))._dispatch
+    client = LiveClientPeer(
+        10_000,
+        capacity_units=1.0,
+        rng=system.rngs.stream("client"),
+        config=system.peer(0).config,
+        transport=system.network,
+    )
+    assert client._dispatch is not shared
+    assert shared["join_reply"][2] is MembershipProtocol.handle_join_reply
+    client.start_join(0)
+    system.sim.run()
+    assert client.bootstrapped and not client.memberships
+
+    joiner = system.join_node(10_001, 1.0)
+    assert joiner._dispatch is shared
+    assert all(peer._dispatch is shared for peer in system.peers.values())
+    # The joiner's reply ran the membership protocol to the end: it
+    # dummy-published into a cluster, which the client does not.
+    assert joiner.memberships

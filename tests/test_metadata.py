@@ -18,7 +18,7 @@ from repro.overlay.peer import DocInfo
 from repro.overlay.query_protocol import _QueryAttempt
 from repro.overlay.system import P2PSystem
 
-from tests.helpers import MicroOverlay, build_live_system
+from tests.helpers import MicroOverlay, build_live_system, patch_method
 
 
 def _info(doc_id, *categories):
@@ -485,9 +485,10 @@ class TestDispatchRelaxation:
         requester.known_capabilities[5] = CapabilityTable({1: 1.0, 2: 5.0, 3: 1.0})
         requester.dcrt.set(7, 5)
         sent = []
-        monkeypatch.setattr(requester, "suspects", lambda: set(suspects))
-        monkeypatch.setattr(
-            requester, "_send", lambda dst, kind, payload, **_: sent.append(dst)
+        patch_method(monkeypatch, requester, "suspects", lambda: set(suspects))
+        patch_method(
+            monkeypatch, requester, "_send",
+            lambda dst, kind, payload, **_: sent.append(dst),
         )
         for query_id in range(200):
             state = _QueryAttempt(query_id, 7, 1, -1, tried=set(tried))

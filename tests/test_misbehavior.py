@@ -13,6 +13,8 @@ from repro.overlay import misbehavior
 from repro.overlay.messages import DocInfo
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
+from tests.helpers import patch_method
+
 WORLD = SystemConfig(
     seed=29,
     n_docs=120,
@@ -40,8 +42,8 @@ def forge(system, node_id):
     misbehavior.arm(system, node_id, "bogus")
     peer = system.peers[node_id]
 
-    def handle_query(query, src):
-        if not peer.queries.accept(query):
+    def handle_query(queries, query, src):
+        if not queries.accept(query):
             return
         fake = misbehavior.BOGUS_DOC_BASE + query.query_id
         info = DocInfo(fake, (query.category_id,), m.CONTROL_SIZE)
@@ -53,7 +55,7 @@ def forge(system, node_id):
             ),
         )
 
-    peer.register("query", m.QueryMessage, handle_query, replace=True)
+    peer.register("query", m.QueryMessage, peer.queries, handle_query, replace=True)
 
 
 class TestBogusResponses:
@@ -264,7 +266,7 @@ class TestArming:
         assert (sent.value, rejected.value) == (sent0, rejected0)
         assert peer.membership._stale_gossip_digest is not None
 
-    def test_bogus_after_stale_gossip_sends_a_fresh_digest(self):
+    def test_bogus_after_stale_gossip_sends_a_fresh_digest(self, monkeypatch):
         from repro.overlay.metadata import DCRTEntry
 
         _, system = build()
@@ -284,7 +286,7 @@ class TestArming:
                 pushed.append(payload.entries)
             send(dst, kind, payload, size)
 
-        peer._send = record
+        patch_method(monkeypatch, peer, "_send", record)
         peer.membership.gossip_once()
         assert pushed == [tuple(peer.dcrt.snapshot().items())]
         assert pushed[0] != frozen
@@ -299,6 +301,7 @@ class TestArming:
         system.power_loss(stale_id)
         # The dispatch entry survives the wipe; the frozen digest is
         # volatile membership state and goes with it.
-        assert bogus._handlers["query"][1] != bogus.queries.handle_query
-        assert stale._handlers["query"][1] == stale.queries.handle_query
+        honest = type(stale.queries).handle_query
+        assert bogus._dispatch["query"][2] is not honest
+        assert stale._dispatch["query"][2] is honest
         assert stale.membership._stale_gossip_digest is None

@@ -4,7 +4,7 @@ import pytest
 
 from repro.overlay.metadata import DCRTEntry
 
-from tests.helpers import MicroOverlay
+from tests.helpers import MicroOverlay, patch_method
 
 
 def _three_node_cluster(category_map=None):
@@ -70,7 +70,9 @@ class TestCategoryQueries:
         assert [info.doc_id for info in response.doc_infos] == list(response.doc_ids)
 
     @pytest.mark.parametrize("remaining", [0, -3])
-    def test_a_query_wanting_no_result_is_rejected_on_receipt(self, remaining):
+    def test_a_query_wanting_no_result_is_rejected_on_receipt(
+        self, remaining, monkeypatch
+    ):
         # No honest sender makes one; at a holder it must not be served,
         # forwarded, remembered, or parked (which would pull the group).
         from repro import obs
@@ -80,9 +82,14 @@ class TestCategoryQueries:
         overlay.give_document(1, 100, [7])
         holder = overlay.peers[1]
         parked = []
-        holder.adaptation.park = lambda query: parked.append(query) or True
+        patch_method(
+            monkeypatch, holder.adaptation, "park",
+            lambda query: parked.append(query) or True,
+        )
         sent = []
-        holder._send = lambda *args, **kwargs: sent.append(args)
+        patch_method(
+            monkeypatch, holder, "_send", lambda *args, **kwargs: sent.append(args)
+        )
         rejected = obs.counter("overlay.rejected_messages")
         before = rejected.value
         query = m.QueryMessage(
@@ -281,7 +288,7 @@ class TestDispatchTable:
             service=ServiceConfig(enabled=True),
             content=ContentConfig(enabled=True),
         ))
-        table = {kind: entry[0] for kind, entry in full._handlers.items()}
+        table = {kind: entry[0] for kind, entry in full._dispatch.items()}
         assert set(table) == self._kinds_sent()
         assert set(table.values()) <= set(m.WIRE_TYPES.values())
         # Exactly one owner per kind: the components' registrations
@@ -294,10 +301,48 @@ class TestDispatchTable:
         ]
         assert sorted(owned) == sorted(table)
         with pytest.raises(ValueError):
-            full.register("query", m.QueryMessage, lambda payload, src: None)
+            full.register(
+                "query", m.QueryMessage, full.queries, lambda *args: None
+            )
         # A subsystem that is off is absent from the table.
-        bare = overlay.add_peer(1)._handlers
+        bare = overlay.add_peer(1)._dispatch
         assert set(table) - set(bare) == set(full.content_state.registrations())
+
+    def test_a_peer_needs_an_rng(self):
+        from repro.overlay.peer import Peer
+
+        overlay = MicroOverlay()
+        with pytest.raises(TypeError):
+            Peer(0, 1.0, transport=overlay.network)
+
+    def test_a_peer_shares_its_worlds_table_until_it_takes_over_a_kind(self):
+        from repro.overlay import messages as m
+
+        overlay = MicroOverlay()
+        first, second, third = (overlay.add_peer(n) for n in range(3))
+        shared = first._dispatch
+        assert second._dispatch is shared and third._dispatch is shared
+        # Another world, even of the same classes, has a table of its own.
+        assert MicroOverlay().add_peer(0)._dispatch is not shared
+
+        def quiet(queries, query, src):
+            pass
+
+        with pytest.raises(ValueError):
+            second.register("query", m.QueryMessage, second.queries, quiet)
+        with pytest.raises(ValueError):
+            second.register("query", m.QueryMessage, first.queries, quiet,
+                            replace=True)
+        assert second._dispatch is shared
+        second.register("query", m.QueryMessage, second.queries, quiet,
+                        replace=True)
+        assert second._dispatch is not shared
+        assert second._dispatch["query"][2] is quiet
+        assert shared["query"][2] is not quiet
+        assert first._dispatch is shared and third._dispatch is shared
+        # A power loss rebuilds the components in place: the entry stays.
+        second.lose_power()
+        assert second._dispatch["query"][2] is quiet
 
     def test_frame_with_unknown_kind_or_wrong_payload_is_rejected_first(self):
         from repro import obs

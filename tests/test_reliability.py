@@ -17,7 +17,7 @@ from repro.reliability import (
 from repro.reliability.channel import JITTER_FRACTION
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Network
-from tests.helpers import MicroOverlay, build_live_system
+from tests.helpers import MicroOverlay, build_live_system, patch_method
 
 FAST = ReliabilityConfig(
     enabled=True,
@@ -595,13 +595,14 @@ class TestProbeSchedule:
         overlay.run()
         assert probes() == 4
 
-    def test_every_contact_gets_a_slot_each_pass(self):
+    def test_every_contact_gets_a_slot_each_pass(self, monkeypatch):
         overlay = _reliable_overlay()
         prober = overlay.peers[0]
         probed = []
         send = prober.detector._send_ping
-        prober.detector._send_ping = lambda dst, ping: (
-            probed.append(dst), send(dst, ping)
+        patch_method(
+            monkeypatch, prober.detector, "_send_ping",
+            lambda dst, ping: (probed.append(dst), send(dst, ping)),
         )
         for _ in range(4):
             prober.heartbeat_once()
