@@ -20,16 +20,16 @@ Section 3.3 random-node dispatch keeps intra-cluster load balanced.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
+from repro.bulk import collector_paused
 from repro.core.fairness import jain_fairness
 from repro.core.maxfair import Assignment, maxfair
 from repro.core.popularity import build_category_stats, cluster_members
-from repro.model.documents import Document
 from repro.model.system import SystemConfig, SystemInstance, build_system
 from repro.model.workload import zipf_category_scenario
 from repro.model.zipf import top_mass_count
@@ -93,9 +93,14 @@ class ReplicationPlan:
     ) -> float:
         """Jain fairness of *expected request load* across a cluster's nodes.
 
-        A request for a document is served by one of the nodes holding a
-        replica, chosen uniformly (Section 3.3); a node's expected load is
-        therefore ``sum over stored docs of p(d) / n_holders(d)``.
+        This models Section 3.3's uniform holder choice: a request for a
+        document is served by one of the nodes holding a replica, each
+        equally likely, so a node's expected load is ``sum over stored
+        docs of p(d) / n_holders(d)``.  The overlay draws holders by the
+        capacity they advertise instead (``metadata.weighted_index``), so
+        this is the placement's balance under the paper's rule, not a
+        prediction of the load the simulator serves; E2 prints the served
+        load per capacity unit beside it.
         """
         members = cluster_members(instance, assignment.category_to_cluster)
         if cluster_id >= len(members) or not members[cluster_id]:
@@ -175,6 +180,7 @@ def _place_category(
     in_cluster: dict[int, float],
     doc_ids: list[int],
     members: list[int],
+    budgeted: bool,
     n_reps: int,
     hot_mass: float,
     policy: str,
@@ -184,6 +190,7 @@ def _place_category(
     ``in_cluster`` is the serving cluster's column of
     ``plan.node_cluster_popularity`` — node id -> stored popularity of that
     cluster's content — which the caller files under the cluster's id.
+    ``budgeted`` says whether some member has a storage budget.
 
     Base replicas go to the nodes currently holding the least of *this
     cluster's* popularity via a heap (a node serving several clusters must
@@ -211,37 +218,37 @@ def _place_category(
         policy, popularity, n_reps, len(members)
     ).tolist()
 
-    def store(node_id: int, doc: Document) -> bool:
-        docs_here = node_docs.get(node_id)
-        if docs_here is None:
-            docs_here = node_docs[node_id] = set()
-        elif doc.doc_id in docs_here:
-            return True
-        used = node_bytes.get(node_id, 0) + doc.size_bytes
-        budget = nodes[node_id].storage_bytes
-        if budget is not None and used > budget:
-            return False
-        docs_here.add(doc.doc_id)
-        node_bytes[node_id] = used
-        node_popularity[node_id] = node_popularity.get(node_id, 0.0) + doc.popularity
-        in_cluster[node_id] = in_cluster.get(node_id, 0.0) + doc.popularity
-        return True
-
-    # (stored in-cluster popularity, node id) heap over members.
+    # (stored in-cluster popularity, node id) heap over members.  A member's
+    # key is its ``in_cluster`` value whenever it is on the heap (it changes
+    # only while the member is off it), so a popped key is carried forward
+    # instead of read again.
     heap = [(in_cluster.get(node_id, 0.0), node_id) for node_id in members]
-    heapq.heapify(heap)
+    heapify(heap)
     for doc, replicas in zip(docs[n_hot:], replica_counts[n_hot:]):
+        doc_id, size, weight = doc.doc_id, doc.size_bytes, doc.popularity
         taken = []
         placed = 0
         # Pop candidates, each member at most once, looking for room; full
         # nodes go back on the heap but do not receive the replica.
         while placed < replicas and heap:
-            node_id = heapq.heappop(heap)[1]
-            if store(node_id, doc):
+            stored, node_id = entry = heappop(heap)
+            docs_here = node_docs.get(node_id)
+            if docs_here is None:
+                docs_here = node_docs[node_id] = set()
+            used = node_bytes.get(node_id, 0) + size
+            budget = nodes[node_id].storage_bytes
+            if doc_id in docs_here:
                 placed += 1
-            taken.append(node_id)
-        for node_id in taken:
-            heapq.heappush(heap, (in_cluster.get(node_id, 0.0), node_id))
+            elif budget is None or used <= budget:
+                docs_here.add(doc_id)
+                node_bytes[node_id] = used
+                node_popularity[node_id] = node_popularity.get(node_id, 0.0) + weight
+                stored = in_cluster[node_id] = stored + weight
+                entry = (stored, node_id)
+                placed += 1
+            taken.append(entry)
+        for entry in taken:
+            heappush(heap, entry)
 
     if not n_hot:
         return
@@ -251,7 +258,12 @@ def _place_category(
     hot_bytes = sum([doc.size_bytes for doc in hot_docs])
     plan.hot_doc_ids.update(hot_ids)
     held = [node_docs.setdefault(node_id, set()) for node_id in members]
-    for node_id, docs_here in zip(members, held):
+    # A member can lack the room only under a budget, and can hold a hot
+    # document already only if it has another category it was placed under.
+    could_fail = (
+        budgeted or max(map(len, map(attrgetter("categories"), hot_docs))) > 1
+    )
+    for node_id, docs_here in zip(members, held) if could_fail else ():
         budget = nodes[node_id].storage_bytes
         if not docs_here.isdisjoint(hot_ids) or (
             budget is not None and node_bytes.get(node_id, 0) + hot_bytes > budget
@@ -279,10 +291,19 @@ def _place_category(
     # Some member holds a hot document already (placed under another of its
     # categories) or runs out of budget part-way: copy by copy.
     for doc in hot_docs:
-        for node_id in members:
-            store(node_id, doc)
+        doc_id, size, weight = doc.doc_id, doc.size_bytes, doc.popularity
+        for node_id, docs_here in zip(members, held):
+            used = node_bytes.get(node_id, 0) + size
+            budget = nodes[node_id].storage_bytes
+            if doc_id in docs_here or (budget is not None and used > budget):
+                continue
+            docs_here.add(doc_id)
+            node_bytes[node_id] = used
+            node_popularity[node_id] = node_popularity.get(node_id, 0.0) + weight
+            in_cluster[node_id] = in_cluster.get(node_id, 0.0) + weight
 
 
+@collector_paused
 def plan_replication(
     instance: SystemInstance,
     assignment: Assignment,
@@ -341,6 +362,8 @@ def plan_replication(
         if not cluster_nodes:
             continue
         in_cluster: dict[int, float] = {}
+        budgets = [instance.nodes[node_id].storage_bytes for node_id in cluster_nodes]
+        budgeted = budgets.count(None) < len(budgets)
         for category_id in assignment.categories_in(cluster_id):
             doc_ids = instance.categories[category_id].doc_ids
             if doc_ids:
@@ -350,6 +373,7 @@ def plan_replication(
                     in_cluster,
                     doc_ids,
                     cluster_nodes,
+                    budgeted,
                     n_reps,
                     hot_mass,
                     policy,

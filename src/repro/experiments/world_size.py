@@ -10,21 +10,24 @@ optional layer off) in a *fresh interpreter* and reports
 * how big the world is — nodes, cluster memberships, document copies
   placed, NRT entries;
 * what the build costs — wall seconds, Python-level calls, the
-  interpreter's peak RSS;
+  interpreter's peak RSS, the collector passes started inside it and
+  their seconds (a build runs with the collector paused, so both read 0),
+  and the seconds of one full collection right after it;
 * where the bytes are — the ``tracemalloc`` total of the build, split
   over the seven structures that grow with the world (each sized by
   walking it with ``sys.getsizeof``, shared objects counted once), and the
   rest.
 
 Seconds are the least repeatable column (on a multi-GB heap they follow
-collector passes and page faults more than the code), so the gates are on
-calls and bytes: fewer calls than copies placed, bytes that grow no
-faster than ``copies + NRT entries``, NRT tables of about a pointer per
-entry (a recency-ordered list, not a dict), one DCRT the peers share, a
-DT that costs nothing beside the stored documents, slotted peers and
-components over one dispatch table a world shares, and — the one optional layer
-whose build grows with the world — a content data plane that adds a few
-calls per document and peer (:func:`content_calls`), not one per chunk.
+page faults more than the code), so the gates are on passes, calls and
+bytes: no collector pass inside the build, fewer calls than copies
+placed, bytes that grow no faster than ``copies + NRT entries``, NRT
+tables of about a pointer per entry (a recency-ordered list, not a dict),
+one DCRT the peers share, a DT that costs nothing beside the stored
+documents, slotted peers and components over one dispatch table a world
+shares, and — the one optional layer whose build grows with the world —
+a content data plane that adds a few calls per document and peer
+(:func:`content_calls`), not one per chunk.
 With durability on, the baseline snapshots encode one ``store`` body per
 document, not one per copy (:func:`durable_baseline`).
 """
@@ -101,6 +104,11 @@ class WorldRow:
     copies: int
     nrt_entries: int
     build_s: float
+    #: collector passes started inside the untraced build, and their seconds.
+    gc_passes: int
+    gc_s: float
+    #: seconds of a full ``gc.collect()`` right after the untraced build.
+    collect_s: float
     #: Python-level ``call`` events (``sys.setprofile``) inside the build.
     calls: int
     #: ``tracemalloc`` bytes still allocated when the build returns.
@@ -207,10 +215,26 @@ def measure(scale: float, seed: int = 7) -> WorldRow:
     world = build_world(scale=scale, seed=seed)
     config = P2PSystemConfig(seed=seed)
 
-    started = time.perf_counter()
-    system = P2PSystem(*world, config=config)
-    build_s = time.perf_counter() - started
+    # Seconds of each collector pass started inside the build.
+    passes: list[float] = []
+
+    def timed(phase, info):
+        if phase == "start":
+            passes.append(time.perf_counter())
+        else:
+            passes[-1] = time.perf_counter() - passes[-1]
+
+    gc.callbacks.append(timed)
+    try:
+        started = time.perf_counter()
+        system = P2PSystem(*world, config=config)
+        build_s = time.perf_counter() - started
+    finally:
+        gc.callbacks.remove(timed)
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    started = time.perf_counter()
+    gc.collect()
+    collect_s = time.perf_counter() - started
     del system
     gc.collect()
 
@@ -232,6 +256,9 @@ def measure(scale: float, seed: int = 7) -> WorldRow:
             len(table) for peer in peers for table in peer.nrt._clusters.values()
         ),
         build_s=build_s,
+        gc_passes=len(passes),
+        gc_s=sum(passes),
+        collect_s=collect_s,
         calls=calls,
         traced_bytes=traced_bytes,
         site_bytes=tuple((name, sites[name]) for name in SITES),
@@ -265,7 +292,8 @@ def format_result(result: WorldResult) -> str:
         rows.append(
             [
                 row.scale, row.nodes, row.memberships, row.copies, row.nrt_entries,
-                f"{row.build_s:.2f}", row.calls, f"{row.calls / row.copies:.2f}",
+                f"{row.build_s:.2f}", row.gc_passes, f"{row.gc_s:.3f}",
+                f"{row.collect_s:.3f}", row.calls, f"{row.calls / row.copies:.2f}",
                 mib(row.traced_bytes), *(mib(sites[name]) for name in SITES),
                 mib(row.traced_bytes - sum(sites.values())),
                 f"{row.rss_mib:.0f}", f"{row.bytes_per_entry:.0f}",
@@ -274,8 +302,8 @@ def format_result(result: WorldResult) -> str:
     return format_table(
         [
             "scale", "nodes", "memberships", "copies", "NRT entries", "build s",
-            "calls", "calls/copy", "traced MiB", *SITES, "other", "RSS MiB",
-            "B/(copy+entry)",
+            "gc passes", "gc s", "collect s", "calls", "calls/copy", "traced MiB",
+            *SITES, "other", "RSS MiB", "B/(copy+entry)",
         ],
         rows,
         title=f"WORLD: cost of P2PSystem bootstrap by scale (seed {result.seed}; "
@@ -298,15 +326,20 @@ def content_calls() -> tuple[int, int]:
 
 
 def smoke() -> None:
-    """CI gate: calls stay below copies, bytes grow no faster than the world,
-    NRT tables stay near a pointer per entry, peers share the bootstrap
-    DCRT, the DT costs nothing beside ``docs``, a peer is slotted objects
-    over its world's one dispatch table, a content-on build adds
-    a few calls per document and peer, and a durability-on build encodes
-    one ``store`` body per document held."""
+    """CI gate: no collector pass starts inside a build, calls stay below
+    copies, bytes grow no faster than the world, NRT tables stay near a
+    pointer per entry, peers share the bootstrap DCRT, the DT costs nothing
+    beside ``docs``, a peer is slotted objects over its world's one
+    dispatch table, a content-on build adds a few calls per document and
+    peer, and a durability-on build encodes one ``store`` body per
+    document held."""
     result = run(scales=(0.01, 0.03))
     print(format_result(result))
     for row in result.rows:
+        require(
+            row.gc_passes == 0,
+            f"scale {row.scale}: {row.gc_passes} collector passes in the build",
+        )
         require(row.calls < row.copies, f"scale {row.scale}: {row.calls} calls")
         sites = dict(row.site_bytes)
         for label, per_unit, ceiling in (

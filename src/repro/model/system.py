@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.bulk import collector_paused
 from repro.model.documents import Category, Document
 from repro.model.nodes import Node
 from repro.model.zipf import ZipfSampler, zipf_pmf
@@ -303,6 +304,7 @@ def _assign_contributors(
     return contributors
 
 
+@collector_paused
 def build_system(config: SystemConfig) -> SystemInstance:
     """Construct a :class:`SystemInstance` from ``config``.
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 
+from repro.bulk import collector_paused
 from repro.core.maxfair import Assignment
 from repro.core.replication import ReplicationPlan
 from repro.metrics.response import QueryOutcome
@@ -117,6 +118,7 @@ class P2PSystem:
         Deployment tunables.
     """
 
+    @collector_paused
     def __init__(
         self,
         instance: SystemInstance,

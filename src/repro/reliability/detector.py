@@ -48,6 +48,11 @@ __all__ = ["FailureDetector"]
 #: helpers asked to ping a target whose direct probe timed out.
 _INDIRECT_PROBES = 3
 
+#: what ``_pending``, ``suspects``, ``_pool`` and ``_heard`` hold until
+#: their first write: a peer whose world runs no detector round builds no
+#: set (an empty one is 216 B, four a peer).
+_UNWRITTEN: frozenset[int] = frozenset()
+
 _C_PROBES = obs.counter("reliability.probes")
 _C_SUSPECTS = obs.counter("reliability.suspicions")
 _C_CLEARED = obs.counter("reliability.suspicions_cleared")
@@ -77,16 +82,17 @@ class FailureDetector:
         #: consecutive misses per target.
         self._misses: dict[int, int] = {}
         #: (target, probe_id) probes awaiting a pong.
-        self._pending: set[tuple[int, int]] = set()
+        self._pending: set[tuple[int, int]] | frozenset = _UNWRITTEN
         self._next_probe_id = 0
-        self.suspects: set[int] = set()
+        self.suspects: set[int] | frozenset[int] = _UNWRITTEN
         #: the pool of the last round, its shuffled slot order and the
         #: next slot.
-        self._pool: set[int] = set()
+        self._pool: set[int] | frozenset[int] = _UNWRITTEN
         self._order: list[int] = []
         self._slot = 0
-        #: pool members heard from since the last round.
-        self._heard: set[int] = set()
+        #: pool members heard from since the last round (a set whenever
+        #: the pool is not empty: :meth:`probe_round` sets both).
+        self._heard: set[int] | frozenset[int] = _UNWRITTEN
 
     # ------------------------------------------------------------------
     # evidence
@@ -110,6 +116,8 @@ class FailureDetector:
 
     def _suspect(self, node_id: int) -> None:
         if node_id not in self.suspects:
+            if self.suspects is _UNWRITTEN:
+                self.suspects = set()
             self.suspects.add(node_id)
             _C_SUSPECTS.value += 1
 
@@ -123,7 +131,8 @@ class FailureDetector:
         node is gone, not healed).
         """
         self._misses.pop(node_id, None)
-        self.suspects.discard(node_id)
+        if self.suspects:
+            self.suspects.discard(node_id)
         if self._pending:
             self._pending = {
                 key for key in self._pending if key[0] != node_id
@@ -140,8 +149,10 @@ class FailureDetector:
         queries and fan-outs routed through this node.
         """
         self._misses.clear()
-        self._pending.clear()
-        self._heard.clear()
+        if self._pending:
+            self._pending.clear()
+        if self._heard:
+            self._heard.clear()
         if self.suspects:
             _C_CLEARED.value += len(self.suspects)
             self.suspects.clear()
@@ -189,6 +200,8 @@ class FailureDetector:
         self._next_probe_id += 1
         probe_id = self._next_probe_id
         key = (target, probe_id)
+        if self._pending is _UNWRITTEN:
+            self._pending = set()
         self._pending.add(key)
         _C_PROBES.value += 1
         self._send_ping(target, Ping(probe_id=probe_id, prober_id=self.node_id))
@@ -261,4 +274,5 @@ class FailureDetector:
         # The target pongs its prober directly, so the sender is the
         # responder: a pong cannot vouch for any node but its own sender
         # (``Peer.handle_message`` has already noted that one alive).
-        self._pending.discard((src, pong.probe_id))
+        if self._pending:
+            self._pending.discard((src, pong.probe_id))

@@ -215,6 +215,7 @@ class TestIntraCluster:
         bare, hot = result.rows
         assert hot.expected_fairness > bare.expected_fairness
         assert hot.observed_fairness > bare.observed_fairness
+        assert hot.observed_fairness_per_unit > bare.observed_fairness_per_unit
         assert hot.mean_storage_mb > bare.mean_storage_mb
         intra_cluster.format_result(result)
 

@@ -197,6 +197,16 @@ class TestFailureDetector:
         assert 1 not in peer.detector.suspects
         assert not peer.detector._pending
 
+    def test_a_detector_that_never_probed_ignores_a_stray_pong(self):
+        detector = FailureDetector(0, Network(Simulator()), FAST)
+        # The evidence sets are built on first write; a pong nobody asked
+        # for, a departure and a crash write none.
+        detector.handle_pong(m.Pong(probe_id=3), 5)
+        detector.forget(5)
+        detector.clear_failure_state()
+        assert not detector._pending and not detector.suspects
+        assert type(detector._pending) is frozenset
+
 
 def _reliable_overlay(config: ReliabilityConfig = FAST):
     """Three peers in cluster 4 with reliability enabled everywhere."""
