@@ -524,6 +524,3 @@ class PeerContent:
             self.manifests[doc_id] = build_manifest(
                 doc_id, size_bytes, chunk_size, version=version
             )
-
-    def in_flight(self) -> int:
-        return len(self._fetches)

@@ -10,7 +10,10 @@ This experiment sweeps the per-node cache capacity and measures, under a
 Zipf request stream over an overlay *without* hot-mass replication (so the
 cache is the only hot-content spreading mechanism):
 
-* load fairness across nodes (caches absorb the hot documents' load);
+* load fairness across nodes (caches absorb the hot documents' load):
+  Jain's index of raw served counts, and of served load per capacity
+  unit — the paper's measure (Section 4.3.1) and the figure of merit,
+  since capacity-weighted dispatch makes raw counts follow capacity;
 * the hottest node's share of all requests;
 * the fraction of requests served out of caches.
 """
@@ -24,6 +27,7 @@ import numpy as np
 from repro.core.fairness import jain_fairness
 from repro.core.replication import build_world
 from repro.experiments.common import DES_SCALE
+from repro.metrics.load import load_report
 from repro.metrics.report import format_table
 from repro.model.workload import make_query_workload
 from repro.overlay.system import P2PSystem, P2PSystemConfig
@@ -38,6 +42,8 @@ N_QUERIES = 6000
 class CacheRow:
     capacity: int
     load_fairness: float
+    #: Jain's index of requests served per capacity unit.
+    load_fairness_per_unit: float
     hottest_share: float
     cached_copies: int
 
@@ -74,6 +80,9 @@ def run(scale: float = DES_SCALE, seed: int = 7) -> CachingResult:
             CacheRow(
                 capacity=capacity,
                 load_fairness=float(jain_fairness(values)),
+                load_fairness_per_unit=load_report(
+                    loads, system.node_capacities()
+                ).node_fairness_normalized,
                 # values.max() on an empty array throws — a world whose
                 # peers all died must report share 0, not crash.
                 hottest_share=(
@@ -91,14 +100,15 @@ def format_result(result: CachingResult) -> str:
         (
             row.capacity,
             f"{row.load_fairness:.4f}",
+            f"{row.load_fairness_per_unit:.4f}",
             f"{row.hottest_share:.3%}",
             row.cached_copies,
         )
         for row in result.rows
     ]
     return format_table(
-        ["cache capacity (docs)", "load fairness", "hottest node share",
-         "cached copies held"],
+        ["cache capacity (docs)", "load fairness", "load fairness / unit",
+         "hottest node share", "cached copies held"],
         rows,
         title=(
             "X2 — requester-side caching (future-work item viii; "

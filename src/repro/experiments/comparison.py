@@ -73,12 +73,6 @@ class ComparisonResult:
     #: improvements the paper notes apply to its architecture too.
     search_rows: tuple[SearchStrategyRow, ...] = ()
 
-    def row(self, name: str) -> SystemRow:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
 
 def _load_summary(
     loads: dict[int, int], capacities: dict[int, float]

@@ -57,12 +57,6 @@ class GranularityResult:
     scale: float
     rows: tuple[GranularityRow, ...]
 
-    def row(self, granularity: str) -> GranularityRow:
-        for row in self.rows:
-            if row.granularity == granularity:
-                return row
-        raise KeyError(granularity)
-
 
 def _document_stats(instance, category_stats: CategoryStats):
     """Document-level (popularity, weight) arrays plus doc id order."""

@@ -117,12 +117,6 @@ class OverloadResult:
     saturation_rate: float
     rows: tuple[OverloadRow, ...]
 
-    def row(self, load: float, protected: bool) -> OverloadRow:
-        for row in self.rows:
-            if abs(row.load - load) < 1e-12 and row.protected is protected:
-                return row
-        raise KeyError((load, protected))
-
     def peak_goodput(self, protected: bool) -> float:
         return max(
             (row.goodput for row in self.rows if row.protected is protected),

@@ -18,9 +18,11 @@ invariant once a misbehaving peer is armed.
 Reported per spec and phase: goodput (successes per unit of sim time),
 p99 first-response latency, and Jain fairness over how evenly the
 phase's serving work spread across the contributing (non-free-riding)
-peers.  Identical seeds replay identically — the stream is a pure
-function of the spec, so every number here is reproducible from the
-spec alone::
+peers: of raw served counts, and of served load per capacity unit (the
+paper's measure and the figure of merit: capacity-weighted dispatch makes
+raw counts follow capacity on purpose).  Identical seeds replay
+identically — the stream is a pure function of the spec, so every number
+here is reproducible from the spec alone::
 
     repro-experiments scenario
     repro-experiments scenario --seed 11
@@ -35,6 +37,7 @@ from repro.chaos.harness import ChaosRunner
 from repro.core.fairness import jain_fairness
 from repro.core.replication import build_world
 from repro.experiments.common import require
+from repro.metrics.load import load_report
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
 from repro.model.system import SystemConfig, build_system
@@ -71,6 +74,8 @@ class ScenarioResult:
     goodput: list[float] = field(default_factory=list)
     p99_latency: list[float] = field(default_factory=list)
     fairness: list[float] = field(default_factory=list)
+    #: Jain's index of each phase's served load per capacity unit.
+    fairness_per_unit: list[float] = field(default_factory=list)
     #: one line per invariant violation, in the order found.
     violation_details: list[str] = field(default_factory=list)
 
@@ -110,6 +115,7 @@ def run(seed: int = 7) -> ScenarioResult:
         served_before = {
             peer.node_id: peer.requests_served for peer in contributors
         }
+        capacities = {peer.node_id: peer.capacity_units for peer in contributors}
         phase_window = spec.duration / _N_PHASES
         # A query plays in the phase its issue time falls in, a control in
         # the phase of the next query; the last phase also takes the
@@ -131,10 +137,10 @@ def run(seed: int = 7) -> ScenarioResult:
             served_now = {
                 peer.node_id: peer.requests_served for peer in contributors
             }
-            deltas = [
-                served_now[node_id] - served_before[node_id]
+            loads = {
+                node_id: served_now[node_id] - served_before[node_id]
                 for node_id in sorted(served_before)
-            ]
+            }
             served_before = served_now
             result.spec_names.append(spec.name)
             result.phase_index.append(phase)
@@ -145,7 +151,10 @@ def run(seed: int = 7) -> ScenarioResult:
             result.p99_latency.append(
                 response.p99_latency if response.n_succeeded else 0.0
             )
-            result.fairness.append(jain_fairness(deltas))
+            result.fairness.append(jain_fairness(list(loads.values())))
+            result.fairness_per_unit.append(
+                load_report(loads, capacities).node_fairness_normalized
+            )
         result.violations += len(checker.violations)
         result.violation_details.extend(
             str(violation) for violation in checker.violations
@@ -162,12 +171,14 @@ def format_result(result: ScenarioResult) -> str:
             f"{result.goodput[i]:.1f}",
             f"{result.p99_latency[i]:.4f}",
             f"{result.fairness[i]:.3f}",
+            f"{result.fairness_per_unit[i]:.3f}",
         )
         for i in range(len(result.spec_names))
     ]
     lines = [
         format_table(
-            ["spec", "phase", "queries", "goodput/s", "p99 latency", "fairness"],
+            ["spec", "phase", "queries", "goodput/s", "p99 latency", "fairness",
+             "fairness / unit"],
             rows,
             title=(
                 f"SCENARIO matrix (seed {result.seed}, "

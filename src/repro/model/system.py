@@ -124,13 +124,6 @@ class SystemInstance:
     def total_popularity(self) -> float:
         return float(sum(d.popularity for d in self.documents.values()))
 
-    def node_popularity(self, node_id: int) -> float:
-        """``p(n)`` — summed popularity of the node's contributed documents."""
-        node = self.nodes[node_id]
-        return sum(
-            self.documents[doc_id].popularity for doc_id in node.contributed_doc_ids
-        )
-
     def fresh_doc_id(self) -> int:
         """Allocate a new unique document id (for dynamic publishes)."""
         doc_id = self._next_doc_id

@@ -74,9 +74,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
     def reset(self) -> None:
         self.value = 0.0
 
@@ -217,9 +214,6 @@ class MetricsRegistry:
     def get(self, name: str):
         """The metric registered under ``name``, or ``None``."""
         return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
 
     def __iter__(self) -> Iterable:
         for name in sorted(self._metrics):

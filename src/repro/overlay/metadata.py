@@ -317,11 +317,6 @@ class NRT:
             batch[:0] = kept[-room:]
         self._clusters[cluster_id] = batch
 
-    def remove(self, cluster_id: int, node_id: int) -> None:
-        members = self._clusters.get(cluster_id)
-        if members is not None and node_id in members:
-            members.remove(node_id)
-
     def remove_node(self, node_id: int) -> None:
         """Remove a node from every cluster (on a leave notice)."""
         for members in self._clusters.values():

@@ -115,10 +115,6 @@ class QueryProtocol:
         self._seen.clear()
         self._seen_before.clear()
 
-    def in_flight(self) -> int:
-        """Queries this peer originated that still await an answer."""
-        return len(self._attempts)
-
     # ------------------------------------------------------------------
     # queries (Section 3.3)
     # ------------------------------------------------------------------

@@ -87,10 +87,6 @@ class RebalanceCostModel:
         return self.bytes_per_category / self.destination_size
 
     @property
-    def total_bytes(self) -> int:
-        return self.bytes_per_category * self.n_categories
-
-    @property
     def engaged_node_pairs(self) -> int:
         """Distinct (source, destination) pairs engaged across all moves."""
         return self.transfers_per_category * self.n_categories

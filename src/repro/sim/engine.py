@@ -82,8 +82,7 @@ class Simulator:
         sim.schedule(0.0, lambda: print("hello at", sim.now))
         sim.run()
 
-    ``run`` processes events until the queue drains or a time horizon is
-    reached.
+    ``run`` processes events until the queue drains.
     """
 
     def __init__(self) -> None:
@@ -155,19 +154,10 @@ class Simulator:
             )
         return self.schedule(time - self._now, callback)
 
-    def run(self, until: float | None = None) -> None:
-        """Process events until the queue drains or ``until`` is passed.
-
-        ``until`` stops the run once the next event would fire after that
-        time (the clock is advanced to ``until``).  A time before ``now``
-        raises :class:`SimulationError`: the clock never runs backwards.
-        """
+    def run(self) -> None:
+        """Process events until the queue drains."""
         if self._running:
             raise SimulationError("simulator is already running")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run until {until}, current time is {self._now}"
-            )
         self._running = True
         trace_log = obs.TRACE
         heappop = heapq.heappop
@@ -175,14 +165,9 @@ class Simulator:
         try:
             processed_this_run = 0
             while queue:
-                time, seq, event = queue[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return
+                time, seq, event = heappop(queue)
                 if event.cancelled:
-                    heappop(queue)
                     continue
-                heappop(queue)
                 self._live -= 1
                 event.owner = None  # cancel() after dispatch must not count
                 self._now = time
@@ -199,8 +184,6 @@ class Simulator:
                     event.callback()
                 self.events_processed += 1
                 processed_this_run += 1
-            if until is not None and until > self._now:
-                self._now = until
             if processed_this_run and self._quiescence_hooks:
                 # The queue drained: every message landed or was dropped.
                 # tuple() so a hook unregistering itself is safe mid-sweep.
@@ -215,9 +198,3 @@ class Simulator:
         """Number of not-yet-cancelled events in the queue (O(1))."""
         return self._live
 
-    def clear(self) -> None:
-        """Drop all pending events (used between experiment phases)."""
-        for _, _, event in self._queue:
-            event.owner = None  # a later cancel() must not double-count
-        self._queue.clear()
-        self._live = 0

@@ -52,7 +52,3 @@ class RngRegistry:
             generator = np.random.default_rng(derive_seed(self.root_seed, name))
             self._streams[name] = generator
         return generator
-
-    def names(self) -> list[str]:
-        """Names of all streams created so far (sorted)."""
-        return sorted(self._streams)

@@ -14,6 +14,12 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
+def row(rows, **fields):
+    """The one row of an experiment's ``rows`` whose fields equal ``fields``."""
+    (found,) = [r for r in rows if all(getattr(r, k) == v for k, v in fields.items())]
+    return found
+
+
 def patch_method(monkeypatch, obj, name: str, replacement) -> None:
     """Make ``obj.name(...)`` call ``replacement(...)`` for one test.
 

@@ -25,8 +25,8 @@ class TestPeerCache:
         overlay = _cached_overlay()
         overlay.give_document(1, 100, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(1, 7, 1, target_doc_id=100)
         overlay.run()
         assert requester.dt.has_document(100)
@@ -37,15 +37,15 @@ class TestPeerCache:
         overlay = _cached_overlay()
         overlay.give_document(1, 100, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(1, 7, 1, target_doc_id=100)
         overlay.run()
         # Node 2 now asks; its first hop is node 0 (the cacher), which can
         # serve directly from cache.
         second = overlay.peers[2]
-        second.nrt.remove(0, 1)
-        second.nrt.remove(0, 2)
+        second.nrt.remove_node(1)
+        second.nrt.remove_node(2)
         second.start_query(2, 7, 1, target_doc_id=100)
         overlay.run()
         responders = [
@@ -59,8 +59,8 @@ class TestPeerCache:
         for doc_id in (100, 101, 102):
             overlay.give_document(1, doc_id, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         for i, doc_id in enumerate((100, 101, 102)):
             requester.start_query(10 + i, 7, 1, target_doc_id=doc_id)
             overlay.run()
@@ -76,8 +76,8 @@ class TestPeerCache:
         overlay.give_document(0, 50, [7])  # own contribution
         overlay.give_document(1, 100, [7])
         overlay.give_document(1, 101, [7])
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(1, 7, 1, target_doc_id=100)
         overlay.run()
         requester.start_query(2, 7, 1, target_doc_id=101)
@@ -93,7 +93,7 @@ class TestPeerCache:
         overlay.wire_cluster(0, [0, 1], edges=[(0, 1)], category_map={7: 0})
         overlay.give_document(1, 100, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
+        requester.nrt.remove_node(0)
         requester.start_query(1, 7, 1, target_doc_id=100)
         overlay.run()
         assert not requester.dt.has_document(100)
@@ -102,8 +102,8 @@ class TestPeerCache:
         overlay = _cached_overlay()
         overlay.give_document(1, 100, [7], size=5_000_000)
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(1, 7, 1, target_doc_id=100)
         overlay.run()
         assert overlay.network.stats.bytes_by_kind["query_response"] >= 5_000_000

@@ -440,7 +440,7 @@ class TestCrashLifecycle:
         system.sim.run()
         assert record.failed
         assert record.failure == "requester-crashed"
-        assert requester.content_state.in_flight() == 0
+        assert not requester.content_state._fetches
 
 
 class TestSettledRecords:

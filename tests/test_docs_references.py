@@ -14,7 +14,6 @@ compared with the registry it restates, in both directions.
 import importlib.util
 import pkgutil
 import re
-from pathlib import Path
 
 import pytest
 
@@ -24,15 +23,9 @@ from repro.overlay.peer import PeerConfig
 from repro.overlay.service import ServiceConfig
 
 from tests.helpers import MicroOverlay
+from tests.program_index import REPO
 
-REPO = Path(__file__).resolve().parent.parent
-DOCS = [
-    "README.md",
-    "DESIGN.md",
-    "EXPERIMENTS.md",
-    "docs/api.md",
-    "docs/architecture.md",
-]
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/api.md", "docs/architecture.md"]
 PATH_ROOTS = ("src/", "tests/", "benchmarks/", "examples/", ".github/")
 
 INLINE_SPAN = re.compile(r"`([^`\n]+)`")
@@ -43,8 +36,7 @@ MODULE_RUN = re.compile(r"python3? -m (repro(?:\.\w+)*)")
 
 
 def _resolves(dotted: str) -> bool:
-    """The longest importable prefix is a module and the rest are
-    attributes of it."""
+    """The longest importable prefix is a module, the rest its attributes."""
     try:
         pkgutil.resolve_name(dotted)
     except (ImportError, AttributeError):
@@ -53,8 +45,7 @@ def _resolves(dotted: str) -> bool:
 
 
 def _runnable(module: str) -> bool:
-    """``python -m module`` has something to run: a package needs a
-    ``__main__`` submodule, a plain module only needs to exist."""
+    """``python -m module`` runs a plain module or a package's ``__main__``."""
     try:
         spec = importlib.util.find_spec(module)
         if spec is not None and spec.submodule_search_locations is not None:
@@ -66,11 +57,7 @@ def _runnable(module: str) -> bool:
 
 def dangling_references(text: str) -> list[str]:
     """Every reference in ``text`` that points at nothing."""
-    dangling = [
-        f"python -m {module}"
-        for module in MODULE_RUN.findall(text)
-        if not _runnable(module)
-    ]
+    dangling = [f"python -m {m}" for m in MODULE_RUN.findall(text) if not _runnable(m)]
     # Fenced blocks hold shell transcripts and sample output; only prose
     # spans are read as names and paths.
     prose = "".join(text.split("```")[::2])
@@ -103,19 +90,12 @@ def test_checker_flags_each_kind_of_dangling_reference():
         "python -m repro.nope --list\n```\n"
     )
     assert dangling_references(text) == [
-        "python -m repro.sim",
-        "python -m repro.nope",
-        "repro.nope",
-        "repro.sim.engine.Nope",
-        "tests/test_nope.py",
-        "benchmarks/nope/run.py",
+        "python -m repro.sim", "python -m repro.nope", "repro.nope", "repro.sim.engine.Nope",
+        "tests/test_nope.py", "benchmarks/nope/run.py",
     ]
 
 
-
-# ----------------------------------------------------------------------
-# the registry tables of docs/architecture.md
-# ----------------------------------------------------------------------
+# -- the registry tables of docs/architecture.md -------------------------
 def doc_table(text: str, first_header: str) -> list[dict[str, str]]:
     """Rows (``header cell -> cell``) of the markdown table whose header
     row starts with ``first_header``; ``[]`` if there is none."""
@@ -139,13 +119,8 @@ def component_kinds() -> set[tuple[str, str]]:
     """``(peer attribute, kind)`` for every kind a full-stack peer's
     components register — together, every kind in the peer's dispatch
     table."""
-    peer = MicroOverlay().add_peer(
-        0,
-        config=PeerConfig(
-            service=ServiceConfig(enabled=True),
-            content=ContentConfig(enabled=True),
-        ),
-    )
+    config = PeerConfig(service=ServiceConfig(enabled=True), content=ContentConfig(enabled=True))
+    peer = MicroOverlay().add_peer(0, config=config)
     attributes = {name: getattr(peer, name) for name in type(peer).__slots__}
     pairs = {
         (f"peer.{attribute}", kind)
@@ -162,10 +137,7 @@ def registry_disagreements(text: str, registered: dict[str, set]) -> list[str]:
     registered, and registrations no row names."""
 
     def names(table, *columns):
-        return {
-            tuple(row[column].strip("`") for column in columns)
-            for row in doc_table(text, table)
-        }
+        return {tuple(row[c].strip("`") for c in columns) for row in doc_table(text, table)}
 
     documented = {
         "invariant": names("invariant", "invariant", "group", "trigger"),
@@ -213,11 +185,8 @@ def test_table_checker_flags_drift_in_both_directions():
         "| `peer.service` | `S` | — | queue |\n"
     )
     registered = {
-        "invariant": {
-            ("kept", "core", "quiescence"),
-            ("regrouped", "overload", "adapt"),
-            ("undocumented", "core", "workload"),
-        },
+        "invariant": {("kept", "core", "quiescence"), ("regrouped", "overload", "adapt"),
+                      ("undocumented", "core", "workload")},
         "action": {("crash", "core"), ("heal", "core")},
         "kind": {("peer.queries", "query"), ("peer.channel", "ack")},
     }

@@ -71,7 +71,7 @@ def _retrieve(overlay, node_id, query_id, doc_id):
     peer = overlay.peers[node_id]
     for other in (0, 1, 2):
         if other != node_id and other in peer.nrt.nodes_in(0):
-            peer.nrt.remove(0, other)
+            peer.nrt.remove_node(other)
     # Re-add whoever holds the doc so the query has somewhere to go.
     for holder in sorted(overlay.hooks.holders.get(doc_id, ())):
         if holder != node_id:
@@ -133,7 +133,7 @@ class TestPeerCachePolicies:
 
         client = overlay.peers[0]
         for other in (1, 2):
-            client.nrt.remove(0, other)
+            client.nrt.remove_node(other)
         client.nrt.add(0, 1)  # client only ever targets the cacher
         # Node 1's retrieval of 101 needs two hops (request + response) to
         # evict 100; the client's one-hop query for 100 departs between

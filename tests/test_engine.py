@@ -79,33 +79,6 @@ class TestScheduling:
 
 
 class TestRunBounds:
-    def test_until_stops_early(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(1.0, lambda: log.append(1))
-        sim.schedule(10.0, lambda: log.append(10))
-        sim.run(until=5.0)
-        assert log == [1]
-        assert sim.now == 5.0
-        sim.run()
-        assert log == [1, 10]
-
-    def test_until_advances_clock_with_no_events(self):
-        sim = Simulator()
-        sim.run(until=7.0)
-        assert sim.now == 7.0
-
-    def test_until_in_the_past_is_rejected_and_clock_holds(self):
-        sim = Simulator()
-        log = []
-        sim.run(until=10.0)
-        sim.schedule(5.0, lambda: log.append(sim.now))
-        with pytest.raises(SimulationError, match="cannot run until 3.0"):
-            sim.run(until=3.0)
-        assert sim.now == 10.0
-        sim.run()
-        assert log == [15.0]
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         errors = []
@@ -120,16 +93,6 @@ class TestRunBounds:
         sim.run()
         assert len(errors) == 1
 
-    def test_pending_and_clear(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.pending() == 2
-        event.cancel()
-        assert sim.pending() == 1
-        sim.clear()
-        assert sim.pending() == 0
-
     def test_pending_exact_under_double_cancel(self):
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
@@ -140,26 +103,25 @@ class TestRunBounds:
 
     def test_cancel_after_fire_does_not_corrupt_pending(self):
         sim = Simulator()
+        seen = []
         fired = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run(until=1.5)
-        fired.cancel()  # already dispatched; must be a no-op for pending
-        assert sim.pending() == 1
 
-    def test_cancel_after_clear_does_not_go_negative(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.clear()
-        event.cancel()
-        assert sim.pending() == 0
+        def cancel_fired():
+            fired.cancel()  # already dispatched; must be a no-op for pending
+            seen.append(sim.pending())
+
+        sim.schedule(1.5, cancel_fired)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert seen == [1]
 
     def test_pending_tracks_drain(self):
         sim = Simulator()
+        seen = []
         for i in range(4):
-            sim.schedule(float(i + 1), lambda: None)
-        sim.run(until=2.5)
-        assert sim.pending() == 2
+            sim.schedule(float(i + 1), lambda: seen.append(sim.pending()))
         sim.run()
+        assert seen == [3, 2, 1, 0]
         assert sim.pending() == 0
 
 
@@ -244,20 +206,14 @@ class _ReferenceQueue:
         self.seq += 1
 
     def cancel(self, seq):
-        self.live.pop(seq, None)  # fired, cleared or cancelled: a no-op
+        self.live.pop(seq, None)  # fired or cancelled: a no-op
 
-    def run(self, until, dispatch):
+    def run(self, dispatch):
         while self.live:
             seq = min(self.live, key=lambda s: (self.live[s], s))
-            time = self.live[seq]
-            if until is not None and time > until:
-                break
-            del self.live[seq]
-            self.now = time
+            self.now = self.live.pop(seq)
             dispatch(seq)
             self.processed += 1
-        if until is not None and until > self.now:
-            self.now = until
 
 
 # Dyadic values: sums and differences are exact, and ties are common.
@@ -269,8 +225,7 @@ _steps = st.one_of(
               st.none() | st.integers(0, 40)),
     st.tuples(st.just("schedule_at"), _delays),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
-    st.tuples(st.just("run"), st.none() | _delays),
-    st.tuples(st.just("clear")),
+    st.tuples(st.just("run")),
 )
 
 
@@ -317,13 +272,9 @@ class TestAgainstReferenceModel:
             elif kind == "cancel" and handles:
                 handles[step[1] % len(handles)].cancel()
                 model.cancel(step[1] % model.seq)
-            elif kind == "clear":
-                sim.clear()
-                model.live.clear()
             elif kind == "run":
-                until = None if step[1] is None else model.now + step[1]
-                model.run(until, model_fire)
-                sim.run(until=until)
+                model.run(model_fire)
+                sim.run()
             assert fired == expected
             assert sim.now == model.now
             assert sim.events_processed == model.processed

@@ -25,6 +25,8 @@ from repro.experiments import (
     storage,
 )
 
+from tests.helpers import row
+
 
 SCALE = 0.05  # tiny but structurally complete
 
@@ -178,10 +180,10 @@ class TestComparison:
     def test_paper_claims(self, monkeypatch):
         monkeypatch.setattr(comparison, "N_QUERIES", 2000)
         result = comparison.run(scale=SCALE)
-        clustered = result.row("clustered (paper)")
-        chord = result.row("chord (DHT)")
-        gnutella = result.row("gnutella (flood)")
-        central = result.row("central index")
+        clustered = row(result.rows, name="clustered (paper)")
+        chord = row(result.rows, name="chord (DHT)")
+        gnutella = row(result.rows, name="gnutella (flood)")
+        central = row(result.rows, name="central index")
         # Bounded, small hop counts for the clustered architecture.
         assert clustered.mean_hops <= 3.0
         assert clustered.max_hops <= 5

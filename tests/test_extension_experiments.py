@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments import caching, cluster_config, granularity
 
+from tests.helpers import row
+
 SCALE = 0.05
 
 
@@ -37,6 +39,7 @@ class TestCaching:
         off, on = result.rows
         assert off.capacity == 0 and on.capacity == 16
         assert on.load_fairness > off.load_fairness
+        assert 0.0 < off.load_fairness_per_unit <= 1.0
         assert on.hottest_share <= off.hottest_share
         assert off.cached_copies == 0
         assert on.cached_copies > 0
@@ -46,8 +49,8 @@ class TestCaching:
 class TestGranularity:
     def test_document_moves_are_cheaper(self):
         result = granularity.run(scale=SCALE)
-        category = result.row("category")
-        document = result.row("document")
+        category = row(result.rows, granularity="category")
+        document = row(result.rows, granularity="document")
         # Same start, both reach the target...
         assert category.initial_fairness == pytest.approx(
             document.initial_fairness, abs=1e-6

@@ -305,13 +305,6 @@ class TestNRT:
         nrt.add(1, 12)  # evicts 11, not 10
         assert nrt.nodes_in(1) == [10, 12]
 
-    def test_remove(self):
-        nrt = NRT()
-        nrt.add(1, 10)
-        nrt.remove(1, 10)
-        assert nrt.nodes_in(1) == []
-        assert 1 not in nrt
-
     def test_remove_node_everywhere(self):
         nrt = NRT()
         nrt.add(1, 10)
@@ -547,11 +540,6 @@ class OrderedDictNRT:
         while len(members) > self.max_nodes_per_cluster:
             members.popitem(last=False)
 
-    def remove(self, cluster_id: int, node_id: int) -> None:
-        members = self._clusters.get(cluster_id)
-        if members is not None:
-            members.pop(node_id, None)
-
     def remove_node(self, node_id: int) -> None:
         """Remove a node from every cluster (on a leave notice)."""
         for members in self._clusters.values():
@@ -604,7 +592,6 @@ _nrt_steps = st.lists(
     st.one_of(
         st.tuples(st.just("add"), _cluster, _node),
         st.tuples(st.just("add_many"), _cluster, st.lists(_node, max_size=12)),
-        st.tuples(st.just("remove"), _cluster, _node),
         st.tuples(st.just("remove_node"), _node),
         # An empty frozenset is the plain call without ``exclude``.
         st.tuples(

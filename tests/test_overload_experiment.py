@@ -10,6 +10,8 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, overload
 
+from tests.helpers import row
+
 
 class TestStructure:
     def test_registered(self):
@@ -23,22 +25,17 @@ class TestStructure:
         assert len(result.rows) == 4  # 2 loads x (unprotected, protected)
         for load in (1.0, 2.0):
             for protected in (False, True):
-                row = result.row(load, protected)
-                assert row.n_queries >= 1
-                assert row.offered_rate == pytest.approx(
+                measured = row(result.rows, load=load, protected=protected)
+                assert measured.n_queries >= 1
+                assert measured.offered_rate == pytest.approx(
                     load * result.saturation_rate
                 )
-                assert 0.0 <= row.timely_rate <= row.success_rate <= 1.0
-                assert row.goodput >= 0.0
-                assert row.drain_s >= 0.0
+                assert 0.0 <= measured.timely_rate <= measured.success_rate <= 1.0
+                assert measured.goodput >= 0.0
+                assert measured.drain_s >= 0.0
         # Only the protected arm can shed or redirect.
-        assert result.row(2.0, False).shed == 0
-        assert result.row(2.0, False).redirected == 0
-
-    def test_unknown_row_raises(self):
-        result = overload.run(loads=(1.0,), window=1.0)
-        with pytest.raises(KeyError):
-            result.row(9.9, True)
+        assert row(result.rows, load=2.0, protected=False).shed == 0
+        assert row(result.rows, load=2.0, protected=False).redirected == 0
 
     def test_format_result_mentions_both_arms(self):
         result = overload.run(loads=(1.0, 2.0), window=1.5)
@@ -63,9 +60,10 @@ class TestDegradationShape:
         assert result.degradation(False) <= 0.7
         assert result.degradation(True) > result.degradation(False)
         # The unprotected backlog blows the SLO by an order of magnitude.
-        assert result.row(2.0, False).p99_latency > result.slo
+        assert row(result.rows, load=2.0, protected=False).p99_latency > result.slo
         # Admission control is what buys the shape: the overflow was
         # redirected to replica holders instead of queueing unboundedly.
-        protected_worst = result.row(2.0, True)
+        protected_worst = row(result.rows, load=2.0, protected=True)
         assert protected_worst.redirected + protected_worst.shed > 0
-        assert protected_worst.p99_latency < result.row(2.0, False).p99_latency
+        unprotected = row(result.rows, load=2.0, protected=False)
+        assert protected_worst.p99_latency < unprotected.p99_latency

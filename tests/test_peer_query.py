@@ -27,8 +27,8 @@ class TestCategoryQueries:
         # member 1 is the only one with content; to pin the path, query
         # node 1 directly via its handler by making 0 know only node 1.
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(query_id=1, category_id=7, m_results=1)
         overlay.run()
         assert len(overlay.hooks.responses) == 1
@@ -43,8 +43,8 @@ class TestCategoryQueries:
         requester = overlay.peers[0]
         # Force first hop to node 0 itself (no content) -> forwards along
         # the chain until node 2 answers.
-        requester.nrt.remove(0, 1)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(1)
+        requester.nrt.remove_node(2)
         requester.start_query(query_id=1, category_id=7, m_results=1)
         overlay.run()
         assert len(overlay.hooks.responses) == 1
@@ -61,8 +61,8 @@ class TestCategoryQueries:
         for doc_id in range(100, 110):
             overlay.give_document(1, doc_id, [7] if doc_id % 2 else [8])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(query_id=1, category_id=7, m_results=m_results)
         overlay.run()
         [response] = [r for _, r in overlay.hooks.responses if r.responder_id == 1]
@@ -109,8 +109,8 @@ class TestCategoryQueries:
         overlay.give_document(1, 101, [7])
         overlay.give_document(2, 102, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 1)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(1)
+        requester.nrt.remove_node(2)
         requester.start_query(query_id=1, category_id=7, m_results=3)
         overlay.run()
         served = [d for _, r in overlay.hooks.responses for d in r.doc_ids]
@@ -127,8 +127,8 @@ class TestCategoryQueries:
         for node_id in (0, 1, 2):
             overlay.give_document(node_id, 100 + node_id, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 1)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(1)
+        requester.nrt.remove_node(2)
         requester.start_query(query_id=1, category_id=7, m_results=10)
         overlay.run()
         responders = [r.responder_id for _, r in overlay.hooks.responses]
@@ -146,8 +146,8 @@ class TestCategoryQueries:
         overlay = _three_node_cluster()
         overlay.give_document(1, 100, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(query_id=1, category_id=7, m_results=1)
         overlay.run()
         assert overlay.peers[1].requests_served == 1
@@ -164,8 +164,8 @@ class TestDocTargetedQueries:
         overlay = _three_node_cluster()
         overlay.give_document(2, 100, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 1)
-        requester.nrt.remove(0, 2)  # first hop lands on node 0 (no doc)
+        requester.nrt.remove_node(1)
+        requester.nrt.remove_node(2)  # first hop lands on node 0 (no doc)
         requester.start_query(
             query_id=1, category_id=7, m_results=1, target_doc_id=100
         )
@@ -180,8 +180,8 @@ class TestDocTargetedQueries:
         overlay = _three_node_cluster()
         overlay.give_document(1, 100, [7])
         requester = overlay.peers[0]
-        requester.nrt.remove(0, 0)
-        requester.nrt.remove(0, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         requester.start_query(
             query_id=1, category_id=7, m_results=1, target_doc_id=100
         )

@@ -395,21 +395,21 @@ class TestQueryFailover:
         answered = [r for _node, r in overlay.hooks.responses if r.query_id == 7]
         assert answered, overlay.hooks.failures
         assert not overlay.hooks.failures
-        assert not requester.queries.in_flight()  # settled and cleaned up
+        assert not requester.queries._attempts  # settled and cleaned up
 
     def test_deadline_exhaustion_fails_the_query(self):
         overlay = _reliable_overlay()
         requester = overlay.peers[0]
         # The requester only knows the (crashed) node 1 for cluster 4.
-        requester.nrt.remove(4, 0)
-        requester.nrt.remove(4, 2)
+        requester.nrt.remove_node(0)
+        requester.nrt.remove_node(2)
         overlay.network.crash(1)
         failovers = _delta("reliability.query_failovers")
         requester.start_query(query_id=8, category_id=5, m_results=1)
         overlay.run()
         assert (0, 8, "deadline-exhausted") in overlay.hooks.failures
         assert failovers() == FAST.query_attempts - 1
-        assert not requester.queries.in_flight()
+        assert not requester.queries._attempts
 
     def test_answer_costs_no_ack_and_no_channel_send(self):
         overlay = _reliable_overlay()

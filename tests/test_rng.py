@@ -35,9 +35,3 @@ class TestRngRegistry:
         rngs.stream("a").random(1000)
         second = rngs.stream("b").random(3)
         assert first.tolist() == second.tolist()
-
-    def test_names(self):
-        rngs = RngRegistry(0)
-        rngs.stream("b")
-        rngs.stream("a")
-        assert rngs.names() == ["a", "b"]

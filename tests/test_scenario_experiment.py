@@ -45,6 +45,7 @@ class TestMatrixRun:
 
     def test_fairness_in_unit_interval(self, result):
         assert all(0.0 < f <= 1.0 for f in result.fairness)
+        assert all(0.0 < f <= 1.0 for f in result.fairness_per_unit)
 
     def test_format_result_renders_table(self, result):
         text = scenario.format_result(result)

@@ -161,12 +161,3 @@ class TestInstanceMutation:
         ids = {mutable_instance.fresh_doc_id() for _ in range(10)}
         assert len(ids) == 10
         assert all(i not in mutable_instance.documents for i in ids)
-
-    def test_node_popularity_sums_contributions(self, small_instance):
-        node_id = next(iter(small_instance.node_categories))
-        node = small_instance.nodes[node_id]
-        expected = sum(
-            small_instance.documents[d].popularity
-            for d in node.contributed_doc_ids
-        )
-        assert small_instance.node_popularity(node_id) == pytest.approx(expected)
