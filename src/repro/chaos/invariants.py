@@ -22,6 +22,10 @@ from repro import obs
 from repro.overlay.replication_manager import MAX_REPLICAS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.content.manifest import FetchRecord
+    from repro.metrics.response import QueryOutcome
+    from repro.overlay.adaptation import AdaptationOutcome
+    from repro.overlay.peer import Peer
     from repro.overlay.system import P2PSystem
 
 __all__ = ["GROUPS", "INVARIANTS", "Invariant", "InvariantChecker", "Violation"]
@@ -125,10 +129,6 @@ class InvariantChecker:
     def note_published(self, doc_id: int) -> None:
         """Register a chaos-created document for conservation tracking."""
         self._expected_docs.add(doc_id)
-
-    @property
-    def violated_invariants(self) -> set[str]:
-        return {violation.invariant for violation in self.violations}
 
     def check(self, name: str, *args, **kwargs) -> None:
         """Run one registered invariant now; record what it yields.
@@ -292,7 +292,7 @@ class InvariantChecker:
                     )
 
     @invariant("query-termination", when="workload")
-    def _check_outcomes(self, outcomes):
+    def _check_outcomes(self, outcomes: list[QueryOutcome]):
         """Every issued query ends in exactly one of answered, unanswered
         or failed, with no event left queued."""
         if self.system.sim.pending() > 0:
@@ -329,7 +329,7 @@ class InvariantChecker:
             )
 
     @invariant("fairness-bound", when="adapt")
-    def _check_adaptation(self, outcome):
+    def _check_adaptation(self, outcome: AdaptationOutcome):
         """An adaptation round's observed Jain fairness lies in [0, 1] and
         its reassignment trace never decreases (MaxFair only accepts
         improving moves)."""
@@ -495,7 +495,7 @@ class InvariantChecker:
         breaches, self._fetch_breaches = self._fetch_breaches, []
         yield from breaches
 
-    def _audit_fetch(self, record) -> None:
+    def _audit_fetch(self, record: FetchRecord) -> None:
         """``fetch-integrity`` for one fetch as it settles."""
         if record.failed:
             return
@@ -680,7 +680,7 @@ __doc__ += "\n".join(
 # ----------------------------------------------------------------------
 # gossip reachability
 # ----------------------------------------------------------------------
-def _gossip_partners(peer) -> set[int]:
+def _gossip_partners(peer: Peer) -> set[int]:
     """The pool :meth:`MembershipProtocol.gossip_once` draws partners from."""
     partners: set[int] = set()
     for neighbors in peer.cluster_neighbors.values():
@@ -695,7 +695,7 @@ def _gossip_partners(peer) -> set[int]:
     return partners
 
 
-def _gossip_components(alive: dict) -> list[list[int]]:
+def _gossip_components(alive: dict[int, Peer]) -> list[list[int]]:
     """Connected components of live peers under mutual gossip reach.
 
     An undirected edge exists when either side has the other in its
@@ -730,7 +730,7 @@ def _gossip_components(alive: dict) -> list[list[int]]:
 
 
 def _component_disagreements(
-    component: list[int], alive: dict, n_categories: int
+    component: list[int], alive: dict[int, Peer], n_categories: int
 ) -> list[str]:
     """DCRT entries the members of one component disagree on."""
     failures = []

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
+from repro.model.zipf import TimeVaryingZipfSampler
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -326,7 +327,8 @@ ACTIONS: dict[str, Action] = {
 
 
 def draw_requests(
-    rng, law, t: float, count: int, doc_ids: list[int], pool: list[int]
+    rng, law: TimeVaryingZipfSampler, t: float, count: int,
+    doc_ids: list[int], pool: list[int],
 ) -> list[tuple[int, int]]:
     """``count`` ``(requester, doc id)`` requests at time ``t``: every
     document from ``law`` first, then every requester uniformly from

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
 
+from repro.durability.store import FileStore, MemoryStore
 from repro.durability.wal import (
     SECTIONS,
     StoreBodies,
@@ -169,7 +170,7 @@ class PeerJournal:
 
     def __init__(
         self,
-        store,
+        store: MemoryStore | FileStore,
         config: DurabilityConfig | None = None,
         bodies: StoreBodies | None = None,
     ) -> None:

@@ -37,7 +37,7 @@ from repro.core.replication import build_world
 from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.model.system import SystemConfig
+from repro.model.system import SystemConfig, SystemInstance
 from repro.model.workload import Query, QueryWorkload, make_query_workload
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
@@ -131,7 +131,7 @@ class CacheQosResult:
     adaptive: ArmResult
 
 
-def _build_world(seed: int, adaptive: bool):
+def _build_world(seed: int, adaptive: bool) -> tuple[SystemInstance, P2PSystem]:
     instance, assignment, plan = build_world(SystemConfig(seed=seed, **_WORLD))
     reliability = ReliabilityConfig(
         enabled=True,
@@ -158,7 +158,7 @@ def _build_world(seed: int, adaptive: bool):
     return instance, system
 
 
-def _hot_targets(instance) -> tuple[int, tuple[int, ...]]:
+def _hot_targets(instance: SystemInstance) -> tuple[int, tuple[int, ...]]:
     """The crowd's target category and document set.
 
     Deterministic: the category with the most documents (lowest id on
@@ -173,7 +173,7 @@ def _hot_targets(instance) -> tuple[int, tuple[int, ...]]:
 
 
 def _crowd_chunk(
-    system, category_id: int, doc_ids, n: int, interval: float, rng
+    system: P2PSystem, category_id: int, doc_ids, n: int, interval: float, rng
 ):
     """One doc-targeted burst aimed at the hot set (cf. chaos flash_crowd)."""
     alive = [peer.node_id for peer in system.alive_peers()]

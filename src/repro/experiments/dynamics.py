@@ -67,10 +67,6 @@ class DynamicsResult:
     departures: int
     joins: int
 
-    @property
-    def final_fairness(self) -> float:
-        return self.rounds[-1].observed_fairness
-
 
 def run(scale: float = DES_SCALE, seed: int = 5) -> DynamicsResult:
     """Run the full dynamics scenario; returns the per-round trace."""

@@ -40,7 +40,7 @@ from repro.core.replication import build_world
 from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.metrics.response import summarize_responses
-from repro.model.system import SystemConfig, build_system
+from repro.model.system import SystemConfig, SystemInstance, build_system
 from repro.model.workload import make_query_workload
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
@@ -135,7 +135,7 @@ class OverloadResult:
         return worst.goodput / peak
 
 
-def _build_world(seed: int, protected: bool):
+def _build_world(seed: int, protected: bool) -> tuple[SystemInstance, P2PSystem]:
     # Replicate aggressively: the redirect policy needs alternate holders.
     instance, assignment, plan = build_world(
         SystemConfig(seed=seed, **_WORLD), n_reps=3, hot_mass=0.5

@@ -39,6 +39,7 @@ from repro.chaos.scenario import ScenarioConfig, Schedule
 from repro.experiments.common import require
 from repro.metrics.report import format_table
 from repro.overlay.metadata import DCRTEntry
+from repro.overlay.system import P2PSystem
 
 __all__ = ["RecoveryRow", "RecoveryResult", "measure", "run", "format_result"]
 
@@ -105,7 +106,7 @@ def _build_world(seed: int, scale: float, persistence: bool) -> ChaosRunner:
     return ChaosRunner(Schedule(seed=seed, entries=()), config)
 
 
-def _victim_plan(system, n_cycles: int) -> list[int]:
+def _victim_plan(system: P2PSystem, n_cycles: int) -> list[int]:
     """The nodes to power off, planned from the *initial* holder
     directory (identical in both arms): the heaviest sole-holders
     first, distinct per cycle, ties broken by node id."""
@@ -185,7 +186,7 @@ def measure(
     )
 
 
-def _divergence_phase(system) -> tuple[int, int]:
+def _divergence_phase(system: P2PSystem) -> tuple[int, int]:
     """Inject a split-brain ownership belief, heal, count dissenters.
 
     A minority of live peers adopts a stale cluster for category 0 with

@@ -16,6 +16,7 @@ Three kinds of workload are needed to reproduce the paper's evaluation:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ class QueryWorkload:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Query]:
         return iter(self.queries)
 
     def doc_hit_counts(self, n_docs: int) -> np.ndarray:

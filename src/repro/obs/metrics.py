@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Iterable
+from typing import Iterator
 
 __all__ = [
     "Counter",
@@ -126,9 +126,6 @@ class Histogram:
         rank = max(0, min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1))))
         return ordered[int(rank)]
 
-    def values(self) -> list[float]:
-        return list(self._values)
-
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0
@@ -215,7 +212,7 @@ class MetricsRegistry:
         """The metric registered under ``name``, or ``None``."""
         return self._metrics.get(name)
 
-    def __iter__(self) -> Iterable:
+    def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
         for name in sorted(self._metrics):
             yield self._metrics[name]
 

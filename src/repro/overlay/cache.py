@@ -57,10 +57,6 @@ class DocumentCache:
         """True when ``doc_id`` is a cache-owned (evictable) entry."""
         return doc_id in self._entries
 
-    def doc_ids(self) -> list[int]:
-        """Cache-owned document ids in eviction-bookkeeping order."""
-        return list(self._entries)
-
     def touch(self, doc_id: int) -> bool:
         """Record a re-retrieval of an already-cached document.
 

@@ -488,10 +488,6 @@ class Peer:
     # ------------------------------------------------------------------
     # introspection (read-only views for invariant checkers)
     # ------------------------------------------------------------------
-    def doc_ids(self) -> list[int]:
-        """Sorted ids of all locally stored documents."""
-        return sorted(self.docs)
-
     def reliable_application_counts(self) -> dict[tuple[int, int], int]:
         """Copy of the (src, delivery_id) -> handler-run counts window.
 

@@ -41,7 +41,9 @@ from typing import TYPE_CHECKING
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.content.fetcher import PeerContent
     from repro.overlay.peer import Peer
+    from repro.overlay.query_protocol import QueryProtocol
 
 __all__ = ["ADMISSION_POLICIES", "ServiceConfig", "ServiceQueue"]
 
@@ -133,7 +135,7 @@ class ServiceQueue:
     # ------------------------------------------------------------------
     # intake
     # ------------------------------------------------------------------
-    def offer(self, work, owner) -> None:
+    def offer(self, work, owner: QueryProtocol | PeerContent) -> None:
         """Admit, queue, or shed one item of ``owner``'s work."""
         self.offered += 1
         if not self._in_service:
@@ -154,7 +156,7 @@ class ServiceQueue:
             return
         self._shed(work, owner)
 
-    def _shed(self, work, owner) -> None:
+    def _shed(self, work, owner: QueryProtocol | PeerContent) -> None:
         self.shed += 1
         self._c_shed.value += 1
         owner.shed(work)
@@ -175,7 +177,7 @@ class ServiceQueue:
             self.peer.capacity_units, 1e-9
         )
 
-    def _begin(self, work, owner) -> None:
+    def _begin(self, work, owner: QueryProtocol | PeerContent) -> None:
         self._in_service = True
         self._current = (work, owner)
         epoch = self._epoch
@@ -188,7 +190,7 @@ class ServiceQueue:
             self.service_time * units, lambda: self._complete(work, owner, epoch)
         )
 
-    def _complete(self, work, owner, epoch: int) -> None:
+    def _complete(self, work, owner: QueryProtocol | PeerContent, epoch: int) -> None:
         if epoch != self._epoch:
             return  # the host crashed mid-service; on_crash accounted it
         if not self.peer.transport.is_alive(self.peer.node_id):

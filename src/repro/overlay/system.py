@@ -14,7 +14,7 @@ enables them; the core reaches them only through ``emit`` and ``rounds``
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
@@ -142,7 +142,7 @@ class P2PSystem:
         )
         self._peers: dict[int, Peer] = {}
         #: every peer ever created (departed ones included), read-only.
-        self.peers = MappingProxyType(self._peers)
+        self.peers: Mapping[int, Peer] = MappingProxyType(self._peers)
         self.topology = ClusterTopology(
             self.peers, assignment.n_clusters, self.rngs.stream("topology")
         )
@@ -289,7 +289,7 @@ class P2PSystem:
         """True while the node has neither departed nor crashed."""
         return node_id not in self._departed and self.network.is_alive(node_id)
 
-    def alive_peers(self):
+    def alive_peers(self) -> list[Peer]:
         """All peers that have not departed or crashed."""
         return [
             peer
@@ -297,7 +297,7 @@ class P2PSystem:
             if self.is_live(node_id)
         ]
 
-    def peers_in_cluster(self, cluster_id: int):
+    def peers_in_cluster(self, cluster_id: int) -> list[Peer]:
         return [
             self._peers[node_id]
             for node_id in sorted(self.topology.members.get(cluster_id, ()))

@@ -20,6 +20,11 @@ def row(rows, **fields):
     return found
 
 
+def violated(checker) -> set[str]:
+    """The invariants an ``InvariantChecker`` has recorded violations of."""
+    return {violation.invariant for violation in checker.violations}
+
+
 def patch_method(monkeypatch, obj, name: str, replacement) -> None:
     """Make ``obj.name(...)`` call ``replacement(...)`` for one test.
 

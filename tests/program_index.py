@@ -2,15 +2,17 @@
 structural checks are rules over: ``defs`` keyed by (module path, class
 or ``None``, name), ``refs`` (names, attributes, identifier strings) and
 ``calls``.  A receiver resolves through ``self``/``cls``, annotations
-(of parameters, locals, globals and class attributes), assignments of
-``C(...)``, literals or annotated calls (``x.a = ...`` for an attribute)
-and imports.  Builtin containers and other packages' objects mean no
-definition here.  A reference whose receiver does not resolve falls back
-to the bare name (``unresolved()`` counts those that name a method).
+(an override's bare parameter takes the overridden one's), assignments
+(``x.a = ...`` too), annotated calls, imports, container elements
+(``Of``) and both sides of ``a or b``.  Builtin containers and other
+packages' objects mean no definition here.  A reference whose receiver
+does not resolve falls back to the bare name (``unresolved()`` counts
+those that name a method).
 """
 
 import ast
 import collections
+import dataclasses
 import functools
 import typing
 from pathlib import Path
@@ -20,10 +22,12 @@ Key = tuple[str, "str | None", str]  # (module path, class or None, name)
 Types = typing.Optional[frozenset]  # class names, "module:<path>", function keys
 
 FOREIGN = "<foreign>"
-BUILTINS = {"set", "frozenset", "dict", "list", "tuple", "deque", "defaultdict",
-            "Counter", "OrderedDict", "str", "bytes", "int", "float", "bool"}
-LITERALS = {ast.Set: "set", ast.SetComp: "set", ast.Dict: "dict", ast.DictComp: "dict",
-            ast.List: "list", ast.ListComp: "list", ast.Tuple: "tuple", ast.JoinedStr: "str"}
+EACH = "<each>"  # the position of ``x`` in ``for x in ...``
+MAPPINGS = {"dict", "defaultdict", "OrderedDict", "Mapping", "MutableMapping"}
+BUILTINS = {"set", "frozenset", "list", "tuple", "deque", "Counter", "str", "bytes", "int",
+            "float", "bool", "Sequence", "Iterable", "Iterator"} | MAPPINGS
+ITERATORS = {"sorted", "list", "iter", "set", "frozenset", "tuple", "reversed", "enumerate", "zip"}
+LITERALS = {ast.Set: "set", ast.Dict: "dict", ast.List: "list", ast.Tuple: "tuple", ast.JoinedStr: "str"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # kind "name", "attr" or "string"; inside: the definitions it sits in
 Ref = collections.namedtuple("Ref", "kind name types inside path enclosing receiver")
@@ -72,6 +76,32 @@ def _union(parts) -> Types:
     return None if None in parts else frozenset().union(*parts)
 
 
+@dataclasses.dataclass(frozen=True)
+class Of:
+    """A container and its parameters' types: ``list[C]``, ``tuple[A, B]``, ``dict[K, V]``."""
+    base: str
+    args: tuple  # of Types
+
+    def item(self, position=None) -> Types:
+        """``x[position]``: ``None`` any item, ``EACH`` what ``for`` yields."""
+        if self.base in MAPPINGS:
+            return self.args[0 if position is EACH else 1]
+        fixed = self.base == "tuple" and isinstance(position, int) and position < len(self.args)
+        return self.args[position] if fixed else _union(self.args)
+
+    def view(self, method: str) -> Types:
+        """What a mapping's ``.keys()``, ``.values()``, ``.items()``, ``.get()`` return."""
+        if self.base in MAPPINGS:  # a list's methods return None
+            key, value = self.args
+            pairs = listing(frozenset({Of("tuple", self.args)}))
+            return {"keys": listing(key), "values": listing(value), "items": pairs,
+                    "get": value, "pop": value, "setdefault": value}.get(method)
+
+
+def listing(element: Types) -> frozenset:
+    return frozenset({Of("list", (element,))})
+
+
 class Scope:
     """What one module, class body or function binds."""
 
@@ -84,12 +114,23 @@ class Scope:
         self.opaque: set[str] = set()  # bound some way that does not resolve
         self.clean: set[ast.Name] = set()  # assignment targets bound above
         self.dict_keys: dict[str, set[str]] = {}  # ``d = {"k": ...}``, ``d["k"] = ...``
-        self.self_name = None
+        self.self_name, self.inherits = None, set()
         if isinstance(node, FUNCTIONS):
             params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
             if owner and params and not _decorated(node, "staticmethod"):
                 self.self_name = params.pop(0).arg
             self.annotated = {a.arg: a.annotation for a in params if a.annotation}
+            self.inherits = {a.arg for a in params if not a.annotation and owner}
+
+    def bind_target(self, target, value, path=()) -> None:
+        """``target = value``; ``path`` ``(EACH,)`` for ``for target in value``."""
+        if isinstance(target, ast.Name):
+            self.assigned.setdefault(target.id, []).append((value, path))
+            self.clean.add(target)
+        for position, part in enumerate(getattr(target, "elts", ())):  # ``a, b = ...``
+            if isinstance(part, ast.Starred):
+                break
+            self.bind_target(part, value, (*path, position))
 
     def bind(self, node: ast.AST) -> None:
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -102,11 +143,11 @@ class Scope:
                     keys = [kw.arg for kw in node.value.keywords]
                 if isinstance(target, ast.Subscript):
                     target, keys = target.value, [getattr(target.slice, "value", 0)]
-                elif isinstance(target, ast.Name):
-                    self.assigned.setdefault(target.id, []).append(node.value)
-                    self.clean.add(target)
+                self.bind_target(target, node.value)
                 self.dict_keys.setdefault(getattr(target, "id", ""), set()).update(
                     k for k in keys if isinstance(k, str))
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            self.bind_target(node.target, node.iter, (EACH,))
         elif isinstance(node, ast.AugAssign):
             self.clean.add(node.target)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
@@ -130,12 +171,15 @@ class Scope:
             return frozenset({self.owner})
         if name in self.annotated:
             return index.annotation(self.annotated[name])
+        if name in self.inherits:
+            return index.annotation(index.overridden(self.owner, self.node.name, name))
         if name in self.opaque:
             return None
         if name in self.imported:
             return index.import_of(*self.imported[name], self.path)
         if name in self.assigned:
-            return _union(index.resolve(v, self) for v in self.assigned[name]) or None
+            return _union(index.unpack(index.resolve(value, self), path)
+                          for value, path in self.assigned[name]) or None
         if name in self.functions:
             return frozenset({self.functions[name]})
         if self.parent is not None:
@@ -195,9 +239,9 @@ class ProgramIndex:
                 raw.append(("name", child.id, None, scope, inside, path, enclosing))
             elif isinstance(child, ast.Attribute):
                 raw.append(("attr", child.attr, child.value, scope, inside, path, enclosing))
-            elif isinstance(child, ast.Constant) and str(child.value).isidentifier():
-                if isinstance(child.value, str):  # dispatch by name
-                    raw.append(("string", child.value, None, scope, inside, path, enclosing))
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str) and (
+                    child.value.isidentifier()):  # dispatch by name
+                raw.append(("string", child.value, None, scope, inside, path, enclosing))
             self._visit(path, child, inner, inner_owner, inner_inside, inner_enclosing, raw)
 
     def _record_writes(self, node, scope):
@@ -224,9 +268,8 @@ class ProgramIndex:
         return self.cached(("mro", cls), compute) or (cls,)
 
     def descendants(self, cls: str) -> frozenset:
-        def compute():
-            return frozenset(c for c in self.bases if c != cls and cls in self.mro(c))
-        return self.cached(("below", cls), compute)
+        return self.cached(("below", cls), lambda: frozenset(
+            c for c in self.bases if c != cls and cls in self.mro(c)))
 
     def _own(self, cls: str, name: str) -> list[Key]:
         """``cls``'s ``def name``, or the method ``self.name = x.other`` binds."""
@@ -242,13 +285,20 @@ class ProgramIndex:
         """What ``x.name`` can mean for ``x`` of ``types``: the first along
         each class's MRO and the overrides below it; a module's ``name``."""
         keys = []
-        for cls in (c for c in types if not isinstance(c, tuple)):
+        for cls in (c for c in types if isinstance(c, str)):
             if cls.startswith("module:"):
                 keys += [k for k in self.by_name.get(name, ()) if k[1] is None]
                 continue
             keys += next(filter(None, (self._own(c, name) for c in self.mro(cls))), [])
             keys += [k for c in sorted(self.descendants(cls)) for k in self._own(c, name)]
         return keys
+
+    def overridden(self, cls: str, method: str, parameter: str):
+        """``parameter``'s annotation in the ``method`` ``cls``'s overrides."""
+        overridden = (self.defs[k].args for c in self.mro(cls)[1:] for k in self._own(c, method))
+        return next((a.annotation for args in overridden
+                     for a in args.posonlyargs + args.args + args.kwonlyargs
+                     if a.arg == parameter and a.annotation), None)
 
     def initializer(self, cls: str) -> list[Key]:
         """The ``__init__`` a call of class ``cls`` runs."""
@@ -259,7 +309,7 @@ class ProgramIndex:
         if types is None or FOREIGN in types:
             return None
         found = []
-        for cls in (c for c in types if not isinstance(c, tuple)):
+        for cls in (c for c in types if isinstance(c, str)):
             if cls.startswith("module:"):
                 found.append(self.module_member(cls.removeprefix("module:"), attr))
                 continue
@@ -298,13 +348,26 @@ class ProgramIndex:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
             return _union([self.annotation(node.left), self.annotation(node.right)])
         if isinstance(node, ast.Subscript):
-            if getattr(node.value, "id", None) in ("Optional", "ClassVar"):
+            base = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            if base in ("Optional", "ClassVar"):
                 return self.annotation(node.slice)
+            if base in BUILTINS:  # ``tuple[C, ...]`` as ``tuple[C]``
+                args = [a for a in getattr(node.slice, "elts", [node.slice])
+                        if getattr(a, "value", 0) is not ...]
+                return frozenset({Of(base, tuple(map(self.annotation, args)))})
             node = node.value
         if isinstance(node, ast.Constant) and node.value is None:
             return frozenset()
         name = getattr(node, "id", None) or getattr(node, "attr", None)
         return frozenset({name}) if name in self.bases or name in BUILTINS else None
+
+    def unpack(self, types: Types, path: tuple) -> Types:
+        """``Of.item`` along ``path``; a class iterates as its ``__iter__`` returns."""
+        for position in path:
+            if position is EACH and types and all(isinstance(t, str) for t in types):
+                types = _union(map(self.returns, self.methods(types, "__iter__"))) or None
+            types = _union(t.item(position) if isinstance(t, Of) else None for t in types or [None])
+        return types
 
     def cached(self, key, compute) -> Types:
         if key not in self._memo:
@@ -318,6 +381,17 @@ class ProgramIndex:
     def _resolve(self, node: ast.expr, scope: Scope) -> Types:
         if isinstance(node, ast.Name):
             return scope.lookup(node.id)
+        if isinstance(node, (ast.IfExp, ast.BoolOp)):
+            return _union(self.resolve(part, scope) for part in (
+                getattr(node, "values", None) or [node.body, node.orelse]))
+        if isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Slice):
+            return self.unpack(self.resolve(node.value, scope), (getattr(node.slice, "value", None),))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts:
+            return frozenset({Of("tuple", tuple(self.resolve(part, scope) for part in node.elts))})
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            parts = [getattr(node, "elt", None) or node.key, getattr(node, "value", None)]
+            return frozenset({Of("dict" if parts[1] else "list", tuple(
+                self.resolve(part, scope) for part in parts if part))})
         if type(node) in LITERALS:
             return frozenset({LITERALS[type(node)]})
         if isinstance(node, ast.Constant):
@@ -328,6 +402,12 @@ class ProgramIndex:
             return None
         func = node.func
         owners = self.resolve(func.value, scope) if isinstance(func, ast.Attribute) else None
+        if owners and all(isinstance(t, Of) for t in owners):
+            return _union(t.view(func.attr) for t in owners)
+        if getattr(func, "id", None) in ITERATORS and node.args:
+            items = [self.unpack(self.resolve(arg, scope), (EACH,)) for arg in node.args]
+            pairs = {"enumerate": [frozenset({"int"}), items[0]], "zip": items}.get(func.id)
+            return listing(frozenset({Of("tuple", tuple(pairs))}) if pairs else items[0])
         keys = self.methods(owners, func.attr) if owners and FOREIGN not in owners else []
         kinds = frozenset(keys) or self.resolve(func, scope) or frozenset()
         if kinds and all(isinstance(k, tuple) for k in kinds):

@@ -23,7 +23,7 @@ from repro.durability import DurabilityConfig
 from repro.overlay.metadata import DCRT
 from repro.overlay.system import P2PSystemConfig
 
-from tests.helpers import build_live_system
+from tests.helpers import build_live_system, violated
 
 
 class TestScheduleGeneration:
@@ -90,14 +90,14 @@ class TestInvariantDetection:
         assert checker.violations == []
         peer.dcrt.set(0, 1, move_counter=2)  # counter goes backwards
         checker.check_structural()
-        assert checker.violated_invariants == {"move-counter-monotonic"}
+        assert violated(checker) == {"move-counter-monotonic"}
 
     def test_vanished_document_detected(self):
         _instance, system = build_live_system(scale=0.02, seed=61)
         checker = InvariantChecker(system)
         checker.note_published(10**9)  # never actually stored anywhere
         checker.check_structural()
-        assert "doc-conservation" in checker.violated_invariants
+        assert "doc-conservation" in violated(checker)
 
     def test_lost_acknowledged_write_detected(self):
         """A document gone from a peer behind its journal's back is a lost
@@ -118,7 +118,7 @@ class TestInvariantDetection:
         del peer.docs[lost]
         checker.check("no-acknowledged-write-loss")
         checker.check("recovery-convergence", node_id=peer.node_id)
-        assert checker.violated_invariants == {
+        assert violated(checker) == {
             "no-acknowledged-write-loss", "recovery-convergence"
         }
         assert all(f"sample: [{lost}]" in v.detail for v in checker.violations)
@@ -133,13 +133,13 @@ class TestInvariantDetection:
         unregister = system.sim.on_quiescence(checker.check_structural)
         try:
             system.run_gossip_rounds(1)
-            baseline = set(checker.violated_invariants)
+            baseline = violated(checker)
             peer.dcrt.set(0, 1, move_counter=1)
             system.run_gossip_rounds(1)
         finally:
             unregister()
         assert "move-counter-monotonic" not in baseline
-        assert "move-counter-monotonic" in checker.violated_invariants
+        assert "move-counter-monotonic" in violated(checker)
 
 
 class TestReliabilityActions:

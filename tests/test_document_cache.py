@@ -26,7 +26,8 @@ class TestDocumentCacheUnit:
         assert cache.add(10) == ()
         assert cache.add(11) == ()
         assert cache.add(12) == (10,)  # oldest out
-        assert cache.doc_ids() == [11, 12]
+        assert [cache.owns(doc_id) for doc_id in (10, 11, 12)] == [False, True, True]
+        assert cache.add(13) == (11,)  # 11 is now the oldest
 
     def test_lru_touch_refreshes_recency(self):
         cache = DocumentCache(2)

@@ -58,7 +58,7 @@ from repro.overlay.peer import DocInfo
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 from repro.reliability import ReliabilityConfig
 
-from tests.helpers import build_live_system
+from tests.helpers import build_live_system, violated
 from tests.test_message_roundtrip import _HOSTILE
 from tests.test_wire_envelope import corruptions, noise, truncations
 
@@ -744,7 +744,7 @@ class TestPowerLossRecovery:
         checker = InvariantChecker(system)
         checker.check("no-acknowledged-write-loss")
         checker.check("recovery-convergence", node_id=peer.node_id)
-        assert checker.violated_invariants == {
+        assert violated(checker) == {
             "no-acknowledged-write-loss", "recovery-convergence"
         }
         assert all(f"sample: [{lost}]" in v.detail for v in checker.violations)

@@ -13,7 +13,7 @@ from repro.overlay import misbehavior
 from repro.overlay.messages import DocInfo
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
-from tests.helpers import patch_method
+from tests.helpers import patch_method, violated
 
 WORLD = SystemConfig(
     seed=29,
@@ -100,7 +100,7 @@ class TestBogusResponses:
             system.run_workload(workload)
         finally:
             unregister()
-        assert "response-integrity" not in checker.violated_invariants
+        assert "response-integrity" not in violated(checker)
 
     def test_forged_infos_trip_the_integrity_invariant(self):
         # A forged answer passes the requester's local length check — the
@@ -116,7 +116,7 @@ class TestBogusResponses:
         finally:
             unregister()
         assert system.ledger.audit.violations
-        assert "response-integrity" in checker.violated_invariants
+        assert "response-integrity" in violated(checker)
 
     def test_integrity_violations_not_rereported_each_step(self):
         instance, system = build()
@@ -183,7 +183,7 @@ class TestHonestWorlds:
         instance, system = build()
         checker = InvariantChecker(system)
         checker.check_structural()
-        assert "response-integrity" not in checker.violated_invariants
+        assert "response-integrity" not in violated(checker)
         timer = obs.REGISTRY.get("chaos.invariant.response-integrity_s")
         assert timer is None or timer.count == 0
 

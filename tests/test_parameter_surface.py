@@ -78,16 +78,29 @@ def public_names(index: ProgramIndex, prefix: str) -> list[Key]:
             and (owner is None or (path, None, owner) in index.defs and owner[0] != "_")]
 
 
-def unreferenced_names(index: ProgramIndex, names: list[Key], words: str = "") -> list[str]:
+def unreferenced_names(
+    index: ProgramIndex, names: list[Key], words: str = "", fallback: bool = True,
+) -> list[str]:
     """``module.name`` / ``Class.method`` for every name in ``names`` that
     nothing references outside its own definition and ``__all__``; each
-    word of ``words`` references every definition of that name."""
+    word of ``words`` references every module-level definition of that
+    name (``X.smoke()`` in ``ci.yml``; a method's name there is some
+    other object's).  Without ``fallback`` an attribute whose receiver
+    does not resolve references nothing."""
     referenced = {
-        key for ref in index.refs
+        key for ref in index.refs if fallback or ref.kind != "attr" or ref.types is not None
         for key in index.targets(ref.kind, ref.name, ref.types) if key not in ref.inside
     }
-    referenced.update(key for word in WORD.findall(words) for key in index.by_name.get(word, ()))
+    referenced.update(key for word in WORD.findall(words)
+                      for key in index.by_name.get(word, ()) if key[1] is None)
     return [describe(key) for key in names if key not in referenced]
+
+
+def fallback_only_names(index: ProgramIndex, names: list[Key], words: str = "") -> list[str]:
+    """The names in ``names`` that only attributes with an unresolved
+    receiver reference: the caller rule cannot tell whether they are dead."""
+    unreferenced = set(unreferenced_names(index, names, words))
+    return sorted(set(unreferenced_names(index, names, words, fallback=False)) - unreferenced)
 
 
 # The public names only the tests reference, each kept for a reason.
@@ -120,6 +133,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(names) == sorted(NAME_ALLOWLIST)
 
 
+def test_no_public_name_lives_on_unresolved_receivers_alone():
+    # The ratchet of the caller rule: the set of fallback-only names is
+    # empty and stays so.  A name that joins it is referenced only where
+    # the index cannot type the receiver; type that receiver (annotate
+    # the collection or parameter it comes from), do not list the name.
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert fallback_only_names(program(), public_names(program(), "src/repro/"), ci) == []
+
+
 def test_checker_on_synthetic_source():
     index = ProgramIndex({
         "pkg/algo.py": (
@@ -138,6 +160,11 @@ def test_checker_on_synthetic_source():
             "    def transmit(self, message, delivery_id=None): return message\n"
             "class Figure:\n"
             "    def run(self, scale=1.0, thetas=(0.5,)): return scale\n"
+            "class Cell:\n"  # a loop over ``Row.cells()`` sets ``Cell.split``'s
+            "    def split(self, parts=2): return parts\n"
+            "class Row:\n"
+            "    def split(self, parts=2): return parts\n"
+            "    def cells(self) -> list[Cell]: return []\n"
         ),
         "pkg/run.py": (
             "place(data, order='asc')\n"
@@ -151,6 +178,8 @@ def test_checker_on_synthetic_source():
             "    if args.scale:\n"
             "        kwargs['scale'] = args.scale\n"
             "    figure.run(**kwargs)\n"
+            "for cell in Row().cells():\n"
+            "    cell.split(parts=3)\n"
         ),
         # A function outside the checked modules sets what it passes on.
         "pkg/tool.py": "def helper(items, limit):\n    return rank(items, limit=limit)\n",
@@ -161,12 +190,13 @@ def test_checker_on_synthetic_source():
         "Sampler": ["drift"], "Sampler.draw": ["size"],
         "Document.n_chunks": ["chunk_size"], "Document.draw": ["count"],
         "Network.transmit": ["delivery_id"], "Figure.run": ["scale", "thetas"],
+        "Cell.split": ["parts"], "Row.split": ["parts"],
     }
     # ``rank(order)`` is passed on from ``place(order)``, which a caller
     # sets; ``rank(seed)`` from ``place(seed)``, which none does.
     assert unset_parameters(index, functions) == [
         "algo.place(seed)", "algo.rank(seed)", "Sampler.draw(size)",
-        "Document.n_chunks(chunk_size)", "Figure.run(thetas)",
+        "Document.n_chunks(chunk_size)", "Figure.run(thetas)", "Row.split(parts)",
     ]
 
 
@@ -174,10 +204,12 @@ def test_name_checker_on_synthetic_source():
     # ``Table``'s four methods each have one outside reference that the
     # bare-name checker counted and the index does not: a parameter named
     # ``in_flight``, a docstring word under ``benchmarks/``, ``.clear()`` on
-    # a ``set()`` and ``self.table.m()`` with ``self.table = Other()``.
+    # a ``set()`` and ``self.table.m()`` with ``self.table = Other()``.  A
+    # word of ``ci.yml`` references a module's ``smoke``, not ``Peer``'s.
     peer = (
         "__all__ = ['Peer', 'orphan']\n"
         "def orphan(): return orphan()\n"  # a definition does not reference itself
+        "def smoke(): pass\n"
         "class Peer:\n"
         "    def __init__(self):\n"
         "        self.table = {table}\n"
@@ -209,10 +241,58 @@ def test_name_checker_on_synthetic_source():
         return unreferenced_names(index, public_names(index, "src/pkg/peer.py"), "pkg.smoke()")
 
     assert unreferenced("Other()", "set()") == [
-        "peer.orphan", "Peer.outstanding",
+        "peer.orphan", "Peer.outstanding", "Peer.smoke",
         "Table.in_flight", "Table.wraps", "Table.clear", "Table.m",
     ]
     # Receivers that do not resolve fall back to the bare name.
     assert unreferenced("make(Other)", "make()") == [
-        "peer.orphan", "Peer.outstanding", "Table.in_flight", "Table.wraps",
+        "peer.orphan", "Peer.outstanding", "Peer.smoke", "Table.in_flight", "Table.wraps",
+    ]
+
+    # Each of ``Ghost``'s methods shares its name with one of ``Node``'s
+    # that only an element type reaches: every call below is on a node
+    # taken out of a world collection, a conditional or an override's
+    # parameter, and counted for ``Node`` alone.
+    methods = ("loop", "comprehension", "values", "items", "enumerated", "subscript", "got",
+               "ordered", "listed", "iterated", "fleet", "conditional", "either", "override")
+    fleet = "".join(f"    def {name}(self): pass\n" for name in methods)
+    index = ProgramIndex({"src/pkg/fleet.py": (
+        "from typing import Iterator\n"
+        f"class Node:\n{fleet}"
+        f"class Ghost:\n{fleet}"
+        "class Fleet:\n"
+        "    def __iter__(self) -> Iterator[Node]: return iter([])\n"
+        "class Hooks:\n"
+        "    def on_node(self, node: Node): pass\n"
+        "class Tracer(Hooks):\n"
+        "    def on_node(self, node):\n"  # annotated as in ``Hooks.on_node``
+        "        node.override()\n"
+        "class World:\n"
+        "    def __init__(self, hooks: Hooks | None = None):\n"
+        "        self.nodes: dict[int, Node] = {}\n"
+        "        self.hooks = hooks if hooks is not None else Hooks()\n"
+        "    def alive(self) -> list[Node]: return []\n"
+        "    def run(self, spare: Node | None):\n"
+        "        for node in self.alive():\n"
+        "            node.loop()\n"
+        "        [node.comprehension() for node in self.alive()]\n"
+        "        {n: node.values() for n, node in enumerate(self.nodes.values())}\n"
+        "        [node.items() for _, node in sorted(self.nodes.items())]\n"
+        "        for i, node in enumerate(self.alive()):\n"
+        "            node.enumerated()\n"
+        "        self.nodes[0].subscript()\n"
+        "        self.nodes.get(0).got()\n"
+        "        sorted(self.alive())[0].ordered()\n"
+        "        list(self.nodes.values())[0].listed()\n"
+        "        for node in iter(self.alive()):\n"
+        "            node.iterated()\n"
+        "        for node in Fleet():\n"
+        "            node.fleet()\n"
+        "        (spare if spare else Node()).conditional()\n"
+        "        (spare or Node()).either()\n"
+        "        self.hooks.on_node(spare)\n"
+        "World(Tracer()).run(Ghost() and None)\n"
+    )})
+    assert unreferenced_names(index, public_names(index, "src/pkg/")) == [
+        f"Ghost.{name}" for name in methods
     ]

@@ -94,8 +94,8 @@ class TestReassignExecution:
         for node_id in range(4):
             _deliver(overlay, node_id, notice)
         overlay.run()
-        assert overlay.peers[2].doc_ids() == [100]
-        assert overlay.peers[3].doc_ids() == [101]
+        assert sorted(overlay.peers[2].docs) == [100]
+        assert sorted(overlay.peers[3].docs) == [101]
         assert overlay.peers[2].dt.has_document(100)
         assert overlay.peers[3].dt.has_document(101)
 

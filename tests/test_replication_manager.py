@@ -27,7 +27,7 @@ from repro.overlay.replication_manager import (
 )
 from repro.overlay.system import P2PSystem, P2PSystemConfig
 
-from tests.helpers import build_live_system
+from tests.helpers import build_live_system, violated
 
 
 def _adaptive_system(seed=7, n_nodes=12):
@@ -282,7 +282,7 @@ class TestInvariant:
         manager.placed[0] = set(range(MAX_REPLICAS + 1))
         manager.placed[1] = {999_999}
         checker.check_structural()
-        assert "replication-bounds" in checker.violated_invariants
+        assert "replication-bounds" in violated(checker)
         messages = [str(v) for v in checker.violations]
         assert any("doc 0 has 9 placed copies" in m for m in messages)
         assert any("unknown node 999999" in m for m in messages)

@@ -20,7 +20,7 @@ from repro.overlay.peer import PeerConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystemConfig
 
-from tests.helpers import MicroOverlay, build_live_system
+from tests.helpers import build_live_system, MicroOverlay, violated
 
 
 def _service_config(**overrides) -> ServiceConfig:
@@ -164,7 +164,7 @@ class TestInvariantCoverageOfCrashedPeers:
         system.sim.schedule(3.0, bad_crash)
         system.sim.run()
         checker.check_structural()
-        assert "overload-drain" in checker.violated_invariants
+        assert "overload-drain" in violated(checker)
 
     def test_wired_crash_path_is_clean(self):
         """The same scenario through ``P2PSystem.crash_node`` (which calls
