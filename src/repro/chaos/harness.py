@@ -44,13 +44,19 @@ from repro.overlay.peer import DocInfo
 from repro.overlay.replication_manager import ReplicationConfig
 from repro.overlay.service import ServiceConfig
 from repro.overlay.system import P2PSystem, P2PSystemConfig
-from repro.reliability import RELIABLE_KINDS, ReliabilityConfig
+from repro.reliability import ReliabilityConfig
 
 __all__ = ["ChaosReport", "ChaosRunner", "Interpreter", "run_schedule"]
 
 #: settle-round cap for the ``converge`` entry: gossip rounds to try
 #: before declaring the network unable to converge.
 MAX_SETTLE_ROUNDS = 30
+#: the request kinds ``retry_storm`` drops: the channel's, and the transfer
+#: pair, whose recoverers (the group deadline, the replica loop) sit above it.
+STORM_KINDS = (
+    "join_reply", "join_request", "publish_reply", "publish_request",
+    "reassign_notice", "transfer_data", "transfer_request",
+)
 
 
 @dataclass(slots=True)
@@ -423,9 +429,9 @@ class Interpreter:
         return True
 
     def _do_retry_storm(self, step: int, probability: float) -> bool:
-        # Drop the reliable request kinds themselves, forcing backoff
-        # chains (and give-ups feeding the failure detector) at scale.
-        for kind in sorted(RELIABLE_KINDS):
+        # Drop the request kinds themselves, forcing backoff chains (and
+        # give-ups feeding the failure detector) and protocol deadlines.
+        for kind in STORM_KINDS:
             self.system.network.set_kind_drop_probability(kind, probability)
         return True
 

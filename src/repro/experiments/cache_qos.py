@@ -10,7 +10,7 @@ copies of the hot category's documents while the crowd lasts and drops
 them once the crowd passes.
 
 Both arms run the *same* protected world (bounded service queues,
-redirect admission, retry budgets) through three phases:
+redirect admission, query failover) through three phases:
 
 1. **warmup** — a light Zipf workload; the adaptive arm runs a control
    round that should leave placed copies at baseline (no false grows);
@@ -133,12 +133,7 @@ class CacheQosResult:
 
 def _build_world(seed: int, adaptive: bool) -> tuple[SystemInstance, P2PSystem]:
     instance, assignment, plan = build_world(SystemConfig(seed=seed, **_WORLD))
-    reliability = ReliabilityConfig(
-        enabled=True,
-        retry_budget_ratio=0.5,
-        breaker_threshold=3,
-        adaptive_timeout=True,
-    )
+    reliability = ReliabilityConfig(enabled=True)
     service = ServiceConfig(
         enabled=True,
         base_service_time=BASE_SERVICE_TIME,

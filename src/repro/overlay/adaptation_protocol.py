@@ -39,6 +39,11 @@ _MONITORING_TIMEOUT = 5.0
 #: upper bound on the stagger applied to scheduled group transfers
 #: ("the first opportune time", Section 6.1.2 step 2).
 _TRANSFER_STAGGER = 2.0
+#: simulated seconds a destination waits for its owed group before it asks
+#: the source again (reliability on; a piece of 23 4-MiB documents lands
+#: within it at the world's 10 MB/s), and the asks before it gives up.
+_GROUP_DEADLINE = 10.0
+_GROUP_TRIES = 4
 
 
 @dataclass(slots=True)
@@ -61,7 +66,8 @@ class _PendingTransfer:
 
     category_id: int
     source_id: int
-    requested: bool = False
+    #: group requests sent so far.
+    asks: int = 0
     #: queries waiting for the content (pull-on-demand, lazy step 4).
     waiting_queries: list[m.QueryMessage] = field(default_factory=list)
 
@@ -414,10 +420,31 @@ class AdaptationProtocol:
         return True
 
     def _request_group(self, pending: _PendingTransfer) -> None:
-        """Pull the owed document group from the paired source, once."""
-        if not pending.requested:
-            pending.requested = True
-            self.pull_documents(pending.source_id, pending.category_id, ())
+        """Pull the owed document group from the paired source, once.  With
+        reliability on the destination is its one recoverer: each ask arms
+        ``_group_deadline``, which asks again until the group lands."""
+        if not pending.asks:
+            self._ask_for_group(pending)
+
+    def _ask_for_group(self, pending: _PendingTransfer) -> None:
+        pending.asks += 1
+        self.pull_documents(pending.source_id, pending.category_id, ())
+        if self.peer.config.reliability.enabled:
+            self.peer.transport.schedule(
+                _GROUP_DEADLINE, lambda: self._group_deadline(pending)
+            )
+
+    def _group_deadline(self, pending: _PendingTransfer) -> None:
+        """Ask again, or after ``_GROUP_TRIES`` asks give up (counted) and
+        drop the transfer: its parked queries' own deadlines recover them."""
+        if self._pending_transfers.get(pending.category_id) is not pending:
+            return  # landed, replaced by a newer move, or lost to a power loss
+        if pending.asks >= _GROUP_TRIES:
+            obs.counter("overlay.group_abandoned").inc()
+            del self._pending_transfers[pending.category_id]
+            return
+        obs.counter("overlay.group_rerequests").inc()
+        self._ask_for_group(pending)
 
     def _group_for_partner(self, category_id: int, partner_id: int) -> list[int]:
         """The slice of this node's category documents owed to ``partner_id``.
@@ -455,6 +482,7 @@ class AdaptationProtocol:
                 category_id=request.category_id,
                 doc_ids=tuple(info.doc_id for info in infos),
                 total_bytes=total,
+                group=not request.doc_ids,
             ),
             size=max(total, m.CONTROL_SIZE),
         )
@@ -464,6 +492,8 @@ class AdaptationProtocol:
     def handle_transfer_data(self, data: m.TransferData, src: int) -> None:
         per_doc = data.total_bytes // max(1, len(data.doc_ids))
         for doc_id in data.doc_ids:
+            if doc_id in self.peer.docs:
+                continue  # held already: a duplicate answer stores nothing
             self.peer.store_document(
                 DocInfo(
                     doc_id=doc_id,
@@ -475,9 +505,10 @@ class AdaptationProtocol:
         if pending is not None:
             entry = self.peer.dcrt.entry(data.category_id)
             waiting, pending.waiting_queries = pending.waiting_queries, []
-            if pending.requested:
-                # The bulk group has arrived; future queries go through the
-                # normal path (and may still pull individual docs urgently).
+            if data.group:
+                # Only the group ends the transfer (a per-document answer
+                # must not cancel its deadline); future queries go through
+                # the normal path.
                 self._pending_transfers.pop(data.category_id, None)
             for query in waiting:
                 self.peer.queries.replay(query, entry)

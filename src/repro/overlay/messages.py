@@ -288,6 +288,9 @@ class TransferData:
     category_id: int
     doc_ids: tuple[int, ...]
     total_bytes: int
+    #: answers a group request (no ``doc_ids`` asked): only this ends the
+    #: destination's pending transfer.
+    group: bool
 
 
 @frozen_dataclass

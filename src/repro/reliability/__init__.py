@@ -14,26 +14,21 @@ package makes reliability a first-class, reusable layer:
   ping a round, indirect pings before suspicion); its suspect list
   feeds NRT target selection, leader election, and the monitoring tree
   so dead nodes are routed around instead of timed out per-request.
-* :data:`RELIABLE_KINDS` — the request/response message kinds a peer
-  sends through the channel.  Queries and their answers are deliberately
-  absent: they get end-to-end deadline failover in the peer instead
-  (retrying a different cluster member beats re-sending to the same one,
-  and one mechanism recovers a lost query and a lost answer alike).
+
+Which kinds go through the channel is a transport property:
+:data:`repro.transport.RELIABLE_KINDS`, the kinds whose protocol has no
+deadline of its own yet; every other kind is recovered above the channel
+(``repro.transport.reliable`` names each recoverer).
 
 Everything is off by default (``ReliabilityConfig(enabled=False)``):
 fault-free experiment runs stay byte-identical, and the jitter stream is
 never consulted unless a retry actually fires.
 """
 
-from repro.reliability.channel import (
-    RELIABLE_KINDS,
-    ReliabilityConfig,
-    ReliableChannel,
-)
+from repro.reliability.channel import ReliabilityConfig, ReliableChannel
 from repro.reliability.detector import FailureDetector
 
 __all__ = [
-    "RELIABLE_KINDS",
     "ReliabilityConfig",
     "ReliableChannel",
     "FailureDetector",

@@ -10,8 +10,8 @@ sides of the protocol:
 * **receiver** — :meth:`observe` acks every reliable message (including
   duplicates, whose earlier ack may itself have been lost) and reports
   whether the message was already applied, keyed on ``(src,
-  delivery_id)`` in a bounded LRU window, so retried publishes and
-  transfers never double-count documents or bytes.
+  delivery_id)`` in a bounded LRU window, so a retried publish, join or
+  reassign notice is applied once.
 
 The jitter generator is only consulted when a retransmission actually
 fires: a loss-free run draws nothing from it, which keeps zero-loss
@@ -26,16 +26,12 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
 from repro.sim.network import Message
-# RELIABLE_KINDS moved to the transport layer (which kinds want acks is
-# a wire property, not a channel implementation detail); re-exported
-# here for the many existing importers.
 from repro.transport import Transport
-from repro.transport.reliable import RELIABLE_KINDS  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay import messages as m
 
-__all__ = ["RELIABLE_KINDS", "ReliabilityConfig", "ReliableChannel"]
+__all__ = ["ReliabilityConfig", "ReliableChannel"]
 
 #: bytes charged for an ack (mirrors ``messages.CONTROL_SIZE``; the
 #: overlay module is imported lazily to keep this package importable on

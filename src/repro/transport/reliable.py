@@ -27,23 +27,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RELIABLE_KINDS", "ReliableTransport"]
 
 #: Message kinds routed through the ack/retry channel when reliability
-#: is enabled.  Queries and their answers are absent on purpose — the
-#: requester's end-to-end deadline fails a query over to a *different*
-#: cluster member as a new numbered attempt, which recovers a lost
-#: query, a lost answer and a dead target alike; a per-hop ack on the
-#: answer would recover the same loss twice.  Acks, pings, and gossip
-#: are fire-and-forget by design (gossip is its own anti-entropy
-#: repair).  Chunk traffic likewise relies on the fetcher's per-chunk
-#: deadline failover rather than per-hop retries.
+#: is enabled: the kinds whose protocol has no deadline of its own yet.
+#: Every other kind has exactly one recoverer above the channel: the
+#: requester's query deadline (queries and answers), the fetcher's
+#: per-chunk deadline (chunks), the next replica round (replica pulls),
+#: the destination's group deadline (category moves), anti-entropy
+#: (gossip); acks and pings are fire-and-forget by design.
 RELIABLE_KINDS = frozenset(
     {
+        # No recoverer: nothing re-publishes a lost publish.
         "publish_request",
         "publish_reply",
+        # No recoverer until the joiner keeps its own deadline (ROADMAP 16(a)).
         "join_request",
         "join_reply",
+        # Gossip repairs the DCRT half; nothing re-sends the transfer roles.
         "reassign_notice",
-        "transfer_request",
-        "transfer_data",
     }
 )
 

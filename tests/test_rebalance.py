@@ -1,14 +1,24 @@
 """Tests for the lazy rebalancing protocol (Section 6.1.2) and cost model."""
 
+import numpy as np
 import pytest
 
+from repro import obs
+from repro.durability import MemoryStore, PeerJournal
 from repro.overlay import messages as m
+from repro.overlay.adaptation_protocol import _GROUP_DEADLINE, _GROUP_TRIES
+from repro.overlay.peer import PeerConfig
 from repro.overlay.rebalance import pair_nodes, rebalance_cost
+from repro.reliability import ReliabilityConfig
 from repro.sim.network import Message
 
 from tests.helpers import MicroOverlay
 
 MB = 1024 * 1024
+#: peers that own their recoveries (the group deadline is armed).
+RELIABLE = PeerConfig(reliability=ReliabilityConfig(enabled=True))
+#: as good as certain loss (a drop probability must stay below 1).
+LOST = 0.999999
 
 
 class TestPairNodes:
@@ -50,11 +60,12 @@ class TestCostModel:
             rebalance_cost(0, 1, 1, 1, 1, 1)
 
 
-def _two_cluster_overlay():
+def _two_cluster_overlay(config=None):
     """Cluster 0 = {0, 1} serving category 7; cluster 1 = {2, 3} empty."""
     overlay = MicroOverlay()
+    overlay.network.rng = np.random.default_rng(0)
     for node_id in range(4):
-        overlay.add_peer(node_id)
+        overlay.add_peer(node_id, config=config)
     overlay.wire_cluster(0, [0, 1], edges=[(0, 1)], category_map={7: 0})
     overlay.wire_cluster(1, [2, 3], edges=[(2, 3)])
     overlay.give_document(0, 100, [7], size=2 * MB)
@@ -88,8 +99,10 @@ class TestReassignExecution:
             assert overlay.peers[node_id].dcrt.cluster_of(7) == 1
             assert overlay.peers[node_id].dcrt.entry(7).move_counter == 1
 
-    def test_transfers_populate_destination(self):
-        overlay = _two_cluster_overlay()
+    @pytest.mark.parametrize("config", [None, RELIABLE], ids=["plain", "reliable"])
+    def test_transfers_populate_destination(self, config):
+        overlay = _two_cluster_overlay(config)
+        rerequests = obs.counter("overlay.group_rerequests").value
         notice = _notice([(0, 2), (1, 3)])
         for node_id in range(4):
             _deliver(overlay, node_id, notice)
@@ -98,6 +111,90 @@ class TestReassignExecution:
         assert sorted(overlay.peers[3].docs) == [101]
         assert overlay.peers[2].dt.has_document(100)
         assert overlay.peers[3].dt.has_document(101)
+        # Without loss each destination asks for its group once.
+        assert overlay.network.stats.by_kind["transfer_request"] == 2
+        assert obs.counter("overlay.group_rerequests").value == rerequests
+
+    def test_lost_group_is_asked_for_again_and_lands(self):
+        overlay = _two_cluster_overlay(RELIABLE)
+        rerequests = obs.counter("overlay.group_rerequests").value
+        overlay.network.set_kind_drop_probability("transfer_data", LOST)
+        for node_id in range(4):
+            _deliver(overlay, node_id, _notice([(0, 2), (1, 3)]))
+        # Both first answers are lost; the loss ends before the deadline.
+        overlay.sim.schedule(
+            _GROUP_DEADLINE / 2, overlay.network.clear_kind_drop_probabilities
+        )
+        overlay.run()
+        assert sorted(overlay.peers[2].docs) == [100]
+        assert sorted(overlay.peers[3].docs) == [101]
+        assert overlay.network.stats.by_kind["transfer_request"] == 4
+        assert obs.counter("overlay.group_rerequests").value == rerequests + 2
+
+    def test_group_is_given_up_after_a_fixed_number_of_asks(self):
+        overlay = _two_cluster_overlay(RELIABLE)
+        abandoned = obs.counter("overlay.group_abandoned").value
+        overlay.network.set_kind_drop_probability("transfer_request", LOST)
+        _deliver(overlay, 2, _notice([(0, 2)]))
+        overlay.run()
+        assert overlay.network.stats.by_kind["transfer_request"] == _GROUP_TRIES
+        assert obs.counter("overlay.group_abandoned").value == abandoned + 1
+        # Given up: a category query no longer waits on the transfer.
+        query = m.QueryMessage(
+            query_id=78, requester_id=1, category_id=7, remaining=1,
+        )
+        assert not overlay.peers[2].adaptation.park(query)
+
+    def test_document_answer_before_the_group_leaves_it_pending(self):
+        """Only the group's answer ends the transfer: a per-document pull
+        that lands first must not cancel the group's recovery."""
+        overlay = _two_cluster_overlay(RELIABLE)
+        overlay.give_document(0, 102, [7], size=MB)
+        destination = overlay.peers[2]
+        overlay.network.set_kind_drop_probability("transfer_data", LOST)
+        for node_id in range(4):
+            _deliver(overlay, node_id, _notice([(0, 2), (1, 3)]))
+        doc_query = m.QueryMessage(
+            query_id=77, requester_id=1, category_id=7, remaining=1,
+            hops=1, target_cluster=1, target_doc_id=100,
+        )
+        parked = []
+
+        def pull_one_document():
+            # The group's first answer was lost; doc 100 alone is pulled now.
+            overlay.network.clear_kind_drop_probabilities()
+            destination.handle_message(
+                Message(src=1, dst=2, kind="query", payload=doc_query)
+            )
+
+        def ask_for_the_category():
+            assert 100 in destination.docs and 102 not in destination.docs
+            query = m.QueryMessage(
+                query_id=78, requester_id=1, category_id=7, remaining=2,
+            )
+            parked.append(destination.adaptation.park(query))
+
+        overlay.sim.schedule(_GROUP_DEADLINE / 2, pull_one_document)
+        overlay.sim.schedule(_GROUP_DEADLINE * 0.9, ask_for_the_category)
+        overlay.run()
+        assert parked == [True]
+        assert sorted(destination.docs) == [100, 102]
+
+    def test_duplicate_transfer_data_journals_nothing(self):
+        overlay = _two_cluster_overlay()
+        destination = overlay.peers[2]
+        destination.attach_journal(PeerJournal(MemoryStore()))
+        data = m.TransferData(
+            category_id=7, doc_ids=(100,), total_bytes=2 * MB, group=True
+        )
+        written = []
+        for _ in range(2):
+            destination.handle_message(
+                Message(src=0, dst=2, kind="transfer_data", payload=data)
+            )
+            written.append(destination.journal.records_written)
+        assert written[0] == written[1]
+        assert sorted(destination.docs) == [100]
 
     def test_transfer_bytes_accounted(self):
         overlay = _two_cluster_overlay()

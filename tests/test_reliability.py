@@ -8,15 +8,11 @@ from repro.overlay import messages as m
 from repro.overlay.peer import DocInfo, PeerConfig
 from repro.model.workload import make_query_workload
 from repro.overlay.query_protocol import SEEN_QUERY_CAPACITY, SEEN_QUERY_TTL
-from repro.reliability import (
-    RELIABLE_KINDS,
-    FailureDetector,
-    ReliabilityConfig,
-    ReliableChannel,
-)
+from repro.reliability import FailureDetector, ReliabilityConfig, ReliableChannel
 from repro.reliability.channel import JITTER_FRACTION
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Network
+from repro.transport import RELIABLE_KINDS
 from tests.helpers import MicroOverlay, build_live_system, patch_method
 
 FAST = ReliabilityConfig(
@@ -149,14 +145,13 @@ class TestReliableChannel:
 
     def test_query_kind_is_not_reliable(self):
         # Queries and their answers get end-to-end failover instead of
-        # same-target retries; acks/pings/gossip are fire-and-forget by
-        # design.
-        assert "query" not in RELIABLE_KINDS
-        assert "query_response" not in RELIABLE_KINDS
-        assert "ack" not in RELIABLE_KINDS
-        assert "gossip" not in RELIABLE_KINDS
+        # same-target retries, transfers the replica loop or the group
+        # deadline; acks/pings/gossip are fire-and-forget by design.
+        for kind in ("query", "query_response", "ack", "gossip"):
+            assert kind not in RELIABLE_KINDS
+        for kind in ("transfer_request", "transfer_data"):
+            assert kind not in RELIABLE_KINDS
         assert "publish_request" in RELIABLE_KINDS
-        assert "transfer_data" in RELIABLE_KINDS
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,11 @@ copies, the ``MAX_REPLICAS`` ceiling, and clean retire semantics (only
 copies the loop placed are ever dropped).
 """
 
+import numpy as np
 import pytest
 
 from repro.chaos import InvariantChecker
+from repro.content import ContentConfig
 from repro.core.maxfair import maxfair
 from repro.core.popularity import build_category_stats
 from repro.core.replication import plan_replication
@@ -26,11 +28,12 @@ from repro.overlay.replication_manager import (
     home_candidates,
 )
 from repro.overlay.system import P2PSystem, P2PSystemConfig
+from repro.reliability import ReliabilityConfig
 
 from tests.helpers import build_live_system, violated
 
 
-def _adaptive_system(seed=7, n_nodes=12):
+def _adaptive_system(seed=7, n_nodes=12, **overrides):
     """A multi-cluster world with the manager on.
 
     Built from explicit counts (like the chaos and CACHE-QOS worlds):
@@ -53,6 +56,7 @@ def _adaptive_system(seed=7, n_nodes=12):
         seed=seed,
         cache_capacity=8,
         replication=ReplicationConfig(enabled=True),
+        **overrides,
     )
     return P2PSystem(instance, assignment, plan=plan, config=config)
 
@@ -239,6 +243,33 @@ class TestHysteresis:
                 assert doc_id not in system.peers[node_id].docs
         for node_id, contributions in kept.items():
             assert contributions <= system.peers[node_id].docs.keys()
+
+    @pytest.mark.parametrize("content", [False, True], ids=["plain", "content"])
+    def test_lost_pull_is_placed_again_by_the_next_round(self, content):
+        # The replica loop is a lost pull's one recoverer: the copy never
+        # arrives, so the next round forgets it and places it again.
+        system = _adaptive_system(
+            reliability=ReliabilityConfig(enabled=True),
+            content=ContentConfig(enabled=content),
+        )
+        manager = system.replication
+        wanted = _hot(system, min(manager._category_docs))
+        system.network.rng = np.random.default_rng(0)
+        system.network.set_kind_drop_probability("transfer_data", 0.999999)
+        lost = system.run_replication_round().grown
+        assert sorted(lost) == sorted(wanted)
+        for doc_id, nodes in lost.items():
+            for node_id in nodes:
+                assert doc_id not in system.peers[node_id].docs
+                # A manifest shipped beside the lost pull advertises nothing.
+                assert node_id not in system.ledger.holders(doc_id)
+        system.network.clear_kind_drop_probabilities()
+        again = system.run_replication_round()
+        assert again.shrunk == {d: tuple(sorted(n)) for d, n in lost.items()}
+        for doc_id in wanted:
+            assert len(again.grown[doc_id]) == GROW_STEP
+            for node_id in manager.placed[doc_id]:
+                assert doc_id in system.peers[node_id].docs
 
     def test_dead_managed_node_is_forgotten_without_drops(self):
         system = _adaptive_system()
